@@ -34,7 +34,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--threads", type=int, help="evaluation worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("fluxonium", help="diagonalize the circuit, write the fixture")
@@ -58,8 +57,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.threads is not None:
-            cfg["threads"] = args.threads
         out_dir = args.out if args.out else cfg["output_dir"]
         run = RunDirectory(out_dir, cfg)
 
@@ -68,7 +65,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             path = cmd_evaluate(cfg, run, args.genome)
         elif args.command == "optimize":
-            paths = cmd_optimize(cfg, run, n_threads=int(cfg.get("threads", 1)))
+            paths = cmd_optimize(cfg, run)
             path = paths[-1] if paths else run.root
         elif args.command == "aggregate":
             path = cmd_aggregate(cfg, run)
@@ -82,6 +79,11 @@ def main(argv=None) -> int:
             jobs = cfg["gates"]
             if not jobs:
                 raise ConfigError("config contains no gate jobs")
+            if args.job is not None and not 0 <= args.job < len(jobs):
+                raise ConfigError(
+                    f"--job {args.job} out of range: the config has "
+                    f"{len(jobs)} gate job(s)"
+                )
             picked = jobs if args.job is None else [jobs[args.job]]
             for job in picked:
                 path = cmd_grape(cfg, run, job)

@@ -370,12 +370,7 @@ def reference_floquet_via_propagator(
             f"rad/us when halving the step"
         )
 
-    order = np.argsort(np.abs(eps), kind="stable")
-    i, j = order[0], order[1]
-    if eps[i] > eps[j]:
-        i, j = j, i
-    if abs(eps[j] - eps[i]) < _DEGENERACY_RTOL * omega_d:
-        raise DegenerateGapError("degenerate monodromy eigenphases")
+    i, j = _select_central_pair(eps, omega_d)
     eps_minus, eps_plus = float(eps[i]), float(eps[j])
 
     ts = np.arange(substeps) * (period / substeps)

@@ -22,7 +22,14 @@ import numpy as np
 
 from .circuit import EffectiveCoefficients
 from .exceptions import IntegrationError, InvalidParameterError
-from .floquet import DriveSpec, LOWERING, PAULI_X, PAULI_Y, PAULI_Z
+from .floquet import (
+    LOWERING,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DriveSpec,
+    _expi_sequence,
+)
 from .units import RAD_PER_US_TO_RAD_PER_NS, TWO_PI
 
 __all__ = [
@@ -279,25 +286,9 @@ def _frame_unitaries(
             p_vals = drive.waveform(mids * 1e-3)
             cx = (0.5 * coeffs.b_coef + coeffs.a_coef * p_vals)
             cx = cx * RAD_PER_US_TO_RAD_PER_NS
-            acc = _tree_product(_su2_steps(delta_ns, cx, h)) @ acc
+            acc = _tree_product(_expi_sequence(delta_ns, cx, h)) @ acc
         us[seg] = acc
     return us
-
-
-def _su2_steps(delta_ns: float, cx: np.ndarray, h: float) -> np.ndarray:
-    """exp(-i h (-(delta/2) Z + cx X)) for an array of coefficients."""
-    cz = -0.5 * delta_ns
-    norm = np.hypot(cx, cz)
-    theta = norm * h
-    safe = np.where(norm > 0.0, norm, 1.0)
-    sinc = np.where(norm > 0.0, np.sin(theta) / safe, h)
-    out = np.empty((cx.size, 2, 2), dtype=complex)
-    cos = np.cos(theta)
-    out[:, 0, 0] = cos - 1j * sinc * cz
-    out[:, 1, 1] = cos + 1j * sinc * cz
-    out[:, 0, 1] = -1j * sinc * cx
-    out[:, 1, 0] = -1j * sinc * cx
-    return out
 
 
 def _tree_product(mats: np.ndarray) -> np.ndarray:

@@ -8,8 +8,7 @@ aggregated across strategies and seeds by a final non-dominated sort.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,31 +96,28 @@ def dominates(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b)) and a != b
 
 
+def _dominance_matrix(objs) -> np.ndarray:
+    """Boolean matrix whose entry ``[i, j]`` says row ``i`` dominates row ``j``
+    (the :func:`dominates` relation, broadcast over all pairs)."""
+    a = np.asarray(objs, dtype=float)
+    no_worse = (a[:, None, :] <= a[None, :, :]).all(axis=2)
+    better = (a[:, None, :] < a[None, :, :]).any(axis=2)
+    return no_worse & better
+
+
 def non_dominated_sort(objectives) -> list[list[int]]:
-    """Fast non-dominated sort; returns fronts as lists of indices."""
-    objs = [tuple(o) for o in objectives]
-    n = len(objs)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objs[i], objs[j]):
-                dominated_by[i].append(j)
-                count[j] += 1
-            elif dominates(objs[j], objs[i]):
-                dominated_by[j].append(i)
-                count[i] += 1
-    fronts = [[i for i in range(n) if count[i] == 0]]
+    """Fast non-dominated sort; returns fronts as sorted lists of indices."""
+    dom = _dominance_matrix(objectives)
+    count = dom.sum(axis=0)
+    front = np.flatnonzero(count == 0)
+    fronts = [front.tolist()]
     while True:
-        nxt = []
-        for i in fronts[-1]:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    nxt.append(j)
-        if not nxt:
+        count -= dom[front].sum(axis=0)
+        count[front] = -1
+        front = np.flatnonzero(count == 0)
+        if not front.size:
             return fronts
-        fronts.append(sorted(nxt))
+        fronts.append(front.tolist())
 
 
 def _normalized(objs: np.ndarray) -> np.ndarray:
@@ -167,13 +163,9 @@ def _select_nsga2(objs: np.ndarray, m: int) -> list[int]:
 def spea2_fitness(objs: np.ndarray) -> dict:
     """Strength, raw fitness, density and total fitness of a pool."""
     n = len(objs)
-    dom = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j and dominates(objs[i], objs[j]):
-                dom[i, j] = True
+    dom = _dominance_matrix(objs)
     strength = dom.sum(axis=1).astype(float)
-    raw = np.array([strength[dom[:, i]].sum() for i in range(n)])
+    raw = strength @ dom
     norm = _normalized(objs)
     d2 = ((norm[:, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
@@ -257,16 +249,15 @@ def _select_moead(objs: np.ndarray, m: int) -> list[int]:
     """Tchebycheff decomposition over m uniform weights, greedy assignment."""
     norm = _normalized(objs)
     ideal = norm.min(axis=0)
+    w1 = np.arange(m) / (m - 1) if m > 1 else np.array([0.5])
+    lam = np.maximum(np.stack([w1, 1.0 - w1], axis=1), 1e-6)
+    # scores[i, j]: Tchebycheff distance of point j under weight vector i
+    scores = (lam[:, None, :] * np.abs(norm - ideal)[None, :, :]).max(axis=2)
     taken: list[int] = []
-    pool = set(range(len(objs)))
-    for i in range(m):
-        w1 = i / (m - 1) if m > 1 else 0.5
-        lam = np.array([max(w1, 1e-6), max(1.0 - w1, 1e-6)])
-        live = sorted(pool)
-        scores = [np.max(lam * np.abs(norm[j] - ideal)) for j in live]
-        best = live[int(np.argmin(scores))]
+    for row in scores:
+        best = int(np.argmin(row))
         taken.append(best)
-        pool.remove(best)
+        scores[:, best] = np.inf
     return sorted(taken)
 
 
@@ -350,26 +341,22 @@ def _make_offspring(
 
 
 def _evaluate_population(
-    vectors: np.ndarray,
-    context: EvaluationContext,
-    n_threads: int,
+    vectors: np.ndarray, context: EvaluationContext
 ) -> list[tuple[tuple[float, float], PointResult | None]]:
-    genomes = [Genome.from_vector(v) for v in vectors]
-    if n_threads <= 1:
-        return [evaluate_genome(g, context) for g in genomes]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(lambda g: evaluate_genome(g, context), genomes))
+    return [evaluate_genome(Genome.from_vector(v), context) for v in vectors]
 
 
 def run_stage1(
     config: OptimizerConfig,
     context: EvaluationContext,
-    n_threads: int = 1,
-    cache_weights: bool = True,
     generation_hook=None,
 ) -> ParetoFront:
     """One evolutionary run; returns the non-dominated set of the final
     population with per-point provenance stamps.
+
+    Every genome is evaluated once, serially.  Survivors carry the
+    ``PointResult`` of that evaluation through selection, so each front
+    point holds the result the loop computed for it.
 
     ``generation_hook(generation, objectives)`` is called once per generation
     with the post-selection objective array (used for snapshot exports).
@@ -381,39 +368,34 @@ def run_stage1(
     m = config.population_m
 
     vectors = rng.uniform(lo, hi, size=(m, lo.size))
-    evals = _evaluate_population(vectors, context, n_threads)
-    objs = np.array([e[0] for e in evals])
+    evals = _evaluate_population(vectors, context)
 
     for gen in range(1, config.generations_n + 1):
         children = _make_offspring(vectors, config, rng, lo, hi)
-        child_evals = _evaluate_population(children, context, n_threads)
-        pool_vectors = np.vstack([vectors, children])
-        pool_objs = np.vstack([objs, np.array([e[0] for e in child_evals])])
-        keep = environmental_select(config.strategy, pool_objs, m)
-        vectors = pool_vectors[keep]
-        objs = pool_objs[keep]
+        pool_evals = evals + _evaluate_population(children, context)
+        keep = environmental_select(
+            config.strategy, [e[0] for e in pool_evals], m
+        )
+        vectors = np.vstack([vectors, children])[keep]
+        evals = [pool_evals[i] for i in keep]
         if generation_hook is not None:
-            generation_hook(gen, objs.copy())
+            generation_hook(gen, np.array([e[0] for e in evals]))
 
+    objs = np.array([e[0] for e in evals])
     finite = [i for i in range(m) if np.all(np.isfinite(objs[i]))]
     front_idx = [finite[i] for i in non_dominated_sort(objs[finite])[0]]
-    points = []
-    for i in sorted(front_idx):
-        genome = Genome.from_vector(vectors[i])
-        point = None
-        if cache_weights:
-            _, point = evaluate_genome(genome, context)
-        points.append(
-            Individual(
-                genome=genome,
-                objectives=(float(objs[i][0]), float(objs[i][1])),
-                rank=0,
-                point=point,
-                provenance=(config.strategy, config.seed, config.generations_n),
-            )
-        )
     stamp = (config.strategy, config.seed, config.generations_n)
-    return ParetoFront(points=tuple(points), provenance=(stamp,))
+    points = tuple(
+        Individual(
+            genome=Genome.from_vector(vectors[i]),
+            objectives=(float(objs[i][0]), float(objs[i][1])),
+            rank=0,
+            point=evals[i][1],
+            provenance=stamp,
+        )
+        for i in sorted(front_idx)
+    )
+    return ParetoFront(points=points, provenance=(stamp,))
 
 
 def aggregate_fronts(fronts) -> ParetoFront:

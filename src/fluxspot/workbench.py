@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,7 +64,7 @@ from .pareto import (
     aggregate_fronts,
     run_stage1,
 )
-from .reference import BENCHMARK_POINTS
+from .reference import BENCHMARK_POINTS, BenchmarkPoint
 from .units import TWO_PI, ghz
 
 __all__ = [
@@ -86,7 +87,6 @@ DEFAULT_CONFIG = {
     "version": 1,
     "seed": 2024,
     "output_dir": "fluxspot-out",
-    "threads": 1,
     "circuit": {"e_c_ghz": 1.0, "e_l_ghz": 0.79, "e_j_ghz": 4.43, "fock_dim": 110},
     "flux": {"phi_dc_over_pi": 1.03, "phi_ac": 0.05},
     "noise": {
@@ -154,6 +154,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    if "threads" in raw:
+        warnings.warn(
+            "config key 'threads' is ignored: the search runs serially",
+            stacklevel=2,
+        )
+        raw = {k: v for k, v in raw.items() if k != "threads"}
     _check_keys(raw, DEFAULT_CONFIG.keys(), "config root")
     if raw.get("version", 1) != 1:
         raise ConfigError(f"unsupported config version {raw.get('version')}")
@@ -162,7 +168,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     cfg["gates"] = list(DEFAULT_CONFIG["gates"])
     for key in ("circuit", "flux", "noise", "optimizer", "truncation"):
         cfg[key] = _merged(DEFAULT_CONFIG[key], raw.get(key, {}), key)
-    for key in ("version", "seed", "output_dir", "threads"):
+    for key in ("version", "seed", "output_dir"):
         if key in raw:
             cfg[key] = raw[key]
     if "gates" in raw:
@@ -221,8 +227,14 @@ def _json_bytes(obj) -> bytes:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))   # np.float64 would print as "np.float64(...)"
     return str(x)
+
+
+def _atomic_write(target: Path, data: bytes) -> None:
+    tmp = target.with_suffix(target.suffix + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, target)
 
 
 class RunDirectory:
@@ -248,16 +260,12 @@ class RunDirectory:
 
     def write_bytes(self, name: str, data: bytes, command: str) -> Path:
         target = self.root / name
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
+        _atomic_write(target, data)
         digest = hashlib.sha256(data).hexdigest()
         entries = [e for e in self.manifest["entries"] if e["path"] != name]
         entries.append({"command": command, "path": name, "sha256": digest})
         self.manifest["entries"] = sorted(entries, key=lambda e: e["path"])
-        self.manifest_path.write_text(
-            json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
-        )
+        _atomic_write(self.manifest_path, _json_bytes(self.manifest))
         return target
 
     def write_json(self, name: str, obj, command: str) -> Path:
@@ -362,6 +370,28 @@ def _genome_from_row(row: dict, n: int, context: EvaluationContext) -> Genome:
     )
 
 
+def _genome_from_json(spec, where: str) -> Genome:
+    """Genome from its JSON object form (the keys of :class:`Genome`)."""
+    try:
+        return Genome(
+            p0=spec["p0"],
+            p_re=tuple(spec["p_re"]),
+            p_im=tuple(spec["p_im"]),
+            omega_d_frac=spec["omega_d_frac"],
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{where} misses genome key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"{where} is not a genome object: {exc}") from exc
+
+
+def _benchmark_point(name: str) -> BenchmarkPoint:
+    for bench in BENCHMARK_POINTS:
+        if bench.name == name:
+            return bench
+    raise ConfigError(f"unknown benchmark point {name!r}")
+
+
 def _read_front_csv(path: Path, context: EvaluationContext, n: int) -> ParetoFront:
     points = []
     with open(path, newline="") as fh:
@@ -382,21 +412,10 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     name = spec.get("name", "genome")
     phi_ac = spec.get("phi_ac")
     if "benchmark" in spec:
-        match = [b for b in BENCHMARK_POINTS if b.name == spec["benchmark"]]
-        if not match:
-            raise ConfigError(f"unknown benchmark point {spec['benchmark']!r}")
-        bench = match[0]
+        bench = _benchmark_point(spec["benchmark"])
         genome, phi_ac, name = bench.genome, bench.phi_ac, bench.name
     else:
-        try:
-            genome = Genome(
-                p0=spec["p0"],
-                p_re=tuple(spec["p_re"]),
-                p_im=tuple(spec["p_im"]),
-                omega_d_frac=spec["omega_d_frac"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"genome file misses key {exc}") from exc
+        genome = _genome_from_json(spec, "genome file")
     context = build_context(cfg, phi_ac=phi_ac)
     if genome.n != context.n:
         context = replace(context, n=genome.n)
@@ -413,8 +432,12 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     )
 
 
-def cmd_optimize(cfg: dict, run: RunDirectory, n_threads: int = 1) -> list:
-    """Stage-I runs for every configured strategy; one front CSV per run."""
+def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
+    """Stage-I runs for every configured strategy; one front CSV per run.
+
+    Each front row is written from the ``PointResult`` the search computed
+    for that genome, so no front point is evaluated again.
+    """
     opt = cfg["optimizer"]
     context = build_context(cfg)
     paths = []
@@ -446,7 +469,7 @@ def cmd_optimize(cfg: dict, run: RunDirectory, n_threads: int = 1) -> list:
                         ]
                     )
 
-        front = run_stage1(oc, context, n_threads=n_threads, generation_hook=hook)
+        front = run_stage1(oc, context, generation_hook=hook)
         rows = [_individual_row(ind, context) for ind in front.points]
         paths.append(
             run.write_csv(
@@ -496,7 +519,7 @@ def cmd_classify(cfg: dict, run: RunDirectory, compute_fd: bool = True) -> Path:
         report = classify_point(point, context, compute_fd=compute_fd)
         bounds = evaluate_bounds(point, context.noise, context.qubit.delta)
         rows.append(
-            _individual_row(ind, context)
+            _individual_row(replace(ind, point=point), context)
             + [
                 report.label,
                 bounds.t_ub_general,
@@ -538,10 +561,7 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
 def _resolve_gate_point(cfg, run, job, context):
     point_spec = job.get("point", "dss-2")
     if isinstance(point_spec, str):
-        match = [b for b in BENCHMARK_POINTS if b.name == point_spec]
-        if not match:
-            raise ConfigError(f"unknown benchmark point {point_spec!r}")
-        bench = match[0]
+        bench = _benchmark_point(point_spec)
         return bench.genome, bench.phi_ac, bench.name
     if "front_index" in point_spec:
         n = int(cfg["optimizer"]["n"])
@@ -552,13 +572,7 @@ def _resolve_gate_point(cfg, run, job, context):
             raise ConfigError(f"front_index {idx} out of range")
         return front.points[idx].genome, cfg["flux"]["phi_ac"], f"front{idx}"
     if "genome" in point_spec:
-        g = point_spec["genome"]
-        genome = Genome(
-            p0=g["p0"],
-            p_re=tuple(g["p_re"]),
-            p_im=tuple(g["p_im"]),
-            omega_d_frac=g["omega_d_frac"],
-        )
+        genome = _genome_from_json(point_spec["genome"], "gate job point")
         return genome, point_spec.get("phi_ac", cfg["flux"]["phi_ac"]), "custom"
     raise ConfigError("gate job point must be a benchmark name, front_index or genome")
 
@@ -643,12 +657,7 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     path = run.require(f"pulse_{pulse_name}.json", "grape")
     art = json.loads(path.read_text())
     context_eval = build_context(cfg, phi_ac=art["phi_ac"])
-    genome = Genome(
-        p0=art["genome"]["p0"],
-        p_re=tuple(art["genome"]["p_re"]),
-        p_im=tuple(art["genome"]["p_im"]),
-        omega_d_frac=art["genome"]["omega_d_frac"],
-    )
+    genome = _genome_from_json(art["genome"], f"pulse artifact {pulse_name!r}")
     drive = genome_to_drive(genome, context_eval)
     n_qubits = int(art["n_qubits"])
     frame = rotating_frame_trajectory(

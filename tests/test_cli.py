@@ -1,0 +1,151 @@
+"""End-to-end tests of the command-line workbench on a tiny configuration."""
+
+import csv
+import json
+
+import pytest
+
+from fluxspot import cli
+from fluxspot.workbench import RunDirectory, load_config
+
+TINY = {
+    "seed": 5,
+    "optimizer": {
+        "population_m": 8,
+        "generations_n": 2,
+        "n": 2,
+        "snapshot_every": 1,
+    },
+    "gates": [{"name": "x", "gate": "x", "point": "dss-2", "iterations": 2}],
+}
+GENOME = {
+    "name": "custom",
+    "p0": 0.4,
+    "p_re": [0.3, -0.2],
+    "p_im": [0.1, 0.0],
+    "omega_d_frac": 1.1,
+}
+CHAIN = (
+    ["fluxonium"],
+    ["evaluate", "{benchmark}"],
+    ["evaluate", "{genome}"],
+    ["optimize"],
+    ["aggregate"],
+    ["classify"],
+    ["bounds"],
+)
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def run_cli(config, out, *verb):
+    return cli.main(["--config", str(config), "--out", str(out), *verb])
+
+
+def run_chain(root):
+    root.mkdir()
+    files = {
+        "config": write_json(root / "config.json", TINY),
+        "benchmark": write_json(root / "dss2.json", {"benchmark": "dss-2"}),
+        "genome": write_json(root / "genome.json", GENOME),
+    }
+    out = root / "out"
+    codes = {}
+    for verb in CHAIN:
+        args = [a.format(**files) for a in verb]
+        codes[" ".join(verb)] = run_cli(files["config"], out, *args)
+    return out, codes
+
+
+@pytest.fixture(scope="module")
+def chain_runs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("chain")
+    return run_chain(base / "a"), run_chain(base / "b")
+
+
+def artifacts(out):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+
+
+def test_chain_exit_codes(chain_runs):
+    (out, codes), _ = chain_runs
+    assert all(code == 0 for verb, code in codes.items() if verb != "bounds"), codes
+    with open(out / "bounds.csv", newline="") as fh:
+        oks = [row["ok"] for row in csv.DictReader(fh)]
+    assert oks and set(oks) <= {"0", "1"}
+    assert codes["bounds"] == (3 if "0" in oks else 0)
+
+
+def test_same_seed_gives_byte_identical_artifacts(chain_runs):
+    (out_a, _), (out_b, _) = chain_runs
+    a, b = artifacts(out_a), artifacts(out_b)
+    assert {"rates_dss-2.csv", "rates_custom.csv", "front_moead.csv"} <= set(a)
+    assert {"front_classified.csv", "bounds.csv"} <= set(a)
+    assert a == b
+
+
+def test_csvs_hold_plain_numbers(chain_runs):
+    (out, _), _ = chain_runs
+    csvs = [p for p in out.iterdir() if p.suffix == ".csv"]
+    assert csvs
+    for path in csvs:
+        assert "np." not in path.read_text(), path.name
+
+
+def test_manifest_covers_artifacts_and_verify_flags_tampering(chain_runs):
+    (out, _), _ = chain_runs
+    run = RunDirectory(out, load_config(out.parent / "config.json"))
+    assert {e["path"] for e in run.manifest["entries"]} == set(artifacts(out))
+    assert run.verify() == []
+    assert not list(out.glob("*.tmp"))
+    target = out / "front_nsga2.csv"
+    original = target.read_bytes()
+    try:
+        target.write_bytes(original + b"0\n")
+        assert [e["path"] for e in run.verify()] == ["front_nsga2.csv"]
+    finally:
+        target.write_bytes(original)
+
+
+@pytest.mark.parametrize("job", ["1", "-1"])
+def test_grape_job_out_of_range_exits_2(tmp_path, job):
+    config = write_json(tmp_path / "config.json", TINY)
+    assert run_cli(config, tmp_path / "out", "grape", "--job", job) == 2
+
+
+def test_malformed_gate_genome_exits_2(tmp_path):
+    bad = dict(TINY, gates=[{"name": "bad", "point": {"genome": {"p0": 0.5}}}])
+    config = write_json(tmp_path / "config.json", bad)
+    assert run_cli(config, tmp_path / "out", "grape", "--job", "0") == 2
+
+
+def test_malformed_genome_file_exits_2(tmp_path):
+    config = write_json(tmp_path / "config.json", TINY)
+    genome = write_json(tmp_path / "genome.json", {"p0": 0.5})
+    assert run_cli(config, tmp_path / "out", "evaluate", str(genome)) == 2
+
+
+def test_unknown_config_key_exits_2(tmp_path):
+    config = write_json(tmp_path / "config.json", dict(TINY, workers=2))
+    assert run_cli(config, tmp_path / "out", "fluxonium") == 2
+
+
+def test_aggregate_before_optimize_exits_4(tmp_path):
+    config = write_json(tmp_path / "config.json", TINY)
+    assert run_cli(config, tmp_path / "out", "aggregate") == 4
+
+
+def test_threads_key_is_ignored_with_a_warning(tmp_path):
+    config = write_json(tmp_path / "config.json", dict(TINY, threads=4))
+    with pytest.warns(UserWarning, match="'threads' is ignored"):
+        cfg = load_config(config)
+    assert "threads" not in cfg
+    with pytest.warns(UserWarning, match="'threads' is ignored"):
+        assert run_cli(config, tmp_path / "out", "fluxonium") == 0

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.exceptions import EmptyInputError, InvalidParameterError
 from fluxspot.pareto import (
     Individual,
     ParetoFront,
+    _dominance_matrix,
+    _normalized,
     crowding_distance,
     spea2_fitness,
 )
+
+# Small integer coordinates make ties and duplicate rows common.
+_coordinate = st.integers(0, 4).map(float) | st.floats(0.0, 1.0)
+_pools = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40)
 
 
 def brute_force_ranks(objs):
@@ -28,6 +36,22 @@ def brute_force_ranks(objs):
         remaining -= front
         level += 1
     return [ranks[i] for i in range(len(objs))]
+
+
+def moead_reference(objs, m):
+    """Per-weight loop form of the MOEA/D greedy Tchebycheff assignment."""
+    norm = _normalized(objs)
+    ideal = norm.min(axis=0)
+    taken, pool = [], set(range(len(objs)))
+    for i in range(m):
+        w1 = i / (m - 1) if m > 1 else 0.5
+        lam = np.array([max(w1, 1e-6), max(1.0 - w1, 1e-6)])
+        live = sorted(pool)
+        scores = [np.max(lam * np.abs(norm[j] - ideal)) for j in live]
+        best = live[int(np.argmin(scores))]
+        taken.append(best)
+        pool.remove(best)
+    return sorted(taken)
 
 
 def make_front(objs, stamp=("nsga2", 0, 0)):
@@ -73,6 +97,38 @@ class TestNonDominatedSort:
             for level, front in enumerate(fronts):
                 ranks[front] = level
             assert list(ranks) == brute_force_ranks(objs)
+
+
+class TestDominanceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_pools)
+    def test_matrix_matches_predicate_and_sort_invariants(self, pool):
+        objs = np.array(pool)
+        n = len(objs)
+        dom = _dominance_matrix(objs)
+        for i in range(n):
+            for j in range(n):
+                assert dom[i, j] == fs.dominates(pool[i], pool[j])
+
+        fronts = fs.non_dominated_sort(objs)
+        assert sorted(i for front in fronts for i in front) == list(range(n))
+        for front in fronts:
+            assert front == sorted(front)
+            assert not dom[np.ix_(front, front)].any()
+        for upper, lower in zip(fronts, fronts[1:]):
+            assert dom[np.ix_(upper, lower)].any(axis=0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pools)
+    def test_spea2_raw_and_moead_match_loop_forms(self, pool):
+        objs = np.array(pool)
+        n = len(objs)
+        fit = spea2_fitness(objs)
+        dom = _dominance_matrix(objs)
+        raw = [fit["strength"][dom[:, i]].sum() for i in range(n)]
+        assert fit["raw"].tolist() == raw
+        m = max(1, n // 2)
+        assert fs.pareto._select_moead(objs, m) == moead_reference(objs, m)
 
 
 class TestEnvironmentalSelect:
@@ -160,7 +216,7 @@ def small_config():
 class TestRunStage1:
     def test_front_is_mutually_non_dominated(self, context, small_config):
         cfg = fs.OptimizerConfig(strategy="nsga2", **small_config)
-        front = fs.run_stage1(cfg, context, cache_weights=False)
+        front = fs.run_stage1(cfg, context)
         objs = front.objectives()
         for i in range(len(objs)):
             for j in range(len(objs)):
@@ -169,18 +225,28 @@ class TestRunStage1:
 
     def test_seed_determinism(self, context, small_config):
         cfg = fs.OptimizerConfig(strategy="spea2", **small_config)
-        a = fs.run_stage1(cfg, context, cache_weights=False)
-        b = fs.run_stage1(cfg, context, cache_weights=False)
+        a = fs.run_stage1(cfg, context)
+        b = fs.run_stage1(cfg, context)
         assert a.objectives().tobytes() == b.objectives().tobytes()
         assert all(
             x.genome == y.genome for x, y in zip(a.points, b.points)
         )
 
-    def test_threaded_evaluation_matches_serial(self, context, small_config):
-        cfg = fs.OptimizerConfig(strategy="moead", **small_config)
-        serial = fs.run_stage1(cfg, context, n_threads=1, cache_weights=False)
-        threaded = fs.run_stage1(cfg, context, n_threads=4, cache_weights=False)
-        assert serial.objectives().tobytes() == threaded.objectives().tobytes()
+    @pytest.mark.parametrize("strategy", fs.pareto.STRATEGIES)
+    def test_front_points_are_search_results(self, context, small_config, strategy):
+        cfg = fs.OptimizerConfig(strategy=strategy, **small_config)
+        front = fs.run_stage1(cfg, context)
+        assert len(front) > 0
+        for ind in front.points:
+            assert ind.point.objectives == ind.objectives
+            objectives, fresh = fs.evaluate_genome(ind.genome, context)
+            assert objectives == ind.objectives
+            assert fresh.drive == ind.point.drive
+            assert fresh.rates == ind.point.rates
+            for name in ("g_z", "g_plus", "g_minus"):
+                assert np.array_equal(
+                    getattr(fresh.weights, name), getattr(ind.point.weights, name)
+                )
 
     def test_bounds_preserved_and_elitism(self, context, small_config):
         best_gamma1 = []
@@ -190,9 +256,7 @@ class TestRunStage1:
             best_gamma1.append(finite[:, 0].min())
 
         cfg = fs.OptimizerConfig(strategy="nsga2", **small_config)
-        front = fs.run_stage1(
-            cfg, context, cache_weights=False, generation_hook=hook
-        )
+        front = fs.run_stage1(cfg, context, generation_hook=hook)
         lo, hi = fs.Genome.bounds(4)
         for ind in front.points:
             vec = ind.genome.to_vector()
