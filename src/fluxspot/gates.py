@@ -16,7 +16,8 @@ entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -161,15 +162,20 @@ class PulseSpec:
         w[0] = w[-1] = 0.0   # exact boundary zeros despite pi round-off
         return w
 
+    @cached_property
+    def fourier_basis(self) -> np.ndarray:
+        """``(2 n_freq + 1, steps)`` rows DC, cos 1, sin 1, cos 2, ... on the
+        sample grid, so the unconstrained waveform is ``theta @ basis``."""
+        m = np.arange(1, self.n_freq + 1)[:, None]
+        arg = TWO_PI * m * self.sample_times() / self.duration
+        pairs = np.stack([np.cos(arg), np.sin(arg)], axis=1)
+        return np.vstack([np.ones(self.steps), pairs.reshape(-1, self.steps)])
+
 
 def _shape_stages(theta: np.ndarray, spec: PulseSpec):
     """Forward pass of the constraint pipeline for one control channel."""
-    ts = spec.sample_times()
     n = spec.steps
-    raw = np.full(n, theta[0])
-    for m in range(1, spec.n_freq + 1):
-        arg = TWO_PI * m * ts / spec.duration
-        raw = raw + theta[2 * m - 1] * np.cos(arg) + theta[2 * m] * np.sin(arg)
+    raw = theta @ spec.fourier_basis
     windowed = spec.window() * raw
     sig = 1.0 / (1.0 + np.exp(-spec.slope * windowed))
     bounded = spec.amp_scale * (2.0 * sig - 1.0)
@@ -202,14 +208,7 @@ def _shape_backward(grad_f: np.ndarray, stages, spec: PulseSpec) -> np.ndarray:
     dsig = spec.amp_scale * 2.0 * sig * (1.0 - sig) * spec.slope
     grad_windowed = grad_bounded * dsig
     grad_raw = grad_windowed * spec.window()
-    ts = spec.sample_times()
-    grad_theta = np.empty(spec.params_per_control)
-    grad_theta[0] = grad_raw.sum()
-    for m in range(1, spec.n_freq + 1):
-        arg = TWO_PI * m * ts / spec.duration
-        grad_theta[2 * m - 1] = (grad_raw * np.cos(arg)).sum()
-        grad_theta[2 * m] = (grad_raw * np.sin(arg)).sum()
-    return grad_theta
+    return spec.fourier_basis @ grad_raw
 
 
 @dataclass(frozen=True)
@@ -390,17 +389,19 @@ def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
     return w
 
 
-def propagate_closed(context: ControlContext, waveforms) -> np.ndarray:
-    """Closed-system propagator: ordered product of step exponentials."""
-    w = _as_waveform_matrix(context, waveforms)
-    hs = _step_hamiltonians(context, w)
-    evals, evecs = np.linalg.eigh(hs)
+def _step_exponentials(context: ControlContext, waveforms: np.ndarray):
+    """Eigenvalues, eigenvectors, eigenphases ``exp(-i lambda dt)`` and
+    exponentials ``exp(-i H_k dt)`` of the step Hamiltonians."""
+    evals, evecs = np.linalg.eigh(_step_hamiltonians(context, waveforms))
     phases = np.exp(-1j * evals * context.dt)
     steps = np.einsum("kab,kb,kcb->kac", evecs, phases, evecs.conj())
-    u = np.eye(context.dimension, dtype=complex)
-    for k in range(context.steps):
-        u = steps[k] @ u
-    return u
+    return evals, evecs, phases, steps
+
+
+def propagate_closed(context: ControlContext, waveforms) -> np.ndarray:
+    """Closed-system propagator: ordered product of step exponentials."""
+    *_, steps = _step_exponentials(context, _as_waveform_matrix(context, waveforms))
+    return _tree_product(steps)
 
 
 def gate_fidelity(u: np.ndarray, target: GateTarget) -> float:
@@ -432,10 +433,7 @@ def _fidelity_and_waveform_grad(
     d = context.dimension
     dt = context.dt
     n = context.steps
-    hs = _step_hamiltonians(context, waveforms)
-    evals, evecs = np.linalg.eigh(hs)
-    phases = np.exp(-1j * evals * dt)
-    steps = np.einsum("kab,kb,kcb->kac", evecs, phases, evecs.conj())
+    evals, evecs, phases, steps = _step_exponentials(context, waveforms)
 
     prefix = np.empty((n + 1, d, d), dtype=complex)
     prefix[0] = np.eye(d)
@@ -459,16 +457,14 @@ def _fidelity_and_waveform_grad(
     tiny = np.abs(diff) < 1e-12
     gmat = np.where(tiny, -1j * dt * ph_i, (ph_i - ph_j) / np.where(tiny, 1.0, diff))
 
-    grads = np.zeros((len(context.controls), n))
-    ud = target.unitary
-    for c, ops in enumerate(context.controls):
-        inner = np.einsum("kba,kbc,kcd->kad", evecs.conj(), ops, evecs)
-        dstep = np.einsum("kab,kbc,kdc->kad", evecs, gmat * inner, evecs.conj())
-        for k in range(n):
-            m = suffix[k + 1] @ dstep[k] @ prefix[k]
-            grads[c, k] = 2.0 * np.real(
-                np.conj(tr) * np.trace(ud.conj().T @ m) / d
-            )
+    # dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 V_k (G_k * O_ck) V_k^dag P_k) / d)
+    # with O_ck the control operator in the step eigenbasis; the trace is
+    # cyclic, so W_k = V_k^dag P_k U_d^dag S_k+1 V_k carries every step.
+    evecs_dag = evecs.conj().transpose(0, 2, 1)
+    w = evecs_dag @ prefix[:n] @ target.unitary.conj().T @ suffix[1:] @ evecs
+    inner = evecs_dag @ np.stack(context.controls) @ evecs
+    overlap = np.einsum("kba,ckab->ck", w, gmat * inner)
+    grads = 2.0 * np.real(np.conj(tr) * overlap / d)
     return fid, grads, u_total
 
 

@@ -4,7 +4,10 @@ process fidelity.
 The density matrix evolves in the same rotating frame as the closed-system
 gate dynamics; relaxation and dephasing enter through frame-conjugated jump
 operators sampled per step, with rates taken from a decoherence-rate report
-(1/us, converted to the gate module's ns clock internally).
+(1/us, converted to the gate module's ns clock internally).  The generator is
+piecewise constant on the pulse grid, so the whole pulse is one exact
+superoperator: the product of the step Liouvillian exponentials (Havel,
+J. Math. Phys. 44, 534 (2003) for the Lindblad, superoperator and chi forms).
 """
 
 from __future__ import annotations
@@ -13,10 +16,16 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.linalg import expm
 
 from .exceptions import IntegrationError, InvalidParameterError, TomographyError
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z
-from .gates import ControlContext, _as_waveform_matrix, _step_hamiltonians
+from .gates import (
+    ControlContext,
+    _as_waveform_matrix,
+    _step_hamiltonians,
+    _tree_product,
+)
 
 __all__ = [
     "LindbladModel",
@@ -59,11 +68,43 @@ def _pauli_basis(n_qubits: int) -> list[np.ndarray]:
     return [np.kron(a, b) for a, b in product(singles, singles)]
 
 
-def _lindblad_rhs(rho, h, jumps):
-    out = -1j * (h @ rho - rho @ h)
-    for gamma, op, op_dag, op2 in jumps:
-        out += gamma * (op @ rho @ op_dag - 0.5 * (op2 @ rho + rho @ op2))
-    return out
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-step ``kron(a[k], b[k])``; either factor may be one fixed matrix."""
+    d = a.shape[-1]
+    return np.einsum("...ab,...cd->...acbd", a, b).reshape(-1, d * d, d * d)
+
+
+def _pulse_superoperator(
+    context: ControlContext, waveforms, model: LindbladModel
+) -> np.ndarray:
+    """The whole pulse as one d^2 x d^2 superoperator on row-major vec(rho).
+
+    Step k propagates exactly under its constant Liouvillian
+    ``-i(H (x) I - I (x) H^T) + sum gamma (A (x) A* - A^dag A (x) I / 2
+    - I (x) (A^dag A)^T / 2)``, from ``vec(A X B) = kron(A, B^T) vec(X)``;
+    the step exponentials come from one batched ``expm`` and are multiplied
+    in time order.
+    """
+    if model.n_qubits != context.n_qubits:
+        raise InvalidParameterError("model and context disagree on qubit count")
+    d = context.dimension
+    eye = np.eye(d)
+    w = _as_waveform_matrix(context, waveforms)
+    hs = _step_hamiltonians(context, w).astype(complex, copy=False)
+    # accumulated in place, already times dt: the d^4-per-step stacks
+    # dominate the memory of a 2-qubit simulate
+    gen = _kron(hs, eye)
+    gen -= _kron(eye, hs.transpose(0, 2, 1))
+    gen *= -1j * context.dt
+    for (low, deph), (g_relax, g_deph) in zip(context.embedded_jumps(), model.rates):
+        for gamma, ops in ((g_relax, low), (g_deph, deph)):
+            if gamma > 0.0:
+                rate = gamma * _RATE_US_TO_NS * context.dt
+                op2 = ops.conj().transpose(0, 2, 1) @ ops
+                gen += rate * _kron(ops, ops.conj())
+                gen -= (0.5 * rate) * _kron(op2, eye)
+                gen -= (0.5 * rate) * _kron(eye, op2.transpose(0, 2, 1))
+    return _tree_product(expm(gen))
 
 
 def evolve_density(
@@ -71,56 +112,35 @@ def evolve_density(
     waveforms,
     model: LindbladModel,
     rho0: np.ndarray,
-    substeps: int = 4,
 ) -> np.ndarray:
     """Propagate a density matrix through the pulse with dissipation.
 
-    Fixed-step RK4 with the generator held constant inside each pulse step
-    (Hamiltonian and jump operators sampled at the step midpoints); with the
-    rates set to zero this reproduces the closed-system step product
-    exactly up to RK4 round-off.
+    The generator is held constant inside each pulse step (Hamiltonian and
+    jump operators sampled at the step midpoints) and each step is
+    propagated exactly by the exponential of its Liouvillian, so the only
+    approximation is the piecewise-constant sampling itself; with the rates
+    set to zero this equals ``U rho0 U^dag`` of :func:`propagate_closed` up
+    to round-off.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho0 = np.asarray(rho0, dtype=complex)
     d = context.dimension
-    if rho.shape != (d, d):
+    if rho0.shape != (d, d):
         raise InvalidParameterError(f"rho0 must be {d}x{d}")
-    if model.n_qubits != context.n_qubits:
-        raise InvalidParameterError("model and context disagree on qubit count")
-    w = _as_waveform_matrix(context, waveforms)
-    hs = _step_hamiltonians(context, w)
-    jump_samples = context.embedded_jumps()
-    h_step = context.dt / substeps
-    for k in range(context.steps):
-        h = hs[k]
-        jumps = []
-        for q, (low, deph) in enumerate(jump_samples):
-            g_relax, g_deph = model.rates[q]
-            for gamma, op in (
-                (g_relax * _RATE_US_TO_NS, low[k]),
-                (g_deph * _RATE_US_TO_NS, deph[k]),
-            ):
-                if gamma > 0.0:
-                    op_dag = op.conj().T
-                    jumps.append((gamma, op, op_dag, op_dag @ op))
-        for _ in range(substeps):
-            k1 = _lindblad_rhs(rho, h, jumps)
-            k2 = _lindblad_rhs(rho + 0.5 * h_step * k1, h, jumps)
-            k3 = _lindblad_rhs(rho + 0.5 * h_step * k2, h, jumps)
-            k4 = _lindblad_rhs(rho + h_step * k3, h, jumps)
-            rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rho = channel_from_simulation(context, waveforms, model)(rho0)
     drift = abs(np.trace(rho).real - np.trace(rho0).real)
     if drift > 1e-9:
-        raise IntegrationError(f"trace drifted by {drift:.2e}; refine substeps")
+        raise IntegrationError(f"trace drifted by {drift:.2e}")
     return rho
 
 
-def channel_from_simulation(
-    context: ControlContext, waveforms, model: LindbladModel, substeps: int = 4
-):
-    """The open-system gate as a channel ``rho -> rho_final``."""
+def channel_from_simulation(context: ControlContext, waveforms, model: LindbladModel):
+    """The open-system gate as a channel ``rho -> rho_final``; the pulse
+    superoperator is built once and applied to every input."""
+    super_op = _pulse_superoperator(context, waveforms, model)
+    d = context.dimension
 
     def channel(rho: np.ndarray) -> np.ndarray:
-        return evolve_density(context, waveforms, model, rho, substeps=substeps)
+        return (super_op @ np.asarray(rho, dtype=complex).ravel()).reshape(d, d)
 
     return channel
 

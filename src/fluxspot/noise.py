@@ -13,7 +13,6 @@ logarithmic prefactor is a documented convention (see ``NoiseModel``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,6 @@ from .floquet import FilterWeights
 from .units import GHZ_TO_RAD_PER_US, KB_OVER_HBAR_RAD_PER_US_PER_K, TWO_PI
 
 __all__ = ["NoiseModel", "RateReport", "spectral_density", "decoherence_rates"]
-
-#: fraction of the total k-sum allowed at the edge harmonics before warning
-EDGE_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,7 @@ def decoherence_rates(
     gamma_z carries the first-order 1/f term from the central weight plus the
     quadratic contributions of the k != 0 harmonics sampled at ``k omega_d``;
     gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``.
-    The harmonic sums run over the full extent of the weight arrays; if the
-    edge harmonics still contribute more than 1e-12 of the total, the arrays
-    were truncated too early and a warning is emitted.
+    The harmonic sums run over the full extent of the weight arrays.
     """
     if not 0.0 < omega_gap < omega_d:
         raise InvalidParameterError(
@@ -172,20 +166,4 @@ def decoherence_rates(
     gamma_z = noise.dephasing_scale * (first_order + 0.25 * float(np.sum(quad)))
     gamma_plus = float(np.sum(gp2 * s_up))
     gamma_minus = float(np.sum(gm2 * s_down))
-
-    edge = (
-        quad[0]
-        + quad[-1]
-        + gp2[0] * s_up[0]
-        + gp2[-1] * s_up[-1]
-        + gm2[0] * s_down[0]
-        + gm2[-1] * s_down[-1]
-    )
-    total = gamma_z + gamma_plus + gamma_minus
-    if total > 0.0 and edge > EDGE_FRACTION * total:
-        warnings.warn(
-            f"edge harmonics |k| = {weights.k_max} carry {edge / total:.2e} "
-            "of the total rate; increase the harmonic truncation",
-            stacklevel=2,
-        )
     return RateReport.from_rates(gamma_z, gamma_plus, gamma_minus)

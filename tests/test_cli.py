@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -16,7 +17,17 @@ TINY = {
         "n": 2,
         "snapshot_every": 1,
     },
-    "gates": [{"name": "x", "gate": "x", "point": "dss-2", "iterations": 2}],
+    "gates": [
+        {
+            "name": "x",
+            "gate": "x",
+            "point": "dss-2",
+            "steps": 16,
+            "frame_substeps": 8,
+            "iterations": 3,
+        }
+    ],
+    "truncation": {"orders": [1]},
 }
 GENOME = {
     "name": "custom",
@@ -33,6 +44,9 @@ CHAIN = (
     ["aggregate"],
     ["classify"],
     ["bounds"],
+    ["grape"],
+    ["simulate", "x"],
+    ["truncation-study"],
 )
 
 
@@ -81,6 +95,9 @@ def test_chain_exit_codes(chain_runs):
         oks = [row["ok"] for row in csv.DictReader(fh)]
     assert oks and set(oks) <= {"0", "1"}
     assert codes["bounds"] == (3 if "0" in oks else 0)
+    for artifact, key in (("pulse_x.json", "fidelity"), ("simulate_x.json", "process_fidelity")):
+        fidelity = json.loads((out / artifact).read_text())[key]
+        assert math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0, artifact
 
 
 def test_same_seed_gives_byte_identical_artifacts(chain_runs):
@@ -88,6 +105,7 @@ def test_same_seed_gives_byte_identical_artifacts(chain_runs):
     a, b = artifacts(out_a), artifacts(out_b)
     assert {"rates_dss-2.csv", "rates_custom.csv", "front_moead.csv"} <= set(a)
     assert {"front_classified.csv", "bounds.csv"} <= set(a)
+    assert {"pulse_x.json", "simulate_x.json", "truncation.csv"} <= set(a)
     assert a == b
 
 

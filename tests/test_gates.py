@@ -123,6 +123,17 @@ class TestShapePulse:
         assert windowed[0] == 0.0 and windowed[-1] == 0.0
         assert bounded[0] == 0.0 and bounded[-1] == 0.0
 
+    def test_raw_stage_is_the_harmonic_sum(self):
+        spec = self.spec()
+        rng = np.random.default_rng(4)
+        theta = rng.standard_normal(spec.params_per_control)
+        _, (raw, _, _, _) = fs.shape_pulse(theta, spec, return_stages=True)
+        arg = 2 * np.pi * spec.sample_times() / spec.duration
+        expected = np.full(spec.steps, theta[0])
+        for m in range(1, spec.n_freq + 1):
+            expected += theta[2 * m - 1] * np.cos(m * arg) + theta[2 * m] * np.sin(m * arg)
+        assert np.max(np.abs(raw - expected)) < 1e-12 * np.max(np.abs(expected))
+
     def test_sigmoid_bounds_amplitude_before_bandlimit(self):
         spec = self.spec()
         theta = 50.0 * np.ones(spec.params_per_control)
@@ -247,6 +258,48 @@ class TestGradient:
             scale = max(abs(fd), 1e-8)
             worst = max(worst, abs(grad[i] - fd) / scale)
         assert worst < 1e-6
+
+    def test_matches_per_step_loop(self):
+        # reference: dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 dU_k P_k) / d)
+        # summed step by step, with dU_k from scipy's expm Frechet derivative
+        from scipy.linalg import expm, expm_frechet
+
+        from fluxspot.gates import _fidelity_and_waveform_grad
+
+        steps, dt = 40, 0.05
+        rng = np.random.default_rng(5)
+
+        def hermitian():
+            a = rng.standard_normal((steps, 4, 4)) + 1j * rng.standard_normal((steps, 4, 4))
+            return a + a.conj().transpose(0, 2, 1)
+
+        ctx = trivial_context(
+            steps=steps, duration=steps * dt, dim=4,
+            drift=0.3 * hermitian(), controls=(hermitian(), hermitian()),
+        )
+        wf = 0.4 * rng.standard_normal((2, steps))
+        target = fs.gate_target("sqrt_iswap")
+        fid, grads, u = _fidelity_and_waveform_grad(ctx, wf, target)
+
+        hs = ctx.drift + sum(w[:, None, None] * c for w, c in zip(wf, ctx.controls))
+        step_us = [expm(-1j * h * dt) for h in hs]
+        prefix = [np.eye(4)]
+        for s_k in step_us:
+            prefix.append(s_k @ prefix[-1])
+        suffix = [np.eye(4)]
+        for s_k in reversed(step_us):
+            suffix.insert(0, suffix[0] @ s_k)
+        ud_dag = target.unitary.conj().T
+        tr = np.trace(ud_dag @ prefix[-1]) / 4
+        expected = np.empty((2, steps))
+        for c, ops in enumerate(ctx.controls):
+            for k in range(steps):
+                du = expm_frechet(-1j * hs[k] * dt, -1j * ops[k] * dt, compute_expm=False)
+                m = suffix[k + 1] @ du @ prefix[k]
+                expected[c, k] = 2 * np.real(np.conj(tr) * np.trace(ud_dag @ m) / 4)
+        assert fid == pytest.approx(abs(tr) ** 2, abs=1e-12)
+        assert np.max(np.abs(u - prefix[-1])) < 1e-12
+        assert np.max(np.abs(grads - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_gradient_vanishes_at_perfect_fidelity(self):
         ctx = trivial_context()

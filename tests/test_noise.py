@@ -113,13 +113,6 @@ class TestDecoherenceRates:
             assert r.gamma_1 > base.gamma_1
             assert r.gamma_z > base.gamma_z
 
-    def test_edge_harmonic_warning(self, noise):
-        g = np.zeros(5, dtype=complex)
-        g[0] = 0.5   # all weight on the edge harmonic
-        w = make_weights(g_plus=g)
-        with pytest.warns(UserWarning, match="edge harmonics"):
-            fs.decoherence_rates(w, 5.0, 10.0, noise)
-
 
 class TestStaticWorkingPoints:
     def test_static_sweet_spot_t1(self, context, noise):
