@@ -23,6 +23,7 @@ from .exceptions import InvalidParameterError, StencilCrossingError
 from .floquet import (
     DriveSpec,
     FilterWeights,
+    _two_sided_coefficients,
     assemble_floquet_matrix,
     solve_floquet,
 )
@@ -143,13 +144,7 @@ def amplitude_sensitivity(weights: FilterWeights, drive: DriveSpec) -> complex:
     negative drive coefficients implied by conjugation; the result is real
     up to round-off.
     """
-    ks = weights.ks
-    p_full = np.zeros(ks.size, dtype=complex)
-    for k_idx, k in enumerate(ks):
-        if k == 0:
-            p_full[k_idx] = drive.p[0].real
-        elif abs(k) <= drive.n:
-            p_full[k_idx] = drive.p[k] if k > 0 else np.conj(drive.p[-k])
+    p_full = _two_sided_coefficients(drive, weights.k_max)
     return complex(2.0 * np.sum(p_full * weights.g_z))
 
 

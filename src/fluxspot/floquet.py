@@ -23,6 +23,7 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .circuit import EffectiveCoefficients
 from .exceptions import (
@@ -198,6 +199,18 @@ def hamiltonian_at(drive: DriveSpec, coeffs: EffectiveCoefficients, delta: float
     return -0.5 * delta * PAULI_Z + long_term * PAULI_X
 
 
+def _two_sided_coefficients(drive: DriveSpec, k_max: int) -> np.ndarray:
+    """Drive coefficients ``p_k``, ``|k| <= k_max``: ``p_{-k} = conj(p_k)``,
+    ``Re p_0`` (the box check tolerates round-off in ``Im p_0``), and zero
+    beyond the drive order."""
+    p = np.asarray(drive.p, dtype=complex)[: k_max + 1]
+    p[0] = p[0].real
+    out = np.zeros(2 * k_max + 1, dtype=complex)
+    out[k_max - p.size + 1 : k_max + 1] = p[::-1].conj()
+    out[k_max : k_max + p.size] = p
+    return out
+
+
 def assemble_floquet_matrix(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
@@ -206,29 +219,23 @@ def assemble_floquet_matrix(
 ) -> np.ndarray:
     """Truncated Floquet block matrix of dimension ``2 (2 k_max + 1)``.
 
-    Diagonal blocks are ``H0 + k omega_d I`` with
-    ``H0 = -(delta/2) sigma_z + (B/2 + p_0 A) sigma_x``;
-    the block at offset ``n`` from the diagonal is ``A p_n sigma_x``.
+    Shirley's form ``diag(k omega_d) (x) I - (delta/2) I (x) sigma_z +
+    T (x) sigma_x``, where the Hermitian Toeplitz matrix ``T`` holds
+    ``A p_{i-j}`` off the diagonal and ``B/2 + A p_0`` on it.
     """
     if k_max < drive.n:
         raise TruncationError(
             f"k_max={k_max} would drop drive harmonics up to n={drive.n}"
         )
-    p = np.asarray(drive.p, dtype=complex)
-    a, b = coeffs.a_coef, coeffs.b_coef
-    h0 = -0.5 * delta * PAULI_Z + (0.5 * b + p[0].real * a) * PAULI_X
     nb = 2 * k_max + 1
-    m = np.zeros((2 * nb, 2 * nb), dtype=complex)
-    eye2 = np.eye(2)
-    for i, k in enumerate(range(-k_max, k_max + 1)):
-        m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = h0 + k * drive.omega_d * eye2
-    for n in range(1, drive.n + 1):
-        block_lo = a * p[n] * PAULI_X        # offset +n below the diagonal
-        block_hi = block_lo.T.conj()          # offset -n above the diagonal
-        for j in range(nb - n):
-            i = j + n
-            m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block_lo
-            m[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block_hi
+    band = coeffs.a_coef * _two_sided_coefficients(drive, nb - 1)
+    t = toeplitz(band[nb - 1 :], band[nb - 1 :: -1])
+    t[np.diag_indices(nb)] += 0.5 * coeffs.b_coef
+    m = np.kron(t, PAULI_X)
+    k_omega = np.arange(-k_max, k_max + 1) * drive.omega_d
+    m[np.diag_indices(2 * nb)] = np.column_stack(
+        (k_omega - 0.5 * delta, k_omega + 0.5 * delta)
+    ).ravel()
     return m
 
 
@@ -304,24 +311,28 @@ def _expi_sequence(delta: float, long_coefs: np.ndarray, dt: float) -> np.ndarra
     return out
 
 
-def _propagator_grid(
+def _tree_product(mats: np.ndarray) -> np.ndarray:
+    """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2 == 1:
+            tail, mats = mats[-1:], mats[:-1]
+            mats = np.concatenate([np.matmul(mats[1::2], mats[0::2]), tail])
+        else:
+            mats = np.matmul(mats[1::2], mats[0::2])
+    return mats[0]
+
+
+def _period_steps(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
     delta: float,
     substeps: int,
 ) -> np.ndarray:
-    """U(t_i) on the uniform grid t_i = i T/substeps, i = 0..substeps."""
+    """Midpoint step propagators of one period split into ``substeps``."""
     dt = drive.period / substeps
     t_mid = (np.arange(substeps) + 0.5) * dt
     cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)
-    steps = _expi_sequence(delta, cx, dt)
-    us = np.empty((substeps + 1, 2, 2), dtype=complex)
-    us[0] = np.eye(2)
-    acc = np.eye(2, dtype=complex)
-    for i in range(substeps):
-        acc = steps[i] @ acc
-        us[i + 1] = acc
-    return us
+    return _expi_sequence(delta, cx, dt)
 
 
 def _quasienergies_from_monodromy(
@@ -358,11 +369,15 @@ def reference_floquet_via_propagator(
     period = drive.period
     omega_d = drive.omega_d
 
-    us = _propagator_grid(drive, coeffs, delta, substeps)
+    steps = _period_steps(drive, coeffs, delta, substeps)
+    us = np.empty((substeps + 1, 2, 2), dtype=complex)
+    us[0] = np.eye(2)
+    for i in range(substeps):
+        us[i + 1] = steps[i] @ us[i]
     eps, vecs = _quasienergies_from_monodromy(us[-1], omega_d, period)
 
-    coarse = _propagator_grid(drive, coeffs, delta, substeps // 2)
-    eps_coarse, _ = _quasienergies_from_monodromy(coarse[-1], omega_d, period)
+    coarse = _tree_product(_period_steps(drive, coeffs, delta, substeps // 2))
+    eps_coarse, _ = _quasienergies_from_monodromy(coarse, omega_d, period)
     drift = np.max(np.abs(np.sort(eps) - np.sort(eps_coarse)))
     if drift > 1e-9 * omega_d:
         raise IntegrationError(
@@ -395,24 +410,28 @@ def reference_floquet_via_propagator(
     )
 
 
+def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``c[k] = sum_i a[i+k]^dagger sigma_x b[i]`` for stacked harmonics of
+    shape ``(nb, 2)``, ``k in [-(nb - 1), nb - 1]``."""
+    return sum(np.convolve(a[:, c].conj(), b[::-1, 1 - c]) for c in (0, 1))
+
+
 def compute_filter_weights(sol: FloquetSolution) -> FilterWeights:
     """Filter weights by exact discrete convolution of the mode harmonics.
 
     The returned arrays span ``k in [-2 k_max, 2 k_max]`` -- the full support
     of the harmonic convolution -- so the completeness (Parseval) sum closes
-    to the accuracy of the Floquet solution itself.
+    to the accuracy of the Floquet solution itself.  ``sigma_x`` is
+    Hermitian, so ``g_minus[k] = conj(g_plus[-k])``.
     """
     hp, hm = sol.harmonics_plus, sol.harmonics_minus
-    big_k = 2 * sol.k_max
-    m_pp = hp.conj() @ PAULI_X @ hp.T
-    m_mm = hm.conj() @ PAULI_X @ hm.T
-    m_pm = hp.conj() @ PAULI_X @ hm.T
-    m_mp = hm.conj() @ PAULI_X @ hp.T
-    ks = range(-big_k, big_k + 1)
-    g_z = np.array([0.5 * np.trace(m_pp - m_mm, offset=-k) for k in ks])
-    g_plus = np.array([np.trace(m_pm, offset=-k) for k in ks])
-    g_minus = np.array([np.trace(m_mp, offset=-k) for k in ks])
-    return FilterWeights(g_z=g_z, g_plus=g_plus, g_minus=g_minus, k_max=big_k)
+    g_plus = _corr(hp, hm)
+    return FilterWeights(
+        g_z=0.5 * (_corr(hp, hp) - _corr(hm, hm)),
+        g_plus=g_plus,
+        g_minus=g_plus[::-1].conj(),
+        k_max=2 * sol.k_max,
+    )
 
 
 def filter_weights_time_grid(

@@ -30,6 +30,7 @@ from .floquet import (
     PAULI_Z,
     DriveSpec,
     _expi_sequence,
+    _tree_product,
 )
 from .units import RAD_PER_US_TO_RAD_PER_NS, TWO_PI
 
@@ -288,17 +289,6 @@ def _frame_unitaries(
             acc = _tree_product(_expi_sequence(delta_ns, cx, h)) @ acc
         us[seg] = acc
     return us
-
-
-def _tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            tail, mats = mats[-1:], mats[:-1]
-            mats = np.concatenate([np.matmul(mats[1::2], mats[0::2]), tail])
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
 
 
 def rotating_frame_trajectory(

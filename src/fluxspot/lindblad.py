@@ -19,13 +19,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .exceptions import IntegrationError, InvalidParameterError, TomographyError
-from .floquet import PAULI_X, PAULI_Y, PAULI_Z
-from .gates import (
-    ControlContext,
-    _as_waveform_matrix,
-    _step_hamiltonians,
-    _tree_product,
-)
+from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
+from .gates import ControlContext, _as_waveform_matrix, _step_hamiltonians
 
 __all__ = [
     "LindbladModel",

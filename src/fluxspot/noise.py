@@ -32,8 +32,8 @@ class NoiseModel:
     (matrix elements already folded in); ``temperature`` is in kelvin.
 
     ``dephasing_log_factor`` is the slow-logarithm ``|ln(omega_ir t_m)|`` of
-    the first-order 1/f dephasing term, entering as
-    ``sqrt(2 * dephasing_log_factor)``; the default 4.0 corresponds to a
+    the first-order 1/f dephasing term, entering linearly as
+    ``sqrt(2) * dephasing_log_factor``; the default 4.0 corresponds to a
     measurement window some seven decades above the infrared cutoff.
     ``dephasing_scale`` multiplies the whole dephasing rate and is calibrated
     (default 4.0) so the benchmark coherence times of the reference device
@@ -144,10 +144,10 @@ def decoherence_rates(
         raise InvalidParameterError(
             f"omega_gap must lie in (0, omega_d), got {omega_gap} vs {omega_d}"
         )
-    ks = weights.ks
-    s_deph = spectral_density(noise, ks * omega_d)
-    s_up = spectral_density(noise, ks * omega_d - omega_gap)
-    s_down = spectral_density(noise, ks * omega_d + omega_gap)
+    k_omega = weights.ks * omega_d
+    s_deph, s_up, s_down = spectral_density(
+        noise, np.stack((k_omega, k_omega - omega_gap, k_omega + omega_gap))
+    )
 
     gz2 = np.abs(weights.g_z) ** 2
     gp2 = np.abs(weights.g_plus) ** 2

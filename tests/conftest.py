@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import fluxspot as fs
+
+REFERENCE_CONTEXT = fs.reference_context()
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +14,7 @@ def qubit():
 
 @pytest.fixture(scope="session")
 def context():
-    return fs.reference_context()
+    return REFERENCE_CONTEXT
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +58,22 @@ def solve_drive(drive, context, phi_ac=None):
     m = fs.assemble_floquet_matrix(drive, coeffs, context.qubit.delta, k_max)
     sol = fs.solve_floquet(m, drive.omega_d)
     return sol, fs.compute_filter_weights(sol)
+
+
+@st.composite
+def box_drives(draw):
+    """(drive, k_max): a drive of order n in 0..5 anywhere in the search box,
+    ``p_0`` with a round-off imaginary part of up to 1e-9, and a harmonic
+    truncation k_max in [n, n + 8]."""
+    n = draw(st.integers(0, 5))
+    unit = st.floats(-1.0, 1.0)
+    p = [complex(draw(st.floats(0.0, 1.0)), draw(st.floats(-1e-9, 1e-9)))]
+    p += [complex(draw(unit), draw(unit)) for _ in range(n)]
+    ctx = REFERENCE_CONTEXT
+    drive = fs.DriveSpec(
+        phi_dc=ctx.phi_dc,
+        phi_ac=ctx.phi_ac,
+        omega_d=draw(st.floats(0.5, 1.5)) * ctx.omega_ge,
+        p=tuple(p),
+    )
+    return drive, draw(st.integers(n, n + 8))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.circuit import EffectiveCoefficients
@@ -7,7 +9,7 @@ from fluxspot.exceptions import StencilCrossingError
 from fluxspot.floquet import FilterWeights
 from fluxspot.pareto import Individual, ParetoFront
 
-from conftest import random_drive, solve_drive
+from conftest import box_drives, random_drive, solve_drive
 
 
 def static_drive(omega_d=10.0):
@@ -140,6 +142,23 @@ class TestSensitivity:
             )
             pert = fs.amplitude_sensitivity(point.weights, point.drive).real
             assert fd == pytest.approx(pert, rel=0.05, abs=1e-3), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(box_drives(), st.integers(0, 16), st.integers(0, 2**32 - 1))
+    def test_amplitude_sensitivity_equals_loop_form(self, drive_k, k_w, seed):
+        # weights truncated below, at and above the drive order
+        d, _ = drive_k
+        rng = np.random.default_rng(seed)
+        g_z = rng.normal(size=2 * k_w + 1) + 1j * rng.normal(size=2 * k_w + 1)
+        w = FilterWeights(g_z=g_z, g_plus=g_z, g_minus=g_z, k_max=k_w)
+        p_full = np.zeros(w.ks.size, dtype=complex)
+        for k_idx, k in enumerate(w.ks):
+            if k == 0:
+                p_full[k_idx] = d.p[0].real
+            elif abs(k) <= d.n:
+                p_full[k_idx] = d.p[k] if k > 0 else np.conj(d.p[-k])
+        loop = complex(2.0 * np.sum(p_full * w.g_z))
+        assert fs.amplitude_sensitivity(w, d) == loop
 
     def test_stencil_crossing_raises_on_absurd_step(self, benchmark_results):
         _, ctx, point = benchmark_results["dss-2"]

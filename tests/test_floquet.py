@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.circuit import EffectiveCoefficients
 from fluxspot.exceptions import (
     DegenerateGapError,
+    IntegrationError,
     InvalidParameterError,
     TruncationError,
 )
-from fluxspot.floquet import FloquetSolution, fold_to_zone
+from fluxspot.floquet import (
+    PAULI_X,
+    PAULI_Z,
+    FilterWeights,
+    FloquetSolution,
+    _period_steps,
+    _tree_product,
+    fold_to_zone,
+)
 
-from conftest import random_drive, solve_drive
+from conftest import box_drives, random_drive, solve_drive
 
 
 def drive(omega_d, p, phi_dc=np.pi, phi_ac=0.05):
@@ -40,7 +51,58 @@ class TestDriveSpec:
             drive(-1.0, (0.5,))
 
 
+def assemble_by_blocks(drive, coeffs, delta, k_max):
+    """Block-by-block Floquet matrix: H0 + k omega_d on the diagonal blocks,
+    A p_n sigma_x at block offset n below and its adjoint above."""
+    p = np.asarray(drive.p, dtype=complex)
+    a, b = coeffs.a_coef, coeffs.b_coef
+    h0 = -0.5 * delta * PAULI_Z + (0.5 * b + p[0].real * a) * PAULI_X
+    nb = 2 * k_max + 1
+    m = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    for i, k in enumerate(range(-k_max, k_max + 1)):
+        m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = h0 + k * drive.omega_d * np.eye(2)
+    for n in range(1, drive.n + 1):
+        block = a * p[n] * PAULI_X
+        for j in range(nb - n):
+            i = j + n
+            m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+            m[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T.conj()
+    return m
+
+
+def filter_weights_by_traces(sol):
+    """Filter weights as diagonal sums of the harmonic overlap matrices."""
+    hp, hm = sol.harmonics_plus, sol.harmonics_minus
+    big_k = 2 * sol.k_max
+    m_pp = hp.conj() @ PAULI_X @ hp.T
+    m_mm = hm.conj() @ PAULI_X @ hm.T
+    m_pm = hp.conj() @ PAULI_X @ hm.T
+    m_mp = hm.conj() @ PAULI_X @ hp.T
+    ks = range(-big_k, big_k + 1)
+    return FilterWeights(
+        g_z=np.array([0.5 * np.trace(m_pp - m_mm, offset=-k) for k in ks]),
+        g_plus=np.array([np.trace(m_pm, offset=-k) for k in ks]),
+        g_minus=np.array([np.trace(m_mp, offset=-k) for k in ks]),
+        k_max=big_k,
+    )
+
+
 class TestAssemble:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        box_drives(),
+        st.floats(-1e3, 1e3),
+        st.floats(-1e4, 1e4),
+        st.floats(0.0, 1e4),
+    )
+    def test_equals_block_oracle(self, drive_k, a, b, delta):
+        d, k_max = drive_k
+        for c in (coeffs(a=a, b=b), coeffs(a=abs(a), b=abs(b))):
+            assert np.array_equal(
+                fs.assemble_floquet_matrix(d, c, delta, k_max),
+                assemble_by_blocks(d, c, delta, k_max),
+            )
+
     def test_undriven_blocks(self):
         d = drive(10.0, (0.0,))
         m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=4.0), 3.0, k_max=2)
@@ -155,6 +217,23 @@ class TestPropagatorReference:
             overlap = abs(np.vdot(analytic, mode))
             assert overlap == pytest.approx(1.0, abs=1e-7)
 
+    def test_halving_check_raises_when_unconverged(self):
+        # halving the 1000-step grid moves a quasienergy by 1.0e-6 rad/us,
+        # far above the tolerance of 1e-9 omega_d = 1e-8 rad/us
+        d = drive(10.0, (0.5, 1.0 + 1.0j))
+        with pytest.raises(IntegrationError):
+            fs.reference_floquet_via_propagator(
+                d, coeffs(a=1.0, b=1.0), 3.0, substeps=1000
+            )
+
+    def test_tree_product_is_the_monodromy(self):
+        d = drive(10.0, (0.5, 1.0 + 1.0j))
+        steps = _period_steps(d, coeffs(a=1.0, b=1.0), 3.0, 1001)
+        u = np.eye(2)
+        for step in steps:
+            u = step @ u
+        assert np.max(np.abs(_tree_product(steps) - u)) < 1e-13
+
     def test_substep_floor_guard(self):
         d = drive(10.0, (0.0, 0.5))
         with pytest.raises(InvalidParameterError):
@@ -246,6 +325,28 @@ def alternative_representative(sol):
         k_max=sol.k_max + 1,
         omega_d=sol.omega_d,
     )
+
+
+class TestFilterWeightOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(box_drives())
+    def test_equals_trace_form(self, context, drive_k):
+        d, k_max = drive_k
+        m = fs.assemble_floquet_matrix(
+            d, context.coefficients, context.qubit.delta, k_max
+        )
+        try:
+            sol = fs.solve_floquet(m, d.omega_d)
+        except DegenerateGapError:
+            assume(False)
+        for s in (sol, alternative_representative(sol)):
+            w = fs.compute_filter_weights(s)
+            oracle = filter_weights_by_traces(s)
+            assert w.k_max == oracle.k_max
+            for name in ("g_z", "g_plus", "g_minus"):
+                got, want = getattr(w, name), getattr(oracle, name)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15, name
 
 
 class TestRepresentationInvariance:
