@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .exceptions import InvalidParameterError, TruncationError
 
@@ -133,7 +132,7 @@ def build_circuit_hamiltonian(params: CircuitParams, phi_ext: float) -> np.ndarr
     """
     phi, n = _oscillator_ops(params)
     dim = params.fock_dim
-    w, v = eigh(phi)
+    w, v = np.linalg.eigh(phi)
     cos_phi = (v * np.cos(w)) @ v.T.conj()
     shifted = phi + phi_ext * np.eye(dim)
     h = 4.0 * params.e_c * (n @ n) + 0.5 * params.e_l * (shifted @ shifted)
@@ -146,7 +145,7 @@ def _diagonalize_once(
     params: CircuitParams, phi_ext: float, n_levels: int
 ) -> tuple[float, float, np.ndarray]:
     h = build_circuit_hamiltonian(params, phi_ext)
-    w, v = eigh(h)
+    w, v = np.linalg.eigh(h)
     phi, _ = _oscillator_ops(params)
     phi_ge = abs(v[:, 0].conj() @ phi @ v[:, 1])
     return w[1] - w[0], phi_ge, w[:n_levels] - w[0]

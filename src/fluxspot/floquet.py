@@ -23,7 +23,6 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .circuit import EffectiveCoefficients
 from .exceptions import (
@@ -229,7 +228,8 @@ def assemble_floquet_matrix(
         )
     nb = 2 * k_max + 1
     band = coeffs.a_coef * _two_sided_coefficients(drive, nb - 1)
-    t = toeplitz(band[nb - 1 :], band[nb - 1 :: -1])
+    idx = np.arange(nb)
+    t = band[nb - 1 + idx[:, None] - idx]
     t[np.diag_indices(nb)] += 0.5 * coeffs.b_coef
     m = np.kron(t, PAULI_X)
     k_omega = np.arange(-k_max, k_max + 1) * drive.omega_d
@@ -322,6 +322,34 @@ def _tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+#: steps per block of ``_prefix_products``; about sqrt of the 49152-step
+#: reference grid, so the in-block and the block-total passes are both short
+_PREFIX_BLOCK = 256
+
+
+def _prefix_products(mats: np.ndarray) -> np.ndarray:
+    """Ordered prefixes ``out[i] = mats[i] @ ... @ mats[0]``.
+
+    A serial pass inside fixed-size blocks, batched over the blocks, then one
+    pass over the block totals whose running products multiply each block.
+    """
+    n, d = mats.shape[0], mats.shape[-1]
+    n_blocks = -(-n // _PREFIX_BLOCK)
+    pad = np.broadcast_to(
+        np.eye(d, dtype=mats.dtype), (n_blocks * _PREFIX_BLOCK - n, d, d)
+    )
+    blocks = np.concatenate([mats, pad]).reshape(n_blocks, _PREFIX_BLOCK, d, d)
+    out = np.empty_like(blocks)
+    out[:, 0] = blocks[:, 0]
+    for i in range(1, _PREFIX_BLOCK):
+        out[:, i] = blocks[:, i] @ out[:, i - 1]
+    carry = np.empty((n_blocks, d, d), dtype=mats.dtype)
+    carry[0] = np.eye(d)
+    for b in range(1, n_blocks):
+        carry[b] = out[b - 1, -1] @ carry[b - 1]
+    return (out @ carry[:, None]).reshape(-1, d, d)[:n]
+
+
 def _period_steps(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
@@ -357,10 +385,10 @@ def reference_floquet_via_propagator(
 
     Builds the time-ordered propagator by piecewise-constant exponentials on
     a uniform grid, maps the monodromy eigenphases into the first zone, and
-    recovers the mode harmonics by a discrete Fourier transform of
-    ``exp(i eps t) U(t) |mode(0)>``.  Raises :class:`IntegrationError` when
-    halving the substep count moves a quasienergy by more than ``1e-9`` of
-    the drive frequency.
+    recovers the mode harmonics from one FFT of ``exp(i eps t) U(t)
+    |mode(0)>`` on that grid, so memory stays O(substeps) whatever
+    ``k_max``.  Raises :class:`IntegrationError` when halving the substep
+    count moves a quasienergy by more than ``1e-9`` of the drive frequency.
     """
     if substeps < 1000:
         raise InvalidParameterError("substeps must be at least 1000 per period")
@@ -369,12 +397,8 @@ def reference_floquet_via_propagator(
     period = drive.period
     omega_d = drive.omega_d
 
-    steps = _period_steps(drive, coeffs, delta, substeps)
-    us = np.empty((substeps + 1, 2, 2), dtype=complex)
-    us[0] = np.eye(2)
-    for i in range(substeps):
-        us[i + 1] = steps[i] @ us[i]
-    eps, vecs = _quasienergies_from_monodromy(us[-1], omega_d, period)
+    prefixes = _prefix_products(_period_steps(drive, coeffs, delta, substeps))
+    eps, vecs = _quasienergies_from_monodromy(prefixes[-1], omega_d, period)
 
     coarse = _tree_product(_period_steps(drive, coeffs, delta, substeps // 2))
     eps_coarse, _ = _quasienergies_from_monodromy(coarse, omega_d, period)
@@ -388,14 +412,14 @@ def reference_floquet_via_propagator(
     i, j = _select_central_pair(eps, omega_d)
     eps_minus, eps_plus = float(eps[i]), float(eps[j])
 
+    # U(t_m) at t_m = m T / substeps, m = 0 .. substeps - 1
+    us = np.concatenate([np.eye(2, dtype=complex)[None], prefixes[:-1]])
     ts = np.arange(substeps) * (period / substeps)
     ks = np.arange(-k_max, k_max + 1)
-    dft = np.exp(-1j * np.outer(ks * omega_d, ts)) / substeps
 
     def harmonics(idx: int, eps_val: float) -> np.ndarray:
-        traj = np.einsum("tab,b->ta", us[:-1], vecs[:, idx])
-        traj = traj * np.exp(1j * eps_val * ts)[:, None]
-        h = dft @ traj
+        traj = (us @ vecs[:, idx]) * np.exp(1j * eps_val * ts)[:, None]
+        h = np.fft.fft(traj, axis=0)[ks % substeps]
         h /= np.linalg.norm(h)
         return _gauge_fix(h, k_max)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exceptions import IntegrationError, InvalidParameterError, TomographyError
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
@@ -80,6 +79,9 @@ def _pulse_superoperator(
     the step exponentials come from one batched ``expm`` and are multiplied
     in time order.
     """
+    # imported here, its only caller, so that importing fluxspot loads no scipy
+    from scipy.linalg import expm
+
     if model.n_qubits != context.n_qubits:
         raise InvalidParameterError("model and context disagree on qubit count")
     d = context.dimension

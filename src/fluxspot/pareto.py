@@ -107,6 +107,8 @@ def _dominance_matrix(objs) -> np.ndarray:
 
 def non_dominated_sort(objectives) -> list[list[int]]:
     """Fast non-dominated sort; returns fronts as sorted lists of indices."""
+    if len(objectives) == 0:
+        return [[]]
     dom = _dominance_matrix(objectives)
     count = dom.sum(axis=0)
     front = np.flatnonzero(count == 0)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circuit import CircuitParams, EffectiveQubit, diagonalize_circuit
 from .evaluation import EvaluationContext, Genome, evaluate_drive, genome_to_drive
@@ -172,6 +171,8 @@ def calibrate_amplitude(
     Solves ``Re g_z[0] = 0`` (the central dephasing weight is real) along the
     amplitude axis by bisection inside ``bracket``.
     """
+    # imported here, its only caller, so that importing fluxspot loads no scipy
+    from scipy.optimize import brentq
 
     def central_weight(phi_ac: float) -> float:
         ctx = context.with_amplitude(phi_ac)

@@ -88,6 +88,26 @@ class TestDiagonalize:
         assert gaps[0] > gaps[1] > gaps[2]
         assert np.all(gaps[2:] < 1e-9)
 
+    @pytest.mark.parametrize("phi_ext", [0.0, 0.97 * np.pi, np.pi, 1.03 * np.pi])
+    def test_matches_scipy_eigh_oracle(self, phi_ext):
+        # the same reduction with LAPACK's syevr (scipy) in place of
+        # numpy's syevd: the two differ by round-off only
+        params = fs.reference_circuit()
+        lower = np.diag(np.sqrt(np.arange(1, params.fock_dim)), 1)
+        phi = params.phi_zpf * (lower + lower.T)
+        n = 1j * params.n_zpf * (lower.T - lower)
+        w, v = eigh(phi)
+        shifted = phi + phi_ext * np.eye(params.fock_dim)
+        h = 4.0 * params.e_c * (n @ n) + 0.5 * params.e_l * (shifted @ shifted)
+        h -= params.e_j * (v * np.cos(w)) @ v.T
+        w, v = eigh(0.5 * (h + h.T.conj()))
+        eq = fs.diagonalize_circuit(params, phi_ext)
+        assert eq.delta == pytest.approx(w[1] - w[0], rel=1e-12, abs=0.0)
+        phi_ge = abs(v[:, 0].conj() @ phi @ v[:, 1])
+        assert eq.phi_ge == pytest.approx(phi_ge, rel=1e-12, abs=0.0)
+        spectrum = w[: len(eq.spectrum)] - w[0]
+        np.testing.assert_allclose(eq.spectrum, spectrum, rtol=1e-12, atol=0.0)
+
     def test_spectrum_sorted(self, qubit):
         assert np.all(np.diff(qubit.spectrum) >= 0)
 

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fluxspot
 from fluxspot import cli
 from fluxspot.workbench import RunDirectory, load_config
 
@@ -167,3 +172,37 @@ def test_threads_key_is_ignored_with_a_warning(tmp_path):
     assert "threads" not in cfg
     with pytest.warns(UserWarning, match="'threads' is ignored"):
         assert run_cli(config, tmp_path / "out", "fluxonium") == 0
+
+
+COLD_START = """
+import json, sys
+from fluxspot import cli
+config, out, benchmark = sys.argv[1:]
+codes = [
+    cli.main(["--config", config, "--out", out, *verb])
+    for verb in (["fluxonium"], ["evaluate", benchmark])
+]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+)}))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # a fresh process: the test session itself has scipy loaded
+    config = write_json(tmp_path / "config.json", TINY)
+    benchmark = write_json(tmp_path / "dss2.json", {"benchmark": "dss-2"})
+    src = str(Path(fluxspot.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START]
+        + [str(config), str(tmp_path / "out"), str(benchmark)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "scipy": []}

@@ -12,11 +12,17 @@ from fluxspot.exceptions import (
     TruncationError,
 )
 from fluxspot.floquet import (
+    _PREFIX_BLOCK,
     PAULI_X,
     PAULI_Z,
     FilterWeights,
     FloquetSolution,
+    _expi_sequence,
+    _gauge_fix,
     _period_steps,
+    _prefix_products,
+    _quasienergies_from_monodromy,
+    _select_central_pair,
     _tree_product,
     fold_to_zone,
 )
@@ -233,6 +239,50 @@ class TestPropagatorReference:
         for step in steps:
             u = step @ u
         assert np.max(np.abs(_tree_product(steps) - u)) < 1e-13
+        last = _prefix_products(steps)[-1]
+        assert np.max(np.abs(last - _tree_product(steps))) < 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, _PREFIX_BLOCK, _PREFIX_BLOCK + 1])
+        | st.integers(2, 3 * _PREFIX_BLOCK + 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefix_products_match_sequential_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        steps = _expi_sequence(rng.uniform(-3, 3), rng.uniform(-2, 2, n), 0.05)
+        u = np.eye(2)
+        expected = []
+        for step in steps:
+            u = step @ u
+            expected.append(u)
+        assert np.max(np.abs(_prefix_products(steps) - np.array(expected))) < 1e-13
+
+    def test_fft_harmonics_match_dense_dft_oracle(self):
+        # the grid propagator by a step loop and the harmonics by a dense
+        # (2 k_max + 1) x substeps DFT matrix
+        d, c, delta = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(a=1.0, b=1.0), 3.0
+        substeps, k_max = 16384, 8
+        ref = fs.reference_floquet_via_propagator(d, c, delta, substeps, k_max)
+        steps = _period_steps(d, c, delta, substeps)
+        us = np.empty((substeps + 1, 2, 2), dtype=complex)
+        us[0] = np.eye(2)
+        for i in range(substeps):
+            us[i + 1] = steps[i] @ us[i]
+        eps, vecs = _quasienergies_from_monodromy(us[-1], d.omega_d, d.period)
+        i, j = _select_central_pair(eps, d.omega_d)
+        ts = np.arange(substeps) * (d.period / substeps)
+        ks = np.arange(-k_max, k_max + 1)
+        dft = np.exp(-1j * np.outer(ks * d.omega_d, ts)) / substeps
+        for idx, eps_ref, h_ref in (
+            (j, ref.eps_plus, ref.harmonics_plus),
+            (i, ref.eps_minus, ref.harmonics_minus),
+        ):
+            assert abs(eps[idx] - eps_ref) < 1e-12 * d.omega_d
+            traj = np.einsum("tab,b->ta", us[:-1], vecs[:, idx])
+            h = dft @ (traj * np.exp(1j * eps[idx] * ts)[:, None])
+            h = _gauge_fix(h / np.linalg.norm(h), k_max)
+            assert np.max(np.abs(h - h_ref)) < 1e-13
 
     def test_substep_floor_guard(self):
         d = drive(10.0, (0.0, 0.5))

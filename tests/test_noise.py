@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.constants
 
 import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError
@@ -37,6 +38,11 @@ def mpmath_spectral_density(noise, omega):
     s = mp.mpf(float(noise.a_f)) ** 2 * abs(2 * mp.pi / om)
     s += kappa * mp.mpf(float(noise.a_d)) * (om / (2 * mp.pi)) ** 2
     return float(s)
+
+
+def test_kb_over_hbar_equals_scipy_constants():
+    expected = scipy.constants.k / scipy.constants.hbar * 1e-6
+    assert KB_OVER_HBAR_RAD_PER_US_PER_K == expected
 
 
 class TestSpectralDensity:

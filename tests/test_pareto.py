@@ -88,6 +88,10 @@ class TestNonDominatedSort:
         fronts = fs.non_dominated_sort([(2.0, 2.0)] * 5)
         assert fronts == [[0, 1, 2, 3, 4]]
 
+    @pytest.mark.parametrize("objs", [[], np.empty((0, 2))])
+    def test_empty_input_is_one_empty_front(self, objs):
+        assert fs.non_dominated_sort(objs) == [[]]
+
     def test_against_brute_force(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
