@@ -20,6 +20,7 @@ is kept as a cross-check oracle.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,12 +193,6 @@ def fold_to_zone(x: float, omega: float) -> float:
     return float(y)
 
 
-def hamiltonian_at(drive: DriveSpec, coeffs: EffectiveCoefficients, delta: float, t):
-    """Instantaneous 2x2 Hamiltonian of the driven two-level model."""
-    long_term = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t)
-    return -0.5 * delta * PAULI_Z + long_term * PAULI_X
-
-
 def _two_sided_coefficients(drive: DriveSpec, k_max: int) -> np.ndarray:
     """Drive coefficients ``p_k``, ``|k| <= k_max``: ``p_{-k} = conj(p_k)``,
     ``Re p_0`` (the box check tolerates round-off in ``Im p_0``), and zero
@@ -255,14 +250,21 @@ def _gauge_fix(h: np.ndarray, k_max: int) -> np.ndarray:
 def _select_central_pair(
     eigvals: np.ndarray, omega_d: float
 ) -> tuple[int, int]:
-    """Indices of the smallest-|value| eigenpair, minus branch first."""
+    """Indices of the smallest-|value| eigenpair, minus branch first.
+
+    A gap within ``_DEGENERACY_RTOL omega_d`` of 0 or of ``omega_d`` leaves
+    the branch labels undefined: at the zone edge ``eps = -/+ omega_d / 2``
+    are replicas of one state, and which pair ``argsort`` picks from the
+    tie depends on round-off.
+    """
     order = np.argsort(np.abs(eigvals), kind="stable")
     i, j = order[0], order[1]
     if eigvals[i] > eigvals[j]:
         i, j = j, i
-    if abs(eigvals[j] - eigvals[i]) < _DEGENERACY_RTOL * omega_d:
+    gap = eigvals[j] - eigvals[i]
+    if min(gap, abs(omega_d - gap)) < _DEGENERACY_RTOL * omega_d:
         raise DegenerateGapError(
-            "quasienergy gap below resolution: branch labels undefined "
+            "quasienergy gap at 0 or omega_d: branch labels undefined "
             f"(eps = {eigvals[i]}, {eigvals[j]})"
         )
     return int(i), int(j)
@@ -295,19 +297,24 @@ def solve_floquet(matrix: np.ndarray, omega_d: float) -> FloquetSolution:
     )
 
 
-def _expi_sequence(delta: float, long_coefs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for H = -(delta/2) Z + c X, vectorized over ``c``."""
+def _su2_entries(delta: float, long_coefs, dt):
+    """Entries ``(a, b)`` of ``exp(-i H dt) = [[a, -b*], [b, a*]]`` for
+    ``H = -(delta/2) Z + c X``, broadcast over ``c`` and ``dt``."""
     cx = np.asarray(long_coefs, dtype=float)
     cz = -0.5 * delta
     norm = np.hypot(cx, cz)
     theta = norm * dt
     sinc = np.where(norm > 0.0, np.sin(theta) / np.where(norm > 0, norm, 1.0), dt)
-    out = np.zeros((cx.size, 2, 2), dtype=complex)
-    cos = np.cos(theta)
-    out[:, 0, 0] = cos - 1j * sinc * cz
-    out[:, 1, 1] = cos + 1j * sinc * cz
-    out[:, 0, 1] = -1j * sinc * cx
-    out[:, 1, 0] = -1j * sinc * cx
+    return np.cos(theta) - 1j * sinc * cz, -1j * sinc * cx
+
+
+def _expi_sequence(delta: float, long_coefs: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) for H = -(delta/2) Z + c X, vectorized over ``c``."""
+    a, b = _su2_entries(delta, long_coefs, dt)
+    out = np.empty((a.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = a
+    out[:, 1, 1] = a.conj()
+    out[:, 0, 1] = out[:, 1, 0] = b   # b is imaginary, so -b* = b
     return out
 
 
@@ -322,26 +329,34 @@ def _tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-#: steps per block of ``_prefix_products``; about sqrt of the 49152-step
-#: reference grid, so the in-block and the block-total passes are both short
-_PREFIX_BLOCK = 256
+def _su2_tree_product(a: np.ndarray, b: np.ndarray):
+    """Entries of the ordered product of the SU(2) steps ``(a, b)`` along the
+    last axis, latest step leftmost, paired as in :func:`_tree_product`."""
+    while a.shape[-1] > 1:
+        m = a.shape[-1] - a.shape[-1] % 2
+        a1, b1 = a[..., 0:m:2], b[..., 0:m:2]
+        a2, b2 = a[..., 1:m:2], b[..., 1:m:2]
+        a = np.concatenate([a2 * a1 - b2.conj() * b1, a[..., m:]], axis=-1)
+        b = np.concatenate([b2 * a1 + a2.conj() * b1, b[..., m:]], axis=-1)
+    return a[..., 0], b[..., 0]
 
 
 def _prefix_products(mats: np.ndarray) -> np.ndarray:
     """Ordered prefixes ``out[i] = mats[i] @ ... @ mats[0]``.
 
-    A serial pass inside fixed-size blocks, batched over the blocks, then one
-    pass over the block totals whose running products multiply each block.
+    The steps are cut into blocks of about ``sqrt(n)``: a serial pass inside
+    the blocks, batched over them, then one pass over the block totals whose
+    running products multiply each block, so both serial passes are about
+    ``sqrt(n)`` long.
     """
     n, d = mats.shape[0], mats.shape[-1]
-    n_blocks = -(-n // _PREFIX_BLOCK)
-    pad = np.broadcast_to(
-        np.eye(d, dtype=mats.dtype), (n_blocks * _PREFIX_BLOCK - n, d, d)
-    )
-    blocks = np.concatenate([mats, pad]).reshape(n_blocks, _PREFIX_BLOCK, d, d)
+    block = math.isqrt(n - 1) + 1   # ceil(sqrt(n))
+    n_blocks = -(-n // block)
+    pad = np.broadcast_to(np.eye(d, dtype=mats.dtype), (n_blocks * block - n, d, d))
+    blocks = np.concatenate([mats, pad]).reshape(n_blocks, block, d, d)
     out = np.empty_like(blocks)
     out[:, 0] = blocks[:, 0]
-    for i in range(1, _PREFIX_BLOCK):
+    for i in range(1, block):
         out[:, i] = blocks[:, i] @ out[:, i - 1]
     carry = np.empty((n_blocks, d, d), dtype=mats.dtype)
     carry[0] = np.eye(d)

@@ -16,6 +16,7 @@ entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,7 +30,9 @@ from .floquet import (
     PAULI_Y,
     PAULI_Z,
     DriveSpec,
-    _expi_sequence,
+    _prefix_products,
+    _su2_entries,
+    _su2_tree_product,
     _tree_product,
 )
 from .units import RAD_PER_US_TO_RAD_PER_NS, TWO_PI
@@ -267,28 +270,38 @@ def _frame_unitaries(
     times_ns: np.ndarray,
     substeps: int,
 ) -> np.ndarray:
-    """U_q at the given sample times by piecewise-constant exponentials.
+    """U_q at the ascending sample times by piecewise-constant exponentials.
 
-    The integration grid subdivides each inter-sample interval into
-    ``substeps`` pieces sampled at their midpoints; segment products are
-    tree-reduced for speed and accumulated sequentially.
+    The integration grid subdivides each inter-sample interval (the first
+    one starts at 0) into ``substeps`` pieces sampled at their midpoints.
+    Every step is SU(2), so each segment's steps are reduced on their entry
+    arrays by :func:`_su2_tree_product`, on blocks of about sqrt(segments)
+    segments to keep memory small, and one prefix scan over the segment
+    totals gives the samples.
     """
     delta_ns = delta * RAD_PER_US_TO_RAD_PER_NS
     edges = np.concatenate(([0.0], times_ns))
-    us = np.empty((times_ns.size, 2, 2), dtype=complex)
-    acc = np.eye(2, dtype=complex)
-    for seg in range(times_ns.size):
-        t0, t1 = edges[seg], edges[seg + 1]
-        if t1 > t0:
-            h = (t1 - t0) / substeps
-            mids = t0 + (np.arange(substeps) + 0.5) * h
-            # drive waveform lives on the us clock
-            p_vals = drive.waveform(mids * 1e-3)
-            cx = (0.5 * coeffs.b_coef + coeffs.a_coef * p_vals)
-            cx = cx * RAD_PER_US_TO_RAD_PER_NS
-            acc = _tree_product(_expi_sequence(delta_ns, cx, h)) @ acc
-        us[seg] = acc
-    return us
+    starts = edges[:-1, None]
+    widths = np.diff(edges)[:, None] / substeps
+    n = times_ns.size
+    block = math.isqrt(n - 1) + 1
+    a = np.empty(n, dtype=complex)
+    b = np.empty(n, dtype=complex)
+    for lo in range(0, n, block):
+        t0, h = starts[lo : lo + block], widths[lo : lo + block]
+        mids = t0 + (np.arange(substeps) + 0.5) * h
+        # drive waveform lives on the us clock
+        p_vals = drive.waveform(mids * 1e-3)
+        cx = (0.5 * coeffs.b_coef + coeffs.a_coef * p_vals)
+        cx = cx * RAD_PER_US_TO_RAD_PER_NS
+        a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(
+            *_su2_entries(delta_ns, cx, h)
+        )
+    totals = np.stack(
+        [np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)],
+        axis=1,
+    )
+    return _prefix_products(totals)
 
 
 def rotating_frame_trajectory(
@@ -307,7 +320,8 @@ def rotating_frame_trajectory(
     ``duration`` in ns, ``coupling_j`` in rad/ns; the qubit/drive parameters
     come in rad/us.  With ``verify=True`` the frame is re-integrated at half
     the substep resolution and any sample moving by more than 1e-9 raises
-    :class:`IntegrationError`.
+    :class:`IntegrationError`.  The check is off by default: at the default
+    1024 substeps over 10 ns the benchmark points move by 1.4e-9 to 3.4e-9.
     """
     if n_qubits not in (1, 2):
         raise InvalidParameterError("n_qubits must be 1 or 2")
@@ -422,20 +436,12 @@ def _fidelity_and_waveform_grad(
     each step exponential."""
     d = context.dimension
     dt = context.dt
-    n = context.steps
     evals, evecs, phases, steps = _step_exponentials(context, waveforms)
 
-    prefix = np.empty((n + 1, d, d), dtype=complex)
-    prefix[0] = np.eye(d)
-    for k in range(n):
-        prefix[k + 1] = steps[k] @ prefix[k]
-    suffix = np.empty((n + 1, d, d), dtype=complex)
-    suffix[n] = np.eye(d)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] @ steps[k]
-
-    u_total = prefix[n]
-    tr = np.trace(target.unitary.conj().T @ u_total) / d
+    prefix = _prefix_products(steps)   # P_1 .. P_n
+    u_total = prefix[-1]
+    ud_dag_u = target.unitary.conj().T @ u_total
+    tr = np.trace(ud_dag_u) / d
     fid = abs(tr) ** 2
 
     # divided differences of exp(-i lambda dt) for the Frechet derivative
@@ -449,9 +455,11 @@ def _fidelity_and_waveform_grad(
 
     # dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 V_k (G_k * O_ck) V_k^dag P_k) / d)
     # with O_ck the control operator in the step eigenbasis; the trace is
-    # cyclic, so W_k = V_k^dag P_k U_d^dag S_k+1 V_k carries every step.
+    # cyclic, so W_k = V_k^dag P_k U_d^dag S_k+1 V_k carries every step.  The
+    # steps are unitary, so the suffix S_k+1 = U P_k+1^dag.
     evecs_dag = evecs.conj().transpose(0, 2, 1)
-    w = evecs_dag @ prefix[:n] @ target.unitary.conj().T @ suffix[1:] @ evecs
+    p_before = np.concatenate([np.eye(d)[None], prefix[:-1]])   # P_0 .. P_n-1
+    w = evecs_dag @ p_before @ ud_dag_u @ prefix.conj().transpose(0, 2, 1) @ evecs
     inner = evecs_dag @ np.stack(context.controls) @ evecs
     overlap = np.einsum("kba,ckab->ck", w, gmat * inner)
     grads = 2.0 * np.real(np.conj(tr) * overlap / d)

@@ -12,7 +12,6 @@ from fluxspot.exceptions import (
     TruncationError,
 )
 from fluxspot.floquet import (
-    _PREFIX_BLOCK,
     PAULI_X,
     PAULI_Z,
     FilterWeights,
@@ -182,6 +181,21 @@ class TestSolve:
         with pytest.raises(DegenerateGapError):
             fs.solve_floquet(m, 3.0)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_zone_edge_replica_pair_raises(self, order):
+        # eps = -/+ omega_d / 2 are replicas of one state; their |eps| tie is
+        # broken by round-off, here one ulp either way
+        edge = [-1.5, np.nextafter(1.5, 0.0)][::order]
+        eps = np.array([*edge, 4.5, -4.5])
+        with pytest.raises(DegenerateGapError):
+            _select_central_pair(eps, 3.0)
+        with pytest.raises(DegenerateGapError):
+            _select_central_pair(-eps, 3.0)
+
+    def test_pair_inside_the_zone_keeps_its_labels(self):
+        eps = np.array([4.4, 1.4, -1.4, -4.4])
+        assert _select_central_pair(eps, 3.0) == (2, 1)
+
 
 class TestPropagatorReference:
     def test_static_limit(self):
@@ -242,16 +256,22 @@ class TestPropagatorReference:
         last = _prefix_products(steps)[-1]
         assert np.max(np.abs(last - _tree_product(steps))) < 1e-13
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        n=st.sampled_from([1, _PREFIX_BLOCK, _PREFIX_BLOCK + 1])
-        | st.integers(2, 3 * _PREFIX_BLOCK + 7),
+        # lengths at the edges of the ceil(sqrt(n)) blocks: k^2 - 1, k^2, k^2 + 1
+        n=st.sampled_from([1, 2])
+        | st.builds(lambda k, s: k * k + s, st.integers(2, 30), st.sampled_from([-1, 0, 1])),
+        dim=st.sampled_from([2, 4]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_prefix_products_match_sequential_loop(self, n, seed):
+    def test_prefix_products_match_sequential_loop(self, n, dim, seed):
         rng = np.random.default_rng(seed)
-        steps = _expi_sequence(rng.uniform(-3, 3), rng.uniform(-2, 2, n), 0.05)
-        u = np.eye(2)
+        if dim == 2:
+            steps = _expi_sequence(rng.uniform(-3, 3), rng.uniform(-2, 2, n), 0.05)
+        else:
+            z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+            steps, _ = np.linalg.qr(z)
+        u = np.eye(dim)
         expected = []
         for step in steps:
             u = step @ u

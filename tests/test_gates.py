@@ -3,8 +3,8 @@ import pytest
 
 import fluxspot as fs
 from fluxspot.exceptions import IntegrationError, InvalidParameterError
-from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
-from fluxspot.gates import GIBBS_TOL, ControlContext
+from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z, _expi_sequence
+from fluxspot.gates import GIBBS_TOL, ControlContext, _frame_unitaries
 
 
 def tile(op, steps):
@@ -92,6 +92,49 @@ class TestRotatingFrame:
         # drift eigenvalues are those of J * (z x z)
         w = np.linalg.eigvalsh(frame.drift[10])
         assert np.allclose(np.sort(w), [-0.3, -0.3, 0.3, 0.3], atol=1e-10)
+
+    @pytest.mark.parametrize("substeps", [7, 8])
+    def test_frame_matches_substep_loop(self, benchmark_results, substeps):
+        # 31 samples: blocks of 6 segments and a last block of 1; the first
+        # segment [0, mids[0]] is half as long as the others
+        bench, ctx, point = benchmark_results["dss-2"]
+        delta, coeffs = ctx.qubit.delta, ctx.coefficients
+        mids = (np.arange(31) + 0.5) * 0.2
+        expected = []
+        u, t0 = np.eye(2), 0.0
+        for t1 in mids:
+            h = (t1 - t0) / substeps
+            ts = t0 + (np.arange(substeps) + 0.5) * h
+            cx = (0.5 * coeffs.b_coef + coeffs.a_coef * point.drive.waveform(ts * 1e-3))
+            for step in _expi_sequence(delta * 1e-3, cx * 1e-3, h):
+                u = step @ u
+            expected.append(u)
+            t0 = t1
+        us = _frame_unitaries(point.drive, coeffs, delta, mids, substeps)
+        assert np.max(np.abs(us - np.array(expected))) < 1e-13
+
+    def test_frame_of_zero_hamiltonian_is_identity(self):
+        # delta = 0 and no drive: every step has a zero-norm generator
+        drive = fs.DriveSpec(phi_dc=np.pi, phi_ac=0.0, omega_d=3.0, p=(0.0,))
+        coeffs = fs.EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
+        mids = (np.arange(10) + 0.5) * 0.3
+        us = _frame_unitaries(drive, coeffs, 0.0, mids, 5)
+        assert np.array_equal(us, np.broadcast_to(np.eye(2), (10, 2, 2)))
+
+    def test_verify_passes_on_resolved_grid(self, benchmark_results):
+        # halving the 4096 substeps of each 20 ps step moves the dss-2 samples
+        # by 3.3e-11, 30 times below the tolerance
+        bench, ctx, point = benchmark_results["dss-2"]
+        frame = fs.rotating_frame_trajectory(
+            point.drive,
+            ctx.coefficients,
+            ctx.qubit.delta,
+            duration=1.0,
+            steps=50,
+            substeps=4096,
+            verify=True,
+        )
+        assert frame.substeps == 4096
 
     def test_verify_flags_coarse_integration(self, benchmark_results):
         bench, ctx, point = benchmark_results["dss-2"]
@@ -266,40 +309,44 @@ class TestGradient:
 
         from fluxspot.gates import _fidelity_and_waveform_grad
 
-        steps, dt = 40, 0.05
+        dt = 0.05
         rng = np.random.default_rng(5)
 
-        def hermitian():
+        def hermitian(steps):
             a = rng.standard_normal((steps, 4, 4)) + 1j * rng.standard_normal((steps, 4, 4))
             return a + a.conj().transpose(0, 2, 1)
 
-        ctx = trivial_context(
-            steps=steps, duration=steps * dt, dim=4,
-            drift=0.3 * hermitian(), controls=(hermitian(), hermitian()),
-        )
-        wf = 0.4 * rng.standard_normal((2, steps))
-        target = fs.gate_target("sqrt_iswap")
-        fid, grads, u = _fidelity_and_waveform_grad(ctx, wf, target)
+        # 40 steps pad the last ceil(sqrt(n))-step block of the prefix scan,
+        # 36 fill their blocks exactly
+        for steps in (40, 36):
+            ctx = trivial_context(
+                steps=steps, duration=steps * dt, dim=4,
+                drift=0.3 * hermitian(steps),
+                controls=(hermitian(steps), hermitian(steps)),
+            )
+            wf = 0.4 * rng.standard_normal((2, steps))
+            target = fs.gate_target("sqrt_iswap")
+            fid, grads, u = _fidelity_and_waveform_grad(ctx, wf, target)
 
-        hs = ctx.drift + sum(w[:, None, None] * c for w, c in zip(wf, ctx.controls))
-        step_us = [expm(-1j * h * dt) for h in hs]
-        prefix = [np.eye(4)]
-        for s_k in step_us:
-            prefix.append(s_k @ prefix[-1])
-        suffix = [np.eye(4)]
-        for s_k in reversed(step_us):
-            suffix.insert(0, suffix[0] @ s_k)
-        ud_dag = target.unitary.conj().T
-        tr = np.trace(ud_dag @ prefix[-1]) / 4
-        expected = np.empty((2, steps))
-        for c, ops in enumerate(ctx.controls):
-            for k in range(steps):
-                du = expm_frechet(-1j * hs[k] * dt, -1j * ops[k] * dt, compute_expm=False)
-                m = suffix[k + 1] @ du @ prefix[k]
-                expected[c, k] = 2 * np.real(np.conj(tr) * np.trace(ud_dag @ m) / 4)
-        assert fid == pytest.approx(abs(tr) ** 2, abs=1e-12)
-        assert np.max(np.abs(u - prefix[-1])) < 1e-12
-        assert np.max(np.abs(grads - expected)) < 1e-10 * np.max(np.abs(expected))
+            hs = ctx.drift + sum(w[:, None, None] * c for w, c in zip(wf, ctx.controls))
+            step_us = [expm(-1j * h * dt) for h in hs]
+            prefix = [np.eye(4)]
+            for s_k in step_us:
+                prefix.append(s_k @ prefix[-1])
+            suffix = [np.eye(4)]
+            for s_k in reversed(step_us):
+                suffix.insert(0, suffix[0] @ s_k)
+            ud_dag = target.unitary.conj().T
+            tr = np.trace(ud_dag @ prefix[-1]) / 4
+            expected = np.empty((2, steps))
+            for c, ops in enumerate(ctx.controls):
+                for k in range(steps):
+                    du = expm_frechet(-1j * hs[k] * dt, -1j * ops[k] * dt, compute_expm=False)
+                    m = suffix[k + 1] @ du @ prefix[k]
+                    expected[c, k] = 2 * np.real(np.conj(tr) * np.trace(ud_dag @ m) / 4)
+            assert fid == pytest.approx(abs(tr) ** 2, abs=1e-12)
+            assert np.max(np.abs(u - prefix[-1])) < 1e-12
+            assert np.max(np.abs(grads - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_gradient_vanishes_at_perfect_fidelity(self):
         ctx = trivial_context()

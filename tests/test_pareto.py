@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +280,34 @@ class TestRunStage1:
         objs, point = fs.evaluate_genome(zero, ctx)
         assert objs == (np.inf, np.inf)
         assert point is None
+
+    def test_zone_edge_genome_is_infeasible_under_one_and_two_blas_threads(self):
+        # a resonant undriven n = 1 genome puts eps = -/+ omega_d / 2 on the
+        # zone edge, where the BLAS thread count decides which replica pair
+        # argsort picks; both must give the same infeasible result
+        code = (
+            "import fluxspot as fs\n"
+            "g = fs.Genome(p0=0, p_re=(0,), p_im=(0,), omega_d_frac=1.0)\n"
+            "objs, point = fs.evaluate_genome(g, fs.reference_context(n=1))\n"
+            "print(objs, point is None)\n"
+        )
+        src = str(Path(fs.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(proc.stdout.strip())
+        assert outputs == ["(inf, inf) True"] * 2
 
     def test_mismatched_order_rejected(self, context):
         cfg = fs.OptimizerConfig(population_m=8, generations_n=2, n=3, seed=1)
