@@ -3,11 +3,15 @@
 A drive operates at a dynamical sweet spot (DSS) when the quasienergy gap is
 first-order insensitive to the DC flux bias; operationally the central
 dephasing weight ``|g_z[0]|`` vanishes.  A double DSS is additionally
-insensitive to the modulation amplitude; the perturbative criterion is
-``2 sum_k p_k g_z[k] -> 0`` (the first-order gap response to an amplitude
-change, validated here against finite differences).  Relaxation cannot be
-suppressed without bound: two closed-form upper bounds on T1 are evaluated
-per point.
+insensitive to the modulation amplitude; the criterion is
+``2 sum_k p_k g_z[k] -> 0``.  By Hellmann-Feynman on the truncated Floquet
+matrix both weights are exact first-order gap responses: ``g_z[0]`` to the
+DC coefficient B (dH_F/dB = I (x) sigma_x / 2) and ``2 sum_k p_k g_z[k]``
+to the AC coefficient A (dH_F/dA = P (x) sigma_x), so classification reads
+them off the filter weights.  :func:`quasienergy_sensitivity_fd`
+differentiates the continued gap numerically and serves as the independent
+check of those closed forms.  Relaxation cannot be suppressed without bound:
+two closed-form upper bounds on T1 are evaluated per point.
 """
 
 from __future__ import annotations
@@ -62,14 +66,12 @@ class SensitivityReport:
     double_dss_metric: float
     d_omega_d_phi_dc: float
     d_omega_d_phi_ac: float
-    dss_threshold: float = DSS_THRESHOLD
-    double_threshold: float = DOUBLE_DSS_THRESHOLD
 
     @property
     def label(self) -> str:
-        if self.gz0_abs >= self.dss_threshold:
+        if self.gz0_abs >= DSS_THRESHOLD:
             return "plain"
-        if self.double_dss_metric < self.double_threshold:
+        if self.double_dss_metric < DOUBLE_DSS_THRESHOLD:
             return "double_dss"
         return "dss"
 
@@ -260,44 +262,37 @@ def evaluate_bounds(point: PointResult, noise: NoiseModel, delta: float) -> Boun
     )
 
 
-def classify_point(
-    point: PointResult,
-    context: EvaluationContext,
-    compute_fd: bool = False,
-) -> SensitivityReport:
-    """Sensitivity report (and DSS label) for one evaluated drive."""
-    gz0_abs = abs(point.weights.g_z0)
-    metric = abs(amplitude_sensitivity(point.weights, point.drive))
-    d_dc = d_ac = np.nan
-    if compute_fd:
-        coeffs = context.coefficients
-        delta = context.qubit.delta
-        scale = 2.0 * context.e_l * context.qubit.phi_ge
-        d_dc = scale * quasienergy_sensitivity_fd(
-            point.drive, coeffs, delta, "dc", k_max=point.solution.k_max
-        )
-        d_ac = (0.5 * scale) * quasienergy_sensitivity_fd(
-            point.drive, coeffs, delta, "ac", k_max=point.solution.k_max
-        )
+def classify_point(point: PointResult, context: EvaluationContext) -> SensitivityReport:
+    """Sensitivity report (and DSS label) for one evaluated drive.
+
+    The flux sensitivities are the closed forms of the module docstring,
+    converted from the coefficients B and A to the fluxes by
+    ``dB/dphi_dc = 2 e_L phi_ge`` and ``dA/dphi_ac = e_L phi_ge``; the
+    imaginary parts are round-off and are dropped.
+    """
+    weights = point.weights
+    d_amplitude = amplitude_sensitivity(weights, point.drive)
+    scale = 2.0 * context.e_l * context.qubit.phi_ge
     return SensitivityReport(
-        gz0_abs=gz0_abs,
-        double_dss_metric=metric,
-        d_omega_d_phi_dc=d_dc,
-        d_omega_d_phi_ac=d_ac,
+        gz0_abs=abs(weights.g_z0),
+        double_dss_metric=abs(d_amplitude),
+        d_omega_d_phi_dc=float(scale * weights.g_z0.real),
+        d_omega_d_phi_ac=float(0.5 * scale * d_amplitude.real),
     )
 
 
 def classify_front(
-    front: ParetoFront,
-    context: EvaluationContext,
-    compute_fd: bool = False,
+    front: ParetoFront, context: EvaluationContext
 ) -> list[tuple[Individual, SensitivityReport]]:
-    """Annotate every front member; re-evaluates points without cached data."""
+    """Annotate every front member; evaluates points without cached data.
+
+    A member whose gap is degenerate raises ``DegenerateGapError``.
+    """
     annotated = []
     for ind in front.points:
         point = ind.point
         if point is None:
             drive = genome_to_drive(ind.genome, context)
             point = evaluate_drive(drive, context)
-        annotated.append((ind, classify_point(point, context, compute_fd=compute_fd)))
+        annotated.append((ind, classify_point(point, context)))
     return annotated

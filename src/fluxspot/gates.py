@@ -220,10 +220,11 @@ class ControlContext:
     """Frame-conjugated operator samples for one gate job.
 
     ``controls[c][k]`` is the control operator of channel ``c`` at step
-    ``k``; ``drift[k]`` is the always-on coupling term (zero for a single
-    qubit).  ``lower_ops``/``dephase_ops`` hold the per-qubit conjugated
-    relaxation and dephasing jump operators on the same grid, kept in the
-    2x2 single-qubit form and embedded on demand.
+    ``k``; ``drift[k]`` is the always-on coupling term (``J zz`` in the
+    frame for two qubits, zero for one).  ``lower_ops``/``dephase_ops``
+    hold the per-qubit conjugated relaxation and dephasing jump operators
+    on the same grid, kept in the 2x2 single-qubit form and embedded on
+    demand.
     """
 
     dimension: int
@@ -233,7 +234,6 @@ class ControlContext:
     controls: tuple
     lower_ops: tuple
     dephase_ops: tuple
-    coupling_j: float = 0.0
     substeps: int = 0
 
     @property
@@ -249,18 +249,17 @@ class ControlContext:
         if self.n_qubits == 1:
             return [(self.lower_ops[0], self.dephase_ops[0])]
         eye = np.eye(2)
-        out = []
-        for q, (low, deph) in enumerate(zip(self.lower_ops, self.dephase_ops)):
-            if q == 0:
-                low_full = np.einsum("kab,cd->kacbd", low, eye)
-                deph_full = np.einsum("kab,cd->kacbd", deph, eye)
-            else:
-                low_full = np.einsum("ab,kcd->kacbd", eye, low)
-                deph_full = np.einsum("ab,kcd->kacbd", eye, deph)
-            out.append(
-                (low_full.reshape(-1, 4, 4), deph_full.reshape(-1, 4, 4))
-            )
-        return out
+        (low_a, low_b), (deph_a, deph_b) = self.lower_ops, self.dephase_ops
+        return [
+            (_kron(low_a, eye), _kron(deph_a, eye)),
+            (_kron(eye, low_b), _kron(eye, deph_b)),
+        ]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-step ``kron(a[k], b[k])``; either factor may be one fixed matrix."""
+    d = a.shape[-1]
+    return np.einsum("...ab,...cd->...acbd", a, b).reshape(-1, d * d, d * d)
 
 
 def _frame_unitaries(
@@ -353,23 +352,18 @@ def rotating_frame_trajectory(
             controls=(sy,),
             lower_ops=(slow,),
             dephase_ops=(sz,),
-            coupling_j=0.0,
             substeps=substeps,
         )
 
     eye = np.eye(2)
-    zz = np.einsum("kab,kcd->kacbd", sz, sz).reshape(steps, 4, 4)
-    y_left = np.einsum("kab,cd->kacbd", sy, eye).reshape(steps, 4, 4)
-    y_right = np.einsum("ab,kcd->kacbd", eye, sy).reshape(steps, 4, 4)
     return ControlContext(
         dimension=4,
         steps=steps,
         dt=dt,
-        drift=coupling_j * zz,
-        controls=(y_left, y_right),
+        drift=coupling_j * _kron(sz, sz),
+        controls=(_kron(sy, eye), _kron(eye, sy)),
         lower_ops=(slow, slow),
         dephase_ops=(sz, sz),
-        coupling_j=coupling_j,
         substeps=substeps,
     )
 

@@ -13,13 +13,12 @@ J. Math. Phys. 44, 534 (2003) for the Lindblad, superoperator and chi forms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .exceptions import IntegrationError, InvalidParameterError, TomographyError
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
-from .gates import ControlContext, _as_waveform_matrix, _step_hamiltonians
+from .gates import ControlContext, _as_waveform_matrix, _kron, _step_hamiltonians
 
 __all__ = [
     "LindbladModel",
@@ -55,17 +54,13 @@ class LindbladModel:
         return len(self.rates)
 
 
-def _pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    singles = [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
-    if n_qubits == 1:
+def _pauli_basis(d: int) -> np.ndarray:
+    """The d^2 Pauli products as a (d^2, d, d) stack, in (I, X, Y, Z) order
+    with the first qubit's index the slower one."""
+    singles = np.stack([np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z])
+    if d == 2:
         return singles
-    return [np.kron(a, b) for a, b in product(singles, singles)]
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-step ``kron(a[k], b[k])``; either factor may be one fixed matrix."""
-    d = a.shape[-1]
-    return np.einsum("...ab,...cd->...acbd", a, b).reshape(-1, d * d, d * d)
+    return _kron(singles[:, None], singles[None, :])
 
 
 def _pulse_superoperator(
@@ -160,64 +155,36 @@ class ProcessMatrix:
         return float(np.trace(self.chi).real)
 
 
-def _tomography_states(d: int) -> dict:
-    """Physical input states that span the operator basis by linearity."""
-    states = {}
-    basis = np.eye(d, dtype=complex)
-    for j in range(d):
-        states[("d", j, j)] = np.outer(basis[j], basis[j].conj())
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus = (basis[j] + basis[k]) / np.sqrt(2.0)
-            plusi = (basis[j] + 1j * basis[k]) / np.sqrt(2.0)
-            states[("p", j, k)] = np.outer(plus, plus.conj())
-            states[("q", j, k)] = np.outer(plusi, plusi.conj())
-    return states
-
-
 def process_tomography(channel, d: int) -> ProcessMatrix:
     """Reconstruct the process matrix of a linear trace-preserving channel.
 
-    The channel is probed on d^2 physical states; matrix units are assembled
-    by linearity and the result is re-expressed in the Pauli product basis.
-    Raises :class:`TomographyError` when the reconstruction is not
-    Hermitian, not positive semidefinite (beyond 1e-9), or when the channel
-    visibly violates trace preservation.
+    The channel is applied to the d^2 matrix units ``|j><k|`` (a linear
+    channel accepts any operator); their images are the columns of the
+    superoperator on row-major vec(rho), which one contraction re-expresses
+    in the Pauli product basis.  Raises :class:`TomographyError` when some
+    ``|Tr E(|j><k|) - delta_jk|`` exceeds 5e-7 (a state
+    ``(|j> + c|k>)(<j| + c^*<k|) / 2`` with ``|c| = 1`` weighs its four units
+    by 2 in total, so a trace error above 1e-6 on it shows here), or when
+    the reconstruction is not Hermitian or not positive semidefinite
+    (beyond 1e-9).
     """
     if d not in (2, 4):
         raise InvalidParameterError("tomography implemented for d = 2 and 4")
-    probes = {key: channel(rho) for key, rho in _tomography_states(d).items()}
-    for key, out in probes.items():
-        if abs(np.trace(out).real - 1.0) > 1e-6:
-            raise TomographyError(
-                f"channel is not trace preserving on probe {key}"
-            )
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    images = np.stack([channel(unit) for unit in units])
+    trace_err = np.abs(np.trace(images, axis1=1, axis2=2) - np.eye(d).ravel())
+    if trace_err.max() > 5e-7:
+        j, k = divmod(int(trace_err.argmax()), d)
+        raise TomographyError(
+            f"channel is not trace preserving on |{j}><{k}| "
+            f"(error {trace_err.max():.2e})"
+        )
 
-    # E(|j><k|) for all matrix units, then the superoperator in row-major vec
-    super_op = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            if j == k:
-                img = probes[("d", j, j)]
-            else:
-                a, b = (j, k) if j < k else (k, j)
-                e_p = probes[("p", a, b)]
-                e_q = probes[("q", a, b)]
-                e_jj = probes[("d", j, j)]
-                e_kk = probes[("d", k, k)]
-                if j < k:
-                    img = e_p + 1j * e_q - 0.5 * (1.0 + 1j) * (e_jj + e_kk)
-                else:
-                    img = e_p - 1j * e_q - 0.5 * (1.0 - 1j) * (e_jj + e_kk)
-            super_op[:, j * d + k] = img.ravel()
-
-    n_qubits = 1 if d == 2 else 2
-    paulis = _pauli_basis(n_qubits)
-    chi = np.empty((d * d, d * d), dtype=complex)
-    for p_idx, p in enumerate(paulis):
-        for q_idx, q in enumerate(paulis):
-            probe = np.kron(p, q.conj())
-            chi[p_idx, q_idx] = np.vdot(probe, super_op) / d**2
+    # chi_pq = <P_p (x) P_q^*, S> / d^2 with S[(a, b), (j, k)] = E(|j><k|)[a, b]
+    basis = _pauli_basis(d)
+    chi = np.einsum(
+        "paj,qbk,jkab->pq", basis.conj(), basis, images.reshape(d, d, d, d)
+    ) / d**2
 
     herm_err = np.max(np.abs(chi - chi.conj().T))
     if herm_err > 1e-8:
@@ -233,8 +200,7 @@ def chi_from_unitary(u: np.ndarray) -> ProcessMatrix:
     """Process matrix of a unitary channel (rank one in the Pauli basis)."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    n_qubits = 1 if d == 2 else 2
-    coeffs = np.array([np.trace(p.conj().T @ u) / d for p in _pauli_basis(n_qubits)])
+    coeffs = np.einsum("pab,ab->p", _pauli_basis(d).conj(), u) / d
     return ProcessMatrix(chi=np.outer(coeffs, coeffs.conj()), d=d)
 
 

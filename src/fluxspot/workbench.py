@@ -33,7 +33,7 @@ from .evaluation import (
     evaluate_genome,
     genome_to_drive,
 )
-from .exceptions import ConfigError, DependencyError
+from .exceptions import ConfigError, DegenerateGapError, DependencyError
 from .floquet import (
     DriveSpec,
     mode_infidelity,
@@ -500,7 +500,19 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
     )
 
 
-def cmd_classify(cfg: dict, run: RunDirectory, compute_fd: bool = True) -> Path:
+def _evaluate_row(ind: Individual, row: int, context: EvaluationContext):
+    """The ``PointResult`` of a front row read from CSV; an infeasible row
+    (degenerate gap) raises ``DegenerateGapError`` naming the row."""
+    _, point = evaluate_genome(ind.genome, context)
+    if point is None:
+        raise DegenerateGapError(
+            f"front row {row}: quasienergy gap at 0 or omega_d, branch labels "
+            "undefined"
+        )
+    return point
+
+
+def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
     """Annotate the aggregated front with sweet-spot labels and bounds."""
     context = build_context(cfg)
     n = int(cfg["optimizer"]["n"])
@@ -514,9 +526,9 @@ def cmd_classify(cfg: dict, run: RunDirectory, compute_fd: bool = True) -> Path:
         "d_omega_ac",
     ]
     rows = []
-    for ind in front.points:
-        _, point = evaluate_genome(ind.genome, context)
-        report = classify_point(point, context, compute_fd=compute_fd)
+    for row, ind in enumerate(front.points):
+        point = _evaluate_row(ind, row, context)
+        report = classify_point(point, context)
         bounds = evaluate_bounds(point, context.noise, context.qubit.delta)
         rows.append(
             _individual_row(replace(ind, point=point), context)
@@ -539,8 +551,8 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     front = _read_front_csv(path, context, n)
     rows = []
     violations = 0
-    for ind in front.points:
-        _, point = evaluate_genome(ind.genome, context)
+    for row, ind in enumerate(front.points):
+        point = _evaluate_row(ind, row, context)
         b = evaluate_bounds(point, context.noise, context.qubit.delta)
         gz0 = abs(point.weights.g_z0)
         dss_ok = b.t1 <= b.t_ub_dss * (1 + 1e-9) if gz0 < DSS_THRESHOLD else True

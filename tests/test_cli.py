@@ -12,7 +12,7 @@ import pytest
 
 import fluxspot
 from fluxspot import cli
-from fluxspot.workbench import RunDirectory, load_config
+from fluxspot.workbench import RunDirectory, build_context, front_columns, load_config
 
 TINY = {
     "seed": 5,
@@ -163,6 +163,22 @@ def test_unknown_config_key_exits_2(tmp_path):
 def test_aggregate_before_optimize_exits_4(tmp_path):
     config = write_json(tmp_path / "config.json", TINY)
     assert run_cli(config, tmp_path / "out", "aggregate") == 4
+
+
+@pytest.mark.parametrize("verb", ["classify", "bounds"])
+def test_degenerate_front_row_exits_3(tmp_path, capsys, verb):
+    # an undriven genome at omega_d = omega_ge puts the gap on the zone edge
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    out.mkdir()
+    omega_ge = build_context(load_config(config)).omega_ge
+    row = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, omega_ge, 0.0, 0.0, "nsga2", 5]
+    with open(out / "front_aggregated.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([front_columns(2), row])
+    assert run_cli(config, out, verb) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "front row 0" in err, err
 
 
 def test_threads_key_is_ignored_with_a_warning(tmp_path):

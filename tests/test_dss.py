@@ -141,7 +141,37 @@ class TestSensitivity:
                 k_max=point.solution.k_max,
             )
             pert = fs.amplitude_sensitivity(point.weights, point.drive).real
-            assert fd == pytest.approx(pert, rel=0.05, abs=1e-3), name
+            assert fd == pytest.approx(pert, rel=1e-6), name
+
+    def test_classify_point_sensitivities_match_fd(self, benchmark_results, context):
+        # the closed forms of classify_point against the continued-gap finite
+        # differences: on the benchmark sweet spots and on the random drives
+        # of test_dc_derivative_equals_central_weight (some with Re g_z0 < 0)
+        rng = np.random.default_rng(67)
+        cases = [(ctx, point) for _, ctx, point in benchmark_results.values()]
+        cases += [
+            (context, fs.evaluate_drive(random_drive(rng, context), context))
+            for _ in range(5)
+        ]
+        for ctx, point in cases:
+            report = fs.classify_point(point, ctx)
+            scale = 2.0 * ctx.e_l * ctx.qubit.phi_ge
+            dc, ac = (
+                fs.quasienergy_sensitivity_fd(
+                    point.drive,
+                    ctx.coefficients,
+                    ctx.qubit.delta,
+                    which,
+                    k_max=point.solution.k_max,
+                )
+                for which in ("dc", "ac")
+            )
+            assert report.d_omega_d_phi_dc / scale == pytest.approx(
+                dc, rel=1e-5, abs=1e-8
+            )
+            assert report.d_omega_d_phi_ac / (0.5 * scale) == pytest.approx(
+                ac, rel=1e-6
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(box_drives(), st.integers(0, 16), st.integers(0, 2**32 - 1))
@@ -217,7 +247,7 @@ class TestClassification:
             objs, pt = fs.evaluate_genome(g, context)
             points.append(Individual(genome=g, objectives=objs, point=pt))
         front = ParetoFront(points=tuple(points))
-        annotated = fs.classify_front(front, context, compute_fd=True)
+        annotated = fs.classify_front(front, context)
         assert len(annotated) == 2
         for _, report in annotated:
             assert report.label in ("plain", "dss", "double_dss")

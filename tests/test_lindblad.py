@@ -159,9 +159,38 @@ class TestProcessTomography:
         expected[0, 0] = 1.0
         assert np.max(np.abs(chi.chi - expected)) < 1e-12
 
+    def test_random_two_qubit_kraus_channel(self):
+        # a non-unitary channel: chi = sum_m c_m c_m^dag, with c_m the Pauli
+        # coefficients Tr(P^dag K_m) / d of the Kraus operators
+        rng = np.random.default_rng(23)
+        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        w, v = np.linalg.eigh(sum(x.conj().T @ x for x in g))
+        kraus = g @ (v @ np.diag(w**-0.5) @ v.conj().T)
+
+        def channel(rho):
+            return sum(k @ rho @ k.conj().T for k in kraus)
+
+        singles = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
+        paulis = [np.kron(a, b) for a in singles for b in singles]
+        coeffs = np.array(
+            [[np.trace(p.conj().T @ k) / 4 for p in paulis] for k in kraus]
+        )
+        expected = coeffs.T @ coeffs.conj()
+        chi = fs.process_tomography(channel, 4)
+        assert np.max(np.abs(chi.chi - expected)) < 1e-12
+
     def test_trace_leak_detected(self):
         with pytest.raises(TomographyError):
             fs.process_tomography(lambda rho: 0.9 * rho, 2)
+
+    def test_coherence_only_trace_leak_detected(self):
+        # the trace moves only with the coherences, so no diagonal input
+        # shows the leak
+        def channel(rho):
+            return rho + 1.5e-6 * (rho[0, 1] + rho[1, 0]) * np.diag([1.0, 0.0])
+
+        with pytest.raises(TomographyError, match="not trace preserving"):
+            fs.process_tomography(channel, 2)
 
 
 class TestProcessFidelity:
