@@ -2,12 +2,16 @@
 
 Control pulses add a transverse drive ``f(t) sigma_y`` on top of the running
 flux modulation.  All gate dynamics happen in the rotating frame of the
-modulated qubit Hamiltonian: frame-conjugated operator samples are
-precomputed once per (drive, duration) and every optimizer iteration reuses
-them.  Pulses are parametrized in the frequency domain and pushed through a
-fixed constraint pipeline (boundary window, amplitude sigmoid, spectral
-band-limit); gradients are exact through both the step propagators and the
-pipeline.
+modulated qubit Hamiltonian.  A :class:`ControlContext` holds that frame's
+SU(2) samples ``R_k``, integrated once per (drive, duration), and derives
+every frame-conjugated operator ``R_k^dag O R_k`` from them on first use.
+Each step Hamiltonian ``R_k^dag H0(f_k) R_k`` is made of fixed Paulis, so
+its eigensystem is a closed form: in the sigma_y eigenbasis ``T`` it is a
+real matrix that splits into 2x2 blocks, diagonalized by one rotation each.
+Optimizer iterations therefore run no matrix diagonalization.  Pulses are
+parametrized in the frequency domain and pushed through a fixed constraint
+pipeline (boundary window, amplitude sigmoid, spectral band-limit);
+gradients are exact through both the step propagators and the pipeline.
 
 Times in this module are nanoseconds and rates rad/ns; the drive and qubit
 parameters arrive in the library's rad/us convention and are converted on
@@ -57,6 +61,18 @@ __all__ = [
 GIBBS_TOL = 0.02
 
 _SQRT2 = np.sqrt(2.0)
+
+#: eigenvectors of sigma_y: W^dag sigma_y W = Z and W^dag sigma_z W = X
+_SIGMA_Y_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / _SQRT2
+
+#: per qubit count, the diagonal z_c of T^dag C_c T for each sigma_y control
+#: C_c (T = W or W (x) W), and the index pairs of the 2x2 blocks into which
+#: T^dag H0 T splits
+_CONTROL_SIGNS = {
+    1: np.array([[1.0, -1.0]]),
+    2: np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]]),
+}
+_BLOCKS = {1: ((0, 1),), 2: ((0, 3), (1, 2))}
 
 TARGETS = {
     "identity": np.eye(2, dtype=complex),
@@ -217,32 +233,90 @@ def _shape_backward(grad_f: np.ndarray, stages, spec: PulseSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlContext:
-    """Frame-conjugated operator samples for one gate job.
+    """The rotating frame of one gate job and the operators it conjugates.
 
-    ``controls[c][k]`` is the control operator of channel ``c`` at step
-    ``k``; ``drift[k]`` is the always-on coupling term (``J zz`` in the
-    frame for two qubits, zero for one).  ``lower_ops``/``dephase_ops``
-    hold the per-qubit conjugated relaxation and dephasing jump operators
-    on the same grid, kept in the 2x2 single-qubit form and embedded on
-    demand.
+    ``frame[k]`` is the SU(2) frame sample ``U_k`` of one qubit at the
+    midpoint of step ``k``; two qubits share it, so their frame is
+    ``R_k = U_k (x) U_k`` (one qubit: ``R_k = U_k``).  Every operator sample
+    is ``R_k^dag O R_k`` for a fixed ``O`` and is derived on first use:
+    ``controls[c][k]`` from ``sigma_y`` on qubit ``c``; ``drift[k]`` from
+    ``coupling_j * (z (x) z)`` (zero for one qubit); ``lower_ops`` and
+    ``dephase_ops`` from the per-qubit lowering and ``sigma_z`` jump
+    operators, kept in the 2x2 single-qubit form and embedded by
+    :meth:`embedded_jumps`.  ``coupling_j`` is in rad/ns; ``substeps``
+    records the frame integration grid and enters no computation.
     """
 
-    dimension: int
-    steps: int
+    frame: np.ndarray
     dt: float
-    drift: np.ndarray
-    controls: tuple
-    lower_ops: tuple
-    dephase_ops: tuple
+    n_qubits: int = 1
+    coupling_j: float = 0.0
     substeps: int = 0
 
+    def __post_init__(self) -> None:
+        frame = np.array(self.frame, dtype=complex)
+        if frame.ndim != 3 or frame.shape[0] < 1 or frame.shape[1:] != (2, 2):
+            raise InvalidParameterError(
+                f"frame must have shape (steps, 2, 2), got {frame.shape}"
+            )
+        gram = frame @ frame.conj().transpose(0, 2, 1)
+        if np.max(np.abs(gram - np.eye(2))) > 1e-12:
+            raise InvalidParameterError("frame samples must be unitary")
+        if self.n_qubits not in (1, 2):
+            raise InvalidParameterError("n_qubits must be 1 or 2")
+        if self.n_qubits == 1 and self.coupling_j != 0.0:
+            raise InvalidParameterError("a single qubit has no coupling")
+        if not self.dt > 0.0:
+            raise InvalidParameterError("dt must be positive")
+        frame.flags.writeable = False
+        object.__setattr__(self, "frame", frame)
+
     @property
-    def n_qubits(self) -> int:
-        return 1 if self.dimension == 2 else 2
+    def steps(self) -> int:
+        return self.frame.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return 2**self.n_qubits
 
     @property
     def duration(self) -> float:
         return self.steps * self.dt
+
+    def _conjugated(self, op: np.ndarray) -> np.ndarray:
+        """``U_k^dag op U_k`` at every step."""
+        return np.einsum("kba,bc,kcd->kad", self.frame.conj(), op, self.frame)
+
+    @cached_property
+    def controls(self) -> tuple:
+        sy = self._conjugated(PAULI_Y)
+        if self.n_qubits == 1:
+            return (sy,)
+        eye = np.eye(2)
+        return (_kron(sy, eye), _kron(eye, sy))
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        if self.n_qubits == 1:
+            return np.zeros((self.steps, 2, 2), dtype=complex)
+        sz = self.dephase_ops[0]
+        return self.coupling_j * _kron(sz, sz)
+
+    @cached_property
+    def lower_ops(self) -> tuple:
+        return (self._conjugated(LOWERING),) * self.n_qubits
+
+    @cached_property
+    def dephase_ops(self) -> tuple:
+        return (self._conjugated(PAULI_Z),) * self.n_qubits
+
+    @cached_property
+    def _eigenframe(self) -> np.ndarray:
+        """``E_k = R_k^dag T`` with ``T = W`` or ``W (x) W``, ``W`` the
+        sigma_y eigenbasis: the basis in which every step Hamiltonian is
+        real and block diagonal (see :func:`_step_eigensystem`)."""
+        e = self.frame.conj().transpose(0, 2, 1) @ _SIGMA_Y_BASIS
+        return e if self.n_qubits == 1 else _kron(e, e)
 
     def embedded_jumps(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-qubit (relaxation, dephasing) jump samples in full dimension."""
@@ -276,7 +350,7 @@ def _frame_unitaries(
     Every step is SU(2), so each segment's steps are reduced on their entry
     arrays by :func:`_su2_tree_product`, on blocks of about sqrt(segments)
     segments to keep memory small, and one prefix scan over the segment
-    totals gives the samples.
+    totals gives the samples, each projected back onto SU(2).
     """
     delta_ns = delta * RAD_PER_US_TO_RAD_PER_NS
     edges = np.concatenate(([0.0], times_ns))
@@ -296,11 +370,21 @@ def _frame_unitaries(
         a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(
             *_su2_entries(delta_ns, cx, h)
         )
-    totals = np.stack(
+    us = _prefix_products(_su2_matrices(a, b))
+    # the scan leaves the samples up to ~1e-11 off unitarity; the closed-form
+    # step eigensystem would carry that into non-unitary steps, so each
+    # sample is rebuilt from its normalized first column
+    a, b = us[:, 0, 0], us[:, 1, 0]
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return _su2_matrices(a / norm, b / norm)
+
+
+def _su2_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrices ``[[a, -b*], [b, a*]]`` for entry arrays ``a`` and ``b``."""
+    return np.stack(
         [np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)],
         axis=1,
     )
-    return _prefix_products(totals)
 
 
 def rotating_frame_trajectory(
@@ -314,16 +398,23 @@ def rotating_frame_trajectory(
     coupling_j: float = 0.0,
     verify: bool = False,
 ) -> ControlContext:
-    """Precompute frame-conjugated operators on the step-midpoint grid.
+    """Integrate the qubit frame onto the step-midpoint grid of a gate job.
 
     ``duration`` in ns, ``coupling_j`` in rad/ns; the qubit/drive parameters
-    come in rad/us.  With ``verify=True`` the frame is re-integrated at half
-    the substep resolution and any sample moving by more than 1e-9 raises
-    :class:`IntegrationError`.  The check is off by default: at the default
-    1024 substeps over 10 ns the benchmark points move by 1.4e-9 to 3.4e-9.
+    come in rad/us.  The frame samples are integrated with ``substeps``
+    pieces per sample interval; the returned :class:`ControlContext` holds
+    them and derives the conjugated operators.  ``steps`` and ``substeps``
+    must be at least 1 and ``duration`` positive.  With ``verify=True`` the
+    frame is re-integrated at half the substep resolution and any sample
+    moving by more than 1e-9 raises :class:`IntegrationError`.  The check is
+    off by default: at the default 1024 substeps over 10 ns the benchmark
+    points move by 1.4e-9 to 3.4e-9.
     """
-    if n_qubits not in (1, 2):
-        raise InvalidParameterError("n_qubits must be 1 or 2")
+    if steps < 1 or substeps < 1 or not duration > 0.0:
+        raise InvalidParameterError(
+            f"frame grid needs steps >= 1, substeps >= 1 and duration > 0; "
+            f"got {steps}, {substeps} and {duration}"
+        )
     dt = duration / steps
     mids = (np.arange(steps) + 0.5) * dt
     us = _frame_unitaries(drive, coeffs, delta, mids, substeps)
@@ -335,36 +426,8 @@ def rotating_frame_trajectory(
                 f"frame integration not converged: samples moved by "
                 f"{drift_err:.2e} when halving substeps"
             )
-
-    def conj_all(op: np.ndarray) -> np.ndarray:
-        return np.einsum("kba,bc,kcd->kad", us.conj(), op, us)
-
-    sy = conj_all(PAULI_Y)
-    sz = conj_all(PAULI_Z)
-    slow = conj_all(LOWERING)
-
-    if n_qubits == 1:
-        return ControlContext(
-            dimension=2,
-            steps=steps,
-            dt=dt,
-            drift=np.zeros((steps, 2, 2), dtype=complex),
-            controls=(sy,),
-            lower_ops=(slow,),
-            dephase_ops=(sz,),
-            substeps=substeps,
-        )
-
-    eye = np.eye(2)
     return ControlContext(
-        dimension=4,
-        steps=steps,
-        dt=dt,
-        drift=coupling_j * _kron(sz, sz),
-        controls=(_kron(sy, eye), _kron(eye, sy)),
-        lower_ops=(slow, slow),
-        dephase_ops=(sz, sz),
-        substeps=substeps,
+        frame=us, dt=dt, n_qubits=n_qubits, coupling_j=coupling_j, substeps=substeps
     )
 
 
@@ -379,21 +442,48 @@ def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
     w = np.asarray(waveforms, dtype=float)
     if w.ndim == 1:
         w = w[None, :]
-    if w.shape != (len(context.controls), context.steps):
+    if w.shape != (context.n_qubits, context.steps):
         raise InvalidParameterError(
-            f"waveforms must have shape ({len(context.controls)}, "
+            f"waveforms must have shape ({context.n_qubits}, "
             f"{context.steps}), got {w.shape}"
         )
     return w
 
 
+def _step_eigensystem(context: ControlContext, waveforms: np.ndarray):
+    """Eigenvalues, eigenvectors ``V_k`` and block rotations ``Q_k`` of the
+    step Hamiltonians, in closed form.
+
+    ``T^dag H0(f_k) T`` is real: ``f Z`` for one qubit and
+    ``J XX + f1 ZI + f2 IZ`` for two.  It splits into the 2x2 blocks
+    ``[[s, J], [J, -s]]`` of :data:`_BLOCKS`, with ``s = sum_c f_c z_c[i]``
+    for the block's first index ``i``; a rotation by ``atan2(J, s) / 2``
+    takes each to ``diag(hypot(s, J), -hypot(s, J))``, so
+    ``V_k = E_k Q_k`` with ``E_k`` the context's cached eigenframe.
+    """
+    z = _CONTROL_SIGNS[context.n_qubits]
+    d, j = context.dimension, context.coupling_j
+    evals = np.empty((context.steps, d))
+    rot = np.zeros((context.steps, d, d))
+    for lo, hi in _BLOCKS[context.n_qubits]:
+        s = z[:, lo] @ waveforms
+        angle = 0.5 * np.arctan2(j, s)
+        rot[:, lo, lo] = rot[:, hi, hi] = np.cos(angle)
+        rot[:, hi, lo] = np.sin(angle)
+        rot[:, lo, hi] = -rot[:, hi, lo]
+        evals[:, lo] = np.hypot(s, j)
+        evals[:, hi] = -evals[:, lo]
+    return evals, context._eigenframe @ rot, rot
+
+
 def _step_exponentials(context: ControlContext, waveforms: np.ndarray):
-    """Eigenvalues, eigenvectors, eigenphases ``exp(-i lambda dt)`` and
+    """Eigenvalues, eigenvectors, block rotations (see
+    :func:`_step_eigensystem`), eigenphases ``exp(-i lambda dt)`` and
     exponentials ``exp(-i H_k dt)`` of the step Hamiltonians."""
-    evals, evecs = np.linalg.eigh(_step_hamiltonians(context, waveforms))
+    evals, evecs, rot = _step_eigensystem(context, waveforms)
     phases = np.exp(-1j * evals * context.dt)
-    steps = np.einsum("kab,kb,kcb->kac", evecs, phases, evecs.conj())
-    return evals, evecs, phases, steps
+    steps = (evecs * phases[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    return evals, evecs, rot, phases, steps
 
 
 def propagate_closed(context: ControlContext, waveforms) -> np.ndarray:
@@ -430,7 +520,7 @@ def _fidelity_and_waveform_grad(
     each step exponential."""
     d = context.dimension
     dt = context.dt
-    evals, evecs, phases, steps = _step_exponentials(context, waveforms)
+    evals, evecs, rot, phases, steps = _step_exponentials(context, waveforms)
 
     prefix = _prefix_products(steps)   # P_1 .. P_n
     u_total = prefix[-1]
@@ -448,14 +538,21 @@ def _fidelity_and_waveform_grad(
     gmat = np.where(tiny, -1j * dt * ph_i, (ph_i - ph_j) / np.where(tiny, 1.0, diff))
 
     # dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 V_k (G_k * O_ck) V_k^dag P_k) / d)
-    # with O_ck the control operator in the step eigenbasis; the trace is
-    # cyclic, so W_k = V_k^dag P_k U_d^dag S_k+1 V_k carries every step.  The
-    # steps are unitary, so the suffix S_k+1 = U P_k+1^dag.
-    evecs_dag = evecs.conj().transpose(0, 2, 1)
+    # with O_ck the control operator in the step eigenbasis, P_k the product
+    # of the steps before step k and S_k+1 that of the steps after it; the
+    # trace is cyclic, so W_k = V_k^dag P_k U_d^dag S_k+1 V_k carries every
+    # step.  The steps are unitary, so S_k+1 = U P_k+1^dag, and
+    # P_k+1 = V_k Phi_k V_k^dag P_k gives P_k+1^dag V_k = X_k^dag conj(Phi_k)
+    # with X_k = V_k^dag P_k: W_k = X_k M X_k^dag conj(Phi_k), M = U_d^dag U.
     p_before = np.concatenate([np.eye(d)[None], prefix[:-1]])   # P_0 .. P_n-1
-    w = evecs_dag @ p_before @ ud_dag_u @ prefix.conj().transpose(0, 2, 1) @ evecs
-    inner = evecs_dag @ np.stack(context.controls) @ evecs
-    overlap = np.einsum("kba,ckab->ck", w, gmat * inner)
+    x = evecs.conj().transpose(0, 2, 1) @ p_before
+    w = (x @ ud_dag_u @ x.conj().transpose(0, 2, 1)) * phases.conj()[:, None, :]
+    # O_ck = Q_k^T diag(z_c) Q_k, so tr(W_k (G_k * O_ck)) is
+    # sum_m z_cm (Q_k Y_k Q_k^T)_mm with Y_k = W_k^T * G_k
+    y = w.transpose(0, 2, 1) * gmat
+    overlap = _CONTROL_SIGNS[context.n_qubits] @ np.einsum(
+        "kma,kab,kmb->mk", rot, y, rot
+    )
     grads = 2.0 * np.real(np.conj(tr) * overlap / d)
     return fid, grads, u_total
 
@@ -530,10 +627,21 @@ class GrapeSettings:
     edge_penalty: float = 10.0
     target_fidelity: float = 0.9999
 
+    def __post_init__(self) -> None:
+        if self.iterations < 1:
+            raise InvalidParameterError(
+                f"iterations must be at least 1, got {self.iterations}"
+            )
+
 
 @dataclass(frozen=True)
 class PulseResult:
-    """Outcome of one pulse optimization."""
+    """Outcome of one pulse optimization.
+
+    ``fidelity_history[i]`` is the raw fidelity of iteration ``i`` until an
+    iterate is first accepted, and the best accepted fidelity so far from
+    then on (see :func:`optimize_pulse`).
+    """
 
     theta: np.ndarray
     fidelity: float
@@ -550,15 +658,24 @@ def optimize_pulse(
 ) -> PulseResult:
     """Maximize the closed-system gate fidelity over the pulse parameters.
 
-    Deterministic under ``settings.seed``.  The recorded history is the
-    best-so-far fidelity, which is monotone by construction; failing to
-    reach ``settings.target_fidelity`` is reported through ``converged``,
-    not raised.
+    Deterministic under ``settings.seed``.  An iterate is accepted when its
+    waveforms stay within ``(1 + GIBBS_TOL) f_max``; the result is the best
+    accepted one.  The history holds one entry per iteration: that
+    iteration's raw fidelity until the first accepted iterate, then the
+    best accepted fidelity so far.  Only from the first accepted iterate on
+    is it monotone; before it, it may fall.  Failing to reach
+    ``settings.target_fidelity`` is reported through ``converged``, not
+    raised.
     """
-    if len(context.controls) != spec.n_controls:
+    if context.n_qubits != spec.n_controls:
         raise InvalidParameterError(
-            f"context provides {len(context.controls)} controls, "
+            f"context provides {context.n_qubits} controls, "
             f"spec expects {spec.n_controls}"
+        )
+    if target.dim != context.dimension:
+        raise InvalidParameterError(
+            f"target {target.name!r} has dimension {target.dim}, "
+            f"the context {context.dimension}"
         )
     rng = np.random.default_rng(settings.seed)
     if spec.theta is not None:

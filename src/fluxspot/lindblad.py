@@ -82,7 +82,7 @@ def _pulse_superoperator(
     d = context.dimension
     eye = np.eye(d)
     w = _as_waveform_matrix(context, waveforms)
-    hs = _step_hamiltonians(context, w).astype(complex, copy=False)
+    hs = _step_hamiltonians(context, w)
     # accumulated in place, already times dt: the d^4-per-step stacks
     # dominate the memory of a 2-qubit simulate
     gen = _kron(hs, eye)

@@ -593,7 +593,14 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     """Optimize one gate job and persist the pulse artifact."""
     gate_name = job.get("gate", "x")
     target = gate_target(gate_name)
-    n_qubits = int(job.get("n_qubits", 1 if target.dim == 2 else 2))
+    name = job.get("name", gate_name)
+    gate_qubits = target.dim.bit_length() - 1
+    n_qubits = int(job.get("n_qubits", gate_qubits))
+    if n_qubits != gate_qubits:
+        raise ConfigError(
+            f"gate job {name!r}: gate {gate_name!r} acts on {gate_qubits} "
+            f"qubit(s), n_qubits is {n_qubits}"
+        )
     context_eval = build_context(cfg)
     genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job, context_eval)
     context_eval = replace(context_eval, phi_ac=phi_ac)
@@ -629,7 +636,6 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     )
     result = optimize_pulse(spec, frame, target, settings)
 
-    name = job.get("name", gate_name)
     spectra = [np.fft.rfft(wf) for wf in result.waveforms]
     artifact = {
         "gate": gate_name,

@@ -143,6 +143,29 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
     assert run_cli(config, tmp_path / "out", "grape", "--job", job) == 2
 
 
+@pytest.mark.parametrize(
+    "override, code",
+    [
+        ({"frame_substeps": 0}, 3),
+        ({"steps": 0}, 3),
+        ({"iterations": 0}, 3),
+        ({"n_qubits": 2}, 2),
+        ({"gate": "sqrt_iswap", "n_qubits": 1}, 2),
+    ],
+    ids=["substeps-0", "steps-0", "iterations-0", "x-on-2-qubits", "sqrt_iswap-on-1-qubit"],
+)
+def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
+    job = dict(TINY["gates"][0], **override)
+    config = write_json(tmp_path / "config.json", dict(TINY, gates=[job]))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    if code == 2:
+        assert "gate job 'x'" in err, err
+    assert not list(out.glob("pulse_*.json"))
+
+
 def test_malformed_gate_genome_exits_2(tmp_path):
     bad = dict(TINY, gates=[{"name": "bad", "point": {"genome": {"p0": 0.5}}}])
     config = write_json(tmp_path / "config.json", bad)

@@ -4,29 +4,46 @@ import pytest
 import fluxspot as fs
 from fluxspot.exceptions import IntegrationError, InvalidParameterError
 from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z, _expi_sequence
-from fluxspot.gates import GIBBS_TOL, ControlContext, _frame_unitaries
+from fluxspot.gates import (
+    GIBBS_TOL,
+    ControlContext,
+    _frame_unitaries,
+    _step_eigensystem,
+    _step_hamiltonians,
+    _su2_matrices,
+)
 
 
 def tile(op, steps):
     return np.broadcast_to(op, (steps, *op.shape)).copy()
 
 
-def trivial_context(steps=200, duration=10.0, dim=2, drift=None, controls=None):
-    dt = duration / steps
-    if controls is None:
-        controls = (tile(PAULI_Y, steps),)
-    if drift is None:
-        drift = np.zeros((steps, dim, dim), dtype=complex)
-    per_qubit = 1 if dim == 2 else 2
+def trivial_context(steps=200, duration=10.0, n_qubits=1, coupling_j=0.0):
+    """A context on identity frames: every operator is its lab-frame form."""
     return ControlContext(
-        dimension=dim,
-        steps=steps,
-        dt=dt,
-        drift=drift,
-        controls=controls,
-        lower_ops=tuple(tile(LOWERING, steps) for _ in range(per_qubit)),
-        dephase_ops=tuple(tile(PAULI_Z, steps) for _ in range(per_qubit)),
+        frame=tile(np.eye(2), steps),
+        dt=duration / steps,
+        n_qubits=n_qubits,
+        coupling_j=coupling_j,
     )
+
+
+def random_frame(rng, steps):
+    """Random SU(2) samples ``[[a, -b*], [b, a*]]``."""
+    ab = rng.standard_normal((2, steps)) + 1j * rng.standard_normal((2, steps))
+    return _su2_matrices(*(ab / np.linalg.norm(ab, axis=0)))
+
+
+def degenerate_waveforms(rng, n_qubits, steps):
+    """Random control samples whose first rows sit on the degeneracies of
+    the closed-form eigensystem: f = 0 everywhere in row 0, and for two
+    qubits f1 = f2 in row 1 and f1 = -f2 in row 2."""
+    wf = 0.4 * rng.standard_normal((n_qubits, steps))
+    wf[:, 0] = 0.0
+    if n_qubits == 2:
+        wf[1, 1] = wf[0, 1]
+        wf[1, 2] = -wf[0, 2]
+    return wf
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +129,42 @@ class TestRotatingFrame:
             t0 = t1
         us = _frame_unitaries(point.drive, coeffs, delta, mids, substeps)
         assert np.max(np.abs(us - np.array(expected))) < 1e-13
+
+    def test_frame_samples_are_su2(self, dss2_frame):
+        # the 500 x 1024 prefix scan alone drifts off unitarity by ~7e-12
+        _, _, frame = dss2_frame
+        a, b = frame.frame[:, 0, 0], frame.frame[:, 1, 0]
+        assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-14
+        assert np.array_equal(frame.frame[:, 1, 1], a.conj())
+        assert np.array_equal(frame.frame[:, 0, 1], -b.conj())
+
+    def test_context_derives_its_operators(self):
+        rng = np.random.default_rng(8)
+        frame = random_frame(rng, 6)
+        ctx = ControlContext(frame=frame, dt=0.1, n_qubits=2, coupling_j=0.4)
+        assert (ctx.steps, ctx.dimension, ctx.duration) == (6, 4, pytest.approx(0.6))
+        r = np.kron(frame[3], frame[3])
+        conj = r.conj().T
+        assert np.allclose(ctx.controls[1][3], conj @ np.kron(np.eye(2), PAULI_Y) @ r, atol=1e-14)
+        assert np.allclose(ctx.drift[3], 0.4 * conj @ np.kron(PAULI_Z, PAULI_Z) @ r, atol=1e-14)
+        low, deph = ctx.embedded_jumps()[0]
+        assert np.allclose(low[3], conj @ np.kron(LOWERING, np.eye(2)) @ r, atol=1e-14)
+        assert np.allclose(deph[3], conj @ np.kron(PAULI_Z, np.eye(2)) @ r, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "frame, fields",
+        [
+            (np.eye(2)[None], {"n_qubits": 3}),
+            (np.eye(2)[None], {"coupling_j": 0.1}),
+            (np.eye(2)[None], {"dt": 0.0}),
+            (np.eye(3)[None], {}),
+            (np.zeros((0, 2, 2)), {}),
+            (1.001 * np.eye(2)[None], {}),
+        ],
+    )
+    def test_context_rejects_inconsistent_fields(self, frame, fields):
+        with pytest.raises(InvalidParameterError):
+            ControlContext(**{"frame": frame, "dt": 0.1, **fields})
 
     def test_frame_of_zero_hamiltonian_is_identity(self):
         # delta = 0 and no drive: every step has a zero-norm generator
@@ -221,16 +274,7 @@ class TestPropagation:
     def test_two_qubit_coupling_only(self):
         steps = 300
         zz = np.kron(PAULI_Z, PAULI_Z)
-        ctx = trivial_context(
-            steps=steps,
-            duration=6.0,
-            dim=4,
-            drift=0.2 * tile(zz, steps),
-            controls=(
-                tile(np.kron(PAULI_Y, np.eye(2)), steps),
-                tile(np.kron(np.eye(2), PAULI_Y), steps),
-            ),
-        )
+        ctx = trivial_context(steps=steps, duration=6.0, n_qubits=2, coupling_j=0.2)
         u = fs.propagate_closed(ctx, np.zeros((2, steps)))
         from scipy.linalg import expm
 
@@ -305,48 +349,76 @@ class TestGradient:
     def test_matches_per_step_loop(self):
         # reference: dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 dU_k P_k) / d)
         # summed step by step, with dU_k from scipy's expm Frechet derivative
+        # of H_k = R_k^dag H0 R_k built here from the frame, on random SU(2)
+        # frames; the first rows sit on the eigensystem's degeneracies, and
+        # two qubits run with and without coupling
         from scipy.linalg import expm, expm_frechet
 
         from fluxspot.gates import _fidelity_and_waveform_grad
 
         dt = 0.05
         rng = np.random.default_rng(5)
-
-        def hermitian(steps):
-            a = rng.standard_normal((steps, 4, 4)) + 1j * rng.standard_normal((steps, 4, 4))
-            return a + a.conj().transpose(0, 2, 1)
-
+        eye = np.eye(2)
         # 40 steps pad the last ceil(sqrt(n))-step block of the prefix scan,
         # 36 fill their blocks exactly
-        for steps in (40, 36):
-            ctx = trivial_context(
-                steps=steps, duration=steps * dt, dim=4,
-                drift=0.3 * hermitian(steps),
-                controls=(hermitian(steps), hermitian(steps)),
+        cases = [(steps, 1, 0.0, "x") for steps in (40, 36)] + [
+            (steps, 2, j, "sqrt_iswap") for steps in (40, 36) for j in (0.3, 0.0)
+        ]
+        for steps, n_qubits, coupling, gate in cases:
+            frame = random_frame(rng, steps)
+            ctx = ControlContext(
+                frame=frame, dt=dt, n_qubits=n_qubits, coupling_j=coupling
             )
-            wf = 0.4 * rng.standard_normal((2, steps))
-            target = fs.gate_target("sqrt_iswap")
+            wf = degenerate_waveforms(rng, n_qubits, steps)
+            target = fs.gate_target(gate)
             fid, grads, u = _fidelity_and_waveform_grad(ctx, wf, target)
 
-            hs = ctx.drift + sum(w[:, None, None] * c for w, c in zip(wf, ctx.controls))
+            d = 2**n_qubits
+            if n_qubits == 1:
+                frames = frame
+                ys, h_fixed = [PAULI_Y], np.zeros((2, 2))
+            else:
+                frames = np.array([np.kron(r, r) for r in frame])
+                ys = [np.kron(PAULI_Y, eye), np.kron(eye, PAULI_Y)]
+                h_fixed = coupling * np.kron(PAULI_Z, PAULI_Z)
+            ops = [
+                np.array([r.conj().T @ y @ r for r in frames]) for y in ys
+            ]
+            hs = np.array([r.conj().T @ h_fixed @ r for r in frames])
+            hs = hs + sum(w[:, None, None] * c for w, c in zip(wf, ops))
             step_us = [expm(-1j * h * dt) for h in hs]
-            prefix = [np.eye(4)]
+            prefix = [np.eye(d)]
             for s_k in step_us:
                 prefix.append(s_k @ prefix[-1])
-            suffix = [np.eye(4)]
+            suffix = [np.eye(d)]
             for s_k in reversed(step_us):
                 suffix.insert(0, suffix[0] @ s_k)
             ud_dag = target.unitary.conj().T
-            tr = np.trace(ud_dag @ prefix[-1]) / 4
-            expected = np.empty((2, steps))
-            for c, ops in enumerate(ctx.controls):
+            tr = np.trace(ud_dag @ prefix[-1]) / d
+            expected = np.empty((n_qubits, steps))
+            for c, op in enumerate(ops):
                 for k in range(steps):
-                    du = expm_frechet(-1j * hs[k] * dt, -1j * ops[k] * dt, compute_expm=False)
+                    du = expm_frechet(-1j * hs[k] * dt, -1j * op[k] * dt, compute_expm=False)
                     m = suffix[k + 1] @ du @ prefix[k]
-                    expected[c, k] = 2 * np.real(np.conj(tr) * np.trace(ud_dag @ m) / 4)
+                    expected[c, k] = 2 * np.real(np.conj(tr) * np.trace(ud_dag @ m) / d)
             assert fid == pytest.approx(abs(tr) ** 2, abs=1e-12)
             assert np.max(np.abs(u - prefix[-1])) < 1e-12
             assert np.max(np.abs(grads - expected)) < 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_qubits, coupling", [(1, 0.0), (2, 0.3), (2, 0.0)])
+    def test_closed_form_eigensystem_rebuilds_step_hamiltonians(
+        self, n_qubits, coupling
+    ):
+        rng = np.random.default_rng(17)
+        ctx = ControlContext(
+            frame=random_frame(rng, 12), dt=0.05, n_qubits=n_qubits, coupling_j=coupling
+        )
+        wf = degenerate_waveforms(rng, n_qubits, 12)
+        evals, evecs, _ = _step_eigensystem(ctx, wf)
+        evecs_dag = evecs.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(evecs_dag @ evecs - np.eye(ctx.dimension))) < 1e-13
+        rebuilt = (evecs * evals[:, None, :]) @ evecs_dag
+        assert np.max(np.abs(rebuilt - _step_hamiltonians(ctx, wf))) < 1e-13
 
     def test_gradient_vanishes_at_perfect_fidelity(self):
         ctx = trivial_context()
@@ -372,6 +444,16 @@ class TestOptimizePulse:
         assert result.fidelity == pytest.approx(1.0, abs=1e-12)
         assert result.fidelity_history[0] == pytest.approx(1.0, abs=1e-12)
         assert result.converged
+
+    def test_target_dimension_must_match_context(self):
+        spec = fs.PulseSpec(duration=10.0, steps=200, n_freq=4)
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            fs.optimize_pulse(
+                spec,
+                trivial_context(),
+                fs.gate_target("sqrt_iswap"),
+                fs.GrapeSettings(iterations=1),
+            )
 
     def test_small_x_gate_reaches_target(self, dss2_frame):
         _, _, frame = dss2_frame

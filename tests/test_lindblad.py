@@ -5,7 +5,7 @@ import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError, TomographyError
 from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
 
-from test_gates import tile, trivial_context
+from test_gates import trivial_context
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
 EXCITED = np.array([0.0, 1.0], dtype=complex)
@@ -72,25 +72,6 @@ class TestEvolveDensity:
         rho = fs.evolve_density(ctx, wf, model, rho0)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(rho).min() > -1e-10
-
-    def test_real_valued_context(self):
-        # real drift and controls give a real step Hamiltonian stack
-        steps = 50
-        model = rate_model(gamma_relax=20.0, gamma_deph=35.0)
-        rho0 = np.outer(PLUS, PLUS.conj())
-        wf = 0.3 * np.ones(steps)
-        real, cplx = (
-            fs.evolve_density(
-                trivial_context(
-                    steps=steps,
-                    drift=np.zeros((steps, 2, 2), dtype=dtype),
-                    controls=(tile(PAULI_X.real.astype(dtype), steps),),
-                ),
-                wf, model, rho0,
-            )
-            for dtype in (float, complex)
-        )
-        assert np.array_equal(real, cplx)
 
     def test_constant_generator_is_step_count_invariant(self):
         # a constant generator is propagated exactly, whatever the step grid
