@@ -2,9 +2,10 @@
 
 Control pulses add a transverse drive ``f(t) sigma_y`` on top of the running
 flux modulation.  All gate dynamics happen in the rotating frame of the
-modulated qubit Hamiltonian.  A :class:`ControlContext` holds that frame's
-SU(2) samples ``R_k``, integrated once per (drive, duration), and derives
-every frame-conjugated operator ``R_k^dag O R_k`` from them on first use.
+modulated qubit Hamiltonian.  A :class:`ControlContext` is that frame: its
+SU(2) samples ``R_k``, integrated once per (drive, duration).  Step ``k``
+sees every lab-frame operator ``O`` of :func:`_static_operators` as
+``R_k^dag O R_k``, and no stack of conjugated operators is ever built.
 Each step Hamiltonian ``R_k^dag H0(f_k) R_k`` is made of fixed Paulis, so
 its eigensystem is a closed form: in the sigma_y eigenbasis ``T`` it is a
 real matrix that splits into 2x2 blocks, diagonalized by one rotation each.
@@ -21,7 +22,7 @@ entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -233,25 +234,21 @@ def _shape_backward(grad_f: np.ndarray, stages, spec: PulseSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlContext:
-    """The rotating frame of one gate job and the operators it conjugates.
+    """The rotating frame of one gate job.
 
     ``frame[k]`` is the SU(2) frame sample ``U_k`` of one qubit at the
     midpoint of step ``k``; two qubits share it, so their frame is
-    ``R_k = U_k (x) U_k`` (one qubit: ``R_k = U_k``).  Every operator sample
-    is ``R_k^dag O R_k`` for a fixed ``O`` and is derived on first use:
-    ``controls[c][k]`` from ``sigma_y`` on qubit ``c``; ``drift[k]`` from
-    ``coupling_j * (z (x) z)`` (zero for one qubit); ``lower_ops`` and
-    ``dephase_ops`` from the per-qubit lowering and ``sigma_z`` jump
-    operators, kept in the 2x2 single-qubit form and embedded by
-    :meth:`embedded_jumps`.  ``coupling_j`` is in rad/ns; ``substeps``
-    records the frame integration grid and enters no computation.
+    ``R_k = U_k (x) U_k`` (one qubit: ``R_k = U_k``).  Step ``k`` sees each
+    operator ``O`` of :func:`_static_operators` (drift ``coupling_j *
+    (z (x) z)``, ``sigma_y`` controls, lowering and ``sigma_z`` jumps) as
+    ``R_k^dag O R_k``.  ``dt`` is the step length in ns and ``coupling_j``
+    is in rad/ns.
     """
 
     frame: np.ndarray
     dt: float
     n_qubits: int = 1
     coupling_j: float = 0.0
-    substeps: int = 0
 
     def __post_init__(self) -> None:
         frame = np.array(self.frame, dtype=complex)
@@ -283,33 +280,6 @@ class ControlContext:
     def duration(self) -> float:
         return self.steps * self.dt
 
-    def _conjugated(self, op: np.ndarray) -> np.ndarray:
-        """``U_k^dag op U_k`` at every step."""
-        return np.einsum("kba,bc,kcd->kad", self.frame.conj(), op, self.frame)
-
-    @cached_property
-    def controls(self) -> tuple:
-        sy = self._conjugated(PAULI_Y)
-        if self.n_qubits == 1:
-            return (sy,)
-        eye = np.eye(2)
-        return (_kron(sy, eye), _kron(eye, sy))
-
-    @cached_property
-    def drift(self) -> np.ndarray:
-        if self.n_qubits == 1:
-            return np.zeros((self.steps, 2, 2), dtype=complex)
-        sz = self.dephase_ops[0]
-        return self.coupling_j * _kron(sz, sz)
-
-    @cached_property
-    def lower_ops(self) -> tuple:
-        return (self._conjugated(LOWERING),) * self.n_qubits
-
-    @cached_property
-    def dephase_ops(self) -> tuple:
-        return (self._conjugated(PAULI_Z),) * self.n_qubits
-
     @cached_property
     def _eigenframe(self) -> np.ndarray:
         """``E_k = R_k^dag T`` with ``T = W`` or ``W (x) W``, ``W`` the
@@ -318,16 +288,24 @@ class ControlContext:
         e = self.frame.conj().transpose(0, 2, 1) @ _SIGMA_Y_BASIS
         return e if self.n_qubits == 1 else _kron(e, e)
 
-    def embedded_jumps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-qubit (relaxation, dephasing) jump samples in full dimension."""
-        if self.n_qubits == 1:
-            return [(self.lower_ops[0], self.dephase_ops[0])]
-        eye = np.eye(2)
-        (low_a, low_b), (deph_a, deph_b) = self.lower_ops, self.dephase_ops
-        return [
-            (_kron(low_a, eye), _kron(deph_a, eye)),
-            (_kron(eye, low_b), _kron(eye, deph_b)),
-        ]
+
+def _static_operators(n_qubits: int, coupling_j: float):
+    """The lab-frame operators of a gate job in full dimension: the drift
+    ``coupling_j * (z (x) z)`` (zero for one qubit), the ``sigma_y``
+    control of each qubit, and each qubit's (lowering, ``sigma_z``) jump
+    pair."""
+    if n_qubits == 1:
+        return np.zeros((2, 2), dtype=complex), (PAULI_Y,), [(LOWERING, PAULI_Z)]
+    eye = np.eye(2)
+
+    def on(qubit, op):
+        return np.kron(op, eye) if qubit == 0 else np.kron(eye, op)
+
+    return (
+        coupling_j * np.kron(PAULI_Z, PAULI_Z),
+        (on(0, PAULI_Y), on(1, PAULI_Y)),
+        [(on(q, LOWERING), on(q, PAULI_Z)) for q in (0, 1)],
+    )
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -403,12 +381,11 @@ def rotating_frame_trajectory(
     ``duration`` in ns, ``coupling_j`` in rad/ns; the qubit/drive parameters
     come in rad/us.  The frame samples are integrated with ``substeps``
     pieces per sample interval; the returned :class:`ControlContext` holds
-    them and derives the conjugated operators.  ``steps`` and ``substeps``
-    must be at least 1 and ``duration`` positive.  With ``verify=True`` the
-    frame is re-integrated at half the substep resolution and any sample
-    moving by more than 1e-9 raises :class:`IntegrationError`.  The check is
-    off by default: at the default 1024 substeps over 10 ns the benchmark
-    points move by 1.4e-9 to 3.4e-9.
+    them.  ``steps`` and ``substeps`` must be at least 1 and ``duration``
+    positive.  With ``verify=True`` the frame is re-integrated at half the
+    substep resolution and any sample moving by more than 1e-9 raises
+    :class:`IntegrationError`.  The check is off by default: at the default
+    1024 substeps over 10 ns the benchmark points move by 1.4e-9 to 3.4e-9.
     """
     if steps < 1 or substeps < 1 or not duration > 0.0:
         raise InvalidParameterError(
@@ -426,16 +403,7 @@ def rotating_frame_trajectory(
                 f"frame integration not converged: samples moved by "
                 f"{drift_err:.2e} when halving substeps"
             )
-    return ControlContext(
-        frame=us, dt=dt, n_qubits=n_qubits, coupling_j=coupling_j, substeps=substeps
-    )
-
-
-def _step_hamiltonians(context: ControlContext, waveforms: np.ndarray) -> np.ndarray:
-    h = context.drift.copy()
-    for c in range(waveforms.shape[0]):
-        h += waveforms[c][:, None, None] * context.controls[c]
-    return h
+    return ControlContext(frame=us, dt=dt, n_qubits=n_qubits, coupling_j=coupling_j)
 
 
 def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
@@ -696,10 +664,14 @@ def optimize_pulse(
             settings.amplitude_penalty, settings.edge_penalty,
         )
         fid = info["fidelity"]
+        if it == 1:
+            # the result when no iterate is accepted: best_theta stays theta
+            best_waveforms = info["waveforms"]
         overshoot = float(np.max(np.abs(info["waveforms"]))) / spec.f_max
         if fid > best_fid and overshoot <= 1.0 + GIBBS_TOL:
             best_fid = fid
             best_theta = theta.copy()
+            best_waveforms = info["waveforms"]
         history.append(best_fid if np.isfinite(best_fid) else fid)
         m = settings.beta1 * m + (1.0 - settings.beta1) * grad
         v = settings.beta2 * v + (1.0 - settings.beta2) * grad * grad
@@ -707,14 +679,10 @@ def optimize_pulse(
         v_hat = v / (1.0 - settings.beta2**it)
         theta = theta + settings.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
-    final_spec = replace(spec, theta=best_theta)
-    waveforms = np.vstack(
-        [shape_pulse(th, spec) for th in _split_theta(best_theta, final_spec)]
-    )
     return PulseResult(
         theta=best_theta,
         fidelity=float(best_fid),
         fidelity_history=np.asarray(history),
-        waveforms=waveforms,
+        waveforms=best_waveforms,
         converged=bool(best_fid >= settings.target_fidelity),
     )

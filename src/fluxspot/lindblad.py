@@ -2,11 +2,12 @@
 process fidelity.
 
 The density matrix evolves in the same rotating frame as the closed-system
-gate dynamics; relaxation and dephasing enter through frame-conjugated jump
-operators sampled per step, with rates taken from a decoherence-rate report
+gate dynamics; relaxation and dephasing enter through per-qubit lowering and
+sigma_z jump operators, with rates taken from a decoherence-rate report
 (1/us, converted to the gate module's ns clock internally).  The generator is
 piecewise constant on the pulse grid, so the whole pulse is one exact
-superoperator: the product of the step Liouvillian exponentials (Havel,
+superoperator: the product of the step Liouvillian exponentials.  The frame
+enters each step as a conjugation of one lab-frame Liouvillian (Havel,
 J. Math. Phys. 44, 534 (2003) for the Lindblad, superoperator and chi forms).
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .exceptions import IntegrationError, InvalidParameterError, TomographyError
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
-from .gates import ControlContext, _as_waveform_matrix, _kron, _step_hamiltonians
+from .gates import ControlContext, _as_waveform_matrix, _kron, _static_operators
 
 __all__ = [
     "LindbladModel",
@@ -37,8 +38,9 @@ _RATE_US_TO_NS = 1.0e-3
 class LindbladModel:
     """Per-qubit (relaxation, dephasing) rate pairs in 1/us.
 
-    Jump operators are supplied by the :class:`ControlContext`; the model
-    only carries the rates, e.g. ``((gamma_1, gamma_z),)`` for one qubit.
+    The jump operators are fixed (see :func:`gates._static_operators`); the
+    model only carries the rates, e.g. ``((gamma_1, gamma_z),)`` for one
+    qubit.
     """
 
     rates: tuple
@@ -68,35 +70,42 @@ def _pulse_superoperator(
 ) -> np.ndarray:
     """The whole pulse as one d^2 x d^2 superoperator on row-major vec(rho).
 
-    Step k propagates exactly under its constant Liouvillian
-    ``-i(H (x) I - I (x) H^T) + sum gamma (A (x) A* - A^dag A (x) I / 2
-    - I (x) (A^dag A)^T / 2)``, from ``vec(A X B) = kron(A, B^T) vec(X)``;
-    the step exponentials come from one batched ``expm`` and are multiplied
-    in time order.
+    From ``vec(A X B) = kron(A, B^T) vec(X)``, a Hamiltonian ``H`` and jump
+    operators ``A`` give the Liouvillian ``-i(H (x) I - I (x) H^T)
+    + sum gamma (A (x) A* - A^dag A (x) I / 2 - I (x) (A^dag A)^T / 2)``.
+    Step k sees each operator of :func:`_static_operators` as
+    ``R_k^dag O R_k``, so its Liouvillian is ``S_k^dag L_k S_k`` with
+    ``S_k = R_k (x) R_k*`` and the lab-frame ``L_k = L_0 + sum_c f_ck L_c``
+    (drift and dissipator, one commutator per control).  The step
+    exponentials come from one batched ``expm``, are conjugated by their
+    ``S_k`` and multiplied in time order.
     """
     # imported here, its only caller, so that importing fluxspot loads no scipy
     from scipy.linalg import expm
 
     if model.n_qubits != context.n_qubits:
         raise InvalidParameterError("model and context disagree on qubit count")
-    d = context.dimension
-    eye = np.eye(d)
+    eye = np.eye(context.dimension)
     w = _as_waveform_matrix(context, waveforms)
-    hs = _step_hamiltonians(context, w)
-    # accumulated in place, already times dt: the d^4-per-step stacks
-    # dominate the memory of a 2-qubit simulate
-    gen = _kron(hs, eye)
-    gen -= _kron(eye, hs.transpose(0, 2, 1))
-    gen *= -1j * context.dt
-    for (low, deph), (g_relax, g_deph) in zip(context.embedded_jumps(), model.rates):
-        for gamma, ops in ((g_relax, low), (g_deph, deph)):
-            if gamma > 0.0:
-                rate = gamma * _RATE_US_TO_NS * context.dt
-                op2 = ops.conj().transpose(0, 2, 1) @ ops
-                gen += rate * _kron(ops, ops.conj())
-                gen -= (0.5 * rate) * _kron(op2, eye)
-                gen -= (0.5 * rate) * _kron(eye, op2.transpose(0, 2, 1))
-    return _tree_product(expm(gen))
+    drift, controls, jumps = _static_operators(context.n_qubits, context.coupling_j)
+
+    def commutator(h):
+        return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+    base = commutator(drift)
+    for (low, deph), rates in zip(jumps, model.rates):
+        for gamma, op in zip(rates, (low, deph)):
+            op2 = op.conj().T @ op
+            anti = np.kron(op2, eye) + np.kron(eye, op2.T)
+            base += gamma * _RATE_US_TO_NS * (np.kron(op, op.conj()) - 0.5 * anti)
+    per_control = np.stack([commutator(c) for c in controls])
+    steps = expm(context.dt * (base + np.einsum("ck,cab->kab", w, per_control)))
+    r = context.frame if context.n_qubits == 1 else _kron(context.frame, context.frame)
+    r_t = r.transpose(0, 2, 1)
+    # S_k^dag = R_k^dag (x) R_k^T; one product at a time keeps at most three
+    # (steps, d^2, d^2) stacks alive, the memory peak of a 2-qubit simulate
+    steps = _kron(r_t.conj(), r_t) @ steps
+    return _tree_product(steps @ _kron(r, r.conj()))
 
 
 def evolve_density(

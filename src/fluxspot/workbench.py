@@ -135,6 +135,13 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _check_artifact_name(name, where: str) -> None:
+    """Reject a name that is not one plain file-name component: it becomes
+    part of an artifact's file name."""
+    if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
+        raise ConfigError(f"{where} {name!r}: not one plain file-name component")
+
+
 def _merged(defaults: dict, override: dict, where: str) -> dict:
     _check_keys(override, defaults.keys(), where)
     out = dict(defaults)
@@ -176,6 +183,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError("gates must be a list of job objects")
         for i, job in enumerate(raw["gates"]):
             _check_keys(job, _GATE_JOB_KEYS, f"gates[{i}]")
+            if "name" in job:
+                _check_artifact_name(job["name"], "gate job")
         cfg["gates"] = raw["gates"]
     if overrides:
         cfg.update(overrides)
@@ -415,6 +424,7 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
         bench = _benchmark_point(spec["benchmark"])
         genome, phi_ac, name = bench.genome, bench.phi_ac, bench.name
     else:
+        _check_artifact_name(name, "genome file name")
         genome = _genome_from_json(spec, "genome file")
     context = build_context(cfg, phi_ac=phi_ac)
     if genome.n != context.n:
@@ -611,6 +621,7 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     n_freq = int(job.get("n_freq", 9 if n_qubits == 1 else 31))
     f_max = TWO_PI * float(job.get("f_max_mhz", 100.0)) * 1e-3
     coupling = TWO_PI * float(job.get("coupling_j_mhz", 48.0)) * 1e-3
+    substeps = int(job.get("frame_substeps", 1024))
 
     frame = rotating_frame_trajectory(
         point.drive,
@@ -618,7 +629,7 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
         context_eval.qubit.delta,
         duration,
         steps=steps,
-        substeps=int(job.get("frame_substeps", 1024)),
+        substeps=substeps,
         n_qubits=n_qubits,
         coupling_j=coupling if n_qubits == 2 else 0.0,
     )
@@ -654,7 +665,7 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
         "n_qubits": n_qubits,
         "f_max_rad_per_ns": f_max,
         "coupling_j_rad_per_ns": coupling if n_qubits == 2 else 0.0,
-        "frame_substeps": frame.substeps,
+        "frame_substeps": substeps,
         "theta": [float(x) for x in result.theta],
         "samples": [[float(x) for x in wf] for wf in result.waveforms],
         "spectrum_re": [[float(x.real) for x in s] for s in spectra],

@@ -100,6 +100,7 @@ def test_chain_exit_codes(chain_runs):
         oks = [row["ok"] for row in csv.DictReader(fh)]
     assert oks and set(oks) <= {"0", "1"}
     assert codes["bounds"] == (3 if "0" in oks else 0)
+    assert json.loads((out / "pulse_x.json").read_text())["frame_substeps"] == 8
     for artifact, key in (("pulse_x.json", "fidelity"), ("simulate_x.json", "process_fidelity")):
         fidelity = json.loads((out / artifact).read_text())[key]
         assert math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0, artifact
@@ -151,8 +152,16 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"iterations": 0}, 3),
         ({"n_qubits": 2}, 2),
         ({"gate": "sqrt_iswap", "n_qubits": 1}, 2),
+        ({"name": "a/b"}, 2),
     ],
-    ids=["substeps-0", "steps-0", "iterations-0", "x-on-2-qubits", "sqrt_iswap-on-1-qubit"],
+    ids=[
+        "substeps-0",
+        "steps-0",
+        "iterations-0",
+        "x-on-2-qubits",
+        "sqrt_iswap-on-1-qubit",
+        "name-with-slash",
+    ],
 )
 def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
     job = dict(TINY["gates"][0], **override)
@@ -162,7 +171,7 @@ def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     if code == 2:
-        assert "gate job 'x'" in err, err
+        assert f"gate job {job['name']!r}" in err, err
     assert not list(out.glob("pulse_*.json"))
 
 
@@ -176,6 +185,16 @@ def test_malformed_genome_file_exits_2(tmp_path):
     config = write_json(tmp_path / "config.json", TINY)
     genome = write_json(tmp_path / "genome.json", {"p0": 0.5})
     assert run_cli(config, tmp_path / "out", "evaluate", str(genome)) == 2
+
+
+def test_genome_file_name_with_slash_exits_2(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", TINY)
+    genome = write_json(tmp_path / "genome.json", dict(GENOME, name="a/b"))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "evaluate", str(genome)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'a/b'" in err, err
+    assert not list(out.glob("rates_*.csv"))
 
 
 def test_unknown_config_key_exits_2(tmp_path):

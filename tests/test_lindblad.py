@@ -5,7 +5,7 @@ import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError, TomographyError
 from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
 
-from test_gates import trivial_context
+from test_gates import random_frame, trivial_context
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
 EXCITED = np.array([0.0, 1.0], dtype=complex)
@@ -13,8 +13,54 @@ PLUS = (GROUND + EXCITED) / np.sqrt(2.0)
 
 
 def rate_model(gamma_relax=0.0, gamma_deph=0.0, n_qubits=1):
-    return fs.LindbladModel(rates=tuple((gamma_relax, gamma_deph),) * 0 or
-                            tuple((gamma_relax, gamma_deph) for _ in range(n_qubits)))
+    return fs.LindbladModel(rates=((gamma_relax, gamma_deph),) * n_qubits)
+
+
+def superoperator(channel, d):
+    """Matrix of a linear map on row-major vec: column ``j d + k`` holds
+    the image of ``|j><k|``."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.stack([channel(unit).ravel() for unit in units], axis=1)
+
+
+def per_step_oracle(frame, dt, n_qubits, coupling_j, wf, rates_us):
+    """The pulse superoperator from the explicit step operators
+    ``R_k^dag O R_k``, each step's Lindblad map written on matrices, scipy's
+    ``expm`` per step and a sequential product."""
+    from scipy.linalg import expm
+
+    eye = np.eye(2)
+    if n_qubits == 1:
+        frames, ys, drift = frame, [PAULI_Y], np.zeros((2, 2))
+        jumps = [(LOWERING, PAULI_Z)]
+    else:
+        frames = np.array([np.kron(u, u) for u in frame])
+        ys = [np.kron(PAULI_Y, eye), np.kron(eye, PAULI_Y)]
+        drift = coupling_j * np.kron(PAULI_Z, PAULI_Z)
+        jumps = [
+            (np.kron(LOWERING, eye), np.kron(PAULI_Z, eye)),
+            (np.kron(eye, LOWERING), np.kron(eye, PAULI_Z)),
+        ]
+    d = 2**n_qubits
+    total = np.eye(d * d, dtype=complex)
+    for k, r in enumerate(frames):
+        rd = r.conj().T
+        h = rd @ drift @ r + sum(f * (rd @ y @ r) for f, y in zip(wf[:, k], ys))
+        ops = [
+            (gamma * 1e-3, rd @ op @ r)
+            for (low, deph), (g1, gz) in zip(jumps, rates_us)
+            for gamma, op in ((g1, low), (gz, deph))
+        ]
+
+        def lindblad(rho, h=h, ops=ops):
+            out = -1j * (h @ rho - rho @ h)
+            for gamma, a in ops:
+                ad_a = a.conj().T @ a
+                out += gamma * (a @ rho @ a.conj().T - 0.5 * (ad_a @ rho + rho @ ad_a))
+            return out
+
+        total = expm(dt * superoperator(lindblad, d)) @ total
+    return total
 
 
 class TestEvolveDensity:
@@ -62,6 +108,30 @@ class TestEvolveDensity:
         rho = fs.evolve_density(frame, wf, model, rho0)
         u = fs.propagate_closed(frame, wf)
         assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-12
+
+    def test_two_qubit_zero_rates_matches_closed_propagation(self):
+        rng = np.random.default_rng(12)
+        ctx = fs.ControlContext(
+            frame=random_frame(rng, 40), dt=0.1, n_qubits=2, coupling_j=0.3
+        )
+        wf = 0.4 * rng.standard_normal((2, 40))
+        channel = fs.channel_from_simulation(ctx, wf, rate_model(n_qubits=2))
+        u = fs.propagate_closed(ctx, wf)
+        assert np.max(np.abs(superoperator(channel, 4) - np.kron(u, u.conj()))) < 1e-12
+
+    @pytest.mark.parametrize("n_qubits, coupling", [(1, 0.0), (2, 0.3)])
+    def test_channel_matches_per_step_oracle(self, n_qubits, coupling):
+        rng = np.random.default_rng(14)
+        steps, dt = 24, 0.25
+        frame = random_frame(rng, steps)
+        ctx = fs.ControlContext(
+            frame=frame, dt=dt, n_qubits=n_qubits, coupling_j=coupling
+        )
+        wf = 0.4 * rng.standard_normal((n_qubits, steps))
+        rates = ((20.0, 35.0), (15.0, 40.0))[:n_qubits]
+        channel = fs.channel_from_simulation(ctx, wf, fs.LindbladModel(rates=rates))
+        expected = per_step_oracle(frame, dt, n_qubits, coupling, wf, rates)
+        assert np.max(np.abs(superoperator(channel, 2**n_qubits) - expected)) < 1e-12
 
     def test_trace_and_positivity(self):
         ctx = trivial_context(steps=150, duration=12.0)
