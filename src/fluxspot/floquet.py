@@ -308,13 +308,12 @@ def _su2_entries(delta: float, long_coefs, dt):
     return np.cos(theta) - 1j * sinc * cz, -1j * sinc * cx
 
 
-def _expi_sequence(delta: float, long_coefs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for H = -(delta/2) Z + c X, vectorized over ``c``."""
-    a, b = _su2_entries(delta, long_coefs, dt)
-    out = np.empty((a.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = a
-    out[:, 1, 1] = a.conj()
-    out[:, 0, 1] = out[:, 1, 0] = b   # b is imaginary, so -b* = b
+def _su2_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrices ``[[a, -b*], [b, a*]]`` for entries ``a`` and ``b``
+    (arrays or scalars)."""
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, -np.conj(b)
+    out[..., 1, 0], out[..., 1, 1] = b, np.conj(a)
     return out
 
 
@@ -339,6 +338,20 @@ def _su2_tree_product(a: np.ndarray, b: np.ndarray):
         a = np.concatenate([a2 * a1 - b2.conj() * b1, a[..., m:]], axis=-1)
         b = np.concatenate([b2 * a1 + a2.conj() * b1, b[..., m:]], axis=-1)
     return a[..., 0], b[..., 0]
+
+
+def _su2_prefix_products(a: np.ndarray, b: np.ndarray):
+    """Entries of the ordered prefixes ``step[i] @ ... @ step[0]`` of the
+    SU(2) steps ``[[a, -b*], [b, a*]]``, by a doubling scan: after the pass
+    of stride ``s`` entry ``i`` holds the product of the up to ``2 s`` steps
+    that end at ``i``, so ``ceil(log2 n)`` passes over the arrays do it."""
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    s = 1
+    while s < a.size:
+        a1, b1, a2, b2 = a[:-s], b[:-s], a[s:], b[s:]
+        a[s:], b[s:] = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+        s *= 2
+    return a, b
 
 
 def _prefix_products(mats: np.ndarray) -> np.ndarray:
@@ -370,12 +383,13 @@ def _period_steps(
     coeffs: EffectiveCoefficients,
     delta: float,
     substeps: int,
-) -> np.ndarray:
-    """Midpoint step propagators of one period split into ``substeps``."""
+):
+    """Entries ``(a, b)`` of the midpoint step propagators of one period
+    split into ``substeps`` (see :func:`_su2_entries`)."""
     dt = drive.period / substeps
     t_mid = (np.arange(substeps) + 0.5) * dt
     cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)
-    return _expi_sequence(delta, cx, dt)
+    return _su2_entries(delta, cx, dt)
 
 
 def _quasienergies_from_monodromy(
@@ -412,11 +426,14 @@ def reference_floquet_via_propagator(
     period = drive.period
     omega_d = drive.omega_d
 
-    prefixes = _prefix_products(_period_steps(drive, coeffs, delta, substeps))
-    eps, vecs = _quasienergies_from_monodromy(prefixes[-1], omega_d, period)
+    a, b = _su2_prefix_products(*_period_steps(drive, coeffs, delta, substeps))
+    monodromy = _su2_matrices(a[-1], b[-1])
+    eps, vecs = _quasienergies_from_monodromy(monodromy, omega_d, period)
 
-    coarse = _tree_product(_period_steps(drive, coeffs, delta, substeps // 2))
-    eps_coarse, _ = _quasienergies_from_monodromy(coarse, omega_d, period)
+    coarse = _su2_tree_product(*_period_steps(drive, coeffs, delta, substeps // 2))
+    eps_coarse, _ = _quasienergies_from_monodromy(
+        _su2_matrices(*coarse), omega_d, period
+    )
     drift = np.max(np.abs(np.sort(eps) - np.sort(eps_coarse)))
     if drift > 1e-9 * omega_d:
         raise IntegrationError(
@@ -427,13 +444,16 @@ def reference_floquet_via_propagator(
     i, j = _select_central_pair(eps, omega_d)
     eps_minus, eps_plus = float(eps[i]), float(eps[j])
 
-    # U(t_m) at t_m = m T / substeps, m = 0 .. substeps - 1
-    us = np.concatenate([np.eye(2, dtype=complex)[None], prefixes[:-1]])
+    # the entries of U(t_m) at t_m = m T / substeps, m = 0 .. substeps - 1
+    a = np.concatenate([[1.0], a[:-1]])
+    b = np.concatenate([[0.0], b[:-1]])
     ts = np.arange(substeps) * (period / substeps)
     ks = np.arange(-k_max, k_max + 1)
 
     def harmonics(idx: int, eps_val: float) -> np.ndarray:
-        traj = (us @ vecs[:, idx]) * np.exp(1j * eps_val * ts)[:, None]
+        v0, v1 = vecs[:, idx]
+        traj = np.stack([a * v0 - b.conj() * v1, b * v0 + a.conj() * v1], axis=1)
+        traj *= np.exp(1j * eps_val * ts)[:, None]
         h = np.fft.fft(traj, axis=0)[ks % substeps]
         h /= np.linalg.norm(h)
         return _gauge_fix(h, k_max)

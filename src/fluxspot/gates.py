@@ -6,13 +6,20 @@ modulated qubit Hamiltonian.  A :class:`ControlContext` is that frame: its
 SU(2) samples ``R_k``, integrated once per (drive, duration).  Step ``k``
 sees every lab-frame operator ``O`` of :func:`_static_operators` as
 ``R_k^dag O R_k``, and no stack of conjugated operators is ever built.
-Each step Hamiltonian ``R_k^dag H0(f_k) R_k`` is made of fixed Paulis, so
-its eigensystem is a closed form: in the sigma_y eigenbasis ``T`` it is a
-real matrix that splits into 2x2 blocks, diagonalized by one rotation each.
-Optimizer iterations therefore run no matrix diagonalization.  Pulses are
-parametrized in the frequency domain and pushed through a fixed constraint
-pipeline (boundary window, amplitude sigmoid, spectral band-limit);
-gradients are exact through both the step propagators and the pipeline.
+
+GRAPE runs in the interaction picture of that frame.  With ``W`` the
+sigma_y eigenbasis and ``T = W`` (one qubit) or ``W (x) W`` (two),
+``E_k = R_k^dag T`` turns each step Hamiltonian into a real matrix made of
+2x2 blocks ``s Z + J X``, so each step is ``E_k B_k E_k^dag`` with ``B_k``
+a closed form, and so is ``B_k^dag dB_k/ds``.  One forward scan of
+``C_k = F_k B_k``, ``F_k = E_{k+1}^dag E_k`` the frame increments, gives
+the propagator and every exact gradient (Khaneja et al., J. Magn. Reson.
+172, 296 (2005)) with no eigenvectors, no divided differences and no
+matrix function call; for one qubit every ``C_k`` is in SU(2) and the scan
+runs on entry arrays.  Pulses are parametrized in the frequency domain and
+pushed through a fixed constraint pipeline (boundary window, amplitude
+sigmoid, spectral band-limit); gradients are exact through both the steps
+and the pipeline.
 
 Times in this module are nanoseconds and rates rad/ns; the drive and qubit
 parameters arrive in the library's rad/us convention and are converted on
@@ -37,8 +44,9 @@ from .floquet import (
     DriveSpec,
     _prefix_products,
     _su2_entries,
+    _su2_matrices,
+    _su2_prefix_products,
     _su2_tree_product,
-    _tree_product,
 )
 from .units import RAD_PER_US_TO_RAD_PER_NS, TWO_PI
 
@@ -68,7 +76,7 @@ _SIGMA_Y_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / _SQRT2
 
 #: per qubit count, the diagonal z_c of T^dag C_c T for each sigma_y control
 #: C_c (T = W or W (x) W), and the index pairs of the 2x2 blocks into which
-#: T^dag H0 T splits
+#: T^dag H0 T splits (see :func:`_block_steps`)
 _CONTROL_SIGNS = {
     1: np.array([[1.0, -1.0]]),
     2: np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]]),
@@ -193,16 +201,17 @@ class PulseSpec:
         return np.vstack([np.ones(self.steps), pairs.reshape(-1, self.steps)])
 
 
-def _shape_stages(theta: np.ndarray, spec: PulseSpec):
-    """Forward pass of the constraint pipeline for one control channel."""
-    n = spec.steps
+def _shape_stages(theta: np.ndarray, spec: PulseSpec, window: np.ndarray):
+    """Forward pass of the constraint pipeline, one control channel per row
+    of ``theta`` (or one channel for a 1-D ``theta``); ``window`` is
+    ``spec.window()``."""
     raw = theta @ spec.fourier_basis
-    windowed = spec.window() * raw
+    windowed = window * raw
     sig = 1.0 / (1.0 + np.exp(-spec.slope * windowed))
     bounded = spec.amp_scale * (2.0 * sig - 1.0)
     spectrum = np.fft.rfft(bounded)
-    spectrum[spec.n_freq + 1 :] = 0.0
-    final = np.fft.irfft(spectrum, n)
+    spectrum[..., spec.n_freq + 1 :] = 0.0
+    final = np.fft.irfft(spectrum, spec.steps)
     return final, (raw, windowed, sig, bounded)
 
 
@@ -213,23 +222,22 @@ def shape_pulse(theta: np.ndarray, spec: PulseSpec, return_stages: bool = False)
         raise InvalidParameterError(
             f"theta must have {spec.params_per_control} entries"
         )
-    final, stages = _shape_stages(theta, spec)
+    final, stages = _shape_stages(theta, spec, spec.window())
     if return_stages:
         return final, stages
     return final
 
 
-def _shape_backward(grad_f: np.ndarray, stages, spec: PulseSpec) -> np.ndarray:
-    """Pull a gradient w.r.t. waveform samples back to the theta vector."""
-    _, windowed, sig, _ = stages
-    n = spec.steps
+def _shape_backward(
+    grad_f: np.ndarray, sig: np.ndarray, spec: PulseSpec, window: np.ndarray
+) -> np.ndarray:
+    """Pull gradients w.r.t. the waveform samples, one channel per row, back
+    to the rows of theta; ``sig`` is the sigmoid stage of the forward pass."""
     spectrum = np.fft.rfft(grad_f)
-    spectrum[spec.n_freq + 1 :] = 0.0
-    grad_bounded = np.fft.irfft(spectrum, n)   # band-limit is self-adjoint
+    spectrum[..., spec.n_freq + 1 :] = 0.0
+    grad_bounded = np.fft.irfft(spectrum, spec.steps)   # band-limit is self-adjoint
     dsig = spec.amp_scale * 2.0 * sig * (1.0 - sig) * spec.slope
-    grad_windowed = grad_bounded * dsig
-    grad_raw = grad_windowed * spec.window()
-    return spec.fourier_basis @ grad_raw
+    return (grad_bounded * dsig * window) @ spec.fourier_basis.T
 
 
 @dataclass(frozen=True)
@@ -243,6 +251,12 @@ class ControlContext:
     (z (x) z)``, ``sigma_y`` controls, lowering and ``sigma_z`` jumps) as
     ``R_k^dag O R_k``.  ``dt`` is the step length in ns and ``coupling_j``
     is in rad/ns.
+
+    GRAPE reads the frame through :attr:`_interaction_frame`: the
+    increments ``F_k = E_{k+1}^dag E_k`` of ``E_k = R_k^dag T``, in whose
+    columns every step is block diagonal (see :func:`_block_steps`), and
+    the end samples ``E_0`` and ``E_{n-1}``.  The samples must be unitary
+    with determinant 1, so that for one qubit every ``F_k`` is in SU(2).
     """
 
     frame: np.ndarray
@@ -259,6 +273,9 @@ class ControlContext:
         gram = frame @ frame.conj().transpose(0, 2, 1)
         if np.max(np.abs(gram - np.eye(2))) > 1e-12:
             raise InvalidParameterError("frame samples must be unitary")
+        det = frame[:, 0, 0] * frame[:, 1, 1] - frame[:, 0, 1] * frame[:, 1, 0]
+        if np.max(np.abs(det - 1.0)) > 1e-12:
+            raise InvalidParameterError("frame samples must have determinant 1")
         if self.n_qubits not in (1, 2):
             raise InvalidParameterError("n_qubits must be 1 or 2")
         if self.n_qubits == 1 and self.coupling_j != 0.0:
@@ -281,12 +298,16 @@ class ControlContext:
         return self.steps * self.dt
 
     @cached_property
-    def _eigenframe(self) -> np.ndarray:
-        """``E_k = R_k^dag T`` with ``T = W`` or ``W (x) W``, ``W`` the
-        sigma_y eigenbasis: the basis in which every step Hamiltonian is
-        real and block diagonal (see :func:`_step_eigensystem`)."""
+    def _interaction_frame(self):
+        """``(F, E_0, E_{n-1})``: the ``steps - 1`` increments
+        ``F_k = E_{k+1}^dag E_k`` and the end samples of ``E_k = R_k^dag T``,
+        with ``T = W`` or ``W (x) W`` and ``W`` the sigma_y eigenbasis.  For
+        one qubit ``E_k`` has determinant ``-i`` and ``F_k`` is in SU(2)."""
         e = self.frame.conj().transpose(0, 2, 1) @ _SIGMA_Y_BASIS
-        return e if self.n_qubits == 1 else _kron(e, e)
+        f = e[1:].conj().transpose(0, 2, 1) @ e[:-1]
+        if self.n_qubits == 1:
+            return f, e[0], e[-1]
+        return _kron(f, f), np.kron(e[0], e[0]), np.kron(e[-1], e[-1])
 
 
 def _static_operators(n_qubits: int, coupling_j: float):
@@ -327,8 +348,9 @@ def _frame_unitaries(
     one starts at 0) into ``substeps`` pieces sampled at their midpoints.
     Every step is SU(2), so each segment's steps are reduced on their entry
     arrays by :func:`_su2_tree_product`, on blocks of about sqrt(segments)
-    segments to keep memory small, and one prefix scan over the segment
-    totals gives the samples, each projected back onto SU(2).
+    segments to keep memory small, and one prefix scan of the segment
+    totals on their entry arrays gives the samples, each projected back onto
+    SU(2).
     """
     delta_ns = delta * RAD_PER_US_TO_RAD_PER_NS
     edges = np.concatenate(([0.0], times_ns))
@@ -348,21 +370,12 @@ def _frame_unitaries(
         a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(
             *_su2_entries(delta_ns, cx, h)
         )
-    us = _prefix_products(_su2_matrices(a, b))
+    a, b = _su2_prefix_products(a, b)
     # the scan leaves the samples up to ~1e-11 off unitarity; the closed-form
-    # step eigensystem would carry that into non-unitary steps, so each
-    # sample is rebuilt from its normalized first column
-    a, b = us[:, 0, 0], us[:, 1, 0]
+    # block steps would carry that into non-unitary steps, and the context
+    # holds its samples to determinant 1, so each is normalized
     norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     return _su2_matrices(a / norm, b / norm)
-
-
-def _su2_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrices ``[[a, -b*], [b, a*]]`` for entry arrays ``a`` and ``b``."""
-    return np.stack(
-        [np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)],
-        axis=1,
-    )
 
 
 def rotating_frame_trajectory(
@@ -418,46 +431,83 @@ def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
     return w
 
 
-def _step_eigensystem(context: ControlContext, waveforms: np.ndarray):
-    """Eigenvalues, eigenvectors ``V_k`` and block rotations ``Q_k`` of the
-    step Hamiltonians, in closed form.
+def _block_steps(context: ControlContext, waveforms: np.ndarray):
+    """The steps of ``T^dag H0(f_k) T`` on each 2x2 block of :data:`_BLOCKS`.
 
-    ``T^dag H0(f_k) T`` is real: ``f Z`` for one qubit and
-    ``J XX + f1 ZI + f2 IZ`` for two.  It splits into the 2x2 blocks
-    ``[[s, J], [J, -s]]`` of :data:`_BLOCKS`, with ``s = sum_c f_c z_c[i]``
-    for the block's first index ``i``; a rotation by ``atan2(J, s) / 2``
-    takes each to ``diag(hypot(s, J), -hypot(s, J))``, so
-    ``V_k = E_k Q_k`` with ``E_k`` the context's cached eigenframe.
+    ``T^dag H0(f) T`` is real: ``f Z`` for one qubit and
+    ``J XX + f1 ZI + f2 IZ`` for two.  On block ``(lo, hi)`` it is
+    ``s Z + J X`` with ``s = sum_c f_c z_c[lo]``.  With ``lambda = hypot(s,
+    J)`` and ``theta = lambda dt`` the block step is
+    ``B = cos(theta) I - i (sin(theta) / lambda) (s Z + J X)
+    = [[p, q], [q, p*]]``, and
+    ``B^dag dB/ds = -i dt (g_x X + g_y Y + g_z Z)`` with
+    ``g_x = (s J / lambda^2) (1 - c1)``, ``g_y = (J / lambda) c2`` and
+    ``g_z = (s^2 + c1 J^2) / lambda^2``, where ``c1 = sin(2 theta) /
+    (2 theta)`` and ``c2 = sin(theta)^2 / theta``; at ``J = 0`` it is
+    ``-i dt Z``.  Returns one ``(lo, hi, p, q, (g_x, g_y, g_z))`` per block.
     """
     z = _CONTROL_SIGNS[context.n_qubits]
-    d, j = context.dimension, context.coupling_j
-    evals = np.empty((context.steps, d))
-    rot = np.zeros((context.steps, d, d))
+    dt, j = context.dt, context.coupling_j
+    blocks = []
     for lo, hi in _BLOCKS[context.n_qubits]:
         s = z[:, lo] @ waveforms
-        angle = 0.5 * np.arctan2(j, s)
-        rot[:, lo, lo] = rot[:, hi, hi] = np.cos(angle)
-        rot[:, hi, lo] = np.sin(angle)
-        rot[:, lo, hi] = -rot[:, hi, lo]
-        evals[:, lo] = np.hypot(s, j)
-        evals[:, hi] = -evals[:, lo]
-    return evals, context._eigenframe @ rot, rot
+        theta = np.hypot(s, j) * dt
+        cos, sinc = np.cos(theta), np.sinc(theta / np.pi)
+        p, q = cos - 1j * dt * sinc * s, -1j * dt * sinc * j
+        if j == 0.0:
+            gens = (0.0, 0.0, 1.0)
+        else:
+            # lambda >= |J| > 0, so s / lambda and J / lambda are finite
+            ns, nj = s * dt / theta, j * dt / theta
+            c1 = sinc * cos
+            gens = (ns * nj * (1.0 - c1), nj * theta * sinc**2, ns**2 + c1 * nj**2)
+        blocks.append((lo, hi, p, q, gens))
+    return blocks
 
 
-def _step_exponentials(context: ControlContext, waveforms: np.ndarray):
-    """Eigenvalues, eigenvectors, block rotations (see
-    :func:`_step_eigensystem`), eigenphases ``exp(-i lambda dt)`` and
-    exponentials ``exp(-i H_k dt)`` of the step Hamiltonians."""
-    evals, evecs, rot = _step_eigensystem(context, waveforms)
-    phases = np.exp(-1j * evals * context.dt)
-    steps = (evecs * phases[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-    return evals, evecs, rot, phases, steps
+def _forward_scan(context: ControlContext, waveforms: np.ndarray):
+    """One scan in the interaction picture of the frame.
+
+    The step propagator is ``E_k B_k E_k^dag``, so the prefix ``P_k`` of
+    the steps before step ``k`` is ``E_k L_k E_0^dag`` with ``L_0 = I`` and
+    ``L_{k+1} = C_k L_k``, ``C_k = F_k B_k`` (see
+    :attr:`ControlContext._interaction_frame`), and the propagator is
+    ``U = E_{n-1} B_{n-1} L_{n-1} E_0^dag``.  Returns ``L_0 .. L_{n-1}``,
+    ``U`` and the blocks of :func:`_block_steps`.  For one qubit ``B_k =
+    diag(p_k, p_k*)`` and every ``C_k`` is in SU(2), so ``L`` is the entry
+    pair ``(a, b)`` of ``[[a, -b*], [b, a*]]``; for two it is a matrix stack.
+    """
+    f, e_first, e_last = context._interaction_frame
+    blocks = _block_steps(context, waveforms)
+    if context.n_qubits == 1:
+        ((_, _, p, _, _),) = blocks
+        # C_k = F_k diag(p_k, p_k*) has the entries p_k times those of F_k
+        a, b = _su2_prefix_products(
+            np.concatenate([[1.0], f[:, 0, 0] * p[:-1]]),
+            np.concatenate([[0.0], f[:, 1, 0] * p[:-1]]),
+        )
+        l = a, b
+        last = _su2_matrices(p[-1] * a[-1], np.conj(p[-1]) * b[-1])
+    else:
+        # B = [[p, q], [q, p*]] on each block mixes column pairs of F
+        c = np.empty((context.steps, 4, 4), dtype=complex)
+        c[0] = np.eye(4)
+        b_last = np.zeros((4, 4), dtype=complex)
+        for lo, hi, p, q, _ in blocks:
+            f_lo, f_hi = f[:, :, lo], f[:, :, hi]
+            c[1:, :, lo] = f_lo * p[:-1, None] + f_hi * q[:-1, None]
+            c[1:, :, hi] = f_lo * q[:-1, None] + f_hi * p[:-1, None].conj()
+            b_last[lo, lo], b_last[hi, hi] = p[-1], p[-1].conj()
+            b_last[lo, hi] = b_last[hi, lo] = q[-1]
+        l = _prefix_products(c)
+        last = b_last @ l[-1]
+    return l, e_last @ last @ e_first.conj().T, blocks
 
 
 def propagate_closed(context: ControlContext, waveforms) -> np.ndarray:
     """Closed-system propagator: ordered product of step exponentials."""
-    *_, steps = _step_exponentials(context, _as_waveform_matrix(context, waveforms))
-    return _tree_product(steps)
+    _, u, _ = _forward_scan(context, _as_waveform_matrix(context, waveforms))
+    return u
 
 
 def gate_fidelity(u: np.ndarray, target: GateTarget) -> float:
@@ -471,57 +521,46 @@ def gate_fidelity(u: np.ndarray, target: GateTarget) -> float:
     return float(abs(np.trace(target.unitary.conj().T @ u) / d) ** 2)
 
 
-def _split_theta(theta: np.ndarray, spec: PulseSpec) -> list[np.ndarray]:
-    per = spec.params_per_control
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != spec.n_controls * per:
-        raise InvalidParameterError(
-            f"theta needs {spec.n_controls * per} entries, got {theta.size}"
-        )
-    return [theta[c * per : (c + 1) * per] for c in range(spec.n_controls)]
-
-
 def _fidelity_and_waveform_grad(
     context: ControlContext, waveforms: np.ndarray, target: GateTarget
 ):
-    """Exact dF/df for every control sample via the spectral derivative of
-    each step exponential."""
-    d = context.dimension
-    dt = context.dt
-    evals, evecs, rot, phases, steps = _step_exponentials(context, waveforms)
+    """Exact dF/df for every control sample from one forward scan.
 
-    prefix = _prefix_products(steps)   # P_1 .. P_n
-    u_total = prefix[-1]
-    ud_dag_u = target.unitary.conj().T @ u_total
-    tr = np.trace(ud_dag_u) / d
+    dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 dU_k P_k) / d), with P_k the
+    product of the steps before step k and S_k+1 = U P_k+1^dag that of the
+    steps after it.  In the terms of :func:`_forward_scan`, dU_k =
+    E_k dB_k E_k^dag and P_k+1 = E_k B_k L_k E_0^dag, so the cyclic trace is
+    tr(Z_k B_k^dag dB_k) with Z_k = L_k M L_k^dag, M = E_0^dag U_d^dag U
+    E_0.  B_k^dag dB_k lives on the blocks of :func:`_block_steps`, so only
+    the block entries of Z_k are formed.
+    """
+    d = context.dimension
+    _, e_first, _ = context._interaction_frame
+    l, u_total, blocks = _forward_scan(context, waveforms)
+    m = e_first.conj().T @ target.unitary.conj().T @ u_total @ e_first
+    tr = np.trace(m) / d
     fid = abs(tr) ** 2
 
-    # divided differences of exp(-i lambda dt) for the Frechet derivative
-    lam_i = evals[:, :, None]
-    lam_j = evals[:, None, :]
-    ph_i = phases[:, :, None]
-    ph_j = phases[:, None, :]
-    diff = lam_i - lam_j
-    tiny = np.abs(diff) < 1e-12
-    gmat = np.where(tiny, -1j * dt * ph_i, (ph_i - ph_j) / np.where(tiny, 1.0, diff))
-
-    # dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 V_k (G_k * O_ck) V_k^dag P_k) / d)
-    # with O_ck the control operator in the step eigenbasis, P_k the product
-    # of the steps before step k and S_k+1 that of the steps after it; the
-    # trace is cyclic, so W_k = V_k^dag P_k U_d^dag S_k+1 V_k carries every
-    # step.  The steps are unitary, so S_k+1 = U P_k+1^dag, and
-    # P_k+1 = V_k Phi_k V_k^dag P_k gives P_k+1^dag V_k = X_k^dag conj(Phi_k)
-    # with X_k = V_k^dag P_k: W_k = X_k M X_k^dag conj(Phi_k), M = U_d^dag U.
-    p_before = np.concatenate([np.eye(d)[None], prefix[:-1]])   # P_0 .. P_n-1
-    x = evecs.conj().transpose(0, 2, 1) @ p_before
-    w = (x @ ud_dag_u @ x.conj().transpose(0, 2, 1)) * phases.conj()[:, None, :]
-    # O_ck = Q_k^T diag(z_c) Q_k, so tr(W_k (G_k * O_ck)) is
-    # sum_m z_cm (Q_k Y_k Q_k^T)_mm with Y_k = W_k^T * G_k
-    y = w.transpose(0, 2, 1) * gmat
-    overlap = _CONTROL_SIGNS[context.n_qubits] @ np.einsum(
-        "kma,kab,kmb->mk", rot, y, rot
-    )
-    grads = 2.0 * np.real(np.conj(tr) * overlap / d)
+    if context.n_qubits == 1:
+        # (Z_k)_00 - (Z_k)_11 for L_k = [[a, -b*], [b, a*]]; g = Z
+        a, b = l
+        ab = a * b
+        overlap = (
+            (np.abs(a) ** 2 - np.abs(b) ** 2) * (m[0, 0] - m[1, 1])
+            - 2.0 * (ab.conj() * m[1, 0] + ab * m[0, 1])
+        )[None]
+    else:
+        lm = (l.reshape(-1, 4) @ m).reshape(l.shape)   # one 2-D product
+        overlap = 0.0
+        for lo, hi, _, _, (g_x, g_y, g_z) in blocks:
+            # (Z_k)_pq = (L_k M)_p . conj(L_k)_q on the block's four entries
+            z_ll, z_lh, z_hl, z_hh = np.einsum(
+                "kpa,kpa->pk", lm[:, [lo, lo, hi, hi]], l[:, [lo, hi, lo, hi]].conj()
+            )
+            # the traces of the block of Z_k with X, Y and Z
+            t = g_x * (z_lh + z_hl) + 1j * g_y * (z_lh - z_hl) + g_z * (z_ll - z_hh)
+            overlap = overlap + _CONTROL_SIGNS[2][:, lo, None] * t
+    grads = 2.0 * np.real(np.conj(tr) * (-1j * context.dt) * overlap / d)
     return fid, grads, u_total
 
 
@@ -545,13 +584,16 @@ def _value_and_grad(
     edge_penalty: float = 0.0,
 ):
     """(objective, d objective/d theta, diagnostics); objective = F - penalty."""
-    thetas = _split_theta(theta, spec)
-    waveforms = np.empty((spec.n_controls, spec.steps))
-    stage_cache = []
-    for c, th in enumerate(thetas):
-        f, stages = _shape_stages(th, spec)
-        waveforms[c] = f
-        stage_cache.append(stages)
+    theta = np.asarray(theta, dtype=float)
+    if theta.size != spec.n_controls * spec.params_per_control:
+        raise InvalidParameterError(
+            f"theta needs {spec.n_controls * spec.params_per_control} entries, "
+            f"got {theta.size}"
+        )
+    window = spec.window()
+    waveforms, (_, _, sig, _) = _shape_stages(
+        theta.reshape(spec.n_controls, -1), spec, window
+    )
     fid, grad_f, u_total = _fidelity_and_waveform_grad(context, waveforms, target)
 
     value = fid
@@ -572,12 +614,7 @@ def _value_and_grad(
         grad_f[:, 0] -= edge_penalty * 2.0 * waveforms[:, 0] / spec.f_max**2
         grad_f[:, -1] -= edge_penalty * 2.0 * waveforms[:, -1] / spec.f_max**2
 
-    grad_theta = np.concatenate(
-        [
-            _shape_backward(grad_f[c], stage_cache[c], spec)
-            for c in range(spec.n_controls)
-        ]
-    )
+    grad_theta = _shape_backward(grad_f, sig, spec, window).ravel()
     return value, grad_theta, {"fidelity": fid, "waveforms": waveforms, "u": u_total}
 
 

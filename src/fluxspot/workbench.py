@@ -149,18 +149,26 @@ def _merged(defaults: dict, override: dict, where: str) -> dict:
     return out
 
 
+def _read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object stored in ``path``.  A file that cannot be read, text
+    that is not JSON and a value that is not an object each raise
+    :class:`ConfigError` naming ``what``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"{what} {path} must hold a JSON object, not {type(raw).__name__}"
+        )
+    return raw
+
+
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
     """Load, schema-check and default-fill a run configuration."""
-    raw: dict = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    raw = {} if path is None else _read_json_object(path, "config file")
     if "threads" in raw:
         warnings.warn(
             "config key 'threads' is ignored: the search runs serially",
@@ -417,7 +425,7 @@ def _read_front_csv(path: Path, context: EvaluationContext, n: int) -> ParetoFro
 
 def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     """Evaluate one genome file (or a named benchmark point) to a rates row."""
-    spec = json.loads(Path(genome_file).read_text())
+    spec = _read_json_object(genome_file, "genome file")
     name = spec.get("name", "genome")
     phi_ac = spec.get("phi_ac")
     if "benchmark" in spec:

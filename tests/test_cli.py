@@ -187,6 +187,24 @@ def test_malformed_genome_file_exits_2(tmp_path):
     assert run_cli(config, tmp_path / "out", "evaluate", str(genome)) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", "[0.4, 0.3]"],
+    ids=["missing", "not-json", "not-an-object"],
+)
+def test_unreadable_genome_file_exits_2_with_one_line(tmp_path, capsys, content):
+    config = write_json(tmp_path / "config.json", TINY)
+    genome = tmp_path / "genome.json"
+    if content is not None:
+        genome.write_text(content)
+    out = tmp_path / "out"
+    assert run_cli(config, out, "evaluate", str(genome)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "genome file" in err and str(genome) in err, err
+    assert not list(out.glob("rates_*.csv"))
+
+
 def test_genome_file_name_with_slash_exits_2(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", TINY)
     genome = write_json(tmp_path / "genome.json", dict(GENOME, name="a/b"))

@@ -16,12 +16,14 @@ from fluxspot.floquet import (
     PAULI_Z,
     FilterWeights,
     FloquetSolution,
-    _expi_sequence,
     _gauge_fix,
     _period_steps,
     _prefix_products,
     _quasienergies_from_monodromy,
     _select_central_pair,
+    _su2_entries,
+    _su2_matrices,
+    _su2_prefix_products,
     _tree_product,
     fold_to_zone,
 )
@@ -248,7 +250,7 @@ class TestPropagatorReference:
 
     def test_tree_product_is_the_monodromy(self):
         d = drive(10.0, (0.5, 1.0 + 1.0j))
-        steps = _period_steps(d, coeffs(a=1.0, b=1.0), 3.0, 1001)
+        steps = _su2_matrices(*_period_steps(d, coeffs(a=1.0, b=1.0), 3.0, 1001))
         u = np.eye(2)
         for step in steps:
             u = step @ u
@@ -267,7 +269,8 @@ class TestPropagatorReference:
     def test_prefix_products_match_sequential_loop(self, n, dim, seed):
         rng = np.random.default_rng(seed)
         if dim == 2:
-            steps = _expi_sequence(rng.uniform(-3, 3), rng.uniform(-2, 2, n), 0.05)
+            entries = _su2_entries(rng.uniform(-3, 3), rng.uniform(-2, 2, n), 0.05)
+            steps = _su2_matrices(*entries)
         else:
             z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
             steps, _ = np.linalg.qr(z)
@@ -278,13 +281,29 @@ class TestPropagatorReference:
             expected.append(u)
         assert np.max(np.abs(_prefix_products(steps) - np.array(expected))) < 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 36, 40, 500])
+    def test_su2_prefix_products_match_sequential_loop(self, n):
+        # random SU(2) steps, not only the imaginary-b steps of the grid
+        rng = np.random.default_rng(n)
+        ab = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        a, b = ab / np.linalg.norm(ab, axis=0)
+        u = np.eye(2)
+        expected = []
+        for step in _su2_matrices(a, b):
+            u = step @ u
+            expected.append(u)
+        a_in, b_in = a.copy(), b.copy()
+        got = _su2_matrices(*_su2_prefix_products(a, b))
+        assert np.max(np.abs(got - np.array(expected))) < 1e-13
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
     def test_fft_harmonics_match_dense_dft_oracle(self):
         # the grid propagator by a step loop and the harmonics by a dense
         # (2 k_max + 1) x substeps DFT matrix
         d, c, delta = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(a=1.0, b=1.0), 3.0
         substeps, k_max = 16384, 8
         ref = fs.reference_floquet_via_propagator(d, c, delta, substeps, k_max)
-        steps = _period_steps(d, c, delta, substeps)
+        steps = _su2_matrices(*_period_steps(d, c, delta, substeps))
         us = np.empty((substeps + 1, 2, 2), dtype=complex)
         us[0] = np.eye(2)
         for i in range(substeps):

@@ -3,14 +3,20 @@ import pytest
 
 import fluxspot as fs
 from fluxspot.exceptions import IntegrationError, InvalidParameterError
-from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z, _expi_sequence
+from fluxspot.floquet import (
+    LOWERING,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    _su2_entries,
+    _su2_matrices,
+)
 from fluxspot.gates import (
     GIBBS_TOL,
     ControlContext,
+    _block_steps,
     _frame_unitaries,
     _static_operators,
-    _step_eigensystem,
-    _su2_matrices,
 )
 
 
@@ -45,11 +51,11 @@ def random_frame(rng, steps):
 
 
 def degenerate_waveforms(rng, n_qubits, steps):
-    """Random control samples whose first rows sit on or near the
-    degeneracies of the closed-form eigensystem: f = 0 everywhere in row 0;
-    for two qubits f1 = f2 in row 1 and f1 = -f2 in row 2; f1 = 1e-11 in
-    row 3 (one qubit: an in-block gap of 2e-11); and for two qubits
-    f2 = 5e-12 in row 4, a cross-block gap of about 1e-11."""
+    """Random control samples whose first rows sit on or near the special
+    points of the closed-form block steps, where a block's field s (and at
+    J = 0 its angle theta) vanishes: f = 0 everywhere in row 0; for two
+    qubits f1 = f2 in row 1 and f1 = -f2 in row 2; f1 = 1e-11 in row 3; and
+    for two qubits f2 = 5e-12 in row 4."""
     wf = 0.4 * rng.standard_normal((n_qubits, steps))
     wf[:, 0] = 0.0
     wf[0, 3] = 1e-11
@@ -142,7 +148,7 @@ class TestRotatingFrame:
             h = (t1 - t0) / substeps
             ts = t0 + (np.arange(substeps) + 0.5) * h
             cx = (0.5 * coeffs.b_coef + coeffs.a_coef * point.drive.waveform(ts * 1e-3))
-            for step in _expi_sequence(delta * 1e-3, cx * 1e-3, h):
+            for step in _su2_matrices(*_su2_entries(delta * 1e-3, cx * 1e-3, h)):
                 u = step @ u
             expected.append(u)
             t0 = t1
@@ -188,6 +194,9 @@ class TestRotatingFrame:
             (np.eye(3)[None], {}),
             (np.zeros((0, 2, 2)), {}),
             (1.001 * np.eye(2)[None], {}),
+            # unitary, but with determinant exp(0.2i): the one-qubit scan
+            # needs its frame increments in SU(2)
+            (np.exp(0.1j) * np.eye(2)[None], {}),
         ],
     )
     def test_context_rejects_inconsistent_fields(self, frame, fields):
@@ -438,23 +447,44 @@ class TestGradient:
             assert np.max(np.abs(grads - expected)) < 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n_qubits, coupling", [(1, 0.0), (2, 0.3), (2, 0.0)])
-    def test_closed_form_eigensystem_rebuilds_step_hamiltonians(
-        self, n_qubits, coupling
-    ):
+    def test_block_steps_match_expm_and_frechet(self, n_qubits, coupling):
+        # assembled from its blocks, B_k must be exp(-i dt T^dag H0(f_k) T)
+        # and sum_c z_c[lo] B_k^dag dB_k/ds over the blocks must be B_k^dag
+        # times the Frechet derivative along T^dag C_c T, for each control c
+        from scipy.linalg import expm, expm_frechet
+
+        from fluxspot.gates import _SIGMA_Y_BASIS
+
+        dt, steps = 0.05, 12
         rng = np.random.default_rng(17)
         ctx = ControlContext(
-            frame=random_frame(rng, 12), dt=0.05, n_qubits=n_qubits, coupling_j=coupling
+            frame=random_frame(rng, steps), dt=dt, n_qubits=n_qubits, coupling_j=coupling
         )
-        wf = degenerate_waveforms(rng, n_qubits, 12)
-        evals, evecs, _ = _step_eigensystem(ctx, wf)
-        evecs_dag = evecs.conj().transpose(0, 2, 1)
-        assert np.max(np.abs(evecs_dag @ evecs - np.eye(ctx.dimension))) < 1e-13
-        rebuilt = (evecs * evals[:, None, :]) @ evecs_dag
+        wf = degenerate_waveforms(rng, n_qubits, steps)
+        blocks = _block_steps(ctx, wf)
+        d = ctx.dimension
+        t = _SIGMA_Y_BASIS if n_qubits == 1 else np.kron(_SIGMA_Y_BASIS, _SIGMA_Y_BASIS)
         drift, controls, _ = _static_operators(n_qubits, coupling)
-        frames = ctx.frame if n_qubits == 1 else two_qubit_frames(ctx.frame)
-        h_lab = drift + np.einsum("ck,cab->kab", wf, np.stack(controls))
-        expected = frames.conj().transpose(0, 2, 1) @ h_lab @ frames
-        assert np.max(np.abs(rebuilt - expected)) < 1e-13
+        drift_t = t.conj().T @ drift @ t
+        controls_t = [t.conj().T @ c @ t for c in controls]
+        for k in range(steps):
+            h = drift_t + sum(w * c for w, c in zip(wf[:, k], controls_t))
+            b_ref = expm(-1j * dt * h)
+            b = np.zeros((d, d), dtype=complex)
+            gens = [np.zeros((d, d), dtype=complex) for _ in controls]
+            for lo, hi, p, q, (g_x, g_y, g_z) in blocks:
+                pair = np.ix_([lo, hi], [lo, hi])
+                b[pair] = [[p[k], q[k]], [q[k], np.conj(p[k])]]
+                g = sum(
+                    np.broadcast_to(coef, (steps,))[k] * pauli
+                    for coef, pauli in zip((g_x, g_y, g_z), (PAULI_X, PAULI_Y, PAULI_Z))
+                )
+                for c, control in enumerate(controls_t):
+                    gens[c][pair] += control[lo, lo].real * -1j * dt * g
+            assert np.max(np.abs(b - b_ref)) < 1e-14
+            for c, control in enumerate(controls_t):
+                du = expm_frechet(-1j * dt * h, -1j * dt * control, compute_expm=False)
+                assert np.max(np.abs(b_ref.conj().T @ du - gens[c])) < 1e-14 * dt
 
     def test_gradient_vanishes_at_perfect_fidelity(self):
         ctx = trivial_context()
