@@ -107,11 +107,17 @@ class DriveSpec:
         return 2.0 * np.pi / self.omega_d
 
     def waveform(self, t):
-        """Real modulation waveform P(t); accepts scalars or arrays."""
+        """Real modulation waveform P(t); accepts scalars or arrays.
+
+        ``sum_{k>=1} p_k z^k`` with ``z = exp(i omega_d t)`` is summed by
+        Horner's rule, so one complex exponential serves every harmonic.
+        """
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.p[0].real)
-        for k in range(1, len(self.p)):
-            out = out + 2.0 * (self.p[k] * np.exp(1j * k * self.omega_d * t)).real
+        z = np.exp(1j * self.omega_d * t)
+        acc = np.zeros_like(z)
+        for pk in self.p[:0:-1]:
+            acc = (acc + pk) * z
+        out = self.p[0].real + 2.0 * acc.real
         return out if out.shape else float(out)
 
 

@@ -428,6 +428,8 @@ def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
             f"waveforms must have shape ({context.n_qubits}, "
             f"{context.steps}), got {w.shape}"
         )
+    if not np.isfinite(w).all():
+        raise InvalidParameterError("waveforms must be finite")
     return w
 
 

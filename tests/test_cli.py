@@ -215,6 +215,22 @@ def test_genome_file_name_with_slash_exits_2(tmp_path, capsys):
     assert not list(out.glob("rates_*.csv"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == 0
+    pulse = out / "pulse_x.json"
+    art = json.loads(pulse.read_text())
+    art["rates_per_us"]["gamma_1"] = bad
+    pulse.write_text(json.dumps(art))
+    capsys.readouterr()
+    assert run_cli(config, out, "simulate", "x") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite" in err, err
+    assert not (out / "simulate_x.json").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     config = write_json(tmp_path / "config.json", dict(TINY, workers=2))
     assert run_cli(config, tmp_path / "out", "fluxonium") == 2
@@ -256,7 +272,7 @@ from fluxspot import cli
 config, out, benchmark = sys.argv[1:]
 codes = [
     cli.main(["--config", config, "--out", out, *verb])
-    for verb in (["fluxonium"], ["evaluate", benchmark])
+    for verb in (["fluxonium"], ["evaluate", benchmark], ["grape"], ["simulate", "x"])
 ]
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
@@ -281,4 +297,4 @@ def test_cold_start_loads_no_scipy(tmp_path):
         check=True,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0], "scipy": []}
+    assert report == {"codes": [0, 0, 0, 0], "scipy": []}

@@ -47,6 +47,29 @@ class TestDriveSpec:
         assert np.all(np.isreal(vals))
         assert d.waveform(0.3) == pytest.approx(d.waveform(0.3 + d.period), abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        data=st.data(),
+        omega_d=st.floats(0.1, 10.0),
+        t_frac=st.one_of(
+            st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+        ),
+    )
+    def test_waveform_matches_per_harmonic_sum(self, n, data, omega_d, t_frac):
+        unit = st.floats(-1.0, 1.0)
+        p = [complex(data.draw(st.floats(0.0, 1.0)))]
+        p += [complex(data.draw(unit), data.draw(unit)) for _ in range(n)]
+        d = drive(omega_d, tuple(p))
+        t = np.asarray(t_frac) * d.period
+        expected = p[0].real + sum(
+            2.0 * (p[k] * np.exp(1j * k * omega_d * t)).real for k in range(1, n + 1)
+        )
+        got = d.waveform(t)
+        if t.ndim == 0:
+            assert type(got) is float
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
     def test_box_validation(self):
         with pytest.raises(InvalidParameterError):
             drive(7.0, (1.2,))

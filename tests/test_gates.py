@@ -322,6 +322,13 @@ class TestPropagation:
         expected = expm(-1j * 0.2 * 6.0 * zz)
         assert np.max(np.abs(u - expected)) < 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_waveform_rejected(self, bad):
+        f = np.zeros(200)
+        f[7] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fs.propagate_closed(trivial_context(), f)
+
     def test_propagator_unitarity(self, dss2_frame):
         _, _, frame = dss2_frame
         rng = np.random.default_rng(9)

@@ -4,6 +4,7 @@ import pytest
 import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError, TomographyError
 from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
+from fluxspot.lindblad import _PADE_THETA, _expm
 
 from test_gates import random_frame, trivial_context
 
@@ -158,6 +159,47 @@ class TestEvolveDensity:
     def test_negative_rates_rejected(self):
         with pytest.raises(InvalidParameterError):
             fs.LindbladModel(rates=((-1.0, 0.0),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_rates_rejected(self, bad, slot):
+        pair = [1.0, 1.0]
+        pair[slot] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fs.LindbladModel(rates=((1.0, 1.0), tuple(pair)))
+
+
+def norm_1(x):
+    """Column-sum 1-norm of each matrix of a stack."""
+    return np.abs(x).sum(axis=-2).max(axis=-1)
+
+
+class TestPadeExponential:
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize(
+        "norm",
+        [f * theta for theta in _PADE_THETA.values() for f in (0.99, 1.01)] + [40.0],
+    )
+    def test_matches_scipy_expm(self, d, norm):
+        # just below and above each degree's bound, and 40, which squares 3
+        # times; there the d = 4 stack reads 8.3e-15, most of it scipy's own
+        # error (5.0e-15 for _expm, 8.9e-15 for scipy against mpmath)
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+        a *= (norm / norm_1(a))[:, None, None]
+        ref = expm(a)
+        assert np.max(norm_1(_expm(a) - ref) / norm_1(ref)) < 1e-14
+
+    def test_diagonal_stack_is_elementwise_exp(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        z *= _PADE_THETA[9] / np.abs(z).max()
+        out = _expm(z[:, :, None] * np.eye(4))
+        diag = np.diagonal(out, axis1=1, axis2=2)
+        assert np.max(np.abs(diag - np.exp(z)) / np.abs(np.exp(z))) < 2e-15
+        assert np.array_equal(out, diag[:, :, None] * np.eye(4))
 
 
 class TestProcessTomography:
