@@ -22,6 +22,7 @@ from .evaluation import (
     PointResult,
     evaluate_drive,
     evaluate_genome,
+    evaluate_population,
     genome_to_drive,
 )
 from .floquet import (

@@ -22,12 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import EffectiveCoefficients
-from .evaluation import EvaluationContext, PointResult, evaluate_drive, genome_to_drive
-from .exceptions import InvalidParameterError, StencilCrossingError
+from .evaluation import EvaluationContext, PointResult, evaluate_population
+from .exceptions import DegenerateGapError, InvalidParameterError, StencilCrossingError
 from .floquet import (
     DriveSpec,
     FilterWeights,
-    _two_sided_coefficients,
+    _two_sided,
     assemble_floquet_matrix,
     solve_floquet,
 )
@@ -146,7 +146,7 @@ def amplitude_sensitivity(weights: FilterWeights, drive: DriveSpec) -> complex:
     negative drive coefficients implied by conjugation; the result is real
     up to round-off.
     """
-    p_full = _two_sided_coefficients(drive, weights.k_max)
+    p_full = _two_sided(np.asarray(drive.p), weights.k_max)
     return complex(2.0 * np.sum(p_full * weights.g_z))
 
 
@@ -284,15 +284,21 @@ def classify_point(point: PointResult, context: EvaluationContext) -> Sensitivit
 def classify_front(
     front: ParetoFront, context: EvaluationContext
 ) -> list[tuple[Individual, SensitivityReport]]:
-    """Annotate every front member; evaluates points without cached data.
+    """Annotate every front member; the members without cached data are
+    evaluated in one :func:`evaluate_population` call.
 
     A member whose gap is degenerate raises ``DegenerateGapError``.
     """
+    missing = [i for i, ind in enumerate(front.points) if ind.point is None]
+    fresh = evaluate_population([front.points[i].genome for i in missing], context)
+    points = {i: point for i, (_, point) in zip(missing, fresh)}
     annotated = []
-    for ind in front.points:
-        point = ind.point
+    for i, ind in enumerate(front.points):
+        point = points.get(i, ind.point)
         if point is None:
-            drive = genome_to_drive(ind.genome, context)
-            point = evaluate_drive(drive, context)
+            raise DegenerateGapError(
+                f"front member {i}: quasienergy gap at 0 or omega_d, branch "
+                "labels undefined"
+            )
         annotated.append((ind, classify_point(point, context)))
     return annotated

@@ -20,14 +20,20 @@ from .floquet import (
     DriveSpec,
     FilterWeights,
     FloquetSolution,
+    _filter_weight_stack,
+    _floquet_stack,
+    _solve_stack,
     assemble_floquet_matrix,
     compute_filter_weights,
     solve_floquet,
 )
-from .noise import NoiseModel, RateReport, decoherence_rates
+from .noise import NoiseModel, RateReport, _check_gaps, _rate_stack, decoherence_rates
 
 __all__ = ["Genome", "EvaluationContext", "PointResult", "evaluate_drive",
-           "evaluate_genome", "genome_to_drive"]
+           "evaluate_genome", "evaluate_population", "genome_to_drive"]
+
+#: rows per stacked solve: about 1 MB of Floquet matrices at n = 4
+_SLICE_ROWS = 25
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,12 @@ def genome_to_drive(genome: Genome, context: EvaluationContext) -> DriveSpec:
 
 
 def evaluate_drive(drive: DriveSpec, context: EvaluationContext) -> PointResult:
-    """Full pipeline for one drive: Floquet solve, weights, rates."""
+    """Full pipeline for one drive: Floquet solve, weights, rates.
+
+    Each step is a batch of one of the stacked code that
+    :func:`evaluate_population` runs, so a drive gets the same bits here as
+    in any population.
+    """
     coeffs = context.coefficients
     k_max = max(context.harmonic_truncation, drive.n)
     matrix = assemble_floquet_matrix(drive, coeffs, context.qubit.delta, k_max)
@@ -168,3 +179,65 @@ def evaluate_genome(
     except DegenerateGapError:
         return (np.inf, np.inf), None
     return point.objectives, point
+
+
+def _evaluate_slice(drives: list, context: EvaluationContext) -> list:
+    """:func:`evaluate_population` of drives of one order, as one stack."""
+    omega_d = np.array([d.omega_d for d in drives])
+    k_max = max(context.harmonic_truncation, drives[0].n)
+    stack = _floquet_stack(
+        omega_d,
+        np.array([d.p for d in drives]),
+        context.coefficients,
+        context.qubit.delta,
+        k_max,
+    )
+    eps_minus, eps_plus, h_plus, h_minus, ok = _solve_stack(stack, omega_d)
+    gap = eps_plus - eps_minus
+    # as decoherence_rates on one drive: an unconverged truncation can
+    # label a gap beyond omega_d
+    _check_gaps(gap[ok], omega_d[ok])
+    g_z, g_plus, g_minus = _filter_weight_stack(h_plus, h_minus)
+    rates = np.stack(_rate_stack(g_z, g_plus, g_minus, gap, omega_d, context.noise))
+    out = []
+    for r, drive in enumerate(drives):
+        if not ok[r]:
+            out.append(((np.inf, np.inf), None))
+            continue
+        point = PointResult(
+            drive=drive,
+            solution=FloquetSolution(
+                eps_plus=float(eps_plus[r]),
+                eps_minus=float(eps_minus[r]),
+                omega_gap=float(gap[r]),
+                harmonics_plus=h_plus[r],
+                harmonics_minus=h_minus[r],
+                k_max=k_max,
+                omega_d=drive.omega_d,
+            ),
+            weights=FilterWeights(
+                g_z=g_z[r], g_plus=g_plus[r], g_minus=g_minus[r], k_max=2 * k_max
+            ),
+            rates=RateReport.from_rates(*(float(x) for x in rates[:, r])),
+        )
+        out.append((point.objectives, point))
+    return out
+
+
+def evaluate_population(
+    genomes, context: EvaluationContext
+) -> list[tuple[tuple[float, float], PointResult | None]]:
+    """:func:`evaluate_genome` of every genome, in order, on stacked arrays.
+
+    The genomes share one order.  They are solved in slices of
+    ``_SLICE_ROWS`` rows, and no arithmetic mixes rows, so each result is
+    bit for bit the one :func:`evaluate_genome` returns for that genome
+    alone.
+    """
+    drives = [genome_to_drive(g, context) for g in genomes]
+    if len({d.n for d in drives}) > 1:
+        raise InvalidParameterError("a population's genomes must share one order n")
+    out = []
+    for start in range(0, len(drives), _SLICE_ROWS):
+        out += _evaluate_slice(drives[start : start + _SLICE_ROWS], context)
+    return out

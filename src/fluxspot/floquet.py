@@ -15,6 +15,18 @@ block matrix (validation path).  Filter weights -- the Fourier coefficients of
 the flux-coupling operator expressed in the Floquet frame -- are computed by
 exact discrete convolution of the mode harmonics; a time-grid FFT evaluation
 is kept as a cross-check oracle.
+
+H(t) is a traceless real-symmetric 2x2 matrix, so ``sigma_y H(t)* sigma_y =
+-H(t)``.  The antiunitary map ``(C psi)_k = sigma_y conj(psi_{-k})`` keeps
+``|k| <= k_max``, so ``C H_F C^-1 = -H_F`` holds exactly on the truncated
+matrix, for any drive and bias: the spectrum is symmetric, the central pair
+is ``(-eps, eps)``, and the minus mode is ``C`` applied to the plus mode.
+The production solve therefore takes the eigenvalues alone (``eigvalsh``),
+finds the plus mode by two steps of inverse iteration, checks its residual
+against the gap, and maps it to the minus mode.  Matrices, solves, filter
+weights and rates work on stacks of drives (one row per drive, no
+arithmetic across rows); the single-drive functions are stacks of one, so a
+drive gets the same bits alone as in any population.
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 _BOX_TOL = 1e-9
 _DEGENERACY_RTOL = 1e-12
+_RESIDUAL_RTOL = 1e-10
+_SHIFT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,17 @@ class DriveSpec:
         p = np.asarray(self.p, dtype=complex)
         if p.ndim != 1 or p.size < 1:
             raise InvalidParameterError("p must be a 1-d sequence p_0..p_n")
+        # a NaN passes every comparison below, and in a stacked solve it
+        # would fail the whole batch, so non-finite input stops here
+        for name in ("omega_d", "phi_dc", "phi_ac"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
+        bad = np.flatnonzero(~np.isfinite(p))
+        if bad.size:
+            k = int(bad[0])
+            raise InvalidParameterError(f"p_{k} must be finite, got {p[k]}")
         if self.omega_d <= 0.0:
             raise InvalidParameterError(f"omega_d must be positive, got {self.omega_d}")
         p0 = p[0]
@@ -199,15 +224,45 @@ def fold_to_zone(x: float, omega: float) -> float:
     return float(y)
 
 
-def _two_sided_coefficients(drive: DriveSpec, k_max: int) -> np.ndarray:
-    """Drive coefficients ``p_k``, ``|k| <= k_max``: ``p_{-k} = conj(p_k)``,
-    ``Re p_0`` (the box check tolerates round-off in ``Im p_0``), and zero
-    beyond the drive order."""
-    p = np.asarray(drive.p, dtype=complex)[: k_max + 1]
-    p[0] = p[0].real
-    out = np.zeros(2 * k_max + 1, dtype=complex)
-    out[k_max - p.size + 1 : k_max + 1] = p[::-1].conj()
-    out[k_max : k_max + p.size] = p
+def _two_sided(p: np.ndarray, k_max: int) -> np.ndarray:
+    """Drive coefficients ``p_k``, ``|k| <= k_max``, of the one-sided
+    ``p_0 .. p_n`` on the last axis: ``p_{-k} = conj(p_k)``, ``Re p_0`` (the
+    box check tolerates round-off in ``Im p_0``), and zero beyond order n."""
+    p = np.array(p[..., : k_max + 1], dtype=complex)
+    p[..., 0] = p[..., 0].real
+    size = p.shape[-1]
+    out = np.zeros(p.shape[:-1] + (2 * k_max + 1,), dtype=complex)
+    out[..., k_max - size + 1 : k_max + 1] = p[..., ::-1].conj()
+    out[..., k_max : k_max + size] = p
+    return out
+
+
+def _floquet_stack(
+    omega_d: np.ndarray,
+    p: np.ndarray,
+    coeffs: EffectiveCoefficients,
+    delta: float,
+    k_max: int,
+) -> np.ndarray:
+    """Floquet matrices of the drives ``(omega_d[r], p[r])``, shape
+    ``(rows, 2 nb, 2 nb)`` with ``nb = 2 k_max + 1``.
+
+    Each row is Shirley's form of :func:`assemble_floquet_matrix`; the
+    ``T (x) sigma_x`` blocks are written through a 5-d view of the result.
+    """
+    rows, nb = omega_d.size, 2 * k_max + 1
+    band = coeffs.a_coef * _two_sided(p, nb - 1)
+    idx = np.arange(nb)
+    t = band[:, nb - 1 + idx[:, None] - idx]
+    t[:, idx, idx] += 0.5 * coeffs.b_coef
+    out = np.zeros((rows, nb, 2, nb, 2), dtype=complex)
+    out[:, :, 0, :, 1] = t
+    out[:, :, 1, :, 0] = t
+    out = out.reshape(rows, 2 * nb, 2 * nb)
+    k_omega = np.arange(-k_max, k_max + 1) * omega_d[:, None]
+    out.reshape(rows, -1)[:, :: 2 * nb + 1] = np.stack(
+        (k_omega - 0.5 * delta, k_omega + 0.5 * delta), axis=-1
+    ).reshape(rows, -1)
     return out
 
 
@@ -227,48 +282,61 @@ def assemble_floquet_matrix(
         raise TruncationError(
             f"k_max={k_max} would drop drive harmonics up to n={drive.n}"
         )
-    nb = 2 * k_max + 1
-    band = coeffs.a_coef * _two_sided_coefficients(drive, nb - 1)
-    idx = np.arange(nb)
-    t = band[nb - 1 + idx[:, None] - idx]
-    t[np.diag_indices(nb)] += 0.5 * coeffs.b_coef
-    m = np.kron(t, PAULI_X)
-    k_omega = np.arange(-k_max, k_max + 1) * drive.omega_d
-    m[np.diag_indices(2 * nb)] = np.column_stack(
-        (k_omega - 0.5 * delta, k_omega + 0.5 * delta)
-    ).ravel()
-    return m
+    p = np.asarray(drive.p)[None]
+    return _floquet_stack(np.array([drive.omega_d]), p, coeffs, delta, k_max)[0]
 
 
 def _gauge_fix(h: np.ndarray, k_max: int) -> np.ndarray:
-    """Rotate a stacked mode so its dominant central-block entry is real >= 0."""
-    central = h[k_max]
-    idx = int(np.argmax(np.abs(central)))
-    pivot = central[idx]
-    if abs(pivot) < 1e-14:
-        flat = int(np.argmax(np.abs(h.ravel())))
-        pivot = h.ravel()[flat]
-    if abs(pivot) == 0.0:
-        return h
-    return h * (abs(pivot) / pivot)
+    """Rotate stacked modes (last two axes ``(nb, 2)``) so each one's
+    dominant central-block entry is real >= 0."""
+    central = h[..., k_max, :]
+    flat = h.reshape(h.shape[:-2] + (-1,))
+    pivot = np.take_along_axis(central, np.abs(central).argmax(-1)[..., None], -1)
+    whole = np.take_along_axis(flat, np.abs(flat).argmax(-1)[..., None], -1)
+    pivot = np.where(np.abs(pivot) < 1e-14, whole, pivot)[..., 0]
+    phase = np.abs(pivot) / np.where(pivot == 0.0, 1.0, pivot)
+    return h * phase[..., None, None]
 
 
-def _select_central_pair(
-    eigvals: np.ndarray, omega_d: float
-) -> tuple[int, int]:
-    """Indices of the smallest-|value| eigenpair, minus branch first.
+def _particle_hole(h: np.ndarray) -> np.ndarray:
+    """``C h`` for stacked modes, up to the global phase ``-i``.
+
+    ``(C psi)_k = sigma_y conj(psi_{-k})`` is antiunitary with ``C^2 = -1``
+    and maps ``|k| <= k_max`` onto itself; ``sigma_y H(t)* sigma_y = -H(t)``
+    for the traceless two-level H(t), so ``C H_F C^-1 = -H_F`` holds exactly
+    on the truncated matrix and ``C`` maps the mode at ``eps`` to the one at
+    ``-eps``.
+    """
+    r = h[..., ::-1, :].conj()
+    return np.stack((r[..., 1], -r[..., 0]), axis=-1)
+
+
+def _central_pairs(eigvals: np.ndarray, omega_d):
+    """Indices of the smallest-|value| pair on the last axis, minus branch
+    first, and whether the pair's gap is degenerate.
 
     A gap within ``_DEGENERACY_RTOL omega_d`` of 0 or of ``omega_d`` leaves
     the branch labels undefined: at the zone edge ``eps = -/+ omega_d / 2``
     are replicas of one state, and which pair ``argsort`` picks from the
     tie depends on round-off.
     """
-    order = np.argsort(np.abs(eigvals), kind="stable")
-    i, j = order[0], order[1]
-    if eigvals[i] > eigvals[j]:
-        i, j = j, i
-    gap = eigvals[j] - eigvals[i]
-    if min(gap, abs(omega_d - gap)) < _DEGENERACY_RTOL * omega_d:
+    order = np.argsort(np.abs(eigvals), axis=-1, kind="stable")[..., :2]
+    pair = np.take_along_axis(eigvals, order, axis=-1)
+    swap = pair[..., 0] > pair[..., 1]
+    i = np.where(swap, order[..., 1], order[..., 0])
+    j = np.where(swap, order[..., 0], order[..., 1])
+    gap = np.abs(pair[..., 1] - pair[..., 0])
+    degenerate = np.minimum(gap, np.abs(omega_d - gap)) < _DEGENERACY_RTOL * omega_d
+    return i, j, degenerate
+
+
+def _select_central_pair(
+    eigvals: np.ndarray, omega_d: float
+) -> tuple[int, int]:
+    """:func:`_central_pairs` of one spectrum; a degenerate gap raises
+    :class:`DegenerateGapError`."""
+    i, j, degenerate = _central_pairs(eigvals, omega_d)
+    if degenerate:
         raise DegenerateGapError(
             "quasienergy gap at 0 or omega_d: branch labels undefined "
             f"(eps = {eigvals[i]}, {eigvals[j]})"
@@ -276,29 +344,85 @@ def _select_central_pair(
     return int(i), int(j)
 
 
+def _solve_stack(stack: np.ndarray, omega_d: np.ndarray):
+    """Central quasienergies and gauge-fixed modes of a C-contiguous stack
+    of Floquet matrices; shifts each matrix's diagonal in place.
+
+    Returns ``(eps_minus, eps_plus, h_plus, h_minus, ok)``: ``ok`` is False
+    where the gap is degenerate or the plus mode fails its residual check.
+    """
+    rows, dim = stack.shape[:2]
+    k_max = (dim // 2 - 1) // 2
+    w = np.linalg.eigvalsh(stack)
+    i_minus, i_plus, degenerate = _central_pairs(w, omega_d)
+    r = np.arange(rows)
+    eps_minus, eps_plus = w[r, i_minus], w[r, i_plus]
+    # the shift sits _SHIFT_RTOL of (spectral radius + omega_d) above
+    # eps_plus, far above the rounding of an LU factorization, so that no
+    # pivot is exactly zero where eps_plus is exact (an undriven matrix
+    # decouples into 2x2 blocks); the unit-modulus start vector with
+    # incommensurate phases overlaps every block and every sigma_x sector
+    offset = _SHIFT_RTOL * (np.abs(w).max(axis=1) + omega_d)
+    stack.reshape(rows, -1)[:, :: dim + 1] -= (eps_plus + offset)[:, None]
+    x = np.broadcast_to(np.exp(1j * np.arange(dim)), (rows, dim))
+    for _ in range(2):
+        x = np.linalg.solve(stack, x[..., None])[..., 0]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # entries below the rounding floor are what is left of the start vector
+    # where the mode is exactly zero (outside a decoupled block); zeroing
+    # them keeps such modes exact, as at the undriven sweet spot, g_z = 0
+    x[np.abs(x) < np.finfo(float).eps] = 0.0
+    # ||(H - eps_plus) x||, with the stack holding H - eps_plus - offset
+    residual = np.linalg.norm(
+        np.einsum("rij,rj->ri", stack, x) + offset[:, None] * x, axis=1
+    )
+    # the residual theorem's separation: eps_plus to the rest of the
+    # spectrum, min(gap, omega_d - gap) once the truncation converges
+    distance = np.abs(w - eps_plus[:, None])
+    distance[r, i_plus] = np.inf
+    ok = ~degenerate & (residual <= _RESIDUAL_RTOL * distance.min(axis=1))
+    h_plus = _gauge_fix(x.reshape(rows, -1, 2), k_max)
+    h_minus = _gauge_fix(_particle_hole(h_plus), k_max)
+    return eps_minus, eps_plus, h_plus, h_minus, ok
+
+
 def solve_floquet(matrix: np.ndarray, omega_d: float) -> FloquetSolution:
     """Quasienergies and gauge-fixed mode harmonics of an assembled matrix.
 
-    Selects the eigenpair with the smallest absolute eigenvalues as the
-    central representatives; ``eps_plus`` is the larger of the two.
+    The central pair is the pair of eigenvalues of smallest magnitude;
+    ``eps_plus`` is the larger.  By the particle-hole symmetry ``C`` (see
+    :func:`_particle_hole`) the spectrum is symmetric, the pair is
+    ``(-eps, eps)`` and the minus mode is ``C h_plus``, so one eigenvector
+    is solved for.  The eigenvalues come from ``eigvalsh``; ``h_plus`` from
+    two steps of inverse iteration, ``x <- (H - s)^-1 x`` normalized, with
+    ``s`` 1e-13 of (spectral radius + ``omega_d``) above ``eps_plus``, from
+    a fixed start vector.  The mode passes when ``||(H - eps_plus) x|| <=
+    1e-10 sep``, with ``sep`` the distance from ``eps_plus`` to the rest of
+    the spectrum (``min(gap, omega_d - gap)`` for a converged truncation);
+    that bounds the sine of its angle error by 1e-10 (the residual
+    theorem).  A mode that fails, like a gap at 0 or ``omega_d``, raises
+    :class:`DegenerateGapError`.  The matrix is not changed.
     """
     dim = matrix.shape[0]
     nb = dim // 2
     if dim % 2 != 0 or nb % 2 != 1:
         raise InvalidParameterError(f"matrix dimension {dim} is not 2(2k+1)")
-    k_max = (nb - 1) // 2
-    w, v = np.linalg.eigh(matrix)
-    i_minus, i_plus = _select_central_pair(w, omega_d)
-    h_plus = _gauge_fix(v[:, i_plus].reshape(nb, 2), k_max)
-    h_minus = _gauge_fix(v[:, i_minus].reshape(nb, 2), k_max)
-    eps_minus, eps_plus = float(w[i_minus]), float(w[i_plus])
+    stack = np.array(matrix, dtype=complex)[None]
+    eps_minus, eps_plus, h_plus, h_minus, ok = _solve_stack(
+        stack, np.array([omega_d])
+    )
+    if not ok[0]:
+        raise DegenerateGapError(
+            "quasienergy gap at 0 or omega_d: branch labels undefined "
+            f"(eps = {eps_minus[0]}, {eps_plus[0]})"
+        )
     return FloquetSolution(
-        eps_plus=eps_plus,
-        eps_minus=eps_minus,
-        omega_gap=eps_plus - eps_minus,
-        harmonics_plus=h_plus,
-        harmonics_minus=h_minus,
-        k_max=k_max,
+        eps_plus=float(eps_plus[0]),
+        eps_minus=float(eps_minus[0]),
+        omega_gap=float(eps_plus[0] - eps_minus[0]),
+        harmonics_plus=h_plus[0],
+        harmonics_minus=h_minus[0],
+        k_max=(nb - 1) // 2,
         omega_d=omega_d,
     )
 
@@ -476,9 +600,28 @@ def reference_floquet_via_propagator(
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``c[k] = sum_i a[i+k]^dagger sigma_x b[i]`` for stacked harmonics of
-    shape ``(nb, 2)``, ``k in [-(nb - 1), nb - 1]``."""
-    return sum(np.convolve(a[:, c].conj(), b[::-1, 1 - c]) for c in (0, 1))
+    """``c[..., k] = sum_i a[i+k]^dagger sigma_x b[i]`` for stacked harmonics
+    of shape ``(..., nb, 2)``, ``k in [-(nb - 1), nb - 1]``.
+
+    Row ``k`` of the sliding windows of the zero-padded, flattened ``a``
+    holds ``a[i+k]``, so the correlation is one matrix-vector product per
+    stacked row: no product spans the stack axis, and a row's bits do not
+    depend on the rows beside it.
+    """
+    nb = a.shape[-2]
+    pad = np.zeros(a.shape[:-2] + (3 * nb - 2, 2), dtype=complex)
+    pad[..., nb - 1 : 2 * nb - 1, :] = a.conj()
+    flat = pad.reshape(pad.shape[:-2] + (-1,))
+    windows = np.lib.stride_tricks.sliding_window_view(flat, 2 * nb, axis=-1)
+    bx = b[..., ::-1].reshape(b.shape[:-2] + (2 * nb, 1))
+    return (windows[..., ::2, :] @ bx)[..., 0]
+
+
+def _filter_weight_stack(h_plus: np.ndarray, h_minus: np.ndarray):
+    """``(g_z, g_plus, g_minus)`` of stacked modes, each ``(..., 4 k_max + 1)``."""
+    g_plus = _corr(h_plus, h_minus)
+    g_z = 0.5 * (_corr(h_plus, h_plus) - _corr(h_minus, h_minus))
+    return g_z, g_plus, g_plus[..., ::-1].conj()
 
 
 def compute_filter_weights(sol: FloquetSolution) -> FilterWeights:
@@ -489,13 +632,11 @@ def compute_filter_weights(sol: FloquetSolution) -> FilterWeights:
     to the accuracy of the Floquet solution itself.  ``sigma_x`` is
     Hermitian, so ``g_minus[k] = conj(g_plus[-k])``.
     """
-    hp, hm = sol.harmonics_plus, sol.harmonics_minus
-    g_plus = _corr(hp, hm)
+    g_z, g_plus, g_minus = _filter_weight_stack(
+        np.asarray(sol.harmonics_plus)[None], np.asarray(sol.harmonics_minus)[None]
+    )
     return FilterWeights(
-        g_z=0.5 * (_corr(hp, hp) - _corr(hm, hm)),
-        g_plus=g_plus,
-        g_minus=g_plus[::-1].conj(),
-        k_max=2 * sol.k_max,
+        g_z=g_z[0], g_plus=g_plus[0], g_minus=g_minus[0], k_max=2 * sol.k_max
     )
 
 

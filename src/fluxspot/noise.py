@@ -127,6 +127,41 @@ def spectral_density(noise: NoiseModel, omega):
     return float(s[0]) if scalar else s
 
 
+def _check_gaps(omega_gap: np.ndarray, omega_d: np.ndarray) -> None:
+    """Raise unless every gap lies in (0, omega_d)."""
+    outside = ~((omega_gap > 0.0) & (omega_gap < omega_d))
+    if outside.any():
+        i = int(outside.argmax())
+        raise InvalidParameterError(
+            f"omega_gap must lie in (0, omega_d), got {omega_gap[i]} vs {omega_d[i]}"
+        )
+
+
+def _rate_stack(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseModel):
+    """``(gamma_z, gamma_plus, gamma_minus)`` of stacked filter weights
+    (``(rows, 2 k_max + 1)``) at gaps and drive frequencies ``(rows,)``;
+    each row's sums run over that row alone."""
+    center = (g_z.shape[-1] - 1) // 2
+    k_omega = np.arange(-center, center + 1) * omega_d[:, None]
+    gap = omega_gap[:, None]
+    s_deph, s_up, s_down = spectral_density(
+        noise, np.stack((k_omega, k_omega - gap, k_omega + gap))
+    )
+    first_order = (
+        0.5
+        * np.abs(g_z[:, center])
+        * noise.a_f
+        * np.sqrt(2.0)
+        * noise.dephasing_log_factor
+    )
+    quad = np.abs(g_z) ** 2 * s_deph
+    quad[:, center] = 0.0
+    gamma_z = noise.dephasing_scale * (first_order + 0.25 * np.sum(quad, axis=-1))
+    gamma_plus = np.sum(np.abs(g_plus) ** 2 * s_up, axis=-1)
+    gamma_minus = np.sum(np.abs(g_minus) ** 2 * s_down, axis=-1)
+    return gamma_z, gamma_plus, gamma_minus
+
+
 def decoherence_rates(
     weights: FilterWeights,
     omega_gap: float,
@@ -140,30 +175,14 @@ def decoherence_rates(
     gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``.
     The harmonic sums run over the full extent of the weight arrays.
     """
-    if not 0.0 < omega_gap < omega_d:
-        raise InvalidParameterError(
-            f"omega_gap must lie in (0, omega_d), got {omega_gap} vs {omega_d}"
-        )
-    k_omega = weights.ks * omega_d
-    s_deph, s_up, s_down = spectral_density(
-        noise, np.stack((k_omega, k_omega - omega_gap, k_omega + omega_gap))
+    gap, omega = np.array([omega_gap]), np.array([omega_d])
+    _check_gaps(gap, omega)
+    rates = _rate_stack(
+        np.asarray(weights.g_z)[None],
+        np.asarray(weights.g_plus)[None],
+        np.asarray(weights.g_minus)[None],
+        gap,
+        omega,
+        noise,
     )
-
-    gz2 = np.abs(weights.g_z) ** 2
-    gp2 = np.abs(weights.g_plus) ** 2
-    gm2 = np.abs(weights.g_minus) ** 2
-
-    center = weights.k_max
-    first_order = (
-        0.5
-        * abs(weights.g_z[center])
-        * noise.a_f
-        * np.sqrt(2.0)
-        * noise.dephasing_log_factor
-    )
-    quad = gz2 * s_deph
-    quad[center] = 0.0
-    gamma_z = noise.dephasing_scale * (first_order + 0.25 * float(np.sum(quad)))
-    gamma_plus = float(np.sum(gp2 * s_up))
-    gamma_minus = float(np.sum(gm2 * s_down))
-    return RateReport.from_rates(gamma_z, gamma_plus, gamma_minus)
+    return RateReport.from_rates(*(float(r[0]) for r in rates))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import EvaluationContext, Genome, PointResult, evaluate_genome
+from .evaluation import EvaluationContext, Genome, PointResult, evaluate_population
 from .exceptions import EmptyInputError, InvalidParameterError
 
 __all__ = [
@@ -345,7 +345,7 @@ def _make_offspring(
 def _evaluate_population(
     vectors: np.ndarray, context: EvaluationContext
 ) -> list[tuple[tuple[float, float], PointResult | None]]:
-    return [evaluate_genome(Genome.from_vector(v), context) for v in vectors]
+    return evaluate_population([Genome.from_vector(v) for v in vectors], context)
 
 
 def run_stage1(

@@ -31,6 +31,7 @@ from .evaluation import (
     Genome,
     evaluate_drive,
     evaluate_genome,
+    evaluate_population,
     genome_to_drive,
 )
 from .exceptions import ConfigError, DegenerateGapError, DependencyError
@@ -346,9 +347,9 @@ def front_columns(n: int) -> list:
 
 
 def _individual_row(ind: Individual, context: EvaluationContext) -> list:
+    """A front CSV row; an individual without a point (an infeasible genome)
+    gets NaN in its derived columns."""
     point = ind.point
-    if point is None:
-        _, point = evaluate_genome(ind.genome, context)
     g = ind.genome
     gz0 = abs(point.weights.g_z0) if point is not None else np.nan
     metric = (
@@ -512,22 +513,31 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
         path = run.require(f"front_{strategy}.csv", "optimize")
         fronts.append(_read_front_csv(path, context, n))
     combined = aggregate_fronts(fronts)
-    rows = [_individual_row(ind, context) for ind in combined.points]
+    rows = [_individual_row(ind, context) for ind in _with_points(combined, context)]
     return run.write_csv(
         "front_aggregated.csv", front_columns(n), rows, "aggregate"
     )
 
 
-def _evaluate_row(ind: Individual, row: int, context: EvaluationContext):
-    """The ``PointResult`` of a front row read from CSV; an infeasible row
+def _with_points(front: ParetoFront, context: EvaluationContext) -> list:
+    """The front's individuals carrying the ``PointResult`` of one
+    :func:`evaluate_population` call over all rows (``None`` for a row whose
+    gap is degenerate)."""
+    results = evaluate_population([ind.genome for ind in front.points], context)
+    return [replace(ind, point=point) for ind, (_, point) in zip(front.points, results)]
+
+
+def _evaluated_rows(front: ParetoFront, context: EvaluationContext) -> list:
+    """:func:`_with_points` of a front read from CSV; an infeasible row
     (degenerate gap) raises ``DegenerateGapError`` naming the row."""
-    _, point = evaluate_genome(ind.genome, context)
-    if point is None:
-        raise DegenerateGapError(
-            f"front row {row}: quasienergy gap at 0 or omega_d, branch labels "
-            "undefined"
-        )
-    return point
+    rows = _with_points(front, context)
+    for row, ind in enumerate(rows):
+        if ind.point is None:
+            raise DegenerateGapError(
+                f"front row {row}: quasienergy gap at 0 or omega_d, branch "
+                "labels undefined"
+            )
+    return rows
 
 
 def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
@@ -544,12 +554,11 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
         "d_omega_ac",
     ]
     rows = []
-    for row, ind in enumerate(front.points):
-        point = _evaluate_row(ind, row, context)
-        report = classify_point(point, context)
-        bounds = evaluate_bounds(point, context.noise, context.qubit.delta)
+    for ind in _evaluated_rows(front, context):
+        report = classify_point(ind.point, context)
+        bounds = evaluate_bounds(ind.point, context.noise, context.qubit.delta)
         rows.append(
-            _individual_row(replace(ind, point=point), context)
+            _individual_row(ind, context)
             + [
                 report.label,
                 bounds.t_ub_general,
@@ -569,10 +578,9 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     front = _read_front_csv(path, context, n)
     rows = []
     violations = 0
-    for row, ind in enumerate(front.points):
-        point = _evaluate_row(ind, row, context)
-        b = evaluate_bounds(point, context.noise, context.qubit.delta)
-        gz0 = abs(point.weights.g_z0)
+    for ind in _evaluated_rows(front, context):
+        b = evaluate_bounds(ind.point, context.noise, context.qubit.delta)
+        gz0 = abs(ind.point.weights.g_z0)
         dss_ok = b.t1 <= b.t_ub_dss * (1 + 1e-9) if gz0 < DSS_THRESHOLD else True
         ok = b.t1 <= b.t_ub_general * (1 + 1e-9) and dss_ok
         violations += 0 if ok else 1

@@ -215,6 +215,18 @@ def test_genome_file_name_with_slash_exits_2(tmp_path, capsys):
     assert not list(out.glob("rates_*.csv"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_genome_exits_3_naming_the_field(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", TINY)
+    genome = write_json(tmp_path / "genome.json", dict(GENOME, p_re=[math.nan, -0.2]))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "evaluate", str(genome)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "p_1 must be finite" in err, err
+    assert not list(out.glob("rates_*.csv"))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
     config = write_json(tmp_path / "config.json", TINY)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.circuit import EffectiveCoefficients
-from fluxspot.exceptions import StencilCrossingError
+from fluxspot.exceptions import DegenerateGapError, StencilCrossingError
 from fluxspot.floquet import FilterWeights
 from fluxspot.pareto import Individual, ParetoFront
 
@@ -252,6 +252,26 @@ class TestClassification:
         for _, report in annotated:
             assert report.label in ("plain", "dss", "double_dss")
             assert np.isfinite(report.d_omega_d_phi_dc)
+
+    def test_classify_front_evaluates_uncached_members(self, context):
+        genomes = [
+            fs.Genome(p0=0.2, p_re=(0.3, 0.1, 0, 0), p_im=(0.1, 0, 0, 0), omega_d_frac=f)
+            for f in (0.9, 1.1, 1.2)
+        ]
+        cached = [
+            Individual(genome=g, objectives=o, point=pt)
+            for g, (o, pt) in ((g, fs.evaluate_genome(g, context)) for g in genomes)
+        ]
+        bare = [Individual(genome=g, objectives=ind.objectives) for g, ind in zip(genomes, cached)]
+        mixed = ParetoFront(points=(bare[0], cached[1], bare[2]))
+        want = [r for _, r in fs.classify_front(ParetoFront(points=tuple(cached)), context)]
+        assert [r for _, r in fs.classify_front(mixed, context)] == want
+        # an undriven member at omega_d = omega_ge has its gap on the zone edge
+        ctx = fs.reference_context(phi_dc=np.pi)
+        edge = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
+        front = ParetoFront(points=(bare[0], Individual(genome=edge, objectives=(1.0, 1.0))))
+        with pytest.raises(DegenerateGapError, match="front member 1"):
+            fs.classify_front(front, ctx)
 
     def test_dc_filter_orders_flux_sensitivity(self, context):
         # points passing the sweet-spot filter have smaller measured DC

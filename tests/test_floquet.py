@@ -17,6 +17,7 @@ from fluxspot.floquet import (
     FilterWeights,
     FloquetSolution,
     _gauge_fix,
+    _particle_hole,
     _period_steps,
     _prefix_products,
     _quasienergies_from_monodromy,
@@ -28,7 +29,9 @@ from fluxspot.floquet import (
     fold_to_zone,
 )
 
-from conftest import box_drives, random_drive, solve_drive
+from conftest import REFERENCE_CONTEXT, box_drives, random_drive, solve_drive
+
+REFERENCE_DELTA = REFERENCE_CONTEXT.qubit.delta
 
 
 def drive(omega_d, p, phi_dc=np.pi, phi_ac=0.05):
@@ -79,6 +82,23 @@ class TestDriveSpec:
             drive(7.0, (0.5, 1.5 + 0.1j))
         with pytest.raises(InvalidParameterError):
             drive(-1.0, (0.5,))
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"omega_d": np.nan}, "omega_d"),
+            ({"omega_d": np.inf}, "omega_d"),
+            ({"phi_dc": np.nan}, "phi_dc"),
+            ({"phi_ac": -np.inf}, "phi_ac"),
+            ({"p": (np.nan,)}, "p_0"),
+            ({"p": (0.5, complex(np.nan, 0.1))}, "p_1"),
+            ({"p": (0.5, 0.2, complex(0.1, np.inf))}, "p_2"),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, kwargs, field):
+        args = dict(phi_dc=np.pi, phi_ac=0.05, omega_d=7.0, p=(0.5, 0.2))
+        with pytest.raises(InvalidParameterError, match=field):
+            fs.DriveSpec(**{**args, **kwargs})
 
 
 def assemble_by_blocks(drive, coeffs, delta, k_max):
@@ -220,6 +240,101 @@ class TestSolve:
     def test_pair_inside_the_zone_keeps_its_labels(self):
         eps = np.array([4.4, 1.4, -1.4, -4.4])
         assert _select_central_pair(eps, 3.0) == (2, 1)
+
+
+def central_pair_oracle(m, omega_d):
+    """Central eigenpairs of a Floquet matrix by a full ``eigh``:
+    ``(eps_minus, eps_plus, h_minus, h_plus)``, gauge-fixed."""
+    w, v = np.linalg.eigh(m)
+    i, j = _select_central_pair(w, omega_d)
+    k_max = (m.shape[0] // 2 - 1) // 2
+    modes = [_gauge_fix(v[:, idx].reshape(-1, 2), k_max) for idx in (i, j)]
+    return w[i], w[j], *modes
+
+
+class TestParticleHoleSymmetry:
+    @settings(max_examples=100, deadline=None)
+    @given(box_drives(), st.floats(0.1, 1e3), st.floats(-1e4, 1e4).filter(bool))
+    def test_floquet_matrix_is_odd_under_c(self, drive_k, a, b):
+        # C H_F C^-1 = -H_F: a symmetric spectrum, and C maps every
+        # eigenvector at w to one at -w
+        d, k_max = drive_k
+        m = fs.assemble_floquet_matrix(
+            d, coeffs(a=a, b=b), REFERENCE_DELTA, k_max
+        )
+        w, v = np.linalg.eigh(m)
+        scale = np.max(np.abs(w))
+        assert np.max(np.abs(w + w[::-1])) <= 1e-13 * scale
+        cv = _particle_hole(v.T.reshape(v.shape[1], -1, 2)).reshape(v.shape[1], -1).T
+        assert np.max(np.abs(m @ cv + cv * w)) <= 1e-13 * scale
+
+    def test_solve_matches_eigh_oracle(self, context):
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            d = random_drive(rng, context, n=n)
+            k_max = int(rng.integers(n, 3 * n + 3))
+            m = fs.assemble_floquet_matrix(
+                d, context.coefficients, context.qubit.delta, k_max
+            )
+            try:
+                sol = fs.solve_floquet(m, d.omega_d)
+            except DegenerateGapError:
+                continue
+            eps_minus, eps_plus, h_minus, h_plus = central_pair_oracle(m, d.omega_d)
+            assert sol.eps_plus == pytest.approx(eps_plus, rel=1e-12)
+            assert sol.eps_minus == pytest.approx(eps_minus, rel=1e-12)
+            for got, want in ((sol.harmonics_plus, h_plus), (sol.harmonics_minus, h_minus)):
+                assert 1.0 - abs(np.vdot(want, got)) <= 1e-13
+                assert np.max(np.abs(got - want)) <= 1e-12
+            checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize(
+        "omega_d, b, delta",
+        [(10.0, 4.0, 3.0), (3.0, 4.0, 0.0), (3.0, 4.0, 1.0), (7.0, 0.0, 3.0), (2.5, -6.0, 0.5)],
+    )
+    def test_undriven_mode_stays_in_its_block(self, omega_d, b, delta):
+        # an undriven matrix decouples into 2x2 blocks; each central mode
+        # lives in one block, whichever block's diagonal lies nearest eps
+        d = drive(omega_d, (0.0,))
+        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=b), delta, k_max=3)
+        sol = fs.solve_floquet(m, omega_d)
+        eps_minus, eps_plus, h_minus, h_plus = central_pair_oracle(m, omega_d)
+        assert sol.eps_plus == pytest.approx(eps_plus, rel=1e-12)
+        for got, want in ((sol.harmonics_plus, h_plus), (sol.harmonics_minus, h_minus)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.count_nonzero(np.linalg.norm(got, axis=1)) == 1
+
+    def test_unconverged_mode_is_degenerate(self, context, monkeypatch):
+        # a shift a percent of the spectral radius off eps_plus leaves the
+        # two inverse-iteration steps far from the mode: the residual check
+        # must reject it, alone and in a population
+        monkeypatch.setattr(fs.floquet, "_SHIFT_RTOL", 1e-2)
+        d = random_drive(np.random.default_rng(37), context)
+        m = fs.assemble_floquet_matrix(d, context.coefficients, context.qubit.delta, 12)
+        with pytest.raises(DegenerateGapError):
+            fs.solve_floquet(m, d.omega_d)
+        genome = fs.Genome(p0=0.3, p_re=(0.2,) * 4, p_im=(0.1,) * 4, omega_d_frac=1.1)
+        assert fs.evaluate_population([genome], context) == [((np.inf, np.inf), None)]
+
+    def test_unresolved_small_gap_is_degenerate(self):
+        # a gap of 1e-10 omega_d passes the degeneracy rule, but two
+        # inverse-iteration steps cannot resolve its mode to 1e-10 of it
+        d = drive(3.0, (1e-10,))
+        m = fs.assemble_floquet_matrix(d, coeffs(a=-1.5, b=0.0), 0.0, k_max=2)
+        w = np.linalg.eigvalsh(m)
+        assert 1e-12 * 3.0 < 2 * np.min(np.abs(w)) < 1e-9
+        with pytest.raises(DegenerateGapError):
+            fs.solve_floquet(m, 3.0)
+
+    def test_solve_leaves_its_matrix_unchanged(self, context):
+        d = random_drive(np.random.default_rng(31), context)
+        m = fs.assemble_floquet_matrix(d, context.coefficients, context.qubit.delta, 8)
+        before = m.copy()
+        fs.solve_floquet(m, d.omega_d)
+        assert np.array_equal(m, before)
 
 
 class TestPropagatorReference:
