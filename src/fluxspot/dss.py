@@ -22,7 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import EffectiveCoefficients
-from .evaluation import EvaluationContext, PointResult, evaluate_population
+from .evaluation import (
+    EvaluationContext,
+    PointResult,
+    _INFEASIBLE,
+    evaluate_population,
+)
 from .exceptions import DegenerateGapError, InvalidParameterError, StencilCrossingError
 from .floquet import (
     DriveSpec,
@@ -287,7 +292,7 @@ def classify_front(
     """Annotate every front member; the members without cached data are
     evaluated in one :func:`evaluate_population` call.
 
-    A member whose gap is degenerate raises ``DegenerateGapError``.
+    An infeasible member raises ``DegenerateGapError``.
     """
     missing = [i for i, ind in enumerate(front.points) if ind.point is None]
     fresh = evaluate_population([front.points[i].genome for i in missing], context)
@@ -296,9 +301,6 @@ def classify_front(
     for i, ind in enumerate(front.points):
         point = points.get(i, ind.point)
         if point is None:
-            raise DegenerateGapError(
-                f"front member {i}: quasienergy gap at 0 or omega_d, branch "
-                "labels undefined"
-            )
+            raise DegenerateGapError(f"front member {i} is {_INFEASIBLE}")
         annotated.append((ind, classify_point(point, context)))
     return annotated

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import EffectiveCoefficients, EffectiveQubit, effective_coefficients
-from .exceptions import DegenerateGapError, InvalidParameterError
+from .exceptions import DegenerateGapError, GapOutsideZoneError, InvalidParameterError
 from .floquet import (
     DriveSpec,
     FilterWeights,
@@ -27,10 +27,16 @@ from .floquet import (
     compute_filter_weights,
     solve_floquet,
 )
-from .noise import NoiseModel, RateReport, _check_gaps, _rate_stack, decoherence_rates
+from .noise import NoiseModel, RateReport, _rate_stack, decoherence_rates
 
 __all__ = ["Genome", "EvaluationContext", "PointResult", "evaluate_drive",
            "evaluate_genome", "evaluate_population", "genome_to_drive"]
+
+#: why :func:`evaluate_genome` returns no point, for error messages
+_INFEASIBLE = (
+    "infeasible: its quasienergy gap is at 0 or omega_d, or outside "
+    "(0, omega_d) at this truncation, so branch labels are undefined"
+)
 
 #: rows per stacked solve: about 1 MB of Floquet matrices at n = 4
 _SLICE_ROWS = 25
@@ -170,13 +176,15 @@ def evaluate_genome(
 ) -> tuple[tuple[float, float], PointResult | None]:
     """Objectives (gamma_1, gamma_z) of one genome.
 
-    A genome whose Floquet branches cannot be labeled (degenerate gap) is
-    infeasible and gets ``(inf, inf)`` instead of aborting the caller.
+    A genome whose Floquet branches cannot be labeled is infeasible and gets
+    ``(inf, inf)`` instead of aborting the caller: its gap is degenerate, or
+    it lies outside (0, omega_d), as the central pair of an unconverged
+    truncation can.
     """
     drive = genome_to_drive(genome, context)
     try:
         point = evaluate_drive(drive, context)
-    except DegenerateGapError:
+    except (DegenerateGapError, GapOutsideZoneError):
         return (np.inf, np.inf), None
     return point.objectives, point
 
@@ -194,9 +202,9 @@ def _evaluate_slice(drives: list, context: EvaluationContext) -> list:
     )
     eps_minus, eps_plus, h_plus, h_minus, ok = _solve_stack(stack, omega_d)
     gap = eps_plus - eps_minus
-    # as decoherence_rates on one drive: an unconverged truncation can
-    # label a gap beyond omega_d
-    _check_gaps(gap[ok], omega_d[ok])
+    # infeasible as in evaluate_genome: an unconverged truncation can label
+    # a gap beyond omega_d
+    ok &= (gap > 0.0) & (gap < omega_d)
     g_z, g_plus, g_minus = _filter_weight_stack(h_plus, h_minus)
     rates = np.stack(_rate_stack(g_z, g_plus, g_minus, gap, omega_d, context.noise))
     out = []

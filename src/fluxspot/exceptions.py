@@ -18,6 +18,11 @@ class DegenerateGapError(FluxspotError, RuntimeError):
     are undefined."""
 
 
+class GapOutsideZoneError(InvalidParameterError):
+    """Raised when a labeled quasienergy gap lies outside (0, omega_d), as
+    the central pair of an unconverged harmonic truncation can."""
+
+
 class IntegrationError(FluxspotError, RuntimeError):
     """Raised when a time integration fails its step-refinement check."""
 

@@ -6,11 +6,12 @@ gate dynamics; relaxation and dephasing enter through per-qubit lowering and
 sigma_z jump operators, with rates taken from a decoherence-rate report
 (1/us, converted to the gate module's ns clock internally).  The generator is
 piecewise constant on the pulse grid, so the whole pulse is one exact
-superoperator: the product of the step Liouvillian exponentials, which one
-batched scaling-and-squaring Pade approximant (:func:`_expm`) forms for all
-steps at once.  The frame enters each step as a conjugation of one lab-frame
-Liouvillian (Havel, J. Math. Phys. 44, 534 (2003) for the Lindblad,
-superoperator and chi forms).
+superoperator: the product of the step Liouvillian exponentials, which a
+batched scaling-and-squaring Pade approximant (:func:`_expm`) forms in
+fixed blocks of steps, with one degree and scaling for the whole pulse.
+The frame enters each step as a conjugation of one lab-frame Liouvillian
+(Havel, J. Math. Phys. 44, 534 (2003) for the Lindblad, superoperator and
+chi forms).
 """
 
 from __future__ import annotations
@@ -80,17 +81,30 @@ _PADE_THETA = {
 }
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+#: steps per block of the pulse superoperator: a 2-qubit block's
+#: (32, 16, 16) temporaries take 128 kB each
+_BLOCK_STEPS = 32
+
+
+def _norm_1(a: np.ndarray) -> float:
+    """The largest column-sum 1-norm of a ``(..., d, d)`` stack."""
+    return float(np.abs(a).sum(axis=-2).max())
+
+
+def _expm(a: np.ndarray, norm: float | None = None) -> np.ndarray:
     """The exponential of every matrix of a ``(..., d, d)`` stack.
 
     Scaling and squaring with one [m/m] Pade approximant for the whole
     stack (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): the lowest
-    m whose ``theta_m`` bounds the largest column-sum 1-norm, else m = 13
-    on the stack scaled by ``2^-s`` and squared s times after.  With
-    ``r = (V - U)^-1 (V + U)`` formed as ``I + 2 (V - U)^-1 U``, a
-    near-identity step rounds only its small part.
+    m whose ``theta_m`` bounds ``norm``, else m = 13 on the stack scaled by
+    ``2^-s`` and squared s times after.  ``norm`` is the stack's largest
+    column-sum 1-norm unless given; a block of a longer stack passes the
+    whole stack's, so that every block gets the (m, s) and the bits of one
+    call on the whole stack.  With ``r = (V - U)^-1 (V + U)`` formed as
+    ``I + 2 (V - U)^-1 U``, a near-identity step rounds only its small part.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())
+    if norm is None:
+        norm = _norm_1(a)
     m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
     s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
     a = a / 2.0**s
@@ -133,9 +147,16 @@ def _pulse_superoperator(
     Step k sees each operator of :func:`_static_operators` as
     ``R_k^dag O R_k``, so its Liouvillian is ``S_k^dag L_k S_k`` with
     ``S_k = R_k (x) R_k*`` and the lab-frame ``L_k = L_0 + sum_c f_ck L_c``
-    (drift and dissipator, one commutator per control).  The step
-    exponentials come from one batched Pade approximant (:func:`_expm`),
-    are conjugated by their ``S_k`` and multiplied in time order.
+    (drift and dissipator, one commutator per control).
+
+    The steps go in blocks of ``_BLOCK_STEPS``: one pass writes each
+    block's generators ``dt L_k`` into a ``(steps, d^2, d^2)`` stack, and a
+    second replaces them by their Pade exponentials (:func:`_expm`, with the
+    degree and scaling of the largest 1-norm of the whole pulse) conjugated
+    by their ``S_k``.  The step superoperators are then multiplied in time
+    order.  The bits are those of one call on the whole stack, and beside
+    the stack only one block's temporaries are alive: a 2-qubit, 500-step
+    pulse holds a 2 MB stack and 128 kB per temporary.
     """
     if model.n_qubits != context.n_qubits:
         raise InvalidParameterError("model and context disagree on qubit count")
@@ -153,13 +174,22 @@ def _pulse_superoperator(
             anti = np.kron(op2, eye) + np.kron(eye, op2.T)
             base += gamma * _RATE_US_TO_NS * (np.kron(op, op.conj()) - 0.5 * anti)
     per_control = np.stack([commutator(c) for c in controls])
-    steps = _expm(context.dt * (base + np.einsum("ck,cab->kab", w, per_control)))
-    r = context.frame if context.n_qubits == 1 else _kron(context.frame, context.frame)
-    r_t = r.transpose(0, 2, 1)
-    # S_k^dag = R_k^dag (x) R_k^T; one product at a time keeps at most three
-    # (steps, d^2, d^2) stacks alive, the memory peak of a 2-qubit simulate
-    steps = _kron(r_t.conj(), r_t) @ steps
-    return _tree_product(steps @ _kron(r, r.conj()))
+    steps = np.empty((context.steps,) + base.shape, dtype=complex)
+    blocks = [
+        slice(k, k + _BLOCK_STEPS) for k in range(0, context.steps, _BLOCK_STEPS)
+    ]
+    for b in blocks:
+        steps[b] = context.dt * (
+            base + np.einsum("ck,cab->kab", w[:, b], per_control)
+        )
+    norm = max(_norm_1(steps[b]) for b in blocks)
+    for b in blocks:
+        frame = context.frame[b]
+        r = frame if context.n_qubits == 1 else _kron(frame, frame)
+        r_t = r.transpose(0, 2, 1)
+        # S_k^dag = R_k^dag (x) R_k^T
+        steps[b] = _kron(r_t.conj(), r_t) @ _expm(steps[b], norm) @ _kron(r, r.conj())
+    return _tree_product(steps)
 
 
 def evolve_density(

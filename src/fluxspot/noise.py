@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidParameterError
+from .exceptions import GapOutsideZoneError, InvalidParameterError
 from .floquet import FilterWeights
 from .units import GHZ_TO_RAD_PER_US, KB_OVER_HBAR_RAD_PER_US_PER_K, TWO_PI
 
@@ -128,11 +128,12 @@ def spectral_density(noise: NoiseModel, omega):
 
 
 def _check_gaps(omega_gap: np.ndarray, omega_d: np.ndarray) -> None:
-    """Raise unless every gap lies in (0, omega_d)."""
+    """Raise :class:`GapOutsideZoneError` unless every gap lies in
+    (0, omega_d)."""
     outside = ~((omega_gap > 0.0) & (omega_gap < omega_d))
     if outside.any():
         i = int(outside.argmax())
-        raise InvalidParameterError(
+        raise GapOutsideZoneError(
             f"omega_gap must lie in (0, omega_d), got {omega_gap[i]} vs {omega_d[i]}"
         )
 

@@ -29,12 +29,13 @@ from .dss import (
 from .evaluation import (
     EvaluationContext,
     Genome,
+    _INFEASIBLE,
     evaluate_drive,
     evaluate_genome,
     evaluate_population,
     genome_to_drive,
 )
-from .exceptions import ConfigError, DegenerateGapError, DependencyError
+from .exceptions import ConfigError, DegenerateGapError, DependencyError, FluxspotError
 from .floquet import (
     DriveSpec,
     mode_infidelity,
@@ -521,22 +522,19 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
 
 def _with_points(front: ParetoFront, context: EvaluationContext) -> list:
     """The front's individuals carrying the ``PointResult`` of one
-    :func:`evaluate_population` call over all rows (``None`` for a row whose
-    gap is degenerate)."""
+    :func:`evaluate_population` call over all rows (``None`` for an
+    infeasible row)."""
     results = evaluate_population([ind.genome for ind in front.points], context)
     return [replace(ind, point=point) for ind, (_, point) in zip(front.points, results)]
 
 
 def _evaluated_rows(front: ParetoFront, context: EvaluationContext) -> list:
     """:func:`_with_points` of a front read from CSV; an infeasible row
-    (degenerate gap) raises ``DegenerateGapError`` naming the row."""
+    raises ``DegenerateGapError`` naming the row."""
     rows = _with_points(front, context)
     for row, ind in enumerate(rows):
         if ind.point is None:
-            raise DegenerateGapError(
-                f"front row {row}: quasienergy gap at 0 or omega_d, branch "
-                "labels undefined"
-            )
+            raise DegenerateGapError(f"front row {row} is {_INFEASIBLE}")
     return rows
 
 
@@ -631,6 +629,10 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job, context_eval)
     context_eval = replace(context_eval, phi_ac=phi_ac)
     _, point = evaluate_genome(genome, context_eval)
+    if point is None:
+        raise FluxspotError(
+            f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}"
+        )
 
     duration = float(job.get("duration_ns", 10.0))
     steps = int(job.get("steps", 500))

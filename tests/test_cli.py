@@ -175,6 +175,26 @@ def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
     assert not list(out.glob("pulse_*.json"))
 
 
+def test_grape_on_an_infeasible_point_exits_3(tmp_path, capsys):
+    # at the unbiased sweet spot the resonant undriven genome has no labeled
+    # gap, so there is no point to design a gate at
+    genome = {"p0": 0, "p_re": [0], "p_im": [0], "omega_d_frac": 1.0}
+    job = dict(TINY["gates"][0], point={"phi_ac": 0.05, "genome": genome})
+    cfg = dict(
+        TINY,
+        flux={"phi_dc_over_pi": 1.0},
+        optimizer=dict(TINY["optimizer"], n=1),
+        gates=[job],
+    )
+    config = write_json(tmp_path / "config.json", cfg)
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "gate job 'x': point 'custom' is infeasible" in err, err
+    assert not list(out.glob("pulse_*.json"))
+
+
 def test_malformed_gate_genome_exits_2(tmp_path):
     bad = dict(TINY, gates=[{"name": "bad", "point": {"genome": {"p0": 0.5}}}])
     config = write_json(tmp_path / "config.json", bad)

@@ -56,13 +56,16 @@ def test_empty_population_and_mixed_orders(context):
         fs.evaluate_population(random_genomes(2, n=4) + random_genomes(2, n=3), context)
 
 
-def test_gap_beyond_omega_d_raises_as_for_one_genome():
+def test_gap_beyond_omega_d_row_alone_is_infeasible():
     # a strong drive on a k_max = 1 truncation can label a gap above omega_d;
-    # the population raises where evaluating that genome alone raises
+    # the rates reject that gap, and the genome is infeasible, alone and in
+    # a population
     ctx = replace(fs.reference_context(n=1, phi_ac=0.2), k_max=1)
     genomes = random_genomes(5, n=1, seed=1)
     with pytest.raises(InvalidParameterError, match="omega_gap"):
-        fs.evaluate_genome(genomes[2], ctx)
-    assert all(np.isfinite(fs.evaluate_genome(g, ctx)[0][0]) for g in genomes[:2])
-    with pytest.raises(InvalidParameterError, match="omega_gap"):
-        fs.evaluate_population(genomes, ctx)
+        fs.evaluate_drive(fs.genome_to_drive(genomes[2], ctx), ctx)
+    results = fs.evaluate_population(genomes, ctx)
+    assert [i for i, (_, point) in enumerate(results) if point is None] == [2]
+    assert results[2] == ((np.inf, np.inf), None) == fs.evaluate_genome(genomes[2], ctx)
+    for i in (0, 1, 3, 4):
+        assert_same_bits(results[i], fs.evaluate_genome(genomes[i], ctx))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,15 @@ class TestRunStage1:
         objs, point = fs.evaluate_genome(zero, ctx)
         assert objs == (np.inf, np.inf)
         assert point is None
+
+    def test_gap_beyond_omega_d_does_not_abort_the_search(self):
+        # on a k_max = 1 truncation a strong drive labels gaps above omega_d
+        # in the first generation; such genomes are infeasible
+        ctx = replace(fs.reference_context(n=1, phi_ac=0.2), k_max=1)
+        cfg = fs.OptimizerConfig(population_m=20, generations_n=3, n=1, seed=1)
+        front = fs.run_stage1(cfg, ctx)
+        assert front.points
+        assert all(np.all(np.isfinite(ind.objectives)) for ind in front.points)
 
     def test_zone_edge_genome_is_infeasible_under_one_and_two_blas_threads(self):
         # a resonant undriven n = 1 genome puts eps = -/+ omega_d / 2 on the
