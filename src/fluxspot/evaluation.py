@@ -10,7 +10,7 @@ shared by the optimizer, the sweet-spot classifier and the command-line tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

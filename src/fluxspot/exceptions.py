@@ -27,10 +27,6 @@ class IntegrationError(FluxspotError, RuntimeError):
     """Raised when a time integration fails its step-refinement check."""
 
 
-class StencilCrossingError(FluxspotError, RuntimeError):
-    """Raised when a finite-difference stencil straddles a quasienergy fold."""
-
-
 class TomographyError(FluxspotError, RuntimeError):
     """Raised when a reconstructed process matrix is unphysical."""
 

@@ -11,10 +11,10 @@ harmonics implied by conjugation).
 
 Two independent solvers are provided: the truncated Floquet block matrix
 (production path) and a one-period propagator reference that never builds the
-block matrix (validation path).  Filter weights -- the Fourier coefficients of
-the flux-coupling operator expressed in the Floquet frame -- are computed by
-exact discrete convolution of the mode harmonics; a time-grid FFT evaluation
-is kept as a cross-check oracle.
+block matrix (validation path: ``truncation-study`` measures the first
+against it).  Filter weights -- the Fourier coefficients of the flux-coupling
+operator expressed in the Floquet frame -- are computed by exact discrete
+convolution of the mode harmonics.
 
 H(t) is a traceless real-symmetric 2x2 matrix, so ``sigma_y H(t)* sigma_y =
 -H(t)``.  The antiunitary map ``(C psi)_k = sigma_y conj(psi_{-k})`` keeps
@@ -57,7 +57,6 @@ __all__ = [
     "solve_floquet",
     "reference_floquet_via_propagator",
     "compute_filter_weights",
-    "filter_weights_time_grid",
     "mode_infidelity",
     "fold_to_zone",
 ]
@@ -164,14 +163,6 @@ class FloquetSolution:
     k_max: int
     omega_d: float
 
-    def mode_at(self, t, which: str = "plus") -> np.ndarray:
-        """Periodic mode as a 2-vector at times ``t`` (shape (..., 2))."""
-        h = self.harmonics_plus if which == "plus" else self.harmonics_minus
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        ks = np.arange(-self.k_max, self.k_max + 1)
-        phases = np.exp(1j * np.outer(t, ks) * self.omega_d)
-        return phases @ h
-
 
 @dataclass(frozen=True)
 class FilterWeights:
@@ -188,16 +179,6 @@ class FilterWeights:
     g_minus: np.ndarray
     k_max: int
 
-    a_z: float = 4.0
-    a_pm: float = 1.0
-    b_z: float = 2.0
-    b_pm: float = 1.0
-
-    def index(self, k: int) -> int:
-        if abs(k) > self.k_max:
-            raise IndexError(f"harmonic {k} outside [-{self.k_max}, {self.k_max}]")
-        return k + self.k_max
-
     @property
     def g_z0(self) -> complex:
         """Central dephasing weight; vanishes at a dynamical sweet spot."""
@@ -206,14 +187,6 @@ class FilterWeights:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(-self.k_max, self.k_max + 1)
-
-    def parseval_sum(self) -> float:
-        """Completeness sum; equals 1 for an exact Floquet solution."""
-        return float(
-            0.5 * np.sum(np.abs(self.g_plus) ** 2)
-            + 0.5 * np.sum(np.abs(self.g_minus) ** 2)
-            + np.sum(np.abs(self.g_z) ** 2)
-        )
 
 
 def fold_to_zone(x: float, omega: float) -> float:
@@ -637,29 +610,6 @@ def compute_filter_weights(sol: FloquetSolution) -> FilterWeights:
     )
     return FilterWeights(
         g_z=g_z[0], g_plus=g_plus[0], g_minus=g_minus[0], k_max=2 * sol.k_max
-    )
-
-
-def filter_weights_time_grid(
-    sol: FloquetSolution, n_samples: int = 4096
-) -> FilterWeights:
-    """Filter weights from a uniform time grid (FFT cross-check oracle)."""
-    big_k = 2 * sol.k_max
-    ts = np.arange(n_samples) * (2.0 * np.pi / sol.omega_d) / n_samples
-    wp = sol.mode_at(ts, "plus")
-    wm = sol.mode_at(ts, "minus")
-    f_z = np.einsum("ta,ab,tb->t", wp.conj(), PAULI_X, wp) - np.einsum(
-        "ta,ab,tb->t", wm.conj(), PAULI_X, wm
-    )
-    f_plus = np.einsum("ta,ab,tb->t", wp.conj(), PAULI_X, wm)
-    f_minus = np.einsum("ta,ab,tb->t", wm.conj(), PAULI_X, wp)
-    ks = np.arange(-big_k, big_k + 1)
-    proj = np.exp(1j * np.outer(ks, sol.omega_d * ts)) / n_samples
-    return FilterWeights(
-        g_z=(proj @ f_z) / 2.0,
-        g_plus=proj @ f_plus,
-        g_minus=proj @ f_minus,
-        k_max=big_k,
     )
 
 

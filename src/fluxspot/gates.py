@@ -69,6 +69,17 @@ __all__ = [
 #: tolerated amplitude overshoot from spectral ringing after the band-limit
 GIBBS_TOL = 0.02
 
+#: Adam's decay rates of the first and second moment estimates
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+#: standard deviation of the random initial pulse parameters
+INIT_SCALE = 0.1
+#: weights of the penalties on amplitude above f_max and on the end samples
+AMPLITUDE_PENALTY = 25.0
+EDGE_PENALTY = 10.0
+#: fidelity at which :func:`optimize_pulse` reports ``converged``
+TARGET_FIDELITY = 0.9999
+
 _SQRT2 = np.sqrt(2.0)
 
 #: eigenvectors of sigma_y: W^dag sigma_y W = Z and W^dag sigma_z W = X
@@ -134,11 +145,12 @@ class PulseSpec:
 
     ``theta`` holds ``2 n_freq + 1`` real Fourier amplitudes per control
     channel (DC, then cos/sin pairs), concatenated across channels.  The
-    rendered waveform passes, in order, a sin^2 boundary window, a scaled
-    sigmoid bounding the instantaneous amplitude by ``s_amp <= f_max``, and
-    a hard spectral cutoff above harmonic ``n_freq``.  The final projection
+    rendered waveform passes, in order, a sin^2 boundary window, the sigmoid
+    ``f_max (2 / (1 + exp(-2 x / f_max)) - 1)``, which bounds the
+    instantaneous amplitude by ``f_max`` at unit small-signal gain, and a
+    hard spectral cutoff above harmonic ``n_freq``.  The final projection
     can ring past the amplitude bound by at most ``GIBBS_TOL`` (verified on
-    optimized pulses).
+    optimized pulses).  ``f_max`` must be finite and positive.
     """
 
     duration: float
@@ -147,14 +159,15 @@ class PulseSpec:
     n_freq: int = 9
     theta: np.ndarray | None = None
     n_controls: int = 1
-    s_amp: float | None = None
-    s_slope: float | None = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0 or self.steps < 8 or self.n_freq < 1:
             raise InvalidParameterError("bad pulse discretization")
-        if self.s_amp is not None and self.s_amp > self.f_max:
-            raise InvalidParameterError("s_amp must not exceed f_max")
+        # a NaN or negative bound passes every amplitude check, and 0 divides
+        if not (math.isfinite(self.f_max) and self.f_max > 0.0):
+            raise InvalidParameterError(
+                f"f_max must be finite and positive, got {self.f_max}"
+            )
         if self.theta is not None:
             th = np.asarray(self.theta, dtype=float)
             if th.size != self.n_controls * self.params_per_control:
@@ -171,15 +184,6 @@ class PulseSpec:
     @property
     def dt(self) -> float:
         return self.duration / self.steps
-
-    @property
-    def amp_scale(self) -> float:
-        return self.s_amp if self.s_amp is not None else self.f_max
-
-    @property
-    def slope(self) -> float:
-        # unit small-signal gain: s_amp * slope / 2 = 1
-        return self.s_slope if self.s_slope is not None else 2.0 / self.amp_scale
 
     def sample_times(self) -> np.ndarray:
         """Left-edge step grid; the boundary window vanishes at both ends."""
@@ -207,8 +211,9 @@ def _shape_stages(theta: np.ndarray, spec: PulseSpec, window: np.ndarray):
     ``spec.window()``."""
     raw = theta @ spec.fourier_basis
     windowed = window * raw
-    sig = 1.0 / (1.0 + np.exp(-spec.slope * windowed))
-    bounded = spec.amp_scale * (2.0 * sig - 1.0)
+    # the gain 2 / f_max makes d bounded / d windowed = 1 at 0
+    sig = 1.0 / (1.0 + np.exp(-(2.0 / spec.f_max) * windowed))
+    bounded = spec.f_max * (2.0 * sig - 1.0)
     spectrum = np.fft.rfft(bounded)
     spectrum[..., spec.n_freq + 1 :] = 0.0
     final = np.fft.irfft(spectrum, spec.steps)
@@ -236,7 +241,7 @@ def _shape_backward(
     spectrum = np.fft.rfft(grad_f)
     spectrum[..., spec.n_freq + 1 :] = 0.0
     grad_bounded = np.fft.irfft(spectrum, spec.steps)   # band-limit is self-adjoint
-    dsig = spec.amp_scale * 2.0 * sig * (1.0 - sig) * spec.slope
+    dsig = spec.f_max * 2.0 * sig * (1.0 - sig) * (2.0 / spec.f_max)
     return (grad_bounded * dsig * window) @ spec.fourier_basis.T
 
 
@@ -582,10 +587,10 @@ def _value_and_grad(
     spec: PulseSpec,
     context: ControlContext,
     target: GateTarget,
-    amplitude_penalty: float = 0.0,
-    edge_penalty: float = 0.0,
+    penalized: bool = False,
 ):
-    """(objective, d objective/d theta, diagnostics); objective = F - penalty."""
+    """(objective, d objective/d theta, diagnostics); objective = F, less the
+    amplitude and edge penalties when ``penalized``."""
     theta = np.asarray(theta, dtype=float)
     if theta.size != spec.n_controls * spec.params_per_control:
         raise InvalidParameterError(
@@ -599,22 +604,21 @@ def _value_and_grad(
     fid, grad_f, u_total = _fidelity_and_waveform_grad(context, waveforms, target)
 
     value = fid
-    if amplitude_penalty > 0.0:
+    if penalized:
         excess = np.maximum(np.abs(waveforms) - spec.f_max, 0.0)
-        value -= amplitude_penalty * float(np.mean(excess**2)) / spec.f_max**2
+        value -= AMPLITUDE_PENALTY * float(np.mean(excess**2)) / spec.f_max**2
         pen_grad = (
-            -amplitude_penalty
+            -AMPLITUDE_PENALTY
             * 2.0
             * excess
             * np.sign(waveforms)
             / (spec.f_max**2 * excess.size)
         )
         grad_f = grad_f + pen_grad
-    if edge_penalty > 0.0:
         edges = waveforms[:, [0, -1]]
-        value -= edge_penalty * float(np.sum(edges**2)) / spec.f_max**2
-        grad_f[:, 0] -= edge_penalty * 2.0 * waveforms[:, 0] / spec.f_max**2
-        grad_f[:, -1] -= edge_penalty * 2.0 * waveforms[:, -1] / spec.f_max**2
+        value -= EDGE_PENALTY * float(np.sum(edges**2)) / spec.f_max**2
+        grad_f[:, 0] -= EDGE_PENALTY * 2.0 * waveforms[:, 0] / spec.f_max**2
+        grad_f[:, -1] -= EDGE_PENALTY * 2.0 * waveforms[:, -1] / spec.f_max**2
 
     grad_theta = _shape_backward(grad_f, sig, spec, window).ravel()
     return value, grad_theta, {"fidelity": fid, "waveforms": waveforms, "u": u_total}
@@ -622,17 +626,17 @@ def _value_and_grad(
 
 @dataclass(frozen=True)
 class GrapeSettings:
-    """Optimizer settings for :func:`optimize_pulse` (Adam ascent)."""
+    """Optimizer settings for :func:`optimize_pulse` (Adam ascent).
+
+    The Adam decay rates, the initial scale, the penalty weights and the
+    target fidelity are the module constants ``ADAM_BETA1``, ``ADAM_BETA2``,
+    ``INIT_SCALE``, ``AMPLITUDE_PENALTY``, ``EDGE_PENALTY`` and
+    ``TARGET_FIDELITY``.
+    """
 
     iterations: int = 600
     learning_rate: float = 0.08
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 0
-    init_scale: float = 0.1
-    amplitude_penalty: float = 25.0
-    edge_penalty: float = 10.0
-    target_fidelity: float = 0.9999
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -671,8 +675,7 @@ def optimize_pulse(
     iteration's raw fidelity until the first accepted iterate, then the
     best accepted fidelity so far.  Only from the first accepted iterate on
     is it monotone; before it, it may fall.  Failing to reach
-    ``settings.target_fidelity`` is reported through ``converged``, not
-    raised.
+    ``TARGET_FIDELITY`` is reported through ``converged``, not raised.
     """
     if context.n_qubits != spec.n_controls:
         raise InvalidParameterError(
@@ -688,7 +691,7 @@ def optimize_pulse(
     if spec.theta is not None:
         theta = np.asarray(spec.theta, dtype=float).copy()
     else:
-        theta = settings.init_scale * rng.standard_normal(
+        theta = INIT_SCALE * rng.standard_normal(
             spec.n_controls * spec.params_per_control
         )
 
@@ -699,8 +702,7 @@ def optimize_pulse(
     history = []
     for it in range(1, settings.iterations + 1):
         value, grad, info = _value_and_grad(
-            theta, spec, context, target,
-            settings.amplitude_penalty, settings.edge_penalty,
+            theta, spec, context, target, penalized=True
         )
         fid = info["fidelity"]
         if it == 1:
@@ -712,10 +714,10 @@ def optimize_pulse(
             best_theta = theta.copy()
             best_waveforms = info["waveforms"]
         history.append(best_fid if np.isfinite(best_fid) else fid)
-        m = settings.beta1 * m + (1.0 - settings.beta1) * grad
-        v = settings.beta2 * v + (1.0 - settings.beta2) * grad * grad
-        m_hat = m / (1.0 - settings.beta1**it)
-        v_hat = v / (1.0 - settings.beta2**it)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**it)
+        v_hat = v / (1.0 - ADAM_BETA2**it)
         theta = theta + settings.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     return PulseResult(
@@ -723,5 +725,5 @@ def optimize_pulse(
         fidelity=float(best_fid),
         fidelity_history=np.asarray(history),
         waveforms=best_waveforms,
-        converged=bool(best_fid >= settings.target_fidelity),
+        converged=bool(best_fid >= TARGET_FIDELITY),
     )

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import IntegrationError, InvalidParameterError, TomographyError
+from .exceptions import InvalidParameterError, TomographyError
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
 from .gates import ControlContext, _as_waveform_matrix, _kron, _static_operators
 
 __all__ = [
     "LindbladModel",
     "ProcessMatrix",
-    "evolve_density",
     "process_tomography",
     "process_fidelity",
     "chi_from_unitary",
@@ -190,32 +189,6 @@ def _pulse_superoperator(
         # S_k^dag = R_k^dag (x) R_k^T
         steps[b] = _kron(r_t.conj(), r_t) @ _expm(steps[b], norm) @ _kron(r, r.conj())
     return _tree_product(steps)
-
-
-def evolve_density(
-    context: ControlContext,
-    waveforms,
-    model: LindbladModel,
-    rho0: np.ndarray,
-) -> np.ndarray:
-    """Propagate a density matrix through the pulse with dissipation.
-
-    The generator is held constant inside each pulse step (Hamiltonian and
-    jump operators sampled at the step midpoints) and each step is
-    propagated exactly by the exponential of its Liouvillian, so the only
-    approximation is the piecewise-constant sampling itself; with the rates
-    set to zero this equals ``U rho0 U^dag`` of :func:`propagate_closed` up
-    to round-off.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = context.dimension
-    if rho0.shape != (d, d):
-        raise InvalidParameterError(f"rho0 must be {d}x{d}")
-    rho = channel_from_simulation(context, waveforms, model)(rho0)
-    drift = abs(np.trace(rho).real - np.trace(rho0).real)
-    if drift > 1e-9:
-        raise IntegrationError(f"trace drifted by {drift:.2e}")
-    return rho
 
 
 def channel_from_simulation(context: ControlContext, waveforms, model: LindbladModel):

@@ -30,7 +30,6 @@ from .evaluation import (
     EvaluationContext,
     Genome,
     _INFEASIBLE,
-    evaluate_drive,
     evaluate_genome,
     evaluate_population,
     genome_to_drive,
@@ -42,7 +41,6 @@ from .floquet import (
     reference_floquet_via_propagator,
     solve_floquet,
     assemble_floquet_matrix,
-    compute_filter_weights,
 )
 from .gates import (
     GrapeSettings,
@@ -131,7 +129,12 @@ _GATE_JOB_KEYS = {
 }
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
+def _check_keys(section, allowed, where: str) -> None:
+    """Reject a section that is not a JSON object or has unknown keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"{where} must be a JSON object, not {type(section).__name__}"
+        )
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -168,7 +171,7 @@ def _read_json_object(path: str | Path, what: str) -> dict:
     return raw
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
+def load_config(path: str | Path | None = None) -> dict:
     """Load, schema-check and default-fill a run configuration."""
     raw = {} if path is None else _read_json_object(path, "config file")
     if "threads" in raw:
@@ -196,8 +199,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             if "name" in job:
                 _check_artifact_name(job["name"], "gate job")
         cfg["gates"] = raw["gates"]
-    if overrides:
-        cfg.update(overrides)
     if not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
     return cfg
@@ -594,23 +595,37 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     return out, violations
 
 
-def _resolve_gate_point(cfg, run, job, context):
+def _job_number(job: dict, key: str, default, convert, name: str):
+    """``convert`` of the job's ``key`` (``default`` when absent); a value
+    that does not convert raises :class:`ConfigError` naming the job."""
+    value = job.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"gate job {name!r}: {key} must be a number, got {value!r}"
+        ) from exc
+
+
+def _resolve_gate_point(cfg, run, job, context, name):
     point_spec = job.get("point", "dss-2")
     if isinstance(point_spec, str):
         bench = _benchmark_point(point_spec)
         return bench.genome, bench.phi_ac, bench.name
-    if "front_index" in point_spec:
+    if isinstance(point_spec, dict) and "front_index" in point_spec:
         n = int(cfg["optimizer"]["n"])
         path = run.require("front_aggregated.csv", "aggregate")
         front = _read_front_csv(path, context, n)
-        idx = int(point_spec["front_index"])
+        idx = _job_number(point_spec, "front_index", None, int, name)
         if not 0 <= idx < len(front.points):
             raise ConfigError(f"front_index {idx} out of range")
         return front.points[idx].genome, cfg["flux"]["phi_ac"], f"front{idx}"
-    if "genome" in point_spec:
+    if isinstance(point_spec, dict) and "genome" in point_spec:
         genome = _genome_from_json(point_spec["genome"], "gate job point")
         return genome, point_spec.get("phi_ac", cfg["flux"]["phi_ac"]), "custom"
-    raise ConfigError("gate job point must be a benchmark name, front_index or genome")
+    raise ConfigError(
+        f"gate job {name!r}: point must be a benchmark name, front_index or genome"
+    )
 
 
 def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
@@ -619,27 +634,34 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     target = gate_target(gate_name)
     name = job.get("name", gate_name)
     gate_qubits = target.dim.bit_length() - 1
-    n_qubits = int(job.get("n_qubits", gate_qubits))
+    n_qubits = _job_number(job, "n_qubits", gate_qubits, int, name)
     if n_qubits != gate_qubits:
         raise ConfigError(
             f"gate job {name!r}: gate {gate_name!r} acts on {gate_qubits} "
             f"qubit(s), n_qubits is {n_qubits}"
         )
+    duration = _job_number(job, "duration_ns", 10.0, float, name)
+    steps = _job_number(job, "steps", 500, int, name)
+    n_freq = _job_number(job, "n_freq", 9 if n_qubits == 1 else 31, int, name)
+    f_max = TWO_PI * _job_number(job, "f_max_mhz", 100.0, float, name) * 1e-3
+    coupling = TWO_PI * _job_number(job, "coupling_j_mhz", 48.0, float, name) * 1e-3
+    substeps = _job_number(job, "frame_substeps", 1024, int, name)
+    settings = GrapeSettings(
+        iterations=_job_number(job, "iterations", 600, int, name),
+        learning_rate=_job_number(job, "learning_rate", 0.08, float, name),
+        seed=int(cfg["seed"]) + _job_number(job, "seed_offset", 0, int, name),
+    )
+
     context_eval = build_context(cfg)
-    genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job, context_eval)
+    genome, phi_ac, point_name = _resolve_gate_point(
+        cfg, run, job, context_eval, name
+    )
     context_eval = replace(context_eval, phi_ac=phi_ac)
     _, point = evaluate_genome(genome, context_eval)
     if point is None:
         raise FluxspotError(
             f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}"
         )
-
-    duration = float(job.get("duration_ns", 10.0))
-    steps = int(job.get("steps", 500))
-    n_freq = int(job.get("n_freq", 9 if n_qubits == 1 else 31))
-    f_max = TWO_PI * float(job.get("f_max_mhz", 100.0)) * 1e-3
-    coupling = TWO_PI * float(job.get("coupling_j_mhz", 48.0)) * 1e-3
-    substeps = int(job.get("frame_substeps", 1024))
 
     frame = rotating_frame_trajectory(
         point.drive,
@@ -657,11 +679,6 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
         f_max=f_max,
         n_freq=n_freq,
         n_controls=n_qubits,
-    )
-    settings = GrapeSettings(
-        iterations=int(job.get("iterations", 600)),
-        learning_rate=float(job.get("learning_rate", 0.08)),
-        seed=int(cfg["seed"]) + int(job.get("seed_offset", 0)),
     )
     result = optimize_pulse(spec, frame, target, settings)
 

@@ -1,0 +1,214 @@
+"""Independent re-derivations that the tests check the library against.
+
+The library computes each of these quantities another way, and calls
+none of the functions here:
+
+- :func:`quasienergy_sensitivity_fd` differentiates the continued
+  quasienergy gap numerically; ``classify_point`` reads the same
+  sensitivities off the filter weights (Hellmann-Feynman).
+- :func:`filter_weights_time_grid` samples the Floquet modes on a time grid
+  (:func:`mode_at`) and projects with a dense DFT;
+  ``compute_filter_weights`` convolves the mode harmonics exactly.
+- :func:`parseval_sum` is the completeness sum of the filter weights.
+- :func:`evolve_density` propagates one density matrix through the
+  open-system channel and checks its trace.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+
+from fluxspot.circuit import EffectiveCoefficients
+from fluxspot.exceptions import FluxspotError, IntegrationError, InvalidParameterError
+from fluxspot.floquet import (
+    PAULI_X,
+    DriveSpec,
+    FilterWeights,
+    FloquetSolution,
+    assemble_floquet_matrix,
+    solve_floquet,
+)
+from fluxspot.gates import ControlContext
+from fluxspot.lindblad import LindbladModel, channel_from_simulation
+
+_OVERLAP_FLOOR = 0.98
+
+
+class StencilCrossingError(FluxspotError, RuntimeError):
+    """Raised when a finite-difference stencil straddles a quasienergy fold."""
+
+
+# ------------------------------------------------------------ sensitivities
+
+
+def _stacked_overlap(ref: np.ndarray, other: np.ndarray, shift: int) -> float:
+    """|<ref|other shifted by ``shift`` harmonic blocks>|."""
+    k = ref.shape[0]
+    moved = np.zeros_like(other)
+    if shift == 0:
+        moved = other
+    elif shift > 0:
+        moved[shift:] = other[: k - shift]
+    else:
+        moved[:shift] = other[-shift:]
+    return abs(np.vdot(ref.ravel(), moved.ravel()))
+
+
+def _continued_gap(
+    drive: DriveSpec,
+    coeffs: EffectiveCoefficients,
+    delta: float,
+    k_max: int,
+    reference,
+) -> float:
+    """Quasienergy gap at the given parameters, on the reference branches.
+
+    The solver folds quasienergies into the first zone; to differentiate the
+    gap continuously we re-attach each solved branch to the reference branch
+    by maximum stacked-harmonic overlap, allowing one zone fold either way.
+    """
+    sol = solve_floquet(
+        assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
+    )
+    continued = {}
+    for name, ref_h in (("plus", reference.harmonics_plus),
+                        ("minus", reference.harmonics_minus)):
+        best = (0.0, None, None)
+        for branch, (h, eps) in {
+            "plus": (sol.harmonics_plus, sol.eps_plus),
+            "minus": (sol.harmonics_minus, sol.eps_minus),
+        }.items():
+            for shift in (-1, 0, 1):
+                ov = _stacked_overlap(ref_h, h, shift)
+                if ov > best[0]:
+                    best = (ov, eps, shift)
+        if best[0] < _OVERLAP_FLOOR:
+            raise StencilCrossingError(
+                f"cannot track the {name} branch across the stencil "
+                f"(best overlap {best[0]:.3f}); retry with a smaller step"
+            )
+        # a mode whose harmonics must be shifted up by m to match the
+        # reference belongs to the representative eps + m*omega_d
+        continued[name] = best[1] + best[2] * drive.omega_d
+    return continued["plus"] - continued["minus"]
+
+
+def quasienergy_sensitivity_fd(
+    drive: DriveSpec,
+    coeffs: EffectiveCoefficients,
+    delta: float,
+    which: str,
+    step: float | None = None,
+    k_max: int | None = None,
+) -> float:
+    """Central finite-difference gap sensitivity to ``B`` (dc) or ``A`` (ac).
+
+    Uses two step sizes as a Richardson consistency check; disagreement
+    beyond 1e-3 relative is reported as a warning.  A fold crossing inside
+    the stencil raises :class:`StencilCrossingError`.
+    """
+    if which not in ("dc", "ac"):
+        raise InvalidParameterError("which must be 'dc' or 'ac'")
+    if k_max is None:
+        k_max = 3 * max(drive.n, 1)
+    scale = max(abs(coeffs.b_coef if which == "dc" else coeffs.a_coef), delta)
+    h = step if step is not None else 1e-5 * scale
+    reference = solve_floquet(
+        assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
+    )
+
+    def gap_at(offset: float) -> float:
+        if which == "dc":
+            shifted = replace(coeffs, b_coef=coeffs.b_coef + offset)
+        else:
+            shifted = replace(coeffs, a_coef=coeffs.a_coef + offset)
+        return _continued_gap(drive, shifted, delta, k_max, reference)
+
+    est_h = (gap_at(h) - gap_at(-h)) / (2.0 * h)
+    est_h2 = (gap_at(0.5 * h) - gap_at(-0.5 * h)) / h
+    # near-zero derivatives are round-off; skip the relative check there
+    denom = max(abs(est_h2), 1e-9 * scale)
+    if abs(est_h - est_h2) > 1e-3 * denom:
+        warnings.warn(
+            f"sensitivity FD not converged: {est_h} vs {est_h2} "
+            f"(step {h})",
+            stacklevel=2,
+        )
+    # second-order Richardson combination of the two central differences
+    return float((4.0 * est_h2 - est_h) / 3.0)
+
+
+# ----------------------------------------------------------- filter weights
+
+
+def mode_at(sol: FloquetSolution, t, which: str = "plus") -> np.ndarray:
+    """Periodic mode of ``sol`` as a 2-vector at times ``t`` (shape (..., 2))."""
+    h = sol.harmonics_plus if which == "plus" else sol.harmonics_minus
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    ks = np.arange(-sol.k_max, sol.k_max + 1)
+    phases = np.exp(1j * np.outer(t, ks) * sol.omega_d)
+    return phases @ h
+
+
+def filter_weights_time_grid(
+    sol: FloquetSolution, n_samples: int = 4096
+) -> FilterWeights:
+    """Filter weights from a uniform time grid (FFT cross-check)."""
+    big_k = 2 * sol.k_max
+    ts = np.arange(n_samples) * (2.0 * np.pi / sol.omega_d) / n_samples
+    wp = mode_at(sol, ts, "plus")
+    wm = mode_at(sol, ts, "minus")
+    f_z = np.einsum("ta,ab,tb->t", wp.conj(), PAULI_X, wp) - np.einsum(
+        "ta,ab,tb->t", wm.conj(), PAULI_X, wm
+    )
+    f_plus = np.einsum("ta,ab,tb->t", wp.conj(), PAULI_X, wm)
+    f_minus = np.einsum("ta,ab,tb->t", wm.conj(), PAULI_X, wp)
+    ks = np.arange(-big_k, big_k + 1)
+    proj = np.exp(1j * np.outer(ks, sol.omega_d * ts)) / n_samples
+    return FilterWeights(
+        g_z=(proj @ f_z) / 2.0,
+        g_plus=proj @ f_plus,
+        g_minus=proj @ f_minus,
+        k_max=big_k,
+    )
+
+
+def parseval_sum(weights: FilterWeights) -> float:
+    """Completeness sum; equals 1 for an exact Floquet solution."""
+    return float(
+        0.5 * np.sum(np.abs(weights.g_plus) ** 2)
+        + 0.5 * np.sum(np.abs(weights.g_minus) ** 2)
+        + np.sum(np.abs(weights.g_z) ** 2)
+    )
+
+
+# ---------------------------------------------------------------- lindblad
+
+
+def evolve_density(
+    context: ControlContext,
+    waveforms,
+    model: LindbladModel,
+    rho0: np.ndarray,
+) -> np.ndarray:
+    """Propagate a density matrix through the pulse with dissipation.
+
+    The generator is held constant inside each pulse step (Hamiltonian and
+    jump operators sampled at the step midpoints) and each step is
+    propagated exactly by the exponential of its Liouvillian, so the only
+    approximation is the piecewise-constant sampling itself; with the rates
+    set to zero this equals ``U rho0 U^dag`` of ``propagate_closed`` up to
+    round-off.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    d = context.dimension
+    if rho0.shape != (d, d):
+        raise InvalidParameterError(f"rho0 must be {d}x{d}")
+    rho = channel_from_simulation(context, waveforms, model)(rho0)
+    drift = abs(np.trace(rho).real - np.trace(rho0).real)
+    if drift > 1e-9:
+        raise IntegrationError(f"trace drifted by {drift:.2e}")
+    return rho

@@ -153,6 +153,12 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"n_qubits": 2}, 2),
         ({"gate": "sqrt_iswap", "n_qubits": 1}, 2),
         ({"name": "a/b"}, 2),
+        ({"f_max_mhz": 0}, 3),
+        ({"f_max_mhz": -100}, 3),
+        ({"f_max_mhz": math.nan}, 3),
+        ({"point": 5}, 2),
+        ({"duration_ns": "ten"}, 2),
+        ({"steps": "many"}, 2),
     ],
     ids=[
         "substeps-0",
@@ -161,6 +167,12 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "x-on-2-qubits",
         "sqrt_iswap-on-1-qubit",
         "name-with-slash",
+        "f_max-0",
+        "f_max-negative",
+        "f_max-nan",
+        "point-not-an-object",
+        "duration-not-a-number",
+        "steps-not-a-number",
     ],
 )
 def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
@@ -263,9 +275,16 @@ def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
     assert not (out / "simulate_x.json").exists()
 
 
-def test_unknown_config_key_exits_2(tmp_path):
-    config = write_json(tmp_path / "config.json", dict(TINY, workers=2))
+@pytest.mark.parametrize(
+    "override",
+    [{"workers": 2}, {"circuit": 5}, {"gates": [5]}],
+    ids=["unknown-key", "section-not-an-object", "gate-job-not-an-object"],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, override):
+    config = write_json(tmp_path / "config.json", dict(TINY, **override))
     assert run_cli(config, tmp_path / "out", "fluxonium") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_aggregate_before_optimize_exits_4(tmp_path):

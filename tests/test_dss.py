@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.circuit import EffectiveCoefficients
-from fluxspot.exceptions import DegenerateGapError, StencilCrossingError
+from fluxspot.exceptions import DegenerateGapError
 from fluxspot.floquet import FilterWeights
 from fluxspot.pareto import Individual, ParetoFront
 
 from conftest import box_drives, random_drive, solve_drive
+from oracles import StencilCrossingError, quasienergy_sensitivity_fd
 
 
 def static_drive(omega_d=10.0):
@@ -113,12 +114,12 @@ class TestUpperBounds:
 class TestSensitivity:
     def test_static_analytic_derivative(self):
         c = EffectiveCoefficients(a_coef=0.0, b_coef=4.0)
-        fd = fs.quasienergy_sensitivity_fd(static_drive(), c, 3.0, "dc")
+        fd = quasienergy_sensitivity_fd(static_drive(), c, 3.0, "dc")
         assert fd == pytest.approx(4.0 / 5.0, abs=1e-6)
 
     def test_static_sweet_spot_derivative_vanishes(self):
         c = EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
-        fd = fs.quasienergy_sensitivity_fd(static_drive(), c, 3.0, "dc")
+        fd = quasienergy_sensitivity_fd(static_drive(), c, 3.0, "dc")
         assert abs(fd) < 1e-8
 
     def test_dc_derivative_equals_central_weight(self, context):
@@ -126,14 +127,14 @@ class TestSensitivity:
         for _ in range(5):
             d = random_drive(rng, context)
             sol, w = solve_drive(d, context)
-            fd = fs.quasienergy_sensitivity_fd(
+            fd = quasienergy_sensitivity_fd(
                 d, context.coefficients, context.qubit.delta, "dc", k_max=sol.k_max
             )
             assert fd == pytest.approx(w.g_z0.real, rel=1e-5, abs=1e-8)
 
     def test_ac_derivative_matches_perturbative_sum(self, benchmark_results):
         for name, (bench, ctx, point) in benchmark_results.items():
-            fd = fs.quasienergy_sensitivity_fd(
+            fd = quasienergy_sensitivity_fd(
                 point.drive,
                 ctx.coefficients,
                 ctx.qubit.delta,
@@ -157,7 +158,7 @@ class TestSensitivity:
             report = fs.classify_point(point, ctx)
             scale = 2.0 * ctx.e_l * ctx.qubit.phi_ge
             dc, ac = (
-                fs.quasienergy_sensitivity_fd(
+                quasienergy_sensitivity_fd(
                     point.drive,
                     ctx.coefficients,
                     ctx.qubit.delta,
@@ -193,7 +194,7 @@ class TestSensitivity:
     def test_stencil_crossing_raises_on_absurd_step(self, benchmark_results):
         _, ctx, point = benchmark_results["dss-2"]
         with pytest.raises(StencilCrossingError):
-            fs.quasienergy_sensitivity_fd(
+            quasienergy_sensitivity_fd(
                 point.drive,
                 ctx.coefficients,
                 ctx.qubit.delta,
@@ -204,7 +205,7 @@ class TestSensitivity:
 
     def test_which_validated(self, context):
         with pytest.raises(Exception):
-            fs.quasienergy_sensitivity_fd(
+            quasienergy_sensitivity_fd(
                 static_drive(), context.coefficients, 3.0, "sideways"
             )
 
@@ -280,7 +281,7 @@ class TestClassification:
         sample = []
         for _ in range(20):
             d = random_drive(rng, context)
-            fd = fs.quasienergy_sensitivity_fd(
+            fd = quasienergy_sensitivity_fd(
                 d, context.coefficients, context.qubit.delta, "dc", k_max=15
             )
             sol, w = solve_drive(d, context)

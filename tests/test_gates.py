@@ -275,7 +275,7 @@ class TestShapePulse:
         spec = self.spec()
         theta = 50.0 * np.ones(spec.params_per_control)
         _, (_, _, _, bounded) = fs.shape_pulse(theta, spec, return_stages=True)
-        assert np.max(np.abs(bounded)) <= spec.amp_scale
+        assert np.max(np.abs(bounded)) <= spec.f_max
 
     def test_bandlimit_zeroes_high_harmonics(self):
         spec = self.spec()

