@@ -20,19 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import (
-    EvaluationContext,
-    PointResult,
-    _INFEASIBLE,
-    evaluate_population,
-)
-from .exceptions import DegenerateGapError
+from .evaluation import EvaluationContext, PointResult
 from .floquet import DriveSpec, FilterWeights, _two_sided
 
 # the benchmark's tracer test reads ``dss.solve_floquet``; nothing here calls it
 from .floquet import solve_floquet  # noqa: F401
 from .noise import NoiseModel
-from .pareto import Individual, ParetoFront
+from .pareto import Individual, ParetoFront, _with_points
 
 __all__ = [
     "DSS_THRESHOLD",
@@ -189,13 +183,8 @@ def classify_front(
 
     An infeasible member raises ``DegenerateGapError``.
     """
-    missing = [i for i, ind in enumerate(front.points) if ind.point is None]
-    fresh = evaluate_population([front.points[i].genome for i in missing], context)
-    points = {i: point for i, (_, point) in zip(missing, fresh)}
-    annotated = []
-    for i, ind in enumerate(front.points):
-        point = points.get(i, ind.point)
-        if point is None:
-            raise DegenerateGapError(f"front member {i} is {_INFEASIBLE}")
-        annotated.append((ind, classify_point(point, context)))
-    return annotated
+    evaluated = _with_points(front, context, "front member")
+    return [
+        (ind, classify_point(ev.point, context))
+        for ind, ev in zip(front.points, evaluated)
+    ]

@@ -10,7 +10,7 @@ shared by the optimizer, the sweet-spot classifier and the command-line tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .floquet import (
     DriveSpec,
     FilterWeights,
     FloquetSolution,
+    _check_drives,
     _filter_weight_stack,
     _floquet_stack,
     _solve_stack,
@@ -125,9 +126,6 @@ class EvaluationContext:
     def harmonic_truncation(self) -> int:
         return self.k_max if self.k_max is not None else 3 * self.n
 
-    def with_amplitude(self, phi_ac: float) -> "EvaluationContext":
-        return replace(self, phi_ac=phi_ac)
-
 
 @dataclass(frozen=True)
 class PointResult:
@@ -189,63 +187,71 @@ def evaluate_genome(
     return point.objectives, point
 
 
-def _evaluate_slice(drives: list, context: EvaluationContext) -> list:
-    """:func:`evaluate_population` of drives of one order, as one stack."""
-    omega_d = np.array([d.omega_d for d in drives])
-    k_max = max(context.harmonic_truncation, drives[0].n)
-    stack = _floquet_stack(
-        omega_d,
-        np.array([d.p for d in drives]),
-        context.coefficients,
-        context.qubit.delta,
-        k_max,
-    )
+def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) -> dict:
+    """:func:`evaluate_population`'s row arrays of one slice, as one stack."""
+    stack = _floquet_stack(omega_d, p, coeffs, context.qubit.delta, k_max)
     eps_minus, eps_plus, h_plus, h_minus, ok = _solve_stack(stack, omega_d)
     gap = eps_plus - eps_minus
     # infeasible as in evaluate_genome: an unconverged truncation can label
     # a gap beyond omega_d
     ok &= (gap > 0.0) & (gap < omega_d)
     g_z, g_plus, g_minus = _filter_weight_stack(h_plus, h_minus)
-    rates = np.stack(_rate_stack(g_z, g_plus, g_minus, gap, omega_d, context.noise))
-    out = []
-    for r, drive in enumerate(drives):
-        if not ok[r]:
-            out.append(((np.inf, np.inf), None))
-            continue
-        point = PointResult(
-            drive=drive,
-            solution=FloquetSolution(
-                eps_plus=float(eps_plus[r]),
-                eps_minus=float(eps_minus[r]),
-                omega_gap=float(gap[r]),
-                harmonics_plus=h_plus[r],
-                harmonics_minus=h_minus[r],
-                k_max=k_max,
-                omega_d=drive.omega_d,
-            ),
-            weights=FilterWeights(
-                g_z=g_z[r], g_plus=g_plus[r], g_minus=g_minus[r], k_max=2 * k_max
-            ),
-            rates=RateReport.from_rates(*(float(x) for x in rates[:, r])),
-        )
-        out.append((point.objectives, point))
-    return out
+    rates = np.stack(_rate_stack(g_z, g_plus, g_minus, gap, omega_d, context.noise), 1)
+    return dict(
+        omega_d=omega_d, p=p, ok=ok, eps_minus=eps_minus, eps_plus=eps_plus,
+        gap=gap, h_plus=h_plus, h_minus=h_minus, g_z=g_z, g_plus=g_plus,
+        g_minus=g_minus, rates=rates,
+    )
 
 
 def evaluate_population(
-    genomes, context: EvaluationContext
-) -> list[tuple[tuple[float, float], PointResult | None]]:
-    """:func:`evaluate_genome` of every genome, in order, on stacked arrays.
+    vectors, context: EvaluationContext
+) -> tuple[np.ndarray, dict]:
+    """:func:`evaluate_genome` of each row of an ``(m, 2 n + 2)`` array of
+    :meth:`Genome.to_vector` rows, on stacked arrays.
 
-    The genomes share one order.  They are solved in slices of
-    ``_SLICE_ROWS`` rows, and no arithmetic mixes rows, so each result is
-    bit for bit the one :func:`evaluate_genome` returns for that genome
-    alone.
+    Returns the ``(m, 2)`` objectives, ``(inf, inf)`` on an infeasible row,
+    and a dict of per-row arrays: the drive (``omega_d``, ``p``), ``ok``,
+    the Floquet solution (``eps_minus``, ``eps_plus``, ``gap``, ``h_plus``,
+    ``h_minus``), the filter weights (``g_z``, ``g_plus``, ``g_minus``) and
+    ``rates`` (``gamma_z``, ``gamma_plus``, ``gamma_minus``).  The checks of
+    :class:`DriveSpec` run once, on the arrays.  Rows are solved in slices
+    of ``_SLICE_ROWS``, and no arithmetic mixes rows, so :func:`_row_point`
+    of a row is bit for bit what :func:`evaluate_genome` returns alone.
     """
-    drives = [genome_to_drive(g, context) for g in genomes]
-    if len({d.n for d in drives}) > 1:
-        raise InvalidParameterError("a population's genomes must share one order n")
-    out = []
-    for start in range(0, len(drives), _SLICE_ROWS):
-        out += _evaluate_slice(drives[start : start + _SLICE_ROWS], context)
-    return out
+    x = np.asarray(vectors, dtype=float)
+    if x.ndim != 2 or not len(x) or x.shape[1] < 2 or x.shape[1] % 2:
+        raise InvalidParameterError(
+            f"a population must be an (m >= 1, 2 n + 2) array, got shape {x.shape}"
+        )
+    n = x.shape[1] // 2 - 1
+    omega_d = x[:, -1] * context.omega_ge
+    p = x[:, : n + 1].astype(complex)
+    p.imag[:, 1:] = x[:, n + 1 : -1]
+    _check_drives(omega_d, p, context.phi_dc, context.phi_ac)
+    coeffs, k_max = context.coefficients, max(context.harmonic_truncation, n)
+    cuts = [slice(s, s + _SLICE_ROWS) for s in range(0, len(x), _SLICE_ROWS)]
+    parts = [_evaluate_slice(omega_d[c], p[c], coeffs, context, k_max) for c in cuts]
+    rows = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    objs = np.stack((rows["rates"][:, 1] + rows["rates"][:, 2], rows["rates"][:, 0]), 1)
+    objs[~rows["ok"]] = np.inf
+    return objs, rows
+
+
+def _row_point(rows: dict, r: int, context: EvaluationContext) -> PointResult | None:
+    """The :class:`PointResult` of row ``r`` of :func:`evaluate_population`'s
+    row arrays; ``None`` for an infeasible row."""
+    row = {key: value[r] for key, value in rows.items()}
+    if not row["ok"]:
+        return None
+    k_max, omega_d = (len(row["h_plus"]) - 1) // 2, float(row["omega_d"])
+    solution = FloquetSolution(
+        float(row["eps_plus"]), float(row["eps_minus"]), float(row["gap"]),
+        row["h_plus"], row["h_minus"], k_max, omega_d,
+    )
+    return PointResult(
+        DriveSpec(context.phi_dc, context.phi_ac, omega_d, tuple(row["p"])),
+        solution,
+        FilterWeights(row["g_z"], row["g_plus"], row["g_minus"], 2 * k_max),
+        RateReport.from_rates(*(float(x) for x in row["rates"])),
+    )

@@ -25,8 +25,9 @@ The production solve therefore takes the eigenvalues alone (``eigvalsh``),
 finds the plus mode by two steps of inverse iteration, checks its residual
 against the gap, and maps it to the minus mode.  Matrices, solves, filter
 weights and rates work on stacks of drives (one row per drive, no
-arithmetic across rows); the single-drive functions are stacks of one, so a
-drive gets the same bits alone as in any population.
+arithmetic across rows).  A population enters as arrays ``(omega_d, p)``,
+checked once by :class:`DriveSpec`'s checks; a single drive is a stack of
+one, so it gets the same bits alone as in any population.
 """
 
 from __future__ import annotations
@@ -73,6 +74,34 @@ _RESIDUAL_RTOL = 1e-10
 _SHIFT_RTOL = 1e-13
 
 
+def _raise_at(bad, values, message: str) -> None:
+    """Raise :class:`InvalidParameterError` with ``message`` formatted with
+    the value at the first True of ``bad``."""
+    if np.any(bad):
+        raise InvalidParameterError(message.format(np.ravel(values)[np.argmax(bad)]))
+
+
+def _check_drives(omega_d, p: np.ndarray, phi_dc: float, phi_ac: float) -> None:
+    """The checks of :class:`DriveSpec` on stacked drives ``omega_d``
+    ``(rows,)`` and ``p`` ``(rows, n + 1)``; the first failing check raises
+    for its first failing row."""
+    # a NaN passes every comparison of the box, and in a stacked solve it
+    # would fail the whole batch, so non-finite input stops first
+    for name, value in (("omega_d", omega_d), ("phi_dc", [phi_dc]), ("phi_ac", [phi_ac])):
+        _raise_at(~np.isfinite(value), value, f"{name} must be finite, got {{}}")
+    bad = ~np.isfinite(p)
+    if bad.any():
+        r, k = np.unravel_index(bad.argmax(), p.shape)
+        raise InvalidParameterError(f"p_{k} must be finite, got {p[r, k]}")
+    p0, hi = p[:, 0], 1.0 + _BOX_TOL
+    _raise_at(omega_d <= 0.0, omega_d, "omega_d must be positive, got {}")
+    _raise_at(np.abs(p0.imag) > _BOX_TOL, p0, "p_0 must be real, got {}")
+    outside = (p0.real < -_BOX_TOL) | (p0.real > hi)
+    _raise_at(outside, p0.real, "p_0 must lie in [0, 1], got {}")
+    if np.any(np.abs(p[:, 1:].real) > hi) or np.any(np.abs(p[:, 1:].imag) > hi):
+        raise InvalidParameterError("Re p_k and Im p_k must lie in [-1, 1] for k >= 1")
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """Periodic flux modulation.
@@ -94,31 +123,7 @@ class DriveSpec:
         p = np.asarray(self.p, dtype=complex)
         if p.ndim != 1 or p.size < 1:
             raise InvalidParameterError("p must be a 1-d sequence p_0..p_n")
-        # a NaN passes every comparison below, and in a stacked solve it
-        # would fail the whole batch, so non-finite input stops here
-        for name in ("omega_d", "phi_dc", "phi_ac"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
-        bad = np.flatnonzero(~np.isfinite(p))
-        if bad.size:
-            k = int(bad[0])
-            raise InvalidParameterError(f"p_{k} must be finite, got {p[k]}")
-        if self.omega_d <= 0.0:
-            raise InvalidParameterError(f"omega_d must be positive, got {self.omega_d}")
-        p0 = p[0]
-        if abs(p0.imag) > _BOX_TOL:
-            raise InvalidParameterError(f"p_0 must be real, got {p0}")
-        if not -_BOX_TOL <= p0.real <= 1.0 + _BOX_TOL:
-            raise InvalidParameterError(f"p_0 must lie in [0, 1], got {p0.real}")
-        hi = 1.0 + _BOX_TOL
-        if p.size > 1 and (
-            np.any(np.abs(p[1:].real) > hi) or np.any(np.abs(p[1:].imag) > hi)
-        ):
-            raise InvalidParameterError(
-                "Re p_k and Im p_k must lie in [-1, 1] for k >= 1"
-            )
+        _check_drives(np.array([self.omega_d]), p[None], self.phi_dc, self.phi_ac)
         object.__setattr__(self, "p", tuple(complex(x) for x in p))
 
     @property

@@ -8,12 +8,13 @@ aggregated across strategies and seeds by a final non-dominated sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluation import EvaluationContext, Genome, PointResult, evaluate_population
-from .exceptions import EmptyInputError, InvalidParameterError
+from .evaluation import _INFEASIBLE, EvaluationContext, Genome, PointResult
+from .evaluation import _row_point, evaluate_population
+from .exceptions import DegenerateGapError, EmptyInputError, InvalidParameterError
 
 __all__ = [
     "STRATEGIES",
@@ -41,8 +42,6 @@ class Individual:
 
     genome: Genome
     objectives: tuple
-    rank: int = 0
-    diversity_score: float = 0.0
     point: PointResult | None = None
     provenance: tuple = ()   # (strategy, seed, generation)
 
@@ -342,12 +341,6 @@ def _make_offspring(
     return np.array(children[:m])
 
 
-def _evaluate_population(
-    vectors: np.ndarray, context: EvaluationContext
-) -> list[tuple[tuple[float, float], PointResult | None]]:
-    return evaluate_population([Genome.from_vector(v) for v in vectors], context)
-
-
 def run_stage1(
     config: OptimizerConfig,
     context: EvaluationContext,
@@ -356,9 +349,10 @@ def run_stage1(
     """One evolutionary run; returns the non-dominated set of the final
     population with per-point provenance stamps.
 
-    Every genome is evaluated once, serially.  Survivors carry the
-    ``PointResult`` of that evaluation through selection, so each front
-    point holds the result the loop computed for it.
+    The population is an ``(m, 2 n + 2)`` genome array; each genome is
+    evaluated once, serially, by :func:`evaluate_population`, whose arrays
+    follow the survivors of each selection.  Only the returned front's rows
+    become ``Genome`` and ``PointResult`` objects, from those arrays.
 
     ``generation_hook(generation, objectives)`` is called once per generation
     with the post-selection objective array (used for snapshot exports).
@@ -370,34 +364,51 @@ def run_stage1(
     m = config.population_m
 
     vectors = rng.uniform(lo, hi, size=(m, lo.size))
-    evals = _evaluate_population(vectors, context)
+    objs, rows = evaluate_population(vectors, context)
 
     for gen in range(1, config.generations_n + 1):
         children = _make_offspring(vectors, config, rng, lo, hi)
-        pool_evals = evals + _evaluate_population(children, context)
-        keep = environmental_select(
-            config.strategy, [e[0] for e in pool_evals], m
-        )
-        vectors = np.vstack([vectors, children])[keep]
-        evals = [pool_evals[i] for i in keep]
+        child_objs, child_rows = evaluate_population(children, context)
+        objs = np.concatenate((objs, child_objs))
+        keep = environmental_select(config.strategy, objs, m)
+        vectors, objs = np.concatenate((vectors, children))[keep], objs[keep]
+        rows = {k: np.concatenate((v, child_rows[k]))[keep] for k, v in rows.items()}
         if generation_hook is not None:
-            generation_hook(gen, np.array([e[0] for e in evals]))
+            generation_hook(gen, objs)
 
-    objs = np.array([e[0] for e in evals])
-    finite = [i for i in range(m) if np.all(np.isfinite(objs[i]))]
-    front_idx = [finite[i] for i in non_dominated_sort(objs[finite])[0]]
+    finite = np.flatnonzero(np.isfinite(objs).all(axis=1))
+    front_idx = finite[non_dominated_sort(objs[finite])[0]]
     stamp = (config.strategy, config.seed, config.generations_n)
     points = tuple(
         Individual(
             genome=Genome.from_vector(vectors[i]),
-            objectives=(float(objs[i][0]), float(objs[i][1])),
-            rank=0,
-            point=evals[i][1],
+            objectives=(float(objs[i, 0]), float(objs[i, 1])),
+            point=_row_point(rows, i, context),
             provenance=stamp,
         )
         for i in sorted(front_idx)
     )
     return ParetoFront(points=points, provenance=(stamp,))
+
+
+def _with_points(
+    front: ParetoFront, context: EvaluationContext, what: str | None = None
+) -> list:
+    """The front's individuals, each carrying its ``PointResult``: a cached
+    point stays, the others come from one :func:`evaluate_population` call
+    (``None`` for an infeasible member, or, given ``what``, a
+    ``DegenerateGapError`` naming ``what`` and the member's index)."""
+    missing = [i for i, ind in enumerate(front.points) if ind.point is None]
+    points = [ind.point for ind in front.points]
+    if missing:
+        vectors = np.array([front.points[i].genome.to_vector() for i in missing])
+        _, rows = evaluate_population(vectors, context)
+        for r, i in enumerate(missing):
+            points[i] = _row_point(rows, r, context)
+    for i, point in enumerate(points):
+        if point is None and what is not None:
+            raise DegenerateGapError(f"{what} {i} is {_INFEASIBLE}")
+    return [replace(ind, point=point) for ind, point in zip(front.points, points)]
 
 
 def aggregate_fronts(fronts) -> ParetoFront:

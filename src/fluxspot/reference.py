@@ -15,7 +15,7 @@ root-finder in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -175,7 +175,7 @@ def calibrate_amplitude(
     from scipy.optimize import brentq
 
     def central_weight(phi_ac: float) -> float:
-        ctx = context.with_amplitude(phi_ac)
+        ctx = replace(context, phi_ac=phi_ac)
         point = evaluate_drive(genome_to_drive(genome, ctx), ctx)
         return point.weights.g_z0.real
 

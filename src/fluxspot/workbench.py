@@ -31,10 +31,9 @@ from .evaluation import (
     Genome,
     _INFEASIBLE,
     evaluate_genome,
-    evaluate_population,
     genome_to_drive,
 )
-from .exceptions import ConfigError, DegenerateGapError, DependencyError, FluxspotError
+from .exceptions import ConfigError, DependencyError, FluxspotError, InvalidParameterError
 from .floquet import (
     DriveSpec,
     mode_infidelity,
@@ -61,6 +60,7 @@ from .pareto import (
     Individual,
     OptimizerConfig,
     ParetoFront,
+    _with_points,
     aggregate_fronts,
     run_stage1,
 )
@@ -201,6 +201,8 @@ def load_config(path: str | Path | None = None) -> dict:
         cfg["gates"] = raw["gates"]
     if not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
+    if not isinstance(cfg["optimizer"]["strategies"], list):
+        raise ConfigError("optimizer.strategies must be a list of strategy names")
     return cfg
 
 
@@ -456,8 +458,9 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
 def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
     """Stage-I runs for every configured strategy; one front CSV per run.
 
-    Each front row is written from the ``PointResult`` the search computed
-    for that genome, so no front point is evaluated again.
+    The search carries its population as arrays and builds a ``PointResult``
+    only for each front row, from the arrays it computed for that genome, so
+    no front point is evaluated again.
     """
     opt = cfg["optimizer"]
     context = build_context(cfg)
@@ -521,24 +524,6 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
     )
 
 
-def _with_points(front: ParetoFront, context: EvaluationContext) -> list:
-    """The front's individuals carrying the ``PointResult`` of one
-    :func:`evaluate_population` call over all rows (``None`` for an
-    infeasible row)."""
-    results = evaluate_population([ind.genome for ind in front.points], context)
-    return [replace(ind, point=point) for ind, (_, point) in zip(front.points, results)]
-
-
-def _evaluated_rows(front: ParetoFront, context: EvaluationContext) -> list:
-    """:func:`_with_points` of a front read from CSV; an infeasible row
-    raises ``DegenerateGapError`` naming the row."""
-    rows = _with_points(front, context)
-    for row, ind in enumerate(rows):
-        if ind.point is None:
-            raise DegenerateGapError(f"front row {row} is {_INFEASIBLE}")
-    return rows
-
-
 def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
     """Annotate the aggregated front with sweet-spot labels and bounds."""
     context = build_context(cfg)
@@ -553,7 +538,7 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
         "d_omega_ac",
     ]
     rows = []
-    for ind in _evaluated_rows(front, context):
+    for ind in _with_points(front, context, "front row"):
         report = classify_point(ind.point, context)
         bounds = evaluate_bounds(ind.point, context.noise, context.qubit.delta)
         rows.append(
@@ -577,7 +562,7 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     front = _read_front_csv(path, context, n)
     rows = []
     violations = 0
-    for ind in _evaluated_rows(front, context):
+    for ind in _with_points(front, context, "front row"):
         b = evaluate_bounds(ind.point, context.noise, context.qubit.delta)
         gz0 = abs(ind.point.weights.g_z0)
         dss_ok = b.t1 <= b.t_ub_dss * (1 + 1e-9) if gz0 < DSS_THRESHOLD else True
@@ -631,8 +616,11 @@ def _resolve_gate_point(cfg, run, job, context, name):
 def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     """Optimize one gate job and persist the pulse artifact."""
     gate_name = job.get("gate", "x")
-    target = gate_target(gate_name)
     name = job.get("name", gate_name)
+    try:
+        target = gate_target(gate_name)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"gate job {name!r}: {exc}") from exc
     gate_qubits = target.dim.bit_length() - 1
     n_qubits = _job_number(job, "n_qubits", gate_qubits, int, name)
     if n_qubits != gate_qubits:

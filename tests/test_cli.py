@@ -159,6 +159,7 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"point": 5}, 2),
         ({"duration_ns": "ten"}, 2),
         ({"steps": "many"}, 2),
+        ({"gate": "z"}, 2),
     ],
     ids=[
         "substeps-0",
@@ -173,6 +174,7 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "point-not-an-object",
         "duration-not-a-number",
         "steps-not-a-number",
+        "unknown-gate",
     ],
 )
 def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
@@ -287,6 +289,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, override):
     assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
+def test_strategies_not_a_list_exits_2(tmp_path, capsys):
+    # a string would be read as a list of one-letter strategy names
+    optimizer = dict(TINY["optimizer"], strategies="nsga2")
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "optimize") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "optimizer.strategies" in err, err
+    assert not list(out.glob("front_*.csv"))
+
+
 def test_aggregate_before_optimize_exits_4(tmp_path):
     config = write_json(tmp_path / "config.json", TINY)
     assert run_cli(config, tmp_path / "out", "aggregate") == 4
@@ -306,6 +320,40 @@ def test_degenerate_front_row_exits_3(tmp_path, capsys, verb):
     assert run_cli(config, out, verb) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "front row 0" in err, err
+
+
+@pytest.mark.parametrize("verb", ["aggregate", "classify", "bounds"])
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("p0", 1.5, "p_0 must lie in [0, 1], got 1.5"),
+        ("p1_im", "nan", "p_1 must be finite"),
+    ],
+    ids=["p0-outside", "p1-nan"],
+)
+def test_front_row_outside_the_box_exits_3_naming_the_field(
+    tmp_path, capsys, verb, column, value, message
+):
+    # a front read from CSV passes the drive's box and finiteness checks
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = load_config(config)
+    row = dict.fromkeys(front_columns(2), 0.1)
+    row.update(gamma1_per_us=1.0, gammaz_per_us=1.0, strategy="nsga2", seed=5)
+    row.update({"omega_d": build_context(cfg).omega_ge * 1.1, column: value})
+    names = [f"front_{s}.csv" for s in cfg["optimizer"]["strategies"]]
+    for name in names + ["front_aggregated.csv"]:
+        with open(out / name, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, front_columns(2), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli(config, out, verb) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert message in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_threads_key_is_ignored_with_a_warning(tmp_path):

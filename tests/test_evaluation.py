@@ -1,18 +1,29 @@
 """The stacked population path against single-genome evaluation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fluxspot as fs
+from fluxspot.evaluation import _row_point
 from fluxspot.exceptions import InvalidParameterError
 
 
-def random_genomes(count, n=4, seed=0):
+def random_vectors(count, n=4, seed=0):
     lo, hi = fs.Genome.bounds(n)
-    rng = np.random.default_rng(seed)
-    return [fs.Genome.from_vector(v) for v in rng.uniform(lo, hi, (count, lo.size))]
+    return np.random.default_rng(seed).uniform(lo, hi, (count, lo.size))
+
+
+def population(vectors, context):
+    """:func:`evaluate_population` as one ``(objectives, point)`` per row,
+    the form :func:`evaluate_genome` returns."""
+    objs, rows = fs.evaluate_population(vectors, context)
+    return [
+        ((float(o[0]), float(o[1])), _row_point(rows, r, context))
+        for r, o in enumerate(objs)
+    ]
 
 
 def assert_same_bits(got, want):
@@ -29,31 +40,51 @@ def assert_same_bits(got, want):
 
 
 def test_rows_do_not_depend_on_batch_size_or_position(context):
-    genomes = random_genomes(37, seed=41)
-    whole = fs.evaluate_population(genomes, context)
+    vectors = random_vectors(37, seed=41)
+    whole = population(vectors, context)
     assert all(point is not None for _, point in whole)
-    for i, genome in enumerate(genomes):
-        alone = fs.evaluate_population(genomes[i : i + 1], context)[0]
+    for i, vector in enumerate(vectors):
+        alone = population(vectors[i : i + 1], context)[0]
         assert_same_bits(whole[i], alone)
+        genome = fs.Genome.from_vector(vector)
         assert_same_bits(whole[i], fs.evaluate_genome(genome, context))
 
 
 def test_zone_edge_row_alone_is_infeasible():
     # an undriven genome at omega_d = omega_ge has its gap at omega_d
     ctx = fs.reference_context(phi_dc=np.pi)
-    genomes = random_genomes(30, seed=43)
-    genomes[17] = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
-    results = fs.evaluate_population(genomes, ctx)
-    infeasible = [i for i, (_, point) in enumerate(results) if point is None]
-    assert infeasible == [17]
-    assert results[17][0] == (np.inf, np.inf)
-    assert all(np.all(np.isfinite(objs)) for i, (objs, _) in enumerate(results) if i != 17)
+    vectors = random_vectors(30, seed=43)
+    undriven = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
+    vectors[17] = undriven.to_vector()
+    objs, rows = fs.evaluate_population(vectors, ctx)
+    assert np.flatnonzero(~rows["ok"]).tolist() == [17]
+    assert _row_point(rows, 17, ctx) is None
+    assert objs[17].tolist() == [np.inf, np.inf]
+    assert np.all(np.isfinite(np.delete(objs, 17, axis=0)))
 
 
-def test_empty_population_and_mixed_orders(context):
-    assert fs.evaluate_population([], context) == []
-    with pytest.raises(InvalidParameterError):
-        fs.evaluate_population(random_genomes(2, n=4) + random_genomes(2, n=3), context)
+def test_empty_population_and_malformed_width(context):
+    # one array holds one order; a width that is not 2 n + 2 names no order
+    for shape in ((0, 10), (2, 9), (2, 1), (10,)):
+        with pytest.raises(InvalidParameterError, match="2 n \\+ 2"):
+            fs.evaluate_population(np.full(shape, 0.5), context)
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(0, 1.5), (0, -0.1), (2, math.nan), (6, -1.2), (9, math.inf), (9, -0.3)],
+    ids=["p0-above", "p0-below", "p2-nan", "im-p1-outside", "omega-inf", "omega-neg"],
+)
+def test_array_checks_raise_as_the_drive_does(context, column, value):
+    # the population's box and finiteness checks are DriveSpec's: the same
+    # exception with the same message, for the first bad row
+    vectors = random_vectors(6, seed=47)
+    vectors[[2, 4], column] = value
+    with pytest.raises(InvalidParameterError) as alone:
+        fs.genome_to_drive(fs.Genome.from_vector(vectors[2]), context)
+    with pytest.raises(InvalidParameterError) as stacked:
+        fs.evaluate_population(vectors, context)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_gap_beyond_omega_d_row_alone_is_infeasible():
@@ -61,10 +92,11 @@ def test_gap_beyond_omega_d_row_alone_is_infeasible():
     # the rates reject that gap, and the genome is infeasible, alone and in
     # a population
     ctx = replace(fs.reference_context(n=1, phi_ac=0.2), k_max=1)
-    genomes = random_genomes(5, n=1, seed=1)
+    vectors = random_vectors(5, n=1, seed=1)
+    genomes = [fs.Genome.from_vector(v) for v in vectors]
     with pytest.raises(InvalidParameterError, match="omega_gap"):
         fs.evaluate_drive(fs.genome_to_drive(genomes[2], ctx), ctx)
-    results = fs.evaluate_population(genomes, ctx)
+    results = population(vectors, ctx)
     assert [i for i, (_, point) in enumerate(results) if point is None] == [2]
     assert results[2] == ((np.inf, np.inf), None) == fs.evaluate_genome(genomes[2], ctx)
     for i in (0, 1, 3, 4):

@@ -318,7 +318,8 @@ class TestParticleHoleSymmetry:
         with pytest.raises(DegenerateGapError):
             fs.solve_floquet(m, d.omega_d)
         genome = fs.Genome(p0=0.3, p_re=(0.2,) * 4, p_im=(0.1,) * 4, omega_d_frac=1.1)
-        assert fs.evaluate_population([genome], context) == [((np.inf, np.inf), None)]
+        objs, rows = fs.evaluate_population(genome.to_vector()[None], context)
+        assert objs.tolist() == [[np.inf, np.inf]] and not rows["ok"][0]
 
     def test_unresolved_small_gap_is_degenerate(self):
         # a gap of 1e-10 omega_d passes the degeneracy rule, but two

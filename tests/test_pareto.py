@@ -258,6 +258,30 @@ class TestRunStage1:
                     getattr(fresh.weights, name), getattr(ind.point.weights, name)
                 )
 
+    def test_objects_are_built_for_front_rows_only(
+        self, context, small_config, monkeypatch
+    ):
+        # the search carries arrays; each front row, and no other row,
+        # becomes one Genome, one DriveSpec and one PointResult
+        built = {"Genome": 0, "DriveSpec": 0, "PointResult": 0}
+
+        def counting(name, build):
+            def wrapped(*args, **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+            return wrapped
+
+        for cls in (fs.Genome, fs.DriveSpec):
+            check = counting(cls.__name__, cls.__post_init__)
+            monkeypatch.setattr(cls, "__post_init__", check)
+        monkeypatch.setattr(
+            fs.evaluation, "PointResult", counting("PointResult", fs.PointResult)
+        )
+        cfg = fs.OptimizerConfig(strategy="nsga2", **small_config)
+        front = fs.run_stage1(cfg, context)
+        assert len(front) > 0
+        assert built == dict.fromkeys(built, len(front))
+
     def test_bounds_preserved_and_elitism(self, context, small_config):
         best_gamma1 = []
 
