@@ -1,8 +1,8 @@
-"""Command-line workbench.
+"""Command-line workbench; ``fluxspot --help`` lists the verbs.
 
-Verbs: fluxonium, evaluate, optimize, aggregate, classify, bounds, grape,
-simulate, truncation-study.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 missing upstream artifact.
+Exit codes: 0 success; 2 an unknown key, a wrong JSON type or an unknown
+choice; 3 a well-typed value the library rejects, or a numerical failure;
+4 a missing or unreadable upstream artifact.
 """
 
 from __future__ import annotations

@@ -11,9 +11,11 @@ import csv
 import hashlib
 import json
 import os
+import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from .evaluation import (
     evaluate_genome,
     genome_to_drive,
 )
-from .exceptions import ConfigError, DependencyError, FluxspotError, InvalidParameterError
+from .exceptions import ConfigError, DependencyError, FluxspotError
 from .floquet import (
     DriveSpec,
     mode_infidelity,
@@ -42,6 +44,7 @@ from .floquet import (
     assemble_floquet_matrix,
 )
 from .gates import (
+    TARGETS,
     GrapeSettings,
     PulseSpec,
     gate_target,
@@ -57,6 +60,7 @@ from .lindblad import (
 )
 from .noise import NoiseModel
 from .pareto import (
+    STRATEGIES,
     Individual,
     OptimizerConfig,
     ParetoFront,
@@ -64,7 +68,7 @@ from .pareto import (
     aggregate_fronts,
     run_stage1,
 )
-from .reference import BENCHMARK_POINTS, BenchmarkPoint
+from .reference import BENCHMARK_POINTS
 from .units import TWO_PI, ghz
 
 __all__ = [
@@ -83,75 +87,142 @@ __all__ = [
     "cmd_truncation_study",
 ]
 
-DEFAULT_CONFIG = {
-    "version": 1,
-    "seed": 2024,
-    "output_dir": "fluxspot-out",
-    "circuit": {"e_c_ghz": 1.0, "e_l_ghz": 0.79, "e_j_ghz": 4.43, "fock_dim": 110},
-    "flux": {"phi_dc_over_pi": 1.03, "phi_ac": 0.05},
+#: Each row is ``(kind, default[, choices])``.  A kind is a JSON type, a
+#: one-element list ``[kind]`` of its elements, or a nested table, which is
+#: filled from ``{}`` when absent and may stand alone as its row.  A callable
+#: default is worked out from the rows filled before it, a default of None
+#: also takes null, and a default of ``...`` marks a key that must be given.
+_CONFIG = {
+    "version": (int, 1, (1,)),
+    "seed": (int, 2024),
+    "output_dir": (str, "fluxspot-out"),
+    "circuit": {
+        "e_c_ghz": (float, 1.0),
+        "e_l_ghz": (float, 0.79),
+        "e_j_ghz": (float, 4.43),
+        "fock_dim": (int, 110),
+    },
+    "flux": {"phi_dc_over_pi": (float, 1.03), "phi_ac": (float, 0.05)},
     "noise": {
-        "delta_f": 1.8e-6,
-        "tan_delta_c": 1.1e-6,
-        "temperature_k": 0.015,
-        "omega_ir_hz": 1.0,
-        "omega_uv_ghz": 3.0,
-        "dephasing_log_factor": 4.0,
-        "dephasing_scale": 4.0,
+        "delta_f": (float, 1.8e-6),
+        "tan_delta_c": (float, 1.1e-6),
+        "temperature_k": (float, 0.015),
+        "omega_ir_hz": (float, 1.0),
+        "omega_uv_ghz": (float, 3.0),
+        "dephasing_log_factor": (float, 4.0),
+        "dephasing_scale": (float, 4.0),
     },
     "optimizer": {
-        "population_m": 32,
-        "generations_n": 200,
-        "strategies": ["nsga2", "spea2", "ibea", "moead"],
-        "crossover_rate": 0.9,
-        "mutation_rate": None,
-        "mutation_sigma": 0.1,
-        "n": 4,
-        "snapshot_every": 10,
+        "population_m": (int, 32),
+        "generations_n": (int, 200),
+        "strategies": ([str], list(STRATEGIES), STRATEGIES),
+        "crossover_rate": (float, 0.9),
+        "mutation_rate": (float, None),   # null: 1 / genome length
+        "mutation_sigma": (float, 0.1),
+        "n": (int, 4),
+        "snapshot_every": (int, 10),
     },
-    "gates": [],
-    "truncation": {"orders": [1, 2, 3, 4, 5], "substeps": 49152},
+    "gates": ([dict], []),
+    "truncation": {"orders": ([int], [1, 2, 3, 4, 5]), "substeps": (int, 49152)},
 }
 
-_GATE_JOB_KEYS = {
-    "name",
-    "gate",
-    "duration_ns",
-    "steps",
-    "n_freq",
-    "f_max_mhz",
-    "point",
-    "iterations",
-    "learning_rate",
-    "seed_offset",
-    "n_qubits",
-    "coupling_j_mhz",
-    "frame_substeps",
+_POINTS = {bench.name: bench for bench in BENCHMARK_POINTS}
+
+_QUBITS = {gate: len(unitary).bit_length() - 1 for gate, unitary in TARGETS.items()}
+
+_GATE_JOB = {
+    "gate": (str, "x", TARGETS),
+    "name": (str, lambda job: job["gate"]),
+    "n_qubits": (int, lambda job: _QUBITS[job["gate"]]),
+    "n_freq": (int, lambda job: 9 if job["n_qubits"] == 1 else 31),
+    "duration_ns": (float, 10.0),
+    "steps": (int, 500),
+    "f_max_mhz": (float, 100.0),
+    "point": ((str, dict), "dss-2", _POINTS),
+    "iterations": (int, 600),
+    "learning_rate": (float, 0.08),
+    "seed_offset": (int, 0),
+    "coupling_j_mhz": (float, 48.0),
+    "frame_substeps": (int, 1024),
 }
 
+#: The keys of :class:`Genome`.
+_GENOME = {
+    "p0": (float, ...),
+    "p_re": ([float], ...),
+    "p_im": ([float], ...),
+    "omega_d_frac": (float, ...),
+}
 
-def _check_keys(section, allowed, where: str) -> None:
-    """Reject a section that is not a JSON object or has unknown keys."""
-    if not isinstance(section, dict):
-        raise ConfigError(
-            f"{where} must be a JSON object, not {type(section).__name__}"
-        )
-    unknown = set(section) - set(allowed)
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "a JSON object", (str, dict): "a point name or a JSON object"}
+
+
+def _typed(value, kind, path: str, choices=()):
+    """``value`` checked against a row's ``kind`` and ``choices``; a float
+    row stores an integer as a float."""
+    if isinstance(kind, list):
+        items = enumerate(_typed(value, list, path))
+        return [_typed(v, kind[0], f"{path}[{i}]", choices) for i, v in items]
+    if isinstance(kind, dict):
+        return _filled(_typed(value, dict, path), kind, path + ".")
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if choices and not isinstance(value, dict) and value not in choices:
+        raise ConfigError(f"{path} {value!r} is not one of {list(choices)}")
+    return value
+
+
+def _filled(obj: dict, table: dict, where: str) -> dict:
+    """``obj`` with every row of ``table`` checked and every absent key
+    given its default; ``where`` prefixes each key in an error."""
+    unknown = set(obj) - set(table)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        name = where.rstrip(".: ") or "config root"
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    out = {}
+    for key, row in table.items():
+        kind, default, *choices = row if isinstance(row, tuple) else (row, {})
+        if key in obj:
+            value = obj[key]
+        elif default is ...:
+            raise ConfigError(f"{where}{key} is missing")
+        else:
+            value = default(out) if callable(default) else default
+        null = value is None and default is None
+        out[key] = None if null else _typed(value, kind, where + key, *choices)
+    return out
 
 
-def _check_artifact_name(name, where: str) -> None:
+DEFAULT_CONFIG = _filled({}, _CONFIG, "")
+
+
+def _check_artifact_name(name: str, where: str) -> None:
     """Reject a name that is not one plain file-name component: it becomes
     part of an artifact's file name."""
-    if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
-        raise ConfigError(f"{where} {name!r}: not one plain file-name component")
+    if name in ("", ".", "..") or set(name) & set("/\\\0"):
+        raise ConfigError(f"{where} {name!r} is not one plain file-name component")
 
 
-def _merged(defaults: dict, override: dict, where: str) -> dict:
-    _check_keys(override, defaults.keys(), where)
-    out = dict(defaults)
-    out.update(override)
-    return out
+def _gate_job(job: dict, phi_ac: float) -> dict:
+    """A gate job filled from its table.  A point object is a
+    ``front_index`` or a genome with its ``phi_ac`` (default ``phi_ac``)."""
+    where = f"gate job {job.get('name', job.get('gate', 'x'))!r}: "
+    job = _filled(job, _GATE_JOB, where)
+    _check_artifact_name(job["name"], where + "name")
+    qubits = _QUBITS[job["gate"]]
+    if job["n_qubits"] != qubits:
+        raise ConfigError(f"{where}gate {job['gate']!r} acts on {qubits} qubit(s), "
+                          f"n_qubits is {job['n_qubits']}")
+    if isinstance(job["point"], dict):
+        if "front_index" in job["point"]:
+            table = {"front_index": (int, ...)}
+        else:
+            table = {"genome": (_GENOME, ...), "phi_ac": (float, phi_ac)}
+        job["point"] = _typed(job["point"], table, where + "point")
+    return job
 
 
 def _read_json_object(path: str | Path, what: str) -> dict:
@@ -172,7 +243,15 @@ def _read_json_object(path: str | Path, what: str) -> dict:
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Load, schema-check and default-fill a run configuration."""
+    """Load a run configuration, check every value and fill every default.
+
+    ``_CONFIG`` and ``_GATE_JOB`` hold one row per key.  An integer row takes
+    only a JSON integer; a float row takes an integer or a float and stores a
+    float (NaN and infinities too: the library rejects them); ``true`` and
+    ``false`` are not numbers; a list row checks every element.  A wrong
+    type, an unknown key or choice raises :class:`ConfigError` naming the
+    key.  Ranges are the library's to check, except ``snapshot_every``'s.
+    """
     raw = {} if path is None else _read_json_object(path, "config file")
     if "threads" in raw:
         warnings.warn(
@@ -180,29 +259,10 @@ def load_config(path: str | Path | None = None) -> dict:
             stacklevel=2,
         )
         raw = {k: v for k, v in raw.items() if k != "threads"}
-    _check_keys(raw, DEFAULT_CONFIG.keys(), "config root")
-    if raw.get("version", 1) != 1:
-        raise ConfigError(f"unsupported config version {raw.get('version')}")
-
-    cfg = {k: v for k, v in DEFAULT_CONFIG.items() if not isinstance(v, dict)}
-    cfg["gates"] = list(DEFAULT_CONFIG["gates"])
-    for key in ("circuit", "flux", "noise", "optimizer", "truncation"):
-        cfg[key] = _merged(DEFAULT_CONFIG[key], raw.get(key, {}), key)
-    for key in ("version", "seed", "output_dir"):
-        if key in raw:
-            cfg[key] = raw[key]
-    if "gates" in raw:
-        if not isinstance(raw["gates"], list):
-            raise ConfigError("gates must be a list of job objects")
-        for i, job in enumerate(raw["gates"]):
-            _check_keys(job, _GATE_JOB_KEYS, f"gates[{i}]")
-            if "name" in job:
-                _check_artifact_name(job["name"], "gate job")
-        cfg["gates"] = raw["gates"]
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
-    if not isinstance(cfg["optimizer"]["strategies"], list):
-        raise ConfigError("optimizer.strategies must be a list of strategy names")
+    cfg = _filled(raw, _CONFIG, "")
+    if cfg["optimizer"]["snapshot_every"] < 1:
+        raise ConfigError("optimizer.snapshot_every must be at least 1")
+    cfg["gates"] = [_gate_job(job, cfg["flux"]["phi_ac"]) for job in cfg["gates"]]
     return cfg
 
 
@@ -212,7 +272,7 @@ def build_circuit(cfg: dict) -> CircuitParams:
         e_c=ghz(c["e_c_ghz"]),
         e_l=ghz(c["e_l_ghz"]),
         e_j=ghz(c["e_j_ghz"]),
-        fock_dim=int(c["fock_dim"]),
+        fock_dim=c["fock_dim"],
     )
 
 
@@ -239,7 +299,7 @@ def build_context(cfg: dict, phi_ac: float | None = None) -> EvaluationContext:
         phi_dc=flux["phi_dc_over_pi"] * np.pi,
         phi_ac=phi_ac if phi_ac is not None else flux["phi_ac"],
         noise=noise,
-        n=int(cfg["optimizer"]["n"]),
+        n=cfg["optimizer"]["n"],
     )
 
 
@@ -383,62 +443,47 @@ def _individual_row(ind: Individual, context: EvaluationContext) -> list:
     )
 
 
-def _genome_from_row(row: dict, n: int, context: EvaluationContext) -> Genome:
-    return Genome(
-        p0=float(row["p0"]),
-        p_re=tuple(float(row[f"p{k}_re"]) for k in range(1, n + 1)),
-        p_im=tuple(float(row[f"p{k}_im"]) for k in range(1, n + 1)),
-        omega_d_frac=float(row["omega_d"]) / context.omega_ge,
-    )
-
-
-def _genome_from_json(spec, where: str) -> Genome:
-    """Genome from its JSON object form (the keys of :class:`Genome`)."""
+def _cell(row: dict, where: str, column: str, convert=float):
+    """``convert`` of one CSV cell, or :class:`DependencyError` naming it."""
     try:
-        return Genome(
-            p0=spec["p0"],
-            p_re=tuple(spec["p_re"]),
-            p_im=tuple(spec["p_im"]),
-            omega_d_frac=spec["omega_d_frac"],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{where} misses genome key {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{where} is not a genome object: {exc}") from exc
-
-
-def _benchmark_point(name: str) -> BenchmarkPoint:
-    for bench in BENCHMARK_POINTS:
-        if bench.name == name:
-            return bench
-    raise ConfigError(f"unknown benchmark point {name!r}")
+        return convert(row[column])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DependencyError(
+            f"{where}, column {column}: cannot read {row.get(column)!r}"
+        ) from exc
 
 
 def _read_front_csv(path: Path, context: EvaluationContext, n: int) -> ParetoFront:
     points = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            genome = _genome_from_row(row, n, context)
-            ind = Individual(
-                genome=genome,
-                objectives=(float(row["gamma1_per_us"]), float(row["gammaz_per_us"])),
-                provenance=(row["strategy"], int(row["seed"]), 0),
+        for i, row in enumerate(csv.DictReader(fh)):
+            cell = partial(_cell, row, f"front CSV {path.name} row {i}")
+            genome = Genome(
+                p0=cell("p0"),
+                p_re=tuple(cell(f"p{k}_re") for k in range(1, n + 1)),
+                p_im=tuple(cell(f"p{k}_im") for k in range(1, n + 1)),
+                omega_d_frac=cell("omega_d") / context.omega_ge,
             )
-            points.append(ind)
+            objectives = (cell("gamma1_per_us"), cell("gammaz_per_us"))
+            provenance = (cell("strategy", str), cell("seed", int), 0)
+            points.append(Individual(genome, objectives, provenance=provenance))
     return ParetoFront(points=tuple(points))
 
 
 def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     """Evaluate one genome file (or a named benchmark point) to a rates row."""
     spec = _read_json_object(genome_file, "genome file")
-    name = spec.get("name", "genome")
-    phi_ac = spec.get("phi_ac")
+    where = f"genome file {genome_file}: "
     if "benchmark" in spec:
-        bench = _benchmark_point(spec["benchmark"])
+        spec = _filled(spec, {"benchmark": (str, ..., _POINTS)}, where)
+        bench = _POINTS[spec["benchmark"]]
         genome, phi_ac, name = bench.genome, bench.phi_ac, bench.name
     else:
-        _check_artifact_name(name, "genome file name")
-        genome = _genome_from_json(spec, "genome file")
+        table = {**_GENOME, "name": (str, "genome"), "phi_ac": (float, None)}
+        spec = _filled(spec, table, where)
+        name, phi_ac = spec.pop("name"), spec.pop("phi_ac")
+        _check_artifact_name(name, where + "name")
+        genome = Genome(**spec)
     context = build_context(cfg, phi_ac=phi_ac)
     if genome.n != context.n:
         context = replace(context, n=genome.n)
@@ -464,24 +509,15 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
     """
     opt = cfg["optimizer"]
     context = build_context(cfg)
+    settings = {k: opt[k] for k in opt.keys() - {"strategies", "snapshot_every"}}
     paths = []
-    snapshot_every = int(opt["snapshot_every"])
     for idx, strategy in enumerate(opt["strategies"]):
-        run_seed = int(cfg["seed"]) + 7919 * idx
-        oc = OptimizerConfig(
-            population_m=int(opt["population_m"]),
-            generations_n=int(opt["generations_n"]),
-            strategy=strategy,
-            crossover_rate=float(opt["crossover_rate"]),
-            mutation_rate=opt["mutation_rate"],
-            mutation_sigma=float(opt["mutation_sigma"]),
-            seed=run_seed,
-            n=int(opt["n"]),
-        )
+        run_seed = cfg["seed"] + 7919 * idx
+        oc = OptimizerConfig(**settings, strategy=strategy, seed=run_seed)
         snapshots = []
 
         def hook(gen: int, objs: np.ndarray) -> None:
-            if gen % snapshot_every == 0 or gen == oc.generations_n:
+            if gen % opt["snapshot_every"] == 0 or gen == oc.generations_n:
                 finite = objs[np.all(np.isfinite(objs), axis=1)]
                 if finite.size:
                     snapshots.append(
@@ -512,7 +548,7 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
 def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
     """Merge all run-level fronts into the aggregated front."""
     context = build_context(cfg)
-    n = int(cfg["optimizer"]["n"])
+    n = cfg["optimizer"]["n"]
     fronts = []
     for strategy in cfg["optimizer"]["strategies"]:
         path = run.require(f"front_{strategy}.csv", "optimize")
@@ -527,7 +563,7 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
 def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
     """Annotate the aggregated front with sweet-spot labels and bounds."""
     context = build_context(cfg)
-    n = int(cfg["optimizer"]["n"])
+    n = cfg["optimizer"]["n"]
     path = run.require("front_aggregated.csv", "aggregate")
     front = _read_front_csv(path, context, n)
     header = front_columns(n) + [
@@ -557,7 +593,7 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
 def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     """Evaluate the relaxation-time bounds over the aggregated front."""
     context = build_context(cfg)
-    n = int(cfg["optimizer"]["n"])
+    n = cfg["optimizer"]["n"]
     path = run.require("front_aggregated.csv", "aggregate")
     front = _read_front_csv(path, context, n)
     rows = []
@@ -580,115 +616,77 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     return out, violations
 
 
-def _job_number(job: dict, key: str, default, convert, name: str):
-    """``convert`` of the job's ``key`` (``default`` when absent); a value
-    that does not convert raises :class:`ConfigError` naming the job."""
-    value = job.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"gate job {name!r}: {key} must be a number, got {value!r}"
-        ) from exc
-
-
-def _resolve_gate_point(cfg, run, job, context, name):
-    point_spec = job.get("point", "dss-2")
-    if isinstance(point_spec, str):
-        bench = _benchmark_point(point_spec)
+def _resolve_gate_point(cfg, run, job, context):
+    """Genome, ``phi_ac`` and name of a filled gate job's ``point``."""
+    point = job["point"]
+    if isinstance(point, str):
+        bench = _POINTS[point]
         return bench.genome, bench.phi_ac, bench.name
-    if isinstance(point_spec, dict) and "front_index" in point_spec:
-        n = int(cfg["optimizer"]["n"])
+    if "front_index" in point:
         path = run.require("front_aggregated.csv", "aggregate")
-        front = _read_front_csv(path, context, n)
-        idx = _job_number(point_spec, "front_index", None, int, name)
+        front = _read_front_csv(path, context, cfg["optimizer"]["n"])
+        idx = point["front_index"]
         if not 0 <= idx < len(front.points):
-            raise ConfigError(f"front_index {idx} out of range")
+            raise ConfigError(
+                f"gate job {job['name']!r}: point.front_index {idx} out of range"
+            )
         return front.points[idx].genome, cfg["flux"]["phi_ac"], f"front{idx}"
-    if isinstance(point_spec, dict) and "genome" in point_spec:
-        genome = _genome_from_json(point_spec["genome"], "gate job point")
-        return genome, point_spec.get("phi_ac", cfg["flux"]["phi_ac"]), "custom"
-    raise ConfigError(
-        f"gate job {name!r}: point must be a benchmark name, front_index or genome"
-    )
+    return Genome(**point["genome"]), point["phi_ac"], "custom"
 
 
 def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
-    """Optimize one gate job and persist the pulse artifact."""
-    gate_name = job.get("gate", "x")
-    name = job.get("name", gate_name)
-    try:
-        target = gate_target(gate_name)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"gate job {name!r}: {exc}") from exc
-    gate_qubits = target.dim.bit_length() - 1
-    n_qubits = _job_number(job, "n_qubits", gate_qubits, int, name)
-    if n_qubits != gate_qubits:
-        raise ConfigError(
-            f"gate job {name!r}: gate {gate_name!r} acts on {gate_qubits} "
-            f"qubit(s), n_qubits is {n_qubits}"
-        )
-    duration = _job_number(job, "duration_ns", 10.0, float, name)
-    steps = _job_number(job, "steps", 500, int, name)
-    n_freq = _job_number(job, "n_freq", 9 if n_qubits == 1 else 31, int, name)
-    f_max = TWO_PI * _job_number(job, "f_max_mhz", 100.0, float, name) * 1e-3
-    coupling = TWO_PI * _job_number(job, "coupling_j_mhz", 48.0, float, name) * 1e-3
-    substeps = _job_number(job, "frame_substeps", 1024, int, name)
+    """Optimize one gate job, as :func:`load_config` fills it, and persist
+    the pulse artifact."""
+    name, n_qubits = job["name"], job["n_qubits"]
+    target = gate_target(job["gate"])
+    f_max = TWO_PI * job["f_max_mhz"] * 1e-3
+    coupling = TWO_PI * job["coupling_j_mhz"] * 1e-3 if n_qubits == 2 else 0.0
     settings = GrapeSettings(
-        iterations=_job_number(job, "iterations", 600, int, name),
-        learning_rate=_job_number(job, "learning_rate", 0.08, float, name),
-        seed=int(cfg["seed"]) + _job_number(job, "seed_offset", 0, int, name),
+        iterations=job["iterations"],
+        learning_rate=job["learning_rate"],
+        seed=cfg["seed"] + job["seed_offset"],
     )
 
     context_eval = build_context(cfg)
-    genome, phi_ac, point_name = _resolve_gate_point(
-        cfg, run, job, context_eval, name
-    )
+    genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job, context_eval)
     context_eval = replace(context_eval, phi_ac=phi_ac)
     _, point = evaluate_genome(genome, context_eval)
     if point is None:
-        raise FluxspotError(
-            f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}"
-        )
+        raise FluxspotError(f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}")
 
     frame = rotating_frame_trajectory(
         point.drive,
         context_eval.coefficients,
         context_eval.qubit.delta,
-        duration,
-        steps=steps,
-        substeps=substeps,
+        job["duration_ns"],
+        steps=job["steps"],
+        substeps=job["frame_substeps"],
         n_qubits=n_qubits,
-        coupling_j=coupling if n_qubits == 2 else 0.0,
+        coupling_j=coupling,
     )
     spec = PulseSpec(
-        duration=duration,
-        steps=steps,
+        duration=job["duration_ns"],
+        steps=job["steps"],
         f_max=f_max,
-        n_freq=n_freq,
+        n_freq=job["n_freq"],
         n_controls=n_qubits,
     )
     result = optimize_pulse(spec, frame, target, settings)
 
     spectra = [np.fft.rfft(wf) for wf in result.waveforms]
     artifact = {
-        "gate": gate_name,
+        "gate": job["gate"],
         "name": name,
         "point": point_name,
-        "genome": {
-            "p0": genome.p0,
-            "p_re": list(genome.p_re),
-            "p_im": list(genome.p_im),
-            "omega_d_frac": genome.omega_d_frac,
-        },
+        "genome": asdict(genome),
         "phi_ac": phi_ac,
-        "duration_ns": duration,
-        "steps": steps,
-        "n_freq": n_freq,
+        "duration_ns": job["duration_ns"],
+        "steps": job["steps"],
+        "n_freq": job["n_freq"],
         "n_qubits": n_qubits,
         "f_max_rad_per_ns": f_max,
-        "coupling_j_rad_per_ns": coupling if n_qubits == 2 else 0.0,
-        "frame_substeps": substeps,
+        "coupling_j_rad_per_ns": coupling,
+        "frame_substeps": job["frame_substeps"],
         "theta": [float(x) for x in result.theta],
         "samples": [[float(x) for x in wf] for wf in result.waveforms],
         "spectrum_re": [[float(x.real) for x in s] for s in spectra],
@@ -707,32 +705,34 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
 def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     """Open-system evaluation of a stored pulse artifact."""
     path = run.require(f"pulse_{pulse_name}.json", "grape")
-    art = json.loads(path.read_text())
-    context_eval = build_context(cfg, phi_ac=art["phi_ac"])
-    genome = _genome_from_json(art["genome"], f"pulse artifact {pulse_name!r}")
+    try:
+        art = json.loads(path.read_text())
+        frame = {
+            "duration": float(art["duration_ns"]),
+            "steps": int(art["steps"]),
+            "substeps": int(art["frame_substeps"]),
+            "n_qubits": int(art["n_qubits"]),
+            "coupling_j": float(art["coupling_j_rad_per_ns"]),
+        }
+        g1, gz = (float(art["rates_per_us"][k]) for k in ("gamma_1", "gamma_z"))
+        waveforms = np.array(art["samples"], dtype=float)
+        phi_ac, spec, gate = float(art["phi_ac"]), art["genome"], art["gate"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DependencyError(f"pulse artifact {path.name}: {exc!r}") from exc
+    genome = Genome(**_typed(spec, _GENOME, f"pulse artifact {path.name}: genome"))
+    context_eval = build_context(cfg, phi_ac=phi_ac)
     drive = genome_to_drive(genome, context_eval)
-    n_qubits = int(art["n_qubits"])
     frame = rotating_frame_trajectory(
-        drive,
-        context_eval.coefficients,
-        context_eval.qubit.delta,
-        float(art["duration_ns"]),
-        steps=int(art["steps"]),
-        substeps=int(art["frame_substeps"]),
-        n_qubits=n_qubits,
-        coupling_j=float(art["coupling_j_rad_per_ns"]),
+        drive, context_eval.coefficients, context_eval.qubit.delta, **frame
     )
-    waveforms = np.array(art["samples"], dtype=float)
-    g1 = float(art["rates_per_us"]["gamma_1"])
-    gz = float(art["rates_per_us"]["gamma_z"])
-    model = LindbladModel(rates=tuple((g1, gz) for _ in range(n_qubits)))
+    model = LindbladModel(rates=tuple((g1, gz) for _ in range(frame.n_qubits)))
     channel = channel_from_simulation(frame, waveforms, model)
     chi = process_tomography(channel, frame.dimension)
-    target_chi = chi_from_unitary(gate_target(art["gate"]).unitary)
+    target_chi = chi_from_unitary(gate_target(gate).unitary)
     fid = process_fidelity(chi, target_chi)
     out = {
         "pulse": pulse_name,
-        "gate": art["gate"],
+        "gate": gate,
         "process_fidelity": fid,
         "chi_re": [[float(x.real) for x in row] for row in chi.chi],
         "chi_im": [[float(x.imag) for x in row] for row in chi.chi],
@@ -747,7 +747,7 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
     context = build_context(cfg)
     coeffs = context.coefficients
     delta = context.qubit.delta
-    substeps = int(cfg["truncation"]["substeps"])
+    substeps = cfg["truncation"]["substeps"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for n in cfg["truncation"]["orders"]:

@@ -12,7 +12,16 @@ import pytest
 
 import fluxspot
 from fluxspot import cli
-from fluxspot.workbench import RunDirectory, build_context, front_columns, load_config
+from fluxspot.workbench import (
+    _CONFIG,
+    _GATE_JOB,
+    _GENOME,
+    DEFAULT_CONFIG,
+    RunDirectory,
+    build_context,
+    front_columns,
+    load_config,
+)
 
 TINY = {
     "seed": 5,
@@ -41,6 +50,13 @@ GENOME = {
     "p_im": [0.1, 0.0],
     "omega_d_frac": 1.1,
 }
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+GENOME_KEYS = without(GENOME, "name")
 CHAIN = (
     ["fluxonium"],
     ["evaluate", "{benchmark}"],
@@ -160,6 +176,13 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"duration_ns": "ten"}, 2),
         ({"steps": "many"}, 2),
         ({"gate": "z"}, 2),
+        ({"steps": 16.9}, 2),
+        ({"gate": ["x"]}, 2),
+        ({"point": {"genome": GENOME_KEYS, "phi_ac": "abc"}}, 2),
+        ({"point": {"genome": GENOME_KEYS, "phi_acc": 0.06}}, 2),
+        ({"point": {"genome": dict(GENOME_KEYS, p0="a")}}, 2),
+        ({"point": {"genome": dict(GENOME_KEYS, p_re="ab")}}, 2),
+        ({"point": {"genome": dict(GENOME_KEYS, omega_d_frac=None)}}, 2),
     ],
     ids=[
         "substeps-0",
@@ -175,6 +198,13 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "duration-not-a-number",
         "steps-not-a-number",
         "unknown-gate",
+        "steps-not-an-integer",
+        "gate-not-a-string",
+        "point-phi_ac-not-a-number",
+        "point-unknown-key",
+        "genome-p0-not-a-number",
+        "genome-p_re-not-a-list",
+        "genome-omega_d_frac-null",
     ],
 )
 def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
@@ -215,10 +245,32 @@ def test_malformed_gate_genome_exits_2(tmp_path):
     assert run_cli(config, tmp_path / "out", "grape", "--job", "0") == 2
 
 
-def test_malformed_genome_file_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"p0": 0.5},
+        dict(GENOME, p0="a"),
+        dict(GENOME, p_re="ab"),
+        dict(GENOME, omega_d_frac=None),
+        dict(GENOME, phi_ac="x"),
+        dict(GENOME, phi_acc=0.06),
+    ],
+    ids=[
+        "missing-keys",
+        "p0-not-a-number",
+        "p_re-not-a-list",
+        "omega_d_frac-null",
+        "phi_ac-not-a-number",
+        "unknown-key",
+    ],
+)
+def test_malformed_genome_file_exits_2(tmp_path, capsys, spec):
     config = write_json(tmp_path / "config.json", TINY)
-    genome = write_json(tmp_path / "genome.json", {"p0": 0.5})
+    genome = write_json(tmp_path / "genome.json", spec)
     assert run_cli(config, tmp_path / "out", "evaluate", str(genome)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"genome file {genome}" in err, err
 
 
 @pytest.mark.parametrize(
@@ -279,8 +331,42 @@ def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize(
     "override",
-    [{"workers": 2}, {"circuit": 5}, {"gates": [5]}],
-    ids=["unknown-key", "section-not-an-object", "gate-job-not-an-object"],
+    [
+        {"workers": 2},
+        {"circuit": 5},
+        {"gates": [5]},
+        {"circuit": {"fock_dim": "abc"}},
+        {"circuit": {"e_c_ghz": "1"}},
+        {"circuit": {"e_c_ghz": 10**400}},
+        {"noise": {"delta_f": "x"}},
+        {"optimizer": {"snapshot_every": 0}},
+        {"optimizer": {"snapshot_every": -1}},
+        {"optimizer": {"mutation_rate": "a"}},
+        {"truncation": {"orders": "12"}},
+        {"circuit": {"fock_dim": 110.7}},
+        {"optimizer": {"population_m": "8"}},
+        {"optimizer": {"strategies": [5]}},
+        {"optimizer": {"strategies": ["foo"]}},
+        {"gates": [{"gate": ["x"]}]},
+    ],
+    ids=[
+        "unknown-key",
+        "section-not-an-object",
+        "gate-job-not-an-object",
+        "fock_dim-not-a-number",
+        "e_c-a-string",
+        "e_c-beyond-the-float-range",
+        "delta_f-not-a-number",
+        "snapshot_every-0",
+        "snapshot_every-negative",
+        "mutation_rate-not-a-number",
+        "orders-a-string",
+        "fock_dim-not-an-integer",
+        "population_m-a-string",
+        "strategy-not-a-string",
+        "strategy-unknown",
+        "bad-gate-job-on-every-verb",
+    ],
 )
 def test_unknown_config_key_exits_2(tmp_path, capsys, override):
     config = write_json(tmp_path / "config.json", dict(TINY, **override))
@@ -336,24 +422,228 @@ def test_front_row_outside_the_box_exits_3_naming_the_field(
 ):
     # a front read from CSV passes the drive's box and finiteness checks
     config = write_json(tmp_path / "config.json", TINY)
-    out = tmp_path / "out"
-    out.mkdir()
-    cfg = load_config(config)
-    row = dict.fromkeys(front_columns(2), 0.1)
-    row.update(gamma1_per_us=1.0, gammaz_per_us=1.0, strategy="nsga2", seed=5)
-    row.update({"omega_d": build_context(cfg).omega_ge * 1.1, column: value})
-    names = [f"front_{s}.csv" for s in cfg["optimizer"]["strategies"]]
-    for name in names + ["front_aggregated.csv"]:
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, front_columns(2), lineterminator="\n")
-            writer.writeheader()
-            writer.writerow(row)
+    out = write_fronts(config, tmp_path / "out", {column: value})
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert run_cli(config, out, verb) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert message in err, err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def write_fronts(config, out, cells):
+    """Every front CSV that aggregate, classify and bounds read, each one
+    feasible row with ``cells`` put in."""
+    out.mkdir()
+    cfg = load_config(config)
+    row = dict.fromkeys(front_columns(2), 0.1)
+    row.update(gamma1_per_us=1.0, gammaz_per_us=1.0, strategy="nsga2", seed=5)
+    row.update({"omega_d": build_context(cfg).omega_ge * 1.1, **cells})
+    names = [f"front_{s}.csv" for s in cfg["optimizer"]["strategies"]]
+    for name in names + ["front_aggregated.csv"]:
+        with open(out / name, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, front_columns(2), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
+    return out
+
+
+#: the keys ``simulate`` reads from a pulse artifact
+PULSE = {
+    "gate": "x",
+    "genome": GENOME_KEYS,
+    "phi_ac": 0.05,
+    "duration_ns": 10.0,
+    "steps": 16,
+    "frame_substeps": 8,
+    "n_qubits": 1,
+    "coupling_j_rad_per_ns": 0.0,
+    "samples": [[0.0] * 16],
+    "rates_per_us": {"gamma_1": 0.01, "gamma_z": 0.01},
+}
+
+
+@pytest.mark.parametrize(
+    "verb, content, named",
+    [
+        ("simulate", "{not json", "pulse artifact pulse_x.json: JSONDecodeError"),
+        (
+            "simulate",
+            json.dumps(without(PULSE, "phi_ac")),
+            "pulse artifact pulse_x.json: KeyError('phi_ac')",
+        ),
+        ("aggregate", "abc", "front_nsga2.csv row 0, column p0: cannot read 'abc'"),
+        ("classify", "abc", "front_aggregated.csv row 0, column p0: cannot read"),
+        ("bounds", "abc", "front_aggregated.csv row 0, column p0: cannot read"),
+    ],
+    ids=[
+        "pulse-not-json",
+        "pulse-without-phi_ac",
+        "aggregate-cell-not-a-number",
+        "classify-cell-not-a-number",
+        "bounds-cell-not-a-number",
+    ],
+)
+def test_unreadable_artifact_exits_4_with_one_line(
+    tmp_path, capsys, verb, content, named
+):
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    if verb == "simulate":
+        out.mkdir()
+        (out / "pulse_x.json").write_text(content)
+    else:
+        write_fronts(config, out, {"p0": content})
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli(config, out, verb, *(["x"] if verb == "simulate" else [])) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert named in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def table_rows(table, path=()):
+    """(key path, kind, default, choices) of each row, nested tables too."""
+    for key, row in table.items():
+        kind, default, *choices = row if isinstance(row, tuple) else (row, {})
+        yield path + (key,), kind, default, choices
+        if isinstance(kind, dict):
+            yield from table_rows(kind, path + (key,))
+
+
+def bad_values(kind, default, choices):
+    """Values a row must reject: one of a wrong JSON type, ``true`` and a
+    fraction for a number, a list with one wrong element after a good one,
+    and a value outside the choices."""
+    wrong = {int: "1", float: "0.5", str: 5, dict: 5, (str, dict): 5}
+    if isinstance(kind, dict):
+        return [5]
+    if isinstance(kind, list):
+        has_one = isinstance(default, list) and default
+        good = default[:1] if has_one else [{float: 0.5, dict: {}}[kind[0]]]
+        values = ["1", good + [wrong[kind[0]]]]
+        outside = good + ["nope"]
+    else:
+        values = [wrong[kind]]
+        if kind in (int, float):
+            values.append(True)
+        if kind is int:
+            values.append(1.5)
+        outside = 2 if kind is int else "nope"
+    return values + [outside] if choices else values
+
+
+def bad_row_case(place, path, value, case):
+    """Config, verb and the name the error must give, for ``value`` in the
+    row ``path`` of the table that ``place`` reads."""
+    key, job = path[-1], TINY["gates"][0]
+    if place == "config":
+        for k in reversed(path):
+            value = {k: value}
+        return dict(TINY, **value), ["fluxonium"], ".".join(path)
+    if place == "gate-job":
+        label = value if key == "name" else "x"
+        cfg = dict(TINY, gates=[dict(job, **{key: value})])
+        return cfg, ["fluxonium"], f"gate job {label!r}: {key}"
+    genome = dict(GENOME_KEYS, **{key: value})
+    if place == "genome-file":
+        path = write_json(case / "genome.json", genome)
+        return TINY, ["evaluate", str(path)], f"genome file {path}: {key}"
+    if place == "point-genome":
+        cfg = dict(TINY, gates=[dict(job, point={"genome": genome})])
+        return cfg, ["fluxonium"], f"gate job 'x': point.genome.{key}"
+    (case / "out").mkdir()
+    write_json(case / "out" / "pulse_x.json", dict(PULSE, genome=genome))
+    return TINY, ["simulate", "x"], f"pulse artifact pulse_x.json: genome.{key}"
+
+
+@pytest.mark.parametrize(
+    "place", ["config", "gate-job", "genome-file", "point-genome", "pulse-genome"]
+)
+def test_every_table_row_rejects_a_bad_value_with_one_line(tmp_path, capsys, place):
+    table = {"config": _CONFIG, "gate-job": _GATE_JOB}.get(place, _GENOME)
+    cases = [
+        (path, value)
+        for path, kind, default, choices in table_rows(table)
+        for value in bad_values(kind, default, choices)
+    ]
+    assert {path[0] for path, _ in cases} == set(table)
+    for i, (path, value) in enumerate(cases):
+        case = tmp_path / str(i)
+        case.mkdir()
+        cfg, args, named = bad_row_case(place, path, value, case)
+        out = case / "out"
+        before = sorted(out.iterdir()) if out.exists() else []
+        code = run_cli(write_json(case / "config.json", cfg), out, *args)
+        err = capsys.readouterr().err
+        assert code == 2, (path, value, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (path, value, err)
+        assert named in err, (path, value, err)
+        assert (sorted(out.iterdir()) if out.exists() else []) == before, (path, value)
+
+
+def test_load_config_fills_every_gate_job_key(tmp_path):
+    raw = {
+        "flux": {"phi_ac": 0.07},
+        "gates": [{"gate": "sqrt_iswap"}, {"point": {"genome": GENOME_KEYS}}],
+    }
+    jobs = load_config(write_json(tmp_path / "config.json", raw))["gates"]
+    expected = {
+        "gate": "sqrt_iswap",
+        "name": "sqrt_iswap",
+        "n_qubits": 2,
+        "n_freq": 31,
+        "duration_ns": 10.0,
+        "steps": 500,
+        "f_max_mhz": 100.0,
+        "point": "dss-2",
+        "iterations": 600,
+        "learning_rate": 0.08,
+        "seed_offset": 0,
+        "coupling_j_mhz": 48.0,
+        "frame_substeps": 1024,
+    }
+    # JSON text tells an integer from a float
+    assert json.dumps(jobs[0], sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert (jobs[1]["gate"], jobs[1]["name"], jobs[1]["n_qubits"]) == ("x", "x", 1)
+    assert jobs[1]["n_freq"] == 9
+    assert jobs[1]["point"] == {"genome": GENOME_KEYS, "phi_ac": 0.07}
+
+
+def test_default_config_is_filled_from_the_tables():
+    expected = {
+        "version": 1,
+        "seed": 2024,
+        "output_dir": "fluxspot-out",
+        "circuit": {"e_c_ghz": 1.0, "e_l_ghz": 0.79, "e_j_ghz": 4.43, "fock_dim": 110},
+        "flux": {"phi_dc_over_pi": 1.03, "phi_ac": 0.05},
+        "noise": {
+            "delta_f": 1.8e-6,
+            "tan_delta_c": 1.1e-6,
+            "temperature_k": 0.015,
+            "omega_ir_hz": 1.0,
+            "omega_uv_ghz": 3.0,
+            "dephasing_log_factor": 4.0,
+            "dephasing_scale": 4.0,
+        },
+        "optimizer": {
+            "population_m": 32,
+            "generations_n": 200,
+            "strategies": ["nsga2", "spea2", "ibea", "moead"],
+            "crossover_rate": 0.9,
+            "mutation_rate": None,
+            "mutation_sigma": 0.1,
+            "n": 4,
+            "snapshot_every": 10,
+        },
+        "gates": [],
+        "truncation": {"orders": [1, 2, 3, 4, 5], "substeps": 49152},
+    }
+    # JSON text tells an integer from a float
+    assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == json.dumps(
+        expected, sort_keys=True
+    )
+    assert load_config(None) == DEFAULT_CONFIG
 
 
 def test_threads_key_is_ignored_with_a_warning(tmp_path):
