@@ -72,6 +72,10 @@ _BOX_TOL = 1e-9
 _DEGENERACY_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-10
 _SHIFT_RTOL = 1e-13
+# the propagator reference walks the period in blocks of this many steps, and
+# sums the harmonics over pieces of _DFT_WIDTH steps with one DFT matrix
+_REFERENCE_BLOCK = 4096
+_DFT_WIDTH = 256
 
 
 def _raise_at(bad, values, message: str) -> None:
@@ -436,15 +440,22 @@ def _tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def _su2_mul(a2, b2, a1, b1):
+    """Entries of the product ``step2 @ step1`` of the SU(2) matrices
+    ``[[a, -b*], [b, a*]]`` (arrays or scalars)."""
+    return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
+
+
 def _su2_tree_product(a: np.ndarray, b: np.ndarray):
     """Entries of the ordered product of the SU(2) steps ``(a, b)`` along the
     last axis, latest step leftmost, paired as in :func:`_tree_product`."""
     while a.shape[-1] > 1:
         m = a.shape[-1] - a.shape[-1] % 2
-        a1, b1 = a[..., 0:m:2], b[..., 0:m:2]
-        a2, b2 = a[..., 1:m:2], b[..., 1:m:2]
-        a = np.concatenate([a2 * a1 - b2.conj() * b1, a[..., m:]], axis=-1)
-        b = np.concatenate([b2 * a1 + a2.conj() * b1, b[..., m:]], axis=-1)
+        pa, pb = _su2_mul(a[..., 1:m:2], b[..., 1:m:2], a[..., 0:m:2], b[..., 0:m:2])
+        if m < a.shape[-1]:
+            pa = np.concatenate([pa, a[..., m:]], axis=-1)
+            pb = np.concatenate([pb, b[..., m:]], axis=-1)
+        a, b = pa, pb
     return a[..., 0], b[..., 0]
 
 
@@ -456,8 +467,7 @@ def _su2_prefix_products(a: np.ndarray, b: np.ndarray):
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     s = 1
     while s < a.size:
-        a1, b1, a2, b2 = a[:-s], b[:-s], a[s:], b[s:]
-        a[s:], b[s:] = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+        a[s:], b[s:] = _su2_mul(a[s:], b[s:], a[:-s], b[:-s])
         s *= 2
     return a, b
 
@@ -491,13 +501,31 @@ def _period_steps(
     coeffs: EffectiveCoefficients,
     delta: float,
     substeps: int,
+    lo: int,
+    hi: int,
 ):
-    """Entries ``(a, b)`` of the midpoint step propagators of one period
-    split into ``substeps`` (see :func:`_su2_entries`)."""
+    """Entries ``(a, b)`` of the midpoint step propagators ``lo .. hi - 1``
+    of one period split into ``substeps`` (see :func:`_su2_entries`); step
+    ``m`` takes the drive at ``(m + 1/2) T / substeps`` whatever the range,
+    so the blocks of a period join up."""
     dt = drive.period / substeps
-    t_mid = (np.arange(substeps) + 0.5) * dt
+    t_mid = (np.arange(lo, hi) + 0.5) * dt
     cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)
     return _su2_entries(delta, cx, dt)
+
+
+def _block_carries(
+    drive: DriveSpec, coeffs: EffectiveCoefficients, delta: float, substeps: int
+) -> list:
+    """Entries of ``U(t_lo)`` at the start of each block of
+    ``_REFERENCE_BLOCK`` steps, then of the monodromy ``U(T)``: each block's
+    steps are reduced by :func:`_su2_tree_product` and the totals chained."""
+    carries = [(1.0 + 0.0j, 0.0j)]
+    for lo in range(0, substeps, _REFERENCE_BLOCK):
+        hi = min(lo + _REFERENCE_BLOCK, substeps)
+        steps = _period_steps(drive, coeffs, delta, substeps, lo, hi)
+        carries.append(_su2_mul(*_su2_tree_product(*steps), *carries[-1]))
+    return carries
 
 
 def _quasienergies_from_monodromy(
@@ -521,11 +549,15 @@ def reference_floquet_via_propagator(
     """Truncation-free reference solution from the one-period propagator.
 
     Builds the time-ordered propagator by piecewise-constant exponentials on
-    a uniform grid, maps the monodromy eigenphases into the first zone, and
-    recovers the mode harmonics from one FFT of ``exp(i eps t) U(t)
-    |mode(0)>`` on that grid, so memory stays O(substeps) whatever
-    ``k_max``.  Raises :class:`IntegrationError` when halving the substep
-    count moves a quasienergy by more than ``1e-9`` of the drive frequency.
+    a uniform grid and maps the monodromy eigenphases into the first zone.
+    The mode harmonics are the DFT of ``exp(i eps t) U(t) |mode(0)>`` on that
+    grid at ``|k| <= k_max``.  Two walks over the period in blocks of
+    ``_REFERENCE_BLOCK`` steps do it: the first chains the block totals into
+    the monodromy, the second rebuilds each block's prefixes from its carry
+    and adds the block's share of the harmonics, so memory is O(block +
+    k_max * _DFT_WIDTH), not O(substeps).  Raises :class:`IntegrationError`
+    when halving the substep count moves a quasienergy by more than ``1e-9``
+    of the drive frequency.
     """
     if substeps < 1000:
         raise InvalidParameterError("substeps must be at least 1000 per period")
@@ -534,11 +566,11 @@ def reference_floquet_via_propagator(
     period = drive.period
     omega_d = drive.omega_d
 
-    a, b = _su2_prefix_products(*_period_steps(drive, coeffs, delta, substeps))
-    monodromy = _su2_matrices(a[-1], b[-1])
-    eps, vecs = _quasienergies_from_monodromy(monodromy, omega_d, period)
-
-    coarse = _su2_tree_product(*_period_steps(drive, coeffs, delta, substeps // 2))
+    carries = _block_carries(drive, coeffs, delta, substeps)
+    eps, vecs = _quasienergies_from_monodromy(
+        _su2_matrices(*carries[-1]), omega_d, period
+    )
+    coarse = _block_carries(drive, coeffs, delta, substeps // 2)[-1]
     eps_coarse, _ = _quasienergies_from_monodromy(
         _su2_matrices(*coarse), omega_d, period
     )
@@ -551,27 +583,51 @@ def reference_floquet_via_propagator(
 
     i, j = _select_central_pair(eps, omega_d)
     eps_minus, eps_plus = float(eps[i]), float(eps[j])
+    modes, eps_pair = vecs[:, [j, i]], np.array([eps_plus, eps_minus])
 
-    # the entries of U(t_m) at t_m = m T / substeps, m = 0 .. substeps - 1
-    a = np.concatenate([[1.0], a[:-1]])
-    b = np.concatenate([[0.0], b[:-1]])
-    ts = np.arange(substeps) * (period / substeps)
+    # x(t) = exp(i eps t) U(t) |mode(0)> is T-periodic, so its harmonics
+    # are sums over t_m = m T / substeps for m = 1 .. substeps
+    dt = period / substeps
     ks = np.arange(-k_max, k_max + 1)
+    dft = np.exp(-2j * np.pi / substeps * np.outer(ks, np.arange(_DFT_WIDTH)))
+    phase = np.exp(1j * np.outer(np.arange(_REFERENCE_BLOCK) * dt, eps_pair))
 
-    def harmonics(idx: int, eps_val: float) -> np.ndarray:
-        v0, v1 = vecs[:, idx]
-        traj = np.stack([a * v0 - b.conj() * v1, b * v0 + a.conj() * v1], axis=1)
-        traj *= np.exp(1j * eps_val * ts)[:, None]
-        h = np.fft.fft(traj, axis=0)[ks % substeps]
-        h /= np.linalg.norm(h)
-        return _gauge_fix(h, k_max)
+    def block_sums(lo: int, carry) -> np.ndarray:
+        """The block's share, m = lo + 1 .. hi, of the harmonic sums: rows
+        k, columns (component, mode)."""
+        hi = min(lo + _REFERENCE_BLOCK, substeps)
+        # x(t_m) = exp(i eps t_m) P_(m - lo - 1) U(t_lo) |mode(0)>, P the
+        # in-block prefixes of the steps (one expression, so the steps and
+        # prefixes are freed as soon as they are used)
+        start = (_su2_matrices(*carry) @ modes) * np.exp(1j * (lo + 1) * dt * eps_pair)
+        x = _su2_matrices(
+            *_su2_prefix_products(*_period_steps(drive, coeffs, delta, substeps, lo, hi))
+        ).reshape(-1, 2) @ start
+        x = x.reshape(-1, 2, 2)
+        x *= phase[: hi - lo, None]
+        x = x.reshape(-1, 4)
+        pad = -(hi - lo) % _DFT_WIDTH
+        if pad:
+            x = np.concatenate([x, np.zeros((pad, 4))])
+        # exp(-i k omega_d t_m) = dft[k, r] times one twiddle per piece of
+        # _DFT_WIDTH steps, its phase reduced modulo 2 pi in integers
+        starts = lo + 1 + _DFT_WIDTH * np.arange(x.shape[0] // _DFT_WIDTH)
+        twiddle = np.exp(-2j * np.pi / substeps * (np.outer(starts, ks) % substeps))
+        return np.einsum("jk,jkc->kc", twiddle, dft @ x.reshape(-1, _DFT_WIDTH, 4))
+
+    blocks = range(0, substeps, _REFERENCE_BLOCK)
+    h = sum(block_sums(lo, carry) for lo, carry in zip(blocks, carries))
+
+    def harmonics(mode: int) -> np.ndarray:
+        hm = h.reshape(-1, 2, 2)[:, :, mode]
+        return _gauge_fix(hm / np.linalg.norm(hm), k_max)
 
     return FloquetSolution(
         eps_plus=eps_plus,
         eps_minus=eps_minus,
         omega_gap=eps_plus - eps_minus,
-        harmonics_plus=harmonics(j, eps_plus),
-        harmonics_minus=harmonics(i, eps_minus),
+        harmonics_plus=harmonics(0),
+        harmonics_minus=harmonics(1),
         k_max=k_max,
         omega_d=omega_d,
     )

@@ -207,8 +207,9 @@ def _check_artifact_name(name: str, where: str) -> None:
 
 
 def _gate_job(job: dict, phi_ac: float) -> dict:
-    """A gate job filled from its table.  A point object is a
-    ``front_index`` or a genome with its ``phi_ac`` (default ``phi_ac``)."""
+    """A gate job filled from its table; a filled job comes back equal.  A
+    point object is a ``front_index`` or a genome with its ``phi_ac``
+    (default ``phi_ac``)."""
     where = f"gate job {job.get('name', job.get('gate', 'x'))!r}: "
     job = _filled(job, _GATE_JOB, where)
     _check_artifact_name(job["name"], where + "name")
@@ -635,8 +636,10 @@ def _resolve_gate_point(cfg, run, job, context):
 
 
 def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
-    """Optimize one gate job, as :func:`load_config` fills it, and persist
-    the pulse artifact."""
+    """Optimize one gate job and persist the pulse artifact.  The job is
+    filled from the gate-job table as :func:`load_config` fills it, so a
+    hand-built job such as ``{"gate": "x"}`` gets every default."""
+    job = _gate_job(job, cfg["flux"]["phi_ac"])
     name, n_qubits = job["name"], job["n_qubits"]
     target = gate_target(job["gate"])
     f_max = TWO_PI * job["f_max_mhz"] * 1e-3
@@ -719,7 +722,11 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
         phi_ac, spec, gate = float(art["phi_ac"]), art["genome"], art["gate"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DependencyError(f"pulse artifact {path.name}: {exc!r}") from exc
-    genome = Genome(**_typed(spec, _GENOME, f"pulse artifact {path.name}: genome"))
+    try:
+        genome = Genome(**_typed(spec, _GENOME, f"pulse artifact {path.name}: genome"))
+    except ConfigError as exc:
+        # the artifact is upstream output, not config
+        raise DependencyError(str(exc)) from exc
     context_eval = build_context(cfg, phi_ac=phi_ac)
     drive = genome_to_drive(genome, context_eval)
     frame = rotating_frame_trajectory(

@@ -18,7 +18,9 @@ from fluxspot.workbench import (
     _GENOME,
     DEFAULT_CONFIG,
     RunDirectory,
+    _gate_job,
     build_context,
+    cmd_grape,
     front_columns,
     load_config,
 )
@@ -472,6 +474,11 @@ PULSE = {
             json.dumps(without(PULSE, "phi_ac")),
             "pulse artifact pulse_x.json: KeyError('phi_ac')",
         ),
+        (
+            "simulate",
+            json.dumps(dict(PULSE, genome=dict(GENOME_KEYS, p0="a"))),
+            "pulse artifact pulse_x.json: genome.p0 must be a number, got 'a'",
+        ),
         ("aggregate", "abc", "front_nsga2.csv row 0, column p0: cannot read 'abc'"),
         ("classify", "abc", "front_aggregated.csv row 0, column p0: cannot read"),
         ("bounds", "abc", "front_aggregated.csv row 0, column p0: cannot read"),
@@ -479,6 +486,7 @@ PULSE = {
     ids=[
         "pulse-not-json",
         "pulse-without-phi_ac",
+        "pulse-genome-wrong-type",
         "aggregate-cell-not-a-number",
         "classify-cell-not-a-number",
         "bounds-cell-not-a-number",
@@ -576,7 +584,8 @@ def test_every_table_row_rejects_a_bad_value_with_one_line(tmp_path, capsys, pla
         before = sorted(out.iterdir()) if out.exists() else []
         code = run_cli(write_json(case / "config.json", cfg), out, *args)
         err = capsys.readouterr().err
-        assert code == 2, (path, value, err)
+        # a pulse artifact is upstream output, not config
+        assert code == (4 if place == "pulse-genome" else 2), (path, value, err)
         assert err.count("\n") == 1 and "Traceback" not in err, (path, value, err)
         assert named in err, (path, value, err)
         assert (sorted(out.iterdir()) if out.exists() else []) == before, (path, value)
@@ -608,6 +617,22 @@ def test_load_config_fills_every_gate_job_key(tmp_path):
     assert (jobs[1]["gate"], jobs[1]["name"], jobs[1]["n_qubits"]) == ("x", "x", 1)
     assert jobs[1]["n_freq"] == 9
     assert jobs[1]["point"] == {"genome": GENOME_KEYS, "phi_ac": 0.07}
+
+
+def test_gate_job_leaves_a_filled_job_unchanged(tmp_path):
+    raw = {"gates": [{"gate": "sqrt_iswap"}, {"point": {"genome": GENOME_KEYS}}]}
+    for job in load_config(write_json(tmp_path / "config.json", raw))["gates"]:
+        assert _gate_job(job, 0.07) == job
+
+
+def test_cmd_grape_fills_a_hand_built_job(tmp_path):
+    cfg = load_config(write_json(tmp_path / "config.json", TINY))
+    job = {"gate": "x", "iterations": 2, "steps": 16, "frame_substeps": 8}
+    path = cmd_grape(cfg, RunDirectory(tmp_path / "out", cfg), job)
+    art = json.loads(path.read_text())
+    assert path.name == "pulse_x.json"
+    assert (art["point"], art["n_qubits"], art["n_freq"]) == ("dss-2", 1, 9)
+    assert len(art["fidelity_history"]) == 2
 
 
 def test_default_config_is_filled_from_the_tables():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from fluxspot.exceptions import (
 from fluxspot.floquet import (
     PAULI_X,
     PAULI_Z,
+    _REFERENCE_BLOCK,
     FilterWeights,
     FloquetSolution,
     _gauge_fix,
@@ -390,7 +393,8 @@ class TestPropagatorReference:
 
     def test_tree_product_is_the_monodromy(self):
         d = drive(10.0, (0.5, 1.0 + 1.0j))
-        steps = _su2_matrices(*_period_steps(d, coeffs(a=1.0, b=1.0), 3.0, 1001))
+        c = coeffs(a=1.0, b=1.0)
+        steps = _su2_matrices(*_period_steps(d, c, 3.0, 1001, 0, 1001))
         u = np.eye(2)
         for step in steps:
             u = step @ u
@@ -437,13 +441,25 @@ class TestPropagatorReference:
         assert np.max(np.abs(got - np.array(expected))) < 1e-13
         assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
 
-    def test_fft_harmonics_match_dense_dft_oracle(self):
+    @pytest.mark.parametrize(
+        "substeps, p",
+        [
+            (16384, (0.5, 1.0 + 1.0j)),
+            # not a multiple of the block, nor of the DFT width
+            (3 * _REFERENCE_BLOCK + 1000, (0.5, 1.0 + 1.0j)),
+            # one block, one step short; the strong drive above does not
+            # pass the halving check on so coarse a grid
+            (_REFERENCE_BLOCK - 1, (0.5, 0.3 + 0.3j)),
+        ],
+        ids=["whole-blocks", "ragged-last-block", "below-one-block"],
+    )
+    def test_block_harmonics_match_dense_dft_oracle(self, substeps, p):
         # the grid propagator by a step loop and the harmonics by a dense
         # (2 k_max + 1) x substeps DFT matrix
-        d, c, delta = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(a=1.0, b=1.0), 3.0
-        substeps, k_max = 16384, 8
+        d, c, delta = drive(10.0, p), coeffs(a=1.0, b=1.0), 3.0
+        k_max = 8
         ref = fs.reference_floquet_via_propagator(d, c, delta, substeps, k_max)
-        steps = _su2_matrices(*_period_steps(d, c, delta, substeps))
+        steps = _su2_matrices(*_period_steps(d, c, delta, substeps, 0, substeps))
         us = np.empty((substeps + 1, 2, 2), dtype=complex)
         us[0] = np.eye(2)
         for i in range(substeps):
@@ -462,6 +478,33 @@ class TestPropagatorReference:
             h = dft @ (traj * np.exp(1j * eps[idx] * ts)[:, None])
             h = _gauge_fix(h / np.linalg.norm(h), k_max)
             assert np.max(np.abs(h - h_ref)) < 1e-13
+
+    def test_period_steps_ranges_join_up(self):
+        d, c = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(a=1.0, b=1.0)
+        whole = _period_steps(d, c, 3.0, 5000, 0, 5000)
+        head = _period_steps(d, c, 3.0, 5000, 0, 1234)
+        tail = _period_steps(d, c, 3.0, 5000, 1234, 5000)
+        for k in range(2):
+            assert np.array_equal(np.concatenate([head[k], tail[k]]), whole[k])
+
+    def test_memory_is_one_block(self):
+        # at 49,152 substeps and k_max = 19 the peak holds one block's arrays
+        # (4096 steps, 64 KiB per complex vector): its steps and scan
+        # temporaries (about 8 vectors), or its (4096, 2, 2) prefixes and the
+        # trajectory of both modes (2 x 256 KiB); beside them the per-call
+        # phase table (4096 x 2 complex, 128 KiB) and DFT matrix (39 x 256
+        # complex, 156 KiB): about 0.8 MB.  One complex vector spanning the
+        # grid (768 KiB) would push it past 1.5 MB.
+        d = drive(10.0, (0.5, 0.3 + 0.2j, 0.1 - 0.4j, 0.2, 0.1j, 0.3))
+        tracemalloc.start()
+        try:
+            fs.reference_floquet_via_propagator(
+                d, coeffs(a=1.0, b=1.0), 3.0, substeps=49152, k_max=19
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_substep_floor_guard(self):
         d = drive(10.0, (0.0, 0.5))
