@@ -1,8 +1,9 @@
 """Command-line workbench; ``fluxspot --help`` lists the verbs.
 
-Exit codes: 0 success; 2 an unknown key, a wrong JSON type or an unknown
-choice; 3 a well-typed value the library rejects, or a numerical failure;
-4 a missing or unreadable upstream artifact.
+Exit codes: 0 success; 2 an unknown key, a wrong JSON type, an unknown
+choice, or a negative seed or ``snapshot_every`` below 1; 3 a well-typed
+value the library rejects, or a numerical failure; 4 a missing or
+unreadable upstream artifact.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             cfg["seed"] = args.seed
         out_dir = args.out if args.out else cfg["output_dir"]
         run = RunDirectory(out_dir, cfg)

@@ -1,9 +1,24 @@
 """Bi-objective evolutionary minimization of (gamma_1, gamma_z).
 
 One generic generate-combine-select loop drives four interchangeable
-environmental-selection strategies (``nsga2``, ``spea2``, ``ibea``,
-``moead``).  Runs are deterministic under a fixed seed; run-level fronts are
-aggregated across strategies and seeds by a final non-dominated sort.
+environmental-selection strategies.  Each keeps ``m`` rows of the merged
+parent+offspring pool, infeasible rows only when fewer than ``m`` are
+feasible:
+
+- ``nsga2``: whole non-dominated fronts in rank order, the first front that
+  does not fit cut by descending crowding distance;
+- ``spea2``: the non-dominated archive, filled up by ascending fitness, or
+  truncated one member at a time, the member whose sorted distances to the
+  others are lexicographically smallest going first;
+- ``ibea``: one removal at a time of the member of lowest additive-epsilon
+  fitness, whose share is then taken out of the survivors' fitness;
+- ``moead``: for each of ``m`` Tchebycheff weight vectors in turn, the best
+  row not yet taken.
+
+SPEA2 and IBEA protect the per-objective best members (the first row of least
+gamma_1 and of least gamma_z): one goes only when no other member can.  Runs
+are deterministic under a fixed seed; run-level fronts are aggregated across
+strategies and seeds by a final non-dominated sort.
 """
 
 from __future__ import annotations
@@ -162,7 +177,9 @@ def _select_nsga2(objs: np.ndarray, m: int) -> list[int]:
 
 
 def spea2_fitness(objs: np.ndarray) -> dict:
-    """Strength, raw fitness, density and total fitness of a pool."""
+    """Strength, raw fitness, density and total fitness of a pool, and
+    ``d2``, the squared distances between its normalized rows (``inf`` on
+    the diagonal), from which the density and the truncation are taken."""
     n = len(objs)
     dom = _dominance_matrix(objs)
     strength = dom.sum(axis=1).astype(float)
@@ -171,79 +188,56 @@ def spea2_fitness(objs: np.ndarray) -> dict:
     d2 = ((norm[:, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     k = min(max(1, int(np.sqrt(n))), n - 1)
-    sorted_d = np.sqrt(np.sort(d2, axis=1))
-    sigma_k = sorted_d[:, k - 1]
+    sigma_k = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
     density = 1.0 / (sigma_k + 2.0)
-    return {
-        "strength": strength,
-        "raw": raw,
-        "density": density,
-        "fitness": raw + density,
-        "distances": sorted_d,
-    }
+    return {"strength": strength, "raw": raw, "density": density,
+            "fitness": raw + density, "d2": d2}
 
 
-def _protected(objs: np.ndarray) -> set[int]:
-    """Indices of the per-objective best points (kept through truncation)."""
-    return {int(np.argmin(objs[:, j])) for j in range(objs.shape[1])}
+def _protected(objs: np.ndarray) -> np.ndarray:
+    """Mask of the per-objective best rows."""
+    mask = np.zeros(len(objs), dtype=bool)
+    mask[objs.argmin(axis=0)] = True
+    return mask
 
 
-def _select_spea2(objs: np.ndarray, m: int) -> list[int]:
-    fit = spea2_fitness(objs)["fitness"]
-    archive = [i for i in range(len(objs)) if fit[i] < 1.0]
-    if len(archive) < m:
-        rest = [i for i in np.argsort(fit, kind="stable") if i not in archive]
-        archive.extend(int(i) for i in rest[: m - len(archive)])
-        return sorted(archive)
-    keep = set(archive)
-    protected = _protected(objs) & keep
-    norm = _normalized(objs)
-    while len(keep) > m:
-        live = sorted(keep)
-        sub = norm[live]
-        d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        profiles = np.sort(d2, axis=1)
+def _victim(order: np.ndarray, protected: np.ndarray) -> int:
+    """The first member of ``order`` that is not protected, else the first."""
+    free = order[~protected[order]]
+    return free[0] if free.size else order[0]
+
+
+def _select_spea2(objs: np.ndarray, m: int) -> np.ndarray:
+    fit = spea2_fitness(objs)
+    live = np.flatnonzero(fit["fitness"] < 1.0)
+    if len(live) <= m:
+        # non-dominated rows have fitness below 1 and every other row above
+        # it, so the m fittest rows are the archive filled up by fitness
+        return np.sort(np.argsort(fit["fitness"], kind="stable")[:m])
+    protected = _protected(objs)
+    while len(live) > m:
+        profiles = np.sort(fit["d2"][np.ix_(live, live)], axis=1)
         # lexicographically smallest nearest-neighbor profile goes first
-        order = np.lexsort(profiles.T[::-1])
-        victim = None
-        for cand in order:
-            if live[cand] not in protected:
-                victim = live[cand]
-                break
-        if victim is None:
-            victim = live[order[0]]
-        keep.remove(victim)
-    return sorted(keep)
+        victim = _victim(live[np.lexsort(profiles.T[::-1])], protected)
+        live = live[live != victim]
+    return live
 
 
-def _select_ibea(objs: np.ndarray, m: int) -> list[int]:
+def _select_ibea(objs: np.ndarray, m: int) -> np.ndarray:
     norm = _normalized(objs)
-    n = len(norm)
     # additive-epsilon indicator I(i, j) = max_k (f_i[k] - f_j[k])
     indicator = (norm[:, None, :] - norm[None, :, :]).max(axis=2)
-    scale = np.abs(indicator).max()
-    if scale == 0.0:
-        scale = 1.0
+    scale = np.abs(indicator).max() or 1.0
     expo = np.exp(-indicator / (_IBEA_KAPPA * scale))
     np.fill_diagonal(expo, 0.0)
     fitness = -expo.sum(axis=0)
-    alive = set(range(n))
     protected = _protected(objs)
-    while len(alive) > m:
-        live = sorted(alive)
-        order = np.argsort([fitness[i] for i in live], kind="stable")
-        victim = None
-        for cand in order:
-            if live[cand] not in protected:
-                victim = live[cand]
-                break
-        if victim is None:
-            victim = live[order[0]]
-        alive.remove(victim)
-        for j in alive:
-            fitness[j] += expo[victim, j]
-    return sorted(alive)
+    live = np.arange(len(objs))
+    while len(live) > m:
+        victim = _victim(live[np.argsort(fitness[live], kind="stable")], protected)
+        live = live[live != victim]
+        fitness[live] += expo[victim, live]
+    return live
 
 
 def _select_moead(objs: np.ndarray, m: int) -> list[int]:
@@ -271,22 +265,23 @@ _SELECTORS = {
 
 
 def environmental_select(strategy: str, objectives, m: int) -> list[int]:
-    """Pick ``m`` survivors out of a merged parent+offspring pool.
+    """Pick ``m`` survivors out of a merged parent+offspring pool, as sorted
+    indices.
 
     Infeasible members (any non-finite objective) survive only when there
-    are fewer than ``m`` feasible candidates.
+    are fewer than ``m`` feasible candidates: then every feasible member
+    survives, and the lowest-index infeasible ones fill up to ``m``.
     """
     if strategy not in _SELECTORS:
         raise InvalidParameterError(f"unknown strategy {strategy!r}")
     objs = np.asarray(objectives, dtype=float)
     if len(objs) < m:
         raise InvalidParameterError("pool smaller than requested survivor count")
-    feasible = [i for i in range(len(objs)) if np.all(np.isfinite(objs[i]))]
-    if len(feasible) < m:
-        infeasible = [i for i in range(len(objs)) if i not in set(feasible)]
-        return sorted(feasible + infeasible[: m - len(feasible)])
-    picked = _SELECTORS[strategy](objs[feasible], m)
-    return sorted(feasible[i] for i in picked)
+    feasible = np.isfinite(objs).all(axis=1)
+    rows = np.flatnonzero(feasible)
+    if len(rows) < m:
+        return np.union1d(rows, np.flatnonzero(~feasible)[: m - len(rows)]).tolist()
+    return np.sort(rows[_SELECTORS[strategy](objs[rows], m)]).tolist()
 
 
 def _sbx_crossover(

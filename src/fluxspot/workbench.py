@@ -251,7 +251,8 @@ def load_config(path: str | Path | None = None) -> dict:
     float (NaN and infinities too: the library rejects them); ``true`` and
     ``false`` are not numbers; a list row checks every element.  A wrong
     type, an unknown key or choice raises :class:`ConfigError` naming the
-    key.  Ranges are the library's to check, except ``snapshot_every``'s.
+    key.  Ranges are the library's to check, except those of ``seed`` and
+    ``snapshot_every``.
     """
     raw = {} if path is None else _read_json_object(path, "config file")
     if "threads" in raw:
@@ -261,6 +262,8 @@ def load_config(path: str | Path | None = None) -> dict:
         )
         raw = {k: v for k, v in raw.items() if k != "threads"}
     cfg = _filled(raw, _CONFIG, "")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     if cfg["optimizer"]["snapshot_every"] < 1:
         raise ConfigError("optimizer.snapshot_every must be at least 1")
     cfg["gates"] = [_gate_job(job, cfg["flux"]["phi_ac"]) for job in cfg["gates"]]
@@ -641,13 +644,18 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     hand-built job such as ``{"gate": "x"}`` gets every default."""
     job = _gate_job(job, cfg["flux"]["phi_ac"])
     name, n_qubits = job["name"], job["n_qubits"]
+    seed = cfg["seed"] + job["seed_offset"]
+    if seed < 0:
+        raise ConfigError(
+            f"gate job {name!r}: seed + seed_offset must be non-negative, got {seed}"
+        )
     target = gate_target(job["gate"])
     f_max = TWO_PI * job["f_max_mhz"] * 1e-3
     coupling = TWO_PI * job["coupling_j_mhz"] * 1e-3 if n_qubits == 2 else 0.0
     settings = GrapeSettings(
         iterations=job["iterations"],
         learning_rate=job["learning_rate"],
-        seed=cfg["seed"] + job["seed_offset"],
+        seed=seed,
     )
 
     context_eval = build_context(cfg)

@@ -377,6 +377,35 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, override):
     assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
+_RANDOM_VERBS = ("optimize", "grape", "truncation-study")
+
+
+@pytest.mark.parametrize(
+    "verb, seed, cli_seed, named",
+    [(verb, -3, None, "seed") for verb in _RANDOM_VERBS]
+    + [(verb, 5, "-1", "--seed") for verb in _RANDOM_VERBS]
+    + [("grape", 5, "0", "gate job 'x': seed + seed_offset")],
+    ids=[f"config-seed-{verb}" for verb in _RANDOM_VERBS]
+    + [f"cli-seed-{verb}" for verb in _RANDOM_VERBS]
+    + ["job-seed-after-cli-seed"],
+)
+def test_negative_seed_exits_2_with_one_line(
+    tmp_path, capsys, verb, seed, cli_seed, named
+):
+    # each verb that draws random numbers; the gate job's effective seed is
+    # 0 + (-1) once --seed 0 replaces the config seed 5
+    job = dict(TINY["gates"][0], seed_offset=-1)
+    config = write_json(tmp_path / "config.json", dict(TINY, seed=seed, gates=[job]))
+    out = tmp_path / "out"
+    args = ["--config", str(config), "--out", str(out)]
+    args += [] if cli_seed is None else ["--seed", cli_seed]
+    assert cli.main(args + [verb]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert named in err, err
+    assert not [p for p in out.glob("*") if p.name != "manifest.json"]
+
+
 def test_strategies_not_a_list_exits_2(tmp_path, capsys):
     # a string would be read as a list of one-letter strategy names
     optimizer = dict(TINY["optimizer"], strategies="nsga2")

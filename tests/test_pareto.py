@@ -14,6 +14,7 @@ from fluxspot.exceptions import EmptyInputError, InvalidParameterError
 from fluxspot.pareto import (
     Individual,
     ParetoFront,
+    _IBEA_KAPPA,
     _dominance_matrix,
     _normalized,
     crowding_distance,
@@ -23,6 +24,21 @@ from fluxspot.pareto import (
 # Small integer coordinates make ties and duplicate rows common.
 _coordinate = st.integers(0, 4).map(float) | st.floats(0.0, 1.0)
 _pools = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40)
+
+
+@st.composite
+def _selection_pools(draw):
+    """A pool of mostly mutually non-dominated rows (the first objective
+    ascending, the second descending, ties and duplicates common) mixed with
+    random and infeasible rows, and a survivor count ``m``."""
+    n = draw(st.integers(1, 40))
+    grid = st.lists(st.integers(0, 12), min_size=n, max_size=n).map(sorted)
+    xs, ys = np.array(draw(grid)) / 4.0, np.array(draw(grid))[::-1] / 4.0
+    extra = st.tuples(_coordinate | st.sampled_from([np.inf, np.nan]), _coordinate)
+    rows = list(zip(xs, ys)) + draw(st.lists(extra, max_size=8))
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    pool = np.array(rows)
+    return pool, draw(st.integers(1, len(pool)))
 
 
 def brute_force_ranks(objs):
@@ -58,6 +74,97 @@ def moead_reference(objs, m):
         taken.append(best)
         pool.remove(best)
     return sorted(taken)
+
+
+def nsga2_reference(objs, m):
+    """Loop form of NSGA-II selection: fronts from the peeling oracle, the
+    first front that does not fit cut by descending crowding distance."""
+    ranks = brute_force_ranks(objs.tolist())
+    chosen = []
+    for level in range(max(ranks) + 1):
+        front = [i for i in range(len(objs)) if ranks[i] == level]
+        if len(chosen) + len(front) <= m:
+            chosen += front
+            continue
+        dist = crowding_distance(objs[front])
+        by_distance = sorted(range(len(front)), key=lambda c: -dist[c])
+        chosen += [front[c] for c in by_distance[: m - len(chosen)]]
+        break
+    return sorted(chosen)
+
+
+def spea2_reference(objs, m):
+    """Per-member loop form of SPEA2 selection: strength, raw fitness and
+    k-th-neighbor density member by member; then the non-dominated archive,
+    filled up by fitness, or truncated with the distances among the members
+    left computed again after every removal."""
+    n = len(objs)
+    dom = _dominance_matrix(objs)
+    norm = _normalized(objs)
+    k = min(max(1, int(np.sqrt(n))), n - 1)
+    fitness = []
+    for i in range(n):
+        raw = sum(dom[j].sum() for j in range(n) if dom[j, i])
+        d2 = ((norm - norm[i]) ** 2).sum(axis=1)
+        dist = sorted(np.sqrt(d2[j]) for j in range(n) if j != i) + [np.inf]
+        fitness.append(raw + 1.0 / (dist[k - 1] + 2.0))
+    archive = [i for i in range(n) if fitness[i] < 1.0]
+    if len(archive) < m:
+        rest = [i for i in np.argsort(fitness, kind="stable") if i not in archive]
+        return sorted(archive + [int(i) for i in rest[: m - len(archive)]])
+    protected = {int(np.argmin(objs[:, j])) for j in range(objs.shape[1])}
+    keep = set(archive)
+    while len(keep) > m:
+        live = sorted(keep)
+        profiles = []
+        for c, i in enumerate(live):
+            d2 = ((norm[live] - norm[i]) ** 2).sum(axis=1)
+            profiles.append(sorted(np.delete(d2, c).tolist()))
+        # Python compares lists lexicographically, and sorted is stable
+        order = sorted(range(len(live)), key=lambda c: profiles[c])
+        free = [live[c] for c in order if live[c] not in protected]
+        keep.remove(free[0] if free else live[order[0]])
+    return sorted(keep)
+
+
+def ibea_reference(objs, m):
+    """Per-member loop form of IBEA selection: one removal at a time, each
+    survivor's fitness updated member by member."""
+    norm = _normalized(objs)
+    indicator = (norm[:, None, :] - norm[None, :, :]).max(axis=2)
+    scale = np.abs(indicator).max() or 1.0
+    expo = np.exp(-indicator / (_IBEA_KAPPA * scale))
+    np.fill_diagonal(expo, 0.0)
+    fitness = -expo.sum(axis=0)
+    protected = {int(np.argmin(objs[:, j])) for j in range(objs.shape[1])}
+    alive = set(range(len(objs)))
+    while len(alive) > m:
+        live = sorted(alive)
+        order = np.argsort([fitness[i] for i in live], kind="stable")
+        free = [live[c] for c in order if live[c] not in protected]
+        victim = free[0] if free else live[order[0]]
+        alive.remove(victim)
+        for j in alive:
+            fitness[j] += expo[victim, j]
+    return sorted(alive)
+
+
+REFERENCES = {
+    "nsga2": nsga2_reference,
+    "spea2": spea2_reference,
+    "ibea": ibea_reference,
+    "moead": moead_reference,
+}
+
+
+def select_reference(strategy, objs, m):
+    """Per-member loop form of ``environmental_select``."""
+    feasible = [i for i in range(len(objs)) if np.all(np.isfinite(objs[i]))]
+    if len(feasible) < m:
+        infeasible = [i for i in range(len(objs)) if i not in feasible]
+        return sorted(feasible + infeasible[: m - len(feasible)])
+    picked = REFERENCES[strategy](objs[feasible], m)
+    return sorted(feasible[i] for i in picked)
 
 
 def make_front(objs, stamp=("nsga2", 0, 0)):
@@ -140,6 +247,14 @@ class TestDominanceProperties:
         m = max(1, n // 2)
         assert fs.pareto._select_moead(objs, m) == moead_reference(objs, m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_selection_pools())
+    def test_environmental_select_matches_loop_forms(self, case):
+        objs, m = case
+        for strategy in fs.pareto.STRATEGIES:
+            expected = select_reference(strategy, objs, m)
+            assert fs.environmental_select(strategy, objs, m) == expected, strategy
+
 
 class TestEnvironmentalSelect:
     def test_nsga2_identity_on_nondominated(self):
@@ -182,6 +297,28 @@ class TestEnvironmentalSelect:
         keep = fs.environmental_select(strategy, pool, 6)
         assert int(np.argmin(pool[:, 0])) in keep
         assert int(np.argmin(pool[:, 1])) in keep
+
+    @pytest.mark.parametrize("strategy", fs.pareto.STRATEGIES)
+    def test_under_feasible_pool_keeps_every_feasible_row(self, strategy):
+        rng = np.random.default_rng(3)
+        pool = rng.random((12, 2))
+        pool[[0, 2, 3, 5, 7, 8, 10]] = np.inf
+        pool[4, 1] = np.nan
+        # feasible rows 1, 6, 9 and 11, then infeasible rows 0, 2, 3 and 4
+        assert fs.environmental_select(strategy, pool, 8) == [0, 1, 2, 3, 4, 6, 9, 11]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spea2_truncation_matches_loop_form(self, seed):
+        # 40 rows of one front, duplicates among them, and 5 dominated rows:
+        # the archive of 40 outgrows m
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.random(40), 2)
+        front = np.stack([x, 1.0 - x**2], axis=1)
+        pool = rng.permutation(np.vstack([front, front[:5] + 0.5]))
+        assert (spea2_fitness(pool)["fitness"] < 1.0).sum() == 40
+        for strategy in ("spea2", "ibea"):
+            keep = fs.environmental_select(strategy, pool, 12)
+            assert keep == select_reference(strategy, pool, 12), strategy
 
     def test_unknown_strategy(self):
         with pytest.raises(InvalidParameterError):
