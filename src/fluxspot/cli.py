@@ -1,9 +1,9 @@
 """Command-line workbench; ``fluxspot --help`` lists the verbs.
 
 Exit codes: 0 success; 2 an unknown key, a wrong JSON type, an unknown
-choice, or a negative seed or ``snapshot_every`` below 1; 3 a well-typed
-value the library rejects, or a numerical failure; 4 a missing or
-unreadable upstream artifact.
+choice, a negative seed, ``snapshot_every`` below 1, or two gate jobs with
+one name; 3 a well-typed value the library rejects, or a numerical failure;
+4 a missing or unreadable upstream artifact, the manifest included.
 """
 
 from __future__ import annotations

@@ -98,7 +98,8 @@ class EvaluationContext:
 
     ``omega_ge`` -- the reference scale for the drive-frequency box -- is the
     static splitting sqrt(delta^2 + B^2) of the biased two-level qubit; at
-    the sweet spot it reduces to ``delta``.
+    the sweet spot it reduces to ``delta``.  ``n`` is the drive order, which
+    sets a search's genome box and the default harmonic truncation 3 n.
     """
 
     qubit: EffectiveQubit
@@ -110,6 +111,8 @@ class EvaluationContext:
     k_max: int | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise InvalidParameterError(f"drive order n must be >= 0, got {self.n}")
         if self.k_max is not None and self.k_max < self.n:
             raise InvalidParameterError("k_max must be at least the drive order n")
 

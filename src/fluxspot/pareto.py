@@ -72,7 +72,6 @@ class OptimizerConfig:
     mutation_rate: float | None = None   # default 1/dim
     mutation_sigma: float = 0.1          # in units of the box width
     seed: int = 0
-    n: int = 4
 
     def __post_init__(self) -> None:
         if self.population_m < 8 or self.population_m % 2 != 0:
@@ -344,18 +343,16 @@ def run_stage1(
     """One evolutionary run; returns the non-dominated set of the final
     population with per-point provenance stamps.
 
-    The population is an ``(m, 2 n + 2)`` genome array; each genome is
-    evaluated once, serially, by :func:`evaluate_population`, whose arrays
-    follow the survivors of each selection.  Only the returned front's rows
-    become ``Genome`` and ``PointResult`` objects, from those arrays.
+    The population is an ``(m, 2 n + 2)`` genome array at the context's drive
+    order n; each genome is evaluated once, serially, by :func:`evaluate_population`,
+    whose arrays follow the survivors of each selection.  Only the returned
+    front's rows become ``Genome`` and ``PointResult`` objects, from those arrays.
 
     ``generation_hook(generation, objectives)`` is called once per generation
     with the post-selection objective array (used for snapshot exports).
     """
-    if context.n != config.n:
-        raise InvalidParameterError("context.n and config.n disagree")
     rng = np.random.default_rng(config.seed)
-    lo, hi = Genome.bounds(config.n)
+    lo, hi = Genome.bounds(context.n)
     m = config.population_m
 
     vectors = rng.uniform(lo, hi, size=(m, lo.size))

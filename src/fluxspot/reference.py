@@ -1,9 +1,13 @@
 """Reference device, bath and benchmark operating points.
 
-The regression suite pins a single fluxonium device (E_C/2pi = 1 GHz,
-E_L/2pi = 0.79 GHz, E_J/2pi = 4.43 GHz), a 1/f + dielectric bath and a flux
-working point 3 percent past the half-quantum sweet spot.  Three benchmark
-modulation waveforms are stored together with their validated coherence
+The regression suite and the CLI score every drive on one fluxonium device
+(E_C/2pi = 1 GHz, E_L/2pi = 0.79 GHz, E_J/2pi = 4.43 GHz), a 1/f +
+dielectric bath at 15 mK and a flux working point 3 percent past the
+half-quantum sweet spot.  This reference run is the CLI's default config:
+its values live in ``REFERENCE``, the config's ``circuit``, ``flux`` and
+``noise`` tables (a few read from ``NoiseModel``'s and ``CircuitParams``'s
+defaults), and ``build_context`` builds the context of any config.  Three
+benchmark modulation waveforms are stored with their validated coherence
 times.
 
 The published waveform coefficients are rounded to two decimals, which moves
@@ -20,40 +24,43 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CircuitParams, EffectiveQubit, diagonalize_circuit
+from .circuit import DEFAULT_FOCK_DIM, CircuitParams, EffectiveQubit, diagonalize_circuit
 from .evaluation import EvaluationContext, Genome, evaluate_drive, genome_to_drive
 from .exceptions import InvalidParameterError
 from .noise import NoiseModel
-from .units import ghz
+from .units import TWO_PI, ghz
 
 __all__ = [
+    "REFERENCE",
     "BenchmarkPoint",
     "BENCHMARK_POINTS",
+    "build_circuit",
+    "build_context",
     "reference_circuit",
     "reference_qubit",
     "reference_noise",
     "reference_context",
     "calibrate_amplitude",
     "benchmark_context",
-    "PHI_DC_BIASED",
-    "STATIC_SWEET_SPOT_T1_US",
-    "OFF_SWEET_SPOT_TIMES_US",
 ]
 
-#: biased DC working point (radians); the sweet spot itself sits at pi
-PHI_DC_BIASED = 1.03 * np.pi
-
-#: default modulation amplitude scale for optimizer runs
-DEFAULT_PHI_AC = 0.05
-
-#: validated static coherence benchmarks (us)
-STATIC_SWEET_SPOT_T1_US = 430.0
-OFF_SWEET_SPOT_TIMES_US = (940.0, 1.0)
-
-#: 1/f flux-noise amplitude (units of the flux quantum) and loss tangent
-DELTA_F = 1.8e-6
-TAN_DELTA_C = 1.1e-6
-TEMPERATURE_K = 0.015
+#: The reference run's ``circuit``, ``flux`` and ``noise`` config tables.
+REFERENCE = {
+    "circuit": {"e_c_ghz": 1.0, "e_l_ghz": 0.79, "e_j_ghz": 4.43,
+                "fock_dim": DEFAULT_FOCK_DIM},
+    # the biased DC working point (the sweet spot is at 1) and the default
+    # modulation amplitude scale
+    "flux": {"phi_dc_over_pi": 1.03, "phi_ac": 0.05},
+    "noise": {
+        "delta_f": 1.8e-6,        # 1/f flux-noise amplitude, in flux quanta
+        "tan_delta_c": 1.1e-6,    # dielectric loss tangent
+        "temperature_k": NoiseModel.temperature,
+        "omega_ir_hz": 1.0,
+        "omega_uv_ghz": 3.0,
+        "dephasing_log_factor": NoiseModel.dephasing_log_factor,
+        "dephasing_scale": NoiseModel.dephasing_scale,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -111,53 +118,88 @@ BENCHMARK_POINTS = (
 )
 
 
-def reference_circuit(fock_dim: int = 110) -> CircuitParams:
-    """The reference fluxonium device."""
-    return CircuitParams(e_c=ghz(1.0), e_l=ghz(0.79), e_j=ghz(4.43), fock_dim=fock_dim)
+def build_circuit(cfg: dict) -> CircuitParams:
+    """The device of a config's ``circuit`` table."""
+    c = cfg["circuit"]
+    e_c, e_l, e_j = (ghz(c[f"{name}_ghz"]) for name in ("e_c", "e_l", "e_j"))
+    return CircuitParams(e_c=e_c, e_l=e_l, e_j=e_j, fock_dim=c["fock_dim"])
 
 
 @lru_cache(maxsize=8)
-def _cached_qubit(fock_dim: int) -> EffectiveQubit:
-    return diagonalize_circuit(reference_circuit(fock_dim), np.pi)
+def _sweet_spot_qubit(circuit: CircuitParams) -> EffectiveQubit:
+    """Two-level reduction of ``circuit`` at its sweet spot, once per device."""
+    return diagonalize_circuit(circuit, np.pi)
 
 
-def reference_qubit(fock_dim: int = 110) -> EffectiveQubit:
-    """Two-level reduction of the reference device at its sweet spot."""
-    return _cached_qubit(fock_dim)
-
-
-def reference_noise(qubit: EffectiveQubit | None = None, **kwargs) -> NoiseModel:
-    """Reference bath: 1/f flux noise plus dielectric loss at 15 mK."""
-    if qubit is None:
-        qubit = reference_qubit()
-    circuit = reference_circuit()
+def _bath(cfg: dict, circuit: CircuitParams, qubit: EffectiveQubit) -> NoiseModel:
+    """The bath of a config's ``noise`` table, seen by ``qubit``."""
+    n = cfg["noise"]
     return NoiseModel.from_loss_params(
-        delta_f=DELTA_F,
-        tan_delta_c=TAN_DELTA_C,
+        delta_f=n["delta_f"],
+        tan_delta_c=n["tan_delta_c"],
         e_l=circuit.e_l,
         e_c=circuit.e_c,
         phi_ge=qubit.phi_ge,
-        temperature=TEMPERATURE_K,
-        **kwargs,
+        temperature=n["temperature_k"],
+        omega_ir=TWO_PI * n["omega_ir_hz"] * 1e-6,
+        omega_uv=ghz(n["omega_uv_ghz"]),
+        dephasing_log_factor=n["dephasing_log_factor"],
+        dephasing_scale=n["dephasing_scale"],
     )
+
+
+def build_context(cfg: dict, phi_ac: float | None = None) -> EvaluationContext:
+    """Evaluation context of a config's ``circuit``, ``flux`` and ``noise``
+    tables and its ``optimizer.n``; ``phi_ac`` (default the config's)
+    replaces the modulation amplitude scale."""
+    circuit = build_circuit(cfg)
+    qubit = _sweet_spot_qubit(circuit)
+    flux = cfg["flux"]
+    return EvaluationContext(
+        qubit=qubit,
+        e_l=circuit.e_l,
+        phi_dc=flux["phi_dc_over_pi"] * np.pi,
+        phi_ac=phi_ac if phi_ac is not None else flux["phi_ac"],
+        noise=_bath(cfg, circuit, qubit),
+        n=cfg["optimizer"]["n"],
+    )
+
+
+def _reference_tables(fock_dim: int | None) -> dict:
+    """``REFERENCE``, with ``fock_dim`` as its truncation unless it is None."""
+    if fock_dim is None:
+        return REFERENCE
+    return {**REFERENCE, "circuit": {**REFERENCE["circuit"], "fock_dim": fock_dim}}
+
+
+def reference_circuit(fock_dim: int | None = None) -> CircuitParams:
+    """The reference fluxonium device."""
+    return build_circuit(_reference_tables(fock_dim))
+
+
+def reference_qubit(fock_dim: int | None = None) -> EffectiveQubit:
+    """Two-level reduction of the reference device at its sweet spot."""
+    return _sweet_spot_qubit(reference_circuit(fock_dim))
+
+
+def reference_noise(qubit: EffectiveQubit | None = None, **kwargs) -> NoiseModel:
+    """Reference bath: 1/f flux noise plus dielectric loss at 15 mK, seen by
+    ``qubit`` (default the reference qubit); ``kwargs`` replace its fields."""
+    qubit = qubit or reference_qubit()
+    return replace(_bath(REFERENCE, reference_circuit(), qubit), **kwargs)
 
 
 def reference_context(
-    phi_dc: float = PHI_DC_BIASED,
-    phi_ac: float = DEFAULT_PHI_AC,
+    phi_dc: float | None = None,
+    phi_ac: float | None = None,
     n: int = 4,
-    fock_dim: int = 110,
+    fock_dim: int | None = None,
 ) -> EvaluationContext:
-    """Evaluation context of the reference device at the biased working point."""
-    qubit = reference_qubit(fock_dim)
-    return EvaluationContext(
-        qubit=qubit,
-        e_l=reference_circuit().e_l,
-        phi_dc=phi_dc,
-        phi_ac=phi_ac,
-        noise=reference_noise(qubit),
-        n=n,
-    )
+    """Evaluation context of the reference run: the CLI's default config at
+    drive order ``n``.  Each argument left None takes the reference value."""
+    cfg = {**_reference_tables(fock_dim), "optimizer": {"n": n}}
+    context = build_context(cfg, phi_ac=phi_ac)
+    return context if phi_dc is None else replace(context, phi_dc=phi_dc)
 
 
 def calibrate_amplitude(

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitParams, diagonalize_circuit
 from .dss import (
     DSS_THRESHOLD,
     amplitude_sensitivity,
@@ -58,7 +57,6 @@ from .lindblad import (
     process_fidelity,
     process_tomography,
 )
-from .noise import NoiseModel
 from .pareto import (
     STRATEGIES,
     Individual,
@@ -68,8 +66,9 @@ from .pareto import (
     aggregate_fronts,
     run_stage1,
 )
-from .reference import BENCHMARK_POINTS
-from .units import TWO_PI, ghz
+from .reference import BENCHMARK_POINTS, REFERENCE, _sweet_spot_qubit
+from .reference import build_circuit, build_context
+from .units import TWO_PI
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -96,22 +95,9 @@ _CONFIG = {
     "version": (int, 1, (1,)),
     "seed": (int, 2024),
     "output_dir": (str, "fluxspot-out"),
-    "circuit": {
-        "e_c_ghz": (float, 1.0),
-        "e_l_ghz": (float, 0.79),
-        "e_j_ghz": (float, 4.43),
-        "fock_dim": (int, 110),
-    },
-    "flux": {"phi_dc_over_pi": (float, 1.03), "phi_ac": (float, 0.05)},
-    "noise": {
-        "delta_f": (float, 1.8e-6),
-        "tan_delta_c": (float, 1.1e-6),
-        "temperature_k": (float, 0.015),
-        "omega_ir_hz": (float, 1.0),
-        "omega_uv_ghz": (float, 3.0),
-        "dephasing_log_factor": (float, 4.0),
-        "dephasing_scale": (float, 4.0),
-    },
+    # circuit, flux and noise: the reference run, one row per value
+    **{name: {k: (type(v), v) for k, v in values.items()}
+       for name, values in REFERENCE.items()},
     "optimizer": {
         "population_m": (int, 32),
         "generations_n": (int, 200),
@@ -252,7 +238,7 @@ def load_config(path: str | Path | None = None) -> dict:
     ``false`` are not numbers; a list row checks every element.  A wrong
     type, an unknown key or choice raises :class:`ConfigError` naming the
     key.  Ranges are the library's to check, except those of ``seed`` and
-    ``snapshot_every``.
+    ``snapshot_every``; two gate jobs may not share a ``name``.
     """
     raw = {} if path is None else _read_json_object(path, "config file")
     if "threads" in raw:
@@ -267,44 +253,12 @@ def load_config(path: str | Path | None = None) -> dict:
     if cfg["optimizer"]["snapshot_every"] < 1:
         raise ConfigError("optimizer.snapshot_every must be at least 1")
     cfg["gates"] = [_gate_job(job, cfg["flux"]["phi_ac"]) for job in cfg["gates"]]
+    names = [job["name"] for job in cfg["gates"]]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # each job writes pulse_<name>.json, which simulate reads back by name
+        raise ConfigError(f"gate job names must differ; repeated: {repeated}")
     return cfg
-
-
-def build_circuit(cfg: dict) -> CircuitParams:
-    c = cfg["circuit"]
-    return CircuitParams(
-        e_c=ghz(c["e_c_ghz"]),
-        e_l=ghz(c["e_l_ghz"]),
-        e_j=ghz(c["e_j_ghz"]),
-        fock_dim=c["fock_dim"],
-    )
-
-
-def build_context(cfg: dict, phi_ac: float | None = None) -> EvaluationContext:
-    circuit = build_circuit(cfg)
-    qubit = diagonalize_circuit(circuit, np.pi)
-    n = cfg["noise"]
-    noise = NoiseModel.from_loss_params(
-        delta_f=n["delta_f"],
-        tan_delta_c=n["tan_delta_c"],
-        e_l=circuit.e_l,
-        e_c=circuit.e_c,
-        phi_ge=qubit.phi_ge,
-        temperature=n["temperature_k"],
-        omega_ir=TWO_PI * n["omega_ir_hz"] * 1e-6,
-        omega_uv=ghz(n["omega_uv_ghz"]),
-        dephasing_log_factor=n["dephasing_log_factor"],
-        dephasing_scale=n["dephasing_scale"],
-    )
-    flux = cfg["flux"]
-    return EvaluationContext(
-        qubit=qubit,
-        e_l=circuit.e_l,
-        phi_dc=flux["phi_dc_over_pi"] * np.pi,
-        phi_ac=phi_ac if phi_ac is not None else flux["phi_ac"],
-        noise=noise,
-        n=cfg["optimizer"]["n"],
-    )
 
 
 def _json_bytes(obj) -> bytes:
@@ -332,7 +286,12 @@ class RunDirectory:
         self.cfg = cfg
         self.manifest_path = self.root / "manifest.json"
         if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text())
+            try:
+                self.manifest = _read_json_object(self.manifest_path, "manifest")
+            except ConfigError as exc:   # the manifest is upstream output
+                raise DependencyError(str(exc)) from exc
+            if not isinstance(self.manifest.get("entries"), list):
+                raise DependencyError(f"{self.manifest_path} has no entries list")
         else:
             self.manifest = {
                 "tool_version": __version__,
@@ -395,7 +354,7 @@ class RunDirectory:
 def cmd_fluxonium(cfg: dict, run: RunDirectory) -> Path:
     """Diagonalize the circuit and persist the effective-qubit fixture."""
     circuit = build_circuit(cfg)
-    qubit = diagonalize_circuit(circuit, np.pi)
+    qubit = _sweet_spot_qubit(circuit)
     fixture = {
         "delta_rad_per_us": qubit.delta,
         "phi_ge": qubit.phi_ge,
@@ -457,7 +416,9 @@ def _cell(row: dict, where: str, column: str, convert=float):
         ) from exc
 
 
-def _read_front_csv(path: Path, context: EvaluationContext, n: int) -> ParetoFront:
+def _read_front_csv(path: Path, context: EvaluationContext) -> ParetoFront:
+    """The front stored in ``path``, at the context's drive order ``n``."""
+    n = context.n
     points = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
@@ -488,9 +449,7 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
         name, phi_ac = spec.pop("name"), spec.pop("phi_ac")
         _check_artifact_name(name, where + "name")
         genome = Genome(**spec)
-    context = build_context(cfg, phi_ac=phi_ac)
-    if genome.n != context.n:
-        context = replace(context, n=genome.n)
+    context = replace(build_context(cfg, phi_ac=phi_ac), n=genome.n)
     _, point = evaluate_genome(genome, context)
     ind = Individual(
         genome=genome,
@@ -513,7 +472,7 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
     """
     opt = cfg["optimizer"]
     context = build_context(cfg)
-    settings = {k: opt[k] for k in opt.keys() - {"strategies", "snapshot_every"}}
+    settings = {k: opt[k] for k in opt.keys() - {"strategies", "snapshot_every", "n"}}
     paths = []
     for idx, strategy in enumerate(opt["strategies"]):
         run_seed = cfg["seed"] + 7919 * idx
@@ -537,7 +496,7 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
         rows = [_individual_row(ind, context) for ind in front.points]
         paths.append(
             run.write_csv(
-                f"front_{strategy}.csv", front_columns(oc.n), rows, "optimize"
+                f"front_{strategy}.csv", front_columns(context.n), rows, "optimize"
             )
         )
         run.write_csv(
@@ -552,25 +511,23 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
 def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
     """Merge all run-level fronts into the aggregated front."""
     context = build_context(cfg)
-    n = cfg["optimizer"]["n"]
     fronts = []
     for strategy in cfg["optimizer"]["strategies"]:
         path = run.require(f"front_{strategy}.csv", "optimize")
-        fronts.append(_read_front_csv(path, context, n))
+        fronts.append(_read_front_csv(path, context))
     combined = aggregate_fronts(fronts)
     rows = [_individual_row(ind, context) for ind in _with_points(combined, context)]
     return run.write_csv(
-        "front_aggregated.csv", front_columns(n), rows, "aggregate"
+        "front_aggregated.csv", front_columns(context.n), rows, "aggregate"
     )
 
 
 def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
     """Annotate the aggregated front with sweet-spot labels and bounds."""
     context = build_context(cfg)
-    n = cfg["optimizer"]["n"]
     path = run.require("front_aggregated.csv", "aggregate")
-    front = _read_front_csv(path, context, n)
-    header = front_columns(n) + [
+    front = _read_front_csv(path, context)
+    header = front_columns(context.n) + [
         "dss_label",
         "t_ub_general_us",
         "t_ub_dss_us",
@@ -597,9 +554,8 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
 def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     """Evaluate the relaxation-time bounds over the aggregated front."""
     context = build_context(cfg)
-    n = cfg["optimizer"]["n"]
     path = run.require("front_aggregated.csv", "aggregate")
-    front = _read_front_csv(path, context, n)
+    front = _read_front_csv(path, context)
     rows = []
     violations = 0
     for ind in _with_points(front, context, "front row"):
@@ -628,7 +584,7 @@ def _resolve_gate_point(cfg, run, job, context):
         return bench.genome, bench.phi_ac, bench.name
     if "front_index" in point:
         path = run.require("front_aggregated.csv", "aggregate")
-        front = _read_front_csv(path, context, cfg["optimizer"]["n"])
+        front = _read_front_csv(path, context)
         idx = point["front_index"]
         if not 0 <= idx < len(front.points):
             raise ConfigError(

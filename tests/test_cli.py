@@ -12,6 +12,7 @@ import pytest
 
 import fluxspot
 from fluxspot import cli
+from fluxspot.reference import REFERENCE
 from fluxspot.workbench import (
     _CONFIG,
     _GATE_JOB,
@@ -698,6 +699,67 @@ def test_default_config_is_filled_from_the_tables():
         expected, sort_keys=True
     )
     assert load_config(None) == DEFAULT_CONFIG
+
+
+def test_cli_and_reference_helpers_build_one_context():
+    # == on the frozen dataclasses compares every field's value
+    default = build_context(load_config(None))
+    assert default == fluxspot.reference_context()
+    for bench in fluxspot.BENCHMARK_POINTS:
+        expected = build_context(load_config(None), phi_ac=bench.phi_ac)
+        assert fluxspot.benchmark_context(bench) == expected, bench.name
+    reference = fluxspot.reference_context()
+    assert fluxspot.reference_noise(fluxspot.reference_qubit()) == reference.noise
+    assert {name: DEFAULT_CONFIG[name] for name in REFERENCE} == REFERENCE
+
+
+@pytest.mark.parametrize("n, code", [(-1, 3), (0, 0)])
+def test_drive_order_below_zero_exits_3_with_one_line(tmp_path, capsys, n, code):
+    optimizer = dict(TINY["optimizer"], n=n, strategies=["nsga2"])
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "optimize") == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert "drive order n must be >= 0, got -1" in err, err
+        assert not list(out.glob("front_*.csv"))
+    else:
+        assert err == "" and (out / "front_nsga2.csv").exists()
+
+
+def test_repeated_gate_job_name_exits_2_with_one_line(tmp_path, capsys):
+    job = TINY["gates"][0]
+    jobs = [dict(job, name="a", gate="x"), dict(job, name="a", gate="y")]
+    config = write_json(tmp_path / "config.json", dict(TINY, gates=jobs))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "repeated: ['a']" in err, err
+    assert not list(out.glob("pulse_*.json"))
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ("{bad", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object, not list"),
+        (json.dumps({"tool_version": "0.1.0"}), "has no entries list"),
+    ],
+    ids=["not-json", "not-an-object", "no-entries"],
+)
+def test_unreadable_manifest_exits_4_with_one_line(tmp_path, capsys, content, named):
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(content)
+    assert run_cli(config, out, "fluxonium") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "manifest.json" in err and named in err, err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == content
 
 
 def test_threads_key_is_ignored_with_a_warning(tmp_path):

@@ -357,7 +357,7 @@ class TestAggregate:
 
 @pytest.fixture(scope="module")
 def small_config():
-    return dict(population_m=8, generations_n=6, n=4, seed=99)
+    return dict(population_m=8, generations_n=6, seed=99)
 
 
 class TestRunStage1:
@@ -447,10 +447,12 @@ class TestRunStage1:
         # on a k_max = 1 truncation a strong drive labels gaps above omega_d
         # in the first generation; such genomes are infeasible
         ctx = replace(fs.reference_context(n=1, phi_ac=0.2), k_max=1)
-        cfg = fs.OptimizerConfig(population_m=20, generations_n=3, n=1, seed=1)
+        cfg = fs.OptimizerConfig(population_m=20, generations_n=3, seed=1)
         front = fs.run_stage1(cfg, ctx)
         assert front.points
         assert all(np.all(np.isfinite(ind.objectives)) for ind in front.points)
+        # the genome box is the context's drive order
+        assert {ind.genome.n for ind in front.points} == {1}
 
     def test_zone_edge_genome_is_infeasible_under_one_and_two_blas_threads(self):
         # a resonant undriven n = 1 genome puts eps = -/+ omega_d / 2 on the
@@ -479,11 +481,6 @@ class TestRunStage1:
             )
             outputs.append(proc.stdout.strip())
         assert outputs == ["(inf, inf) True"] * 2
-
-    def test_mismatched_order_rejected(self, context):
-        cfg = fs.OptimizerConfig(population_m=8, generations_n=2, n=3, seed=1)
-        with pytest.raises(InvalidParameterError):
-            fs.run_stage1(cfg, context)
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
