@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dss import (
-    DSS_THRESHOLD,
-    amplitude_sensitivity,
-    classify_point,
-    evaluate_bounds,
-)
+from .dss import classify_front, classify_point
 from .evaluation import (
     EvaluationContext,
     Genome,
@@ -290,8 +285,17 @@ class RunDirectory:
                 self.manifest = _read_json_object(self.manifest_path, "manifest")
             except ConfigError as exc:   # the manifest is upstream output
                 raise DependencyError(str(exc)) from exc
-            if not isinstance(self.manifest.get("entries"), list):
+            entries = self.manifest.get("entries")
+            if not isinstance(entries, list):
                 raise DependencyError(f"{self.manifest_path} has no entries list")
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, dict) or not all(
+                    isinstance(entry.get(key), str) for key in ("path", "sha256")
+                ):
+                    raise DependencyError(
+                        f"{self.manifest_path} entry {i} must be an object with "
+                        f"string path and sha256, got {entry!r}"
+                    )
         else:
             self.manifest = {
                 "tool_version": __version__,
@@ -299,9 +303,6 @@ class RunDirectory:
                 "created_utc": datetime.now(timezone.utc).isoformat(),
                 "entries": [],
             }
-
-    def path(self, name: str) -> Path:
-        return self.root / name
 
     def write_bytes(self, name: str, data: bytes, command: str) -> Path:
         target = self.root / name
@@ -376,34 +377,18 @@ def front_columns(n: int) -> list:
 def _individual_row(ind: Individual, context: EvaluationContext) -> list:
     """A front CSV row; an individual without a point (an infeasible genome)
     gets NaN in its derived columns."""
-    point = ind.point
+    if ind.point is None:
+        t1 = t_phi = gz0 = metric = np.nan
+    else:
+        report = classify_point(ind.point, context)
+        t1, t_phi = ind.point.rates.t1, ind.point.rates.t_phi
+        gz0, metric = report.gz0_abs, report.double_dss_metric
     g = ind.genome
-    gz0 = abs(point.weights.g_z0) if point is not None else np.nan
-    metric = (
-        abs(amplitude_sensitivity(point.weights, point.drive))
-        if point is not None
-        else np.nan
-    )
     strategy, seed, _ = ind.provenance if ind.provenance else ("-", -1, 0)
-    rates = point.rates if point is not None else None
-    return (
-        [
-            ind.objectives[0],
-            ind.objectives[1],
-            rates.t1 if rates else np.nan,
-            rates.t_phi if rates else np.nan,
-            g.p0,
-        ]
-        + list(g.p_re)
-        + list(g.p_im)
-        + [
-            g.omega_d_frac * context.omega_ge,
-            gz0,
-            metric,
-            strategy,
-            seed,
-        ]
-    )
+    return [
+        *ind.objectives, t1, t_phi, g.p0, *g.p_re, *g.p_im,
+        g.omega_d_frac * context.omega_ge, gz0, metric, strategy, seed,
+    ]
 
 
 def _cell(row: dict, where: str, column: str, convert=float):
@@ -435,6 +420,13 @@ def _read_front_csv(path: Path, context: EvaluationContext) -> ParetoFront:
     return ParetoFront(points=tuple(points))
 
 
+def _point_context(cfg: dict, genome: Genome, phi_ac: float | None) -> EvaluationContext:
+    """The context one working point is evaluated in: the config's at
+    ``phi_ac``, at the genome's own drive order, so that its harmonic
+    truncation 3 n does not depend on the search's ``optimizer.n``."""
+    return replace(build_context(cfg, phi_ac=phi_ac), n=genome.n)
+
+
 def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     """Evaluate one genome file (or a named benchmark point) to a rates row."""
     spec = _read_json_object(genome_file, "genome file")
@@ -449,7 +441,7 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
         name, phi_ac = spec.pop("name"), spec.pop("phi_ac")
         _check_artifact_name(name, where + "name")
         genome = Genome(**spec)
-    context = replace(build_context(cfg, phi_ac=phi_ac), n=genome.n)
+    context = _point_context(cfg, genome, phi_ac)
     _, point = evaluate_genome(genome, context)
     ind = Individual(
         genome=genome,
@@ -522,11 +514,16 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
     )
 
 
-def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
-    """Annotate the aggregated front with sweet-spot labels and bounds."""
+def _classified_front(cfg: dict, run: RunDirectory) -> tuple:
+    """The context and :func:`classify_front` of the aggregated front."""
     context = build_context(cfg)
     path = run.require("front_aggregated.csv", "aggregate")
-    front = _read_front_csv(path, context)
+    return context, classify_front(_read_front_csv(path, context), context)
+
+
+def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
+    """Annotate the aggregated front with sweet-spot labels and bounds."""
+    context, members = _classified_front(cfg, run)
     header = front_columns(context.n) + [
         "dss_label",
         "t_ub_general_us",
@@ -534,49 +531,33 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
         "d_omega_dc",
         "d_omega_ac",
     ]
-    rows = []
-    for ind in _with_points(front, context, "front row"):
-        report = classify_point(ind.point, context)
-        bounds = evaluate_bounds(ind.point, context.noise, context.qubit.delta)
-        rows.append(
-            _individual_row(ind, context)
-            + [
-                report.label,
-                bounds.t_ub_general,
-                bounds.t_ub_dss,
-                report.d_omega_d_phi_dc,
-                report.d_omega_d_phi_ac,
-            ]
-        )
+    rows = [
+        _individual_row(ind, context)
+        + [r.label, b.t_ub_general, b.t_ub_dss, r.d_omega_d_phi_dc, r.d_omega_d_phi_ac]
+        for ind, r, b in members
+    ]
     return run.write_csv("front_classified.csv", header, rows, "classify")
 
 
 def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
-    """Evaluate the relaxation-time bounds over the aggregated front."""
-    context = build_context(cfg)
-    path = run.require("front_aggregated.csv", "aggregate")
-    front = _read_front_csv(path, context)
-    rows = []
-    violations = 0
-    for ind in _with_points(front, context, "front row"):
-        b = evaluate_bounds(ind.point, context.noise, context.qubit.delta)
-        gz0 = abs(ind.point.weights.g_z0)
-        dss_ok = b.t1 <= b.t_ub_dss * (1 + 1e-9) if gz0 < DSS_THRESHOLD else True
-        ok = b.t1 <= b.t_ub_general * (1 + 1e-9) and dss_ok
-        violations += 0 if ok else 1
-        rows.append(
-            [b.t1, b.t_ub_general, b.t_ub_dss, b.margin_general, b.margin_dss, int(ok)]
-        )
+    """Evaluate the relaxation-time bounds over the aggregated front; the
+    second value counts the rows whose verdict is not ok."""
+    _, members = _classified_front(cfg, run)
+    bounds = [b for _, _, b in members]
+    rows = [
+        [b.t1, b.t_ub_general, b.t_ub_dss, b.margin_general, b.margin_dss, int(b.ok)]
+        for b in bounds
+    ]
     out = run.write_csv(
         "bounds.csv",
         ["t1_us", "t_ub_general_us", "t_ub_dss_us", "margin_general", "margin_dss", "ok"],
         rows,
         "bounds",
     )
-    return out, violations
+    return out, sum(not b.ok for b in bounds)
 
 
-def _resolve_gate_point(cfg, run, job, context):
+def _resolve_gate_point(cfg, run, job):
     """Genome, ``phi_ac`` and name of a filled gate job's ``point``."""
     point = job["point"]
     if isinstance(point, str):
@@ -584,7 +565,7 @@ def _resolve_gate_point(cfg, run, job, context):
         return bench.genome, bench.phi_ac, bench.name
     if "front_index" in point:
         path = run.require("front_aggregated.csv", "aggregate")
-        front = _read_front_csv(path, context)
+        front = _read_front_csv(path, build_context(cfg))
         idx = point["front_index"]
         if not 0 <= idx < len(front.points):
             raise ConfigError(
@@ -614,9 +595,8 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
         seed=seed,
     )
 
-    context_eval = build_context(cfg)
-    genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job, context_eval)
-    context_eval = replace(context_eval, phi_ac=phi_ac)
+    genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job)
+    context_eval = _point_context(cfg, genome, phi_ac)
     _, point = evaluate_genome(genome, context_eval)
     if point is None:
         raise FluxspotError(f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}")
@@ -691,7 +671,7 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     except ConfigError as exc:
         # the artifact is upstream output, not config
         raise DependencyError(str(exc)) from exc
-    context_eval = build_context(cfg, phi_ac=phi_ac)
+    context_eval = _point_context(cfg, genome, phi_ac)
     drive = genome_to_drive(genome, context_eval)
     frame = rotating_frame_trajectory(
         drive, context_eval.coefficients, context_eval.qubit.delta, **frame

@@ -746,8 +746,15 @@ def test_repeated_gate_job_name_exits_2_with_one_line(tmp_path, capsys):
         ("{bad", "is not valid JSON"),
         ("[1, 2]", "must hold a JSON object, not list"),
         (json.dumps({"tool_version": "0.1.0"}), "has no entries list"),
+        (json.dumps({"entries": [1]}), "entry 0 must be an object"),
+        (json.dumps({"entries": [{"path": "a.csv"}]}), "string path and sha256"),
+        (
+            json.dumps({"entries": [{"path": "a", "sha256": "0"}, {"path": 3, "sha256": "0"}]}),
+            "entry 1 must be an object",
+        ),
     ],
-    ids=["not-json", "not-an-object", "no-entries"],
+    ids=["not-json", "not-an-object", "no-entries", "entry-not-an-object",
+         "entry-without-sha256", "entry-path-not-a-string"],
 )
 def test_unreadable_manifest_exits_4_with_one_line(tmp_path, capsys, content, named):
     config = write_json(tmp_path / "config.json", TINY)
@@ -760,6 +767,44 @@ def test_unreadable_manifest_exits_4_with_one_line(tmp_path, capsys, content, na
     assert "manifest.json" in err and named in err, err
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     assert (out / "manifest.json").read_text() == content
+
+
+def test_grape_evaluates_its_point_at_the_genome_order(tmp_path):
+    # an order-2 genome under optimizer.n = 4: grape stores the rates that
+    # evaluate gives, at the genome's own harmonic truncation
+    job = dict(TINY["gates"][0], point={"genome": GENOME_KEYS})
+    cfg = dict(TINY, optimizer=dict(TINY["optimizer"], n=4), gates=[job])
+    config = write_json(tmp_path / "config.json", cfg)
+    genome = write_json(tmp_path / "genome.json", GENOME)
+    out = tmp_path / "out"
+    assert run_cli(config, out, "evaluate", str(genome)) == 0
+    assert run_cli(config, out, "grape") == 0
+    with open(out / "rates_custom.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    rates = json.loads((out / "pulse_x.json").read_text())["rates_per_us"]
+    assert rates == {
+        "gamma_1": float(row["gamma1_per_us"]),
+        "gamma_z": float(row["gammaz_per_us"]),
+    }
+
+
+def test_grape_on_a_front_index_stores_that_rows_rates(tmp_path, capsys):
+    jobs = [dict(TINY["gates"][0], name=f"f{i}", point={"front_index": i}) for i in (0, 99)]
+    config = write_json(tmp_path / "config.json", dict(TINY, gates=jobs))
+    out = tmp_path / "out"
+    for verb in ("optimize", "aggregate"):
+        assert run_cli(config, out, verb) == 0
+    assert run_cli(config, out, "grape", "--job", "0") == 0
+    with open(out / "front_aggregated.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    rates = json.loads((out / "pulse_f0.json").read_text())["rates_per_us"]
+    assert rates == {
+        "gamma_1": float(row["gamma1_per_us"]),
+        "gamma_z": float(row["gammaz_per_us"]),
+    }
+    capsys.readouterr()
+    assert run_cli(config, out, "grape", "--job", "1") == 2
+    assert "point.front_index 99 out of range" in capsys.readouterr().err
 
 
 def test_threads_key_is_ignored_with_a_warning(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.circuit import EffectiveCoefficients
+from fluxspot.dss import DSS_THRESHOLD
 from fluxspot.exceptions import DegenerateGapError
 from fluxspot.floquet import FilterWeights
 from fluxspot.pareto import Individual, ParetoFront
@@ -109,6 +112,34 @@ class TestUpperBounds:
         )
         scaled = fs.t1_upper_bound_general(w, c * 3.0, c * 10.0, scaled_noise)
         assert scaled == pytest.approx(base / c, rel=1e-12)
+
+
+class TestVerdict:
+    """``BoundReport.ok``: every point keeps the general bound, and a point
+    with |g_z0| below ``DSS_THRESHOLD`` also keeps the DSS bound, each up to
+    a relative 1e-9 of round-off."""
+
+    @pytest.mark.parametrize("excess", [0.5e-9, 2e-9], ids=["inside", "beyond"])
+    @pytest.mark.parametrize("bound", ["general", "dss"])
+    @pytest.mark.parametrize("gz0_scale", [0.5, 2.0], ids=["dss-row", "plain-row"])
+    def test_ok_counts_the_dss_bound_only_below_the_threshold(
+        self, benchmark_results, gz0_scale, bound, excess
+    ):
+        _, ctx, point = benchmark_results["dss-1"]
+        w = point.weights
+        g_z = w.g_z.copy()
+        g_z[w.k_max] = gz0_scale * DSS_THRESHOLD
+        # weaker relaxation weights lift the general bound above the DSS bound
+        g_plus = w.g_plus if bound == "general" else 0.1 * w.g_plus
+        point = replace(point, weights=replace(w, g_z=g_z, g_plus=g_plus))
+        at = fs.evaluate_bounds(point, ctx.noise, ctx.qubit.delta)
+        bounds = (at.t_ub_general, at.t_ub_dss)
+        limit, other = bounds if bound == "general" else bounds[::-1]
+        assert other > 1.1 * limit   # T1 at the bound under test keeps the other
+        rates = replace(point.rates, t1=limit * (1 + excess))
+        report = fs.evaluate_bounds(replace(point, rates=rates), ctx.noise, ctx.qubit.delta)
+        counted = bound == "general" or gz0_scale < 1
+        assert report.ok == (excess < 1e-9 or not counted)
 
 
 class TestSensitivity:
@@ -250,9 +281,10 @@ class TestClassification:
         front = ParetoFront(points=tuple(points))
         annotated = fs.classify_front(front, context)
         assert len(annotated) == 2
-        for _, report in annotated:
+        for ind, report, bounds in annotated:
             assert report.label in ("plain", "dss", "double_dss")
             assert np.isfinite(report.d_omega_d_phi_dc)
+            assert bounds == fs.evaluate_bounds(ind.point, context.noise, context.qubit.delta)
 
     def test_classify_front_evaluates_uncached_members(self, context):
         genomes = [
@@ -265,13 +297,14 @@ class TestClassification:
         ]
         bare = [Individual(genome=g, objectives=ind.objectives) for g, ind in zip(genomes, cached)]
         mixed = ParetoFront(points=(bare[0], cached[1], bare[2]))
-        want = [r for _, r in fs.classify_front(ParetoFront(points=tuple(cached)), context)]
-        assert [r for _, r in fs.classify_front(mixed, context)] == want
+        cached_front = ParetoFront(points=tuple(cached))
+        want = [(r, b) for _, r, b in fs.classify_front(cached_front, context)]
+        assert [(r, b) for _, r, b in fs.classify_front(mixed, context)] == want
         # an undriven member at omega_d = omega_ge has its gap on the zone edge
         ctx = fs.reference_context(phi_dc=np.pi)
         edge = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
         front = ParetoFront(points=(bare[0], Individual(genome=edge, objectives=(1.0, 1.0))))
-        with pytest.raises(DegenerateGapError, match="front member 1"):
+        with pytest.raises(DegenerateGapError, match="front row 1"):
             fs.classify_front(front, ctx)
 
     def test_dc_filter_orders_flux_sensitivity(self, context):
