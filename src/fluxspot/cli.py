@@ -3,7 +3,11 @@
 Exit codes: 0 success; 2 an unknown key, a wrong JSON type, an unknown
 choice, a negative seed, ``snapshot_every`` below 1, or two gate jobs with
 one name; 3 a well-typed value the library rejects, or a numerical failure;
-4 a missing or unreadable upstream artifact, the manifest included.
+4 a missing or unreadable upstream artifact, the manifest included, or one
+with a structural defect: a pulse artifact that ``simulate`` reads with a
+key missing, an unknown gate, a qubit count that is not the gate's, no
+steps, waveforms or frame entries of the wrong shape, or frame samples that
+are not finite or not in SU(2).
 """
 
 from __future__ import annotations
@@ -88,8 +92,7 @@ def main(argv=None) -> int:
                     f"{len(jobs)} gate job(s)"
                 )
             picked = jobs if args.job is None else [jobs[args.job]]
-            for job in picked:
-                path = cmd_grape(cfg, run, job)
+            for path in cmd_grape(cfg, run, picked):
                 print(f"wrote {path}")
             return 0
         elif args.command == "simulate":

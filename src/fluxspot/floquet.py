@@ -478,7 +478,9 @@ def _prefix_products(mats: np.ndarray) -> np.ndarray:
     The steps are cut into blocks of about ``sqrt(n)``: a serial pass inside
     the blocks, batched over them, then one pass over the block totals whose
     running products multiply each block, so both serial passes are about
-    ``sqrt(n)`` long.
+    ``sqrt(n)`` long.  Each block meets its carry in one 2-D product of its
+    stacked rows, which gives the bits of the per-step products at less cost
+    per call.
     """
     n, d = mats.shape[0], mats.shape[-1]
     block = math.isqrt(n - 1) + 1   # ceil(sqrt(n))
@@ -493,7 +495,7 @@ def _prefix_products(mats: np.ndarray) -> np.ndarray:
     carry[0] = np.eye(d)
     for b in range(1, n_blocks):
         carry[b] = out[b - 1, -1] @ carry[b - 1]
-    return (out @ carry[:, None]).reshape(-1, d, d)[:n]
+    return (out.reshape(n_blocks, block * d, d) @ carry).reshape(-1, d, d)[:n]
 
 
 def _period_steps(

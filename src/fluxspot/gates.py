@@ -3,9 +3,12 @@
 Control pulses add a transverse drive ``f(t) sigma_y`` on top of the running
 flux modulation.  All gate dynamics happen in the rotating frame of the
 modulated qubit Hamiltonian.  A :class:`ControlContext` is that frame: its
-SU(2) samples ``R_k``, integrated once per (drive, duration).  Step ``k``
-sees every lab-frame operator ``O`` of :func:`_static_operators` as
-``R_k^dag O R_k``, and no stack of conjugated operators is ever built.
+SU(2) samples ``R_k``.  Step ``k`` sees every lab-frame operator ``O`` of
+:func:`_static_operators` as ``R_k^dag O R_k``, and no stack of conjugated
+operators is ever built.  A ``grape`` pass integrates each distinct frame
+(drive, duration, steps and substeps) once, whatever the jobs that share
+it, and stores the samples in the pulse artifact; ``simulate`` replays the
+pulse in the stored frame and integrates none.
 
 GRAPE runs in the interaction picture of that frame.  With ``W`` the
 sigma_y eigenbasis and ``T = W`` (one qubit) or ``W (x) W`` (two),
@@ -275,11 +278,12 @@ class ControlContext:
             raise InvalidParameterError(
                 f"frame must have shape (steps, 2, 2), got {frame.shape}"
             )
+        # written so that a non-finite sample fails the checks too
         gram = frame @ frame.conj().transpose(0, 2, 1)
-        if np.max(np.abs(gram - np.eye(2))) > 1e-12:
+        if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:
             raise InvalidParameterError("frame samples must be unitary")
         det = frame[:, 0, 0] * frame[:, 1, 1] - frame[:, 0, 1] * frame[:, 1, 0]
-        if np.max(np.abs(det - 1.0)) > 1e-12:
+        if not np.max(np.abs(det - 1.0)) <= 1e-12:
             raise InvalidParameterError("frame samples must have determinant 1")
         if self.n_qubits not in (1, 2):
             raise InvalidParameterError("n_qubits must be 1 or 2")
@@ -578,26 +582,27 @@ def grape_gradient(
     target: GateTarget,
 ) -> np.ndarray:
     """Exact gradient of the infidelity 1 - F with respect to ``theta``."""
-    _, grad, _ = _value_and_grad(theta, spec, context, target)
+    _, grad, _ = _value_and_grad(theta, spec, spec.window(), context, target)
     return -grad
 
 
 def _value_and_grad(
     theta: np.ndarray,
     spec: PulseSpec,
+    window: np.ndarray,
     context: ControlContext,
     target: GateTarget,
     penalized: bool = False,
 ):
     """(objective, d objective/d theta, diagnostics); objective = F, less the
-    amplitude and edge penalties when ``penalized``."""
+    amplitude and edge penalties when ``penalized``; ``window`` is
+    ``spec.window()``."""
     theta = np.asarray(theta, dtype=float)
     if theta.size != spec.n_controls * spec.params_per_control:
         raise InvalidParameterError(
             f"theta needs {spec.n_controls * spec.params_per_control} entries, "
             f"got {theta.size}"
         )
-    window = spec.window()
     waveforms, (_, _, sig, _) = _shape_stages(
         theta.reshape(spec.n_controls, -1), spec, window
     )
@@ -695,6 +700,7 @@ def optimize_pulse(
             spec.n_controls * spec.params_per_control
         )
 
+    window = spec.window()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     best_theta = theta.copy()
@@ -702,7 +708,7 @@ def optimize_pulse(
     history = []
     for it in range(1, settings.iterations + 1):
         value, grad, info = _value_and_grad(
-            theta, spec, context, target, penalized=True
+            theta, spec, window, context, target, penalized=True
         )
         fid = info["fidelity"]
         if it == 1:

@@ -27,11 +27,16 @@ from .evaluation import (
     Genome,
     _INFEASIBLE,
     evaluate_genome,
-    genome_to_drive,
 )
-from .exceptions import ConfigError, DependencyError, FluxspotError
+from .exceptions import (
+    ConfigError,
+    DependencyError,
+    FluxspotError,
+    InvalidParameterError,
+)
 from .floquet import (
     DriveSpec,
+    _su2_matrices,
     mode_infidelity,
     reference_floquet_via_propagator,
     solve_floquet,
@@ -39,6 +44,7 @@ from .floquet import (
 )
 from .gates import (
     TARGETS,
+    ControlContext,
     GrapeSettings,
     PulseSpec,
     gate_target,
@@ -575,10 +581,39 @@ def _resolve_gate_point(cfg, run, job):
     return Genome(**point["genome"]), point["phi_ac"], "custom"
 
 
-def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
-    """Optimize one gate job and persist the pulse artifact.  The job is
-    filled from the gate-job table as :func:`load_config` fills it, so a
-    hand-built job such as ``{"gate": "x"}`` gets every default."""
+def _complex_parts(z: np.ndarray) -> list:
+    """``[re, im]``: the real and the imaginary parts of ``z`` as lists of
+    plain floats."""
+    return [z.real.tolist(), z.imag.tolist()]
+
+
+def _from_parts(parts: np.ndarray) -> np.ndarray:
+    """The complex array whose real and imaginary parts are the rows of
+    ``parts``, bit for bit (``re + 1j * im`` can flip the sign of a zero)."""
+    z = np.empty(parts.shape[1:], dtype=complex)
+    z.real, z.imag = parts
+    return z
+
+
+def cmd_grape(cfg: dict, run: RunDirectory, jobs: list) -> list:
+    """Optimize each of ``jobs`` and persist one pulse artifact per job; the
+    artifact paths, in job order.
+
+    Each job is filled from the gate-job table as :func:`load_config` fills
+    it, so a hand-built job such as ``{"gate": "x"}`` gets every default.
+    Jobs with one frame -- the same evaluated drive, duration, steps and
+    substeps -- share one integration.  Each artifact stores the entries
+    (a, b) of every frame sample ``[[a, -b*], [b, a*]]``, ``frame_a`` and
+    ``frame_b`` each as its list of real parts and its list of imaginary
+    parts, so that ``simulate`` replays the pulse in that frame.
+    """
+    frames = {}
+    return [_grape_job(cfg, run, job, frames) for job in jobs]
+
+
+def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
+    """One job of :func:`cmd_grape`; ``frames`` holds the frame samples
+    integrated so far in the pass, by their key."""
     job = _gate_job(job, cfg["flux"]["phi_ac"])
     name, n_qubits = job["name"], job["n_qubits"]
     seed = cfg["seed"] + job["seed_offset"]
@@ -601,19 +636,23 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
     if point is None:
         raise FluxspotError(f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}")
 
-    frame = rotating_frame_trajectory(
-        point.drive,
-        context_eval.coefficients,
-        context_eval.qubit.delta,
-        job["duration_ns"],
-        steps=job["steps"],
-        substeps=job["frame_substeps"],
-        n_qubits=n_qubits,
-        coupling_j=coupling,
-    )
+    # the coefficients and splitting are the config's at the drive's flux
+    # point, so within one pass the drive stands for them
+    duration, steps = job["duration_ns"], job["steps"]
+    key = (point.drive, duration, steps, job["frame_substeps"])
+    if key not in frames:
+        frames[key] = rotating_frame_trajectory(
+            point.drive,
+            context_eval.coefficients,
+            context_eval.qubit.delta,
+            duration,
+            steps=steps,
+            substeps=job["frame_substeps"],
+        ).frame
+    frame = ControlContext(frames[key], duration / steps, n_qubits, coupling)
     spec = PulseSpec(
-        duration=job["duration_ns"],
-        steps=job["steps"],
+        duration=duration,
+        steps=steps,
         f_max=f_max,
         n_freq=job["n_freq"],
         n_controls=n_qubits,
@@ -627,13 +666,15 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
         "point": point_name,
         "genome": asdict(genome),
         "phi_ac": phi_ac,
-        "duration_ns": job["duration_ns"],
-        "steps": job["steps"],
+        "duration_ns": duration,
+        "steps": steps,
         "n_freq": job["n_freq"],
         "n_qubits": n_qubits,
         "f_max_rad_per_ns": f_max,
         "coupling_j_rad_per_ns": coupling,
         "frame_substeps": job["frame_substeps"],
+        "frame_a": _complex_parts(frame.frame[:, 0, 0]),
+        "frame_b": _complex_parts(frame.frame[:, 1, 0]),
         "theta": [float(x) for x in result.theta],
         "samples": [[float(x) for x in wf] for wf in result.waveforms],
         "spectrum_re": [[float(x.real) for x in s] for s in spectra],
@@ -650,33 +691,62 @@ def cmd_grape(cfg: dict, run: RunDirectory, job: dict) -> Path:
 
 
 def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
-    """Open-system evaluation of a stored pulse artifact."""
+    """Open-system replay of a stored pulse artifact.
+
+    The artifact holds all that the replay needs: the waveforms, the rates,
+    and the frame samples that ``grape`` integrated.  So ``simulate`` reads
+    no ``circuit``, ``flux`` or ``noise`` table of ``cfg``, builds no
+    evaluation context, diagonalizes no circuit and integrates no frame.
+    Every structural defect of the artifact raises :class:`DependencyError`
+    naming it: a missing key, a value of the wrong kind, an unknown gate, a
+    qubit count that is not the gate's, fewer than 1 step, waveforms or
+    frame entries of the wrong shape, and frame samples that are not finite
+    or not in SU(2).  Its genome and ``phi_ac`` are checked too, though the
+    replay does not use them.  A non-finite rate or sample is the library's
+    to reject.
+    """
     path = run.require(f"pulse_{pulse_name}.json", "grape")
+    where = f"pulse artifact {path.name}"
     try:
         art = json.loads(path.read_text())
-        frame = {
-            "duration": float(art["duration_ns"]),
-            "steps": int(art["steps"]),
-            "substeps": int(art["frame_substeps"]),
-            "n_qubits": int(art["n_qubits"]),
-            "coupling_j": float(art["coupling_j_rad_per_ns"]),
-        }
+        duration, steps = float(art["duration_ns"]), int(art["steps"])
+        n_qubits = int(art["n_qubits"])
+        coupling = float(art["coupling_j_rad_per_ns"])
         g1, gz = (float(art["rates_per_us"][k]) for k in ("gamma_1", "gamma_z"))
         waveforms = np.array(art["samples"], dtype=float)
-        phi_ac, spec, gate = float(art["phi_ac"]), art["genome"], art["gate"]
+        a, b = (np.array(art[k], dtype=float) for k in ("frame_a", "frame_b"))
+        float(art["phi_ac"])
+        spec, gate = art["genome"], art["gate"]
     except (ValueError, KeyError, TypeError) as exc:
-        raise DependencyError(f"pulse artifact {path.name}: {exc!r}") from exc
+        raise DependencyError(f"{where}: {exc!r}") from exc
     try:
-        genome = Genome(**_typed(spec, _GENOME, f"pulse artifact {path.name}: genome"))
-    except ConfigError as exc:
+        Genome(**_typed(spec, _GENOME, f"{where}: genome"))
+        _typed(gate, str, f"{where}: gate", TARGETS)
+    except (ConfigError, InvalidParameterError) as exc:
         # the artifact is upstream output, not config
         raise DependencyError(str(exc)) from exc
-    context_eval = _point_context(cfg, genome, phi_ac)
-    drive = genome_to_drive(genome, context_eval)
-    frame = rotating_frame_trajectory(
-        drive, context_eval.coefficients, context_eval.qubit.delta, **frame
-    )
-    model = LindbladModel(rates=tuple((g1, gz) for _ in range(frame.n_qubits)))
+    if n_qubits != _QUBITS[gate]:
+        raise DependencyError(
+            f"{where}: gate {gate!r} acts on {_QUBITS[gate]} qubit(s), "
+            f"n_qubits is {n_qubits}"
+        )
+    if steps < 1:
+        raise DependencyError(f"{where}: steps must be at least 1, got {steps}")
+    shapes = {"samples": (waveforms, (n_qubits, steps)),
+              "frame_a": (a, (2, steps)), "frame_b": (b, (2, steps))}
+    for key, (value, shape) in shapes.items():
+        if value.shape != shape:
+            raise DependencyError(
+                f"{where}: {key} must have shape {shape}, got {value.shape}"
+            )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DependencyError(f"{where}: frame_a and frame_b must be finite")
+    try:
+        samples = _su2_matrices(_from_parts(a), _from_parts(b))
+        frame = ControlContext(samples, duration / steps, n_qubits, coupling)
+    except InvalidParameterError as exc:
+        raise DependencyError(f"{where}: {exc}") from exc
+    model = LindbladModel(rates=tuple((g1, gz) for _ in range(n_qubits)))
     channel = channel_from_simulation(frame, waveforms, model)
     chi = process_tomography(channel, frame.dimension)
     target_chi = chi_from_unitary(gate_target(gate).unitary)

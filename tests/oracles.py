@@ -12,10 +12,15 @@ none of the functions here:
 - :func:`parseval_sum` is the completeness sum of the filter weights.
 - :func:`evolve_density` propagates one density matrix through the
   open-system channel and checks its trace.
+- :func:`prefix_products_broadcast` is the blocked prefix scan with each
+  step's carry broadcast as its own product; ``_prefix_products`` applies
+  a block's carry in one product of its stacked rows, and must give the
+  same bits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -212,3 +217,22 @@ def evolve_density(
     if drift > 1e-9:
         raise IntegrationError(f"trace drifted by {drift:.2e}")
     return rho
+
+
+def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:
+    """Ordered prefixes ``out[i] = mats[i] @ ... @ mats[0]`` by the blocked
+    scan of ``_prefix_products``, each step times its block's carry."""
+    n, d = mats.shape[0], mats.shape[-1]
+    block = math.isqrt(n - 1) + 1
+    n_blocks = -(-n // block)
+    pad = np.broadcast_to(np.eye(d, dtype=mats.dtype), (n_blocks * block - n, d, d))
+    blocks = np.concatenate([mats, pad]).reshape(n_blocks, block, d, d)
+    out = np.empty_like(blocks)
+    out[:, 0] = blocks[:, 0]
+    for i in range(1, block):
+        out[:, i] = blocks[:, i] @ out[:, i - 1]
+    carry = np.empty((n_blocks, d, d), dtype=mats.dtype)
+    carry[0] = np.eye(d)
+    for b in range(1, n_blocks):
+        carry[b] = out[b - 1, -1] @ carry[b - 1]
+    return (out @ carry[:, None]).reshape(-1, d, d)[:n]

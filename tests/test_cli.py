@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import fluxspot
-from fluxspot import cli
+from fluxspot import cli, reference
+from fluxspot.floquet import PAULI_X
 from fluxspot.reference import REFERENCE
 from fluxspot.workbench import (
     _CONFIG,
@@ -491,6 +492,9 @@ PULSE = {
     "n_qubits": 1,
     "coupling_j_rad_per_ns": 0.0,
     "samples": [[0.0] * 16],
+    # the identity frame: a = 1 and b = 0 at every step
+    "frame_a": [[1.0] * 16, [0.0] * 16],
+    "frame_b": [[0.0] * 16, [0.0] * 16],
     "rates_per_us": {"gamma_1": 0.01, "gamma_z": 0.01},
 }
 
@@ -658,11 +662,124 @@ def test_gate_job_leaves_a_filled_job_unchanged(tmp_path):
 def test_cmd_grape_fills_a_hand_built_job(tmp_path):
     cfg = load_config(write_json(tmp_path / "config.json", TINY))
     job = {"gate": "x", "iterations": 2, "steps": 16, "frame_substeps": 8}
-    path = cmd_grape(cfg, RunDirectory(tmp_path / "out", cfg), job)
+    (path,) = cmd_grape(cfg, RunDirectory(tmp_path / "out", cfg), [job])
     art = json.loads(path.read_text())
     assert path.name == "pulse_x.json"
     assert (art["point"], art["n_qubits"], art["n_freq"]) == ("dss-2", 1, 9)
     assert len(art["fidelity_history"]) == 2
+
+
+def test_pulse_dict_replays(tmp_path):
+    # the cases below change one key of a pulse that simulate accepts
+    out = tmp_path / "out"
+    out.mkdir()
+    write_json(out / "pulse_x.json", PULSE)
+    assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", "x") == 0
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"samples": [[0.0] * 15]}, "samples must have shape (1, 16), got (1, 15)"),
+        ({"steps": 0}, "steps must be at least 1, got 0"),
+        ({"n_qubits": 3}, "gate 'x' acts on 1 qubit(s), n_qubits is 3"),
+        ({"gate": "zz"}, "gate 'zz' is not one of"),
+        ({"frame_a": None}, "KeyError('frame_a')"),
+        ({"frame_b": None}, "KeyError('frame_b')"),
+        ({"frame_a": [[1.0] * 15, [0.0] * 15]}, "frame_a must have shape (2, 16), got (2, 15)"),
+        ({"frame_b": [[0.0] * 17, [0.0] * 17]}, "frame_b must have shape (2, 16), got (2, 17)"),
+        ({"frame_a": [[0.6] * 16, [0.0] * 16]}, "frame samples must be unitary"),
+        ({"frame_b": [[0.0] * 16, [math.nan] * 16]}, "frame_a and frame_b must be finite"),
+    ],
+    ids=[
+        "samples-short",
+        "no-steps",
+        "three-qubits",
+        "unknown-gate",
+        "no-frame_a",
+        "no-frame_b",
+        "frame_a-short",
+        "frame_b-long",
+        "frame-not-su2",
+        "frame-not-finite",
+    ],
+)
+def test_simulate_exits_4_on_a_structural_defect(tmp_path, capsys, change, named):
+    pulse = {k: v for k, v in dict(PULSE, **change).items() if v is not None}
+    out = tmp_path / "out"
+    out.mkdir()
+    write_json(out / "pulse_x.json", pulse)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", "x") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"pulse artifact pulse_x.json: {named}" in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == 0
+    assert run_cli(config, out, "simulate", "x") == 0
+    art = json.loads((out / "pulse_x.json").read_text())
+    bench = next(b for b in fluxspot.BENCHMARK_POINTS if b.name == "dss-2")
+    context = build_context(load_config(config), phi_ac=bench.phi_ac)
+    fresh = fluxspot.rotating_frame_trajectory(
+        fluxspot.genome_to_drive(bench.genome, context),
+        context.coefficients,
+        context.qubit.delta,
+        art["duration_ns"],
+        steps=art["steps"],
+        substeps=art["frame_substeps"],
+    )
+    a, b = fresh.frame[:, 0, 0], fresh.frame[:, 1, 0]
+    assert art["frame_a"] == [a.real.tolist(), a.imag.tolist()]
+    assert art["frame_b"] == [b.real.tolist(), b.imag.tolist()]
+    rates = tuple(art["rates_per_us"][k] for k in ("gamma_1", "gamma_z"))
+    channel = fluxspot.channel_from_simulation(
+        fresh, art["samples"], fluxspot.LindbladModel(rates=(rates,))
+    )
+    chi = fluxspot.process_tomography(channel, 2)
+    expected = fluxspot.process_fidelity(chi, fluxspot.chi_from_unitary(PAULI_X))
+    assert json.loads((out / "simulate_x.json").read_text())["process_fidelity"] == expected
+
+
+def counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from here on; a list of one count."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_grape_pass_integrates_each_frame_once(tmp_path, monkeypatch):
+    # the benchmark's gates jobs at 1 iteration: x and sqrt_iswap share a frame
+    jobs = [{"name": g, "gate": g, "point": "dss-2", "iterations": 1}
+            for g in ("x", "sqrt_iswap")]
+    config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
+    out = tmp_path / "out"
+    frames = counted(monkeypatch, fluxspot.gates, "_frame_unitaries")
+    assert run_cli(config, out, "grape") == 0
+    assert frames == [1]
+
+    # simulate replays the stored frame: no frame, no circuit
+    reference._sweet_spot_qubit.cache_clear()
+    circuits = counted(monkeypatch, reference, "diagonalize_circuit")
+    for name in ("x", "sqrt_iswap"):
+        assert run_cli(config, out, "simulate", name) == 0
+    assert (frames, circuits) == ([1], [0])
+
+    # a job at 12 ns has a frame of its own: two integrations, not one
+    jobs[1]["duration_ns"] = 12.0
+    config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
+    assert run_cli(config, tmp_path / "out12", "grape") == 0
+    assert frames == [3]
 
 
 def test_default_config_is_filled_from_the_tables():

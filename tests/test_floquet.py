@@ -33,7 +33,12 @@ from fluxspot.floquet import (
 )
 
 from conftest import REFERENCE_CONTEXT, box_drives, random_drive, solve_drive
-from oracles import filter_weights_time_grid, mode_at, parseval_sum
+from oracles import (
+    filter_weights_time_grid,
+    mode_at,
+    parseval_sum,
+    prefix_products_broadcast,
+)
 
 REFERENCE_DELTA = REFERENCE_CONTEXT.qubit.delta
 
@@ -424,6 +429,16 @@ class TestPropagatorReference:
             u = step @ u
             expected.append(u)
         assert np.max(np.abs(_prefix_products(steps) - np.array(expected))) < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 23, 500, 530])
+    def test_prefix_products_keep_the_bits_of_the_broadcast_carry(self, n, dim):
+        # the 2-qubit GRAPE scan runs on these products: a pulse keeps its
+        # bits only if one product per block equals a product per step
+        rng = np.random.default_rng(n * dim)
+        z = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        steps, _ = np.linalg.qr(z)
+        assert np.array_equal(_prefix_products(steps), prefix_products_broadcast(steps))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 36, 40, 500])
     def test_su2_prefix_products_match_sequential_loop(self, n):

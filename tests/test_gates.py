@@ -197,6 +197,7 @@ class TestRotatingFrame:
             # unitary, but with determinant exp(0.2i): the one-qubit scan
             # needs its frame increments in SU(2)
             (np.exp(0.1j) * np.eye(2)[None], {}),
+            (np.array([[[np.nan, 0.0], [0.0, 1.0]]]), {}),
         ],
     )
     def test_context_rejects_inconsistent_fields(self, frame, fields):
@@ -380,7 +381,7 @@ class TestGradient:
         from fluxspot.gates import _value_and_grad
 
         def loss(th):
-            value, _, _ = _value_and_grad(th, spec, frame, target)
+            value, _, _ = _value_and_grad(th, spec, spec.window(), frame, target)
             return 1.0 - value
 
         h = 1e-6
