@@ -498,6 +498,16 @@ def _prefix_products(mats: np.ndarray) -> np.ndarray:
     return (out.reshape(n_blocks, block * d, d) @ carry).reshape(-1, d, d)[:n]
 
 
+def _midpoint_steps(
+    drive: DriveSpec, coeffs: EffectiveCoefficients, delta: float, t_mid_us, h, scale=1.0
+):
+    """Entries ``(a, b)`` of the steps ``exp(-i h H(t_mid_us) scale)``, ``H =
+    -(delta/2) Z + (B/2 + A P(t)) X`` in rad/us (see :func:`_su2_entries`):
+    the one step rule of the gate frame and the propagator reference."""
+    cx = (0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid_us)) * scale
+    return _su2_entries(delta * scale, cx, h)
+
+
 def _period_steps(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
@@ -507,13 +517,11 @@ def _period_steps(
     hi: int,
 ):
     """Entries ``(a, b)`` of the midpoint step propagators ``lo .. hi - 1``
-    of one period split into ``substeps`` (see :func:`_su2_entries`); step
-    ``m`` takes the drive at ``(m + 1/2) T / substeps`` whatever the range,
-    so the blocks of a period join up."""
+    of one period split into ``substeps`` (see :func:`_midpoint_steps`);
+    step ``m`` takes the drive at ``(m + 1/2) T / substeps`` whatever the
+    range, so the blocks of a period join up."""
     dt = drive.period / substeps
-    t_mid = (np.arange(lo, hi) + 0.5) * dt
-    cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)
-    return _su2_entries(delta, cx, dt)
+    return _midpoint_steps(drive, coeffs, delta, (np.arange(lo, hi) + 0.5) * dt, dt)
 
 
 def _block_carries(

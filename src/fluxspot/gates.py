@@ -2,13 +2,14 @@
 
 Control pulses add a transverse drive ``f(t) sigma_y`` on top of the running
 flux modulation.  All gate dynamics happen in the rotating frame of the
-modulated qubit Hamiltonian.  A :class:`ControlContext` is that frame: its
-SU(2) samples ``R_k``.  Step ``k`` sees every lab-frame operator ``O`` of
-:func:`_static_operators` as ``R_k^dag O R_k``, and no stack of conjugated
-operators is ever built.  A ``grape`` pass integrates each distinct frame
-(drive, duration, steps and substeps) once, whatever the jobs that share
-it, and stores the samples in the pulse artifact; ``simulate`` replays the
-pulse in the stored frame and integrates none.
+modulated qubit Hamiltonian.  A :class:`ControlContext` is that frame: the
+SU(2) samples ``R_k`` that :func:`rotating_frame_trajectory` integrates,
+with one job's step length, qubit count and coupling.  Step ``k`` sees
+every lab-frame operator ``O`` of :func:`_static_operators` as
+``R_k^dag O R_k``, and no stack of conjugated operators is ever built.  A
+``grape`` pass evaluates the point and integrates the frame once per
+genome, ``phi_ac``, duration, steps and substeps, and stores the samples
+in the pulse artifact; ``simulate`` replays them and integrates none.
 
 GRAPE runs in the interaction picture of that frame.  With ``W`` the
 sigma_y eigenbasis and ``T = W`` (one qubit) or ``W (x) W`` (two),
@@ -45,8 +46,8 @@ from .floquet import (
     PAULI_Y,
     PAULI_Z,
     DriveSpec,
+    _midpoint_steps,
     _prefix_products,
-    _su2_entries,
     _su2_matrices,
     _su2_prefix_products,
     _su2_tree_product,
@@ -72,7 +73,8 @@ __all__ = [
 #: tolerated amplitude overshoot from spectral ringing after the band-limit
 GIBBS_TOL = 0.02
 
-#: Adam's decay rates of the first and second moment estimates
+#: Adam's step size and the decay rates of its two moment estimates
+ADAM_STEP = 0.08
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 #: standard deviation of the random initial pulse parameters
@@ -278,12 +280,14 @@ class ControlContext:
             raise InvalidParameterError(
                 f"frame must have shape (steps, 2, 2), got {frame.shape}"
             )
-        # written so that a non-finite sample fails the checks too
+        # before any product, which would warn on a non-finite sample
+        if not np.isfinite(frame).all():
+            raise InvalidParameterError("frame samples must be finite")
         gram = frame @ frame.conj().transpose(0, 2, 1)
-        if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:
+        if np.max(np.abs(gram - np.eye(2))) > 1e-12:
             raise InvalidParameterError("frame samples must be unitary")
         det = frame[:, 0, 0] * frame[:, 1, 1] - frame[:, 0, 1] * frame[:, 1, 0]
-        if not np.max(np.abs(det - 1.0)) <= 1e-12:
+        if np.max(np.abs(det - 1.0)) > 1e-12:
             raise InvalidParameterError("frame samples must have determinant 1")
         if self.n_qubits not in (1, 2):
             raise InvalidParameterError("n_qubits must be 1 or 2")
@@ -354,14 +358,13 @@ def _frame_unitaries(
     """U_q at the ascending sample times by piecewise-constant exponentials.
 
     The integration grid subdivides each inter-sample interval (the first
-    one starts at 0) into ``substeps`` pieces sampled at their midpoints.
+    one starts at 0) into ``substeps`` steps of :func:`_midpoint_steps`.
     Every step is SU(2), so each segment's steps are reduced on their entry
     arrays by :func:`_su2_tree_product`, on blocks of about sqrt(segments)
     segments to keep memory small, and one prefix scan of the segment
     totals on their entry arrays gives the samples, each projected back onto
     SU(2).
     """
-    delta_ns = delta * RAD_PER_US_TO_RAD_PER_NS
     edges = np.concatenate(([0.0], times_ns))
     starts = edges[:-1, None]
     widths = np.diff(edges)[:, None] / substeps
@@ -373,12 +376,10 @@ def _frame_unitaries(
         t0, h = starts[lo : lo + block], widths[lo : lo + block]
         mids = t0 + (np.arange(substeps) + 0.5) * h
         # drive waveform lives on the us clock
-        p_vals = drive.waveform(mids * 1e-3)
-        cx = (0.5 * coeffs.b_coef + coeffs.a_coef * p_vals)
-        cx = cx * RAD_PER_US_TO_RAD_PER_NS
-        a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(
-            *_su2_entries(delta_ns, cx, h)
+        steps = _midpoint_steps(
+            drive, coeffs, delta, mids * 1e-3, h, RAD_PER_US_TO_RAD_PER_NS
         )
+        a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(*steps)
     a, b = _su2_prefix_products(a, b)
     # the scan leaves the samples up to ~1e-11 off unitarity; the closed-form
     # block steps would carry that into non-unitary steps, and the context
@@ -394,16 +395,14 @@ def rotating_frame_trajectory(
     duration: float,
     steps: int = 500,
     substeps: int = 1024,
-    n_qubits: int = 1,
-    coupling_j: float = 0.0,
     verify: bool = False,
-) -> ControlContext:
-    """Integrate the qubit frame onto the step-midpoint grid of a gate job.
+) -> np.ndarray:
+    """The ``(steps, 2, 2)`` SU(2) qubit frame samples on the step-midpoint
+    grid of a gate job, for a :class:`ControlContext` of any job on it.
 
-    ``duration`` in ns, ``coupling_j`` in rad/ns; the qubit/drive parameters
-    come in rad/us.  The frame samples are integrated with ``substeps``
-    pieces per sample interval; the returned :class:`ControlContext` holds
-    them.  ``steps`` and ``substeps`` must be at least 1 and ``duration``
+    ``duration`` in ns; the qubit/drive parameters come in rad/us.  The
+    samples are integrated with ``substeps`` pieces per sample interval.
+    ``steps`` and ``substeps`` must be at least 1 and ``duration``
     positive.  With ``verify=True`` the frame is re-integrated at half the
     substep resolution and any sample moving by more than 1e-9 raises
     :class:`IntegrationError`.  The check is off by default: at the default
@@ -414,8 +413,7 @@ def rotating_frame_trajectory(
             f"frame grid needs steps >= 1, substeps >= 1 and duration > 0; "
             f"got {steps}, {substeps} and {duration}"
         )
-    dt = duration / steps
-    mids = (np.arange(steps) + 0.5) * dt
+    mids = (np.arange(steps) + 0.5) * (duration / steps)
     us = _frame_unitaries(drive, coeffs, delta, mids, substeps)
     if verify:
         coarse = _frame_unitaries(drive, coeffs, delta, mids, max(substeps // 2, 1))
@@ -425,7 +423,7 @@ def rotating_frame_trajectory(
                 f"frame integration not converged: samples moved by "
                 f"{drift_err:.2e} when halving substeps"
             )
-    return ControlContext(frame=us, dt=dt, n_qubits=n_qubits, coupling_j=coupling_j)
+    return us
 
 
 def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
@@ -633,14 +631,13 @@ def _value_and_grad(
 class GrapeSettings:
     """Optimizer settings for :func:`optimize_pulse` (Adam ascent).
 
-    The Adam decay rates, the initial scale, the penalty weights and the
-    target fidelity are the module constants ``ADAM_BETA1``, ``ADAM_BETA2``,
-    ``INIT_SCALE``, ``AMPLITUDE_PENALTY``, ``EDGE_PENALTY`` and
-    ``TARGET_FIDELITY``.
+    The Adam step size and decay rates, the initial scale, the penalty
+    weights and the target fidelity are the module constants ``ADAM_STEP``,
+    ``ADAM_BETA1``, ``ADAM_BETA2``, ``INIT_SCALE``, ``AMPLITUDE_PENALTY``,
+    ``EDGE_PENALTY`` and ``TARGET_FIDELITY``.
     """
 
     iterations: int = 600
-    learning_rate: float = 0.08
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -724,7 +721,7 @@ def optimize_pulse(
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1**it)
         v_hat = v / (1.0 - ADAM_BETA2**it)
-        theta = theta + settings.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        theta = theta + ADAM_STEP * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     return PulseResult(
         theta=best_theta,

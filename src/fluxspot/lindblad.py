@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import InvalidParameterError, TomographyError
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
 from .gates import ControlContext, _as_waveform_matrix, _kron, _static_operators
+from .units import RAD_PER_US_TO_RAD_PER_NS
 
 __all__ = [
     "LindbladModel",
@@ -33,8 +34,6 @@ __all__ = [
     "chi_from_unitary",
     "channel_from_simulation",
 ]
-
-_RATE_US_TO_NS = 1.0e-3
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,8 @@ def _pulse_superoperator(
     for (low, deph), rates in zip(jumps, model.rates):
         for gamma, op in zip(rates, (low, deph)):
             op2 = op.conj().T @ op
-            anti = np.kron(op2, eye) + np.kron(eye, op2.T)
-            base += gamma * _RATE_US_TO_NS * (np.kron(op, op.conj()) - 0.5 * anti)
+            anti = 0.5 * (np.kron(op2, eye) + np.kron(eye, op2.T))
+            base += gamma * RAD_PER_US_TO_RAD_PER_NS * (np.kron(op, op.conj()) - anti)
     per_control = np.stack([commutator(c) for c in controls])
     steps = np.empty((context.steps,) + base.shape, dtype=complex)
     blocks = [

@@ -127,7 +127,6 @@ _GATE_JOB = {
     "f_max_mhz": (float, 100.0),
     "point": ((str, dict), "dss-2", _POINTS),
     "iterations": (int, 600),
-    "learning_rate": (float, 0.08),
     "seed_offset": (int, 0),
     "coupling_j_mhz": (float, 48.0),
     "frame_substeps": (int, 1024),
@@ -601,19 +600,21 @@ def cmd_grape(cfg: dict, run: RunDirectory, jobs: list) -> list:
 
     Each job is filled from the gate-job table as :func:`load_config` fills
     it, so a hand-built job such as ``{"gate": "x"}`` gets every default.
-    Jobs with one frame -- the same evaluated drive, duration, steps and
-    substeps -- share one integration.  Each artifact stores the entries
-    (a, b) of every frame sample ``[[a, -b*], [b, a*]]``, ``frame_a`` and
-    ``frame_b`` each as its list of real parts and its list of imaginary
-    parts, so that ``simulate`` replays the pulse in that frame.
+    Jobs with one frame -- the same genome, ``phi_ac``, duration, steps and
+    substeps -- share one evaluation of the working point and one
+    integration of the frame.  Each artifact stores the entries (a, b) of
+    every frame sample ``[[a, -b*], [b, a*]]``, ``frame_a`` and ``frame_b``
+    each as its list of real parts and its list of imaginary parts, so that
+    ``simulate`` replays the pulse in that frame.
     """
     frames = {}
     return [_grape_job(cfg, run, job, frames) for job in jobs]
 
 
 def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
-    """One job of :func:`cmd_grape`; ``frames`` holds the frame samples
-    integrated so far in the pass, by their key."""
+    """One job of :func:`cmd_grape`; ``frames`` holds the evaluated point
+    and the frame samples of each frame met so far in the pass, by its
+    key."""
     job = _gate_job(job, cfg["flux"]["phi_ac"])
     name, n_qubits = job["name"], job["n_qubits"]
     seed = cfg["seed"] + job["seed_offset"]
@@ -624,32 +625,26 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     target = gate_target(job["gate"])
     f_max = TWO_PI * job["f_max_mhz"] * 1e-3
     coupling = TWO_PI * job["coupling_j_mhz"] * 1e-3 if n_qubits == 2 else 0.0
-    settings = GrapeSettings(
-        iterations=job["iterations"],
-        learning_rate=job["learning_rate"],
-        seed=seed,
-    )
+    settings = GrapeSettings(iterations=job["iterations"], seed=seed)
 
     genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job)
-    context_eval = _point_context(cfg, genome, phi_ac)
-    _, point = evaluate_genome(genome, context_eval)
-    if point is None:
-        raise FluxspotError(f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}")
-
-    # the coefficients and splitting are the config's at the drive's flux
-    # point, so within one pass the drive stands for them
+    # the context is the config's at phi_ac, so within one pass the genome
+    # and phi_ac stand for the point and its frame
     duration, steps = job["duration_ns"], job["steps"]
-    key = (point.drive, duration, steps, job["frame_substeps"])
+    key = (genome, phi_ac, duration, steps, job["frame_substeps"])
     if key not in frames:
-        frames[key] = rotating_frame_trajectory(
-            point.drive,
-            context_eval.coefficients,
-            context_eval.qubit.delta,
-            duration,
-            steps=steps,
-            substeps=job["frame_substeps"],
-        ).frame
-    frame = ControlContext(frames[key], duration / steps, n_qubits, coupling)
+        context_eval = _point_context(cfg, genome, phi_ac)
+        _, point = evaluate_genome(genome, context_eval)
+        if point is None:
+            raise FluxspotError(
+                f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}"
+            )
+        frames[key] = point, rotating_frame_trajectory(
+            point.drive, context_eval.coefficients, context_eval.qubit.delta,
+            duration, steps, job["frame_substeps"],
+        )
+    point, samples = frames[key]
+    frame = ControlContext(samples, duration / steps, n_qubits, coupling)
     spec = PulseSpec(
         duration=duration,
         steps=steps,
@@ -659,7 +654,7 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     )
     result = optimize_pulse(spec, frame, target, settings)
 
-    spectra = [np.fft.rfft(wf) for wf in result.waveforms]
+    spectrum_re, spectrum_im = _complex_parts(np.fft.rfft(result.waveforms))
     artifact = {
         "gate": job["gate"],
         "name": name,
@@ -675,12 +670,12 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
         "frame_substeps": job["frame_substeps"],
         "frame_a": _complex_parts(frame.frame[:, 0, 0]),
         "frame_b": _complex_parts(frame.frame[:, 1, 0]),
-        "theta": [float(x) for x in result.theta],
-        "samples": [[float(x) for x in wf] for wf in result.waveforms],
-        "spectrum_re": [[float(x.real) for x in s] for s in spectra],
-        "spectrum_im": [[float(x.imag) for x in s] for s in spectra],
+        "theta": result.theta.tolist(),
+        "samples": result.waveforms.tolist(),
+        "spectrum_re": spectrum_re,
+        "spectrum_im": spectrum_im,
         "fidelity": result.fidelity,
-        "fidelity_history": [float(x) for x in result.fidelity_history],
+        "fidelity_history": result.fidelity_history.tolist(),
         "converged": result.converged,
         "rates_per_us": {
             "gamma_1": point.rates.gamma_1,
@@ -697,13 +692,14 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     and the frame samples that ``grape`` integrated.  So ``simulate`` reads
     no ``circuit``, ``flux`` or ``noise`` table of ``cfg``, builds no
     evaluation context, diagonalizes no circuit and integrates no frame.
-    Every structural defect of the artifact raises :class:`DependencyError`
-    naming it: a missing key, a value of the wrong kind, an unknown gate, a
-    qubit count that is not the gate's, fewer than 1 step, waveforms or
-    frame entries of the wrong shape, and frame samples that are not finite
-    or not in SU(2).  Its genome and ``phi_ac`` are checked too, though the
-    replay does not use them.  A non-finite rate or sample is the library's
-    to reject.
+    It reads only the keys it replays: ``gate``, ``n_qubits``,
+    ``duration_ns``, ``steps``, ``coupling_j_rad_per_ns``, ``rates_per_us``,
+    ``samples``, ``frame_a`` and ``frame_b``.  Every structural defect of
+    these raises :class:`DependencyError` naming it: a missing key, a value
+    of the wrong kind, an unknown gate, a qubit count that is not the
+    gate's, fewer than 1 step, waveforms or frame entries of the wrong
+    shape, and frame samples that are not finite or not in SU(2).  A
+    non-finite rate or sample is the library's to reject.
     """
     path = run.require(f"pulse_{pulse_name}.json", "grape")
     where = f"pulse artifact {path.name}"
@@ -715,16 +711,11 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
         g1, gz = (float(art["rates_per_us"][k]) for k in ("gamma_1", "gamma_z"))
         waveforms = np.array(art["samples"], dtype=float)
         a, b = (np.array(art[k], dtype=float) for k in ("frame_a", "frame_b"))
-        float(art["phi_ac"])
-        spec, gate = art["genome"], art["gate"]
+        gate = _typed(art["gate"], str, f"{where}: gate", TARGETS)
+    except ConfigError as exc:   # the artifact is upstream output, not config
+        raise DependencyError(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise DependencyError(f"{where}: {exc!r}") from exc
-    try:
-        Genome(**_typed(spec, _GENOME, f"{where}: genome"))
-        _typed(gate, str, f"{where}: gate", TARGETS)
-    except (ConfigError, InvalidParameterError) as exc:
-        # the artifact is upstream output, not config
-        raise DependencyError(str(exc)) from exc
     if n_qubits != _QUBITS[gate]:
         raise DependencyError(
             f"{where}: gate {gate!r} acts on {_QUBITS[gate]} qubit(s), "
@@ -739,8 +730,6 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
             raise DependencyError(
                 f"{where}: {key} must have shape {shape}, got {value.shape}"
             )
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DependencyError(f"{where}: frame_a and frame_b must be finite")
     try:
         samples = _su2_matrices(_from_parts(a), _from_parts(b))
         frame = ControlContext(samples, duration / steps, n_qubits, coupling)
@@ -751,12 +740,13 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     chi = process_tomography(channel, frame.dimension)
     target_chi = chi_from_unitary(gate_target(gate).unitary)
     fid = process_fidelity(chi, target_chi)
+    chi_re, chi_im = _complex_parts(chi.chi)
     out = {
         "pulse": pulse_name,
         "gate": gate,
         "process_fidelity": fid,
-        "chi_re": [[float(x.real) for x in row] for row in chi.chi],
-        "chi_im": [[float(x.imag) for x in row] for row in chi.chi],
+        "chi_re": chi_re,
+        "chi_im": chi_im,
         "rates_per_us": art["rates_per_us"],
     }
     return run.write_json(f"simulate_{pulse_name}.json", out, "simulate")

@@ -16,6 +16,10 @@ none of the functions here:
   step's carry broadcast as its own product; ``_prefix_products`` applies
   a block's carry in one product of its stacked rows, and must give the
   same bits.
+- :func:`frame_steps_inline` and :func:`period_steps_inline` write out the
+  midpoint step of the gate frame and of the propagator reference each in
+  its own units; ``_midpoint_steps`` is the one rule both call, and must
+  give the same bits.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from fluxspot.floquet import (
     DriveSpec,
     FilterWeights,
     FloquetSolution,
+    _su2_entries,
     assemble_floquet_matrix,
     solve_floquet,
 )
 from fluxspot.gates import ControlContext
 from fluxspot.lindblad import LindbladModel, channel_from_simulation
+from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
 
 _OVERLAP_FLOOR = 0.98
 
@@ -236,3 +242,37 @@ def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:
     for b in range(1, n_blocks):
         carry[b] = out[b - 1, -1] @ carry[b - 1]
     return (out @ carry[:, None]).reshape(-1, d, d)[:n]
+
+
+# ---------------------------------------------------------- midpoint steps
+
+
+def frame_steps_inline(
+    drive: DriveSpec,
+    coeffs: EffectiveCoefficients,
+    delta: float,
+    mids_ns: np.ndarray,
+    h,
+):
+    """Entries of the gate frame's steps of length ``h`` ns at the midpoints
+    ``mids_ns``: the drive is read on the us clock, and the coefficients
+    and splitting are taken to rad/ns after the sum."""
+    delta_ns = delta * RAD_PER_US_TO_RAD_PER_NS
+    cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(mids_ns * 1e-3)
+    return _su2_entries(delta_ns, cx * RAD_PER_US_TO_RAD_PER_NS, h)
+
+
+def period_steps_inline(
+    drive: DriveSpec,
+    coeffs: EffectiveCoefficients,
+    delta: float,
+    substeps: int,
+    lo: int,
+    hi: int,
+):
+    """Entries of the propagator reference's steps ``lo .. hi - 1`` of one
+    period split into ``substeps``, in rad/us."""
+    dt = drive.period / substeps
+    t_mid = (np.arange(lo, hi) + 0.5) * dt
+    cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)
+    return _su2_entries(delta, cx, dt)

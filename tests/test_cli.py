@@ -187,6 +187,7 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"point": {"genome": dict(GENOME_KEYS, p0="a")}}, 2),
         ({"point": {"genome": dict(GENOME_KEYS, p_re="ab")}}, 2),
         ({"point": {"genome": dict(GENOME_KEYS, omega_d_frac=None)}}, 2),
+        ({"learning_rate": 0.08}, 2),
     ],
     ids=[
         "substeps-0",
@@ -209,6 +210,7 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "genome-p0-not-a-number",
         "genome-p_re-not-a-list",
         "genome-omega_d_frac-null",
+        "learning_rate-not-a-key",
     ],
 )
 def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
@@ -484,11 +486,8 @@ def write_fronts(config, out, cells):
 #: the keys ``simulate`` reads from a pulse artifact
 PULSE = {
     "gate": "x",
-    "genome": GENOME_KEYS,
-    "phi_ac": 0.05,
     "duration_ns": 10.0,
     "steps": 16,
-    "frame_substeps": 8,
     "n_qubits": 1,
     "coupling_j_rad_per_ns": 0.0,
     "samples": [[0.0] * 16],
@@ -503,24 +502,12 @@ PULSE = {
     "verb, content, named",
     [
         ("simulate", "{not json", "pulse artifact pulse_x.json: JSONDecodeError"),
-        (
-            "simulate",
-            json.dumps(without(PULSE, "phi_ac")),
-            "pulse artifact pulse_x.json: KeyError('phi_ac')",
-        ),
-        (
-            "simulate",
-            json.dumps(dict(PULSE, genome=dict(GENOME_KEYS, p0="a"))),
-            "pulse artifact pulse_x.json: genome.p0 must be a number, got 'a'",
-        ),
         ("aggregate", "abc", "front_nsga2.csv row 0, column p0: cannot read 'abc'"),
         ("classify", "abc", "front_aggregated.csv row 0, column p0: cannot read"),
         ("bounds", "abc", "front_aggregated.csv row 0, column p0: cannot read"),
     ],
     ids=[
         "pulse-not-json",
-        "pulse-without-phi_ac",
-        "pulse-genome-wrong-type",
         "aggregate-cell-not-a-number",
         "classify-cell-not-a-number",
         "bounds-cell-not-a-number",
@@ -591,17 +578,11 @@ def bad_row_case(place, path, value, case):
     if place == "genome-file":
         path = write_json(case / "genome.json", genome)
         return TINY, ["evaluate", str(path)], f"genome file {path}: {key}"
-    if place == "point-genome":
-        cfg = dict(TINY, gates=[dict(job, point={"genome": genome})])
-        return cfg, ["fluxonium"], f"gate job 'x': point.genome.{key}"
-    (case / "out").mkdir()
-    write_json(case / "out" / "pulse_x.json", dict(PULSE, genome=genome))
-    return TINY, ["simulate", "x"], f"pulse artifact pulse_x.json: genome.{key}"
+    cfg = dict(TINY, gates=[dict(job, point={"genome": genome})])
+    return cfg, ["fluxonium"], f"gate job 'x': point.genome.{key}"
 
 
-@pytest.mark.parametrize(
-    "place", ["config", "gate-job", "genome-file", "point-genome", "pulse-genome"]
-)
+@pytest.mark.parametrize("place", ["config", "gate-job", "genome-file", "point-genome"])
 def test_every_table_row_rejects_a_bad_value_with_one_line(tmp_path, capsys, place):
     table = {"config": _CONFIG, "gate-job": _GATE_JOB}.get(place, _GENOME)
     cases = [
@@ -618,8 +599,7 @@ def test_every_table_row_rejects_a_bad_value_with_one_line(tmp_path, capsys, pla
         before = sorted(out.iterdir()) if out.exists() else []
         code = run_cli(write_json(case / "config.json", cfg), out, *args)
         err = capsys.readouterr().err
-        # a pulse artifact is upstream output, not config
-        assert code == (4 if place == "pulse-genome" else 2), (path, value, err)
+        assert code == 2, (path, value, err)
         assert err.count("\n") == 1 and "Traceback" not in err, (path, value, err)
         assert named in err, (path, value, err)
         assert (sorted(out.iterdir()) if out.exists() else []) == before, (path, value)
@@ -641,7 +621,6 @@ def test_load_config_fills_every_gate_job_key(tmp_path):
         "f_max_mhz": 100.0,
         "point": "dss-2",
         "iterations": 600,
-        "learning_rate": 0.08,
         "seed_offset": 0,
         "coupling_j_mhz": 48.0,
         "frame_substeps": 1024,
@@ -689,7 +668,7 @@ def test_pulse_dict_replays(tmp_path):
         ({"frame_a": [[1.0] * 15, [0.0] * 15]}, "frame_a must have shape (2, 16), got (2, 15)"),
         ({"frame_b": [[0.0] * 17, [0.0] * 17]}, "frame_b must have shape (2, 16), got (2, 17)"),
         ({"frame_a": [[0.6] * 16, [0.0] * 16]}, "frame samples must be unitary"),
-        ({"frame_b": [[0.0] * 16, [math.nan] * 16]}, "frame_a and frame_b must be finite"),
+        ({"frame_b": [[0.0] * 16, [math.nan] * 16]}, "frame samples must be finite"),
     ],
     ids=[
         "samples-short",
@@ -725,7 +704,7 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
     art = json.loads((out / "pulse_x.json").read_text())
     bench = next(b for b in fluxspot.BENCHMARK_POINTS if b.name == "dss-2")
     context = build_context(load_config(config), phi_ac=bench.phi_ac)
-    fresh = fluxspot.rotating_frame_trajectory(
+    samples = fluxspot.rotating_frame_trajectory(
         fluxspot.genome_to_drive(bench.genome, context),
         context.coefficients,
         context.qubit.delta,
@@ -733,7 +712,8 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
         steps=art["steps"],
         substeps=art["frame_substeps"],
     )
-    a, b = fresh.frame[:, 0, 0], fresh.frame[:, 1, 0]
+    fresh = fluxspot.ControlContext(samples, art["duration_ns"] / art["steps"])
+    a, b = samples[:, 0, 0], samples[:, 1, 0]
     assert art["frame_a"] == [a.real.tolist(), a.imag.tolist()]
     assert art["frame_b"] == [b.real.tolist(), b.imag.tolist()]
     rates = tuple(art["rates_per_us"][k] for k in ("gamma_1", "gamma_z"))
@@ -743,6 +723,19 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
     chi = fluxspot.process_tomography(channel, 2)
     expected = fluxspot.process_fidelity(chi, fluxspot.chi_from_unitary(PAULI_X))
     assert json.loads((out / "simulate_x.json").read_text())["process_fidelity"] == expected
+
+
+def test_simulate_replays_a_pulse_cut_down_to_the_keys_it_reads(tmp_path):
+    config = write_json(tmp_path / "config.json", TINY)
+    out, cut = tmp_path / "out", tmp_path / "cut"
+    assert run_cli(config, out, "grape") == 0
+    assert run_cli(config, out, "simulate", "x") == 0
+    art = json.loads((out / "pulse_x.json").read_text())
+    cut.mkdir()
+    write_json(cut / "pulse_x.json", {key: art[key] for key in PULSE})
+    assert run_cli(config, cut, "simulate", "x") == 0
+    replay = (cut / "simulate_x.json").read_bytes()
+    assert replay == (out / "simulate_x.json").read_bytes()
 
 
 def counted(monkeypatch, module, name):
@@ -759,27 +752,30 @@ def counted(monkeypatch, module, name):
 
 
 def test_a_grape_pass_integrates_each_frame_once(tmp_path, monkeypatch):
-    # the benchmark's gates jobs at 1 iteration: x and sqrt_iswap share a frame
+    # the benchmark's gates jobs at 1 iteration: x and sqrt_iswap share a
+    # frame, so one evaluation of the point and one integration
     jobs = [{"name": g, "gate": g, "point": "dss-2", "iterations": 1}
             for g in ("x", "sqrt_iswap")]
     config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
     out = tmp_path / "out"
     frames = counted(monkeypatch, fluxspot.gates, "_frame_unitaries")
+    points = counted(monkeypatch, fluxspot.workbench, "evaluate_genome")
     assert run_cli(config, out, "grape") == 0
-    assert frames == [1]
+    assert (frames, points) == ([1], [1])
 
-    # simulate replays the stored frame: no frame, no circuit
+    # simulate replays the stored frame: no point, no frame, no circuit
     reference._sweet_spot_qubit.cache_clear()
     circuits = counted(monkeypatch, reference, "diagonalize_circuit")
     for name in ("x", "sqrt_iswap"):
         assert run_cli(config, out, "simulate", name) == 0
-    assert (frames, circuits) == ([1], [0])
+    assert (frames, points, circuits) == ([1], [1], [0])
 
-    # a job at 12 ns has a frame of its own: two integrations, not one
+    # a job at 12 ns has a frame of its own: two evaluations and two
+    # integrations, not one
     jobs[1]["duration_ns"] = 12.0
     config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
     assert run_cli(config, tmp_path / "out12", "grape") == 0
-    assert frames == [3]
+    assert (frames, points) == ([3], [3])
 
 
 def test_default_config_is_filled_from_the_tables():

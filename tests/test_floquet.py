@@ -20,6 +20,7 @@ from fluxspot.floquet import (
     FilterWeights,
     FloquetSolution,
     _gauge_fix,
+    _midpoint_steps,
     _particle_hole,
     _period_steps,
     _prefix_products,
@@ -37,6 +38,7 @@ from oracles import (
     filter_weights_time_grid,
     mode_at,
     parseval_sum,
+    period_steps_inline,
     prefix_products_broadcast,
 )
 
@@ -501,6 +503,27 @@ class TestPropagatorReference:
         tail = _period_steps(d, c, 3.0, 5000, 1234, 5000)
         for k in range(2):
             assert np.array_equal(np.concatenate([head[k], tail[k]]), whole[k])
+
+    @pytest.mark.parametrize("name", ["dss-1", "dss-2", "dss-3"])
+    @pytest.mark.parametrize(
+        "substeps, lo, hi",
+        [(5000, 0, 5000), (5000, 1234, 4321), (49152, 0, _REFERENCE_BLOCK)],
+        ids=["whole", "ragged", "single-block"],
+    )
+    def test_period_steps_keep_the_inline_bits(
+        self, benchmark_results, name, substeps, lo, hi
+    ):
+        # the reference steps by _midpoint_steps at scale 1, which must give
+        # the bits of the rule written out in rad/us
+        _, ctx, point = benchmark_results[name]
+        args = (point.drive, ctx.coefficients, ctx.qubit.delta, substeps, lo, hi)
+        for got, expected in zip(_period_steps(*args), period_steps_inline(*args)):
+            assert np.array_equal(got, expected)
+        dt = point.drive.period / substeps
+        t_mid = (np.arange(lo, hi) + 0.5) * dt
+        helper = _midpoint_steps(*args[:3], t_mid, dt)
+        for got, expected in zip(helper, period_steps_inline(*args)):
+            assert np.array_equal(got, expected)
 
     def test_memory_is_one_block(self):
         # at 49,152 substeps and k_max = 19 the peak holds one block's arrays

@@ -8,6 +8,7 @@ from fluxspot.floquet import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _midpoint_steps,
     _su2_entries,
     _su2_matrices,
 )
@@ -18,6 +19,9 @@ from fluxspot.gates import (
     _frame_unitaries,
     _static_operators,
 )
+from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
+
+from oracles import frame_steps_inline
 
 
 def tile(op, steps):
@@ -69,7 +73,7 @@ def degenerate_waveforms(rng, n_qubits, steps):
 @pytest.fixture(scope="module")
 def dss2_frame(benchmark_results):
     bench, ctx, point = benchmark_results["dss-2"]
-    frame = fs.rotating_frame_trajectory(
+    samples = fs.rotating_frame_trajectory(
         point.drive,
         ctx.coefficients,
         ctx.qubit.delta,
@@ -77,28 +81,29 @@ def dss2_frame(benchmark_results):
         steps=500,
         substeps=1024,
     )
-    return ctx, point, frame
+    return ctx, point, ControlContext(samples, 10.0 / 500)
 
 
 class TestRotatingFrame:
     def test_free_qubit_frame_is_identity(self):
         drive = fs.DriveSpec(phi_dc=np.pi, phi_ac=0.0, omega_d=3.0, p=(0.0,))
         coeffs = fs.EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
-        frame = fs.rotating_frame_trajectory(
+        samples = fs.rotating_frame_trajectory(
             drive, coeffs, delta=0.0, duration=5.0, steps=50, substeps=64
         )
-        assert np.allclose(conjugated(frame.frame, PAULI_Y), PAULI_Y, atol=1e-12)
+        assert samples.shape == (50, 2, 2)
+        assert np.allclose(conjugated(samples, PAULI_Y), PAULI_Y, atol=1e-12)
 
     def test_undriven_splitting_rotates_control_axis(self):
         delta = 2000.0   # rad/us
         drive = fs.DriveSpec(phi_dc=np.pi, phi_ac=0.0, omega_d=3.0, p=(0.0,))
         coeffs = fs.EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
-        frame = fs.rotating_frame_trajectory(
+        samples = fs.rotating_frame_trajectory(
             drive, coeffs, delta, duration=4.0, steps=64, substeps=512
         )
         delta_ns = delta * 1e-3
-        mids = (np.arange(64) + 0.5) * frame.dt
-        controls = conjugated(frame.frame, PAULI_Y)
+        mids = (np.arange(64) + 0.5) * (4.0 / 64)
+        controls = conjugated(samples, PAULI_Y)
         for k in (0, 13, 40, 63):
             t = mids[k]
             expected = np.cos(delta_ns * t) * PAULI_Y - np.sin(delta_ns * t) * PAULI_X
@@ -116,16 +121,15 @@ class TestRotatingFrame:
 
     def test_two_qubit_frame_shapes(self, benchmark_results):
         bench, ctx, point = benchmark_results["dss-2"]
-        frame = fs.rotating_frame_trajectory(
+        samples = fs.rotating_frame_trajectory(
             point.drive,
             ctx.coefficients,
             ctx.qubit.delta,
             duration=4.0,
             steps=64,
             substeps=256,
-            n_qubits=2,
-            coupling_j=0.3,
         )
+        frame = ControlContext(samples, 4.0 / 64, n_qubits=2, coupling_j=0.3)
         assert frame.dimension == 4
         drift_op, controls, _ = _static_operators(2, frame.coupling_j)
         assert len(controls) == 2
@@ -154,6 +158,20 @@ class TestRotatingFrame:
             t0 = t1
         us = _frame_unitaries(point.drive, coeffs, delta, mids, substeps)
         assert np.max(np.abs(us - np.array(expected))) < 1e-13
+
+    @pytest.mark.parametrize("name", ["dss-1", "dss-2", "dss-3"])
+    def test_frame_steps_keep_the_inline_bits(self, benchmark_results, name):
+        # the frame steps by _midpoint_steps scaled to rad/ns, which must
+        # give the bits of the rule written out in rad/ns, on the substep
+        # grid of a 500-step, 10 ns job
+        _, ctx, point = benchmark_results[name]
+        edges = np.concatenate(([0.0], (np.arange(500) + 0.5) * 0.02))
+        widths = np.diff(edges)[:, None] / 1024
+        mids = edges[:-1, None] + (np.arange(1024) + 0.5) * widths
+        args = (point.drive, ctx.coefficients, ctx.qubit.delta)
+        got = _midpoint_steps(*args, mids * 1e-3, widths, RAD_PER_US_TO_RAD_PER_NS)
+        for a, b in zip(got, frame_steps_inline(*args, mids, widths)):
+            assert np.array_equal(a, b)
 
     def test_frame_samples_are_su2(self, dss2_frame):
         # the 500 x 1024 prefix scan alone drifts off unitarity by ~7e-12
@@ -198,6 +216,7 @@ class TestRotatingFrame:
             # needs its frame increments in SU(2)
             (np.exp(0.1j) * np.eye(2)[None], {}),
             (np.array([[[np.nan, 0.0], [0.0, 1.0]]]), {}),
+            (np.array([[[np.inf, 0.0], [0.0, 1.0]]]), {}),
         ],
     )
     def test_context_rejects_inconsistent_fields(self, frame, fields):
@@ -229,7 +248,7 @@ class TestRotatingFrame:
             )
             for verify in (True, False)
         ]
-        assert np.array_equal(frames[0].frame, frames[1].frame)
+        assert np.array_equal(frames[0], frames[1])
 
     def test_verify_flags_coarse_integration(self, benchmark_results):
         bench, ctx, point = benchmark_results["dss-2"]
@@ -563,7 +582,7 @@ class TestStepRefinement:
         target = fs.gate_target("x")
 
         def frame_at(steps, substeps):
-            return fs.rotating_frame_trajectory(
+            samples = fs.rotating_frame_trajectory(
                 point.drive,
                 ctx.coefficients,
                 ctx.qubit.delta,
@@ -571,6 +590,7 @@ class TestStepRefinement:
                 steps=steps,
                 substeps=substeps,
             )
+            return ControlContext(samples, 10.0 / steps)
 
         frame = frame_at(500, 1024)
         spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9)

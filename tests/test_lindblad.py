@@ -132,10 +132,11 @@ class TestEvolveDensity:
 
     def test_zero_rates_matches_closed_propagation(self, benchmark_results):
         bench, bctx, point = benchmark_results["dss-2"]
-        frame = fs.rotating_frame_trajectory(
+        samples = fs.rotating_frame_trajectory(
             point.drive, bctx.coefficients, bctx.qubit.delta,
             duration=6.0, steps=300, substeps=256,
         )
+        frame = fs.ControlContext(samples, 6.0 / 300)
         rng = np.random.default_rng(8)
         wf = 0.3 * rng.standard_normal(300)
         model = rate_model()
