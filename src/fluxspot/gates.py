@@ -148,21 +148,21 @@ def gate_target(name: str) -> GateTarget:
 class PulseSpec:
     """Frequency-parametrized control pulse under hardware constraints.
 
-    ``theta`` holds ``2 n_freq + 1`` real Fourier amplitudes per control
-    channel (DC, then cos/sin pairs), concatenated across channels.  The
-    rendered waveform passes, in order, a sin^2 boundary window, the sigmoid
-    ``f_max (2 / (1 + exp(-2 x / f_max)) - 1)``, which bounds the
-    instantaneous amplitude by ``f_max`` at unit small-signal gain, and a
-    hard spectral cutoff above harmonic ``n_freq``.  The final projection
-    can ring past the amplitude bound by at most ``GIBBS_TOL`` (verified on
-    optimized pulses).  ``f_max`` must be finite and positive.
+    A pulse's parameters ``theta`` are ``2 n_freq + 1`` real Fourier
+    amplitudes per control channel (DC, then cos/sin pairs), concatenated
+    across channels.  The rendered waveform passes, in order, a sin^2
+    boundary window, the sigmoid ``f_max (2 / (1 + exp(-2 x / f_max)) -
+    1)``, which bounds the instantaneous amplitude by ``f_max`` at unit
+    small-signal gain, and a hard spectral cutoff above harmonic ``n_freq``.
+    The final projection can ring past the amplitude bound by at most
+    ``GIBBS_TOL`` (verified on optimized pulses).  ``f_max`` must be finite
+    and positive.
     """
 
     duration: float
     steps: int = 500
     f_max: float = TWO_PI * 0.1
     n_freq: int = 9
-    theta: np.ndarray | None = None
     n_controls: int = 1
 
     def __post_init__(self) -> None:
@@ -173,14 +173,6 @@ class PulseSpec:
             raise InvalidParameterError(
                 f"f_max must be finite and positive, got {self.f_max}"
             )
-        if self.theta is not None:
-            th = np.asarray(self.theta, dtype=float)
-            if th.size != self.n_controls * self.params_per_control:
-                raise InvalidParameterError(
-                    f"theta needs {self.n_controls * self.params_per_control} "
-                    f"entries, got {th.size}"
-                )
-            object.__setattr__(self, "theta", th)
 
     @property
     def params_per_control(self) -> int:
@@ -225,17 +217,14 @@ def _shape_stages(theta: np.ndarray, spec: PulseSpec, window: np.ndarray):
     return final, (raw, windowed, sig, bounded)
 
 
-def shape_pulse(theta: np.ndarray, spec: PulseSpec, return_stages: bool = False):
+def shape_pulse(theta: np.ndarray, spec: PulseSpec) -> np.ndarray:
     """Rendered waveform samples for one control channel."""
     theta = np.asarray(theta, dtype=float)
     if theta.size != spec.params_per_control:
         raise InvalidParameterError(
             f"theta must have {spec.params_per_control} entries"
         )
-    final, stages = _shape_stages(theta, spec, spec.window())
-    if return_stages:
-        return final, stages
-    return final
+    return _shape_stages(theta, spec, spec.window())[0]
 
 
 def _shape_backward(
@@ -690,12 +679,7 @@ def optimize_pulse(
             f"the context {context.dimension}"
         )
     rng = np.random.default_rng(settings.seed)
-    if spec.theta is not None:
-        theta = np.asarray(spec.theta, dtype=float).copy()
-    else:
-        theta = INIT_SCALE * rng.standard_normal(
-            spec.n_controls * spec.params_per_control
-        )
+    theta = INIT_SCALE * rng.standard_normal(spec.n_controls * spec.params_per_control)
 
     window = spec.window()
     m = np.zeros_like(theta)

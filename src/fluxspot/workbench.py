@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -120,8 +119,7 @@ _QUBITS = {gate: len(unitary).bit_length() - 1 for gate, unitary in TARGETS.item
 _GATE_JOB = {
     "gate": (str, "x", TARGETS),
     "name": (str, lambda job: job["gate"]),
-    "n_qubits": (int, lambda job: _QUBITS[job["gate"]]),
-    "n_freq": (int, lambda job: 9 if job["n_qubits"] == 1 else 31),
+    "n_freq": (int, lambda job: 9 if _QUBITS[job["gate"]] == 1 else 31),
     "duration_ns": (float, 10.0),
     "steps": (int, 500),
     "f_max_mhz": (float, 100.0),
@@ -199,10 +197,6 @@ def _gate_job(job: dict, phi_ac: float) -> dict:
     where = f"gate job {job.get('name', job.get('gate', 'x'))!r}: "
     job = _filled(job, _GATE_JOB, where)
     _check_artifact_name(job["name"], where + "name")
-    qubits = _QUBITS[job["gate"]]
-    if job["n_qubits"] != qubits:
-        raise ConfigError(f"{where}gate {job['gate']!r} acts on {qubits} qubit(s), "
-                          f"n_qubits is {job['n_qubits']}")
     if isinstance(job["point"], dict):
         if "front_index" in job["point"]:
             table = {"front_index": (int, ...)}
@@ -241,12 +235,6 @@ def load_config(path: str | Path | None = None) -> dict:
     ``snapshot_every``; two gate jobs may not share a ``name``.
     """
     raw = {} if path is None else _read_json_object(path, "config file")
-    if "threads" in raw:
-        warnings.warn(
-            "config key 'threads' is ignored: the search runs serially",
-            stacklevel=2,
-        )
-        raw = {k: v for k, v in raw.items() if k != "threads"}
     cfg = _filled(raw, _CONFIG, "")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
@@ -282,7 +270,12 @@ class RunDirectory:
 
     def __init__(self, root: str | Path, cfg: dict):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file in the way, or no permission
+            raise ConfigError(
+                f"output directory {root} cannot be created: {exc.strerror}"
+            ) from exc
         self.cfg = cfg
         self.manifest_path = self.root / "manifest.json"
         if self.manifest_path.exists():
@@ -616,7 +609,7 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     and the frame samples of each frame met so far in the pass, by its
     key."""
     job = _gate_job(job, cfg["flux"]["phi_ac"])
-    name, n_qubits = job["name"], job["n_qubits"]
+    name, n_qubits = job["name"], _QUBITS[job["gate"]]
     seed = cfg["seed"] + job["seed_offset"]
     if seed < 0:
         raise ConfigError(
@@ -699,8 +692,11 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     of the wrong kind, an unknown gate, a qubit count that is not the
     gate's, fewer than 1 step, waveforms or frame entries of the wrong
     shape, and frame samples that are not finite or not in SU(2).  A
-    non-finite rate or sample is the library's to reject.
+    non-finite rate or sample is the library's to reject.  A
+    ``pulse_name`` that is not one plain file-name component raises
+    :class:`ConfigError`.
     """
+    _check_artifact_name(pulse_name, "pulse")
     path = run.require(f"pulse_{pulse_name}.json", "grape")
     where = f"pulse artifact {path.name}"
     try:

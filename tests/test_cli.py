@@ -170,8 +170,6 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"frame_substeps": 0}, 3),
         ({"steps": 0}, 3),
         ({"iterations": 0}, 3),
-        ({"n_qubits": 2}, 2),
-        ({"gate": "sqrt_iswap", "n_qubits": 1}, 2),
         ({"name": "a/b"}, 2),
         ({"f_max_mhz": 0}, 3),
         ({"f_max_mhz": -100}, 3),
@@ -193,8 +191,6 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "substeps-0",
         "steps-0",
         "iterations-0",
-        "x-on-2-qubits",
-        "sqrt_iswap-on-1-qubit",
         "name-with-slash",
         "f_max-0",
         "f_max-negative",
@@ -614,7 +610,6 @@ def test_load_config_fills_every_gate_job_key(tmp_path):
     expected = {
         "gate": "sqrt_iswap",
         "name": "sqrt_iswap",
-        "n_qubits": 2,
         "n_freq": 31,
         "duration_ns": 10.0,
         "steps": 500,
@@ -627,7 +622,7 @@ def test_load_config_fills_every_gate_job_key(tmp_path):
     }
     # JSON text tells an integer from a float
     assert json.dumps(jobs[0], sort_keys=True) == json.dumps(expected, sort_keys=True)
-    assert (jobs[1]["gate"], jobs[1]["name"], jobs[1]["n_qubits"]) == ("x", "x", 1)
+    assert (jobs[1]["gate"], jobs[1]["name"]) == ("x", "x")
     assert jobs[1]["n_freq"] == 9
     assert jobs[1]["point"] == {"genome": GENOME_KEYS, "phi_ac": 0.07}
 
@@ -920,23 +915,59 @@ def test_grape_on_a_front_index_stores_that_rows_rates(tmp_path, capsys):
     assert "point.front_index 99 out of range" in capsys.readouterr().err
 
 
-def test_threads_key_is_ignored_with_a_warning(tmp_path):
-    config = write_json(tmp_path / "config.json", dict(TINY, threads=4))
-    with pytest.warns(UserWarning, match="'threads' is ignored"):
-        cfg = load_config(config)
-    assert "threads" not in cfg
-    with pytest.warns(UserWarning, match="'threads' is ignored"):
-        assert run_cli(config, tmp_path / "out", "fluxonium") == 0
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ({"threads": 4}, "unknown keys in config root: ['threads']"),
+        # the gate fixes the qubit count, even when the count agrees
+        ({"gates": [dict(TINY["gates"][0], n_qubits=1)]},
+         "unknown keys in gate job 'x': ['n_qubits']"),
+    ],
+    ids=["threads", "gate-job-n_qubits"],
+)
+def test_a_key_no_run_reads_exits_2(tmp_path, capsys, override, named):
+    config = write_json(tmp_path / "config.json", dict(TINY, **override))
+    assert run_cli(config, tmp_path / "out", "fluxonium") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err, err
+
+
+@pytest.mark.parametrize("name", ["a/b", ".."])
+def test_simulate_pulse_name_not_a_file_name_exits_2(tmp_path, capsys, name):
+    # a valid pulse artifact sits at pulse_<name>.json, yet simulate_<name>
+    # could not be written beside it
+    out = tmp_path / "out"
+    (out / f"pulse_{name}.json").parent.mkdir(parents=True)
+    write_json(out / f"pulse_{name}.json", PULSE)
+    before = sorted(out.rglob("*"))
+    assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", name) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"pulse {name!r} is not one plain file-name component" in err, err
+    assert sorted(out.rglob("*")) == before
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("not a directory\n")
+    config = write_json(tmp_path / "config.json", TINY)
+    assert run_cli(config, tmp_path / out, "fluxonium") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"output directory {tmp_path / out} cannot be created" in err, err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 COLD_START = """
 import json, sys
-from fluxspot import cli
+from fluxspot import cli, reference
 config, out, benchmark = sys.argv[1:]
 codes = [
     cli.main(["--config", config, "--out", out, *verb])
     for verb in (["fluxonium"], ["evaluate", benchmark], ["grape"], ["simulate", "x"])
 ]
+dss2 = reference.BENCHMARK_POINTS[1]
+reference.calibrate_amplitude(dss2.genome, reference.benchmark_context(dss2))
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 )}))

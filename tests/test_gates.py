@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fluxspot as fs
+from fluxspot import gates
 from fluxspot.exceptions import IntegrationError, InvalidParameterError
 from fluxspot.floquet import (
     LOWERING,
@@ -17,6 +18,7 @@ from fluxspot.gates import (
     ControlContext,
     _block_steps,
     _frame_unitaries,
+    _shape_stages,
     _static_operators,
 )
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
@@ -274,9 +276,7 @@ class TestShapePulse:
         spec = self.spec()
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(spec.params_per_control)
-        _, (raw, windowed, sig, bounded) = fs.shape_pulse(
-            theta, spec, return_stages=True
-        )
+        _, (raw, windowed, sig, bounded) = _shape_stages(theta, spec, spec.window())
         assert windowed[0] == 0.0 and windowed[-1] == 0.0
         assert bounded[0] == 0.0 and bounded[-1] == 0.0
 
@@ -284,7 +284,7 @@ class TestShapePulse:
         spec = self.spec()
         rng = np.random.default_rng(4)
         theta = rng.standard_normal(spec.params_per_control)
-        _, (raw, _, _, _) = fs.shape_pulse(theta, spec, return_stages=True)
+        _, (raw, _, _, _) = _shape_stages(theta, spec, spec.window())
         arg = 2 * np.pi * spec.sample_times() / spec.duration
         expected = np.full(spec.steps, theta[0])
         for m in range(1, spec.n_freq + 1):
@@ -294,7 +294,7 @@ class TestShapePulse:
     def test_sigmoid_bounds_amplitude_before_bandlimit(self):
         spec = self.spec()
         theta = 50.0 * np.ones(spec.params_per_control)
-        _, (_, _, _, bounded) = fs.shape_pulse(theta, spec, return_stages=True)
+        _, (_, _, _, bounded) = _shape_stages(theta, spec, spec.window())
         assert np.max(np.abs(bounded)) <= spec.f_max
 
     def test_bandlimit_zeroes_high_harmonics(self):
@@ -523,14 +523,10 @@ class TestGradient:
 
 
 class TestOptimizePulse:
-    def test_identity_with_zero_init_converges_immediately(self):
+    def test_identity_with_zero_init_converges_immediately(self, monkeypatch):
+        monkeypatch.setattr(gates, "INIT_SCALE", 0.0)
         ctx = trivial_context()
-        spec = fs.PulseSpec(
-            duration=10.0,
-            steps=200,
-            n_freq=4,
-            theta=np.zeros(9),
-        )
+        spec = fs.PulseSpec(duration=10.0, steps=200, n_freq=4)
         result = fs.optimize_pulse(
             spec, ctx, fs.gate_target("identity"), fs.GrapeSettings(iterations=5)
         )

@@ -148,7 +148,21 @@ class TestBenchmarkReproduction:
         _, _, point = benchmark_results[name]
         assert abs(point.weights.g_z0) < 1e-4
 
-    def test_calibration_recovers_stored_amplitudes(self, benchmark_results):
-        bench, ctx, _ = benchmark_results["dss-2"]
+    @pytest.mark.parametrize("name", ["dss-1", "dss-2", "dss-3"])
+    def test_calibration_recovers_stored_amplitudes(self, benchmark_results, name):
+        bench, ctx, _ = benchmark_results[name]
         recovered = fs.calibrate_amplitude(bench.genome, ctx)
         assert recovered == pytest.approx(bench.phi_ac, abs=1e-9)
+
+    @pytest.mark.parametrize("xtol", [0.0, -1e-12, float("nan")])
+    def test_calibration_rejects_a_tolerance_that_is_not_positive(
+        self, benchmark_results, xtol
+    ):
+        bench, ctx, _ = benchmark_results["dss-2"]
+        with pytest.raises(InvalidParameterError, match="xtol must be positive"):
+            fs.calibrate_amplitude(bench.genome, ctx, xtol=xtol)
+
+    def test_calibration_rejects_a_bracket_without_a_crossing(self, benchmark_results):
+        bench, ctx, _ = benchmark_results["dss-2"]
+        with pytest.raises(InvalidParameterError, match="no sweet-spot crossing"):
+            fs.calibrate_amplitude(bench.genome, ctx, bracket=(0.02, 0.03))
