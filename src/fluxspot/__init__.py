@@ -20,10 +20,8 @@ from .evaluation import (
     EvaluationContext,
     Genome,
     PointResult,
-    evaluate_drive,
     evaluate_genome,
     evaluate_population,
-    genome_to_drive,
 )
 from .floquet import (
     DriveSpec,

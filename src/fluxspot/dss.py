@@ -31,7 +31,8 @@ import numpy as np
 from .evaluation import EvaluationContext, PointResult
 from .floquet import DriveSpec, FilterWeights, _two_sided
 
-# the benchmark's tracer test reads ``dss.solve_floquet``; nothing here calls it
+# kept for the benchmark's tracer test, which reads ``dss.solve_floquet``
+# (the stacked solve every evaluation runs); nothing here calls it
 from .floquet import solve_floquet  # noqa: F401
 from .noise import NoiseModel
 from .pareto import Individual, ParetoFront, _with_points

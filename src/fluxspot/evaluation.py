@@ -1,11 +1,13 @@
-"""Single-working-point evaluation pipeline.
+"""The evaluation pipeline: genomes to decoherence objectives.
 
 Glues the circuit reduction, the Floquet solve, the filter weights and the
 rate conversion into one deterministic map
 
     genome -> (gamma_1, gamma_z),
 
-shared by the optimizer, the sweet-spot classifier and the command-line tool.
+shared by the optimizer, the sweet-spot classifier and the command-line
+tool.  :func:`evaluate_population` runs it on stacked rows through the four
+stage functions; :func:`evaluate_genome` is one row of it.
 """
 
 from __future__ import annotations
@@ -15,23 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import EffectiveCoefficients, EffectiveQubit, effective_coefficients
-from .exceptions import DegenerateGapError, GapOutsideZoneError, InvalidParameterError
+from .exceptions import InvalidParameterError
 from .floquet import (
     DriveSpec,
     FilterWeights,
     FloquetSolution,
     _check_drives,
-    _filter_weight_stack,
-    _floquet_stack,
-    _solve_stack,
+    _row_solution,
     assemble_floquet_matrix,
     compute_filter_weights,
     solve_floquet,
 )
-from .noise import NoiseModel, RateReport, _rate_stack, decoherence_rates
+from .noise import NoiseModel, RateReport, decoherence_rates
 
-__all__ = ["Genome", "EvaluationContext", "PointResult", "evaluate_drive",
-           "evaluate_genome", "evaluate_population", "genome_to_drive"]
+__all__ = ["Genome", "EvaluationContext", "PointResult", "evaluate_genome",
+           "evaluate_population"]
 
 #: why :func:`evaluate_genome` returns no point, for error messages
 _INFEASIBLE = (
@@ -144,62 +144,32 @@ class PointResult:
         return (self.rates.gamma_1, self.rates.gamma_z)
 
 
-def genome_to_drive(genome: Genome, context: EvaluationContext) -> DriveSpec:
-    """Materialize the drive a genome encodes under a given context."""
-    p = [complex(genome.p0, 0.0)]
-    p += [complex(r, i) for r, i in zip(genome.p_re, genome.p_im)]
-    return DriveSpec(
-        phi_dc=context.phi_dc,
-        phi_ac=context.phi_ac,
-        omega_d=genome.omega_d_frac * context.omega_ge,
-        p=tuple(p),
-    )
-
-
-def evaluate_drive(drive: DriveSpec, context: EvaluationContext) -> PointResult:
-    """Full pipeline for one drive: Floquet solve, weights, rates.
-
-    Each step is a batch of one of the stacked code that
-    :func:`evaluate_population` runs, so a drive gets the same bits here as
-    in any population.
-    """
-    coeffs = context.coefficients
-    k_max = max(context.harmonic_truncation, drive.n)
-    matrix = assemble_floquet_matrix(drive, coeffs, context.qubit.delta, k_max)
-    sol = solve_floquet(matrix, drive.omega_d)
-    weights = compute_filter_weights(sol)
-    rates = decoherence_rates(weights, sol.omega_gap, drive.omega_d, context.noise)
-    return PointResult(drive=drive, solution=sol, weights=weights, rates=rates)
-
-
 def evaluate_genome(
     genome: Genome, context: EvaluationContext
 ) -> tuple[tuple[float, float], PointResult | None]:
-    """Objectives (gamma_1, gamma_z) of one genome.
+    """Objectives (gamma_1, gamma_z) and point of one genome: one row of
+    :func:`evaluate_population`.
 
     A genome whose Floquet branches cannot be labeled is infeasible and gets
-    ``(inf, inf)`` instead of aborting the caller: its gap is degenerate, or
-    it lies outside (0, omega_d), as the central pair of an unconverged
-    truncation can.
+    ``((inf, inf), None)`` instead of aborting the caller: its gap is
+    degenerate, or it lies outside (0, omega_d), as the central pair of an
+    unconverged truncation can.
     """
-    drive = genome_to_drive(genome, context)
-    try:
-        point = evaluate_drive(drive, context)
-    except (DegenerateGapError, GapOutsideZoneError):
-        return (np.inf, np.inf), None
-    return point.objectives, point
+    objs, rows = evaluate_population(genome.to_vector()[None], context)
+    return (float(objs[0, 0]), float(objs[0, 1])), _row_point(rows, 0, context)
 
 
 def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) -> dict:
     """:func:`evaluate_population`'s row arrays of one slice, as one stack."""
-    stack = _floquet_stack(omega_d, p, coeffs, context.qubit.delta, k_max)
-    eps_minus, eps_plus, h_plus, h_minus, ok = _solve_stack(stack, omega_d)
+    stack = assemble_floquet_matrix(omega_d, p, coeffs, context.qubit.delta, k_max)
+    eps_minus, eps_plus, h_plus, h_minus, ok = solve_floquet(stack, omega_d)
     gap = eps_plus - eps_minus
-    # infeasible as in evaluate_genome: an unconverged truncation can label
-    # a gap beyond omega_d
+    # an unconverged truncation can label a gap beyond omega_d
     ok &= (gap > 0.0) & (gap < omega_d)
-    g_z, g_plus, g_minus = _filter_weight_stack(h_plus, h_minus)
-    rates = np.stack(_rate_stack(g_z, g_plus, g_minus, gap, omega_d, context.noise), 1)
+    g_z, g_plus, g_minus = compute_filter_weights(h_plus, h_minus)
+    rates = np.stack(
+        decoherence_rates(g_z, g_plus, g_minus, gap, omega_d, context.noise), 1
+    )
     return dict(
         omega_d=omega_d, p=p, ok=ok, eps_minus=eps_minus, eps_plus=eps_plus,
         gap=gap, h_plus=h_plus, h_minus=h_minus, g_z=g_z, g_plus=g_plus,
@@ -244,17 +214,14 @@ def evaluate_population(
 def _row_point(rows: dict, r: int, context: EvaluationContext) -> PointResult | None:
     """The :class:`PointResult` of row ``r`` of :func:`evaluate_population`'s
     row arrays; ``None`` for an infeasible row."""
-    row = {key: value[r] for key, value in rows.items()}
-    if not row["ok"]:
+    if not rows["ok"][r]:
         return None
-    k_max, omega_d = (len(row["h_plus"]) - 1) // 2, float(row["omega_d"])
-    solution = FloquetSolution(
-        float(row["eps_plus"]), float(row["eps_minus"]), float(row["gap"]),
-        row["h_plus"], row["h_minus"], k_max, omega_d,
-    )
+    solved = [rows[key] for key in ("eps_minus", "eps_plus", "h_plus", "h_minus")]
+    sol = _row_solution(solved, rows["omega_d"], r)
+    g_z, g_plus, g_minus = (rows[key][r] for key in ("g_z", "g_plus", "g_minus"))
     return PointResult(
-        DriveSpec(context.phi_dc, context.phi_ac, omega_d, tuple(row["p"])),
-        solution,
-        FilterWeights(row["g_z"], row["g_plus"], row["g_minus"], 2 * k_max),
-        RateReport.from_rates(*(float(x) for x in row["rates"])),
+        DriveSpec(context.phi_dc, context.phi_ac, sol.omega_d, tuple(rows["p"][r])),
+        sol,
+        FilterWeights(g_z, g_plus, g_minus, 2 * sol.k_max),
+        RateReport.from_rates(*(float(x) for x in rows["rates"][r])),
     )

@@ -23,11 +23,12 @@ matrix, for any drive and bias: the spectrum is symmetric, the central pair
 is ``(-eps, eps)``, and the minus mode is ``C`` applied to the plus mode.
 The production solve therefore takes the eigenvalues alone (``eigvalsh``),
 finds the plus mode by two steps of inverse iteration, checks its residual
-against the gap, and maps it to the minus mode.  Matrices, solves, filter
-weights and rates work on stacks of drives (one row per drive, no
-arithmetic across rows).  A population enters as arrays ``(omega_d, p)``,
-checked once by :class:`DriveSpec`'s checks; a single drive is a stack of
-one, so it gets the same bits alone as in any population.
+against the gap, and maps it to the minus mode.  The stages
+(:func:`assemble_floquet_matrix`, :func:`solve_floquet`,
+:func:`compute_filter_weights` and ``noise.decoherence_rates``) take stacks
+of drives only: arrays ``(omega_d, p)`` with one row per drive, checked
+once by :class:`DriveSpec`'s checks.  No arithmetic mixes rows, so a row
+gets the same bits in a stack of any size.
 """
 
 from __future__ import annotations
@@ -219,19 +220,27 @@ def _two_sided(p: np.ndarray, k_max: int) -> np.ndarray:
     return out
 
 
-def _floquet_stack(
+def assemble_floquet_matrix(
     omega_d: np.ndarray,
     p: np.ndarray,
     coeffs: EffectiveCoefficients,
     delta: float,
     k_max: int,
 ) -> np.ndarray:
-    """Floquet matrices of the drives ``(omega_d[r], p[r])``, shape
-    ``(rows, 2 nb, 2 nb)`` with ``nb = 2 k_max + 1``.
+    """Truncated Floquet matrices of the drives ``(omega_d[r], p[r])``:
+    ``omega_d`` ``(rows,)`` and the one-sided coefficients ``p`` ``(rows, n
+    + 1)`` give a C-contiguous ``(rows, 2 nb, 2 nb)`` stack, ``nb = 2 k_max
+    + 1``.
 
-    Each row is Shirley's form of :func:`assemble_floquet_matrix`; the
+    Each row is Shirley's form ``diag(k omega_d) (x) I - (delta/2) I (x)
+    sigma_z + T (x) sigma_x``, where the Hermitian Toeplitz matrix ``T``
+    holds ``A p_{i-j}`` off the diagonal and ``B/2 + A p_0`` on it; the
     ``T (x) sigma_x`` blocks are written through a 5-d view of the result.
+    A ``k_max`` below the drive order raises :class:`TruncationError`.
     """
+    n = p.shape[-1] - 1
+    if k_max < n:
+        raise TruncationError(f"k_max={k_max} would drop drive harmonics up to n={n}")
     rows, nb = omega_d.size, 2 * k_max + 1
     band = coeffs.a_coef * _two_sided(p, nb - 1)
     idx = np.arange(nb)
@@ -246,26 +255,6 @@ def _floquet_stack(
         (k_omega - 0.5 * delta, k_omega + 0.5 * delta), axis=-1
     ).reshape(rows, -1)
     return out
-
-
-def assemble_floquet_matrix(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    k_max: int,
-) -> np.ndarray:
-    """Truncated Floquet block matrix of dimension ``2 (2 k_max + 1)``.
-
-    Shirley's form ``diag(k omega_d) (x) I - (delta/2) I (x) sigma_z +
-    T (x) sigma_x``, where the Hermitian Toeplitz matrix ``T`` holds
-    ``A p_{i-j}`` off the diagonal and ``B/2 + A p_0`` on it.
-    """
-    if k_max < drive.n:
-        raise TruncationError(
-            f"k_max={k_max} would drop drive harmonics up to n={drive.n}"
-        )
-    p = np.asarray(drive.p)[None]
-    return _floquet_stack(np.array([drive.omega_d]), p, coeffs, delta, k_max)[0]
 
 
 def _gauge_fix(h: np.ndarray, k_max: int) -> np.ndarray:
@@ -326,13 +315,31 @@ def _select_central_pair(
     return int(i), int(j)
 
 
-def _solve_stack(stack: np.ndarray, omega_d: np.ndarray):
-    """Central quasienergies and gauge-fixed modes of a C-contiguous stack
-    of Floquet matrices; shifts each matrix's diagonal in place.
+def solve_floquet(stack: np.ndarray, omega_d: np.ndarray):
+    """Central quasienergies and gauge-fixed mode harmonics of a stack of
+    Floquet matrices ``(rows, dim, dim)`` at drive frequencies ``omega_d``
+    ``(rows,)``.
 
-    Returns ``(eps_minus, eps_plus, h_plus, h_minus, ok)``: ``ok`` is False
-    where the gap is degenerate or the plus mode fails its residual check.
+    Returns ``(eps_minus, eps_plus, h_plus, h_minus, ok)``: the central pair
+    per row, the modes as ``(rows, 2 k_max + 1, 2)`` harmonics, and ``ok``,
+    False where the branch labels are undefined.  The central pair is the
+    pair of eigenvalues of smallest magnitude; ``eps_plus`` is the larger.
+    By the particle-hole symmetry ``C`` (see :func:`_particle_hole`) the
+    spectrum is symmetric, the pair is ``(-eps, eps)`` and the minus mode is
+    ``C h_plus``, so one eigenvector is solved for.  The eigenvalues come
+    from ``eigvalsh``; ``h_plus`` from two steps of inverse iteration, ``x
+    <- (H - s)^-1 x`` normalized, with ``s`` 1e-13 of (spectral radius +
+    ``omega_d``) above ``eps_plus``, from a fixed start vector.  The mode
+    passes when ``||(H - eps_plus) x|| <= 1e-10 sep``, with ``sep`` the
+    distance from ``eps_plus`` to the rest of the spectrum (``min(gap,
+    omega_d - gap)`` for a converged truncation); that bounds the sine of
+    its angle error by 1e-10 (the residual theorem).  A row whose mode
+    fails, or whose gap is at 0 or ``omega_d``, gets ``ok`` False.  The
+    shift is subtracted from the diagonal in place: a C-contiguous complex
+    stack, as :func:`assemble_floquet_matrix` returns, is overwritten, and
+    any other is copied first.
     """
+    stack = np.ascontiguousarray(stack, dtype=complex)
     rows, dim = stack.shape[:2]
     k_max = (dim // 2 - 1) // 2
     w = np.linalg.eigvalsh(stack)
@@ -368,44 +375,13 @@ def _solve_stack(stack: np.ndarray, omega_d: np.ndarray):
     return eps_minus, eps_plus, h_plus, h_minus, ok
 
 
-def solve_floquet(matrix: np.ndarray, omega_d: float) -> FloquetSolution:
-    """Quasienergies and gauge-fixed mode harmonics of an assembled matrix.
-
-    The central pair is the pair of eigenvalues of smallest magnitude;
-    ``eps_plus`` is the larger.  By the particle-hole symmetry ``C`` (see
-    :func:`_particle_hole`) the spectrum is symmetric, the pair is
-    ``(-eps, eps)`` and the minus mode is ``C h_plus``, so one eigenvector
-    is solved for.  The eigenvalues come from ``eigvalsh``; ``h_plus`` from
-    two steps of inverse iteration, ``x <- (H - s)^-1 x`` normalized, with
-    ``s`` 1e-13 of (spectral radius + ``omega_d``) above ``eps_plus``, from
-    a fixed start vector.  The mode passes when ``||(H - eps_plus) x|| <=
-    1e-10 sep``, with ``sep`` the distance from ``eps_plus`` to the rest of
-    the spectrum (``min(gap, omega_d - gap)`` for a converged truncation);
-    that bounds the sine of its angle error by 1e-10 (the residual
-    theorem).  A mode that fails, like a gap at 0 or ``omega_d``, raises
-    :class:`DegenerateGapError`.  The matrix is not changed.
-    """
-    dim = matrix.shape[0]
-    nb = dim // 2
-    if dim % 2 != 0 or nb % 2 != 1:
-        raise InvalidParameterError(f"matrix dimension {dim} is not 2(2k+1)")
-    stack = np.array(matrix, dtype=complex)[None]
-    eps_minus, eps_plus, h_plus, h_minus, ok = _solve_stack(
-        stack, np.array([omega_d])
-    )
-    if not ok[0]:
-        raise DegenerateGapError(
-            "quasienergy gap at 0 or omega_d: branch labels undefined "
-            f"(eps = {eps_minus[0]}, {eps_plus[0]})"
-        )
+def _row_solution(solved, omega_d, r: int = 0) -> FloquetSolution:
+    """Row ``r`` of :func:`solve_floquet`'s arrays ``solved`` at the drive
+    frequencies ``omega_d``, as a :class:`FloquetSolution`."""
+    eps_minus, eps_plus, h_plus, h_minus = (a[r] for a in solved[:4])
     return FloquetSolution(
-        eps_plus=float(eps_plus[0]),
-        eps_minus=float(eps_minus[0]),
-        omega_gap=float(eps_plus[0] - eps_minus[0]),
-        harmonics_plus=h_plus[0],
-        harmonics_minus=h_minus[0],
-        k_max=(nb - 1) // 2,
-        omega_d=omega_d,
+        float(eps_plus), float(eps_minus), float(eps_plus - eps_minus),
+        h_plus, h_minus, (len(h_plus) - 1) // 2, float(omega_d[r]),
     )
 
 
@@ -661,27 +637,19 @@ def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (windows[..., ::2, :] @ bx)[..., 0]
 
 
-def _filter_weight_stack(h_plus: np.ndarray, h_minus: np.ndarray):
-    """``(g_z, g_plus, g_minus)`` of stacked modes, each ``(..., 4 k_max + 1)``."""
+def compute_filter_weights(h_plus: np.ndarray, h_minus: np.ndarray):
+    """Filter weights ``(g_z, g_plus, g_minus)`` of stacked modes ``(...,
+    2 k_max + 1, 2)`` by exact discrete convolution of the mode harmonics,
+    each ``(..., 4 k_max + 1)``.
+
+    The arrays span ``k in [-2 k_max, 2 k_max]`` -- the full support of the
+    harmonic convolution -- so the completeness (Parseval) sum closes to the
+    accuracy of the Floquet solution itself.  ``sigma_x`` is Hermitian, so
+    ``g_minus[k] = conj(g_plus[-k])``.
+    """
     g_plus = _corr(h_plus, h_minus)
     g_z = 0.5 * (_corr(h_plus, h_plus) - _corr(h_minus, h_minus))
     return g_z, g_plus, g_plus[..., ::-1].conj()
-
-
-def compute_filter_weights(sol: FloquetSolution) -> FilterWeights:
-    """Filter weights by exact discrete convolution of the mode harmonics.
-
-    The returned arrays span ``k in [-2 k_max, 2 k_max]`` -- the full support
-    of the harmonic convolution -- so the completeness (Parseval) sum closes
-    to the accuracy of the Floquet solution itself.  ``sigma_x`` is
-    Hermitian, so ``g_minus[k] = conj(g_plus[-k])``.
-    """
-    g_z, g_plus, g_minus = _filter_weight_stack(
-        np.asarray(sol.harmonics_plus)[None], np.asarray(sol.harmonics_minus)[None]
-    )
-    return FilterWeights(
-        g_z=g_z[0], g_plus=g_plus[0], g_minus=g_minus[0], k_max=2 * sol.k_max
-    )
 
 
 def mode_infidelity(a: FloquetSolution, b: FloquetSolution) -> float:

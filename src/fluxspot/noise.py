@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GapOutsideZoneError, InvalidParameterError
-from .floquet import FilterWeights
+from .exceptions import InvalidParameterError
 from .units import GHZ_TO_RAD_PER_US, KB_OVER_HBAR_RAD_PER_US_PER_K, TWO_PI
 
 __all__ = ["NoiseModel", "RateReport", "spectral_density", "decoherence_rates"]
@@ -127,21 +126,17 @@ def spectral_density(noise: NoiseModel, omega):
     return float(s[0]) if scalar else s
 
 
-def _check_gaps(omega_gap: np.ndarray, omega_d: np.ndarray) -> None:
-    """Raise :class:`GapOutsideZoneError` unless every gap lies in
-    (0, omega_d)."""
-    outside = ~((omega_gap > 0.0) & (omega_gap < omega_d))
-    if outside.any():
-        i = int(outside.argmax())
-        raise GapOutsideZoneError(
-            f"omega_gap must lie in (0, omega_d), got {omega_gap[i]} vs {omega_d[i]}"
-        )
+def decoherence_rates(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseModel):
+    """Dephasing and relaxation rates ``(gamma_z, gamma_plus, gamma_minus)``,
+    each ``(rows,)``, of stacked filter weights ``(rows, 2 k_max + 1)`` at
+    gaps and drive frequencies ``(rows,)``; each row's sums run over that
+    row alone.
 
-
-def _rate_stack(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseModel):
-    """``(gamma_z, gamma_plus, gamma_minus)`` of stacked filter weights
-    (``(rows, 2 k_max + 1)``) at gaps and drive frequencies ``(rows,)``;
-    each row's sums run over that row alone."""
+    gamma_z carries the first-order 1/f term from the central weight plus the
+    quadratic contributions of the k != 0 harmonics sampled at ``k omega_d``;
+    gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``.
+    The harmonic sums run over the full extent of the weight arrays.
+    """
     center = (g_z.shape[-1] - 1) // 2
     k_omega = np.arange(-center, center + 1) * omega_d[:, None]
     gap = omega_gap[:, None]
@@ -161,29 +156,3 @@ def _rate_stack(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseModel):
     gamma_plus = np.sum(np.abs(g_plus) ** 2 * s_up, axis=-1)
     gamma_minus = np.sum(np.abs(g_minus) ** 2 * s_down, axis=-1)
     return gamma_z, gamma_plus, gamma_minus
-
-
-def decoherence_rates(
-    weights: FilterWeights,
-    omega_gap: float,
-    omega_d: float,
-    noise: NoiseModel,
-) -> RateReport:
-    """Convert filter weights into dephasing and relaxation rates.
-
-    gamma_z carries the first-order 1/f term from the central weight plus the
-    quadratic contributions of the k != 0 harmonics sampled at ``k omega_d``;
-    gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``.
-    The harmonic sums run over the full extent of the weight arrays.
-    """
-    gap, omega = np.array([omega_gap]), np.array([omega_d])
-    _check_gaps(gap, omega)
-    rates = _rate_stack(
-        np.asarray(weights.g_z)[None],
-        np.asarray(weights.g_plus)[None],
-        np.asarray(weights.g_minus)[None],
-        gap,
-        omega,
-        noise,
-    )
-    return RateReport.from_rates(*(float(r[0]) for r in rates))

@@ -25,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import DEFAULT_FOCK_DIM, CircuitParams, EffectiveQubit, diagonalize_circuit
-from .evaluation import EvaluationContext, Genome, evaluate_drive, genome_to_drive
-from .exceptions import InvalidParameterError
+from .evaluation import _INFEASIBLE, EvaluationContext, Genome, evaluate_population
+from .exceptions import DegenerateGapError, InvalidParameterError
 from .noise import NoiseModel
 from .units import TWO_PI, ghz
 
@@ -212,15 +212,20 @@ def calibrate_amplitude(
 
     Solves ``Re g_z[0] = 0`` (the central dephasing weight is real) along the
     amplitude axis by bisection inside ``bracket``, down to a bracket no
-    wider than ``xtol``; the result is its midpoint.
+    wider than ``xtol``; the result is its midpoint.  Each step evaluates the
+    genome as a one-row :func:`evaluate_population`; an amplitude at which
+    it is infeasible raises :class:`DegenerateGapError`.
     """
     if not xtol > 0.0:
         raise InvalidParameterError(f"xtol must be positive, got {xtol}")
+    vector = genome.to_vector()[None]
 
     def central_weight(phi_ac: float) -> float:
-        ctx = replace(context, phi_ac=phi_ac)
-        point = evaluate_drive(genome_to_drive(genome, ctx), ctx)
-        return point.weights.g_z0.real
+        _, rows = evaluate_population(vector, replace(context, phi_ac=phi_ac))
+        if not rows["ok"][0]:
+            raise DegenerateGapError(f"at phi_ac={phi_ac}, the genome is {_INFEASIBLE}")
+        g_z = rows["g_z"][0]
+        return g_z[g_z.size // 2].real
 
     lo, hi = bracket
     f_lo = central_weight(lo)

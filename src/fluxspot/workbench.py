@@ -29,17 +29,19 @@ from .evaluation import (
 )
 from .exceptions import (
     ConfigError,
+    DegenerateGapError,
     DependencyError,
     FluxspotError,
     InvalidParameterError,
 )
 from .floquet import (
     DriveSpec,
+    _row_solution,
     _su2_matrices,
+    assemble_floquet_matrix,
     mode_infidelity,
     reference_floquet_via_propagator,
     solve_floquet,
-    assemble_floquet_matrix,
 )
 from .gates import (
     TARGETS,
@@ -751,13 +753,18 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
 def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
     """Mode infidelity of the truncated solver against the propagator
     reference, swept over the harmonic truncation for each drive order."""
+    orders = cfg["truncation"]["orders"]
+    if min(orders, default=0) < 0:
+        raise InvalidParameterError(
+            f"truncation.orders must be >= 0, got drive order {min(orders)}"
+        )
     context = build_context(cfg)
     coeffs = context.coefficients
     delta = context.qubit.delta
     substeps = cfg["truncation"]["substeps"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
-    for n in cfg["truncation"]["orders"]:
+    for n in orders:
         p = [complex(rng.uniform(0.0, 1.0), 0.0)]
         p += [
             complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)
@@ -768,15 +775,20 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
             omega_d=1.1 * context.omega_ge,
             p=tuple(p),
         )
+        omega_d, p_row = np.array([drive.omega_d]), np.array([drive.p])
         k_ref = 3 * n + 4
         ref = reference_floquet_via_propagator(
             drive, coeffs, delta, substeps=substeps, k_max=k_ref
         )
         for k_max in range(n, 3 * n + 3):
-            sol = solve_floquet(
-                assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
-            )
-            rows.append([n, k_max, mode_infidelity(ref, sol)])
+            stack = assemble_floquet_matrix(omega_d, p_row, coeffs, delta, k_max)
+            solved = solve_floquet(stack, omega_d)
+            if not solved[-1][0]:
+                raise DegenerateGapError(
+                    f"drive order {n} at k_max={k_max}: quasienergy gap at 0 or "
+                    f"omega_d, branch labels undefined"
+                )
+            rows.append([n, k_max, mode_infidelity(ref, _row_solution(solved, omega_d))])
     return run.write_csv(
         "truncation.csv", ["n", "k_max", "mode_infidelity"], rows, "truncation-study"
     )

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 import fluxspot as fs
+from fluxspot.exceptions import DegenerateGapError
+from fluxspot.floquet import _row_solution
 
 REFERENCE_CONTEXT = fs.reference_context()
 
@@ -46,8 +48,40 @@ def random_drive(rng, context, n=4, phi_ac=None, omega_frac=None):
     )
 
 
+def drive_rows(drive):
+    """One drive as the stage functions take it: ``omega_d`` ``(1,)`` and
+    ``p`` ``(1, n + 1)``."""
+    return np.array([drive.omega_d]), np.array([drive.p])
+
+
+def weight_rows(w):
+    """One row of :class:`FilterWeights` as the rate stage takes them."""
+    return w.g_z[None], w.g_plus[None], w.g_minus[None]
+
+
+def solve_row(drive, coeffs, delta, k_max):
+    """The Floquet solution of one drive, solved as a one-row stack; a row
+    whose branch labels are undefined raises :class:`DegenerateGapError`."""
+    omega_d, p = drive_rows(drive)
+    solved = fs.solve_floquet(
+        fs.assemble_floquet_matrix(omega_d, p, coeffs, delta, k_max), omega_d
+    )
+    if not solved[-1][0]:
+        raise DegenerateGapError("branch labels undefined")
+    return _row_solution(solved, omega_d)
+
+
+def weights_of(sol):
+    """``(g_z, g_plus, g_minus)`` of a solution's modes, each ``(1, 4 k_max
+    + 1)``: the filter-weight stage on a one-row stack."""
+    return fs.compute_filter_weights(
+        sol.harmonics_plus[None], sol.harmonics_minus[None]
+    )
+
+
 def solve_drive(drive, context, phi_ac=None):
-    """(solution, weights) of a drive under context coefficients."""
+    """(solution, weights) of one drive under context coefficients, through
+    the stacked stages."""
     coeffs = fs.effective_coefficients(
         context.qubit,
         context.e_l,
@@ -55,9 +89,9 @@ def solve_drive(drive, context, phi_ac=None):
         phi_ac if phi_ac is not None else drive.phi_ac,
     )
     k_max = 3 * max(drive.n, 1) + 3
-    m = fs.assemble_floquet_matrix(drive, coeffs, context.qubit.delta, k_max)
-    sol = fs.solve_floquet(m, drive.omega_d)
-    return sol, fs.compute_filter_weights(sol)
+    sol = solve_row(drive, coeffs, context.qubit.delta, k_max)
+    g_z, g_plus, g_minus = weights_of(sol)
+    return sol, fs.FilterWeights(g_z[0], g_plus[0], g_minus[0], 2 * k_max)
 
 
 @st.composite

@@ -38,12 +38,12 @@ from fluxspot.floquet import (
     FilterWeights,
     FloquetSolution,
     _su2_entries,
-    assemble_floquet_matrix,
-    solve_floquet,
 )
 from fluxspot.gates import ControlContext
 from fluxspot.lindblad import LindbladModel, channel_from_simulation
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
+
+from conftest import solve_row
 
 _OVERLAP_FLOOR = 0.98
 
@@ -81,9 +81,7 @@ def _continued_gap(
     gap continuously we re-attach each solved branch to the reference branch
     by maximum stacked-harmonic overlap, allowing one zone fold either way.
     """
-    sol = solve_floquet(
-        assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
-    )
+    sol = solve_row(drive, coeffs, delta, k_max)
     continued = {}
     for name, ref_h in (("plus", reference.harmonics_plus),
                         ("minus", reference.harmonics_minus)):
@@ -127,9 +125,7 @@ def quasienergy_sensitivity_fd(
         k_max = 3 * max(drive.n, 1)
     scale = max(abs(coeffs.b_coef if which == "dc" else coeffs.a_coef), delta)
     h = step if step is not None else 1e-5 * scale
-    reference = solve_floquet(
-        assemble_floquet_matrix(drive, coeffs, delta, k_max), drive.omega_d
-    )
+    reference = solve_row(drive, coeffs, delta, k_max)
 
     def gap_at(offset: float) -> float:
         if which == "dc":
@@ -187,12 +183,13 @@ def filter_weights_time_grid(
     )
 
 
-def parseval_sum(weights: FilterWeights) -> float:
-    """Completeness sum; equals 1 for an exact Floquet solution."""
-    return float(
-        0.5 * np.sum(np.abs(weights.g_plus) ** 2)
-        + 0.5 * np.sum(np.abs(weights.g_minus) ** 2)
-        + np.sum(np.abs(weights.g_z) ** 2)
+def parseval_sum(g_z, g_plus, g_minus) -> np.ndarray:
+    """Completeness sum of stacked filter weights over the last axis; equals
+    1 for an exact Floquet solution."""
+    return (
+        0.5 * np.sum(np.abs(g_plus) ** 2, axis=-1)
+        + 0.5 * np.sum(np.abs(g_minus) ** 2, axis=-1)
+        + np.sum(np.abs(g_z) ** 2, axis=-1)
     )
 
 

@@ -700,7 +700,7 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
     bench = next(b for b in fluxspot.BENCHMARK_POINTS if b.name == "dss-2")
     context = build_context(load_config(config), phi_ac=bench.phi_ac)
     samples = fluxspot.rotating_frame_trajectory(
-        fluxspot.genome_to_drive(bench.genome, context),
+        fluxspot.evaluate_genome(bench.genome, context)[1].drive,
         context.coefficients,
         context.qubit.delta,
         art["duration_ns"],
@@ -834,6 +834,18 @@ def test_drive_order_below_zero_exits_3_with_one_line(tmp_path, capsys, n, code)
         assert not list(out.glob("front_*.csv"))
     else:
         assert err == "" and (out / "front_nsga2.csv").exists()
+
+
+@pytest.mark.parametrize("orders", [[-1], [1, -2]])
+def test_negative_truncation_order_exits_3_with_one_line(tmp_path, capsys, orders):
+    truncation = dict(TINY["truncation"], orders=orders)
+    config = write_json(tmp_path / "config.json", dict(TINY, truncation=truncation))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "truncation-study") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"truncation.orders must be >= 0, got drive order {min(orders)}" in err, err
+    assert not (out / "truncation.csv").exists()
 
 
 def test_repeated_gate_job_name_exits_2_with_one_line(tmp_path, capsys):

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import fluxspot as fs
 from fluxspot.circuit import EffectiveCoefficients
 from fluxspot.dss import DSS_THRESHOLD
+from fluxspot.evaluation import _row_point
 from fluxspot.exceptions import DegenerateGapError
 from fluxspot.floquet import FilterWeights
 from fluxspot.pareto import Individual, ParetoFront
 
-from conftest import box_drives, random_drive, solve_drive
+from conftest import box_drives, random_drive, solve_drive, weight_rows
 from oracles import StencilCrossingError, quasienergy_sensitivity_fd
 
 
@@ -38,10 +39,12 @@ class TestUpperBounds:
     def test_general_bound_exceeds_t1_at_sweet_spot(self, qubit, noise):
         w = self.make_static_weights()
         omega_d = 1.3 * qubit.delta
-        rates = fs.decoherence_rates(w, qubit.delta, omega_d, noise)
+        _, gamma_plus, gamma_minus = fs.decoherence_rates(
+            *weight_rows(w), np.array([qubit.delta]), np.array([omega_d]), noise
+        )
         ub = fs.t1_upper_bound_general(w, qubit.delta, omega_d, noise)
         assert np.isfinite(ub)
-        assert ub >= rates.t1
+        assert ub >= 1.0 / (gamma_plus[0] + gamma_minus[0])
 
     def test_general_bound_against_arbitrary_precision(self, qubit, noise):
         import mpmath as mp
@@ -97,9 +100,11 @@ class TestUpperBounds:
         for _ in range(25):
             d = random_drive(rng, context)
             sol, w = solve_drive(d, context)
-            rates = fs.decoherence_rates(w, sol.omega_gap, sol.omega_d, noise)
+            _, gamma_plus, gamma_minus = fs.decoherence_rates(
+                *weight_rows(w), np.array([sol.omega_gap]), np.array([sol.omega_d]), noise
+            )
             ub = fs.t1_upper_bound_general(w, sol.omega_gap, sol.omega_d, noise)
-            assert rates.t1 <= ub * (1 + 1e-9)
+            assert 1.0 / (gamma_plus[0] + gamma_minus[0]) <= ub * (1 + 1e-9)
 
     def test_dimensional_rescaling(self, noise):
         # rescaling all frequencies by c rescales both bounds by 1/c^... the
@@ -181,10 +186,14 @@ class TestSensitivity:
         # of test_dc_derivative_equals_central_weight (some with Re g_z0 < 0)
         rng = np.random.default_rng(67)
         cases = [(ctx, point) for _, ctx, point in benchmark_results.values()]
-        cases += [
-            (context, fs.evaluate_drive(random_drive(rng, context), context))
-            for _ in range(5)
+        drives = [random_drive(rng, context) for _ in range(5)]
+        vectors = [
+            [d.p[0].real, *(x.real for x in d.p[1:]), *(x.imag for x in d.p[1:]),
+             d.omega_d / context.omega_ge]
+            for d in drives
         ]
+        _, rows = fs.evaluate_population(vectors, context)
+        cases += [(context, _row_point(rows, r, context)) for r in range(5)]
         for ctx, point in cases:
             report = fs.classify_point(point, ctx)
             scale = 2.0 * ctx.e_l * ctx.qubit.phi_ge

@@ -80,24 +80,61 @@ def test_array_checks_raise_as_the_drive_does(context, column, value):
     # exception with the same message, for the first bad row
     vectors = random_vectors(6, seed=47)
     vectors[[2, 4], column] = value
+    g = fs.Genome.from_vector(vectors[2])
+    p = [complex(g.p0, 0.0)] + [complex(r, i) for r, i in zip(g.p_re, g.p_im)]
     with pytest.raises(InvalidParameterError) as alone:
-        fs.genome_to_drive(fs.Genome.from_vector(vectors[2]), context)
+        fs.DriveSpec(
+            context.phi_dc, context.phi_ac, g.omega_d_frac * context.omega_ge, tuple(p)
+        )
     with pytest.raises(InvalidParameterError) as stacked:
         fs.evaluate_population(vectors, context)
     assert str(stacked.value) == str(alone.value)
 
 
 def test_gap_beyond_omega_d_row_alone_is_infeasible():
-    # a strong drive on a k_max = 1 truncation can label a gap above omega_d;
-    # the rates reject that gap, and the genome is infeasible, alone and in
-    # a population
+    # a strong drive on a k_max = 1 truncation can label a gap above omega_d:
+    # the solve passes its mode, the gap check rejects the row, and the
+    # genome is infeasible, alone and in a population
     ctx = replace(fs.reference_context(n=1, phi_ac=0.2), k_max=1)
     vectors = random_vectors(5, n=1, seed=1)
     genomes = [fs.Genome.from_vector(v) for v in vectors]
-    with pytest.raises(InvalidParameterError, match="omega_gap"):
-        fs.evaluate_drive(fs.genome_to_drive(genomes[2], ctx), ctx)
+    _, rows = fs.evaluate_population(vectors, ctx)
+    omega_d, p = rows["omega_d"][2:3], rows["p"][2:3]
+    assert rows["gap"][2] > omega_d[0]
+    stack = fs.assemble_floquet_matrix(omega_d, p, ctx.coefficients, ctx.qubit.delta, 1)
+    assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [True]
     results = population(vectors, ctx)
     assert [i for i, (_, point) in enumerate(results) if point is None] == [2]
     assert results[2] == ((np.inf, np.inf), None) == fs.evaluate_genome(genomes[2], ctx)
     for i in (0, 1, 3, 4):
         assert_same_bits(results[i], fs.evaluate_genome(genomes[i], ctx))
+
+
+STAGES = ("assemble_floquet_matrix", "solve_floquet", "compute_filter_weights",
+          "decoherence_rates")
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of the four stage functions by the names ``fluxspot.evaluation``
+    holds, the names the stacked path calls them by (and the benchmark's
+    tracer wraps)."""
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        def counted(*args, name=name, stage=getattr(fs.evaluation, name)):
+            calls[name] += 1
+            return stage(*args)
+
+        monkeypatch.setattr(fs.evaluation, name, counted)
+    return calls
+
+
+def test_one_genome_calls_each_stage_once(context, stage_calls):
+    genome = fs.Genome.from_vector(random_vectors(1, seed=53)[0])
+    assert fs.evaluate_genome(genome, context)[1] is not None
+    assert stage_calls == dict.fromkeys(STAGES, 1)
+
+
+def test_a_population_calls_each_stage_once_per_slice(context, stage_calls):
+    fs.evaluate_population(random_vectors(60, seed=59), context)
+    assert stage_calls == dict.fromkeys(STAGES, math.ceil(60 / 25))

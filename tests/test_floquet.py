@@ -33,7 +33,15 @@ from fluxspot.floquet import (
     fold_to_zone,
 )
 
-from conftest import REFERENCE_CONTEXT, box_drives, random_drive, solve_drive
+from conftest import (
+    REFERENCE_CONTEXT,
+    box_drives,
+    drive_rows,
+    random_drive,
+    solve_drive,
+    solve_row,
+    weights_of,
+)
 from oracles import (
     filter_weights_time_grid,
     mode_at,
@@ -51,6 +59,13 @@ def drive(omega_d, p, phi_dc=np.pi, phi_ac=0.05):
 
 def coeffs(a=0.0, b=0.0):
     return EffectiveCoefficients(a_coef=a, b_coef=b)
+
+
+def stack_of(drive, coeffs, delta, k_max):
+    """``(stack, omega_d)``: the one-row Floquet stack of ``drive`` and its
+    drive frequency as the stacked stages take it."""
+    omega_d, p = drive_rows(drive)
+    return fs.assemble_floquet_matrix(omega_d, p, coeffs, delta, k_max), omega_d
 
 
 class TestDriveSpec:
@@ -160,13 +175,13 @@ class TestAssemble:
         d, k_max = drive_k
         for c in (coeffs(a=a, b=b), coeffs(a=abs(a), b=abs(b))):
             assert np.array_equal(
-                fs.assemble_floquet_matrix(d, c, delta, k_max),
+                stack_of(d, c, delta, k_max)[0][0],
                 assemble_by_blocks(d, c, delta, k_max),
             )
 
     def test_undriven_blocks(self):
         d = drive(10.0, (0.0,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=4.0), 3.0, k_max=2)
+        m = stack_of(d, coeffs(a=0.0, b=4.0), 3.0, k_max=2)[0][0]
         w = np.linalg.eigvalsh(m)
         expected = sorted(
             s * 2.5 + k * 10.0 for s in (-1, 1) for k in (-2, -1, 0, 1, 2)
@@ -176,7 +191,7 @@ class TestAssemble:
     def test_single_tone_band_structure(self):
         d = drive(10.0, (0.0, 0.5))
         a = 2.0
-        m = fs.assemble_floquet_matrix(d, coeffs(a=a, b=0.0), 3.0, k_max=2)
+        m = stack_of(d, coeffs(a=a, b=0.0), 3.0, k_max=2)[0][0]
         # exactly one off-diagonal band with entries a * p_1 * sigma_x
         block = m[2:4, 0:2]
         assert np.allclose(block, a * 0.5 * np.array([[0, 1], [1, 0]]))
@@ -185,22 +200,19 @@ class TestAssemble:
     def test_hermitian(self, context):
         rng = np.random.default_rng(5)
         d = random_drive(rng, context)
-        m = fs.assemble_floquet_matrix(
-            d, context.coefficients, context.qubit.delta, k_max=12
-        )
+        m = stack_of(d, context.coefficients, context.qubit.delta, k_max=12)[0][0]
         assert np.max(np.abs(m - m.conj().T)) < 1e-12 * np.max(np.abs(m))
 
     def test_truncation_guard(self):
         d = drive(10.0, (0.0, 0.5, 0.5))
-        with pytest.raises(TruncationError):
-            fs.assemble_floquet_matrix(d, coeffs(), 3.0, k_max=1)
+        with pytest.raises(TruncationError, match="k_max=1 would drop"):
+            stack_of(d, coeffs(), 3.0, k_max=1)
 
 
 class TestSolve:
     def test_static_closed_form(self):
         d = drive(10.0, (0.0,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=4.0), 3.0, k_max=3)
-        sol = fs.solve_floquet(m, 10.0)
+        sol = solve_row(d, coeffs(a=0.0, b=4.0), 3.0, k_max=3)
         assert sol.omega_gap == pytest.approx(5.0, abs=1e-12)
         assert sol.eps_plus == pytest.approx(2.5, abs=1e-12)
         # only the central harmonic is populated
@@ -211,8 +223,7 @@ class TestSolve:
 
     def test_commuting_case(self):
         d = drive(10.0, (0.0, 0.5 + 0.3j))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.3, b=1.0), 0.0, k_max=6)
-        sol = fs.solve_floquet(m, 10.0)
+        sol = solve_row(d, coeffs(a=0.3, b=1.0), 0.0, k_max=6)
         assert sol.omega_gap == pytest.approx(1.0, abs=1e-10)
         # modes are transverse (flux-operator) eigenstates up to phase:
         # both vector components equal in magnitude at every harmonic
@@ -231,11 +242,10 @@ class TestSolve:
             assert -sol.omega_d / 2 < sol.eps_minus <= sol.omega_d / 2
             assert 0.0 < sol.omega_gap < sol.omega_d
 
-    def test_degenerate_gap_raises(self):
+    def test_degenerate_gap_is_not_ok(self):
         d = drive(3.0, (0.0,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=0.0), 3.0, k_max=3)
-        with pytest.raises(DegenerateGapError):
-            fs.solve_floquet(m, 3.0)
+        *_, ok = fs.solve_floquet(*stack_of(d, coeffs(a=0.0, b=0.0), 3.0, k_max=3))
+        assert ok.tolist() == [False]
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_zone_edge_replica_pair_raises(self, order):
@@ -270,9 +280,7 @@ class TestParticleHoleSymmetry:
         # C H_F C^-1 = -H_F: a symmetric spectrum, and C maps every
         # eigenvector at w to one at -w
         d, k_max = drive_k
-        m = fs.assemble_floquet_matrix(
-            d, coeffs(a=a, b=b), REFERENCE_DELTA, k_max
-        )
+        m = stack_of(d, coeffs(a=a, b=b), REFERENCE_DELTA, k_max)[0][0]
         w, v = np.linalg.eigh(m)
         scale = np.max(np.abs(w))
         assert np.max(np.abs(w + w[::-1])) <= 1e-13 * scale
@@ -286,17 +294,17 @@ class TestParticleHoleSymmetry:
             n = int(rng.integers(1, 7))
             d = random_drive(rng, context, n=n)
             k_max = int(rng.integers(n, 3 * n + 3))
-            m = fs.assemble_floquet_matrix(
+            stack, omega_d = stack_of(
                 d, context.coefficients, context.qubit.delta, k_max
             )
-            try:
-                sol = fs.solve_floquet(m, d.omega_d)
-            except DegenerateGapError:
+            m = stack[0].copy()   # the solve shifts the stack's diagonal
+            got_minus, got_plus, hp, hm, ok = fs.solve_floquet(stack, omega_d)
+            if not ok[0]:
                 continue
             eps_minus, eps_plus, h_minus, h_plus = central_pair_oracle(m, d.omega_d)
-            assert sol.eps_plus == pytest.approx(eps_plus, rel=1e-12)
-            assert sol.eps_minus == pytest.approx(eps_minus, rel=1e-12)
-            for got, want in ((sol.harmonics_plus, h_plus), (sol.harmonics_minus, h_minus)):
+            assert got_plus[0] == pytest.approx(eps_plus, rel=1e-12)
+            assert got_minus[0] == pytest.approx(eps_minus, rel=1e-12)
+            for got, want in ((hp[0], h_plus), (hm[0], h_minus)):
                 assert 1.0 - abs(np.vdot(want, got)) <= 1e-13
                 assert np.max(np.abs(got - want)) <= 1e-12
             checked += 1
@@ -310,8 +318,9 @@ class TestParticleHoleSymmetry:
         # an undriven matrix decouples into 2x2 blocks; each central mode
         # lives in one block, whichever block's diagonal lies nearest eps
         d = drive(omega_d, (0.0,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=b), delta, k_max=3)
-        sol = fs.solve_floquet(m, omega_d)
+        c = coeffs(a=0.0, b=b)
+        sol = solve_row(d, c, delta, k_max=3)
+        m = stack_of(d, c, delta, k_max=3)[0][0]
         eps_minus, eps_plus, h_minus, h_plus = central_pair_oracle(m, omega_d)
         assert sol.eps_plus == pytest.approx(eps_plus, rel=1e-12)
         for got, want in ((sol.harmonics_plus, h_plus), (sol.harmonics_minus, h_minus)):
@@ -324,9 +333,8 @@ class TestParticleHoleSymmetry:
         # must reject it, alone and in a population
         monkeypatch.setattr(fs.floquet, "_SHIFT_RTOL", 1e-2)
         d = random_drive(np.random.default_rng(37), context)
-        m = fs.assemble_floquet_matrix(d, context.coefficients, context.qubit.delta, 12)
-        with pytest.raises(DegenerateGapError):
-            fs.solve_floquet(m, d.omega_d)
+        stack, omega_d = stack_of(d, context.coefficients, context.qubit.delta, 12)
+        assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [False]
         genome = fs.Genome(p0=0.3, p_re=(0.2,) * 4, p_im=(0.1,) * 4, omega_d_frac=1.1)
         objs, rows = fs.evaluate_population(genome.to_vector()[None], context)
         assert objs.tolist() == [[np.inf, np.inf]] and not rows["ok"][0]
@@ -335,18 +343,24 @@ class TestParticleHoleSymmetry:
         # a gap of 1e-10 omega_d passes the degeneracy rule, but two
         # inverse-iteration steps cannot resolve its mode to 1e-10 of it
         d = drive(3.0, (1e-10,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=-1.5, b=0.0), 0.0, k_max=2)
-        w = np.linalg.eigvalsh(m)
+        stack, omega_d = stack_of(d, coeffs(a=-1.5, b=0.0), 0.0, k_max=2)
+        w = np.linalg.eigvalsh(stack[0])
         assert 1e-12 * 3.0 < 2 * np.min(np.abs(w)) < 1e-9
-        with pytest.raises(DegenerateGapError):
-            fs.solve_floquet(m, 3.0)
+        assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [False]
 
-    def test_solve_leaves_its_matrix_unchanged(self, context):
+    def test_solve_copies_a_stack_it_cannot_shift_in_place(self, context):
+        # the shift is written into a C-contiguous complex stack's diagonal;
+        # any other stack is copied first and left as it was, with the same
+        # bits out
         d = random_drive(np.random.default_rng(31), context)
-        m = fs.assemble_floquet_matrix(d, context.coefficients, context.qubit.delta, 8)
-        before = m.copy()
-        fs.solve_floquet(m, d.omega_d)
-        assert np.array_equal(m, before)
+        stack, omega_d = stack_of(d, context.coefficients, context.qubit.delta, 8)
+        fortran = np.asfortranarray(stack)
+        before = stack.copy()
+        got = fs.solve_floquet(fortran, omega_d)
+        assert np.array_equal(fortran, before)
+        want = fs.solve_floquet(stack, omega_d)
+        assert not np.array_equal(stack, before)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestPropagatorReference:
@@ -555,28 +569,27 @@ class TestPropagatorReference:
 class TestFilterWeights:
     def test_static_values(self):
         d = drive(10.0, (0.0,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=4.0), 3.0, k_max=3)
-        w = fs.compute_filter_weights(fs.solve_floquet(m, 10.0))
-        assert abs(w.g_z0) == pytest.approx(0.8, abs=1e-12)
-        assert abs(w.g_plus[w.k_max]) == pytest.approx(0.6, abs=1e-12)
-        off_center = np.delete(np.abs(w.g_z), w.k_max)
+        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(a=0.0, b=4.0), 3.0, 3))
+        center = 2 * 3
+        assert abs(g_z[0, center]) == pytest.approx(0.8, abs=1e-12)
+        assert abs(g_plus[0, center]) == pytest.approx(0.6, abs=1e-12)
+        off_center = np.delete(np.abs(g_z[0]), center)
         assert np.all(off_center < 1e-12)
-        assert parseval_sum(w) == pytest.approx(1.0, abs=1e-12)
+        assert parseval_sum(g_z, g_plus, g_minus) == pytest.approx([1.0], abs=1e-12)
 
     def test_commuting_case_weights(self):
         d = drive(10.0, (0.0, 0.5 + 0.3j))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.3, b=1.0), 0.0, k_max=6)
-        w = fs.compute_filter_weights(fs.solve_floquet(m, 10.0))
-        assert abs(w.g_z0) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(np.delete(np.abs(w.g_z), w.k_max) < 1e-10)
-        assert np.all(np.abs(w.g_plus) < 1e-10)
-        assert np.all(np.abs(w.g_minus) < 1e-10)
+        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(a=0.3, b=1.0), 0.0, 6))
+        center = 2 * 6
+        assert abs(g_z[0, center]) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.delete(np.abs(g_z[0]), center) < 1e-10)
+        assert np.all(np.abs(g_plus) < 1e-10)
+        assert np.all(np.abs(g_minus) < 1e-10)
 
     def test_static_sweet_spot_center_weight_vanishes(self):
         d = drive(10.0, (0.0,))
-        m = fs.assemble_floquet_matrix(d, coeffs(a=0.0, b=0.0), 3.0, k_max=3)
-        w = fs.compute_filter_weights(fs.solve_floquet(m, 10.0))
-        assert abs(w.g_z0) < 1e-14
+        g_z, _, _ = weights_of(solve_row(d, coeffs(a=0.0, b=0.0), 3.0, 3))
+        assert abs(g_z[0, 2 * 3]) < 1e-14
 
     def test_fft_oracle_agreement(self, context):
         rng = np.random.default_rng(37)
@@ -589,31 +602,33 @@ class TestFilterWeights:
             assert np.max(np.abs(w.g_minus - w_fft.g_minus)) < 1e-9
 
     def test_parseval_and_cross_symmetry(self, context):
+        # fifty drives through the stages as one stack
         rng = np.random.default_rng(41)
-        for _ in range(50):
-            d = random_drive(rng, context)
-            _, w = solve_drive(d, context)
-            assert parseval_sum(w) == pytest.approx(1.0, abs=1e-8)
-            assert np.max(np.abs(np.abs(w.g_plus) - np.abs(w.g_minus[::-1]))) < 1e-10
+        drives = [random_drive(rng, context) for _ in range(50)]
+        omega_d = np.array([d.omega_d for d in drives])
+        p = np.array([d.p for d in drives])
+        stack = fs.assemble_floquet_matrix(
+            omega_d, p, context.coefficients, context.qubit.delta, 15
+        )
+        *_, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
+        assert ok.all()
+        g_z, g_plus, g_minus = fs.compute_filter_weights(h_plus, h_minus)
+        parseval = parseval_sum(g_z, g_plus, g_minus)
+        assert parseval == pytest.approx(np.ones(50), abs=1e-8)
+        assert np.max(np.abs(np.abs(g_plus) - np.abs(g_minus[:, ::-1]))) < 1e-10
 
     def test_gauge_invariance(self, context):
         rng = np.random.default_rng(43)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        rotated = FloquetSolution(
-            eps_plus=sol.eps_plus,
-            eps_minus=sol.eps_minus,
-            omega_gap=sol.omega_gap,
-            harmonics_plus=sol.harmonics_plus * np.exp(0.7j),
-            harmonics_minus=sol.harmonics_minus * np.exp(-1.1j),
-            k_max=sol.k_max,
-            omega_d=sol.omega_d,
+        g_z_rot, g_plus_rot, _ = fs.compute_filter_weights(
+            sol.harmonics_plus[None] * np.exp(0.7j),
+            sol.harmonics_minus[None] * np.exp(-1.1j),
         )
-        w_rot = fs.compute_filter_weights(rotated)
-        assert np.allclose(np.abs(w.g_z), np.abs(w_rot.g_z), atol=1e-12)
-        assert np.allclose(np.abs(w.g_plus), np.abs(w_rot.g_plus), atol=1e-12)
+        assert np.allclose(np.abs(w.g_z), np.abs(g_z_rot[0]), atol=1e-12)
+        assert np.allclose(np.abs(w.g_plus), np.abs(g_plus_rot[0]), atol=1e-12)
         # the dephasing family is phase-free, not only in magnitude
-        assert np.allclose(w.g_z, w_rot.g_z, atol=1e-12)
+        assert np.allclose(w.g_z, g_z_rot[0], atol=1e-12)
 
 
 def alternative_representative(sol):
@@ -642,21 +657,26 @@ class TestFilterWeightOracle:
     @given(box_drives())
     def test_equals_trace_form(self, context, drive_k):
         d, k_max = drive_k
-        m = fs.assemble_floquet_matrix(
-            d, context.coefficients, context.qubit.delta, k_max
-        )
         try:
-            sol = fs.solve_floquet(m, d.omega_d)
+            sol = solve_row(d, context.coefficients, context.qubit.delta, k_max)
         except DegenerateGapError:
             assume(False)
         for s in (sol, alternative_representative(sol)):
-            w = fs.compute_filter_weights(s)
             oracle = filter_weights_by_traces(s)
-            assert w.k_max == oracle.k_max
-            for name in ("g_z", "g_plus", "g_minus"):
-                got, want = getattr(w, name), getattr(oracle, name)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-15, name
+            assert oracle.k_max == 2 * s.k_max
+            for name, got in zip(("g_z", "g_plus", "g_minus"), weights_of(s)):
+                want = getattr(oracle, name)
+                assert got[0].shape == want.shape
+                assert np.max(np.abs(got[0] - want)) <= 1e-15, name
+
+
+def rates_of(weights, sol, noise):
+    """``(gamma_1, gamma_z)`` of one row of stacked filter weights at the
+    gap and drive frequency of ``sol``: the rate stage on a one-row stack."""
+    gamma_z, gamma_plus, gamma_minus = fs.decoherence_rates(
+        *weights, np.array([sol.omega_gap]), np.array([sol.omega_d]), noise
+    )
+    return gamma_plus[0] + gamma_minus[0], gamma_z[0]
 
 
 class TestRepresentationInvariance:
@@ -664,17 +684,15 @@ class TestRepresentationInvariance:
         rng = np.random.default_rng(47)
         for _ in range(5):
             d = random_drive(rng, context)
-            sol, w = solve_drive(d, context)
-            rates = fs.decoherence_rates(w, sol.omega_gap, sol.omega_d, noise)
+            sol = solve_drive(d, context)[0]
             alt = alternative_representative(sol)
-            w_alt = fs.compute_filter_weights(alt)
-            rates_alt = fs.decoherence_rates(
-                w_alt, alt.omega_gap, alt.omega_d, noise
-            )
-            assert rates_alt.gamma_1 == pytest.approx(rates.gamma_1, rel=1e-9)
-            assert rates_alt.gamma_z == pytest.approx(rates.gamma_z, rel=1e-9)
-            ref = np.sort(np.abs(w.g_z))[::-1]
-            alt = np.sort(np.abs(w_alt.g_z))[::-1]
+            w, w_alt = weights_of(sol), weights_of(alt)
+            gamma_1, gamma_z = rates_of(w, sol, noise)
+            gamma_1_alt, gamma_z_alt = rates_of(w_alt, alt, noise)
+            assert gamma_1_alt == pytest.approx(gamma_1, rel=1e-9)
+            assert gamma_z_alt == pytest.approx(gamma_z, rel=1e-9)
+            ref = np.sort(np.abs(w[0][0]))[::-1]
+            alt = np.sort(np.abs(w_alt[0][0]))[::-1]
             assert np.allclose(alt[: ref.size], ref, atol=1e-9)
             assert np.all(alt[ref.size :] < 1e-12)
 
@@ -684,11 +702,11 @@ class TestRepresentationInvariance:
         rng = np.random.default_rng(53)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        rates = fs.decoherence_rates(w, sol.omega_gap, sol.omega_d, noise)
+        rates_gamma_1, _ = rates_of(weights_of(sol), sol, noise)
         args = w.ks * sol.omega_d - sol.omega_gap
         s_sym = fs.spectral_density(noise, args) + fs.spectral_density(noise, -args)
         gamma_1 = float(np.sum(np.abs(w.g_plus) ** 2 * s_sym))
-        assert gamma_1 == pytest.approx(rates.gamma_1, rel=1e-9)
+        assert gamma_1 == pytest.approx(rates_gamma_1, rel=1e-9)
 
 
 class TestTruncationConvergence:
@@ -715,10 +733,7 @@ class TestTruncationConvergence:
             )
             infid = []
             for k_max in range(n, 3 * n + 1):
-                m = fs.assemble_floquet_matrix(
-                    d, coeffs_ctx, context.qubit.delta, k_max
-                )
-                sol = fs.solve_floquet(m, d.omega_d)
+                sol = solve_row(d, coeffs_ctx, context.qubit.delta, k_max)
                 infid.append(fs.mode_infidelity(ref, sol))
             assert infid[-1] < 1e-10
             assert infid[0] > infid[-1]

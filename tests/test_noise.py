@@ -1,24 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.constants
 
 import fluxspot as fs
-from fluxspot.exceptions import InvalidParameterError
-from fluxspot.floquet import FilterWeights
+from fluxspot.exceptions import DegenerateGapError, InvalidParameterError
 from fluxspot.units import KB_OVER_HBAR_RAD_PER_US_PER_K, TWO_PI
 
-from conftest import random_drive, solve_drive
-
-
-def make_weights(g_z=None, g_plus=None, g_minus=None, k_max=2):
-    size = 2 * k_max + 1
-    zero = np.zeros(size, dtype=complex)
-    return FilterWeights(
-        g_z=zero.copy() if g_z is None else np.asarray(g_z, dtype=complex),
-        g_plus=zero.copy() if g_plus is None else np.asarray(g_plus, dtype=complex),
-        g_minus=zero.copy() if g_minus is None else np.asarray(g_minus, dtype=complex),
-        k_max=k_max,
-    )
+from conftest import random_drive, solve_drive, weight_rows
 
 
 def mpmath_spectral_density(noise, omega):
@@ -83,8 +73,11 @@ class TestSpectralDensity:
 class TestDecoherenceRates:
     def test_zero_noise_means_infinite_times(self):
         noise = fs.NoiseModel(a_f=0.0, a_d=0.0)
-        w = make_weights(g_plus=[0, 0, 1, 0, 0], g_minus=[0, 0, 1, 0, 0])
-        rates = fs.decoherence_rates(w, 5.0, 10.0, noise)
+        g_pm = np.array([[0, 0, 1, 0, 0]], dtype=complex)
+        gammas = fs.decoherence_rates(
+            np.zeros_like(g_pm), g_pm, g_pm, np.array([5.0]), np.array([10.0]), noise
+        )
+        rates = fs.RateReport.from_rates(*(float(g[0]) for g in gammas))
         assert rates.gamma_1 == 0.0 and rates.t1 == np.inf
         assert rates.gamma_z == 0.0 and rates.t_phi == np.inf
 
@@ -92,20 +85,20 @@ class TestDecoherenceRates:
         rng = np.random.default_rng(3)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        r = fs.decoherence_rates(w, sol.omega_gap, sol.omega_d, noise)
+        gap, omega_d = np.array([sol.omega_gap]), np.array([sol.omega_d])
+        gammas = fs.decoherence_rates(*weight_rows(w), gap, omega_d, noise)
+        r = fs.RateReport.from_rates(*(float(g[0]) for g in gammas))
         assert r.gamma_1 == r.gamma_plus + r.gamma_minus
         assert r.t1 == pytest.approx(1.0 / r.gamma_1)
-
-    def test_gap_bounds_validated(self, noise):
-        w = make_weights(g_plus=[0, 0, 1, 0, 0])
-        with pytest.raises(InvalidParameterError):
-            fs.decoherence_rates(w, 11.0, 10.0, noise)
 
     def test_amplitude_scaling_monotonicity(self, noise, context):
         rng = np.random.default_rng(9)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        base = fs.decoherence_rates(w, sol.omega_gap, sol.omega_d, noise)
+        gap, omega_d = np.array([sol.omega_gap]), np.array([sol.omega_d])
+        base_z, base_plus, base_minus = fs.decoherence_rates(
+            *weight_rows(w), gap, omega_d, noise
+        )
         for c in (1.5, 3.0):
             scaled = fs.NoiseModel(
                 a_f=c * noise.a_f,
@@ -114,10 +107,13 @@ class TestDecoherenceRates:
                 dephasing_log_factor=noise.dephasing_log_factor,
                 dephasing_scale=noise.dephasing_scale,
             )
-            r = fs.decoherence_rates(w, sol.omega_gap, sol.omega_d, scaled)
-            assert r.gamma_1 == pytest.approx(c**2 * base.gamma_1, rel=1e-9)
-            assert r.gamma_1 > base.gamma_1
-            assert r.gamma_z > base.gamma_z
+            gamma_z, gamma_plus, gamma_minus = fs.decoherence_rates(
+                *weight_rows(w), gap, omega_d, scaled
+            )
+            gamma_1, base_1 = gamma_plus + gamma_minus, base_plus + base_minus
+            assert gamma_1 == pytest.approx(c**2 * base_1, rel=1e-9)
+            assert gamma_1 > base_1
+            assert gamma_z > base_z
 
 
 class TestStaticWorkingPoints:
@@ -161,6 +157,16 @@ class TestBenchmarkReproduction:
         bench, ctx, _ = benchmark_results["dss-2"]
         with pytest.raises(InvalidParameterError, match="xtol must be positive"):
             fs.calibrate_amplitude(bench.genome, ctx, xtol=xtol)
+
+    def test_calibration_raises_where_the_genome_is_infeasible(self):
+        # at k_max = 1 and phi_ac = 0.2 this genome's gap is labeled beyond
+        # omega_d (see test_evaluation); no g_z is read off that row
+        ctx = replace(fs.reference_context(n=1), k_max=1)
+        lo, hi = fs.Genome.bounds(1)
+        vector = np.random.default_rng(1).uniform(lo, hi, (5, lo.size))[2]
+        genome = fs.Genome.from_vector(vector)
+        with pytest.raises(DegenerateGapError, match="at phi_ac=0.2, the genome is"):
+            fs.calibrate_amplitude(genome, ctx, bracket=(0.2, 0.3))
 
     def test_calibration_rejects_a_bracket_without_a_crossing(self, benchmark_results):
         bench, ctx, _ = benchmark_results["dss-2"]
