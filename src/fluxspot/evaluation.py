@@ -43,6 +43,13 @@ _INFEASIBLE = (
 _SLICE_ROWS = 25
 
 
+def _drive_order(n: int) -> int:
+    """``n``, checked as a drive order: the length of a genome's ``p_re``."""
+    if n < 0:
+        raise InvalidParameterError(f"drive order n must be >= 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Genome:
     """Search-space coordinates of one drive candidate.
@@ -98,8 +105,9 @@ class EvaluationContext:
 
     ``omega_ge`` -- the reference scale for the drive-frequency box -- is the
     static splitting sqrt(delta^2 + B^2) of the biased two-level qubit; at
-    the sweet spot it reduces to ``delta``.  ``n`` is the drive order, which
-    sets a search's genome box and the default harmonic truncation 3 n.
+    the sweet spot it reduces to ``delta``.  The context holds no drive
+    order: each genome's own order sets its harmonic truncation (see
+    :func:`evaluate_population`), unless ``k_max`` overrides it.
     """
 
     qubit: EffectiveQubit
@@ -107,14 +115,7 @@ class EvaluationContext:
     phi_dc: float
     phi_ac: float
     noise: NoiseModel
-    n: int = 4
     k_max: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InvalidParameterError(f"drive order n must be >= 0, got {self.n}")
-        if self.k_max is not None and self.k_max < self.n:
-            raise InvalidParameterError("k_max must be at least the drive order n")
 
     @property
     def coefficients(self) -> EffectiveCoefficients:
@@ -124,10 +125,6 @@ class EvaluationContext:
     def omega_ge(self) -> float:
         c = self.coefficients
         return float(np.hypot(self.qubit.delta, c.b_coef))
-
-    @property
-    def harmonic_truncation(self) -> int:
-        return self.k_max if self.k_max is not None else 3 * self.n
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,9 @@ def evaluate_population(
     ``rates`` (``gamma_z``, ``gamma_plus``, ``gamma_minus``).  The checks of
     :class:`DriveSpec` run once, on the arrays.  Rows are solved in slices
     of ``_SLICE_ROWS``, and no arithmetic mixes rows, so :func:`_row_point`
-    of a row is bit for bit what :func:`evaluate_genome` returns alone.
+    of a row is bit for bit what :func:`evaluate_genome` returns alone.  The
+    harmonic truncation is ``context.k_max`` if set, else 3 n for rows of
+    order n; a ``k_max`` below n raises :class:`TruncationError`.
     """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or not len(x) or x.shape[1] < 2 or x.shape[1] % 2:
@@ -202,7 +201,8 @@ def evaluate_population(
     p = x[:, : n + 1].astype(complex)
     p.imag[:, 1:] = x[:, n + 1 : -1]
     _check_drives(omega_d, p, context.phi_dc, context.phi_ac)
-    coeffs, k_max = context.coefficients, max(context.harmonic_truncation, n)
+    coeffs = context.coefficients
+    k_max = 3 * n if context.k_max is None else context.k_max
     cuts = [slice(s, s + _SLICE_ROWS) for s in range(0, len(x), _SLICE_ROWS)]
     parts = [_evaluate_slice(omega_d[c], p[c], coeffs, context, k_max) for c in cuts]
     rows = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

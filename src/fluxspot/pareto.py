@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evaluation import _INFEASIBLE, EvaluationContext, Genome, PointResult
-from .evaluation import _row_point, evaluate_population
+from .evaluation import _drive_order, _row_point, evaluate_population
 from .exceptions import DegenerateGapError, EmptyInputError, InvalidParameterError
 
 __all__ = [
@@ -72,10 +72,16 @@ class OptimizerConfig:
     mutation_rate: float | None = None   # default 1/dim
     mutation_sigma: float = 0.1          # in units of the box width
     seed: int = 0
+    n: int = 4                           # drive order of the genome box
 
     def __post_init__(self) -> None:
         if self.population_m < 8 or self.population_m % 2 != 0:
             raise InvalidParameterError("population_m must be even and >= 8")
+        if self.generations_n < 0:
+            raise InvalidParameterError(
+                f"generations_n must be >= 0, got {self.generations_n}"
+            )
+        _drive_order(self.n)
         if self.strategy not in STRATEGIES:
             raise InvalidParameterError(
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}"
@@ -93,7 +99,6 @@ class ParetoFront:
     """A mutually non-dominated set of individuals."""
 
     points: tuple
-    provenance: tuple = ()
 
     def objectives(self) -> np.ndarray:
         return np.array([ind.objectives for ind in self.points], dtype=float)
@@ -343,16 +348,17 @@ def run_stage1(
     """One evolutionary run; returns the non-dominated set of the final
     population with per-point provenance stamps.
 
-    The population is an ``(m, 2 n + 2)`` genome array at the context's drive
-    order n; each genome is evaluated once, serially, by :func:`evaluate_population`,
-    whose arrays follow the survivors of each selection.  Only the returned
-    front's rows become ``Genome`` and ``PointResult`` objects, from those arrays.
+    The population is an ``(m, 2 n + 2)`` genome array in the box of drive
+    order n = ``config.n``; each genome is evaluated once, serially, by
+    :func:`evaluate_population`, whose arrays follow the survivors of each
+    selection.  Only the returned front's rows become ``Genome`` and
+    ``PointResult`` objects, from those arrays.
 
     ``generation_hook(generation, objectives)`` is called once per generation
     with the post-selection objective array (used for snapshot exports).
     """
     rng = np.random.default_rng(config.seed)
-    lo, hi = Genome.bounds(context.n)
+    lo, hi = Genome.bounds(config.n)
     m = config.population_m
 
     vectors = rng.uniform(lo, hi, size=(m, lo.size))
@@ -370,17 +376,16 @@ def run_stage1(
 
     finite = np.flatnonzero(np.isfinite(objs).all(axis=1))
     front_idx = finite[non_dominated_sort(objs[finite])[0]]
-    stamp = (config.strategy, config.seed, config.generations_n)
     points = tuple(
         Individual(
             genome=Genome.from_vector(vectors[i]),
             objectives=(float(objs[i, 0]), float(objs[i, 1])),
             point=_row_point(rows, i, context),
-            provenance=stamp,
+            provenance=(config.strategy, config.seed, config.generations_n),
         )
         for i in sorted(front_idx)
     )
-    return ParetoFront(points=points, provenance=(stamp,))
+    return ParetoFront(points=points)
 
 
 def _with_points(
@@ -413,7 +418,4 @@ def aggregate_fronts(fronts) -> ParetoFront:
         raise EmptyInputError("fronts contain no points")
     objs = [ind.objectives for ind in pool]
     keep = non_dominated_sort(objs)[0]
-    provenance = tuple(p for front in fronts for p in front.provenance)
-    return ParetoFront(
-        points=tuple(pool[i] for i in sorted(keep)), provenance=provenance
-    )
+    return ParetoFront(points=tuple(pool[i] for i in sorted(keep)))

@@ -150,8 +150,8 @@ def _bath(cfg: dict, circuit: CircuitParams, qubit: EffectiveQubit) -> NoiseMode
 
 def build_context(cfg: dict, phi_ac: float | None = None) -> EvaluationContext:
     """Evaluation context of a config's ``circuit``, ``flux`` and ``noise``
-    tables and its ``optimizer.n``; ``phi_ac`` (default the config's)
-    replaces the modulation amplitude scale."""
+    tables (not ``optimizer.n``: each genome's order sets its truncation);
+    ``phi_ac`` (default the config's) replaces the modulation amplitude."""
     circuit = build_circuit(cfg)
     qubit = _sweet_spot_qubit(circuit)
     flux = cfg["flux"]
@@ -161,7 +161,6 @@ def build_context(cfg: dict, phi_ac: float | None = None) -> EvaluationContext:
         phi_dc=flux["phi_dc_over_pi"] * np.pi,
         phi_ac=phi_ac if phi_ac is not None else flux["phi_ac"],
         noise=_bath(cfg, circuit, qubit),
-        n=cfg["optimizer"]["n"],
     )
 
 
@@ -192,13 +191,11 @@ def reference_noise(qubit: EffectiveQubit | None = None, **kwargs) -> NoiseModel
 def reference_context(
     phi_dc: float | None = None,
     phi_ac: float | None = None,
-    n: int = 4,
     fock_dim: int | None = None,
 ) -> EvaluationContext:
-    """Evaluation context of the reference run: the CLI's default config at
-    drive order ``n``.  Each argument left None takes the reference value."""
-    cfg = {**_reference_tables(fock_dim), "optimizer": {"n": n}}
-    context = build_context(cfg, phi_ac=phi_ac)
+    """Evaluation context of the reference run, the CLI's default config,
+    for genomes of any drive order.  An argument left None keeps its value."""
+    context = build_context(_reference_tables(fock_dim), phi_ac=phi_ac)
     return context if phi_dc is None else replace(context, phi_dc=phi_dc)
 
 
@@ -211,13 +208,19 @@ def calibrate_amplitude(
     """Amplitude scale phi_ac at which the genome sits exactly on its sweet spot.
 
     Solves ``Re g_z[0] = 0`` (the central dephasing weight is real) along the
-    amplitude axis by bisection inside ``bracket``, down to a bracket no
-    wider than ``xtol``; the result is its midpoint.  Each step evaluates the
-    genome as a one-row :func:`evaluate_population`; an amplitude at which
-    it is infeasible raises :class:`DegenerateGapError`.
+    amplitude axis by bisection inside ``bracket``, a finite ``(lo, hi)``
+    with ``lo < hi``, down to a bracket no wider than ``xtol``; the result
+    is its midpoint.  Each step evaluates the genome as a one-row
+    :func:`evaluate_population`; an amplitude at which it is infeasible
+    raises :class:`DegenerateGapError`.
     """
     if not xtol > 0.0:
         raise InvalidParameterError(f"xtol must be positive, got {xtol}")
+    lo, hi = bracket
+    if not -np.inf < lo < hi < np.inf:
+        raise InvalidParameterError(
+            f"amplitude bracket {bracket} must be finite with lo < hi"
+        )
     vector = genome.to_vector()[None]
 
     def central_weight(phi_ac: float) -> float:
@@ -227,7 +230,6 @@ def calibrate_amplitude(
         g_z = rows["g_z"][0]
         return g_z[g_z.size // 2].real
 
-    lo, hi = bracket
     f_lo = central_weight(lo)
     if f_lo * central_weight(hi) > 0.0:
         raise InvalidParameterError(
@@ -245,6 +247,6 @@ def calibrate_amplitude(
     return 0.5 * (lo + hi)
 
 
-def benchmark_context(point: BenchmarkPoint, n: int = 4) -> EvaluationContext:
+def benchmark_context(point: BenchmarkPoint) -> EvaluationContext:
     """Context evaluating a benchmark point at its calibrated amplitude."""
-    return reference_context(phi_ac=point.phi_ac, n=n)
+    return reference_context(phi_ac=point.phi_ac)

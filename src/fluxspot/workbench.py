@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -25,6 +25,7 @@ from .evaluation import (
     EvaluationContext,
     Genome,
     _INFEASIBLE,
+    _drive_order,
     evaluate_genome,
 )
 from .exceptions import (
@@ -401,9 +402,14 @@ def _cell(row: dict, where: str, column: str, convert=float):
         ) from exc
 
 
-def _read_front_csv(path: Path, context: EvaluationContext) -> ParetoFront:
-    """The front stored in ``path``, at the context's drive order ``n``."""
-    n = context.n
+def _read_front_csv(
+    cfg: dict, run: RunDirectory, name: str, producer: str, context: EvaluationContext
+) -> ParetoFront:
+    """The front CSV ``name`` that the ``producer`` verb wrote, read at the
+    drive order ``optimize`` wrote it at, ``optimizer.n``, which is checked
+    before any file is read; the context gives the ``omega_d`` scale."""
+    n = _drive_order(cfg["optimizer"]["n"])
+    path = run.require(name, producer)
     points = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
@@ -420,13 +426,6 @@ def _read_front_csv(path: Path, context: EvaluationContext) -> ParetoFront:
     return ParetoFront(points=tuple(points))
 
 
-def _point_context(cfg: dict, genome: Genome, phi_ac: float | None) -> EvaluationContext:
-    """The context one working point is evaluated in: the config's at
-    ``phi_ac``, at the genome's own drive order, so that its harmonic
-    truncation 3 n does not depend on the search's ``optimizer.n``."""
-    return replace(build_context(cfg, phi_ac=phi_ac), n=genome.n)
-
-
 def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     """Evaluate one genome file (or a named benchmark point) to a rates row."""
     spec = _read_json_object(genome_file, "genome file")
@@ -441,7 +440,7 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
         name, phi_ac = spec.pop("name"), spec.pop("phi_ac")
         _check_artifact_name(name, where + "name")
         genome = Genome(**spec)
-    context = _point_context(cfg, genome, phi_ac)
+    context = build_context(cfg, phi_ac)
     _, point = evaluate_genome(genome, context)
     ind = Individual(
         genome=genome,
@@ -464,7 +463,7 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
     """
     opt = cfg["optimizer"]
     context = build_context(cfg)
-    settings = {k: opt[k] for k in opt.keys() - {"strategies", "snapshot_every", "n"}}
+    settings = {k: opt[k] for k in opt.keys() - {"strategies", "snapshot_every"}}
     paths = []
     for idx, strategy in enumerate(opt["strategies"]):
         run_seed = cfg["seed"] + 7919 * idx
@@ -475,20 +474,13 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
             if gen % opt["snapshot_every"] == 0 or gen == oc.generations_n:
                 finite = objs[np.all(np.isfinite(objs), axis=1)]
                 if finite.size:
-                    snapshots.append(
-                        [
-                            gen,
-                            len(finite),
-                            float(finite[:, 0].min()),
-                            float(finite[:, 1].min()),
-                        ]
-                    )
+                    snapshots.append([gen, len(finite), *finite.min(axis=0).tolist()])
 
         front = run_stage1(oc, context, generation_hook=hook)
         rows = [_individual_row(ind, context) for ind in front.points]
         paths.append(
             run.write_csv(
-                f"front_{strategy}.csv", front_columns(context.n), rows, "optimize"
+                f"front_{strategy}.csv", front_columns(oc.n), rows, "optimize"
             )
         )
         run.write_csv(
@@ -503,28 +495,28 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
 def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
     """Merge all run-level fronts into the aggregated front."""
     context = build_context(cfg)
-    fronts = []
-    for strategy in cfg["optimizer"]["strategies"]:
-        path = run.require(f"front_{strategy}.csv", "optimize")
-        fronts.append(_read_front_csv(path, context))
+    fronts = [
+        _read_front_csv(cfg, run, f"front_{strategy}.csv", "optimize", context)
+        for strategy in cfg["optimizer"]["strategies"]
+    ]
     combined = aggregate_fronts(fronts)
     rows = [_individual_row(ind, context) for ind in _with_points(combined, context)]
     return run.write_csv(
-        "front_aggregated.csv", front_columns(context.n), rows, "aggregate"
+        "front_aggregated.csv", front_columns(cfg["optimizer"]["n"]), rows, "aggregate"
     )
 
 
 def _classified_front(cfg: dict, run: RunDirectory) -> tuple:
     """The context and :func:`classify_front` of the aggregated front."""
     context = build_context(cfg)
-    path = run.require("front_aggregated.csv", "aggregate")
-    return context, classify_front(_read_front_csv(path, context), context)
+    front = _read_front_csv(cfg, run, "front_aggregated.csv", "aggregate", context)
+    return context, classify_front(front, context)
 
 
 def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
     """Annotate the aggregated front with sweet-spot labels and bounds."""
     context, members = _classified_front(cfg, run)
-    header = front_columns(context.n) + [
+    header = front_columns(cfg["optimizer"]["n"]) + [
         "dss_label",
         "t_ub_general_us",
         "t_ub_dss_us",
@@ -564,8 +556,9 @@ def _resolve_gate_point(cfg, run, job):
         bench = _POINTS[point]
         return bench.genome, bench.phi_ac, bench.name
     if "front_index" in point:
-        path = run.require("front_aggregated.csv", "aggregate")
-        front = _read_front_csv(path, build_context(cfg))
+        front = _read_front_csv(
+            cfg, run, "front_aggregated.csv", "aggregate", build_context(cfg)
+        )
         idx = point["front_index"]
         if not 0 <= idx < len(front.points):
             raise ConfigError(
@@ -628,7 +621,7 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     duration, steps = job["duration_ns"], job["steps"]
     key = (genome, phi_ac, duration, steps, job["frame_substeps"])
     if key not in frames:
-        context_eval = _point_context(cfg, genome, phi_ac)
+        context_eval = build_context(cfg, phi_ac)
         _, point = evaluate_genome(genome, context_eval)
         if point is None:
             raise FluxspotError(

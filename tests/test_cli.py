@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -821,19 +822,71 @@ def test_cli_and_reference_helpers_build_one_context():
     assert {name: DEFAULT_CONFIG[name] for name in REFERENCE} == REFERENCE
 
 
-@pytest.mark.parametrize("n, code", [(-1, 3), (0, 0)])
-def test_drive_order_below_zero_exits_3_with_one_line(tmp_path, capsys, n, code):
-    optimizer = dict(TINY["optimizer"], n=n, strategies=["nsga2"])
+@pytest.mark.parametrize(
+    "verb, artifact",
+    [
+        ("optimize", "front_nsga2.csv"),
+        ("aggregate", "front_aggregated.csv"),
+        ("classify", "front_classified.csv"),
+        ("bounds", "bounds.csv"),
+    ],
+)
+def test_drive_order_below_zero_exits_3_with_one_line(
+    tmp_path, capsys, chain_runs, verb, artifact
+):
+    # the verb's inputs are all there, so only the order can stop it
+    (chain_out, _), _ = chain_runs
+    out = shutil.copytree(chain_out, tmp_path / "out")
+    (out / artifact).unlink()
+    optimizer = dict(TINY["optimizer"], n=-1)
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    assert run_cli(config, out, verb) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "drive order n must be >= 0, got -1" in err, err
+    assert not (out / artifact).exists()
+    # the order is checked before any input is looked for
+    assert run_cli(config, tmp_path / "empty", verb) == 3
+
+
+def test_drive_order_zero_is_searched(tmp_path, capsys):
+    optimizer = dict(TINY["optimizer"], n=0, strategies=["nsga2"])
     config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
     out = tmp_path / "out"
-    assert run_cli(config, out, "optimize") == code
+    assert run_cli(config, out, "optimize") == 0
+    assert capsys.readouterr().err == "" and (out / "front_nsga2.csv").exists()
+
+
+def test_negative_generation_count_exits_3_with_one_line(tmp_path, capsys):
+    optimizer = dict(TINY["optimizer"], generations_n=-3)
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    out = tmp_path / "out"
+    assert run_cli(config, out, "optimize") == 3
     err = capsys.readouterr().err
-    if code:
-        assert err.count("\n") == 1 and "Traceback" not in err, err
-        assert "drive order n must be >= 0, got -1" in err, err
-        assert not list(out.glob("front_*.csv"))
-    else:
-        assert err == "" and (out / "front_nsga2.csv").exists()
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "generations_n must be >= 0, got -3" in err, err
+    assert not list(out.glob("front_*.csv")) and not list(out.glob("history_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "genome",
+    [fluxspot.BENCHMARK_POINTS[1].genome, fluxspot.Genome(**GENOME_KEYS)],
+    ids=["dss-2", "order-2"],
+)
+def test_a_genome_reads_the_same_bits_whatever_the_search_order(genome):
+    # optimizer.n sets the search box only; a genome's truncation is its own
+    readings = []
+    for n in (2, 4):
+        cfg = load_config(None)
+        cfg["optimizer"]["n"] = n
+        context = build_context(cfg)
+        objs, point = fluxspot.evaluate_genome(genome, context)
+        phi_ac = fluxspot.calibrate_amplitude(genome, context)
+        front = fluxspot.ParetoFront((fluxspot.Individual(genome, objs),))
+        [(member, report, bounds)] = fluxspot.classify_front(front, context)
+        g_z = [p.weights.g_z.tobytes() for p in (point, member.point)]
+        readings.append((objs, g_z, phi_ac, report, bounds))
+    assert readings[0] == readings[1]
 
 
 @pytest.mark.parametrize("orders", [[-1], [1, -2]])

@@ -8,7 +8,7 @@ import pytest
 
 import fluxspot as fs
 from fluxspot.evaluation import _row_point
-from fluxspot.exceptions import InvalidParameterError
+from fluxspot.exceptions import InvalidParameterError, TruncationError
 
 
 def random_vectors(count, n=4, seed=0):
@@ -91,11 +91,22 @@ def test_array_checks_raise_as_the_drive_does(context, column, value):
     assert str(stacked.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("n, k_max", [(1, None), (4, None), (2, 5), (4, 4)])
+def test_truncation_is_the_override_or_three_times_the_rows_order(context, n, k_max):
+    _, rows = fs.evaluate_population(random_vectors(3, n=n), replace(context, k_max=k_max))
+    assert rows["h_plus"].shape[1] == 2 * (3 * n if k_max is None else k_max) + 1
+
+
+def test_an_override_below_the_rows_order_raises(context):
+    with pytest.raises(TruncationError, match="k_max=3 would drop drive harmonics"):
+        fs.evaluate_population(random_vectors(2, n=4), replace(context, k_max=3))
+
+
 def test_gap_beyond_omega_d_row_alone_is_infeasible():
     # a strong drive on a k_max = 1 truncation can label a gap above omega_d:
     # the solve passes its mode, the gap check rejects the row, and the
     # genome is infeasible, alone and in a population
-    ctx = replace(fs.reference_context(n=1, phi_ac=0.2), k_max=1)
+    ctx = replace(fs.reference_context(phi_ac=0.2), k_max=1)
     vectors = random_vectors(5, n=1, seed=1)
     genomes = [fs.Genome.from_vector(v) for v in vectors]
     _, rows = fs.evaluate_population(vectors, ctx)

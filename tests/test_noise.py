@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -158,10 +159,25 @@ class TestBenchmarkReproduction:
         with pytest.raises(InvalidParameterError, match="xtol must be positive"):
             fs.calibrate_amplitude(bench.genome, ctx, xtol=xtol)
 
+    @pytest.mark.parametrize(
+        "bracket", [(0.08, 0.02), (0.05, 0.05), (float("nan"), 0.08), (0.02, float("inf"))]
+    )
+    def test_calibration_rejects_a_bracket_that_is_not_finite_and_increasing(
+        self, benchmark_results, bracket, monkeypatch
+    ):
+        bench, ctx, _ = benchmark_results["dss-2"]
+
+        def unreachable(*args):
+            raise AssertionError("evaluated before the bracket was checked")
+
+        monkeypatch.setattr(fs.reference, "evaluate_population", unreachable)
+        with pytest.raises(InvalidParameterError, match=re.escape(f"bracket {bracket}")):
+            fs.calibrate_amplitude(bench.genome, ctx, bracket=bracket)
+
     def test_calibration_raises_where_the_genome_is_infeasible(self):
         # at k_max = 1 and phi_ac = 0.2 this genome's gap is labeled beyond
         # omega_d (see test_evaluation); no g_z is read off that row
-        ctx = replace(fs.reference_context(n=1), k_max=1)
+        ctx = replace(fs.reference_context(), k_max=1)
         lo, hi = fs.Genome.bounds(1)
         vector = np.random.default_rng(1).uniform(lo, hi, (5, lo.size))[2]
         genome = fs.Genome.from_vector(vector)
