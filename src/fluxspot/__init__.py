@@ -37,7 +37,6 @@ from .noise import NoiseModel, RateReport, decoherence_rates, spectral_density
 from .pareto import (
     Individual,
     OptimizerConfig,
-    ParetoFront,
     aggregate_fronts,
     dominates,
     environmental_select,

@@ -1,10 +1,11 @@
 """Command-line workbench; ``fluxspot --help`` lists the verbs.
 
 Exit codes: 0 success; 2 an unknown key, a wrong JSON type, an unknown
-choice, a negative seed, ``snapshot_every`` below 1, two gate jobs with one
-name, a ``simulate`` pulse name that is not one plain file-name component,
-or an output path that cannot be made a directory; 3 a well-typed value the
-library rejects, or a numerical failure; 4 a missing or unreadable upstream
+choice, a negative seed, ``snapshot_every`` below 1, an empty or repeated
+``optimizer.strategies``, two gate jobs with one name, a ``simulate`` pulse
+name that is not one plain file-name component, or an output path that
+cannot be made a directory; 3 a well-typed value the library rejects, or a
+numerical failure; 4 a missing or unreadable upstream
 artifact, the manifest included, or one with a structural defect: a pulse
 artifact that ``simulate`` reads with a key missing, an unknown gate, a
 qubit count that is not the gate's, no steps, waveforms or frame entries of
@@ -73,8 +74,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             path = cmd_evaluate(cfg, run, args.genome)
         elif args.command == "optimize":
-            paths = cmd_optimize(cfg, run)
-            path = paths[-1] if paths else run.root
+            path = cmd_optimize(cfg, run)[-1]
         elif args.command == "aggregate":
             path = cmd_aggregate(cfg, run)
         elif args.command == "classify":

@@ -24,18 +24,20 @@ of the circuit moves them: at the three benchmark DSSs, where the two-level
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluation import EvaluationContext, PointResult
+from .evaluation import _INFEASIBLE, EvaluationContext, PointResult
+from .evaluation import _row_point, evaluate_population
+from .exceptions import DegenerateGapError
 from .floquet import DriveSpec, FilterWeights, _two_sided
 
 # kept for the benchmark's tracer test, which reads ``dss.solve_floquet``
 # (the stacked solve every evaluation runs); nothing here calls it
 from .floquet import solve_floquet  # noqa: F401
 from .noise import NoiseModel
-from .pareto import Individual, ParetoFront, _with_points
+from .pareto import Individual
 
 __all__ = [
     "DSS_THRESHOLD",
@@ -61,6 +63,11 @@ DOUBLE_DSS_THRESHOLD = 0.1
 _BOUND_SLACK = 1e-9
 
 
+def _at_dss(g_z0) -> bool:
+    """Whether a central dephasing weight marks a dynamical sweet spot."""
+    return abs(g_z0) < DSS_THRESHOLD
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
     """First-order sensitivities of one working point."""
@@ -72,7 +79,7 @@ class SensitivityReport:
 
     @property
     def label(self) -> str:
-        if self.gz0_abs >= DSS_THRESHOLD:
+        if not _at_dss(self.gz0_abs):
             return "plain"
         if self.double_dss_metric < DOUBLE_DSS_THRESHOLD:
             return "double_dss"
@@ -153,7 +160,7 @@ def evaluate_bounds(point: PointResult, noise: NoiseModel, delta: float) -> Boun
     t1 = point.rates.t1
     ub1 = t1_upper_bound_general(point.weights, sol.omega_gap, sol.omega_d, noise)
     ub2 = t1_upper_bound_dss(delta, sol.omega_gap, sol.omega_d, noise)
-    held = [ub1, ub2] if abs(point.weights.g_z0) < DSS_THRESHOLD else [ub1]
+    held = [ub1, ub2] if _at_dss(point.weights.g_z0) else [ub1]
     return BoundReport(
         t_ub_general=ub1,
         t_ub_dss=ub2,
@@ -184,16 +191,28 @@ def classify_point(point: PointResult, context: EvaluationContext) -> Sensitivit
 
 
 def classify_front(
-    front: ParetoFront, context: EvaluationContext
+    front, context: EvaluationContext
 ) -> list[tuple[Individual, SensitivityReport, BoundReport]]:
-    """Every front member, carrying its ``PointResult``, with its sensitivity
-    report and its T1 bounds; the members without cached data are evaluated
-    in one :func:`evaluate_population` call.
-
-    An infeasible member raises ``DegenerateGapError`` naming its front row.
+    """The one annotation of each row of ``front``, a sequence of
+    :class:`Individual`: the member carrying its ``PointResult``, its
+    :class:`SensitivityReport` and its :class:`BoundReport`, in row order.
+    The members without a point are evaluated in one
+    :func:`evaluate_population` call; an infeasible member raises
+    ``DegenerateGapError`` naming its front row.
     """
-    return [
-        (ind, classify_point(ind.point, context),
-         evaluate_bounds(ind.point, context.noise, context.qubit.delta))
-        for ind in _with_points(front, context, "front row")
-    ]
+    missing = [i for i, ind in enumerate(front) if ind.point is None]
+    points = [ind.point for ind in front]
+    if missing:
+        _, rows = evaluate_population(
+            np.array([front[i].genome.to_vector() for i in missing]), context
+        )
+        for r, i in enumerate(missing):
+            points[i] = _row_point(rows, r, context)
+    members = []
+    for i, (ind, point) in enumerate(zip(front, points)):
+        if point is None:
+            raise DegenerateGapError(f"front row {i} is {_INFEASIBLE}")
+        report = classify_point(point, context)
+        bounds = evaluate_bounds(point, context.noise, context.qubit.delta)
+        members.append((replace(ind, point=point), report, bounds))
+    return members

@@ -23,19 +23,18 @@ strategies and seeds by a final non-dominated sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import _INFEASIBLE, EvaluationContext, Genome, PointResult
+from .evaluation import EvaluationContext, Genome, PointResult
 from .evaluation import _drive_order, _row_point, evaluate_population
-from .exceptions import DegenerateGapError, EmptyInputError, InvalidParameterError
+from .exceptions import EmptyInputError, InvalidParameterError
 
 __all__ = [
     "STRATEGIES",
     "Individual",
     "OptimizerConfig",
-    "ParetoFront",
     "dominates",
     "non_dominated_sort",
     "crowding_distance",
@@ -58,7 +57,7 @@ class Individual:
     genome: Genome
     objectives: tuple
     point: PointResult | None = None
-    provenance: tuple = ()   # (strategy, seed, generation)
+    provenance: tuple = ()   # (strategy, seed)
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ class OptimizerConfig:
                 raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise InvalidParameterError("mutation_rate must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ParetoFront:
-    """A mutually non-dominated set of individuals."""
-
-    points: tuple
-
-    def objectives(self) -> np.ndarray:
-        return np.array([ind.objectives for ind in self.points], dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def dominates(a, b) -> bool:
@@ -344,9 +330,10 @@ def run_stage1(
     config: OptimizerConfig,
     context: EvaluationContext,
     generation_hook=None,
-) -> ParetoFront:
-    """One evolutionary run; returns the non-dominated set of the final
-    population with per-point provenance stamps.
+) -> tuple:
+    """One evolutionary run; returns the non-dominated rows of the final
+    population as a tuple of :class:`Individual`, in population order, each
+    with its ``PointResult`` and the stamp ``(strategy, seed)``.
 
     The population is an ``(m, 2 n + 2)`` genome array in the box of drive
     order n = ``config.n``; each genome is evaluated once, serially, by
@@ -376,46 +363,22 @@ def run_stage1(
 
     finite = np.flatnonzero(np.isfinite(objs).all(axis=1))
     front_idx = finite[non_dominated_sort(objs[finite])[0]]
-    points = tuple(
+    return tuple(
         Individual(
             genome=Genome.from_vector(vectors[i]),
             objectives=(float(objs[i, 0]), float(objs[i, 1])),
             point=_row_point(rows, i, context),
-            provenance=(config.strategy, config.seed, config.generations_n),
+            provenance=(config.strategy, config.seed),
         )
         for i in sorted(front_idx)
     )
-    return ParetoFront(points=points)
 
 
-def _with_points(
-    front: ParetoFront, context: EvaluationContext, what: str | None = None
-) -> list:
-    """The front's individuals, each carrying its ``PointResult``: a cached
-    point stays, the others come from one :func:`evaluate_population` call
-    (``None`` for an infeasible member, or, given ``what``, a
-    ``DegenerateGapError`` naming ``what`` and the member's index)."""
-    missing = [i for i, ind in enumerate(front.points) if ind.point is None]
-    points = [ind.point for ind in front.points]
-    if missing:
-        vectors = np.array([front.points[i].genome.to_vector() for i in missing])
-        _, rows = evaluate_population(vectors, context)
-        for r, i in enumerate(missing):
-            points[i] = _row_point(rows, r, context)
-    for i, point in enumerate(points):
-        if point is None and what is not None:
-            raise DegenerateGapError(f"{what} {i} is {_INFEASIBLE}")
-    return [replace(ind, point=point) for ind, point in zip(front.points, points)]
-
-
-def aggregate_fronts(fronts) -> ParetoFront:
-    """Union of run-level fronts reduced to its rank-0 subset."""
-    fronts = list(fronts)
-    if not fronts:
-        raise EmptyInputError("no fronts to aggregate")
-    pool = [ind for front in fronts for ind in front.points]
+def aggregate_fronts(fronts) -> tuple:
+    """The rank-0 members of the union of run-level fronts (each a sequence
+    of :class:`Individual`), as a tuple in input order."""
+    pool = [ind for front in fronts for ind in front]
     if not pool:
-        raise EmptyInputError("fronts contain no points")
-    objs = [ind.objectives for ind in pool]
-    keep = non_dominated_sort(objs)[0]
-    return ParetoFront(points=tuple(pool[i] for i in sorted(keep)))
+        raise EmptyInputError("no front points to aggregate")
+    keep = non_dominated_sort([ind.objectives for ind in pool])[0]
+    return tuple(pool[i] for i in sorted(keep))

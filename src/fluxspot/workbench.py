@@ -64,8 +64,6 @@ from .pareto import (
     STRATEGIES,
     Individual,
     OptimizerConfig,
-    ParetoFront,
-    _with_points,
     aggregate_fronts,
     run_stage1,
 )
@@ -235,7 +233,8 @@ def load_config(path: str | Path | None = None) -> dict:
     ``false`` are not numbers; a list row checks every element.  A wrong
     type, an unknown key or choice raises :class:`ConfigError` naming the
     key.  Ranges are the library's to check, except those of ``seed`` and
-    ``snapshot_every``; two gate jobs may not share a ``name``.
+    ``snapshot_every``; ``optimizer.strategies`` must name at least one
+    strategy and none twice, and two gate jobs may not share a ``name``.
     """
     raw = {} if path is None else _read_json_object(path, "config file")
     cfg = _filled(raw, _CONFIG, "")
@@ -243,12 +242,17 @@ def load_config(path: str | Path | None = None) -> dict:
         raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     if cfg["optimizer"]["snapshot_every"] < 1:
         raise ConfigError("optimizer.snapshot_every must be at least 1")
+    strategies = cfg["optimizer"]["strategies"]
+    if not strategies:
+        raise ConfigError("optimizer.strategies must name at least one strategy")
     cfg["gates"] = [_gate_job(job, cfg["flux"]["phi_ac"]) for job in cfg["gates"]]
-    names = [job["name"] for job in cfg["gates"]]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        # each job writes pulse_<name>.json, which simulate reads back by name
-        raise ConfigError(f"gate job names must differ; repeated: {repeated}")
+    # each strategy writes front_<strategy>.csv and each gate job
+    # pulse_<name>.json, which aggregate and simulate read back by name
+    for what, names in (("optimizer.strategies", strategies),
+                        ("gate job names", [job["name"] for job in cfg["gates"]])):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"{what} must differ; repeated: {repeated}")
     return cfg
 
 
@@ -375,20 +379,21 @@ def front_columns(n: int) -> list:
     return cols
 
 
-def _individual_row(ind: Individual, context: EvaluationContext) -> list:
-    """A front CSV row; an individual without a point (an infeasible genome)
+def _individual_row(ind: Individual, report, omega_ge: float) -> list:
+    """The :func:`front_columns` row of ``ind``, stamped ``(strategy, seed)``,
+    with its point's times and its sensitivity ``report``; it classifies
+    nothing.  An infeasible genome, with no point and a ``report`` of None,
     gets NaN in its derived columns."""
-    if ind.point is None:
+    if report is None:
         t1 = t_phi = gz0 = metric = np.nan
     else:
-        report = classify_point(ind.point, context)
         t1, t_phi = ind.point.rates.t1, ind.point.rates.t_phi
         gz0, metric = report.gz0_abs, report.double_dss_metric
     g = ind.genome
-    strategy, seed, _ = ind.provenance if ind.provenance else ("-", -1, 0)
+    strategy, seed = ind.provenance
     return [
         *ind.objectives, t1, t_phi, g.p0, *g.p_re, *g.p_im,
-        g.omega_d_frac * context.omega_ge, gz0, metric, strategy, seed,
+        g.omega_d_frac * omega_ge, gz0, metric, strategy, seed,
     ]
 
 
@@ -404,10 +409,13 @@ def _cell(row: dict, where: str, column: str, convert=float):
 
 def _read_front_csv(
     cfg: dict, run: RunDirectory, name: str, producer: str, context: EvaluationContext
-) -> ParetoFront:
-    """The front CSV ``name`` that the ``producer`` verb wrote, read at the
-    drive order ``optimize`` wrote it at, ``optimizer.n``, which is checked
-    before any file is read; the context gives the ``omega_d`` scale."""
+) -> tuple:
+    """The rows of the front CSV ``name`` that the ``producer`` verb wrote,
+    as a tuple of :class:`Individual` without points, each stamped
+    ``(strategy, seed)``.  They are read at the drive order ``optimize``
+    wrote them at, ``optimizer.n``, which is checked before any file is
+    read; the context gives the ``omega_d`` scale.  Nothing checks that the
+    rows are mutually non-dominated."""
     n = _drive_order(cfg["optimizer"]["n"])
     path = run.require(name, producer)
     points = []
@@ -421,9 +429,9 @@ def _read_front_csv(
                 omega_d_frac=cell("omega_d") / context.omega_ge,
             )
             objectives = (cell("gamma1_per_us"), cell("gammaz_per_us"))
-            provenance = (cell("strategy", str), cell("seed", int), 0)
+            provenance = (cell("strategy", str), cell("seed", int))
             points.append(Individual(genome, objectives, provenance=provenance))
-    return ParetoFront(points=tuple(points))
+    return tuple(points)
 
 
 def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
@@ -446,9 +454,10 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
         genome=genome,
         objectives=point.objectives if point else (np.inf, np.inf),
         point=point,
-        provenance=("evaluate", cfg["seed"], 0),
+        provenance=("evaluate", cfg["seed"]),
     )
-    rows = [_individual_row(ind, context)]
+    report = classify_point(point, context) if point else None
+    rows = [_individual_row(ind, report, context.omega_ge)]
     return run.write_csv(
         f"rates_{name}.csv", front_columns(genome.n), rows, "evaluate"
     )
@@ -477,7 +486,10 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
                     snapshots.append([gen, len(finite), *finite.min(axis=0).tolist()])
 
         front = run_stage1(oc, context, generation_hook=hook)
-        rows = [_individual_row(ind, context) for ind in front.points]
+        rows = [
+            _individual_row(ind, r, context.omega_ge)
+            for ind, r, _ in classify_front(front, context)
+        ]
         paths.append(
             run.write_csv(
                 f"front_{strategy}.csv", front_columns(oc.n), rows, "optimize"
@@ -493,29 +505,31 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
 
 
 def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
-    """Merge all run-level fronts into the aggregated front."""
+    """Merge all run-level fronts into the aggregated front.  A row that is
+    infeasible on re-evaluation raises ``DegenerateGapError`` naming it, and
+    nothing is written."""
     context = build_context(cfg)
     fronts = [
         _read_front_csv(cfg, run, f"front_{strategy}.csv", "optimize", context)
         for strategy in cfg["optimizer"]["strategies"]
     ]
-    combined = aggregate_fronts(fronts)
-    rows = [_individual_row(ind, context) for ind in _with_points(combined, context)]
+    members = classify_front(aggregate_fronts(fronts), context)
+    rows = [_individual_row(ind, r, context.omega_ge) for ind, r, _ in members]
     return run.write_csv(
         "front_aggregated.csv", front_columns(cfg["optimizer"]["n"]), rows, "aggregate"
     )
 
 
-def _classified_front(cfg: dict, run: RunDirectory) -> tuple:
-    """The context and :func:`classify_front` of the aggregated front."""
+def _aggregated_front(cfg: dict, run: RunDirectory) -> tuple:
+    """The config's context and the rows of ``front_aggregated.csv``."""
     context = build_context(cfg)
     front = _read_front_csv(cfg, run, "front_aggregated.csv", "aggregate", context)
-    return context, classify_front(front, context)
+    return context, front
 
 
 def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
     """Annotate the aggregated front with sweet-spot labels and bounds."""
-    context, members = _classified_front(cfg, run)
+    context, front = _aggregated_front(cfg, run)
     header = front_columns(cfg["optimizer"]["n"]) + [
         "dss_label",
         "t_ub_general_us",
@@ -524,9 +538,9 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
         "d_omega_ac",
     ]
     rows = [
-        _individual_row(ind, context)
+        _individual_row(ind, r, context.omega_ge)
         + [r.label, b.t_ub_general, b.t_ub_dss, r.d_omega_d_phi_dc, r.d_omega_d_phi_ac]
-        for ind, r, b in members
+        for ind, r, b in classify_front(front, context)
     ]
     return run.write_csv("front_classified.csv", header, rows, "classify")
 
@@ -534,8 +548,8 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
 def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     """Evaluate the relaxation-time bounds over the aggregated front; the
     second value counts the rows whose verdict is not ok."""
-    _, members = _classified_front(cfg, run)
-    bounds = [b for _, _, b in members]
+    context, front = _aggregated_front(cfg, run)
+    bounds = [b for _, _, b in classify_front(front, context)]
     rows = [
         [b.t1, b.t_ub_general, b.t_ub_dss, b.margin_general, b.margin_dss, int(b.ok)]
         for b in bounds
@@ -556,15 +570,13 @@ def _resolve_gate_point(cfg, run, job):
         bench = _POINTS[point]
         return bench.genome, bench.phi_ac, bench.name
     if "front_index" in point:
-        front = _read_front_csv(
-            cfg, run, "front_aggregated.csv", "aggregate", build_context(cfg)
-        )
+        _, front = _aggregated_front(cfg, run)
         idx = point["front_index"]
-        if not 0 <= idx < len(front.points):
+        if not 0 <= idx < len(front):
             raise ConfigError(
                 f"gate job {job['name']!r}: point.front_index {idx} out of range"
             )
-        return front.points[idx].genome, cfg["flux"]["phi_ac"], f"front{idx}"
+        return front[idx].genome, cfg["flux"]["phi_ac"], f"front{idx}"
     return Genome(**point["genome"]), point["phi_ac"], "custom"
 
 

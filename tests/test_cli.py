@@ -419,25 +419,64 @@ def test_strategies_not_a_list_exits_2(tmp_path, capsys):
     assert not list(out.glob("front_*.csv"))
 
 
+@pytest.mark.parametrize(
+    "strategies, named",
+    [
+        (["nsga2", "ibea", "nsga2"], "optimizer.strategies must differ; repeated: ['nsga2']"),
+        ([], "optimizer.strategies must name at least one strategy"),
+    ],
+    ids=["repeated", "empty"],
+)
+def test_repeated_or_empty_strategies_exit_2_with_one_line(
+    tmp_path, capsys, strategies, named
+):
+    # a repeat would run the strategy twice into one front CSV, which
+    # aggregate would read twice; no strategy would write no front at all
+    optimizer = dict(TINY["optimizer"], strategies=strategies)
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    out = tmp_path / "out"
+    for verb in ("optimize", "aggregate"):
+        assert run_cli(config, out, verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert named in err, err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_aggregate_before_optimize_exits_4(tmp_path):
     config = write_json(tmp_path / "config.json", TINY)
     assert run_cli(config, tmp_path / "out", "aggregate") == 4
 
 
-@pytest.mark.parametrize("verb", ["classify", "bounds"])
-def test_degenerate_front_row_exits_3(tmp_path, capsys, verb):
-    # an undriven genome at omega_d = omega_ge puts the gap on the zone edge
-    config = write_json(tmp_path / "config.json", TINY)
+@pytest.mark.parametrize(
+    "verb, read, written",
+    [
+        ("aggregate", "front_nsga2.csv", "front_aggregated.csv"),
+        ("classify", "front_aggregated.csv", "front_classified.csv"),
+        ("bounds", "front_aggregated.csv", "bounds.csv"),
+    ],
+    ids=["aggregate", "classify", "bounds"],
+)
+def test_degenerate_front_row_exits_3(tmp_path, capsys, verb, read, written):
+    # at the unbiased sweet spot an undriven genome at omega_d = omega_ge
+    # puts the gap on the zone edge; optimize writes only feasible rows, so
+    # only a hand-edited front CSV holds such a row
+    flux = dict(REFERENCE["flux"], phi_dc_over_pi=1.0)
+    optimizer = dict(TINY["optimizer"], strategies=["nsga2"])
+    config = write_json(
+        tmp_path / "config.json", dict(TINY, flux=flux, optimizer=optimizer)
+    )
     out = tmp_path / "out"
     out.mkdir()
     omega_ge = build_context(load_config(config)).omega_ge
     row = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, omega_ge, 0.0, 0.0, "nsga2", 5]
-    with open(out / "front_aggregated.csv", "w", newline="") as fh:
+    with open(out / read, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows([front_columns(2), row])
     assert run_cli(config, out, verb) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "front row 0" in err, err
+    assert err.count("\n") == 1 and "front row 0 is infeasible" in err, err
+    assert not (out / written).exists()
 
 
 @pytest.mark.parametrize("verb", ["aggregate", "classify", "bounds"])
@@ -774,6 +813,31 @@ def test_a_grape_pass_integrates_each_frame_once(tmp_path, monkeypatch):
     assert (frames, points) == ([3], [3])
 
 
+def test_each_front_verb_annotates_each_written_row_once(tmp_path, monkeypatch):
+    # classify_front is the one place a front row gets its sensitivity
+    # report and its bounds: one of each per row that a verb writes
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    assert run_cli(config, out, "optimize") == 0
+    for verb, written in (("aggregate", "front_aggregated.csv"),
+                          ("classify", "front_classified.csv"),
+                          ("bounds", "bounds.csv")):
+        calls = {}
+        for name in ("classify_point", "evaluate_bounds"):
+            calls[name] = counted(monkeypatch, fluxspot.dss, name)
+            # a copy of the name imported into workbench counts too
+            if hasattr(fluxspot.workbench, name):
+                wrapper = getattr(fluxspot.dss, name)
+                monkeypatch.setattr(fluxspot.workbench, name, wrapper)
+        # bounds exits 3 when a row breaks a bound, having written its rows
+        assert run_cli(config, out, verb) in (0, 3)
+        with open(out / written, newline="") as fh:
+            rows = len(list(csv.DictReader(fh)))
+        assert rows > 0
+        assert calls == dict.fromkeys(calls, [rows]), verb
+        monkeypatch.undo()
+
+
 def test_default_config_is_filled_from_the_tables():
     expected = {
         "version": 1,
@@ -882,7 +946,7 @@ def test_a_genome_reads_the_same_bits_whatever_the_search_order(genome):
         context = build_context(cfg)
         objs, point = fluxspot.evaluate_genome(genome, context)
         phi_ac = fluxspot.calibrate_amplitude(genome, context)
-        front = fluxspot.ParetoFront((fluxspot.Individual(genome, objs),))
+        front = (fluxspot.Individual(genome, objs),)
         [(member, report, bounds)] = fluxspot.classify_front(front, context)
         g_z = [p.weights.g_z.tobytes() for p in (point, member.point)]
         readings.append((objs, g_z, phi_ac, report, bounds))

@@ -11,7 +11,7 @@ from fluxspot.dss import DSS_THRESHOLD
 from fluxspot.evaluation import _row_point
 from fluxspot.exceptions import DegenerateGapError
 from fluxspot.floquet import FilterWeights
-from fluxspot.pareto import Individual, ParetoFront
+from fluxspot.pareto import Individual
 
 from conftest import box_drives, random_drive, solve_drive, weight_rows
 from oracles import StencilCrossingError, quasienergy_sensitivity_fd
@@ -287,7 +287,7 @@ class TestClassification:
         for g in genomes:
             objs, pt = fs.evaluate_genome(g, context)
             points.append(Individual(genome=g, objectives=objs, point=pt))
-        front = ParetoFront(points=tuple(points))
+        front = tuple(points)
         annotated = fs.classify_front(front, context)
         assert len(annotated) == 2
         for ind, report, bounds in annotated:
@@ -305,14 +305,14 @@ class TestClassification:
             for g, (o, pt) in ((g, fs.evaluate_genome(g, context)) for g in genomes)
         ]
         bare = [Individual(genome=g, objectives=ind.objectives) for g, ind in zip(genomes, cached)]
-        mixed = ParetoFront(points=(bare[0], cached[1], bare[2]))
-        cached_front = ParetoFront(points=tuple(cached))
+        mixed = (bare[0], cached[1], bare[2])
+        cached_front = tuple(cached)
         want = [(r, b) for _, r, b in fs.classify_front(cached_front, context)]
         assert [(r, b) for _, r, b in fs.classify_front(mixed, context)] == want
         # an undriven member at omega_d = omega_ge has its gap on the zone edge
         ctx = fs.reference_context(phi_dc=np.pi)
         edge = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
-        front = ParetoFront(points=(bare[0], Individual(genome=edge, objectives=(1.0, 1.0))))
+        front = (bare[0], Individual(genome=edge, objectives=(1.0, 1.0)))
         with pytest.raises(DegenerateGapError, match="front row 1"):
             fs.classify_front(front, ctx)
 

@@ -13,7 +13,6 @@ import fluxspot as fs
 from fluxspot.exceptions import EmptyInputError, InvalidParameterError
 from fluxspot.pareto import (
     Individual,
-    ParetoFront,
     _IBEA_KAPPA,
     _dominance_matrix,
     _normalized,
@@ -167,14 +166,16 @@ def select_reference(strategy, objs, m):
     return sorted(feasible[i] for i in picked)
 
 
-def make_front(objs, stamp=("nsga2", 0, 0)):
+def make_front(objs, stamp=("nsga2", 0)):
     genome = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
-    return ParetoFront(
-        points=tuple(
-            Individual(genome=genome, objectives=tuple(o), provenance=stamp)
-            for o in objs
-        )
+    return tuple(
+        Individual(genome=genome, objectives=tuple(o), provenance=stamp) for o in objs
     )
+
+
+def objectives(front):
+    """The ``(len(front), 2)`` objective array of a front."""
+    return np.array([ind.objectives for ind in front], dtype=float)
 
 
 class TestDominates:
@@ -328,14 +329,14 @@ class TestAggregate:
     def test_single_front_is_identity(self):
         front = make_front([(1, 2), (2, 1)])
         agg = fs.aggregate_fronts([front])
-        assert agg.objectives().tolist() == [[1, 2], [2, 1]]
+        assert objectives(agg).tolist() == [[1, 2], [2, 1]]
 
     def test_dominating_front_wins(self):
-        strong = make_front([(1, 1), (0.5, 2)], stamp=("nsga2", 0, 0))
-        weak = make_front([(2, 2), (3, 3)], stamp=("spea2", 1, 0))
+        strong = make_front([(1, 1), (0.5, 2)], stamp=("nsga2", 0))
+        weak = make_front([(2, 2), (3, 3)], stamp=("spea2", 1))
         agg = fs.aggregate_fronts([strong, weak])
-        assert sorted(map(tuple, agg.objectives().tolist())) == [(0.5, 2), (1, 1)]
-        assert {ind.provenance for ind in agg.points} == {("nsga2", 0, 0)}
+        assert sorted(map(tuple, objectives(agg).tolist())) == [(0.5, 2), (1, 1)]
+        assert {ind.provenance for ind in agg} == {("nsga2", 0)}
 
     def test_matches_brute_force_union(self):
         rng = np.random.default_rng(23)
@@ -343,11 +344,11 @@ class TestAggregate:
         for s in range(4):
             objs = rng.random((15, 2))
             keep = fs.non_dominated_sort(objs)[0]
-            fronts.append(make_front(objs[keep], stamp=("ibea", s, 0)))
+            fronts.append(make_front(objs[keep], stamp=("ibea", s)))
         agg = fs.aggregate_fronts(fronts)
-        pool = np.vstack([f.objectives() for f in fronts])
+        pool = np.vstack([objectives(f) for f in fronts])
         expected = sorted(map(tuple, pool[fs.non_dominated_sort(pool)[0]].tolist()))
-        assert sorted(map(tuple, agg.objectives().tolist())) == expected
+        assert sorted(map(tuple, objectives(agg).tolist())) == expected
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -363,7 +364,7 @@ class TestRunStage1:
     def test_front_is_mutually_non_dominated(self, context, small_config):
         cfg = fs.OptimizerConfig(strategy="nsga2", **small_config)
         front = fs.run_stage1(cfg, context)
-        objs = front.objectives()
+        objs = objectives(front)
         for i in range(len(objs)):
             for j in range(len(objs)):
                 if i != j:
@@ -373,9 +374,9 @@ class TestRunStage1:
         cfg = fs.OptimizerConfig(strategy="spea2", **small_config)
         a = fs.run_stage1(cfg, context)
         b = fs.run_stage1(cfg, context)
-        assert a.objectives().tobytes() == b.objectives().tobytes()
+        assert objectives(a).tobytes() == objectives(b).tobytes()
         assert all(
-            x.genome == y.genome for x, y in zip(a.points, b.points)
+            x.genome == y.genome for x, y in zip(a, b)
         )
 
     @pytest.mark.parametrize("strategy", fs.pareto.STRATEGIES)
@@ -383,7 +384,7 @@ class TestRunStage1:
         cfg = fs.OptimizerConfig(strategy=strategy, **small_config)
         front = fs.run_stage1(cfg, context)
         assert len(front) > 0
-        for ind in front.points:
+        for ind in front:
             assert ind.point.objectives == ind.objectives
             objectives, fresh = fs.evaluate_genome(ind.genome, context)
             assert objectives == ind.objectives
@@ -428,7 +429,7 @@ class TestRunStage1:
         cfg = fs.OptimizerConfig(strategy="nsga2", **small_config)
         front = fs.run_stage1(cfg, context, generation_hook=hook)
         lo, hi = fs.Genome.bounds(4)
-        for ind in front.points:
+        for ind in front:
             vec = ind.genome.to_vector()
             assert np.all(vec >= lo) and np.all(vec <= hi)
         assert np.all(np.diff(best_gamma1) <= 1e-15)
@@ -448,10 +449,10 @@ class TestRunStage1:
         ctx = replace(fs.reference_context(phi_ac=0.2), k_max=1)
         cfg = fs.OptimizerConfig(population_m=20, generations_n=3, seed=1, n=1)
         front = fs.run_stage1(cfg, ctx)
-        assert front.points
-        assert all(np.all(np.isfinite(ind.objectives)) for ind in front.points)
+        assert front
+        assert all(np.all(np.isfinite(ind.objectives)) for ind in front)
         # the genome box is the drive order of OptimizerConfig.n
-        assert {ind.genome.n for ind in front.points} == {1}
+        assert {ind.genome.n for ind in front} == {1}
 
     def test_zone_edge_genome_is_infeasible_under_one_and_two_blas_threads(self):
         # a resonant undriven n = 1 genome puts eps = -/+ omega_d / 2 on the
