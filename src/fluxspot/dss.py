@@ -23,7 +23,6 @@ of the circuit moves them: at the three benchmark DSSs, where the two-level
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,9 +107,9 @@ def _bound_factor(omega_gap: float, omega_d: float, noise: NoiseModel) -> float:
     """``2 a_f sqrt(a_d omega_d) sqrt(dist)``, which both T1 bounds divide
     by, with ``dist`` the distance of ``omega_gap / omega_d`` to the nearest
     integer.  It is 0 when the gap folds onto a harmonic, or when a noise
-    channel is absent (with a warning: the bounds need both channels)."""
+    channel is absent: the bounds need both channels (the ``bounds`` verb
+    reports a missing one once per run)."""
     if noise.a_f * noise.a_d == 0.0:
-        warnings.warn("T1 bound undefined without both noise channels", stacklevel=3)
         return 0.0
     dist = distance_to_nearest_integer(omega_gap / omega_d)
     return 2.0 * noise.a_f * np.sqrt(noise.a_d * omega_d) * np.sqrt(dist)
@@ -122,8 +121,7 @@ def t1_upper_bound_general(
     """Universal relaxation-time bound; holds for every periodic drive.
 
     Returns +inf when the gap folds onto a harmonic, when the relaxation
-    weights vanish, or when either noise channel is absent (with a warning
-    in the latter case: the bound needs both channels).
+    weights vanish, or when either noise channel is absent.
     """
     factor = _bound_factor(omega_gap, omega_d, noise)
     total_plus = float(np.sum(np.abs(weights.g_plus) ** 2))

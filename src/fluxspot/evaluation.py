@@ -158,8 +158,10 @@ def evaluate_genome(
 
 def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) -> dict:
     """:func:`evaluate_population`'s row arrays of one slice, as one stack."""
-    stack = assemble_floquet_matrix(omega_d, p, coeffs, context.qubit.delta, k_max)
-    eps_minus, eps_plus, h_plus, h_minus, ok = solve_floquet(stack, omega_d)
+    # the stack, the largest array of a slice, is freed once solved
+    eps_minus, eps_plus, h_plus, h_minus, ok = solve_floquet(
+        assemble_floquet_matrix(omega_d, p, coeffs, context.qubit.delta, k_max), omega_d
+    )
     gap = eps_plus - eps_minus
     # an unconverged truncation can label a gap beyond omega_d
     ok &= (gap > 0.0) & (gap < omega_d)
@@ -167,10 +169,11 @@ def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) 
     rates = np.stack(
         decoherence_rates(g_z, g_plus, g_minus, gap, omega_d, context.noise), 1
     )
+    # the minus mode and g_minus follow from h_plus and g_plus (see
+    # _row_point), so a population does not keep them
     return dict(
         omega_d=omega_d, p=p, ok=ok, eps_minus=eps_minus, eps_plus=eps_plus,
-        gap=gap, h_plus=h_plus, h_minus=h_minus, g_z=g_z, g_plus=g_plus,
-        g_minus=g_minus, rates=rates,
+        gap=gap, h_plus=h_plus, g_z=g_z, g_plus=g_plus, rates=rates,
     )
 
 
@@ -182,9 +185,10 @@ def evaluate_population(
 
     Returns the ``(m, 2)`` objectives, ``(inf, inf)`` on an infeasible row,
     and a dict of per-row arrays: the drive (``omega_d``, ``p``), ``ok``,
-    the Floquet solution (``eps_minus``, ``eps_plus``, ``gap``, ``h_plus``,
-    ``h_minus``), the filter weights (``g_z``, ``g_plus``, ``g_minus``) and
-    ``rates`` (``gamma_z``, ``gamma_plus``, ``gamma_minus``).  The checks of
+    the Floquet solution (``eps_minus``, ``eps_plus``, ``gap``, ``h_plus``),
+    the filter weights (``g_z``, ``g_plus``) and ``rates`` (``gamma_z``,
+    ``gamma_plus``, ``gamma_minus``); :func:`_row_point` takes the minus
+    mode and ``g_minus`` from ``h_plus`` and ``g_plus``.  The checks of
     :class:`DriveSpec` run once, on the arrays.  Rows are solved in slices
     of ``_SLICE_ROWS``, and no arithmetic mixes rows, so :func:`_row_point`
     of a row is bit for bit what :func:`evaluate_genome` returns alone.  The
@@ -216,12 +220,13 @@ def _row_point(rows: dict, r: int, context: EvaluationContext) -> PointResult | 
     row arrays; ``None`` for an infeasible row."""
     if not rows["ok"][r]:
         return None
-    solved = [rows[key] for key in ("eps_minus", "eps_plus", "h_plus", "h_minus")]
+    solved = [rows[key] for key in ("eps_minus", "eps_plus", "h_plus")]
     sol = _row_solution(solved, rows["omega_d"], r)
-    g_z, g_plus, g_minus = (rows[key][r] for key in ("g_z", "g_plus", "g_minus"))
+    g_z, g_plus = rows["g_z"][r], rows["g_plus"][r]
     return PointResult(
         DriveSpec(context.phi_dc, context.phi_ac, sol.omega_d, tuple(rows["p"][r])),
         sol,
-        FilterWeights(g_z, g_plus, g_minus, 2 * sol.k_max),
+        # g_minus[k] = conj(g_plus[-k]), as compute_filter_weights forms it
+        FilterWeights(g_z, g_plus, g_plus[::-1].conj(), 2 * sol.k_max),
         RateReport.from_rates(*(float(x) for x in rows["rates"][r])),
     )

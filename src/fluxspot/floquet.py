@@ -243,12 +243,14 @@ def assemble_floquet_matrix(
         raise TruncationError(f"k_max={k_max} would drop drive harmonics up to n={n}")
     rows, nb = omega_d.size, 2 * k_max + 1
     band = coeffs.a_coef * _two_sided(p, nb - 1)
-    idx = np.arange(nb)
-    t = band[:, nb - 1 + idx[:, None] - idx]
-    t[:, idx, idx] += 0.5 * coeffs.b_coef
+    # t[:, i, j] = band[:, nb - 1 + i - j], as a view: no copy of the blocks
+    t = np.lib.stride_tricks.sliding_window_view(band[:, ::-1], nb, axis=-1)[:, ::-1]
     out = np.zeros((rows, nb, 2, nb, 2), dtype=complex)
     out[:, :, 0, :, 1] = t
     out[:, :, 1, :, 0] = t
+    idx = np.arange(nb)
+    out[:, idx, 0, idx, 1] += 0.5 * coeffs.b_coef
+    out[:, idx, 1, idx, 0] += 0.5 * coeffs.b_coef
     out = out.reshape(rows, 2 * nb, 2 * nb)
     k_omega = np.arange(-k_max, k_max + 1) * omega_d[:, None]
     out.reshape(rows, -1)[:, :: 2 * nb + 1] = np.stack(
@@ -371,17 +373,25 @@ def solve_floquet(stack: np.ndarray, omega_d: np.ndarray):
     distance[r, i_plus] = np.inf
     ok = ~degenerate & (residual <= _RESIDUAL_RTOL * distance.min(axis=1))
     h_plus = _gauge_fix(x.reshape(rows, -1, 2), k_max)
-    h_minus = _gauge_fix(_particle_hole(h_plus), k_max)
-    return eps_minus, eps_plus, h_plus, h_minus, ok
+    return eps_minus, eps_plus, h_plus, _minus_mode(h_plus, k_max), ok
+
+
+def _minus_mode(h_plus: np.ndarray, k_max: int) -> np.ndarray:
+    """The gauge-fixed minus modes ``C h_plus`` of stacked plus modes."""
+    return _gauge_fix(_particle_hole(h_plus), k_max)
 
 
 def _row_solution(solved, omega_d, r: int = 0) -> FloquetSolution:
-    """Row ``r`` of :func:`solve_floquet`'s arrays ``solved`` at the drive
-    frequencies ``omega_d``, as a :class:`FloquetSolution`."""
-    eps_minus, eps_plus, h_plus, h_minus = (a[r] for a in solved[:4])
+    """Row ``r`` of :func:`solve_floquet`'s arrays ``solved`` (the first
+    three are read) at the drive frequencies ``omega_d``, as a
+    :class:`FloquetSolution`.  The minus mode is taken again from the plus
+    mode, bit for bit as :func:`solve_floquet` takes it, so a caller need
+    not keep it."""
+    eps_minus, eps_plus, h_plus = (a[r] for a in solved[:3])
+    k_max = (len(h_plus) - 1) // 2
     return FloquetSolution(
         float(eps_plus), float(eps_minus), float(eps_plus - eps_minus),
-        h_plus, h_minus, (len(h_plus) - 1) // 2, float(omega_d[r]),
+        h_plus, _minus_mode(h_plus, k_max), k_max, float(omega_d[r]),
     )
 
 

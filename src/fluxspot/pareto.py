@@ -358,6 +358,7 @@ def run_stage1(
         keep = environmental_select(config.strategy, objs, m)
         vectors, objs = np.concatenate((vectors, children))[keep], objs[keep]
         rows = {k: np.concatenate((v, child_rows[k]))[keep] for k, v in rows.items()}
+        del child_rows   # not held while the next generation is evaluated
         if generation_hook is not None:
             generation_hook(gen, objs)
 

@@ -3,6 +3,11 @@
 All randomness in a run derives from the single config seed; artifacts are
 written atomically and carry no timestamps, so identical config + seed gives
 byte-identical files (timestamps live only in the manifest).
+
+``optimize`` runs its strategies concurrently, on one thread per usable CPU
+and at most one per strategy.  The bytes do not depend on the thread count:
+each strategy run has its own seed and its own arrays, and the files are
+written from the calling thread in config order.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
@@ -464,19 +470,36 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
 
 
 def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
-    """Stage-I runs for every configured strategy; one front CSV per run.
+    """Stage-I runs for every configured strategy; one front CSV and one
+    history CSV per run.
 
     The search carries its population as arrays and builds a ``PointResult``
     only for each front row, from the arrays it computed for that genome, so
     no front point is evaluated again.
+
+    The runs are concurrent: a pool of one thread per usable CPU
+    (``os.sched_getaffinity``), and never more threads than strategies,
+    runs them while numpy's LAPACK calls release the interpreter lock.  The
+    bytes do not depend on the thread count: each run draws from its own
+    seed, ``seed + 7919 * index``, and shares only the read-only context,
+    and the main thread writes the files in config order.  The first run
+    that fails raises as a serial loop would: the files of the runs before
+    it are written, none after it, and the runs not yet started are
+    cancelled.
     """
+    # imported here: concurrent.futures loads logging, which every other
+    # verb would pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     opt = cfg["optimizer"]
     context = build_context(cfg)
     settings = {k: opt[k] for k in opt.keys() - {"strategies", "snapshot_every"}}
-    paths = []
-    for idx, strategy in enumerate(opt["strategies"]):
-        run_seed = cfg["seed"] + 7919 * idx
-        oc = OptimizerConfig(**settings, strategy=strategy, seed=run_seed)
+    configs = [
+        OptimizerConfig(**settings, strategy=strategy, seed=cfg["seed"] + 7919 * idx)
+        for idx, strategy in enumerate(opt["strategies"])
+    ]
+
+    def search(oc: OptimizerConfig) -> tuple:
         snapshots = []
 
         def hook(gen: int, objs: np.ndarray) -> None:
@@ -490,17 +513,28 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
             _individual_row(ind, r, context.omega_ge)
             for ind, r, _ in classify_front(front, context)
         ]
-        paths.append(
-            run.write_csv(
-                f"front_{strategy}.csv", front_columns(oc.n), rows, "optimize"
+        return rows, snapshots
+
+    pool = ThreadPoolExecutor(min(len(configs), len(os.sched_getaffinity(0))))
+    paths = []
+    try:
+        futures = [pool.submit(search, oc) for oc in configs]
+        for oc, future in zip(configs, futures):
+            rows, snapshots = future.result()
+            paths.append(
+                run.write_csv(
+                    f"front_{oc.strategy}.csv", front_columns(oc.n), rows, "optimize"
+                )
             )
-        )
-        run.write_csv(
-            f"history_{strategy}.csv",
-            ["generation", "feasible", "best_gamma1_per_us", "best_gammaz_per_us"],
-            snapshots,
-            "optimize",
-        )
+            run.write_csv(
+                f"history_{oc.strategy}.csv",
+                ["generation", "feasible", "best_gamma1_per_us", "best_gammaz_per_us"],
+                snapshots,
+                "optimize",
+            )
+    finally:
+        # after a failure: drop the runs not yet started, join the running
+        pool.shutdown(cancel_futures=True)
     return paths
 
 
@@ -547,8 +581,22 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
 
 def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
     """Evaluate the relaxation-time bounds over the aggregated front; the
-    second value counts the rows whose verdict is not ok."""
+    second value counts the rows whose verdict is not ok.  Without both
+    noise channels every bound is inf, which one ``UserWarning`` per call
+    reports, naming the missing channel."""
     context, front = _aggregated_front(cfg, run)
+    noise = context.noise
+    missing = [
+        f"{name} (noise.{key})"
+        for name, key, amp in (("flux noise", "delta_f", noise.a_f),
+                               ("dielectric loss", "tan_delta_c", noise.a_d))
+        if amp == 0.0
+    ]
+    if missing:
+        warnings.warn(
+            f"T1 bounds undefined without {' and '.join(missing)}: every bound is inf",
+            stacklevel=2,
+        )
     bounds = [b for _, _, b in classify_front(front, context)]
     rows = [
         [b.t1, b.t_ub_general, b.t_ub_dss, b.margin_general, b.margin_dss, int(b.ok)]

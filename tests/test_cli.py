@@ -7,6 +7,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -836,6 +838,125 @@ def test_each_front_verb_annotates_each_written_row_once(tmp_path, monkeypatch):
         assert rows > 0
         assert calls == dict.fromkeys(calls, [rows]), verb
         monkeypatch.undo()
+
+
+def test_a_missing_noise_channel_is_reported_once_by_bounds_alone(tmp_path):
+    # without dielectric loss every T1 bound is inf: a property of the run,
+    # which bounds reports once, and of which the other verbs say nothing,
+    # even with warnings turned into errors
+    noise = dict(REFERENCE["noise"], tan_delta_c=0.0)
+    config = write_json(tmp_path / "config.json", dict(TINY, noise=noise))
+    benchmark = write_json(tmp_path / "dss2.json", {"benchmark": "dss-2"})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for verb in (["evaluate", str(benchmark)], ["optimize"], ["aggregate"],
+                     ["classify"]):
+            assert run_cli(config, out, *verb) == 0, verb
+    with pytest.warns(UserWarning) as record:
+        assert run_cli(config, out, "bounds") == 0
+    assert [str(w.message) for w in record] == [
+        "T1 bounds undefined without dielectric loss (noise.tan_delta_c): "
+        "every bound is inf"
+    ]
+    with open(out / "bounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(float(r["t_ub_general_us"]) == math.inf for r in rows)
+
+
+CONCURRENT_RUNS = """
+import json, os, sys, threading
+from pathlib import Path
+from fluxspot import cli, workbench
+
+config, root = Path(sys.argv[1]), Path(sys.argv[2])
+cfg = json.loads(config.read_text())
+# switch threads as often as the interpreter allows, so that a race between
+# the runs has every chance to show in the bytes
+sys.setswitchinterval(1e-6)
+threads = {}
+run_stage1 = workbench.run_stage1
+
+def traced(oc, *args, **kwargs):
+    threads[oc.strategy] = threading.current_thread().name
+    return run_stage1(oc, *args, **kwargs)
+
+workbench.run_stage1 = traced
+codes, names = [], {}
+for workers in (1, 4):
+    os.sched_getaffinity = lambda pid, k=workers: set(range(k))
+    codes.append(cli.main(["--config", str(config), "--out", str(root / f"w{workers}"),
+                           "optimize"]))
+    names[workers] = len(set(threads.values()))
+for idx, strategy in enumerate(cfg["optimizer"]["strategies"]):
+    alone = dict(cfg, seed=cfg["seed"] + 7919 * idx,
+                 optimizer=dict(cfg["optimizer"], strategies=[strategy]))
+    (root / f"{strategy}.json").write_text(json.dumps(alone))
+    codes.append(cli.main(["--config", str(root / f"{strategy}.json"),
+                           "--out", str(root / strategy), "optimize"]))
+print(json.dumps({"codes": codes, "threads": names}))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_concurrent_strategies_write_the_bytes_of_serial_runs(tmp_path, blas_threads):
+    # all four strategies at 1 and at 4 worker threads, and each strategy
+    # alone at its own run seed: every front and history CSV has one set of
+    # bytes, at 1 and at 2 BLAS threads (a fresh process, since BLAS reads
+    # its thread count at start-up)
+    optimizer = dict(TINY["optimizer"], strategies=list(fluxspot.pareto.STRATEGIES))
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    src = str(Path(fluxspot.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", CONCURRENT_RUNS, str(config), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 6
+    assert report["threads"]["1"] == 1 and report["threads"]["4"] > 1, report
+    for strategy in optimizer["strategies"]:
+        for name in (f"front_{strategy}.csv", f"history_{strategy}.csv"):
+            alone = (tmp_path / strategy / name).read_bytes()
+            for workers in ("w1", "w4"):
+                assert (tmp_path / workers / name).read_bytes() == alone, (workers, name)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_failing_strategy_writes_the_runs_before_it_only(
+    tmp_path, capsys, monkeypatch, workers
+):
+    # spea2 fails: nsga2's files are written, nothing of spea2 or of the runs
+    # after it, whether those wait behind it (1 worker) or run alongside it
+    # (4 workers), and the pool is joined before the verb returns
+    original = fluxspot.workbench.run_stage1
+
+    def failing(oc, *args, **kwargs):
+        if oc.strategy == "spea2":
+            raise fluxspot.exceptions.DegenerateGapError("spea2 run failed")
+        return original(oc, *args, **kwargs)
+
+    monkeypatch.setattr(fluxspot.workbench, "run_stage1", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    optimizer = dict(TINY["optimizer"], strategies=list(fluxspot.pareto.STRATEGIES))
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    out = tmp_path / "out"
+    threads = set(threading.enumerate())
+    assert run_cli(config, out, "optimize") == 3
+    assert set(threading.enumerate()) == threads
+    assert capsys.readouterr().err == "numerical failure: spea2 run failed\n"
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert written == ["front_nsga2.csv", "history_nsga2.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["path"] for e in manifest["entries"]] == written
+    assert not RunDirectory(out, {}).verify()
 
 
 def test_default_config_is_filled_from_the_tables():
