@@ -68,14 +68,7 @@ from .gates import (
     rotating_frame_trajectory,
     shape_pulse,
 )
-from .lindblad import (
-    LindbladModel,
-    ProcessMatrix,
-    channel_from_simulation,
-    chi_from_unitary,
-    process_fidelity,
-    process_tomography,
-)
+from .lindblad import LindbladModel, average_gate_fidelity, process_matrix
 from .reference import (
     BENCHMARK_POINTS,
     BenchmarkPoint,

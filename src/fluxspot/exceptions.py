@@ -23,7 +23,8 @@ class IntegrationError(FluxspotError, RuntimeError):
 
 
 class TomographyError(FluxspotError, RuntimeError):
-    """Raised when a reconstructed process matrix is unphysical."""
+    """Raised when a channel is not trace preserving or its process matrix
+    is unphysical."""
 
 
 class EmptyInputError(FluxspotError, ValueError):

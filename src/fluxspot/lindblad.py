@@ -1,5 +1,5 @@
-"""Open-system gate evaluation: Lindblad propagation, process tomography and
-process fidelity.
+"""Open-system gate evaluation: the pulse superoperator of the Lindblad
+dynamics, its process matrix and its average gate fidelity.
 
 The density matrix evolves in the same rotating frame as the closed-system
 gate dynamics; relaxation and dephasing enter through per-qubit lowering and
@@ -11,7 +11,8 @@ batched scaling-and-squaring Pade approximant (:func:`_expm`) forms in
 fixed blocks of steps, with one degree and scaling for the whole pulse.
 The frame enters each step as a conjugation of one lab-frame Liouvillian
 (Havel, J. Math. Phys. 44, 534 (2003) for the Lindblad, superoperator and
-chi forms).
+chi forms).  The process matrix and the fidelity are read off that one
+superoperator.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
 from .gates import ControlContext, _as_waveform_matrix, _kron, _static_operators
 from .units import RAD_PER_US_TO_RAD_PER_NS
 
-__all__ = [
-    "LindbladModel",
-    "ProcessMatrix",
-    "process_tomography",
-    "process_fidelity",
-    "chi_from_unitary",
-    "channel_from_simulation",
-]
+__all__ = ["LindbladModel", "process_matrix", "average_gate_fidelity"]
 
 
 @dataclass(frozen=True)
@@ -190,66 +184,36 @@ def _pulse_superoperator(
     return _tree_product(steps)
 
 
-def channel_from_simulation(context: ControlContext, waveforms, model: LindbladModel):
-    """The open-system gate as a channel ``rho -> rho_final``; the pulse
-    superoperator is built once and applied to every input."""
-    super_op = _pulse_superoperator(context, waveforms, model)
-    d = context.dimension
+def process_matrix(s: np.ndarray) -> np.ndarray:
+    """The process matrix chi of the superoperator ``s`` in the Pauli
+    product basis: ``chi_pq = <P_p (x) P_q^*, S> / d^2``.
 
-    def channel(rho: np.ndarray) -> np.ndarray:
-        return (super_op @ np.asarray(rho, dtype=complex).ravel()).reshape(d, d)
-
-    return channel
-
-
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Channel coefficients in the Pauli product basis."""
-
-    chi: np.ndarray
-    d: int
-
-    def __post_init__(self) -> None:
-        chi = np.asarray(self.chi, dtype=complex)
-        if chi.shape != (self.d**2, self.d**2):
-            raise InvalidParameterError("chi must be d^2 x d^2")
-        object.__setattr__(self, "chi", chi)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.chi).real)
-
-
-def process_tomography(channel, d: int) -> ProcessMatrix:
-    """Reconstruct the process matrix of a linear trace-preserving channel.
-
-    The channel is applied to the d^2 matrix units ``|j><k|`` (a linear
-    channel accepts any operator); their images are the columns of the
-    superoperator on row-major vec(rho), which one contraction re-expresses
-    in the Pauli product basis.  Raises :class:`TomographyError` when some
-    ``|Tr E(|j><k|) - delta_jk|`` exceeds 5e-7 (a state
+    ``s`` acts on row-major vec(rho), so its column ``j d + k`` is the image
+    ``E(|j><k|)`` of a matrix unit.  Raises :class:`TomographyError` when
+    some ``|Tr E(|j><k|) - delta_jk|`` exceeds 5e-7 (a state
     ``(|j> + c|k>)(<j| + c^*<k|) / 2`` with ``|c| = 1`` weighs its four units
     by 2 in total, so a trace error above 1e-6 on it shows here), or when
-    the reconstruction is not Hermitian or not positive semidefinite
-    (beyond 1e-9).
+    chi is not Hermitian (beyond 1e-8) or not positive semidefinite (beyond
+    1e-9), that is, when the map is not completely positive (Choi, Linear
+    Algebra Appl. 10, 285 (1975)).
     """
-    if d not in (2, 4):
-        raise InvalidParameterError("tomography implemented for d = 2 and 4")
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    images = np.stack([channel(unit) for unit in units])
-    trace_err = np.abs(np.trace(images, axis1=1, axis2=2) - np.eye(d).ravel())
+    s = np.asarray(s, dtype=complex)
+    d = math.isqrt(s.shape[0])
+    if d not in (2, 4) or s.shape != (d * d, d * d):
+        raise InvalidParameterError(
+            f"process matrix implemented for d = 2 and 4, got shape {s.shape}"
+        )
+    # images[j, k, a, b] = E(|j><k|)[a, b]
+    images = s.T.reshape(d, d, d, d)
+    trace_err = np.abs(np.trace(images, axis1=2, axis2=3) - np.eye(d)).ravel()
     if trace_err.max() > 5e-7:
         j, k = divmod(int(trace_err.argmax()), d)
         raise TomographyError(
             f"channel is not trace preserving on |{j}><{k}| "
             f"(error {trace_err.max():.2e})"
         )
-
-    # chi_pq = <P_p (x) P_q^*, S> / d^2 with S[(a, b), (j, k)] = E(|j><k|)[a, b]
     basis = _pauli_basis(d)
-    chi = np.einsum(
-        "paj,qbk,jkab->pq", basis.conj(), basis, images.reshape(d, d, d, d)
-    ) / d**2
+    chi = np.einsum("paj,qbk,jkab->pq", basis.conj(), basis, images) / d**2
 
     herm_err = np.max(np.abs(chi - chi.conj().T))
     if herm_err > 1e-8:
@@ -258,27 +222,26 @@ def process_tomography(channel, d: int) -> ProcessMatrix:
     min_eig = float(np.linalg.eigvalsh(chi).min())
     if min_eig < -1e-9:
         raise TomographyError(f"chi not positive semidefinite ({min_eig:.2e})")
-    return ProcessMatrix(chi=chi, d=d)
+    return chi
 
 
-def chi_from_unitary(u: np.ndarray) -> ProcessMatrix:
-    """Process matrix of a unitary channel (rank one in the Pauli basis)."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    coeffs = np.einsum("pab,ab->p", _pauli_basis(d).conj(), u) / d
-    return ProcessMatrix(chi=np.outer(coeffs, coeffs.conj()), d=d)
-
-
-def process_fidelity(chi: ProcessMatrix, target_chi: ProcessMatrix) -> float:
-    """Average gate fidelity ``(d Tr(chi_T chi) + Tr chi) / (d + 1)``.
+def average_gate_fidelity(s: np.ndarray, u: np.ndarray) -> float:
+    """The average gate fidelity of the superoperator ``s`` to the unitary
+    ``u``: ``(Tr(S_U^dag S) + sum_aj S_(aa),(jj)) / (d (d + 1))`` with
+    ``S_U = U (x) U^*``.
 
     This is the mean over pure inputs of ``<psi|U^dag E(psi) U|psi>``
-    (Nielsen, Phys. Lett. A 303, 249 (2002)), not the process fidelity
-    ``Tr(chi_T chi)`` that the function name suggests; the ``simulate``
-    artifact stores it under ``process_fidelity`` all the same.
+    (Nielsen, Phys. Lett. A 303, 249 (2002)); the second term is
+    ``sum_j Tr E(|j><j|)``, which is d for a trace-preserving map.  The
+    ``simulate`` artifact stores this number under ``process_fidelity``.
     """
-    if chi.d != target_chi.d:
-        raise InvalidParameterError("process matrices have different dimensions")
-    d = chi.d
-    overlap = np.trace(target_chi.chi @ chi.chi).real
-    return float((d * overlap + np.trace(chi.chi).real) / (d + 1.0))
+    s = np.asarray(s, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    if s.shape != (d * d, d * d):
+        raise InvalidParameterError(
+            f"dimension mismatch: superoperator {s.shape} vs unitary {u.shape}"
+        )
+    overlap = np.vdot(np.kron(u, u.conj()), s).real
+    traces = s[:: d + 1, :: d + 1].sum().real
+    return float((overlap + traces) / (d * (d + 1.0)))

@@ -12,6 +12,9 @@ none of the functions here:
 - :func:`parseval_sum` is the completeness sum of the filter weights.
 - :func:`evolve_density` propagates one density matrix through the
   open-system channel and checks its trace.
+- :func:`average_fidelity_pauli_sum` is Nielsen's Pauli-sum form of the
+  average gate fidelity, each Pauli product sent through the channel;
+  ``average_gate_fidelity`` contracts the superoperator with ``U (x) U^*``.
 - :func:`prefix_products_broadcast` is the blocked prefix scan with each
   step's carry broadcast as its own product; ``_prefix_products`` applies
   a block's carry in one product of its stacked rows, and must give the
@@ -34,13 +37,15 @@ from fluxspot.circuit import EffectiveCoefficients
 from fluxspot.exceptions import FluxspotError, IntegrationError, InvalidParameterError
 from fluxspot.floquet import (
     PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DriveSpec,
     FilterWeights,
     FloquetSolution,
     _su2_entries,
 )
 from fluxspot.gates import ControlContext
-from fluxspot.lindblad import LindbladModel, channel_from_simulation
+from fluxspot.lindblad import LindbladModel, _pulse_superoperator
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
 
 from conftest import solve_row
@@ -215,11 +220,25 @@ def evolve_density(
     d = context.dimension
     if rho0.shape != (d, d):
         raise InvalidParameterError(f"rho0 must be {d}x{d}")
-    rho = channel_from_simulation(context, waveforms, model)(rho0)
+    s = _pulse_superoperator(context, waveforms, model)
+    rho = (s @ rho0.ravel()).reshape(d, d)
     drift = abs(np.trace(rho).real - np.trace(rho0).real)
     if drift > 1e-9:
         raise IntegrationError(f"trace drifted by {drift:.2e}")
     return rho
+
+
+def average_fidelity_pauli_sum(s: np.ndarray, u: np.ndarray) -> float:
+    """``F = (sum_P Tr(U P U^dag E(P)) + d^2) / (d^2 (d + 1))`` over the d^2
+    Pauli products P (Nielsen, Phys. Lett. A 303, 249 (2002)), with
+    ``E(P)`` the superoperator ``s`` applied to row-major vec(P)."""
+    d = u.shape[0]
+    singles = [np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]
+    paulis = singles if d == 2 else [np.kron(a, b) for a in singles for b in singles]
+    total = sum(
+        np.trace(u @ p @ u.conj().T @ (s @ p.ravel()).reshape(d, d)) for p in paulis
+    )
+    return float((total.real + d**2) / (d**2 * (d + 1)))
 
 
 def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:

@@ -11,11 +11,13 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fluxspot
 from fluxspot import cli, reference
 from fluxspot.floquet import PAULI_X
+from fluxspot.lindblad import _pulse_superoperator
 from fluxspot.reference import REFERENCE
 from fluxspot.workbench import (
     _CONFIG,
@@ -754,12 +756,55 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
     assert art["frame_a"] == [a.real.tolist(), a.imag.tolist()]
     assert art["frame_b"] == [b.real.tolist(), b.imag.tolist()]
     rates = tuple(art["rates_per_us"][k] for k in ("gamma_1", "gamma_z"))
-    channel = fluxspot.channel_from_simulation(
-        fresh, art["samples"], fluxspot.LindbladModel(rates=(rates,))
+    s = _pulse_superoperator(fresh, art["samples"], fluxspot.LindbladModel(rates=(rates,)))
+    simulated = json.loads((out / "simulate_x.json").read_text())
+    assert simulated["process_fidelity"] == fluxspot.average_gate_fidelity(s, PAULI_X)
+    chi = fluxspot.process_matrix(s)
+    assert [simulated["chi_re"], simulated["chi_im"]] == [chi.real.tolist(), chi.imag.tolist()]
+
+
+def test_simulate_artifacts_keep_their_keys(tmp_path):
+    # the benchmark reads process_fidelity by name: a renamed key fails here
+    jobs = [{"name": g, "gate": g, "point": "dss-2", "iterations": 1, "steps": 16,
+             "frame_substeps": 8} for g in ("x", "sqrt_iswap")]
+    config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == 0
+    for name in ("x", "sqrt_iswap"):
+        assert run_cli(config, out, "simulate", name) == 0
+        keys = json.loads((out / f"simulate_{name}.json").read_text()).keys()
+        assert set(keys) == {
+            "pulse", "gate", "process_fidelity", "chi_re", "chi_im", "rates_per_us"
+        }
+
+
+@pytest.mark.parametrize(
+    "superoperator, message",
+    [
+        (lambda s: 0.9 * s, "channel is not trace preserving on |"),
+        # rho -> rho^T preserves trace and Hermiticity, but is not
+        # completely positive
+        (lambda s: np.eye(4).reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(4, 4),
+         "chi not positive semidefinite"),
+    ],
+    ids=["trace-leak", "not-completely-positive"],
+)
+def test_simulate_exits_3_on_an_unphysical_superoperator(
+    tmp_path, capsys, monkeypatch, superoperator, message
+):
+    original = fluxspot.workbench._pulse_superoperator
+    monkeypatch.setattr(
+        fluxspot.workbench, "_pulse_superoperator",
+        lambda *args: superoperator(original(*args)),
     )
-    chi = fluxspot.process_tomography(channel, 2)
-    expected = fluxspot.process_fidelity(chi, fluxspot.chi_from_unitary(PAULI_X))
-    assert json.loads((out / "simulate_x.json").read_text())["process_fidelity"] == expected
+    out = tmp_path / "out"
+    out.mkdir()
+    write_json(out / "pulse_x.json", PULSE)
+    assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", "x") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"numerical failure: {message}" in err, err
+    assert not (out / "simulate_x.json").exists()
 
 
 def test_simulate_replays_a_pulse_cut_down_to_the_keys_it_reads(tmp_path):

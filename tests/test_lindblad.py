@@ -16,7 +16,7 @@ from fluxspot.lindblad import (
     _pulse_superoperator,
 )
 
-from oracles import evolve_density
+from oracles import average_fidelity_pauli_sum, evolve_density
 from test_gates import random_frame, trivial_context
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
@@ -153,9 +153,9 @@ class TestEvolveDensity:
             frame=random_frame(rng, 40), dt=0.1, n_qubits=2, coupling_j=0.3
         )
         wf = 0.4 * rng.standard_normal((2, 40))
-        channel = fs.channel_from_simulation(ctx, wf, rate_model(n_qubits=2))
+        s = _pulse_superoperator(ctx, wf, rate_model(n_qubits=2))
         u = fs.propagate_closed(ctx, wf)
-        assert np.max(np.abs(superoperator(channel, 4) - np.kron(u, u.conj()))) < 1e-12
+        assert np.max(np.abs(s - np.kron(u, u.conj()))) < 1e-12
 
     @pytest.mark.parametrize("n_qubits, coupling", [(1, 0.0), (2, 0.3)])
     def test_channel_matches_per_step_oracle(self, n_qubits, coupling):
@@ -167,9 +167,9 @@ class TestEvolveDensity:
         )
         wf = 0.4 * rng.standard_normal((n_qubits, steps))
         rates = ((20.0, 35.0), (15.0, 40.0))[:n_qubits]
-        channel = fs.channel_from_simulation(ctx, wf, fs.LindbladModel(rates=rates))
+        s = _pulse_superoperator(ctx, wf, fs.LindbladModel(rates=rates))
         expected = per_step_oracle(frame, dt, n_qubits, coupling, wf, rates)
-        assert np.max(np.abs(superoperator(channel, 2**n_qubits) - expected)) < 1e-12
+        assert np.max(np.abs(s - expected)) < 1e-12
 
     def test_trace_and_positivity(self):
         ctx = trivial_context(steps=150, duration=12.0)
@@ -286,30 +286,57 @@ class TestPadeExponential:
         assert np.array_equal(out, diag[:, :, None] * np.eye(4))
 
 
-class TestProcessTomography:
+def unitary_superoperator(u):
+    """``rho -> U rho U^dag`` on row-major vec(rho)."""
+    return np.kron(u, u.conj())
+
+
+def kraus_superoperator(kraus):
+    """``rho -> sum K rho K^dag`` on row-major vec(rho)."""
+    return sum(unitary_superoperator(k) for k in kraus)
+
+
+def random_kraus(rng, d, rank):
+    """``rank`` Kraus operators of a random trace-preserving map."""
+    g = rng.standard_normal((rank, d, d)) + 1j * rng.standard_normal((rank, d, d))
+    w, v = np.linalg.eigh(sum(x.conj().T @ x for x in g))
+    return g @ (v @ np.diag(w**-0.5) @ v.conj().T)
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pauli_chi(kraus, weights):
+    """``chi = sum_m w_m c_m c_m^dag``, with ``c_m`` the Pauli coefficients
+    ``Tr(P^dag K_m) / d`` of the Kraus operators."""
+    singles = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
+    d = kraus[0].shape[0]
+    paulis = singles if d == 2 else [np.kron(a, b) for a in singles for b in singles]
+    coeffs = np.array(
+        [[np.trace(p.conj().T @ k) / d for p in paulis] for k in kraus]
+    )
+    return (coeffs.T * np.asarray(weights)) @ coeffs.conj()
+
+
+class TestProcessMatrix:
     def test_identity_channel(self):
-        chi = fs.process_tomography(lambda rho: rho, 2)
+        chi = fs.process_matrix(np.eye(4))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.max(np.abs(chi.chi - expected)) < 1e-12
+        assert np.max(np.abs(chi - expected)) < 1e-12
 
     def test_unitary_x_channel(self):
-        chi = fs.process_tomography(lambda rho: PAULI_X @ rho @ PAULI_X, 2)
+        chi = fs.process_matrix(unitary_superoperator(PAULI_X))
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
-        assert np.max(np.abs(chi.chi - expected)) < 1e-12
+        assert np.max(np.abs(chi - expected)) < 1e-12
 
     def test_depolarizing_mixture(self):
-        def channel(rho):
-            out = 0.25 * rho
-            for p in (PAULI_X, PAULI_Y, PAULI_Z):
-                out = out + 0.25 * (p @ rho @ p.conj().T)
-            return out
-
-        chi = fs.process_tomography(channel, 2)
-        assert np.max(np.abs(chi.chi - 0.25 * np.eye(4))) < 1e-12
-        ident = fs.chi_from_unitary(np.eye(2))
-        assert fs.process_fidelity(chi, ident) == pytest.approx(0.5, abs=1e-12)
+        s = kraus_superoperator([0.5 * p for p in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)])
+        assert np.max(np.abs(fs.process_matrix(s) - 0.25 * np.eye(4))) < 1e-12
+        assert fs.average_gate_fidelity(s, np.eye(2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_kraus_roundtrip(self):
         rng = np.random.default_rng(21)
@@ -319,64 +346,127 @@ class TestProcessTomography:
         u1 = expm(1j * (ham + ham.conj().T))
         u2 = expm(0.5j * (ham + ham.conj().T))
         probs = (0.7, 0.3)
-        units = (u1, u2)
-
-        def channel(rho):
-            return sum(p * u @ rho @ u.conj().T for p, u in zip(probs, units))
-
-        chi = fs.process_tomography(channel, 2)
-        expected = sum(
-            p * fs.chi_from_unitary(u).chi for p, u in zip(probs, units)
-        )
-        assert np.max(np.abs(chi.chi - expected)) < 1e-10
+        s = sum(p * unitary_superoperator(u) for p, u in zip(probs, (u1, u2)))
+        expected = pauli_chi((u1, u2), probs)
+        assert np.max(np.abs(fs.process_matrix(s) - expected)) < 1e-10
 
     def test_two_qubit_identity(self):
-        chi = fs.process_tomography(lambda rho: rho, 4)
+        chi = fs.process_matrix(np.eye(16))
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
-        assert np.max(np.abs(chi.chi - expected)) < 1e-12
+        assert np.max(np.abs(chi - expected)) < 1e-12
 
     def test_random_two_qubit_kraus_channel(self):
-        # a non-unitary channel: chi = sum_m c_m c_m^dag, with c_m the Pauli
-        # coefficients Tr(P^dag K_m) / d of the Kraus operators
-        rng = np.random.default_rng(23)
-        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-        w, v = np.linalg.eigh(sum(x.conj().T @ x for x in g))
-        kraus = g @ (v @ np.diag(w**-0.5) @ v.conj().T)
-
-        def channel(rho):
-            return sum(k @ rho @ k.conj().T for k in kraus)
-
-        singles = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
-        paulis = [np.kron(a, b) for a in singles for b in singles]
-        coeffs = np.array(
-            [[np.trace(p.conj().T @ k) / 4 for p in paulis] for k in kraus]
-        )
-        expected = coeffs.T @ coeffs.conj()
-        chi = fs.process_tomography(channel, 4)
-        assert np.max(np.abs(chi.chi - expected)) < 1e-12
+        # a non-unitary channel: chi = sum_m c_m c_m^dag
+        kraus = random_kraus(np.random.default_rng(23), 4, 3)
+        chi = fs.process_matrix(kraus_superoperator(kraus))
+        assert np.max(np.abs(chi - pauli_chi(kraus, np.ones(3)))) < 1e-12
 
     def test_trace_leak_detected(self):
-        with pytest.raises(TomographyError):
-            fs.process_tomography(lambda rho: 0.9 * rho, 2)
+        with pytest.raises(TomographyError, match="not trace preserving on"):
+            fs.process_matrix(0.9 * np.eye(4))
 
     def test_coherence_only_trace_leak_detected(self):
-        # the trace moves only with the coherences, so no diagonal input
-        # shows the leak
-        def channel(rho):
-            return rho + 1.5e-6 * (rho[0, 1] + rho[1, 0]) * np.diag([1.0, 0.0])
+        # rho -> rho + 1.5e-6 (rho_01 + rho_10) |0><0|: the trace moves only
+        # with the coherences, so no diagonal input shows the leak
+        s = np.eye(4)
+        s[0, 1] = s[0, 2] = 1.5e-6
+        with pytest.raises(TomographyError, match="not trace preserving on"):
+            fs.process_matrix(s)
 
-        with pytest.raises(TomographyError, match="not trace preserving"):
-            fs.process_tomography(channel, 2)
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_transpose_is_not_completely_positive(self, d):
+        # rho -> rho^T preserves trace and Hermiticity; chi has eigenvalue
+        # -1/2 for one qubit
+        s = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, -1)
+        with pytest.raises(TomographyError, match="chi not positive semidefinite"):
+            fs.process_matrix(s)
+
+    def test_dimension_not_two_or_four(self):
+        with pytest.raises(InvalidParameterError, match="d = 2 and 4"):
+            fs.process_matrix(np.eye(9))
 
 
-class TestProcessFidelity:
+class TestAverageGateFidelity:
     def test_perfect_unitary(self):
-        chi = fs.chi_from_unitary(PAULI_X)
-        assert fs.process_fidelity(chi, chi) == pytest.approx(1.0, abs=1e-12)
+        s = unitary_superoperator(PAULI_X)
+        assert fs.average_gate_fidelity(s, PAULI_X) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            fs.process_fidelity(
-                fs.chi_from_unitary(np.eye(2)), fs.chi_from_unitary(np.eye(4))
+        with pytest.raises(InvalidParameterError, match="dimension mismatch"):
+            fs.average_gate_fidelity(np.eye(4), np.eye(4))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_matches_pauli_sum_on_random_channels(self, d, rank):
+        # both sides add d^4 products of entries below 1 in modulus, so each
+        # is within d^4 eps of the exact value (measured: at most 1.8e-15
+        # for d = 2 and 4.4e-16 for d = 4)
+        rng = np.random.default_rng(10 * d + rank)
+        for _ in range(10):
+            s = kraus_superoperator(random_kraus(rng, d, rank))
+            u = random_unitary(rng, d)
+            expected = average_fidelity_pauli_sum(s, u)
+            assert fs.average_gate_fidelity(s, u) == pytest.approx(
+                expected, abs=2 * d**4 * np.finfo(float).eps
             )
+
+    def test_matches_pauli_sum_on_a_bench_pulse(self, benchmark_results):
+        # a 500-step pulse of the x job on dss-2's frame, at dss-2's rates;
+        # the Pauli sum takes Tr E(I) = d, which the product of 500 steps
+        # misses by round-off, and that miss enters F as
+        # (Tr E(I) - d) / (d (d + 1)) on top of the 2 d^4 eps of the sums
+        bench, bctx, point = benchmark_results["dss-2"]
+        samples = fs.rotating_frame_trajectory(
+            point.drive, bctx.coefficients, bctx.qubit.delta,
+            duration=10.0, steps=500, substeps=8,
+        )
+        ctx = fs.ControlContext(samples, 10.0 / 500)
+        wf = 0.3 * np.random.default_rng(4).standard_normal(500)
+        rates = (point.rates.gamma_1, point.rates.gamma_z)
+        s = _pulse_superoperator(ctx, wf, fs.LindbladModel(rates=(rates,)))
+        trace_miss = abs(np.trace((s @ np.eye(2).ravel()).reshape(2, 2)) - 2) / 6
+        expected = average_fidelity_pauli_sum(s, PAULI_X)
+        assert fs.average_gate_fidelity(s, PAULI_X) == pytest.approx(
+            expected, abs=trace_miss + 2 * 2**4 * np.finfo(float).eps
+        )
+
+
+class TestFirstOrderInfidelity:
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_infidelity_against_the_closed_unitary(self, n_qubits):
+        # In the interaction picture of the closed evolution U, the channel
+        # is U composed with E = T exp(int D(t) dt), D a Lindblad dissipator
+        # whose jumps are unitary conjugates of sigma_- and sigma_z.  The
+        # first-order term of E gives 1 - F = tau sum_jumps gamma
+        # (Tr(A^dag A) / d - |Tr A|^2 / d^2) d / (d + 1)
+        # = n_q tau (gamma_1 / 2 + gamma_z) d / (d + 1), whatever the frame
+        # and waveforms.  On vec(rho) with the Hilbert-Schmidt norm a qubit's
+        # dissipator has norm at most 2 (gamma_1 + gamma_z), so the Dyson
+        # remainder R of order two and up has ||R|| <= e^x - 1 - x with
+        # x = 2 n_q tau (gamma_1 + gamma_z); R is trace-annihilating, so it
+        # moves F by |Tr R| / (d (d + 1)) <= (e^x - 1 - x) d / (d + 1).
+        # 1e-12 more covers the round-off of 1 - F.
+        rng = np.random.default_rng(40 + n_qubits)
+        d = 2**n_qubits
+        for _ in range(6):
+            steps = 60
+            ctx = fs.ControlContext(
+                frame=random_frame(rng, steps),
+                dt=rng.uniform(0.05, 0.2),
+                n_qubits=n_qubits,
+                coupling_j=0.3 * (n_qubits - 1),
+            )
+            wf = 0.4 * rng.standard_normal((n_qubits, steps))
+            g1, gz = rng.uniform(0.1, 1.0, 2)   # 1/us
+            s = _pulse_superoperator(ctx, wf, rate_model(g1, gz, n_qubits))
+            u = fs.propagate_closed(ctx, wf)
+            tau = steps * ctx.dt
+            # rates on the ns clock
+            g1_ns, gz_ns = 1e-3 * g1, 1e-3 * gz
+            first = n_qubits * tau * (g1_ns / 2 + gz_ns) * d / (d + 1)
+            x = 2 * n_qubits * tau * (g1_ns + gz_ns)
+            bound = (np.expm1(x) - x) * d / (d + 1) + 1e-12
+            assert bound < 0.1 * first
+            infidelity = 1.0 - fs.average_gate_fidelity(s, u)
+            assert abs(infidelity - first) <= bound, (infidelity - first, bound)
