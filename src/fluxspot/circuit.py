@@ -6,8 +6,9 @@ The full circuit Hamiltonian
 
 is represented in the harmonic-oscillator (Fock) basis of its linear part and
 diagonalized densely.  The two lowest eigenstates define the effective qubit:
-the splitting ``delta`` and the flux matrix element ``phi_ge`` that every
-driven-qubit calculation downstream consumes.
+the splitting ``delta`` and the flux matrix element ``phi_ge``.  At a flux
+working point they give the driven two-level model that every calculation
+downstream solves, :class:`EffectiveCoefficients`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidParameterError, TruncationError
+from .exceptions import InvalidParameterError, TruncationError, check_finite
 
 __all__ = [
     "CircuitParams",
@@ -52,6 +53,7 @@ class CircuitParams:
     fock_dim: int = DEFAULT_FOCK_DIM
 
     def __post_init__(self) -> None:
+        check_finite(e_c=self.e_c, e_l=self.e_l, e_j=self.e_j)
         if min(self.e_c, self.e_l, self.e_j) <= 0.0:
             raise InvalidParameterError(
                 "circuit energies must be strictly positive, got "
@@ -102,13 +104,18 @@ class EffectiveQubit:
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
-    """Longitudinal coupling coefficients of the driven two-level model.
+    """The driven two-level model of one flux working point,
+    H(t) = -(delta/2) sigma_z + (B/2 + A P(t)) sigma_x, less its drive.
 
-    ``a_coef`` multiplies the periodic modulation waveform, ``b_coef`` is the
-    static bias term produced by a DC flux offset from the sweet spot.  Both
-    are angular frequencies (rad/us).
+    ``delta`` is the qubit splitting, ``a_coef`` (A) scales the modulation
+    waveform P(t) and ``b_coef`` (B) is the static bias of a DC flux offset
+    from the sweet spot, all in rad/us; every solver reads them here.  The
+    working point (phi_dc, phi_ac) lives in ``evaluation.EvaluationContext``,
+    which builds this by :func:`effective_coefficients`, and the drive
+    (omega_d, P) is a ``floquet.DriveSpec``.
     """
 
+    delta: float
     a_coef: float
     b_coef: float
 
@@ -176,12 +183,14 @@ def diagonalize_circuit(
 def effective_coefficients(
     qubit: EffectiveQubit, e_l: float, phi_dc: float, phi_ac: float
 ) -> EffectiveCoefficients:
-    """Drive coefficients of the two-level model for a given flux working point.
+    """The two-level model of ``qubit`` at the flux working point ``(phi_dc,
+    phi_ac)``, each of which must be finite.
 
-    ``a_coef = e_l * phi_ac * phi_ge`` scales the periodic modulation;
-    ``b_coef = 2 e_l (phi_dc - pi) * phi_ge`` is the static bias away from
-    the sweet spot at ``phi_dc = pi``.
+    ``delta`` is the qubit's splitting; ``a_coef = e_l * phi_ac * phi_ge``
+    scales the periodic modulation; ``b_coef = 2 e_l (phi_dc - pi) *
+    phi_ge`` is the static bias away from the sweet spot at ``phi_dc = pi``.
     """
+    check_finite(phi_dc=phi_dc, phi_ac=phi_ac)
     a_coef = e_l * phi_ac * qubit.phi_ge
     b_coef = 2.0 * e_l * (phi_dc - np.pi) * qubit.phi_ge
-    return EffectiveCoefficients(a_coef=a_coef, b_coef=b_coef)
+    return EffectiveCoefficients(delta=qubit.delta, a_coef=a_coef, b_coef=b_coef)

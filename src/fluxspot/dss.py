@@ -154,10 +154,10 @@ def amplitude_sensitivity(weights: FilterWeights, drive: DriveSpec) -> complex:
 
 def evaluate_bounds(point: PointResult, noise: NoiseModel, delta: float) -> BoundReport:
     """Both T1 bounds for an evaluated working point, and its verdict."""
-    sol = point.solution
+    gap, omega_d = point.solution.omega_gap, point.drive.omega_d
     t1 = point.rates.t1
-    ub1 = t1_upper_bound_general(point.weights, sol.omega_gap, sol.omega_d, noise)
-    ub2 = t1_upper_bound_dss(delta, sol.omega_gap, sol.omega_d, noise)
+    ub1 = t1_upper_bound_general(point.weights, gap, omega_d, noise)
+    ub2 = t1_upper_bound_dss(delta, gap, omega_d, noise)
     held = [ub1, ub2] if _at_dss(point.weights.g_z0) else [ub1]
     return BoundReport(
         t_ub_general=ub1,

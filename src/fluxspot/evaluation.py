@@ -103,11 +103,13 @@ class Genome:
 class EvaluationContext:
     """Fixed per-run data: the qubit, the flux working point and the bath.
 
-    ``omega_ge`` -- the reference scale for the drive-frequency box -- is the
-    static splitting sqrt(delta^2 + B^2) of the biased two-level qubit; at
-    the sweet spot it reduces to ``delta``.  The context holds no drive
-    order: each genome's own order sets its harmonic truncation (see
-    :func:`evaluate_population`), unless ``k_max`` overrides it.
+    The working point ``(phi_dc, phi_ac)`` lives here alone: ``coefficients``
+    is the two-level model (delta, A, B) it gives the qubit, and raises on a
+    non-finite one.  ``omega_ge``, the scale of the drive-frequency box, is
+    the static splitting sqrt(delta^2 + B^2) of that model.  The context
+    holds no drive order: each genome's own order sets its harmonic
+    truncation (see :func:`evaluate_population`), unless ``k_max`` overrides
+    it.
     """
 
     qubit: EffectiveQubit
@@ -124,7 +126,7 @@ class EvaluationContext:
     @property
     def omega_ge(self) -> float:
         c = self.coefficients
-        return float(np.hypot(self.qubit.delta, c.b_coef))
+        return float(np.hypot(c.delta, c.b_coef))
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) 
     """:func:`evaluate_population`'s row arrays of one slice, as one stack."""
     # the stack, the largest array of a slice, is freed once solved
     eps_minus, eps_plus, h_plus, h_minus, ok = solve_floquet(
-        assemble_floquet_matrix(omega_d, p, coeffs, context.qubit.delta, k_max), omega_d
+        assemble_floquet_matrix(omega_d, p, coeffs, k_max), omega_d
     )
     gap = eps_plus - eps_minus
     # an unconverged truncation can label a gap beyond omega_d
@@ -188,8 +190,9 @@ def evaluate_population(
     the Floquet solution (``eps_minus``, ``eps_plus``, ``gap``, ``h_plus``),
     the filter weights (``g_z``, ``g_plus``) and ``rates`` (``gamma_z``,
     ``gamma_plus``, ``gamma_minus``); :func:`_row_point` takes the minus
-    mode and ``g_minus`` from ``h_plus`` and ``g_plus``.  The checks of
-    :class:`DriveSpec` run once, on the arrays.  Rows are solved in slices
+    mode and ``g_minus`` from ``h_plus`` and ``g_plus``.  The context's
+    working point is checked first, then the checks of :class:`DriveSpec`
+    run once, on the arrays.  Rows are solved in slices
     of ``_SLICE_ROWS``, and no arithmetic mixes rows, so :func:`_row_point`
     of a row is bit for bit what :func:`evaluate_genome` returns alone.  The
     harmonic truncation is ``context.k_max`` if set, else 3 n for rows of
@@ -204,7 +207,7 @@ def evaluate_population(
     omega_d = x[:, -1] * context.omega_ge
     p = x[:, : n + 1].astype(complex)
     p.imag[:, 1:] = x[:, n + 1 : -1]
-    _check_drives(omega_d, p, context.phi_dc, context.phi_ac)
+    _check_drives(omega_d, p)
     coeffs = context.coefficients
     k_max = 3 * n if context.k_max is None else context.k_max
     cuts = [slice(s, s + _SLICE_ROWS) for s in range(0, len(x), _SLICE_ROWS)]
@@ -221,10 +224,10 @@ def _row_point(rows: dict, r: int, context: EvaluationContext) -> PointResult | 
     if not rows["ok"][r]:
         return None
     solved = [rows[key] for key in ("eps_minus", "eps_plus", "h_plus")]
-    sol = _row_solution(solved, rows["omega_d"], r)
+    sol = _row_solution(solved, r)
     g_z, g_plus = rows["g_z"][r], rows["g_plus"][r]
     return PointResult(
-        DriveSpec(context.phi_dc, context.phi_ac, sol.omega_d, tuple(rows["p"][r])),
+        DriveSpec(float(rows["omega_d"][r]), tuple(rows["p"][r])),
         sol,
         # g_minus[k] = conj(g_plus[-k]), as compute_filter_weights forms it
         FilterWeights(g_z, g_plus, g_plus[::-1].conj(), 2 * sol.k_max),

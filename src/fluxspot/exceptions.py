@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library and the command-line tool."""
 
+import math
+
 
 class FluxspotError(Exception):
     """Base class for all library errors."""
@@ -37,3 +39,11 @@ class ConfigError(FluxspotError, ValueError):
 
 class DependencyError(FluxspotError, RuntimeError):
     """Raised when a command requires an artifact a prior command produces."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise :class:`InvalidParameterError` naming the first of ``values``
+    that is NaN or infinite, which would pass every range comparison."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")

@@ -7,7 +7,11 @@ The driven model is
 with basis order (ground, excited), so the splitting sits on the diagonal and
 the flux modulation couples through ``sigma_x``.  ``P(t)`` is a real periodic
 waveform given by complex Fourier coefficients ``p_0 .. p_n`` (negative
-harmonics implied by conjugation).
+harmonics implied by conjugation).  The model's delta, A and B are one
+``circuit.EffectiveCoefficients``, which every solver here takes; the flux
+working point (phi_dc, phi_ac) they come from lives in
+``evaluation.EvaluationContext``; the drive (omega_d, P) is a
+:class:`DriveSpec`, or a row of the stacked arrays ``(omega_d, p)``.
 
 Two independent solvers are provided: the truncated Floquet block matrix
 (production path) and a one-period propagator reference that never builds the
@@ -86,14 +90,13 @@ def _raise_at(bad, values, message: str) -> None:
         raise InvalidParameterError(message.format(np.ravel(values)[np.argmax(bad)]))
 
 
-def _check_drives(omega_d, p: np.ndarray, phi_dc: float, phi_ac: float) -> None:
+def _check_drives(omega_d, p: np.ndarray) -> None:
     """The checks of :class:`DriveSpec` on stacked drives ``omega_d``
     ``(rows,)`` and ``p`` ``(rows, n + 1)``; the first failing check raises
     for its first failing row."""
     # a NaN passes every comparison of the box, and in a stacked solve it
     # would fail the whole batch, so non-finite input stops first
-    for name, value in (("omega_d", omega_d), ("phi_dc", [phi_dc]), ("phi_ac", [phi_ac])):
-        _raise_at(~np.isfinite(value), value, f"{name} must be finite, got {{}}")
+    _raise_at(~np.isfinite(omega_d), omega_d, "omega_d must be finite, got {}")
     bad = ~np.isfinite(p)
     if bad.any():
         r, k = np.unravel_index(bad.argmax(), p.shape)
@@ -109,18 +112,17 @@ def _check_drives(omega_d, p: np.ndarray, phi_dc: float, phi_ac: float) -> None:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Periodic flux modulation.
+    """Periodic flux modulation: the drive alone.
 
     ``p`` holds the Fourier coefficients ``p_0 .. p_n`` of the waveform
     ``P(t) = sum_n p_n exp(i n omega_d t)`` with ``p_{-n} = conj(p_n)``;
     ``p_0`` must be real in [0, 1] and the higher harmonics must stay inside
     the unit box in both quadratures (the search-space constraint, enforced
-    on construction).  ``phi_dc``/``phi_ac`` record the flux working point
-    the coefficients refer to.
+    on construction).  The model the drive acts on -- delta, A and B -- is a
+    ``circuit.EffectiveCoefficients``, and the flux working point (phi_dc,
+    phi_ac) that sets A and B lives in ``evaluation.EvaluationContext``.
     """
 
-    phi_dc: float
-    phi_ac: float
     omega_d: float
     p: tuple = field(default_factory=lambda: (0.0 + 0.0j,))
 
@@ -128,7 +130,7 @@ class DriveSpec:
         p = np.asarray(self.p, dtype=complex)
         if p.ndim != 1 or p.size < 1:
             raise InvalidParameterError("p must be a 1-d sequence p_0..p_n")
-        _check_drives(np.array([self.omega_d]), p[None], self.phi_dc, self.phi_ac)
+        _check_drives(np.array([self.omega_d]), p[None])
         object.__setattr__(self, "p", tuple(complex(x) for x in p))
 
     @property
@@ -163,6 +165,7 @@ class FloquetSolution:
     row ``i`` is the harmonic ``k = i - k_max`` of the corresponding periodic
     mode, normalized so the stacked vector has unit norm and gauge-fixed so
     the dominant entry of the central harmonic block is real and positive.
+    The drive frequency is the drive's (:class:`DriveSpec`).
     """
 
     eps_plus: float
@@ -171,7 +174,6 @@ class FloquetSolution:
     harmonics_plus: np.ndarray
     harmonics_minus: np.ndarray
     k_max: int
-    omega_d: float
 
 
 @dataclass(frozen=True)
@@ -221,11 +223,7 @@ def _two_sided(p: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def assemble_floquet_matrix(
-    omega_d: np.ndarray,
-    p: np.ndarray,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    k_max: int,
+    omega_d: np.ndarray, p: np.ndarray, coeffs: EffectiveCoefficients, k_max: int
 ) -> np.ndarray:
     """Truncated Floquet matrices of the drives ``(omega_d[r], p[r])``:
     ``omega_d`` ``(rows,)`` and the one-sided coefficients ``p`` ``(rows, n
@@ -233,9 +231,10 @@ def assemble_floquet_matrix(
     + 1``.
 
     Each row is Shirley's form ``diag(k omega_d) (x) I - (delta/2) I (x)
-    sigma_z + T (x) sigma_x``, where the Hermitian Toeplitz matrix ``T``
-    holds ``A p_{i-j}`` off the diagonal and ``B/2 + A p_0`` on it; the
-    ``T (x) sigma_x`` blocks are written through a 5-d view of the result.
+    sigma_z + T (x) sigma_x`` of the model ``coeffs``, where the Hermitian
+    Toeplitz matrix ``T`` holds ``A p_{i-j}`` off the diagonal and ``B/2 +
+    A p_0`` on it; the ``T (x) sigma_x`` blocks are written through a 5-d
+    view of the result.
     A ``k_max`` below the drive order raises :class:`TruncationError`.
     """
     n = p.shape[-1] - 1
@@ -254,7 +253,7 @@ def assemble_floquet_matrix(
     out = out.reshape(rows, 2 * nb, 2 * nb)
     k_omega = np.arange(-k_max, k_max + 1) * omega_d[:, None]
     out.reshape(rows, -1)[:, :: 2 * nb + 1] = np.stack(
-        (k_omega - 0.5 * delta, k_omega + 0.5 * delta), axis=-1
+        (k_omega - 0.5 * coeffs.delta, k_omega + 0.5 * coeffs.delta), axis=-1
     ).reshape(rows, -1)
     return out
 
@@ -381,17 +380,16 @@ def _minus_mode(h_plus: np.ndarray, k_max: int) -> np.ndarray:
     return _gauge_fix(_particle_hole(h_plus), k_max)
 
 
-def _row_solution(solved, omega_d, r: int = 0) -> FloquetSolution:
+def _row_solution(solved, r: int = 0) -> FloquetSolution:
     """Row ``r`` of :func:`solve_floquet`'s arrays ``solved`` (the first
-    three are read) at the drive frequencies ``omega_d``, as a
-    :class:`FloquetSolution`.  The minus mode is taken again from the plus
-    mode, bit for bit as :func:`solve_floquet` takes it, so a caller need
-    not keep it."""
+    three are read), as a :class:`FloquetSolution`.  The minus mode is taken
+    again from the plus mode, bit for bit as :func:`solve_floquet` takes it,
+    so a caller need not keep it."""
     eps_minus, eps_plus, h_plus = (a[r] for a in solved[:3])
     k_max = (len(h_plus) - 1) // 2
     return FloquetSolution(
         float(eps_plus), float(eps_minus), float(eps_plus - eps_minus),
-        h_plus, _minus_mode(h_plus, k_max), k_max, float(omega_d[r]),
+        h_plus, _minus_mode(h_plus, k_max), k_max,
     )
 
 
@@ -485,33 +483,28 @@ def _prefix_products(mats: np.ndarray) -> np.ndarray:
 
 
 def _midpoint_steps(
-    drive: DriveSpec, coeffs: EffectiveCoefficients, delta: float, t_mid_us, h, scale=1.0
+    drive: DriveSpec, coeffs: EffectiveCoefficients, t_mid_us, h, scale=1.0
 ):
     """Entries ``(a, b)`` of the steps ``exp(-i h H(t_mid_us) scale)``, ``H =
     -(delta/2) Z + (B/2 + A P(t)) X`` in rad/us (see :func:`_su2_entries`):
     the one step rule of the gate frame and the propagator reference."""
     cx = (0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid_us)) * scale
-    return _su2_entries(delta * scale, cx, h)
+    return _su2_entries(coeffs.delta * scale, cx, h)
 
 
 def _period_steps(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    substeps: int,
-    lo: int,
-    hi: int,
+    drive: DriveSpec, coeffs: EffectiveCoefficients, substeps: int, lo: int, hi: int
 ):
     """Entries ``(a, b)`` of the midpoint step propagators ``lo .. hi - 1``
     of one period split into ``substeps`` (see :func:`_midpoint_steps`);
     step ``m`` takes the drive at ``(m + 1/2) T / substeps`` whatever the
     range, so the blocks of a period join up."""
     dt = drive.period / substeps
-    return _midpoint_steps(drive, coeffs, delta, (np.arange(lo, hi) + 0.5) * dt, dt)
+    return _midpoint_steps(drive, coeffs, (np.arange(lo, hi) + 0.5) * dt, dt)
 
 
 def _block_carries(
-    drive: DriveSpec, coeffs: EffectiveCoefficients, delta: float, substeps: int
+    drive: DriveSpec, coeffs: EffectiveCoefficients, substeps: int
 ) -> list:
     """Entries of ``U(t_lo)`` at the start of each block of
     ``_REFERENCE_BLOCK`` steps, then of the monodromy ``U(T)``: each block's
@@ -519,7 +512,7 @@ def _block_carries(
     carries = [(1.0 + 0.0j, 0.0j)]
     for lo in range(0, substeps, _REFERENCE_BLOCK):
         hi = min(lo + _REFERENCE_BLOCK, substeps)
-        steps = _period_steps(drive, coeffs, delta, substeps, lo, hi)
+        steps = _period_steps(drive, coeffs, substeps, lo, hi)
         carries.append(_su2_mul(*_su2_tree_product(*steps), *carries[-1]))
     return carries
 
@@ -538,11 +531,11 @@ def _quasienergies_from_monodromy(
 def reference_floquet_via_propagator(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
-    delta: float,
     substeps: int = 49152,
     k_max: int | None = None,
 ) -> FloquetSolution:
-    """Truncation-free reference solution from the one-period propagator.
+    """Truncation-free reference solution of the model ``coeffs`` under
+    ``drive`` from the one-period propagator.
 
     Builds the time-ordered propagator by piecewise-constant exponentials on
     a uniform grid and maps the monodromy eigenphases into the first zone.
@@ -562,11 +555,11 @@ def reference_floquet_via_propagator(
     period = drive.period
     omega_d = drive.omega_d
 
-    carries = _block_carries(drive, coeffs, delta, substeps)
+    carries = _block_carries(drive, coeffs, substeps)
     eps, vecs = _quasienergies_from_monodromy(
         _su2_matrices(*carries[-1]), omega_d, period
     )
-    coarse = _block_carries(drive, coeffs, delta, substeps // 2)[-1]
+    coarse = _block_carries(drive, coeffs, substeps // 2)[-1]
     eps_coarse, _ = _quasienergies_from_monodromy(
         _su2_matrices(*coarse), omega_d, period
     )
@@ -597,7 +590,7 @@ def reference_floquet_via_propagator(
         # prefixes are freed as soon as they are used)
         start = (_su2_matrices(*carry) @ modes) * np.exp(1j * (lo + 1) * dt * eps_pair)
         x = _su2_matrices(
-            *_su2_prefix_products(*_period_steps(drive, coeffs, delta, substeps, lo, hi))
+            *_su2_prefix_products(*_period_steps(drive, coeffs, substeps, lo, hi))
         ).reshape(-1, 2) @ start
         x = x.reshape(-1, 2, 2)
         x *= phase[: hi - lo, None]
@@ -619,13 +612,7 @@ def reference_floquet_via_propagator(
         return _gauge_fix(hm / np.linalg.norm(hm), k_max)
 
     return FloquetSolution(
-        eps_plus=eps_plus,
-        eps_minus=eps_minus,
-        omega_gap=eps_plus - eps_minus,
-        harmonics_plus=harmonics(0),
-        harmonics_minus=harmonics(1),
-        k_max=k_max,
-        omega_d=omega_d,
+        eps_plus, eps_minus, eps_plus - eps_minus, harmonics(0), harmonics(1), k_max
     )
 
 

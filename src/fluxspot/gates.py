@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import EffectiveCoefficients
-from .exceptions import IntegrationError, InvalidParameterError
+from .exceptions import IntegrationError, InvalidParameterError, check_finite
 from .floquet import (
     LOWERING,
     PAULI_X,
@@ -155,8 +155,8 @@ class PulseSpec:
     1)``, which bounds the instantaneous amplitude by ``f_max`` at unit
     small-signal gain, and a hard spectral cutoff above harmonic ``n_freq``.
     The final projection can ring past the amplitude bound by at most
-    ``GIBBS_TOL`` (verified on optimized pulses).  ``f_max`` must be finite
-    and positive.
+    ``GIBBS_TOL`` (verified on optimized pulses).  ``duration`` and
+    ``f_max`` must be finite and positive.
     """
 
     duration: float
@@ -166,6 +166,7 @@ class PulseSpec:
     n_controls: int = 1
 
     def __post_init__(self) -> None:
+        check_finite(duration=self.duration)
         if self.duration <= 0 or self.steps < 8 or self.n_freq < 1:
             raise InvalidParameterError("bad pulse discretization")
         # a NaN or negative bound passes every amplitude check, and 0 divides
@@ -249,7 +250,7 @@ class ControlContext:
     operator ``O`` of :func:`_static_operators` (drift ``coupling_j *
     (z (x) z)``, ``sigma_y`` controls, lowering and ``sigma_z`` jumps) as
     ``R_k^dag O R_k``.  ``dt`` is the step length in ns and ``coupling_j``
-    is in rad/ns.
+    is in rad/ns and must be finite.
 
     GRAPE reads the frame through :attr:`_interaction_frame`: the
     increments ``F_k = E_{k+1}^dag E_k`` of ``E_k = R_k^dag T``, in whose
@@ -280,6 +281,7 @@ class ControlContext:
             raise InvalidParameterError("frame samples must have determinant 1")
         if self.n_qubits not in (1, 2):
             raise InvalidParameterError("n_qubits must be 1 or 2")
+        check_finite(coupling_j=self.coupling_j)
         if self.n_qubits == 1 and self.coupling_j != 0.0:
             raise InvalidParameterError("a single qubit has no coupling")
         if not self.dt > 0.0:
@@ -338,11 +340,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _frame_unitaries(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    times_ns: np.ndarray,
-    substeps: int,
+    drive: DriveSpec, coeffs: EffectiveCoefficients, times_ns: np.ndarray, substeps: int
 ) -> np.ndarray:
     """U_q at the ascending sample times by piecewise-constant exponentials.
 
@@ -365,9 +363,7 @@ def _frame_unitaries(
         t0, h = starts[lo : lo + block], widths[lo : lo + block]
         mids = t0 + (np.arange(substeps) + 0.5) * h
         # drive waveform lives on the us clock
-        steps = _midpoint_steps(
-            drive, coeffs, delta, mids * 1e-3, h, RAD_PER_US_TO_RAD_PER_NS
-        )
+        steps = _midpoint_steps(drive, coeffs, mids * 1e-3, h, RAD_PER_US_TO_RAD_PER_NS)
         a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(*steps)
     a, b = _su2_prefix_products(a, b)
     # the scan leaves the samples up to ~1e-11 off unitarity; the closed-form
@@ -380,16 +376,16 @@ def _frame_unitaries(
 def rotating_frame_trajectory(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
-    delta: float,
     duration: float,
     steps: int = 500,
     substeps: int = 1024,
     verify: bool = False,
 ) -> np.ndarray:
     """The ``(steps, 2, 2)`` SU(2) qubit frame samples on the step-midpoint
-    grid of a gate job, for a :class:`ControlContext` of any job on it.
+    grid of a gate job, for a :class:`ControlContext` of any job on it: the
+    qubit model ``coeffs`` under ``drive``.
 
-    ``duration`` in ns; the qubit/drive parameters come in rad/us.  The
+    ``duration`` in ns; the model and the drive come in rad/us.  The
     samples are integrated with ``substeps`` pieces per sample interval.
     ``steps`` and ``substeps`` must be at least 1 and ``duration``
     positive.  With ``verify=True`` the frame is re-integrated at half the
@@ -403,9 +399,9 @@ def rotating_frame_trajectory(
             f"got {steps}, {substeps} and {duration}"
         )
     mids = (np.arange(steps) + 0.5) * (duration / steps)
-    us = _frame_unitaries(drive, coeffs, delta, mids, substeps)
+    us = _frame_unitaries(drive, coeffs, mids, substeps)
     if verify:
-        coarse = _frame_unitaries(drive, coeffs, delta, mids, max(substeps // 2, 1))
+        coarse = _frame_unitaries(drive, coeffs, mids, max(substeps // 2, 1))
         drift_err = np.max(np.abs(us - coarse))
         if drift_err > 1e-9:
             raise IntegrationError(

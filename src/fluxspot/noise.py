@@ -13,11 +13,11 @@ logarithmic prefactor is a documented convention (see ``NoiseModel``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import InvalidParameterError
+from .exceptions import InvalidParameterError, check_finite
 from .units import GHZ_TO_RAD_PER_US, KB_OVER_HBAR_RAD_PER_US_PER_K, TWO_PI
 
 __all__ = ["NoiseModel", "RateReport", "spectral_density", "decoherence_rates"]
@@ -34,9 +34,11 @@ class NoiseModel:
     the first-order 1/f dephasing term, entering linearly as
     ``sqrt(2) * dephasing_log_factor``; the default 4.0 corresponds to a
     measurement window some seven decades above the infrared cutoff.
-    ``dephasing_scale`` multiplies the whole dephasing rate and is calibrated
-    (default 4.0) so the benchmark coherence times of the reference device
-    are reproduced; see ``fluxspot.reference``.
+    ``dephasing_scale`` (default 4.0) multiplies the whole dephasing rate.
+    It was fitted to the benchmark coherence times of the reference device
+    (see ``fluxspot.reference``), which were computed with this same model:
+    a calibrated rule of thumb, not a derived constant.  Every field must be
+    finite.
     """
 
     a_f: float
@@ -48,6 +50,7 @@ class NoiseModel:
     dephasing_scale: float = 4.0
 
     def __post_init__(self) -> None:
+        check_finite(**asdict(self))
         if self.a_f < 0.0 or self.a_d < 0.0:
             raise InvalidParameterError("noise amplitudes must be >= 0")
         if self.temperature <= 0.0:
@@ -70,7 +73,9 @@ class NoiseModel:
         ``delta_f`` is the dimensionless 1/f flux-noise amplitude (units of
         the flux quantum), ``tan_delta_c`` the dielectric loss tangent;
         ``e_l``/``e_c`` in rad/us and ``phi_ge`` from the circuit reduction.
+        The two loss parameters must be finite.
         """
+        check_finite(delta_f=delta_f, tan_delta_c=tan_delta_c)
         a_f = TWO_PI * delta_f * e_l * abs(phi_ge)
         a_d = np.pi**2 * tan_delta_c * phi_ge**2 / e_c
         return cls(a_f=a_f, a_d=a_d, **kwargs)

@@ -673,12 +673,15 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     f_max = TWO_PI * job["f_max_mhz"] * 1e-3
     coupling = TWO_PI * job["coupling_j_mhz"] * 1e-3 if n_qubits == 2 else 0.0
     settings = GrapeSettings(iterations=job["iterations"], seed=seed)
+    duration, steps, substeps = job["duration_ns"], job["steps"], job["frame_substeps"]
+    # checked before the frame is integrated over the duration
+    spec = PulseSpec(duration=duration, steps=steps, f_max=f_max,
+                     n_freq=job["n_freq"], n_controls=n_qubits)
 
     genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job)
     # the context is the config's at phi_ac, so within one pass the genome
     # and phi_ac stand for the point and its frame
-    duration, steps = job["duration_ns"], job["steps"]
-    key = (genome, phi_ac, duration, steps, job["frame_substeps"])
+    key = (genome, phi_ac, duration, steps, substeps)
     if key not in frames:
         context_eval = build_context(cfg, phi_ac)
         _, point = evaluate_genome(genome, context_eval)
@@ -687,18 +690,10 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
                 f"gate job {name!r}: point {point_name!r} is {_INFEASIBLE}"
             )
         frames[key] = point, rotating_frame_trajectory(
-            point.drive, context_eval.coefficients, context_eval.qubit.delta,
-            duration, steps, job["frame_substeps"],
+            point.drive, context_eval.coefficients, duration, steps, substeps
         )
     point, samples = frames[key]
     frame = ControlContext(samples, duration / steps, n_qubits, coupling)
-    spec = PulseSpec(
-        duration=duration,
-        steps=steps,
-        f_max=f_max,
-        n_freq=job["n_freq"],
-        n_controls=n_qubits,
-    )
     result = optimize_pulse(spec, frame, target, settings)
 
     spectrum_re, spectrum_im = _complex_parts(np.fft.rfft(result.waveforms))
@@ -810,7 +805,6 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
         )
     context = build_context(cfg)
     coeffs = context.coefficients
-    delta = context.qubit.delta
     substeps = cfg["truncation"]["substeps"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
@@ -819,26 +813,19 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
         p += [
             complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)
         ]
-        drive = DriveSpec(
-            phi_dc=context.phi_dc,
-            phi_ac=context.phi_ac,
-            omega_d=1.1 * context.omega_ge,
-            p=tuple(p),
-        )
+        drive = DriveSpec(omega_d=1.1 * context.omega_ge, p=tuple(p))
         omega_d, p_row = np.array([drive.omega_d]), np.array([drive.p])
         k_ref = 3 * n + 4
-        ref = reference_floquet_via_propagator(
-            drive, coeffs, delta, substeps=substeps, k_max=k_ref
-        )
+        ref = reference_floquet_via_propagator(drive, coeffs, substeps, k_max=k_ref)
         for k_max in range(n, 3 * n + 3):
-            stack = assemble_floquet_matrix(omega_d, p_row, coeffs, delta, k_max)
+            stack = assemble_floquet_matrix(omega_d, p_row, coeffs, k_max)
             solved = solve_floquet(stack, omega_d)
             if not solved[-1][0]:
                 raise DegenerateGapError(
                     f"drive order {n} at k_max={k_max}: quasienergy gap at 0 or "
                     f"omega_d, branch labels undefined"
                 )
-            rows.append([n, k_max, mode_infidelity(ref, _row_solution(solved, omega_d))])
+            rows.append([n, k_max, mode_infidelity(ref, _row_solution(solved))])
     return run.write_csv(
         "truncation.csv", ["n", "k_max", "mode_infidelity"], rows, "truncation-study"
     )

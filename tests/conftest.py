@@ -35,17 +35,12 @@ def benchmark_results():
     return out
 
 
-def random_drive(rng, context, n=4, phi_ac=None, omega_frac=None):
-    """A box-respecting random drive at the reference working point."""
+def random_drive(rng, context, n=4, omega_frac=None):
+    """A box-respecting random drive on the frequency scale of ``context``."""
     p = [complex(rng.uniform(0.0, 1.0), 0.0)]
     p += [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
     frac = omega_frac if omega_frac is not None else rng.uniform(0.5, 1.5)
-    return fs.DriveSpec(
-        phi_dc=context.phi_dc,
-        phi_ac=phi_ac if phi_ac is not None else context.phi_ac,
-        omega_d=frac * context.omega_ge,
-        p=tuple(p),
-    )
+    return fs.DriveSpec(omega_d=frac * context.omega_ge, p=tuple(p))
 
 
 def drive_rows(drive):
@@ -59,16 +54,16 @@ def weight_rows(w):
     return w.g_z[None], w.g_plus[None], w.g_minus[None]
 
 
-def solve_row(drive, coeffs, delta, k_max):
-    """The Floquet solution of one drive, solved as a one-row stack; a row
-    whose branch labels are undefined raises :class:`DegenerateGapError`."""
+def solve_row(drive, coeffs, k_max):
+    """The Floquet solution of one drive of the model ``coeffs``, solved as a
+    one-row stack; a row whose branch labels are undefined raises
+    :class:`DegenerateGapError`."""
     omega_d, p = drive_rows(drive)
-    solved = fs.solve_floquet(
-        fs.assemble_floquet_matrix(omega_d, p, coeffs, delta, k_max), omega_d
-    )
+    stack = fs.assemble_floquet_matrix(omega_d, p, coeffs, k_max)
+    solved = fs.solve_floquet(stack, omega_d)
     if not solved[-1][0]:
         raise DegenerateGapError("branch labels undefined")
-    return _row_solution(solved, omega_d)
+    return _row_solution(solved)
 
 
 def weights_of(sol):
@@ -79,35 +74,25 @@ def weights_of(sol):
     )
 
 
-def solve_drive(drive, context, phi_ac=None):
-    """(solution, weights) of one drive under context coefficients, through
-    the stacked stages."""
-    coeffs = fs.effective_coefficients(
-        context.qubit,
-        context.e_l,
-        drive.phi_dc,
-        phi_ac if phi_ac is not None else drive.phi_ac,
-    )
+def solve_drive(drive, context):
+    """(solution, weights) of one drive of the model at the working point of
+    ``context`` (its coefficients), through the stacked stages."""
     k_max = 3 * max(drive.n, 1) + 3
-    sol = solve_row(drive, coeffs, context.qubit.delta, k_max)
+    sol = solve_row(drive, context.coefficients, k_max)
     g_z, g_plus, g_minus = weights_of(sol)
     return sol, fs.FilterWeights(g_z[0], g_plus[0], g_minus[0], 2 * k_max)
 
 
 @st.composite
 def box_drives(draw):
-    """(drive, k_max): a drive of order n in 0..5 anywhere in the search box,
-    ``p_0`` with a round-off imaginary part of up to 1e-9, and a harmonic
-    truncation k_max in [n, n + 8]."""
+    """(drive, k_max): a drive of order n in 0..5 anywhere in the search box
+    on the frequency scale of the reference context, ``p_0`` with a
+    round-off imaginary part of up to 1e-9, and a harmonic truncation k_max
+    in [n, n + 8]."""
     n = draw(st.integers(0, 5))
     unit = st.floats(-1.0, 1.0)
     p = [complex(draw(st.floats(0.0, 1.0)), draw(st.floats(-1e-9, 1e-9)))]
     p += [complex(draw(unit), draw(unit)) for _ in range(n)]
-    ctx = REFERENCE_CONTEXT
-    drive = fs.DriveSpec(
-        phi_dc=ctx.phi_dc,
-        phi_ac=ctx.phi_ac,
-        omega_d=draw(st.floats(0.5, 1.5)) * ctx.omega_ge,
-        p=tuple(p),
-    )
+    omega_d = draw(st.floats(0.5, 1.5)) * REFERENCE_CONTEXT.omega_ge
+    drive = fs.DriveSpec(omega_d=omega_d, p=tuple(p))
     return drive, draw(st.integers(n, n + 8))

@@ -74,11 +74,7 @@ def _stacked_overlap(ref: np.ndarray, other: np.ndarray, shift: int) -> float:
 
 
 def _continued_gap(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    k_max: int,
-    reference,
+    drive: DriveSpec, coeffs: EffectiveCoefficients, k_max: int, reference
 ) -> float:
     """Quasienergy gap at the given parameters, on the reference branches.
 
@@ -86,7 +82,7 @@ def _continued_gap(
     gap continuously we re-attach each solved branch to the reference branch
     by maximum stacked-harmonic overlap, allowing one zone fold either way.
     """
-    sol = solve_row(drive, coeffs, delta, k_max)
+    sol = solve_row(drive, coeffs, k_max)
     continued = {}
     for name, ref_h in (("plus", reference.harmonics_plus),
                         ("minus", reference.harmonics_minus)):
@@ -113,7 +109,6 @@ def _continued_gap(
 def quasienergy_sensitivity_fd(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
-    delta: float,
     which: str,
     step: float | None = None,
     k_max: int | None = None,
@@ -128,16 +123,16 @@ def quasienergy_sensitivity_fd(
         raise InvalidParameterError("which must be 'dc' or 'ac'")
     if k_max is None:
         k_max = 3 * max(drive.n, 1)
-    scale = max(abs(coeffs.b_coef if which == "dc" else coeffs.a_coef), delta)
+    scale = max(abs(coeffs.b_coef if which == "dc" else coeffs.a_coef), coeffs.delta)
     h = step if step is not None else 1e-5 * scale
-    reference = solve_row(drive, coeffs, delta, k_max)
+    reference = solve_row(drive, coeffs, k_max)
 
     def gap_at(offset: float) -> float:
         if which == "dc":
             shifted = replace(coeffs, b_coef=coeffs.b_coef + offset)
         else:
             shifted = replace(coeffs, a_coef=coeffs.a_coef + offset)
-        return _continued_gap(drive, shifted, delta, k_max, reference)
+        return _continued_gap(drive, shifted, k_max, reference)
 
     est_h = (gap_at(h) - gap_at(-h)) / (2.0 * h)
     est_h2 = (gap_at(0.5 * h) - gap_at(-0.5 * h)) / h
@@ -156,30 +151,32 @@ def quasienergy_sensitivity_fd(
 # ----------------------------------------------------------- filter weights
 
 
-def mode_at(sol: FloquetSolution, t, which: str = "plus") -> np.ndarray:
-    """Periodic mode of ``sol`` as a 2-vector at times ``t`` (shape (..., 2))."""
+def mode_at(sol: FloquetSolution, omega_d: float, t, which: str = "plus") -> np.ndarray:
+    """Periodic mode of ``sol`` under a drive at ``omega_d`` as a 2-vector at
+    times ``t`` (shape (..., 2))."""
     h = sol.harmonics_plus if which == "plus" else sol.harmonics_minus
     t = np.atleast_1d(np.asarray(t, dtype=float))
     ks = np.arange(-sol.k_max, sol.k_max + 1)
-    phases = np.exp(1j * np.outer(t, ks) * sol.omega_d)
+    phases = np.exp(1j * np.outer(t, ks) * omega_d)
     return phases @ h
 
 
 def filter_weights_time_grid(
-    sol: FloquetSolution, n_samples: int = 4096
+    sol: FloquetSolution, omega_d: float, n_samples: int = 4096
 ) -> FilterWeights:
-    """Filter weights from a uniform time grid (FFT cross-check)."""
+    """Filter weights from a uniform time grid (FFT cross-check) of a
+    solution under a drive at ``omega_d``."""
     big_k = 2 * sol.k_max
-    ts = np.arange(n_samples) * (2.0 * np.pi / sol.omega_d) / n_samples
-    wp = mode_at(sol, ts, "plus")
-    wm = mode_at(sol, ts, "minus")
+    ts = np.arange(n_samples) * (2.0 * np.pi / omega_d) / n_samples
+    wp = mode_at(sol, omega_d, ts, "plus")
+    wm = mode_at(sol, omega_d, ts, "minus")
     f_z = np.einsum("ta,ab,tb->t", wp.conj(), PAULI_X, wp) - np.einsum(
         "ta,ab,tb->t", wm.conj(), PAULI_X, wm
     )
     f_plus = np.einsum("ta,ab,tb->t", wp.conj(), PAULI_X, wm)
     f_minus = np.einsum("ta,ab,tb->t", wm.conj(), PAULI_X, wp)
     ks = np.arange(-big_k, big_k + 1)
-    proj = np.exp(1j * np.outer(ks, sol.omega_d * ts)) / n_samples
+    proj = np.exp(1j * np.outer(ks, omega_d * ts)) / n_samples
     return FilterWeights(
         g_z=(proj @ f_z) / 2.0,
         g_plus=proj @ f_plus,
@@ -264,31 +261,22 @@ def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:
 
 
 def frame_steps_inline(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    mids_ns: np.ndarray,
-    h,
+    drive: DriveSpec, coeffs: EffectiveCoefficients, mids_ns: np.ndarray, h
 ):
     """Entries of the gate frame's steps of length ``h`` ns at the midpoints
     ``mids_ns``: the drive is read on the us clock, and the coefficients
     and splitting are taken to rad/ns after the sum."""
-    delta_ns = delta * RAD_PER_US_TO_RAD_PER_NS
+    delta_ns = coeffs.delta * RAD_PER_US_TO_RAD_PER_NS
     cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(mids_ns * 1e-3)
     return _su2_entries(delta_ns, cx * RAD_PER_US_TO_RAD_PER_NS, h)
 
 
 def period_steps_inline(
-    drive: DriveSpec,
-    coeffs: EffectiveCoefficients,
-    delta: float,
-    substeps: int,
-    lo: int,
-    hi: int,
+    drive: DriveSpec, coeffs: EffectiveCoefficients, substeps: int, lo: int, hi: int
 ):
     """Entries of the propagator reference's steps ``lo .. hi - 1`` of one
     period split into ``substeps``, in rad/us."""
     dt = drive.period / substeps
     t_mid = (np.arange(lo, hi) + 0.5) * dt
     cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)
-    return _su2_entries(delta, cx, dt)
+    return _su2_entries(coeffs.delta, cx, dt)

@@ -320,6 +320,55 @@ def test_non_finite_genome_exits_3_naming_the_field(tmp_path, capsys):
     assert not list(out.glob("rates_*.csv"))
 
 
+#: (table, key, verb, parameter): each float config value that enters the
+#: library as a physical quantity, the verb that reads it, and the library
+#: parameter that rejects it when it is not finite
+PHYSICAL_KEYS = [
+    ("circuit", "e_c_ghz", "fluxonium", "e_c"),
+    ("circuit", "e_l_ghz", "fluxonium", "e_l"),
+    ("circuit", "e_j_ghz", "fluxonium", "e_j"),
+    ("flux", "phi_dc_over_pi", "evaluate", "phi_dc"),
+    ("flux", "phi_ac", "evaluate", "phi_ac"),
+    ("noise", "delta_f", "evaluate", "delta_f"),
+    ("noise", "tan_delta_c", "evaluate", "tan_delta_c"),
+    ("noise", "temperature_k", "evaluate", "temperature"),
+    ("noise", "omega_ir_hz", "evaluate", "omega_ir"),
+    ("noise", "omega_uv_ghz", "evaluate", "omega_uv"),
+    ("noise", "dephasing_log_factor", "evaluate", "dephasing_log_factor"),
+    ("noise", "dephasing_scale", "evaluate", "dephasing_scale"),
+    ("gates", "coupling_j_mhz", "grape", "coupling_j"),
+    ("gates", "duration_ns", "grape", "duration"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "table, key, verb, name",
+    PHYSICAL_KEYS,
+    ids=[f"{table}.{key}" for table, key, *_ in PHYSICAL_KEYS],
+)
+def test_non_finite_physical_value_exits_3_naming_it(
+    tmp_path, capsys, table, key, verb, name, bad
+):
+    # a NaN or an infinity passes every range check, so each is rejected
+    # where it enters the library, before any numerical warning or artifact
+    if table == "gates":
+        # coupling_j_mhz is read by two-qubit jobs only
+        job = dict(TINY["gates"][0], name="iswap", gate="sqrt_iswap", **{key: bad})
+        cfg = dict(TINY, gates=[job])
+    else:
+        cfg = dict(TINY, **{table: {key: bad}})
+    config = write_json(tmp_path / "config.json", cfg)
+    genome = write_json(tmp_path / "genome.json", GENOME)
+    out = tmp_path / "out"
+    args = [verb, str(genome)] if verb == "evaluate" else [verb]
+    assert run_cli(config, out, *args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"{name} must be finite, got {bad}" in err, err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
     config = write_json(tmp_path / "config.json", TINY)
@@ -746,7 +795,6 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
     samples = fluxspot.rotating_frame_trajectory(
         fluxspot.evaluate_genome(bench.genome, context)[1].drive,
         context.coefficients,
-        context.qubit.delta,
         art["duration_ns"],
         steps=art["steps"],
         substeps=art["frame_substeps"],

@@ -18,7 +18,7 @@ from oracles import StencilCrossingError, quasienergy_sensitivity_fd
 
 
 def static_drive(omega_d=10.0):
-    return fs.DriveSpec(phi_dc=1.03 * np.pi, phi_ac=0.05, omega_d=omega_d, p=(0.0,))
+    return fs.DriveSpec(omega_d=omega_d, p=(0.0,))
 
 
 class TestDistanceToNearestInteger:
@@ -104,9 +104,9 @@ class TestUpperBounds:
             d = random_drive(rng, context)
             sol, w = solve_drive(d, context)
             _, gamma_plus, gamma_minus = fs.decoherence_rates(
-                *weight_rows(w), np.array([sol.omega_gap]), np.array([sol.omega_d]), noise
+                *weight_rows(w), np.array([sol.omega_gap]), np.array([d.omega_d]), noise
             )
-            ub = fs.t1_upper_bound_general(w, sol.omega_gap, sol.omega_d, noise)
+            ub = fs.t1_upper_bound_general(w, sol.omega_gap, d.omega_d, noise)
             assert 1.0 / (gamma_plus[0] + gamma_minus[0]) <= ub * (1 + 1e-9)
 
     def test_dimensional_rescaling(self, noise):
@@ -152,13 +152,13 @@ class TestVerdict:
 
 class TestSensitivity:
     def test_static_analytic_derivative(self):
-        c = EffectiveCoefficients(a_coef=0.0, b_coef=4.0)
-        fd = quasienergy_sensitivity_fd(static_drive(), c, 3.0, "dc")
+        c = EffectiveCoefficients(delta=3.0, a_coef=0.0, b_coef=4.0)
+        fd = quasienergy_sensitivity_fd(static_drive(), c, "dc")
         assert fd == pytest.approx(4.0 / 5.0, abs=1e-6)
 
     def test_static_sweet_spot_derivative_vanishes(self):
-        c = EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
-        fd = quasienergy_sensitivity_fd(static_drive(), c, 3.0, "dc")
+        c = EffectiveCoefficients(delta=3.0, a_coef=0.0, b_coef=0.0)
+        fd = quasienergy_sensitivity_fd(static_drive(), c, "dc")
         assert abs(fd) < 1e-8
 
     def test_dc_derivative_equals_central_weight(self, context):
@@ -167,7 +167,7 @@ class TestSensitivity:
             d = random_drive(rng, context)
             sol, w = solve_drive(d, context)
             fd = quasienergy_sensitivity_fd(
-                d, context.coefficients, context.qubit.delta, "dc", k_max=sol.k_max
+                d, context.coefficients, "dc", k_max=sol.k_max
             )
             assert fd == pytest.approx(w.g_z0.real, rel=1e-5, abs=1e-8)
 
@@ -176,7 +176,6 @@ class TestSensitivity:
             fd = quasienergy_sensitivity_fd(
                 point.drive,
                 ctx.coefficients,
-                ctx.qubit.delta,
                 "ac",
                 k_max=point.solution.k_max,
             )
@@ -202,11 +201,7 @@ class TestSensitivity:
             scale = 2.0 * ctx.e_l * ctx.qubit.phi_ge
             dc, ac = (
                 quasienergy_sensitivity_fd(
-                    point.drive,
-                    ctx.coefficients,
-                    ctx.qubit.delta,
-                    which,
-                    k_max=point.solution.k_max,
+                    point.drive, ctx.coefficients, which, k_max=point.solution.k_max
                 )
                 for which in ("dc", "ac")
             )
@@ -240,7 +235,6 @@ class TestSensitivity:
             quasienergy_sensitivity_fd(
                 point.drive,
                 ctx.coefficients,
-                ctx.qubit.delta,
                 "dc",
                 step=2500.0,
                 k_max=point.solution.k_max,
@@ -248,9 +242,7 @@ class TestSensitivity:
 
     def test_which_validated(self, context):
         with pytest.raises(Exception):
-            quasienergy_sensitivity_fd(
-                static_drive(), context.coefficients, 3.0, "sideways"
-            )
+            quasienergy_sensitivity_fd(static_drive(), context.coefficients, "sideways")
 
 
 class TestClassification:
@@ -327,7 +319,7 @@ class TestClassification:
         for _ in range(20):
             d = random_drive(rng, context)
             fd = quasienergy_sensitivity_fd(
-                d, context.coefficients, context.qubit.delta, "dc", k_max=15
+                d, context.coefficients, "dc", k_max=15
             )
             sol, w = solve_drive(d, context)
             sample.append((abs(w.g_z0), abs(fd)))

@@ -30,7 +30,7 @@ def assert_same_bits(got, want):
     (objs_got, a), (objs_want, b) = got, want
     assert objs_got == objs_want
     assert a.drive == b.drive and a.rates == b.rates
-    for name in ("eps_plus", "eps_minus", "omega_gap", "k_max", "omega_d"):
+    for name in ("eps_plus", "eps_minus", "omega_gap", "k_max"):
         assert getattr(a.solution, name) == getattr(b.solution, name), name
     for name in ("harmonics_plus", "harmonics_minus"):
         assert np.array_equal(getattr(a.solution, name), getattr(b.solution, name))
@@ -83,12 +83,24 @@ def test_array_checks_raise_as_the_drive_does(context, column, value):
     g = fs.Genome.from_vector(vectors[2])
     p = [complex(g.p0, 0.0)] + [complex(r, i) for r, i in zip(g.p_re, g.p_im)]
     with pytest.raises(InvalidParameterError) as alone:
-        fs.DriveSpec(
-            context.phi_dc, context.phi_ac, g.omega_d_frac * context.omega_ge, tuple(p)
-        )
+        fs.DriveSpec(g.omega_d_frac * context.omega_ge, tuple(p))
     with pytest.raises(InvalidParameterError) as stacked:
         fs.evaluate_population(vectors, context)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "working_point, message",
+    [
+        ({"phi_dc": math.nan}, "phi_dc must be finite, got nan"),
+        ({"phi_ac": -math.inf}, "phi_ac must be finite, got -inf"),
+    ],
+)
+def test_non_finite_working_point_rejected(context, working_point, message):
+    # the working point lives in the context, not in the drive: a population
+    # evaluated on a context with a non-finite one raises before any solve
+    with pytest.raises(InvalidParameterError, match=message):
+        fs.evaluate_population(random_vectors(3), replace(context, **working_point))
 
 
 @pytest.mark.parametrize("n, k_max", [(1, None), (4, None), (2, 5), (4, 4)])
@@ -112,7 +124,7 @@ def test_gap_beyond_omega_d_row_alone_is_infeasible():
     _, rows = fs.evaluate_population(vectors, ctx)
     omega_d, p = rows["omega_d"][2:3], rows["p"][2:3]
     assert rows["gap"][2] > omega_d[0]
-    stack = fs.assemble_floquet_matrix(omega_d, p, ctx.coefficients, ctx.qubit.delta, 1)
+    stack = fs.assemble_floquet_matrix(omega_d, p, ctx.coefficients, 1)
     assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [True]
     results = population(vectors, ctx)
     assert [i for i, (_, point) in enumerate(results) if point is None] == [2]

@@ -53,19 +53,19 @@ from oracles import (
 REFERENCE_DELTA = REFERENCE_CONTEXT.qubit.delta
 
 
-def drive(omega_d, p, phi_dc=np.pi, phi_ac=0.05):
-    return fs.DriveSpec(phi_dc=phi_dc, phi_ac=phi_ac, omega_d=omega_d, p=p)
+def drive(omega_d, p):
+    return fs.DriveSpec(omega_d=omega_d, p=p)
 
 
-def coeffs(a=0.0, b=0.0):
-    return EffectiveCoefficients(a_coef=a, b_coef=b)
+def coeffs(delta, a=0.0, b=0.0):
+    return EffectiveCoefficients(delta=delta, a_coef=a, b_coef=b)
 
 
-def stack_of(drive, coeffs, delta, k_max):
-    """``(stack, omega_d)``: the one-row Floquet stack of ``drive`` and its
-    drive frequency as the stacked stages take it."""
+def stack_of(drive, coeffs, k_max):
+    """``(stack, omega_d)``: the one-row Floquet stack of ``drive`` on the
+    model ``coeffs`` and its drive frequency as the stacked stages take it."""
     omega_d, p = drive_rows(drive)
-    return fs.assemble_floquet_matrix(omega_d, p, coeffs, delta, k_max), omega_d
+    return fs.assemble_floquet_matrix(omega_d, p, coeffs, k_max), omega_d
 
 
 class TestDriveSpec:
@@ -114,25 +114,23 @@ class TestDriveSpec:
         [
             ({"omega_d": np.nan}, "omega_d"),
             ({"omega_d": np.inf}, "omega_d"),
-            ({"phi_dc": np.nan}, "phi_dc"),
-            ({"phi_ac": -np.inf}, "phi_ac"),
             ({"p": (np.nan,)}, "p_0"),
             ({"p": (0.5, complex(np.nan, 0.1))}, "p_1"),
             ({"p": (0.5, 0.2, complex(0.1, np.inf))}, "p_2"),
         ],
     )
     def test_non_finite_fields_rejected(self, kwargs, field):
-        args = dict(phi_dc=np.pi, phi_ac=0.05, omega_d=7.0, p=(0.5, 0.2))
+        args = dict(omega_d=7.0, p=(0.5, 0.2))
         with pytest.raises(InvalidParameterError, match=field):
             fs.DriveSpec(**{**args, **kwargs})
 
 
-def assemble_by_blocks(drive, coeffs, delta, k_max):
+def assemble_by_blocks(drive, coeffs, k_max):
     """Block-by-block Floquet matrix: H0 + k omega_d on the diagonal blocks,
     A p_n sigma_x at block offset n below and its adjoint above."""
     p = np.asarray(drive.p, dtype=complex)
     a, b = coeffs.a_coef, coeffs.b_coef
-    h0 = -0.5 * delta * PAULI_Z + (0.5 * b + p[0].real * a) * PAULI_X
+    h0 = -0.5 * coeffs.delta * PAULI_Z + (0.5 * b + p[0].real * a) * PAULI_X
     nb = 2 * k_max + 1
     m = np.zeros((2 * nb, 2 * nb), dtype=complex)
     for i, k in enumerate(range(-k_max, k_max + 1)):
@@ -173,15 +171,14 @@ class TestAssemble:
     )
     def test_equals_block_oracle(self, drive_k, a, b, delta):
         d, k_max = drive_k
-        for c in (coeffs(a=a, b=b), coeffs(a=abs(a), b=abs(b))):
+        for c in (coeffs(delta, a=a, b=b), coeffs(delta, a=abs(a), b=abs(b))):
             assert np.array_equal(
-                stack_of(d, c, delta, k_max)[0][0],
-                assemble_by_blocks(d, c, delta, k_max),
+                stack_of(d, c, k_max)[0][0], assemble_by_blocks(d, c, k_max)
             )
 
     def test_undriven_blocks(self):
         d = drive(10.0, (0.0,))
-        m = stack_of(d, coeffs(a=0.0, b=4.0), 3.0, k_max=2)[0][0]
+        m = stack_of(d, coeffs(3.0, a=0.0, b=4.0), k_max=2)[0][0]
         w = np.linalg.eigvalsh(m)
         expected = sorted(
             s * 2.5 + k * 10.0 for s in (-1, 1) for k in (-2, -1, 0, 1, 2)
@@ -191,7 +188,7 @@ class TestAssemble:
     def test_single_tone_band_structure(self):
         d = drive(10.0, (0.0, 0.5))
         a = 2.0
-        m = stack_of(d, coeffs(a=a, b=0.0), 3.0, k_max=2)[0][0]
+        m = stack_of(d, coeffs(3.0, a=a, b=0.0), k_max=2)[0][0]
         # exactly one off-diagonal band with entries a * p_1 * sigma_x
         block = m[2:4, 0:2]
         assert np.allclose(block, a * 0.5 * np.array([[0, 1], [1, 0]]))
@@ -200,19 +197,19 @@ class TestAssemble:
     def test_hermitian(self, context):
         rng = np.random.default_rng(5)
         d = random_drive(rng, context)
-        m = stack_of(d, context.coefficients, context.qubit.delta, k_max=12)[0][0]
+        m = stack_of(d, context.coefficients, k_max=12)[0][0]
         assert np.max(np.abs(m - m.conj().T)) < 1e-12 * np.max(np.abs(m))
 
     def test_truncation_guard(self):
         d = drive(10.0, (0.0, 0.5, 0.5))
         with pytest.raises(TruncationError, match="k_max=1 would drop"):
-            stack_of(d, coeffs(), 3.0, k_max=1)
+            stack_of(d, coeffs(3.0), k_max=1)
 
 
 class TestSolve:
     def test_static_closed_form(self):
         d = drive(10.0, (0.0,))
-        sol = solve_row(d, coeffs(a=0.0, b=4.0), 3.0, k_max=3)
+        sol = solve_row(d, coeffs(3.0, a=0.0, b=4.0), k_max=3)
         assert sol.omega_gap == pytest.approx(5.0, abs=1e-12)
         assert sol.eps_plus == pytest.approx(2.5, abs=1e-12)
         # only the central harmonic is populated
@@ -223,7 +220,7 @@ class TestSolve:
 
     def test_commuting_case(self):
         d = drive(10.0, (0.0, 0.5 + 0.3j))
-        sol = solve_row(d, coeffs(a=0.3, b=1.0), 0.0, k_max=6)
+        sol = solve_row(d, coeffs(0.0, a=0.3, b=1.0), k_max=6)
         assert sol.omega_gap == pytest.approx(1.0, abs=1e-10)
         # modes are transverse (flux-operator) eigenstates up to phase:
         # both vector components equal in magnitude at every harmonic
@@ -239,12 +236,12 @@ class TestSolve:
                 assert np.sum(np.abs(h) ** 2) == pytest.approx(1.0, abs=1e-10)
                 pivot = h[sol.k_max][np.argmax(np.abs(h[sol.k_max]))]
                 assert abs(pivot.imag) < 1e-10 and pivot.real >= 0
-            assert -sol.omega_d / 2 < sol.eps_minus <= sol.omega_d / 2
-            assert 0.0 < sol.omega_gap < sol.omega_d
+            assert -d.omega_d / 2 < sol.eps_minus <= d.omega_d / 2
+            assert 0.0 < sol.omega_gap < d.omega_d
 
     def test_degenerate_gap_is_not_ok(self):
         d = drive(3.0, (0.0,))
-        *_, ok = fs.solve_floquet(*stack_of(d, coeffs(a=0.0, b=0.0), 3.0, k_max=3))
+        *_, ok = fs.solve_floquet(*stack_of(d, coeffs(3.0, a=0.0, b=0.0), k_max=3))
         assert ok.tolist() == [False]
 
     @pytest.mark.parametrize("order", [1, -1])
@@ -280,7 +277,7 @@ class TestParticleHoleSymmetry:
         # C H_F C^-1 = -H_F: a symmetric spectrum, and C maps every
         # eigenvector at w to one at -w
         d, k_max = drive_k
-        m = stack_of(d, coeffs(a=a, b=b), REFERENCE_DELTA, k_max)[0][0]
+        m = stack_of(d, coeffs(REFERENCE_DELTA, a=a, b=b), k_max)[0][0]
         w, v = np.linalg.eigh(m)
         scale = np.max(np.abs(w))
         assert np.max(np.abs(w + w[::-1])) <= 1e-13 * scale
@@ -295,7 +292,7 @@ class TestParticleHoleSymmetry:
             d = random_drive(rng, context, n=n)
             k_max = int(rng.integers(n, 3 * n + 3))
             stack, omega_d = stack_of(
-                d, context.coefficients, context.qubit.delta, k_max
+                d, context.coefficients, k_max
             )
             m = stack[0].copy()   # the solve shifts the stack's diagonal
             got_minus, got_plus, hp, hm, ok = fs.solve_floquet(stack, omega_d)
@@ -318,9 +315,9 @@ class TestParticleHoleSymmetry:
         # an undriven matrix decouples into 2x2 blocks; each central mode
         # lives in one block, whichever block's diagonal lies nearest eps
         d = drive(omega_d, (0.0,))
-        c = coeffs(a=0.0, b=b)
-        sol = solve_row(d, c, delta, k_max=3)
-        m = stack_of(d, c, delta, k_max=3)[0][0]
+        c = coeffs(delta, a=0.0, b=b)
+        sol = solve_row(d, c, k_max=3)
+        m = stack_of(d, c, k_max=3)[0][0]
         eps_minus, eps_plus, h_minus, h_plus = central_pair_oracle(m, omega_d)
         assert sol.eps_plus == pytest.approx(eps_plus, rel=1e-12)
         for got, want in ((sol.harmonics_plus, h_plus), (sol.harmonics_minus, h_minus)):
@@ -333,7 +330,7 @@ class TestParticleHoleSymmetry:
         # must reject it, alone and in a population
         monkeypatch.setattr(fs.floquet, "_SHIFT_RTOL", 1e-2)
         d = random_drive(np.random.default_rng(37), context)
-        stack, omega_d = stack_of(d, context.coefficients, context.qubit.delta, 12)
+        stack, omega_d = stack_of(d, context.coefficients, 12)
         assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [False]
         genome = fs.Genome(p0=0.3, p_re=(0.2,) * 4, p_im=(0.1,) * 4, omega_d_frac=1.1)
         objs, rows = fs.evaluate_population(genome.to_vector()[None], context)
@@ -343,7 +340,7 @@ class TestParticleHoleSymmetry:
         # a gap of 1e-10 omega_d passes the degeneracy rule, but two
         # inverse-iteration steps cannot resolve its mode to 1e-10 of it
         d = drive(3.0, (1e-10,))
-        stack, omega_d = stack_of(d, coeffs(a=-1.5, b=0.0), 0.0, k_max=2)
+        stack, omega_d = stack_of(d, coeffs(0.0, a=-1.5, b=0.0), k_max=2)
         w = np.linalg.eigvalsh(stack[0])
         assert 1e-12 * 3.0 < 2 * np.min(np.abs(w)) < 1e-9
         assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [False]
@@ -353,7 +350,7 @@ class TestParticleHoleSymmetry:
         # any other stack is copied first and left as it was, with the same
         # bits out
         d = random_drive(np.random.default_rng(31), context)
-        stack, omega_d = stack_of(d, context.coefficients, context.qubit.delta, 8)
+        stack, omega_d = stack_of(d, context.coefficients, 8)
         fortran = np.asfortranarray(stack)
         before = stack.copy()
         got = fs.solve_floquet(fortran, omega_d)
@@ -367,7 +364,7 @@ class TestPropagatorReference:
     def test_static_limit(self):
         d = drive(10.0, (0.0,))
         ref = fs.reference_floquet_via_propagator(
-            d, coeffs(a=0.0, b=4.0), 3.0, substeps=4096, k_max=3
+            d, coeffs(3.0, a=0.0, b=4.0), substeps=4096, k_max=3
         )
         assert ref.omega_gap == pytest.approx(5.0, abs=1e-9)
 
@@ -377,7 +374,7 @@ class TestPropagatorReference:
             d = random_drive(rng, context)
             sol, _ = solve_drive(d, context)
             ref = fs.reference_floquet_via_propagator(
-                d, context.coefficients, context.qubit.delta, k_max=sol.k_max
+                d, context.coefficients, k_max=sol.k_max
             )
             assert abs(ref.eps_plus - sol.eps_plus) < 3e-6
             assert fs.mode_infidelity(ref, sol) < 1e-10
@@ -388,7 +385,7 @@ class TestPropagatorReference:
         a, b = 0.4, 1.3
         d = drive(9.0, (0.2, 0.5 - 0.25j))
         ref = fs.reference_floquet_via_propagator(
-            d, coeffs(a=a, b=b), 0.0, substeps=8192, k_max=8
+            d, coeffs(0.0, a=a, b=b), substeps=8192, k_max=8
         )
         expected_gap = fold_to_zone(b + 2 * a * 0.2, 9.0)
         assert ref.omega_gap == pytest.approx(abs(expected_gap), abs=1e-8)
@@ -398,7 +395,7 @@ class TestPropagatorReference:
 
         for t in ts:
             q, _ = quad(lambda s: d.waveform(s) - 0.2, 0.0, t, limit=200)
-            mode = mode_at(ref, t, "plus")[0]
+            mode = mode_at(ref, d.omega_d, t, "plus")[0]
             analytic = np.exp(-1j * a * q) * np.array([1.0, 1.0]) / np.sqrt(2)
             overlap = abs(np.vdot(analytic, mode))
             assert overlap == pytest.approx(1.0, abs=1e-7)
@@ -409,13 +406,13 @@ class TestPropagatorReference:
         d = drive(10.0, (0.5, 1.0 + 1.0j))
         with pytest.raises(IntegrationError):
             fs.reference_floquet_via_propagator(
-                d, coeffs(a=1.0, b=1.0), 3.0, substeps=1000
+                d, coeffs(3.0, a=1.0, b=1.0), substeps=1000
             )
 
     def test_tree_product_is_the_monodromy(self):
         d = drive(10.0, (0.5, 1.0 + 1.0j))
-        c = coeffs(a=1.0, b=1.0)
-        steps = _su2_matrices(*_period_steps(d, c, 3.0, 1001, 0, 1001))
+        c = coeffs(3.0, a=1.0, b=1.0)
+        steps = _su2_matrices(*_period_steps(d, c, 1001, 0, 1001))
         u = np.eye(2)
         for step in steps:
             u = step @ u
@@ -487,10 +484,10 @@ class TestPropagatorReference:
     def test_block_harmonics_match_dense_dft_oracle(self, substeps, p):
         # the grid propagator by a step loop and the harmonics by a dense
         # (2 k_max + 1) x substeps DFT matrix
-        d, c, delta = drive(10.0, p), coeffs(a=1.0, b=1.0), 3.0
+        d, c = drive(10.0, p), coeffs(3.0, a=1.0, b=1.0)
         k_max = 8
-        ref = fs.reference_floquet_via_propagator(d, c, delta, substeps, k_max)
-        steps = _su2_matrices(*_period_steps(d, c, delta, substeps, 0, substeps))
+        ref = fs.reference_floquet_via_propagator(d, c, substeps, k_max)
+        steps = _su2_matrices(*_period_steps(d, c, substeps, 0, substeps))
         us = np.empty((substeps + 1, 2, 2), dtype=complex)
         us[0] = np.eye(2)
         for i in range(substeps):
@@ -511,10 +508,10 @@ class TestPropagatorReference:
             assert np.max(np.abs(h - h_ref)) < 1e-13
 
     def test_period_steps_ranges_join_up(self):
-        d, c = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(a=1.0, b=1.0)
-        whole = _period_steps(d, c, 3.0, 5000, 0, 5000)
-        head = _period_steps(d, c, 3.0, 5000, 0, 1234)
-        tail = _period_steps(d, c, 3.0, 5000, 1234, 5000)
+        d, c = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(3.0, a=1.0, b=1.0)
+        whole = _period_steps(d, c, 5000, 0, 5000)
+        head = _period_steps(d, c, 5000, 0, 1234)
+        tail = _period_steps(d, c, 5000, 1234, 5000)
         for k in range(2):
             assert np.array_equal(np.concatenate([head[k], tail[k]]), whole[k])
 
@@ -530,12 +527,12 @@ class TestPropagatorReference:
         # the reference steps by _midpoint_steps at scale 1, which must give
         # the bits of the rule written out in rad/us
         _, ctx, point = benchmark_results[name]
-        args = (point.drive, ctx.coefficients, ctx.qubit.delta, substeps, lo, hi)
+        args = (point.drive, ctx.coefficients, substeps, lo, hi)
         for got, expected in zip(_period_steps(*args), period_steps_inline(*args)):
             assert np.array_equal(got, expected)
         dt = point.drive.period / substeps
         t_mid = (np.arange(lo, hi) + 0.5) * dt
-        helper = _midpoint_steps(*args[:3], t_mid, dt)
+        helper = _midpoint_steps(*args[:2], t_mid, dt)
         for got, expected in zip(helper, period_steps_inline(*args)):
             assert np.array_equal(got, expected)
 
@@ -551,7 +548,7 @@ class TestPropagatorReference:
         tracemalloc.start()
         try:
             fs.reference_floquet_via_propagator(
-                d, coeffs(a=1.0, b=1.0), 3.0, substeps=49152, k_max=19
+                d, coeffs(3.0, a=1.0, b=1.0), substeps=49152, k_max=19
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -562,14 +559,14 @@ class TestPropagatorReference:
         d = drive(10.0, (0.0, 0.5))
         with pytest.raises(InvalidParameterError):
             fs.reference_floquet_via_propagator(
-                d, coeffs(a=1.0, b=1.0), 3.0, substeps=100
+                d, coeffs(3.0, a=1.0, b=1.0), substeps=100
             )
 
 
 class TestFilterWeights:
     def test_static_values(self):
         d = drive(10.0, (0.0,))
-        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(a=0.0, b=4.0), 3.0, 3))
+        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(3.0, a=0.0, b=4.0), 3))
         center = 2 * 3
         assert abs(g_z[0, center]) == pytest.approx(0.8, abs=1e-12)
         assert abs(g_plus[0, center]) == pytest.approx(0.6, abs=1e-12)
@@ -579,7 +576,7 @@ class TestFilterWeights:
 
     def test_commuting_case_weights(self):
         d = drive(10.0, (0.0, 0.5 + 0.3j))
-        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(a=0.3, b=1.0), 0.0, 6))
+        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(0.0, a=0.3, b=1.0), 6))
         center = 2 * 6
         assert abs(g_z[0, center]) == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.delete(np.abs(g_z[0]), center) < 1e-10)
@@ -588,7 +585,7 @@ class TestFilterWeights:
 
     def test_static_sweet_spot_center_weight_vanishes(self):
         d = drive(10.0, (0.0,))
-        g_z, _, _ = weights_of(solve_row(d, coeffs(a=0.0, b=0.0), 3.0, 3))
+        g_z, _, _ = weights_of(solve_row(d, coeffs(3.0, a=0.0, b=0.0), 3))
         assert abs(g_z[0, 2 * 3]) < 1e-14
 
     def test_fft_oracle_agreement(self, context):
@@ -596,7 +593,7 @@ class TestFilterWeights:
         for _ in range(4):
             d = random_drive(rng, context)
             sol, w = solve_drive(d, context)
-            w_fft = filter_weights_time_grid(sol)
+            w_fft = filter_weights_time_grid(sol, d.omega_d)
             assert np.max(np.abs(w.g_z - w_fft.g_z)) < 1e-9
             assert np.max(np.abs(w.g_plus - w_fft.g_plus)) < 1e-9
             assert np.max(np.abs(w.g_minus - w_fft.g_minus)) < 1e-9
@@ -608,7 +605,7 @@ class TestFilterWeights:
         omega_d = np.array([d.omega_d for d in drives])
         p = np.array([d.p for d in drives])
         stack = fs.assemble_floquet_matrix(
-            omega_d, p, context.coefficients, context.qubit.delta, 15
+            omega_d, p, context.coefficients, 15
         )
         *_, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
         assert ok.all()
@@ -631,8 +628,9 @@ class TestFilterWeights:
         assert np.allclose(w.g_z, g_z_rot[0], atol=1e-12)
 
 
-def alternative_representative(sol):
-    """Fold the + branch down one zone and relabel the pair.
+def alternative_representative(sol, omega_d):
+    """Fold the + branch down one zone (of a drive at ``omega_d``) and
+    relabel the pair.
 
     Harmonic arrays are padded by one slot so the re-indexing loses nothing.
     """
@@ -643,12 +641,11 @@ def alternative_representative(sol):
     shifted[:-1] = plus[1:]   # harmonics re-indexed by -1
     return FloquetSolution(
         eps_plus=sol.eps_minus,
-        eps_minus=sol.eps_plus - sol.omega_d,
-        omega_gap=sol.omega_d - sol.omega_gap,
+        eps_minus=sol.eps_plus - omega_d,
+        omega_gap=omega_d - sol.omega_gap,
         harmonics_plus=minus,
         harmonics_minus=shifted,
         k_max=sol.k_max + 1,
-        omega_d=sol.omega_d,
     )
 
 
@@ -658,10 +655,10 @@ class TestFilterWeightOracle:
     def test_equals_trace_form(self, context, drive_k):
         d, k_max = drive_k
         try:
-            sol = solve_row(d, context.coefficients, context.qubit.delta, k_max)
+            sol = solve_row(d, context.coefficients, k_max)
         except DegenerateGapError:
             assume(False)
-        for s in (sol, alternative_representative(sol)):
+        for s in (sol, alternative_representative(sol, d.omega_d)):
             oracle = filter_weights_by_traces(s)
             assert oracle.k_max == 2 * s.k_max
             for name, got in zip(("g_z", "g_plus", "g_minus"), weights_of(s)):
@@ -670,11 +667,12 @@ class TestFilterWeightOracle:
                 assert np.max(np.abs(got[0] - want)) <= 1e-15, name
 
 
-def rates_of(weights, sol, noise):
+def rates_of(weights, sol, omega_d, noise):
     """``(gamma_1, gamma_z)`` of one row of stacked filter weights at the
-    gap and drive frequency of ``sol``: the rate stage on a one-row stack."""
+    gap of ``sol`` and the drive frequency ``omega_d``: the rate stage on a
+    one-row stack."""
     gamma_z, gamma_plus, gamma_minus = fs.decoherence_rates(
-        *weights, np.array([sol.omega_gap]), np.array([sol.omega_d]), noise
+        *weights, np.array([sol.omega_gap]), np.array([omega_d]), noise
     )
     return gamma_plus[0] + gamma_minus[0], gamma_z[0]
 
@@ -685,10 +683,10 @@ class TestRepresentationInvariance:
         for _ in range(5):
             d = random_drive(rng, context)
             sol = solve_drive(d, context)[0]
-            alt = alternative_representative(sol)
+            alt = alternative_representative(sol, d.omega_d)
             w, w_alt = weights_of(sol), weights_of(alt)
-            gamma_1, gamma_z = rates_of(w, sol, noise)
-            gamma_1_alt, gamma_z_alt = rates_of(w_alt, alt, noise)
+            gamma_1, gamma_z = rates_of(w, sol, d.omega_d, noise)
+            gamma_1_alt, gamma_z_alt = rates_of(w_alt, alt, d.omega_d, noise)
             assert gamma_1_alt == pytest.approx(gamma_1, rel=1e-9)
             assert gamma_z_alt == pytest.approx(gamma_z, rel=1e-9)
             ref = np.sort(np.abs(w[0][0]))[::-1]
@@ -702,8 +700,8 @@ class TestRepresentationInvariance:
         rng = np.random.default_rng(53)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        rates_gamma_1, _ = rates_of(weights_of(sol), sol, noise)
-        args = w.ks * sol.omega_d - sol.omega_gap
+        rates_gamma_1, _ = rates_of(weights_of(sol), sol, d.omega_d, noise)
+        args = w.ks * d.omega_d - sol.omega_gap
         s_sym = fs.spectral_density(noise, args) + fs.spectral_density(noise, -args)
         gamma_1 = float(np.sum(np.abs(w.g_plus) ** 2 * s_sym))
         assert gamma_1 == pytest.approx(rates_gamma_1, rel=1e-9)
@@ -722,18 +720,11 @@ class TestTruncationConvergence:
                 complex(scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1))
                 for _ in range(n)
             ]
-            d = fs.DriveSpec(
-                phi_dc=context.phi_dc,
-                phi_ac=context.phi_ac,
-                omega_d=1.1 * context.omega_ge,
-                p=tuple(p),
-            )
-            ref = fs.reference_floquet_via_propagator(
-                d, coeffs_ctx, context.qubit.delta, k_max=3 * n + 2
-            )
+            d = fs.DriveSpec(omega_d=1.1 * context.omega_ge, p=tuple(p))
+            ref = fs.reference_floquet_via_propagator(d, coeffs_ctx, k_max=3 * n + 2)
             infid = []
             for k_max in range(n, 3 * n + 1):
-                sol = solve_row(d, coeffs_ctx, context.qubit.delta, k_max)
+                sol = solve_row(d, coeffs_ctx, k_max)
                 infid.append(fs.mode_infidelity(ref, sol))
             assert infid[-1] < 1e-10
             assert infid[0] > infid[-1]

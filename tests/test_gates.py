@@ -78,7 +78,6 @@ def dss2_frame(benchmark_results):
     samples = fs.rotating_frame_trajectory(
         point.drive,
         ctx.coefficients,
-        ctx.qubit.delta,
         duration=10.0,
         steps=500,
         substeps=1024,
@@ -88,20 +87,20 @@ def dss2_frame(benchmark_results):
 
 class TestRotatingFrame:
     def test_free_qubit_frame_is_identity(self):
-        drive = fs.DriveSpec(phi_dc=np.pi, phi_ac=0.0, omega_d=3.0, p=(0.0,))
-        coeffs = fs.EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
+        drive = fs.DriveSpec(omega_d=3.0, p=(0.0,))
+        coeffs = fs.EffectiveCoefficients(delta=0.0, a_coef=0.0, b_coef=0.0)
         samples = fs.rotating_frame_trajectory(
-            drive, coeffs, delta=0.0, duration=5.0, steps=50, substeps=64
+            drive, coeffs, duration=5.0, steps=50, substeps=64
         )
         assert samples.shape == (50, 2, 2)
         assert np.allclose(conjugated(samples, PAULI_Y), PAULI_Y, atol=1e-12)
 
     def test_undriven_splitting_rotates_control_axis(self):
         delta = 2000.0   # rad/us
-        drive = fs.DriveSpec(phi_dc=np.pi, phi_ac=0.0, omega_d=3.0, p=(0.0,))
-        coeffs = fs.EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
+        drive = fs.DriveSpec(omega_d=3.0, p=(0.0,))
+        coeffs = fs.EffectiveCoefficients(delta=delta, a_coef=0.0, b_coef=0.0)
         samples = fs.rotating_frame_trajectory(
-            drive, coeffs, delta, duration=4.0, steps=64, substeps=512
+            drive, coeffs, duration=4.0, steps=64, substeps=512
         )
         delta_ns = delta * 1e-3
         mids = (np.arange(64) + 0.5) * (4.0 / 64)
@@ -126,7 +125,6 @@ class TestRotatingFrame:
         samples = fs.rotating_frame_trajectory(
             point.drive,
             ctx.coefficients,
-            ctx.qubit.delta,
             duration=4.0,
             steps=64,
             substeps=256,
@@ -146,7 +144,7 @@ class TestRotatingFrame:
         # 31 samples: blocks of 6 segments and a last block of 1; the first
         # segment [0, mids[0]] is half as long as the others
         bench, ctx, point = benchmark_results["dss-2"]
-        delta, coeffs = ctx.qubit.delta, ctx.coefficients
+        coeffs = ctx.coefficients
         mids = (np.arange(31) + 0.5) * 0.2
         expected = []
         u, t0 = np.eye(2), 0.0
@@ -154,11 +152,11 @@ class TestRotatingFrame:
             h = (t1 - t0) / substeps
             ts = t0 + (np.arange(substeps) + 0.5) * h
             cx = (0.5 * coeffs.b_coef + coeffs.a_coef * point.drive.waveform(ts * 1e-3))
-            for step in _su2_matrices(*_su2_entries(delta * 1e-3, cx * 1e-3, h)):
+            for step in _su2_matrices(*_su2_entries(coeffs.delta * 1e-3, cx * 1e-3, h)):
                 u = step @ u
             expected.append(u)
             t0 = t1
-        us = _frame_unitaries(point.drive, coeffs, delta, mids, substeps)
+        us = _frame_unitaries(point.drive, coeffs, mids, substeps)
         assert np.max(np.abs(us - np.array(expected))) < 1e-13
 
     @pytest.mark.parametrize("name", ["dss-1", "dss-2", "dss-3"])
@@ -170,7 +168,7 @@ class TestRotatingFrame:
         edges = np.concatenate(([0.0], (np.arange(500) + 0.5) * 0.02))
         widths = np.diff(edges)[:, None] / 1024
         mids = edges[:-1, None] + (np.arange(1024) + 0.5) * widths
-        args = (point.drive, ctx.coefficients, ctx.qubit.delta)
+        args = (point.drive, ctx.coefficients)
         got = _midpoint_steps(*args, mids * 1e-3, widths, RAD_PER_US_TO_RAD_PER_NS)
         for a, b in zip(got, frame_steps_inline(*args, mids, widths)):
             assert np.array_equal(a, b)
@@ -227,10 +225,10 @@ class TestRotatingFrame:
 
     def test_frame_of_zero_hamiltonian_is_identity(self):
         # delta = 0 and no drive: every step has a zero-norm generator
-        drive = fs.DriveSpec(phi_dc=np.pi, phi_ac=0.0, omega_d=3.0, p=(0.0,))
-        coeffs = fs.EffectiveCoefficients(a_coef=0.0, b_coef=0.0)
+        drive = fs.DriveSpec(omega_d=3.0, p=(0.0,))
+        coeffs = fs.EffectiveCoefficients(delta=0.0, a_coef=0.0, b_coef=0.0)
         mids = (np.arange(10) + 0.5) * 0.3
-        us = _frame_unitaries(drive, coeffs, 0.0, mids, 5)
+        us = _frame_unitaries(drive, coeffs, mids, 5)
         assert np.array_equal(us, np.broadcast_to(np.eye(2), (10, 2, 2)))
 
     def test_verify_passes_on_resolved_grid(self, benchmark_results):
@@ -242,7 +240,6 @@ class TestRotatingFrame:
             fs.rotating_frame_trajectory(
                 point.drive,
                 ctx.coefficients,
-                ctx.qubit.delta,
                 duration=1.0,
                 steps=50,
                 substeps=4096,
@@ -258,7 +255,6 @@ class TestRotatingFrame:
             fs.rotating_frame_trajectory(
                 point.drive,
                 ctx.coefficients,
-                ctx.qubit.delta,
                 duration=10.0,
                 steps=50,
                 substeps=8,
@@ -581,7 +577,6 @@ class TestStepRefinement:
             samples = fs.rotating_frame_trajectory(
                 point.drive,
                 ctx.coefficients,
-                ctx.qubit.delta,
                 duration=10.0,
                 steps=steps,
                 substeps=substeps,

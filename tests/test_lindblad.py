@@ -133,8 +133,7 @@ class TestEvolveDensity:
     def test_zero_rates_matches_closed_propagation(self, benchmark_results):
         bench, bctx, point = benchmark_results["dss-2"]
         samples = fs.rotating_frame_trajectory(
-            point.drive, bctx.coefficients, bctx.qubit.delta,
-            duration=6.0, steps=300, substeps=256,
+            point.drive, bctx.coefficients, duration=6.0, steps=300, substeps=256
         )
         frame = fs.ControlContext(samples, 6.0 / 300)
         rng = np.random.default_rng(8)
@@ -418,8 +417,7 @@ class TestAverageGateFidelity:
         # (Tr E(I) - d) / (d (d + 1)) on top of the 2 d^4 eps of the sums
         bench, bctx, point = benchmark_results["dss-2"]
         samples = fs.rotating_frame_trajectory(
-            point.drive, bctx.coefficients, bctx.qubit.delta,
-            duration=10.0, steps=500, substeps=8,
+            point.drive, bctx.coefficients, duration=10.0, steps=500, substeps=8
         )
         ctx = fs.ControlContext(samples, 10.0 / 500)
         wf = 0.3 * np.random.default_rng(4).standard_normal(500)

@@ -86,7 +86,7 @@ class TestDecoherenceRates:
         rng = np.random.default_rng(3)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        gap, omega_d = np.array([sol.omega_gap]), np.array([sol.omega_d])
+        gap, omega_d = np.array([sol.omega_gap]), np.array([d.omega_d])
         gammas = fs.decoherence_rates(*weight_rows(w), gap, omega_d, noise)
         r = fs.RateReport.from_rates(*(float(g[0]) for g in gammas))
         assert r.gamma_1 == r.gamma_plus + r.gamma_minus
@@ -96,7 +96,7 @@ class TestDecoherenceRates:
         rng = np.random.default_rng(9)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        gap, omega_d = np.array([sol.omega_gap]), np.array([sol.omega_d])
+        gap, omega_d = np.array([sol.omega_gap]), np.array([d.omega_d])
         base_z, base_plus, base_minus = fs.decoherence_rates(
             *weight_rows(w), gap, omega_d, noise
         )
