@@ -71,11 +71,8 @@ from .gates import (
 from .lindblad import LindbladModel, average_gate_fidelity, process_matrix
 from .reference import (
     BENCHMARK_POINTS,
+    REFERENCE,
     BenchmarkPoint,
-    benchmark_context,
+    build_context,
     calibrate_amplitude,
-    reference_circuit,
-    reference_context,
-    reference_noise,
-    reference_qubit,
 )

@@ -23,7 +23,7 @@ of the circuit moves them: at the three benchmark DSSs, where the two-level
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,27 +190,23 @@ def classify_point(point: PointResult, context: EvaluationContext) -> Sensitivit
 
 def classify_front(
     front, context: EvaluationContext
-) -> list[tuple[Individual, SensitivityReport, BoundReport]]:
+) -> list[tuple[Individual, PointResult, SensitivityReport, BoundReport]]:
     """The one annotation of each row of ``front``, a sequence of
-    :class:`Individual`: the member carrying its ``PointResult``, its
+    :class:`Individual`: the member, its ``PointResult``, its
     :class:`SensitivityReport` and its :class:`BoundReport`, in row order.
-    The members without a point are evaluated in one
-    :func:`evaluate_population` call; an infeasible member raises
+    Every member is evaluated, in one :func:`evaluate_population` call, and
+    an empty front evaluates nothing; an infeasible member raises
     ``DegenerateGapError`` naming its front row.
     """
-    missing = [i for i, ind in enumerate(front) if ind.point is None]
-    points = [ind.point for ind in front]
-    if missing:
-        _, rows = evaluate_population(
-            np.array([front[i].genome.to_vector() for i in missing]), context
-        )
-        for r, i in enumerate(missing):
-            points[i] = _row_point(rows, r, context)
+    if not front:
+        return []
+    _, rows = evaluate_population([ind.genome.to_vector() for ind in front], context)
     members = []
-    for i, (ind, point) in enumerate(zip(front, points)):
+    for i, ind in enumerate(front):
+        point = _row_point(rows, i, context)
         if point is None:
             raise DegenerateGapError(f"front row {i} is {_INFEASIBLE}")
         report = classify_point(point, context)
         bounds = evaluate_bounds(point, context.noise, context.qubit.delta)
-        members.append((replace(ind, point=point), report, bounds))
+        members.append((ind, point, report, bounds))
     return members

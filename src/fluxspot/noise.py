@@ -38,7 +38,7 @@ class NoiseModel:
     It was fitted to the benchmark coherence times of the reference device
     (see ``fluxspot.reference``), which were computed with this same model:
     a calibrated rule of thumb, not a derived constant.  Every field must be
-    finite.
+    finite, and the amplitudes and the two dephasing factors non-negative.
     """
 
     a_f: float
@@ -53,6 +53,12 @@ class NoiseModel:
         check_finite(**asdict(self))
         if self.a_f < 0.0 or self.a_d < 0.0:
             raise InvalidParameterError("noise amplitudes must be >= 0")
+        # a negative factor would turn dephasing into a gain
+        for name in ("dephasing_log_factor", "dephasing_scale"):
+            if getattr(self, name) < 0.0:
+                raise InvalidParameterError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
         if self.temperature <= 0.0:
             raise InvalidParameterError("temperature must be positive")
         if not 0.0 < self.omega_ir < self.omega_uv:

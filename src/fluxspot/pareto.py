@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import EvaluationContext, Genome, PointResult
-from .evaluation import _drive_order, _row_point, evaluate_population
+from .evaluation import EvaluationContext, Genome, _drive_order, evaluate_population
 from .exceptions import EmptyInputError, InvalidParameterError
 
 __all__ = [
@@ -52,11 +51,13 @@ _IBEA_KAPPA = 0.05
 
 @dataclass(frozen=True)
 class Individual:
-    """One population member with its objective vector and bookkeeping."""
+    """One population member: its genome, its objective vector and its
+    stamp ``(strategy, seed)``.  It carries no evaluated point:
+    :func:`fluxspot.dss.classify_front` builds the one ``PointResult`` of
+    each front row."""
 
     genome: Genome
     objectives: tuple
-    point: PointResult | None = None
     provenance: tuple = ()   # (strategy, seed)
 
 
@@ -333,13 +334,13 @@ def run_stage1(
 ) -> tuple:
     """One evolutionary run; returns the non-dominated rows of the final
     population as a tuple of :class:`Individual`, in population order, each
-    with its ``PointResult`` and the stamp ``(strategy, seed)``.
+    stamped ``(strategy, seed)``.
 
     The population is an ``(m, 2 n + 2)`` genome array in the box of drive
     order n = ``config.n``; each genome is evaluated once, serially, by
-    :func:`evaluate_population`, whose arrays follow the survivors of each
-    selection.  Only the returned front's rows become ``Genome`` and
-    ``PointResult`` objects, from those arrays.
+    :func:`evaluate_population`, and the search keeps only its objectives.
+    Only the returned front's rows become ``Genome`` objects; their points
+    are :func:`fluxspot.dss.classify_front`'s to build.
 
     ``generation_hook(generation, objectives)`` is called once per generation
     with the post-selection objective array (used for snapshot exports).
@@ -349,16 +350,13 @@ def run_stage1(
     m = config.population_m
 
     vectors = rng.uniform(lo, hi, size=(m, lo.size))
-    objs, rows = evaluate_population(vectors, context)
+    objs, _ = evaluate_population(vectors, context)
 
     for gen in range(1, config.generations_n + 1):
         children = _make_offspring(vectors, config, rng, lo, hi)
-        child_objs, child_rows = evaluate_population(children, context)
-        objs = np.concatenate((objs, child_objs))
+        objs = np.concatenate((objs, evaluate_population(children, context)[0]))
         keep = environmental_select(config.strategy, objs, m)
         vectors, objs = np.concatenate((vectors, children))[keep], objs[keep]
-        rows = {k: np.concatenate((v, child_rows[k]))[keep] for k, v in rows.items()}
-        del child_rows   # not held while the next generation is evaluated
         if generation_hook is not None:
             generation_hook(gen, objs)
 
@@ -368,7 +366,6 @@ def run_stage1(
         Individual(
             genome=Genome.from_vector(vectors[i]),
             objectives=(float(objs[i, 0]), float(objs[i, 1])),
-            point=_row_point(rows, i, context),
             provenance=(config.strategy, config.seed),
         )
         for i in sorted(front_idx)

@@ -6,9 +6,13 @@ dielectric bath at 15 mK and a flux working point 3 percent past the
 half-quantum sweet spot.  This reference run is the CLI's default config:
 its values live in ``REFERENCE``, the config's ``circuit``, ``flux`` and
 ``noise`` tables (a few read from ``NoiseModel``'s and ``CircuitParams``'s
-defaults), and ``build_context`` builds the context of any config.  Three
-benchmark modulation waveforms are stored with their validated coherence
-times.
+defaults).  ``build_context`` is the one builder of an evaluation context,
+for ``REFERENCE`` as for any config: ``build_context(REFERENCE)`` is the
+reference context, ``build_context(REFERENCE, point.phi_ac)`` that of a
+benchmark point, ``dataclasses.replace`` moves its working point, and
+``replace(build_circuit(REFERENCE), fock_dim=...)`` is the reference device
+at another truncation.  Three benchmark modulation waveforms are stored
+with their validated coherence times.
 
 The published waveform coefficients are rounded to two decimals, which moves
 the operating point slightly off its sweet spot.  ``calibrate_amplitude``
@@ -36,12 +40,7 @@ __all__ = [
     "BENCHMARK_POINTS",
     "build_circuit",
     "build_context",
-    "reference_circuit",
-    "reference_qubit",
-    "reference_noise",
-    "reference_context",
     "calibrate_amplitude",
-    "benchmark_context",
 ]
 
 #: The reference run's ``circuit``, ``flux`` and ``noise`` config tables.
@@ -164,41 +163,6 @@ def build_context(cfg: dict, phi_ac: float | None = None) -> EvaluationContext:
     )
 
 
-def _reference_tables(fock_dim: int | None) -> dict:
-    """``REFERENCE``, with ``fock_dim`` as its truncation unless it is None."""
-    if fock_dim is None:
-        return REFERENCE
-    return {**REFERENCE, "circuit": {**REFERENCE["circuit"], "fock_dim": fock_dim}}
-
-
-def reference_circuit(fock_dim: int | None = None) -> CircuitParams:
-    """The reference fluxonium device."""
-    return build_circuit(_reference_tables(fock_dim))
-
-
-def reference_qubit(fock_dim: int | None = None) -> EffectiveQubit:
-    """Two-level reduction of the reference device at its sweet spot."""
-    return _sweet_spot_qubit(reference_circuit(fock_dim))
-
-
-def reference_noise(qubit: EffectiveQubit | None = None, **kwargs) -> NoiseModel:
-    """Reference bath: 1/f flux noise plus dielectric loss at 15 mK, seen by
-    ``qubit`` (default the reference qubit); ``kwargs`` replace its fields."""
-    qubit = qubit or reference_qubit()
-    return replace(_bath(REFERENCE, reference_circuit(), qubit), **kwargs)
-
-
-def reference_context(
-    phi_dc: float | None = None,
-    phi_ac: float | None = None,
-    fock_dim: int | None = None,
-) -> EvaluationContext:
-    """Evaluation context of the reference run, the CLI's default config,
-    for genomes of any drive order.  An argument left None keeps its value."""
-    context = build_context(_reference_tables(fock_dim), phi_ac=phi_ac)
-    return context if phi_dc is None else replace(context, phi_dc=phi_dc)
-
-
 def calibrate_amplitude(
     genome: Genome,
     context: EvaluationContext,
@@ -245,8 +209,3 @@ def calibrate_amplitude(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def benchmark_context(point: BenchmarkPoint) -> EvaluationContext:
-    """Context evaluating a benchmark point at its calibrated amplitude."""
-    return reference_context(phi_ac=point.phi_ac)

@@ -40,6 +40,7 @@ from .exceptions import (
     DependencyError,
     FluxspotError,
     InvalidParameterError,
+    check_finite,
 )
 from .floquet import (
     DriveSpec,
@@ -384,15 +385,16 @@ def front_columns(n: int) -> list:
     return cols
 
 
-def _individual_row(ind: Individual, report, omega_ge: float) -> list:
+def _individual_row(ind: Individual, point, report, omega_ge: float) -> list:
     """The :func:`front_columns` row of ``ind``, stamped ``(strategy, seed)``,
-    with its point's times and its sensitivity ``report``; it classifies
-    nothing.  An infeasible genome, with no point and a ``report`` of None,
-    gets NaN in its derived columns."""
-    if report is None:
+    with the times of its ``point`` and its sensitivity ``report``, as
+    :func:`classify_front` gives them; it evaluates and classifies nothing.
+    An infeasible genome, with a ``point`` and a ``report`` of None, gets NaN
+    in its derived columns."""
+    if point is None:
         t1 = t_phi = gz0 = metric = np.nan
     else:
-        t1, t_phi = ind.point.rates.t1, ind.point.rates.t_phi
+        t1, t_phi = point.rates.t1, point.rates.t_phi
         gz0, metric = report.gz0_abs, report.double_dss_metric
     g = ind.genome
     strategy, seed = ind.provenance
@@ -416,14 +418,14 @@ def _read_front_csv(
     cfg: dict, run: RunDirectory, name: str, producer: str, context: EvaluationContext
 ) -> tuple:
     """The rows of the front CSV ``name`` that the ``producer`` verb wrote,
-    as a tuple of :class:`Individual` without points, each stamped
-    ``(strategy, seed)``.  They are read at the drive order ``optimize``
-    wrote them at, ``optimizer.n``, which is checked before any file is
-    read; the context gives the ``omega_d`` scale.  Nothing checks that the
-    rows are mutually non-dominated."""
+    as a tuple of :class:`Individual`, each stamped ``(strategy, seed)``.
+    They are read at the drive order ``optimize`` wrote them at,
+    ``optimizer.n``, which is checked before any file is read; the context
+    gives the ``omega_d`` scale.  Nothing checks that the rows are mutually
+    non-dominated."""
     n = _drive_order(cfg["optimizer"]["n"])
     path = run.require(name, producer)
-    points = []
+    members = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
             cell = partial(_cell, row, f"front CSV {path.name} row {i}")
@@ -435,8 +437,8 @@ def _read_front_csv(
             )
             objectives = (cell("gamma1_per_us"), cell("gammaz_per_us"))
             provenance = (cell("strategy", str), cell("seed", int))
-            points.append(Individual(genome, objectives, provenance=provenance))
-    return tuple(points)
+            members.append(Individual(genome, objectives, provenance))
+    return tuple(members)
 
 
 def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
@@ -458,11 +460,10 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     ind = Individual(
         genome=genome,
         objectives=point.objectives if point else (np.inf, np.inf),
-        point=point,
         provenance=("evaluate", cfg["seed"]),
     )
     report = classify_point(point, context) if point else None
-    rows = [_individual_row(ind, report, context.omega_ge)]
+    rows = [_individual_row(ind, point, report, context.omega_ge)]
     return run.write_csv(
         f"rates_{name}.csv", front_columns(genome.n), rows, "evaluate"
     )
@@ -472,9 +473,10 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
     """Stage-I runs for every configured strategy; one front CSV and one
     history CSV per run.
 
-    The search carries its population as arrays and builds a ``PointResult``
-    only for each front row, from the arrays it computed for that genome, so
-    no front point is evaluated again.
+    The search keeps only its population's genomes and objectives; each
+    front row is evaluated once more, by :func:`classify_front`, which
+    builds its one ``PointResult``, sensitivity report and bounds, as for
+    every other verb that writes a front.
 
     The runs are concurrent: a pool of one thread per usable CPU
     (``os.sched_getaffinity``), and never more threads than strategies,
@@ -509,8 +511,8 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
 
         front = run_stage1(oc, context, generation_hook=hook)
         rows = [
-            _individual_row(ind, r, context.omega_ge)
-            for ind, r, _ in classify_front(front, context)
+            _individual_row(ind, point, r, context.omega_ge)
+            for ind, point, r, _ in classify_front(front, context)
         ]
         return rows, snapshots
 
@@ -547,7 +549,7 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
         for strategy in cfg["optimizer"]["strategies"]
     ]
     members = classify_front(aggregate_fronts(fronts), context)
-    rows = [_individual_row(ind, r, context.omega_ge) for ind, r, _ in members]
+    rows = [_individual_row(ind, p, r, context.omega_ge) for ind, p, r, _ in members]
     return run.write_csv(
         "front_aggregated.csv", front_columns(cfg["optimizer"]["n"]), rows, "aggregate"
     )
@@ -571,9 +573,9 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
         "d_omega_ac",
     ]
     rows = [
-        _individual_row(ind, r, context.omega_ge)
+        _individual_row(ind, p, r, context.omega_ge)
         + [r.label, b.t_ub_general, b.t_ub_dss, r.d_omega_d_phi_dc, r.d_omega_d_phi_ac]
-        for ind, r, b in classify_front(front, context)
+        for ind, p, r, b in classify_front(front, context)
     ]
     return run.write_csv("front_classified.csv", header, rows, "classify")
 
@@ -596,7 +598,7 @@ def cmd_bounds(cfg: dict, run: RunDirectory) -> tuple:
             f"T1 bounds undefined without {' and '.join(missing)}: every bound is inf",
             stacklevel=2,
         )
-    bounds = [b for _, _, b in classify_front(front, context)]
+    bounds = [b for *_, b in classify_front(front, context)]
     rows = [
         [b.t1, b.t_ub_general, b.t_ub_dss, b.margin_general, b.margin_dss, int(b.ok)]
         for b in bounds
@@ -671,10 +673,13 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
         )
     target = gate_target(job["gate"])
     f_max = TWO_PI * job["f_max_mhz"] * 1e-3
-    coupling = TWO_PI * job["coupling_j_mhz"] * 1e-3 if n_qubits == 2 else 0.0
+    coupling = TWO_PI * job["coupling_j_mhz"] * 1e-3
     settings = GrapeSettings(iterations=job["iterations"], seed=seed)
     duration, steps, substeps = job["duration_ns"], job["steps"], job["frame_substeps"]
-    # checked before the frame is integrated over the duration
+    # checked before the frame is integrated over the duration; a 1-qubit
+    # job has no coupling, yet a non-finite one is rejected there too
+    check_finite(coupling_j=coupling)
+    coupling = coupling if n_qubits == 2 else 0.0
     spec = PulseSpec(duration=duration, steps=steps, f_max=f_max,
                      n_freq=job["n_freq"], n_controls=n_qubits)
 

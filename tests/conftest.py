@@ -6,12 +6,12 @@ import fluxspot as fs
 from fluxspot.exceptions import DegenerateGapError
 from fluxspot.floquet import _row_solution
 
-REFERENCE_CONTEXT = fs.reference_context()
+REFERENCE_CONTEXT = fs.build_context(fs.REFERENCE)
 
 
 @pytest.fixture(scope="session")
 def qubit():
-    return fs.reference_qubit()
+    return REFERENCE_CONTEXT.qubit
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +20,8 @@ def context():
 
 
 @pytest.fixture(scope="session")
-def noise(qubit):
-    return fs.reference_noise(qubit)
+def noise():
+    return REFERENCE_CONTEXT.noise
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def benchmark_results():
     """Evaluated benchmark points: name -> (point, rates)."""
     out = {}
     for bench in fs.BENCHMARK_POINTS:
-        ctx = fs.benchmark_context(bench)
+        ctx = fs.build_context(fs.REFERENCE, bench.phi_ac)
         _, point = fs.evaluate_genome(bench.genome, ctx)
         out[bench.name] = (bench, ctx, point)
     return out

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError, TruncationError
+from fluxspot.reference import build_circuit
 from fluxspot.units import ghz
 
 
@@ -32,19 +35,19 @@ class TestBuildHamiltonian:
         assert np.allclose(spacing, params.plasma_frequency, rtol=1e-9)
 
     def test_hermitian(self, qubit):
-        params = fs.reference_circuit()
+        params = build_circuit(fs.REFERENCE)
         h = fs.build_circuit_hamiltonian(params, np.pi)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12 * np.max(np.abs(h))
 
     def test_paper_point_matches_two_truncation_oracle(self, qubit):
         delta_oracle, phige_oracle = oracle_two_truncation(
-            fs.reference_circuit(), np.pi
+            build_circuit(fs.REFERENCE), np.pi
         )
         assert qubit.delta == pytest.approx(delta_oracle, rel=1e-8)
         assert qubit.phi_ge == pytest.approx(phige_oracle, rel=1e-8)
 
     def test_periodicity_and_parity(self):
-        params = fs.reference_circuit(fock_dim=90)
+        params = replace(build_circuit(fs.REFERENCE), fock_dim=90)
         w_plus = np.linalg.eigvalsh(fs.build_circuit_hamiltonian(params, np.pi))
         w_minus = np.linalg.eigvalsh(fs.build_circuit_hamiltonian(params, -np.pi))
         assert np.allclose(w_plus[:10], w_minus[:10], rtol=1e-10)
@@ -64,14 +67,14 @@ class TestDiagonalize:
         assert eq.phi_ge == pytest.approx(params.phi_zpf, rel=1e-9)
 
     def test_spectrum_symmetry_about_sweet_spot(self):
-        params = fs.reference_circuit(fock_dim=90)
+        params = replace(build_circuit(fs.REFERENCE), fock_dim=90)
         x = 0.03 * np.pi
         above = fs.diagonalize_circuit(params, np.pi + x)
         below = fs.diagonalize_circuit(params, np.pi - x)
         assert np.allclose(above.spectrum, below.spectrum, rtol=1e-9)
 
     def test_truncation_error_raised_for_tiny_basis(self):
-        params = fs.reference_circuit(fock_dim=20)
+        params = replace(build_circuit(fs.REFERENCE), fock_dim=20)
         with pytest.raises(TruncationError):
             fs.diagonalize_circuit(params, np.pi)
 
@@ -82,7 +85,7 @@ class TestDiagonalize:
 
         deltas = []
         for dim in (40, 60, 80, 100, 120):
-            params = fs.reference_circuit(fock_dim=dim)
+            params = replace(build_circuit(fs.REFERENCE), fock_dim=dim)
             deltas.append(_diagonalize_once(params, np.pi, 2)[0])
         gaps = np.abs(np.diff(deltas))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -92,7 +95,7 @@ class TestDiagonalize:
     def test_matches_scipy_eigh_oracle(self, phi_ext):
         # the same reduction with LAPACK's syevr (scipy) in place of
         # numpy's syevd: the two differ by round-off only
-        params = fs.reference_circuit()
+        params = build_circuit(fs.REFERENCE)
         lower = np.diag(np.sqrt(np.arange(1, params.fock_dim)), 1)
         phi = params.phi_zpf * (lower + lower.T)
         n = 1j * params.n_zpf * (lower.T - lower)

@@ -337,6 +337,8 @@ PHYSICAL_KEYS = [
     ("noise", "dephasing_log_factor", "evaluate", "dephasing_log_factor"),
     ("noise", "dephasing_scale", "evaluate", "dephasing_scale"),
     ("gates", "coupling_j_mhz", "grape", "coupling_j"),
+    # a job of the 1-qubit gate x, which has no coupling
+    ("gates.x", "coupling_j_mhz", "grape", "coupling_j"),
     ("gates", "duration_ns", "grape", "duration"),
 ]
 
@@ -352,9 +354,10 @@ def test_non_finite_physical_value_exits_3_naming_it(
 ):
     # a NaN or an infinity passes every range check, so each is rejected
     # where it enters the library, before any numerical warning or artifact
-    if table == "gates":
-        # coupling_j_mhz is read by two-qubit jobs only
-        job = dict(TINY["gates"][0], name="iswap", gate="sqrt_iswap", **{key: bad})
+    if table.startswith("gates"):
+        # a 2-qubit job, unless the table names the gate
+        gate = table.partition(".")[2] or "sqrt_iswap"
+        job = dict(TINY["gates"][0], name="job", gate=gate, **{key: bad})
         cfg = dict(TINY, gates=[job])
     else:
         cfg = dict(TINY, **{table: {key: bad}})
@@ -366,6 +369,19 @@ def test_non_finite_physical_value_exits_3_naming_it(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert f"{name} must be finite, got {bad}" in err, err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("key", ["dephasing_log_factor", "dephasing_scale"])
+def test_negative_dephasing_factor_exits_3_naming_it(tmp_path, capsys, key):
+    # a negative factor gave a negative dephasing rate and an infinite Tphi
+    config = write_json(tmp_path / "config.json", dict(TINY, noise={key: -4.0}))
+    benchmark = write_json(tmp_path / "dss2.json", {"benchmark": "dss-2"})
+    out = tmp_path / "out"
+    assert run_cli(config, out, "evaluate", str(benchmark)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"{key} must be >= 0, got -4.0" in err, err
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -530,6 +546,28 @@ def test_degenerate_front_row_exits_3(tmp_path, capsys, verb, read, written):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "front row 0 is infeasible" in err, err
     assert not (out / written).exists()
+
+
+@pytest.mark.parametrize(
+    "verb, written, header",
+    [
+        ("classify", "front_classified.csv", "gamma1_per_us,"),
+        ("bounds", "bounds.csv", "t1_us,t_ub_general_us,"),
+    ],
+    ids=["classify", "bounds"],
+)
+def test_header_only_front_writes_a_header_only_file(
+    tmp_path, capsys, verb, written, header
+):
+    # an empty front is annotated without any evaluation
+    config = write_json(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "front_aggregated.csv").write_text(",".join(front_columns(2)) + "\n")
+    assert run_cli(config, out, verb) == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / written).read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(header), lines
 
 
 @pytest.mark.parametrize("verb", ["aggregate", "classify", "bounds"])
@@ -1089,15 +1127,13 @@ def test_default_config_is_filled_from_the_tables():
 
 
 def test_cli_and_reference_helpers_build_one_context():
-    # == on the frozen dataclasses compares every field's value
-    default = build_context(load_config(None))
-    assert default == fluxspot.reference_context()
-    for bench in fluxspot.BENCHMARK_POINTS:
-        expected = build_context(load_config(None), phi_ac=bench.phi_ac)
-        assert fluxspot.benchmark_context(bench) == expected, bench.name
-    reference = fluxspot.reference_context()
-    assert fluxspot.reference_noise(fluxspot.reference_qubit()) == reference.noise
+    # the default config's tables are REFERENCE, so the CLI's default
+    # context is the reference context; == on the frozen dataclasses
+    # compares every field's value
     assert {name: DEFAULT_CONFIG[name] for name in REFERENCE} == REFERENCE
+    assert build_context(load_config(None)) == build_context(REFERENCE)
+    assert fluxspot.build_context is build_context
+    assert fluxspot.REFERENCE is REFERENCE
 
 
 @pytest.mark.parametrize(
@@ -1161,8 +1197,8 @@ def test_a_genome_reads_the_same_bits_whatever_the_search_order(genome):
         objs, point = fluxspot.evaluate_genome(genome, context)
         phi_ac = fluxspot.calibrate_amplitude(genome, context)
         front = (fluxspot.Individual(genome, objs),)
-        [(member, report, bounds)] = fluxspot.classify_front(front, context)
-        g_z = [p.weights.g_z.tobytes() for p in (point, member.point)]
+        [(_, member_point, report, bounds)] = fluxspot.classify_front(front, context)
+        g_z = [p.weights.g_z.tobytes() for p in (point, member_point)]
         readings.append((objs, g_z, phi_ac, report, bounds))
     assert readings[0] == readings[1]
 
@@ -1310,7 +1346,9 @@ codes = [
     for verb in (["fluxonium"], ["evaluate", benchmark], ["grape"], ["simulate", "x"])
 ]
 dss2 = reference.BENCHMARK_POINTS[1]
-reference.calibrate_amplitude(dss2.genome, reference.benchmark_context(dss2))
+reference.calibrate_amplitude(
+    dss2.genome, reference.build_context(reference.REFERENCE, dss2.phi_ac)
+)
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 )}))

@@ -262,7 +262,7 @@ class TestClassification:
         assert report.double_dss_metric >= 0.1
 
     def test_undriven_sweet_spot_is_doubly_insensitive(self):
-        ctx = fs.reference_context(phi_dc=np.pi)
+        ctx = replace(fs.build_context(fs.REFERENCE), phi_dc=np.pi)
         zero = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.3)
         _, point = fs.evaluate_genome(zero, ctx)
         report = fs.classify_point(point, ctx)
@@ -278,36 +278,51 @@ class TestClassification:
                 omega_d_frac=1.1,
             ),
         ]
-        points = []
-        for g in genomes:
-            objs, pt = fs.evaluate_genome(g, context)
-            points.append(Individual(genome=g, objectives=objs, point=pt))
-        front = tuple(points)
+        front = tuple(
+            Individual(genome=g, objectives=fs.evaluate_genome(g, context)[0])
+            for g in genomes
+        )
         annotated = fs.classify_front(front, context)
         assert len(annotated) == 2
-        for ind, report, bounds in annotated:
+        for ind, (member, point, report, bounds) in zip(front, annotated):
+            assert member is ind
+            assert point.objectives == ind.objectives
+            assert report == fs.classify_point(point, context)
             assert report.label in ("plain", "dss", "double_dss")
             assert np.isfinite(report.d_omega_d_phi_dc)
-            assert bounds == fs.evaluate_bounds(ind.point, context.noise, context.qubit.delta)
+            assert bounds == fs.evaluate_bounds(point, context.noise, context.qubit.delta)
 
-    def test_classify_front_evaluates_uncached_members(self, context):
+    def test_classify_front_evaluates_each_member_once(self, context, monkeypatch):
+        # the whole front is one evaluate_population call, whose row of each
+        # member is what evaluate_genome gives that genome alone
         genomes = [
             fs.Genome(p0=0.2, p_re=(0.3, 0.1, 0, 0), p_im=(0.1, 0, 0, 0), omega_d_frac=f)
             for f in (0.9, 1.1, 1.2)
         ]
-        cached = [
-            Individual(genome=g, objectives=o, point=pt)
-            for g, (o, pt) in ((g, fs.evaluate_genome(g, context)) for g in genomes)
-        ]
-        bare = [Individual(genome=g, objectives=ind.objectives) for g, ind in zip(genomes, cached)]
-        mixed = (bare[0], cached[1], bare[2])
-        cached_front = tuple(cached)
-        want = [(r, b) for _, r, b in fs.classify_front(cached_front, context)]
-        assert [(r, b) for _, r, b in fs.classify_front(mixed, context)] == want
+        front = tuple(Individual(genome=g, objectives=(1.0, 1.0)) for g in genomes)
+        calls = []
+
+        def counting(vectors, ctx):
+            calls.append(len(vectors))
+            return fs.evaluate_population(vectors, ctx)
+
+        monkeypatch.setattr(fs.dss, "evaluate_population", counting)
+        annotated = fs.classify_front(front, context)
+        assert calls == [3]
+        for g, (_, point, _, _) in zip(genomes, annotated):
+            _, alone = fs.evaluate_genome(g, context)
+            assert point.drive == alone.drive and point.rates == alone.rates
+            for name in ("g_z", "g_plus", "g_minus"):
+                assert np.array_equal(
+                    getattr(point.weights, name), getattr(alone.weights, name)
+                )
+        # an empty front evaluates nothing
+        assert fs.classify_front((), context) == []
+        assert calls == [3]
         # an undriven member at omega_d = omega_ge has its gap on the zone edge
-        ctx = fs.reference_context(phi_dc=np.pi)
+        ctx = replace(fs.build_context(fs.REFERENCE), phi_dc=np.pi)
         edge = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
-        front = (bare[0], Individual(genome=edge, objectives=(1.0, 1.0)))
+        front = (front[0], Individual(genome=edge, objectives=(1.0, 1.0)))
         with pytest.raises(DegenerateGapError, match="front row 1"):
             fs.classify_front(front, ctx)
 

@@ -52,7 +52,7 @@ def test_rows_do_not_depend_on_batch_size_or_position(context):
 
 def test_zone_edge_row_alone_is_infeasible():
     # an undriven genome at omega_d = omega_ge has its gap at omega_d
-    ctx = fs.reference_context(phi_dc=np.pi)
+    ctx = replace(fs.build_context(fs.REFERENCE), phi_dc=np.pi)
     vectors = random_vectors(30, seed=43)
     undriven = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
     vectors[17] = undriven.to_vector()
@@ -118,7 +118,7 @@ def test_gap_beyond_omega_d_row_alone_is_infeasible():
     # a strong drive on a k_max = 1 truncation can label a gap above omega_d:
     # the solve passes its mode, the gap check rejects the row, and the
     # genome is infeasible, alone and in a population
-    ctx = replace(fs.reference_context(phi_ac=0.2), k_max=1)
+    ctx = replace(fs.build_context(fs.REFERENCE, 0.2), k_max=1)
     vectors = random_vectors(5, n=1, seed=1)
     genomes = [fs.Genome.from_vector(v) for v in vectors]
     _, rows = fs.evaluate_population(vectors, ctx)

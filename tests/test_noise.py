@@ -36,6 +36,15 @@ def test_kb_over_hbar_equals_scipy_constants():
     assert KB_OVER_HBAR_RAD_PER_US_PER_K == expected
 
 
+@pytest.mark.parametrize("name", ["dephasing_log_factor", "dephasing_scale"])
+def test_negative_dephasing_factor_is_rejected(noise, name):
+    # a negative factor would turn the dephasing rate negative: Tphi = inf
+    with pytest.raises(InvalidParameterError, match=f"{name} must be >= 0, got -4.0"):
+        replace(noise, **{name: -4.0})
+    off = replace(noise, **{name: 0.0})
+    assert getattr(off, name) == 0.0
+
+
 class TestSpectralDensity:
     def test_flux_only_unit_value(self):
         noise = fs.NoiseModel(a_f=1.0, a_d=0.0)
@@ -120,7 +129,7 @@ class TestDecoherenceRates:
 class TestStaticWorkingPoints:
     def test_static_sweet_spot_t1(self, context, noise):
         zero = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.3)
-        ctx = fs.reference_context(phi_dc=np.pi)
+        ctx = replace(fs.build_context(fs.REFERENCE), phi_dc=np.pi)
         (g1, gz), point = fs.evaluate_genome(zero, ctx)
         assert 1.0 / g1 == pytest.approx(430.0, rel=0.15)
         assert gz == 0.0
@@ -177,7 +186,7 @@ class TestBenchmarkReproduction:
     def test_calibration_raises_where_the_genome_is_infeasible(self):
         # at k_max = 1 and phi_ac = 0.2 this genome's gap is labeled beyond
         # omega_d (see test_evaluation); no g_z is read off that row
-        ctx = replace(fs.reference_context(), k_max=1)
+        ctx = replace(fs.build_context(fs.REFERENCE), k_max=1)
         lo, hi = fs.Genome.bounds(1)
         vector = np.random.default_rng(1).uniform(lo, hi, (5, lo.size))[2]
         genome = fs.Genome.from_vector(vector)

@@ -381,25 +381,28 @@ class TestRunStage1:
 
     @pytest.mark.parametrize("strategy", fs.pareto.STRATEGIES)
     def test_front_points_are_search_results(self, context, small_config, strategy):
+        # the point classify_front builds for a front row reads the
+        # objectives the search selected it by, bit for bit
         cfg = fs.OptimizerConfig(strategy=strategy, **small_config)
         front = fs.run_stage1(cfg, context)
         assert len(front) > 0
-        for ind in front:
-            assert ind.point.objectives == ind.objectives
+        for ind, point, _, _ in fs.classify_front(front, context):
+            assert point.objectives == ind.objectives
             objectives, fresh = fs.evaluate_genome(ind.genome, context)
             assert objectives == ind.objectives
-            assert fresh.drive == ind.point.drive
-            assert fresh.rates == ind.point.rates
+            assert fresh.drive == point.drive
+            assert fresh.rates == point.rates
             for name in ("g_z", "g_plus", "g_minus"):
                 assert np.array_equal(
-                    getattr(fresh.weights, name), getattr(ind.point.weights, name)
+                    getattr(fresh.weights, name), getattr(point.weights, name)
                 )
 
     def test_objects_are_built_for_front_rows_only(
         self, context, small_config, monkeypatch
     ):
-        # the search carries arrays; each front row, and no other row,
-        # becomes one Genome, one DriveSpec and one PointResult
+        # the search carries arrays: each front row, and no other row,
+        # becomes one Genome, and no row a DriveSpec or a PointResult; then
+        # classify_front builds one PointResult per front row, and no Genome
         built = {"Genome": 0, "DriveSpec": 0, "PointResult": 0}
 
         def counting(name, build):
@@ -417,6 +420,8 @@ class TestRunStage1:
         cfg = fs.OptimizerConfig(strategy="nsga2", **small_config)
         front = fs.run_stage1(cfg, context)
         assert len(front) > 0
+        assert built == {"Genome": len(front), "DriveSpec": 0, "PointResult": 0}
+        fs.classify_front(front, context)
         assert built == dict.fromkeys(built, len(front))
 
     def test_bounds_preserved_and_elitism(self, context, small_config):
@@ -437,7 +442,7 @@ class TestRunStage1:
     def test_infeasible_genome_gets_inf(self):
         # at the unbiased sweet spot, a resonant undriven genome folds both
         # quasienergies onto the zone edge and cannot be branch-labeled
-        ctx = fs.reference_context(phi_dc=np.pi)
+        ctx = replace(fs.build_context(fs.REFERENCE), phi_dc=np.pi)
         zero = fs.Genome(p0=0.0, p_re=(0.0,) * 4, p_im=(0.0,) * 4, omega_d_frac=1.0)
         objs, point = fs.evaluate_genome(zero, ctx)
         assert objs == (np.inf, np.inf)
@@ -446,7 +451,7 @@ class TestRunStage1:
     def test_gap_beyond_omega_d_does_not_abort_the_search(self):
         # on a k_max = 1 truncation a strong drive labels gaps above omega_d
         # in the first generation; such genomes are infeasible
-        ctx = replace(fs.reference_context(phi_ac=0.2), k_max=1)
+        ctx = replace(fs.build_context(fs.REFERENCE, 0.2), k_max=1)
         cfg = fs.OptimizerConfig(population_m=20, generations_n=3, seed=1, n=1)
         front = fs.run_stage1(cfg, ctx)
         assert front
@@ -461,7 +466,7 @@ class TestRunStage1:
         code = (
             "import fluxspot as fs\n"
             "g = fs.Genome(p0=0, p_re=(0,), p_im=(0,), omega_d_frac=1.0)\n"
-            "objs, point = fs.evaluate_genome(g, fs.reference_context())\n"
+            "objs, point = fs.evaluate_genome(g, fs.build_context(fs.REFERENCE))\n"
             "print(objs, point is None)\n"
         )
         src = str(Path(fs.__file__).resolve().parents[1])
