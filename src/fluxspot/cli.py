@@ -6,10 +6,11 @@ choice, a negative seed, ``snapshot_every`` below 1, an empty or repeated
 name that is not one plain file-name component, or an output path that
 cannot be made a directory; 3 a well-typed value the library rejects, or a
 numerical failure; 4 a missing or unreadable upstream
-artifact, the manifest included, or one with a structural defect: a pulse
-artifact that ``simulate`` reads with a key missing, an unknown gate, a
-qubit count that is not the gate's, no steps, waveforms or frame entries of
-the wrong shape, or frame samples that are not finite or not in SU(2).
+artifact, the manifest included, or one with a structural defect: a front
+CSV of another drive order than ``optimizer.n``, or a pulse artifact that
+``simulate`` reads with a key missing, an unknown gate, a qubit count that
+is not the gate's, no steps, waveforms or frame entries of the wrong shape,
+or frame samples that are not finite or not in SU(2).
 """
 
 from __future__ import annotations

@@ -88,14 +88,20 @@ class SensitivityReport:
 @dataclass(frozen=True)
 class BoundReport:
     """Measured T1 against its two analytic upper bounds (us); ``ok`` is the
-    verdict of the module docstring."""
+    verdict of the module docstring, and the margins, bound / T1, derived."""
 
     t_ub_general: float
     t_ub_dss: float
     t1: float
-    margin_general: float
-    margin_dss: float
     ok: bool
+
+    @property
+    def margin_general(self) -> float:
+        return self.t_ub_general / self.t1 if self.t1 > 0 else np.inf
+
+    @property
+    def margin_dss(self) -> float:
+        return self.t_ub_dss / self.t1 if self.t1 > 0 else np.inf
 
 
 def distance_to_nearest_integer(x: float) -> float:
@@ -152,19 +158,18 @@ def amplitude_sensitivity(weights: FilterWeights, drive: DriveSpec) -> complex:
     return complex(2.0 * np.sum(p_full * weights.g_z))
 
 
-def evaluate_bounds(point: PointResult, noise: NoiseModel, delta: float) -> BoundReport:
-    """Both T1 bounds for an evaluated working point, and its verdict."""
-    gap, omega_d = point.solution.omega_gap, point.drive.omega_d
+def evaluate_bounds(point: PointResult, context: EvaluationContext) -> BoundReport:
+    """Both T1 bounds for an evaluated working point, at the context's noise
+    and delta, and its verdict."""
+    gap, omega_d, noise = point.solution.omega_gap, point.drive.omega_d, context.noise
     t1 = point.rates.t1
     ub1 = t1_upper_bound_general(point.weights, gap, omega_d, noise)
-    ub2 = t1_upper_bound_dss(delta, gap, omega_d, noise)
+    ub2 = t1_upper_bound_dss(context.qubit.delta, gap, omega_d, noise)
     held = [ub1, ub2] if _at_dss(point.weights.g_z0) else [ub1]
     return BoundReport(
         t_ub_general=ub1,
         t_ub_dss=ub2,
         t1=t1,
-        margin_general=ub1 / t1 if t1 > 0 else np.inf,
-        margin_dss=ub2 / t1 if t1 > 0 else np.inf,
         ok=all(t1 <= ub * (1 + _BOUND_SLACK) for ub in held),
     )
 
@@ -206,7 +211,6 @@ def classify_front(
         point = _row_point(rows, i, context)
         if point is None:
             raise DegenerateGapError(f"front row {i} is {_INFEASIBLE}")
-        report = classify_point(point, context)
-        bounds = evaluate_bounds(point, context.noise, context.qubit.delta)
-        members.append((ind, point, report, bounds))
+        bounds = evaluate_bounds(point, context)
+        members.append((ind, point, classify_point(point, context), bounds))
     return members

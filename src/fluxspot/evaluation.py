@@ -23,7 +23,7 @@ from .floquet import (
     FilterWeights,
     FloquetSolution,
     _check_drives,
-    _row_solution,
+    _minus_mode,
     assemble_floquet_matrix,
     compute_filter_weights,
     solve_floquet,
@@ -171,8 +171,8 @@ def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) 
     rates = np.stack(
         decoherence_rates(g_z, g_plus, g_minus, gap, omega_d, context.noise), 1
     )
-    # the minus mode and g_minus follow from h_plus and g_plus (see
-    # _row_point), so a population does not keep them
+    # the minus mode follows from h_plus (see _row_point), and g_minus from
+    # g_plus (FilterWeights.g_minus), so a population does not keep them
     return dict(
         omega_d=omega_d, p=p, ok=ok, eps_minus=eps_minus, eps_plus=eps_plus,
         gap=gap, h_plus=h_plus, g_z=g_z, g_plus=g_plus, rates=rates,
@@ -190,13 +190,13 @@ def evaluate_population(
     the Floquet solution (``eps_minus``, ``eps_plus``, ``gap``, ``h_plus``),
     the filter weights (``g_z``, ``g_plus``) and ``rates`` (``gamma_z``,
     ``gamma_plus``, ``gamma_minus``); :func:`_row_point` takes the minus
-    mode and ``g_minus`` from ``h_plus`` and ``g_plus``.  The context's
-    working point is checked first, then the checks of :class:`DriveSpec`
-    run once, on the arrays.  Rows are solved in slices
-    of ``_SLICE_ROWS``, and no arithmetic mixes rows, so :func:`_row_point`
-    of a row is bit for bit what :func:`evaluate_genome` returns alone.  The
-    harmonic truncation is ``context.k_max`` if set, else 3 n for rows of
-    order n; a ``k_max`` below n raises :class:`TruncationError`.
+    mode from ``h_plus``.  The context's working point is checked first,
+    then the checks of :class:`DriveSpec` run once, on the arrays.  Rows are
+    solved in slices of ``_SLICE_ROWS``, and no arithmetic mixes rows, so
+    :func:`_row_point` of a row is bit for bit what :func:`evaluate_genome`
+    returns alone.  The harmonic truncation is ``context.k_max`` if set,
+    else 3 n for rows of order n; a ``k_max`` below n raises
+    :class:`TruncationError`.
     """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or not len(x) or x.shape[1] < 2 or x.shape[1] % 2:
@@ -220,16 +220,15 @@ def evaluate_population(
 
 def _row_point(rows: dict, r: int, context: EvaluationContext) -> PointResult | None:
     """The :class:`PointResult` of row ``r`` of :func:`evaluate_population`'s
-    row arrays; ``None`` for an infeasible row."""
+    row arrays; ``None`` for an infeasible row.  The minus mode is taken from
+    the plus mode, bit for bit as :func:`solve_floquet` takes it."""
     if not rows["ok"][r]:
         return None
-    solved = [rows[key] for key in ("eps_minus", "eps_plus", "h_plus")]
-    sol = _row_solution(solved, r)
-    g_z, g_plus = rows["g_z"][r], rows["g_plus"][r]
+    h_plus = rows["h_plus"][r]
     return PointResult(
         DriveSpec(float(rows["omega_d"][r]), tuple(rows["p"][r])),
-        sol,
-        # g_minus[k] = conj(g_plus[-k]), as compute_filter_weights forms it
-        FilterWeights(g_z, g_plus, g_plus[::-1].conj(), 2 * sol.k_max),
-        RateReport.from_rates(*(float(x) for x in rows["rates"][r])),
+        FloquetSolution(float(rows["eps_plus"][r]), float(rows["eps_minus"][r]),
+                        h_plus, _minus_mode(h_plus, (len(h_plus) - 1) // 2)),
+        FilterWeights(rows["g_z"][r], rows["g_plus"][r]),
+        RateReport(*(float(x) for x in rows["rates"][r])),
     )

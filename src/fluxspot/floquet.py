@@ -165,15 +165,23 @@ class FloquetSolution:
     row ``i`` is the harmonic ``k = i - k_max`` of the corresponding periodic
     mode, normalized so the stacked vector has unit norm and gauge-fixed so
     the dominant entry of the central harmonic block is real and positive.
-    The drive frequency is the drive's (:class:`DriveSpec`).
+    The drive frequency is the drive's (:class:`DriveSpec`).  ``omega_gap``
+    and ``k_max`` are derived.  The minus mode is stored: the propagator
+    reference computes it apart from the C symmetry.
     """
 
     eps_plus: float
     eps_minus: float
-    omega_gap: float
     harmonics_plus: np.ndarray
     harmonics_minus: np.ndarray
-    k_max: int
+
+    @property
+    def omega_gap(self) -> float:
+        return self.eps_plus - self.eps_minus
+
+    @property
+    def k_max(self) -> int:
+        return (len(self.harmonics_plus) - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -183,13 +191,21 @@ class FilterWeights:
     ``g_z`` (dephasing channel) and ``g_plus``/``g_minus`` (relaxation
     channels) are complex arrays indexed ``k in [-k_max, k_max]``.  The
     normalization constants of the underlying operator decomposition are
-    fixed: ``a_z = 4``, ``a_pm = 1``, ``b_z = 2``, ``b_pm = 1``.
+    fixed: ``a_z = 4``, ``a_pm = 1``, ``b_z = 2``, ``b_pm = 1``.  ``k_max``
+    and ``g_minus[k] = conj(g_plus[-k])`` are derived, the latter as
+    :func:`compute_filter_weights` forms it.
     """
 
     g_z: np.ndarray
     g_plus: np.ndarray
-    g_minus: np.ndarray
-    k_max: int
+
+    @property
+    def g_minus(self) -> np.ndarray:
+        return self.g_plus[::-1].conj()
+
+    @property
+    def k_max(self) -> int:
+        return (len(self.g_z) - 1) // 2
 
     @property
     def g_z0(self) -> complex:
@@ -378,19 +394,6 @@ def solve_floquet(stack: np.ndarray, omega_d: np.ndarray):
 def _minus_mode(h_plus: np.ndarray, k_max: int) -> np.ndarray:
     """The gauge-fixed minus modes ``C h_plus`` of stacked plus modes."""
     return _gauge_fix(_particle_hole(h_plus), k_max)
-
-
-def _row_solution(solved, r: int = 0) -> FloquetSolution:
-    """Row ``r`` of :func:`solve_floquet`'s arrays ``solved`` (the first
-    three are read), as a :class:`FloquetSolution`.  The minus mode is taken
-    again from the plus mode, bit for bit as :func:`solve_floquet` takes it,
-    so a caller need not keep it."""
-    eps_minus, eps_plus, h_plus = (a[r] for a in solved[:3])
-    k_max = (len(h_plus) - 1) // 2
-    return FloquetSolution(
-        float(eps_plus), float(eps_minus), float(eps_plus - eps_minus),
-        h_plus, _minus_mode(h_plus, k_max), k_max,
-    )
 
 
 def _su2_entries(delta: float, long_coefs, dt):
@@ -611,9 +614,7 @@ def reference_floquet_via_propagator(
         hm = h.reshape(-1, 2, 2)[:, :, mode]
         return _gauge_fix(hm / np.linalg.norm(hm), k_max)
 
-    return FloquetSolution(
-        eps_plus, eps_minus, eps_plus - eps_minus, harmonics(0), harmonics(1), k_max
-    )
+    return FloquetSolution(eps_plus, eps_minus, harmonics(0), harmonics(1))
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -638,14 +638,17 @@ class PulseResult:
 
     ``fidelity_history[i]`` is the raw fidelity of iteration ``i`` until an
     iterate is first accepted, and the best accepted fidelity so far from
-    then on (see :func:`optimize_pulse`).
+    then on (see :func:`optimize_pulse`); ``converged`` is derived.
     """
 
     theta: np.ndarray
     fidelity: float
     fidelity_history: np.ndarray
     waveforms: np.ndarray
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.fidelity >= TARGET_FIDELITY)
 
 
 def optimize_pulse(
@@ -708,5 +711,4 @@ def optimize_pulse(
         fidelity=float(best_fid),
         fidelity_history=np.asarray(history),
         waveforms=best_waveforms,
-        converged=bool(best_fid >= TARGET_FIDELITY),
     )

@@ -94,28 +94,24 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Decoherence rates (1/us) and the derived coherence times (us)."""
+    """Decoherence rates (1/us); ``gamma_1`` and the coherence times ``t1`` and
+    ``t_phi`` (us) are derived, a time inf where its rate is not positive."""
 
     gamma_z: float
     gamma_plus: float
     gamma_minus: float
-    gamma_1: float
-    t1: float
-    t_phi: float
 
-    @classmethod
-    def from_rates(
-        cls, gamma_z: float, gamma_plus: float, gamma_minus: float
-    ) -> "RateReport":
-        gamma_1 = gamma_plus + gamma_minus
-        return cls(
-            gamma_z=gamma_z,
-            gamma_plus=gamma_plus,
-            gamma_minus=gamma_minus,
-            gamma_1=gamma_1,
-            t1=1.0 / gamma_1 if gamma_1 > 0.0 else np.inf,
-            t_phi=1.0 / gamma_z if gamma_z > 0.0 else np.inf,
-        )
+    @property
+    def gamma_1(self) -> float:
+        return self.gamma_plus + self.gamma_minus
+
+    @property
+    def t1(self) -> float:
+        return 1.0 / self.gamma_1 if self.gamma_1 > 0.0 else np.inf
+
+    @property
+    def t_phi(self) -> float:
+        return 1.0 / self.gamma_z if self.gamma_z > 0.0 else np.inf
 
 
 def spectral_density(noise: NoiseModel, omega):

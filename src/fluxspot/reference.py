@@ -74,7 +74,6 @@ class BenchmarkPoint:
     genome: Genome
     phi_ac: float
     times_us: tuple
-    strategy: str
 
 
 BENCHMARK_POINTS = (
@@ -88,7 +87,6 @@ BENCHMARK_POINTS = (
         ),
         phi_ac=0.05481469714355,
         times_us=(877.0, 2036.0),
-        strategy="ibea",
     ),
     BenchmarkPoint(
         name="dss-2",
@@ -100,7 +98,6 @@ BENCHMARK_POINTS = (
         ),
         phi_ac=0.04328921388672,
         times_us=(711.0, 3035.0),
-        strategy="spea2",
     ),
     BenchmarkPoint(
         name="dss-3",
@@ -112,7 +109,6 @@ BENCHMARK_POINTS = (
         ),
         phi_ac=0.04499702210739,
         times_us=(553.0, 7398.0),
-        strategy="moead",
     ),
 )
 

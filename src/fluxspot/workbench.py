@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -32,7 +32,9 @@ from .evaluation import (
     Genome,
     _INFEASIBLE,
     _drive_order,
+    _row_point,
     evaluate_genome,
+    evaluate_population,
 )
 from .exceptions import (
     ConfigError,
@@ -44,12 +46,9 @@ from .exceptions import (
 )
 from .floquet import (
     DriveSpec,
-    _row_solution,
     _su2_matrices,
-    assemble_floquet_matrix,
     mode_infidelity,
     reference_floquet_via_propagator,
-    solve_floquet,
 )
 from .gates import (
     TARGETS,
@@ -420,14 +419,19 @@ def _read_front_csv(
     """The rows of the front CSV ``name`` that the ``producer`` verb wrote,
     as a tuple of :class:`Individual`, each stamped ``(strategy, seed)``.
     They are read at the drive order ``optimize`` wrote them at,
-    ``optimizer.n``, which is checked before any file is read; the context
-    gives the ``omega_d`` scale.  Nothing checks that the rows are mutually
-    non-dominated."""
+    ``optimizer.n``, checked before any file is read; a header of another
+    order raises :class:`DependencyError`.  The context gives the ``omega_d``
+    scale; nothing checks that the rows are mutually non-dominated."""
     n = _drive_order(cfg["optimizer"]["n"])
     path = run.require(name, producer)
     members = []
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != front_columns(n):
+            raise DependencyError(
+                f"front CSV {path.name}: header not of drive order optimizer.n = {n}"
+            )
+        for i, row in enumerate(reader):
             cell = partial(_cell, row, f"front CSV {path.name} row {i}")
             genome = Genome(
                 p0=cell("p0"),
@@ -802,35 +806,32 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
 
 def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
     """Mode infidelity of the truncated solver against the propagator
-    reference, swept over the harmonic truncation for each drive order."""
+    reference, swept over the harmonic truncation for each drive order.
+    Each truncation is a one-row :func:`evaluate_population` at that
+    ``k_max``; an infeasible row raises ``DegenerateGapError`` naming it."""
     orders = cfg["truncation"]["orders"]
     if min(orders, default=0) < 0:
         raise InvalidParameterError(
             f"truncation.orders must be >= 0, got drive order {min(orders)}"
         )
     context = build_context(cfg)
-    coeffs = context.coefficients
-    substeps = cfg["truncation"]["substeps"]
+    coeffs, substeps = context.coefficients, cfg["truncation"]["substeps"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for n in orders:
-        p = [complex(rng.uniform(0.0, 1.0), 0.0)]
-        p += [
-            complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)
-        ]
-        drive = DriveSpec(omega_d=1.1 * context.omega_ge, p=tuple(p))
-        omega_d, p_row = np.array([drive.omega_d]), np.array([drive.p])
-        k_ref = 3 * n + 4
-        ref = reference_floquet_via_propagator(drive, coeffs, substeps, k_max=k_ref)
+        p0 = rng.uniform(0.0, 1.0)
+        p = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+        vector = Genome(p0, [z.real for z in p], [z.imag for z in p], 1.1).to_vector()
+        drive = DriveSpec(1.1 * context.omega_ge, (p0, *p))
+        ref = reference_floquet_via_propagator(drive, coeffs, substeps, k_max=3 * n + 4)
         for k_max in range(n, 3 * n + 3):
-            stack = assemble_floquet_matrix(omega_d, p_row, coeffs, k_max)
-            solved = solve_floquet(stack, omega_d)
-            if not solved[-1][0]:
+            _, solved = evaluate_population([vector], replace(context, k_max=k_max))
+            point = _row_point(solved, 0, context)
+            if point is None:
                 raise DegenerateGapError(
-                    f"drive order {n} at k_max={k_max}: quasienergy gap at 0 or "
-                    f"omega_d, branch labels undefined"
+                    f"drive order {n} at k_max={k_max} is {_INFEASIBLE}"
                 )
-            rows.append([n, k_max, mode_infidelity(ref, _row_solution(solved))])
+            rows.append([n, k_max, mode_infidelity(ref, point.solution)])
     return run.write_csv(
         "truncation.csv", ["n", "k_max", "mode_infidelity"], rows, "truncation-study"
     )

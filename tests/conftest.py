@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.exceptions import DegenerateGapError
-from fluxspot.floquet import _row_solution
 
 REFERENCE_CONTEXT = fs.build_context(fs.REFERENCE)
 
@@ -60,10 +59,10 @@ def solve_row(drive, coeffs, k_max):
     :class:`DegenerateGapError`."""
     omega_d, p = drive_rows(drive)
     stack = fs.assemble_floquet_matrix(omega_d, p, coeffs, k_max)
-    solved = fs.solve_floquet(stack, omega_d)
-    if not solved[-1][0]:
+    eps_minus, eps_plus, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
+    if not ok[0]:
         raise DegenerateGapError("branch labels undefined")
-    return _row_solution(solved)
+    return fs.FloquetSolution(float(eps_plus[0]), float(eps_minus[0]), h_plus[0], h_minus[0])
 
 
 def weights_of(sol):
@@ -79,8 +78,8 @@ def solve_drive(drive, context):
     ``context`` (its coefficients), through the stacked stages."""
     k_max = 3 * max(drive.n, 1) + 3
     sol = solve_row(drive, context.coefficients, k_max)
-    g_z, g_plus, g_minus = weights_of(sol)
-    return sol, fs.FilterWeights(g_z[0], g_plus[0], g_minus[0], 2 * k_max)
+    g_z, g_plus, _ = weights_of(sol)
+    return sol, fs.FilterWeights(g_z[0], g_plus[0])
 
 
 @st.composite

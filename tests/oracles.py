@@ -40,7 +40,6 @@ from fluxspot.floquet import (
     PAULI_Y,
     PAULI_Z,
     DriveSpec,
-    FilterWeights,
     FloquetSolution,
     _su2_entries,
 )
@@ -163,9 +162,10 @@ def mode_at(sol: FloquetSolution, omega_d: float, t, which: str = "plus") -> np.
 
 def filter_weights_time_grid(
     sol: FloquetSolution, omega_d: float, n_samples: int = 4096
-) -> FilterWeights:
-    """Filter weights from a uniform time grid (FFT cross-check) of a
-    solution under a drive at ``omega_d``."""
+) -> tuple:
+    """Filter weights ``(g_z, g_plus, g_minus)`` from a uniform time grid
+    (FFT cross-check) of a solution under a drive at ``omega_d``; ``g_minus``
+    is computed from the modes, not from ``g_plus``."""
     big_k = 2 * sol.k_max
     ts = np.arange(n_samples) * (2.0 * np.pi / omega_d) / n_samples
     wp = mode_at(sol, omega_d, ts, "plus")
@@ -177,12 +177,7 @@ def filter_weights_time_grid(
     f_minus = np.einsum("ta,ab,tb->t", wm.conj(), PAULI_X, wp)
     ks = np.arange(-big_k, big_k + 1)
     proj = np.exp(1j * np.outer(ks, omega_d * ts)) / n_samples
-    return FilterWeights(
-        g_z=(proj @ f_z) / 2.0,
-        g_plus=proj @ f_plus,
-        g_minus=proj @ f_minus,
-        k_max=big_k,
-    )
+    return (proj @ f_z) / 2.0, proj @ f_plus, proj @ f_minus
 
 
 def parseval_sum(g_z, g_plus, g_minus) -> np.ndarray:

@@ -28,9 +28,12 @@ from fluxspot.workbench import (
     _gate_job,
     build_context,
     cmd_grape,
+    cmd_truncation_study,
     front_columns,
     load_config,
 )
+
+from conftest import solve_row
 
 TINY = {
     "seed": 5,
@@ -590,6 +593,43 @@ def test_front_row_outside_the_box_exits_3_naming_the_field(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert message in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("stored, n", [(4, 2), (2, 4)], ids=["fewer", "more"])
+@pytest.mark.parametrize(
+    "verb, read",
+    [
+        ("aggregate", "front_nsga2.csv"),
+        ("classify", "front_aggregated.csv"),
+        ("bounds", "front_aggregated.csv"),
+    ],
+)
+def test_front_of_another_drive_order_exits_4_naming_it(
+    tmp_path, capsys, verb, read, stored, n
+):
+    # a front read at a lower optimizer.n than it was written at would drop
+    # its higher harmonics, row by row, and its times would contradict its
+    # rates; only a header of front_columns(optimizer.n) is read
+    optimizer = dict(TINY["optimizer"], n=n)
+    config = write_json(tmp_path / "config.json", dict(TINY, optimizer=optimizer))
+    out = tmp_path / "out"
+    out.mkdir()
+    row = dict.fromkeys(front_columns(stored), 0.1)
+    cfg = load_config(config)
+    row.update(strategy="nsga2", seed=5, omega_d=build_context(cfg).omega_ge)
+    names = [f"front_{s}.csv" for s in cfg["optimizer"]["strategies"]]
+    for name in names + ["front_aggregated.csv"]:
+        with open(out / name, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, front_columns(stored), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli(config, out, verb) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"front CSV {read}: " in err and f"optimizer.n = {n}" in err, err
+    # nothing is written: the manifest and every output keep their bytes
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1213,6 +1253,59 @@ def test_negative_truncation_order_exits_3_with_one_line(tmp_path, capsys, order
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert f"truncation.orders must be >= 0, got drive order {min(orders)}" in err, err
     assert not (out / "truncation.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_truncation_rows_are_the_stacked_solve_against_the_reference(tmp_path, seed):
+    # each row is a one-row evaluate_population at its k_max; its mode is
+    # the stacked solve's, bit for bit, at the default orders and substeps
+    config = write_json(tmp_path / "config.json", {"seed": seed})
+    out = tmp_path / "out"
+    assert run_cli(config, out, "truncation-study") == 0
+    with open(out / "truncation.csv", newline="") as fh:
+        got = [
+            (int(r["n"]), int(r["k_max"]), float(r["mode_infidelity"]))
+            for r in csv.DictReader(fh)
+        ]
+    cfg = load_config(config)
+    context = build_context(cfg)
+    coeffs = context.coefficients
+    rng = np.random.default_rng(seed)
+    want = []
+    for n in cfg["truncation"]["orders"]:
+        p = [complex(rng.uniform(0.0, 1.0), 0.0)]
+        p += [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+        drive = fluxspot.DriveSpec(1.1 * context.omega_ge, tuple(p))
+        ref = fluxspot.reference_floquet_via_propagator(
+            drive, coeffs, cfg["truncation"]["substeps"], k_max=3 * n + 4
+        )
+        want += [
+            (n, k, fluxspot.mode_infidelity(ref, solve_row(drive, coeffs, k)))
+            for k in range(n, 3 * n + 3)
+        ]
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    assert got == want
+
+
+def test_infeasible_truncation_row_raises_naming_order_and_k_max(tmp_path, monkeypatch):
+    # the stacked solve is made to fail its mode check at k_max = 2 only
+    import fluxspot.evaluation
+
+    solve = fluxspot.evaluation.solve_floquet
+
+    def failing_at_two(stack, omega_d):
+        *solved, ok = solve(stack, omega_d)
+        return (*solved, ok & (stack.shape[-1] != 2 * (2 * 2 + 1)))
+
+    monkeypatch.setattr(fluxspot.evaluation, "solve_floquet", failing_at_two)
+    cfg = load_config(write_json(tmp_path / "config.json", TINY))
+    run = RunDirectory(tmp_path / "out", cfg)
+    with pytest.raises(
+        fluxspot.exceptions.DegenerateGapError,
+        match=r"^drive order 1 at k_max=2 is infeasible: ",
+    ):
+        cmd_truncation_study(cfg, run)
+    assert not (tmp_path / "out" / "truncation.csv").exists()
 
 
 def test_repeated_gate_job_name_exits_2_with_one_line(tmp_path, capsys):

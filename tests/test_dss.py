@@ -32,9 +32,7 @@ class TestUpperBounds:
     def make_static_weights(self):
         g = np.zeros(5, dtype=complex)
         g[2] = 1.0
-        return FilterWeights(
-            g_z=np.zeros(5, dtype=complex), g_plus=g, g_minus=g.copy(), k_max=2
-        )
+        return FilterWeights(g_z=np.zeros(5, dtype=complex), g_plus=g)
 
     def test_general_bound_exceeds_t1_at_sweet_spot(self, qubit, noise):
         w = self.make_static_weights()
@@ -94,7 +92,7 @@ class TestUpperBounds:
 
     def test_bounds_hold_on_benchmarks(self, benchmark_results):
         for name, (bench, ctx, point) in benchmark_results.items():
-            report = fs.evaluate_bounds(point, ctx.noise, ctx.qubit.delta)
+            report = fs.evaluate_bounds(point, ctx)
             assert report.margin_general >= 1.0, name
             assert report.margin_dss >= 1.0, name
 
@@ -122,6 +120,23 @@ class TestUpperBounds:
         assert scaled == pytest.approx(base / c, rel=1e-12)
 
 
+class TestBoundReport:
+    def test_margins_are_bound_over_t1(self, benchmark_results):
+        for name, (_, ctx, point) in benchmark_results.items():
+            report = fs.evaluate_bounds(point, ctx)
+            assert report.t1 == point.rates.t1, name
+            assert report.margin_general == report.t_ub_general / report.t1, name
+            assert report.margin_dss == report.t_ub_dss / report.t1, name
+
+    @pytest.mark.parametrize(
+        "t1, margin", [(0.0, np.inf), (-1.0, np.inf), (np.inf, 0.0)],
+        ids=["zero", "negative", "infinite"],
+    )
+    def test_margins_at_a_t1_without_a_finite_ratio(self, t1, margin):
+        report = fs.BoundReport(t_ub_general=2.0, t_ub_dss=3.0, t1=t1, ok=True)
+        assert report.margin_general == margin and report.margin_dss == margin
+
+
 class TestVerdict:
     """``BoundReport.ok``: every point keeps the general bound, and a point
     with |g_z0| below ``DSS_THRESHOLD`` also keeps the DSS bound, each up to
@@ -140,12 +155,14 @@ class TestVerdict:
         # weaker relaxation weights lift the general bound above the DSS bound
         g_plus = w.g_plus if bound == "general" else 0.1 * w.g_plus
         point = replace(point, weights=replace(w, g_z=g_z, g_plus=g_plus))
-        at = fs.evaluate_bounds(point, ctx.noise, ctx.qubit.delta)
+        at = fs.evaluate_bounds(point, ctx)
         bounds = (at.t_ub_general, at.t_ub_dss)
         limit, other = bounds if bound == "general" else bounds[::-1]
         assert other > 1.1 * limit   # T1 at the bound under test keeps the other
-        rates = replace(point.rates, t1=limit * (1 + excess))
-        report = fs.evaluate_bounds(replace(point, rates=rates), ctx.noise, ctx.qubit.delta)
+        # T1 = 1 / (gamma_plus + gamma_minus), set through the primary rates
+        rates = replace(point.rates, gamma_plus=1.0 / (limit * (1 + excess)), gamma_minus=0.0)
+        assert rates.t1 == pytest.approx(limit * (1 + excess), rel=1e-15)
+        report = fs.evaluate_bounds(replace(point, rates=rates), ctx)
         counted = bound == "general" or gz0_scale < 1
         assert report.ok == (excess < 1e-9 or not counted)
 
@@ -219,7 +236,7 @@ class TestSensitivity:
         d, _ = drive_k
         rng = np.random.default_rng(seed)
         g_z = rng.normal(size=2 * k_w + 1) + 1j * rng.normal(size=2 * k_w + 1)
-        w = FilterWeights(g_z=g_z, g_plus=g_z, g_minus=g_z, k_max=k_w)
+        w = FilterWeights(g_z=g_z, g_plus=g_z)
         p_full = np.zeros(w.ks.size, dtype=complex)
         for k_idx, k in enumerate(w.ks):
             if k == 0:
@@ -290,7 +307,7 @@ class TestClassification:
             assert report == fs.classify_point(point, context)
             assert report.label in ("plain", "dss", "double_dss")
             assert np.isfinite(report.d_omega_d_phi_dc)
-            assert bounds == fs.evaluate_bounds(point, context.noise, context.qubit.delta)
+            assert bounds == fs.evaluate_bounds(point, context)
 
     def test_classify_front_evaluates_each_member_once(self, context, monkeypatch):
         # the whole front is one evaluate_population call, whose row of each

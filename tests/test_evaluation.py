@@ -161,3 +161,30 @@ def test_one_genome_calls_each_stage_once(context, stage_calls):
 def test_a_population_calls_each_stage_once_per_slice(context, stage_calls):
     fs.evaluate_population(random_vectors(60, seed=59), context)
     assert stage_calls == dict.fromkeys(STAGES, math.ceil(60 / 25))
+
+
+def test_derived_values_are_the_stage_outputs_bit_for_bit(context):
+    # a point stores what the stages computed; its derived values (the gap,
+    # both truncations, the minus mode, g_minus, gamma_1 and the times) equal
+    # the stacked stages' own outputs, bit for bit
+    vectors = random_vectors(7, seed=53)
+    objs, rows = fs.evaluate_population(vectors, context)
+    omega_d = rows["omega_d"]
+    stack = fs.assemble_floquet_matrix(omega_d, rows["p"], context.coefficients, 12)
+    eps_minus, eps_plus, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
+    assert ok.all()
+    g_z, g_plus, g_minus = fs.compute_filter_weights(h_plus, h_minus)
+    gamma_z, gamma_plus, gamma_minus = fs.decoherence_rates(
+        g_z, g_plus, g_minus, eps_plus - eps_minus, omega_d, context.noise
+    )
+    for r in range(len(vectors)):
+        point = _row_point(rows, r, context)
+        sol, weights, rates = point.solution, point.weights, point.rates
+        assert sol.omega_gap == rows["gap"][r] == eps_plus[r] - eps_minus[r]
+        assert sol.k_max == 12 and weights.k_max == 24
+        assert np.array_equal(sol.harmonics_minus, h_minus[r])
+        assert np.array_equal(weights.g_minus, g_minus[r])
+        assert rates.gamma_1 == gamma_plus[r] + gamma_minus[r] == objs[r, 0]
+        assert rates.t1 == 1.0 / (gamma_plus[r] + gamma_minus[r])
+        assert rates.t_phi == 1.0 / gamma_z[r]
+        assert point.objectives == (objs[r, 0], objs[r, 1])

@@ -145,7 +145,9 @@ def assemble_by_blocks(drive, coeffs, k_max):
 
 
 def filter_weights_by_traces(sol):
-    """Filter weights as diagonal sums of the harmonic overlap matrices."""
+    """Filter weights ``(g_z, g_plus, g_minus)`` as diagonal sums of the
+    harmonic overlap matrices; ``g_minus`` is computed from the modes, not
+    from ``g_plus``."""
     hp, hm = sol.harmonics_plus, sol.harmonics_minus
     big_k = 2 * sol.k_max
     m_pp = hp.conj() @ PAULI_X @ hp.T
@@ -153,11 +155,10 @@ def filter_weights_by_traces(sol):
     m_pm = hp.conj() @ PAULI_X @ hm.T
     m_mp = hm.conj() @ PAULI_X @ hp.T
     ks = range(-big_k, big_k + 1)
-    return FilterWeights(
-        g_z=np.array([0.5 * np.trace(m_pp - m_mm, offset=-k) for k in ks]),
-        g_plus=np.array([np.trace(m_pm, offset=-k) for k in ks]),
-        g_minus=np.array([np.trace(m_mp, offset=-k) for k in ks]),
-        k_max=big_k,
+    return (
+        np.array([0.5 * np.trace(m_pp - m_mm, offset=-k) for k in ks]),
+        np.array([np.trace(m_pm, offset=-k) for k in ks]),
+        np.array([np.trace(m_mp, offset=-k) for k in ks]),
     )
 
 
@@ -367,6 +368,8 @@ class TestPropagatorReference:
             d, coeffs(3.0, a=0.0, b=4.0), substeps=4096, k_max=3
         )
         assert ref.omega_gap == pytest.approx(5.0, abs=1e-9)
+        assert ref.omega_gap == ref.eps_plus - ref.eps_minus
+        assert ref.k_max == 3 and ref.harmonics_minus.shape == (7, 2)
 
     def test_matches_matrix_solver(self, context):
         rng = np.random.default_rng(23)
@@ -593,10 +596,10 @@ class TestFilterWeights:
         for _ in range(4):
             d = random_drive(rng, context)
             sol, w = solve_drive(d, context)
-            w_fft = filter_weights_time_grid(sol, d.omega_d)
-            assert np.max(np.abs(w.g_z - w_fft.g_z)) < 1e-9
-            assert np.max(np.abs(w.g_plus - w_fft.g_plus)) < 1e-9
-            assert np.max(np.abs(w.g_minus - w_fft.g_minus)) < 1e-9
+            g_z, g_plus, g_minus = filter_weights_time_grid(sol, d.omega_d)
+            assert np.max(np.abs(w.g_z - g_z)) < 1e-9
+            assert np.max(np.abs(w.g_plus - g_plus)) < 1e-9
+            assert np.max(np.abs(w.g_minus - g_minus)) < 1e-9
 
     def test_parseval_and_cross_symmetry(self, context):
         # fifty drives through the stages as one stack
@@ -642,10 +645,8 @@ def alternative_representative(sol, omega_d):
     return FloquetSolution(
         eps_plus=sol.eps_minus,
         eps_minus=sol.eps_plus - omega_d,
-        omega_gap=omega_d - sol.omega_gap,
         harmonics_plus=minus,
         harmonics_minus=shifted,
-        k_max=sol.k_max + 1,
     )
 
 
@@ -659,12 +660,14 @@ class TestFilterWeightOracle:
         except DegenerateGapError:
             assume(False)
         for s in (sol, alternative_representative(sol, d.omega_d)):
+            g_z, g_plus, _ = weights_of(s)
+            w = FilterWeights(g_z[0], g_plus[0])
+            assert w.k_max == 2 * s.k_max
             oracle = filter_weights_by_traces(s)
-            assert oracle.k_max == 2 * s.k_max
-            for name, got in zip(("g_z", "g_plus", "g_minus"), weights_of(s)):
-                want = getattr(oracle, name)
-                assert got[0].shape == want.shape
-                assert np.max(np.abs(got[0] - want)) <= 1e-15, name
+            for name, want in zip(("g_z", "g_plus", "g_minus"), oracle):
+                got = getattr(w, name)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15, name
 
 
 def rates_of(weights, sol, omega_d, noise):

@@ -530,6 +530,16 @@ class TestOptimizePulse:
         assert result.fidelity_history[0] == pytest.approx(1.0, abs=1e-12)
         assert result.converged
 
+    @pytest.mark.parametrize(
+        "fidelity, converged",
+        [(gates.TARGET_FIDELITY, True), (np.nextafter(gates.TARGET_FIDELITY, 0), False),
+         (-np.inf, False)],
+        ids=["at-target", "below", "no-accepted-iterate"],
+    )
+    def test_converged_is_the_fidelity_at_the_target(self, fidelity, converged):
+        empty = np.zeros(0)
+        assert fs.PulseResult(empty, fidelity, empty, empty).converged is converged
+
     def test_target_dimension_must_match_context(self):
         spec = fs.PulseSpec(duration=10.0, steps=200, n_freq=4)
         with pytest.raises(InvalidParameterError, match="dimension"):

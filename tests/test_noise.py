@@ -87,7 +87,7 @@ class TestDecoherenceRates:
         gammas = fs.decoherence_rates(
             np.zeros_like(g_pm), g_pm, g_pm, np.array([5.0]), np.array([10.0]), noise
         )
-        rates = fs.RateReport.from_rates(*(float(g[0]) for g in gammas))
+        rates = fs.RateReport(*(float(g[0]) for g in gammas))
         assert rates.gamma_1 == 0.0 and rates.t1 == np.inf
         assert rates.gamma_z == 0.0 and rates.t_phi == np.inf
 
@@ -97,7 +97,7 @@ class TestDecoherenceRates:
         sol, w = solve_drive(d, context)
         gap, omega_d = np.array([sol.omega_gap]), np.array([d.omega_d])
         gammas = fs.decoherence_rates(*weight_rows(w), gap, omega_d, noise)
-        r = fs.RateReport.from_rates(*(float(g[0]) for g in gammas))
+        r = fs.RateReport(*(float(g[0]) for g in gammas))
         assert r.gamma_1 == r.gamma_plus + r.gamma_minus
         assert r.t1 == pytest.approx(1.0 / r.gamma_1)
 
@@ -197,3 +197,14 @@ class TestBenchmarkReproduction:
         bench, ctx, _ = benchmark_results["dss-2"]
         with pytest.raises(InvalidParameterError, match="no sweet-spot crossing"):
             fs.calibrate_amplitude(bench.genome, ctx, bracket=(0.02, 0.03))
+
+
+@pytest.mark.parametrize(
+    "gammas",
+    [(0.0, 0.0, 0.0), (-1e-3, -2e-3, 1e-3)],
+    ids=["zero", "negative"],
+)
+def test_times_of_non_positive_rates_are_infinite(gammas):
+    rates = fs.RateReport(*gammas)
+    assert rates.gamma_1 == gammas[1] + gammas[2]
+    assert rates.t1 == np.inf and rates.t_phi == np.inf
