@@ -18,7 +18,10 @@ Two independent solvers are provided: the truncated Floquet block matrix
 block matrix (validation path: ``truncation-study`` measures the first
 against it).  Filter weights -- the Fourier coefficients of the flux-coupling
 operator expressed in the Floquet frame -- are computed by exact discrete
-convolution of the mode harmonics.
+convolution of the mode harmonics.  One time walk,
+:func:`_sampled_propagators`, integrates H(t) for both the reference and the
+gate frame of ``gates``: midpoint steps of :func:`_midpoint_steps`, reduced
+to ``U(t)`` at a set of sample times.
 
 H(t) is a traceless real-symmetric 2x2 matrix, so ``sigma_y H(t)* sigma_y =
 -H(t)``.  The antiunitary map ``(C psi)_k = sigma_y conj(psi_{-k})`` keeps
@@ -77,10 +80,9 @@ _BOX_TOL = 1e-9
 _DEGENERACY_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-10
 _SHIFT_RTOL = 1e-13
-# the propagator reference walks the period in blocks of this many steps, and
-# sums the harmonics over pieces of _DFT_WIDTH steps with one DFT matrix
-_REFERENCE_BLOCK = 4096
-_DFT_WIDTH = 256
+# the propagator reference samples its period at this many interval ends, and
+# reads the mode harmonics off their FFT
+_MODE_SAMPLES = 256
 
 
 def _raise_at(bad, values, message: str) -> None:
@@ -490,34 +492,43 @@ def _midpoint_steps(
 ):
     """Entries ``(a, b)`` of the steps ``exp(-i h H(t_mid_us) scale)``, ``H =
     -(delta/2) Z + (B/2 + A P(t)) X`` in rad/us (see :func:`_su2_entries`):
-    the one step rule of the gate frame and the propagator reference."""
+    the one step rule of :func:`_sampled_propagators`, and so of the gate
+    frame and the propagator reference."""
     cx = (0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid_us)) * scale
     return _su2_entries(coeffs.delta * scale, cx, h)
 
 
-def _period_steps(
-    drive: DriveSpec, coeffs: EffectiveCoefficients, substeps: int, lo: int, hi: int
-):
-    """Entries ``(a, b)`` of the midpoint step propagators ``lo .. hi - 1``
-    of one period split into ``substeps`` (see :func:`_midpoint_steps`);
-    step ``m`` takes the drive at ``(m + 1/2) T / substeps`` whatever the
-    range, so the blocks of a period join up."""
-    dt = drive.period / substeps
-    return _midpoint_steps(drive, coeffs, (np.arange(lo, hi) + 0.5) * dt, dt)
+def _sampled_propagators(
+    drive: DriveSpec, coeffs: EffectiveCoefficients, times, substeps: int, unit: float
+) -> np.ndarray:
+    """``U(t)`` at the ascending sample ``times``, whose unit is ``unit`` us
+    (1.0, or ``RAD_PER_US_TO_RAD_PER_NS`` for ns): the time walk of the gate
+    frame and the propagator reference.
 
-
-def _block_carries(
-    drive: DriveSpec, coeffs: EffectiveCoefficients, substeps: int
-) -> list:
-    """Entries of ``U(t_lo)`` at the start of each block of
-    ``_REFERENCE_BLOCK`` steps, then of the monodromy ``U(T)``: each block's
-    steps are reduced by :func:`_su2_tree_product` and the totals chained."""
-    carries = [(1.0 + 0.0j, 0.0j)]
-    for lo in range(0, substeps, _REFERENCE_BLOCK):
-        hi = min(lo + _REFERENCE_BLOCK, substeps)
-        steps = _period_steps(drive, coeffs, substeps, lo, hi)
-        carries.append(_su2_mul(*_su2_tree_product(*steps), *carries[-1]))
-    return carries
+    Each interval between samples (the first one starts at 0) is cut into
+    ``substeps`` steps of :func:`_midpoint_steps`.  The steps of blocks of
+    about sqrt(intervals) intervals at a time are reduced per interval by
+    :func:`_su2_tree_product`, and one prefix scan of the interval totals
+    gives the samples, each projected back onto SU(2).
+    """
+    edges = np.concatenate(([0.0], times))
+    starts = edges[:-1, None]
+    widths = np.diff(edges)[:, None] / substeps
+    n = times.size
+    block = math.isqrt(n - 1) + 1
+    a, b = np.empty((2, n), dtype=complex)
+    for lo in range(0, n, block):
+        t0, h = starts[lo : lo + block], widths[lo : lo + block]
+        mids = t0 + (np.arange(substeps) + 0.5) * h
+        steps = _midpoint_steps(drive, coeffs, mids * unit, h, unit)
+        a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(*steps)
+    a, b = _su2_prefix_products(a, b)
+    # the scan leaves the samples up to ~1e-11 off unitarity; the gate
+    # frame's closed-form block steps would carry that into non-unitary
+    # steps, and its context holds the samples to determinant 1, so each is
+    # normalized
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return _su2_matrices(a / norm, b / norm)
 
 
 def _quasienergies_from_monodromy(
@@ -540,32 +551,33 @@ def reference_floquet_via_propagator(
     """Truncation-free reference solution of the model ``coeffs`` under
     ``drive`` from the one-period propagator.
 
-    Builds the time-ordered propagator by piecewise-constant exponentials on
-    a uniform grid and maps the monodromy eigenphases into the first zone.
-    The mode harmonics are the DFT of ``exp(i eps t) U(t) |mode(0)>`` on that
-    grid at ``|k| <= k_max``.  Two walks over the period in blocks of
-    ``_REFERENCE_BLOCK`` steps do it: the first chains the block totals into
-    the monodromy, the second rebuilds each block's prefixes from its carry
-    and adds the block's share of the harmonics, so memory is O(block +
-    k_max * _DFT_WIDTH), not O(substeps).  Raises :class:`IntegrationError`
-    when halving the substep count moves a quasienergy by more than ``1e-9``
-    of the drive frequency.
+    One walk of :func:`_sampled_propagators` samples ``U(t)`` at the
+    ``_MODE_SAMPLES`` = 256 interval ends ``t_m = m T / 256``, of
+    ``ceil(substeps / 256)`` steps each (192 at the default).  The monodromy
+    eigenphases, mapped into the first zone, are the quasienergies, and the
+    mode harmonics ``|k| <= k_max`` are one FFT of ``exp(i eps t_m) U(t_m)
+    |mode(0)>``.  A ``k_max`` above 64, where the harmonics ``k +- 256``
+    would alias onto them, raises :class:`InvalidParameterError`.  Raises
+    :class:`IntegrationError` when halving the step count (the same steps
+    per interval, to every other interval end) moves a quasienergy by more
+    than ``1e-9`` of the drive frequency.
     """
     if substeps < 1000:
         raise InvalidParameterError("substeps must be at least 1000 per period")
     if k_max is None:
         k_max = 3 * max(drive.n, 1)
-    period = drive.period
-    omega_d = drive.omega_d
-
-    carries = _block_carries(drive, coeffs, substeps)
-    eps, vecs = _quasienergies_from_monodromy(
-        _su2_matrices(*carries[-1]), omega_d, period
-    )
-    coarse = _block_carries(drive, coeffs, substeps // 2)[-1]
-    eps_coarse, _ = _quasienergies_from_monodromy(
-        _su2_matrices(*coarse), omega_d, period
-    )
+    if k_max > _MODE_SAMPLES // 4:
+        raise InvalidParameterError(
+            f"k_max={k_max} is above {_MODE_SAMPLES // 4}: the harmonics of "
+            f"{_MODE_SAMPLES} samples would alias"
+        )
+    period, omega_d = drive.period, drive.omega_d
+    times = np.arange(1, _MODE_SAMPLES + 1) * (period / _MODE_SAMPLES)
+    per_interval = -(-substeps // _MODE_SAMPLES)
+    us = _sampled_propagators(drive, coeffs, times, per_interval, 1.0)
+    eps, vecs = _quasienergies_from_monodromy(us[-1], omega_d, period)
+    coarse = _sampled_propagators(drive, coeffs, times[1::2], per_interval, 1.0)
+    eps_coarse, _ = _quasienergies_from_monodromy(coarse[-1], omega_d, period)
     drift = np.max(np.abs(np.sort(eps) - np.sort(eps_coarse)))
     if drift > 1e-9 * omega_d:
         raise IntegrationError(
@@ -575,46 +587,14 @@ def reference_floquet_via_propagator(
 
     i, j = _select_central_pair(eps, omega_d)
     eps_minus, eps_plus = float(eps[i]), float(eps[j])
-    modes, eps_pair = vecs[:, [j, i]], np.array([eps_plus, eps_minus])
-
-    # x(t) = exp(i eps t) U(t) |mode(0)> is T-periodic, so its harmonics
-    # are sums over t_m = m T / substeps for m = 1 .. substeps
-    dt = period / substeps
-    ks = np.arange(-k_max, k_max + 1)
-    dft = np.exp(-2j * np.pi / substeps * np.outer(ks, np.arange(_DFT_WIDTH)))
-    phase = np.exp(1j * np.outer(np.arange(_REFERENCE_BLOCK) * dt, eps_pair))
-
-    def block_sums(lo: int, carry) -> np.ndarray:
-        """The block's share, m = lo + 1 .. hi, of the harmonic sums: rows
-        k, columns (component, mode)."""
-        hi = min(lo + _REFERENCE_BLOCK, substeps)
-        # x(t_m) = exp(i eps t_m) P_(m - lo - 1) U(t_lo) |mode(0)>, P the
-        # in-block prefixes of the steps (one expression, so the steps and
-        # prefixes are freed as soon as they are used)
-        start = (_su2_matrices(*carry) @ modes) * np.exp(1j * (lo + 1) * dt * eps_pair)
-        x = _su2_matrices(
-            *_su2_prefix_products(*_period_steps(drive, coeffs, substeps, lo, hi))
-        ).reshape(-1, 2) @ start
-        x = x.reshape(-1, 2, 2)
-        x *= phase[: hi - lo, None]
-        x = x.reshape(-1, 4)
-        pad = -(hi - lo) % _DFT_WIDTH
-        if pad:
-            x = np.concatenate([x, np.zeros((pad, 4))])
-        # exp(-i k omega_d t_m) = dft[k, r] times one twiddle per piece of
-        # _DFT_WIDTH steps, its phase reduced modulo 2 pi in integers
-        starts = lo + 1 + _DFT_WIDTH * np.arange(x.shape[0] // _DFT_WIDTH)
-        twiddle = np.exp(-2j * np.pi / substeps * (np.outer(starts, ks) % substeps))
-        return np.einsum("jk,jkc->kc", twiddle, dft @ x.reshape(-1, _DFT_WIDTH, 4))
-
-    blocks = range(0, substeps, _REFERENCE_BLOCK)
-    h = sum(block_sums(lo, carry) for lo, carry in zip(blocks, carries))
-
-    def harmonics(mode: int) -> np.ndarray:
-        hm = h.reshape(-1, 2, 2)[:, :, mode]
-        return _gauge_fix(hm / np.linalg.norm(hm), k_max)
-
-    return FloquetSolution(eps_plus, eps_minus, harmonics(0), harmonics(1))
+    # x(t) = exp(i eps t) U(t) |mode(0)> is T-periodic, so its harmonic k is
+    # the sum over m = 1 .. M of x(t_m) exp(-2 pi i k m / M): entry k mod M
+    # of the FFT of the samples rolled to start at t_M = T; rows (mode, m)
+    phase = np.exp(1j * np.outer([eps_plus, eps_minus], times))
+    x = np.einsum("tab,bm,mt->mta", us, vecs[:, [j, i]], phase)
+    h = np.fft.fft(np.roll(x, 1, axis=1), axis=1)[:, np.arange(-k_max, k_max + 1)]
+    h /= np.linalg.norm(h, axis=(1, 2), keepdims=True)
+    return FloquetSolution(eps_plus, eps_minus, *_gauge_fix(h, k_max))
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -651,10 +631,14 @@ def compute_filter_weights(h_plus: np.ndarray, h_minus: np.ndarray):
 
 
 def mode_infidelity(a: FloquetSolution, b: FloquetSolution) -> float:
-    """1 - |<mode_a(0)|mode_b(0)>| for the upper-branch modes at t = 0."""
-    va = np.asarray(a.harmonics_plus).sum(axis=0)
-    vb = np.asarray(b.harmonics_plus).sum(axis=0)
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
+    """1 - |<mode_a(0)|mode_b(0)>| for the normalized upper-branch modes at
+    t = 0, as ``||a - exp(i phi) b||^2 / 2`` at the phase that aligns them:
+    never negative, and without the cancellation of ``1 - |<a|b>|``.  A zero
+    overlap, or a zero mode, gives 1."""
+    va, vb = (np.asarray(s.harmonics_plus).sum(axis=0) for s in (a, b))
+    overlap = np.vdot(va, vb)
+    if overlap == 0.0:
         return 1.0
-    return float(1.0 - abs(np.vdot(va, vb)) / (na * nb))
+    va /= np.linalg.norm(va)
+    vb *= overlap.conjugate() / abs(overlap) / np.linalg.norm(vb)
+    return float(0.5 * np.linalg.norm(va - vb) ** 2)

@@ -46,11 +46,10 @@ from .floquet import (
     PAULI_Y,
     PAULI_Z,
     DriveSpec,
-    _midpoint_steps,
     _prefix_products,
+    _sampled_propagators,
     _su2_matrices,
     _su2_prefix_products,
-    _su2_tree_product,
 )
 from .units import RAD_PER_US_TO_RAD_PER_NS, TWO_PI
 
@@ -338,40 +337,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...cd->...acbd", a, b).reshape(-1, d * d, d * d)
 
 
-def _frame_unitaries(
-    drive: DriveSpec, coeffs: EffectiveCoefficients, times_ns: np.ndarray, substeps: int
-) -> np.ndarray:
-    """U_q at the ascending sample times by piecewise-constant exponentials.
-
-    The integration grid subdivides each inter-sample interval (the first
-    one starts at 0) into ``substeps`` steps of :func:`_midpoint_steps`.
-    Every step is SU(2), so each segment's steps are reduced on their entry
-    arrays by :func:`_su2_tree_product`, on blocks of about sqrt(segments)
-    segments to keep memory small, and one prefix scan of the segment
-    totals on their entry arrays gives the samples, each projected back onto
-    SU(2).
-    """
-    edges = np.concatenate(([0.0], times_ns))
-    starts = edges[:-1, None]
-    widths = np.diff(edges)[:, None] / substeps
-    n = times_ns.size
-    block = math.isqrt(n - 1) + 1
-    a = np.empty(n, dtype=complex)
-    b = np.empty(n, dtype=complex)
-    for lo in range(0, n, block):
-        t0, h = starts[lo : lo + block], widths[lo : lo + block]
-        mids = t0 + (np.arange(substeps) + 0.5) * h
-        # drive waveform lives on the us clock
-        steps = _midpoint_steps(drive, coeffs, mids * 1e-3, h, RAD_PER_US_TO_RAD_PER_NS)
-        a[lo : lo + block], b[lo : lo + block] = _su2_tree_product(*steps)
-    a, b = _su2_prefix_products(a, b)
-    # the scan leaves the samples up to ~1e-11 off unitarity; the closed-form
-    # block steps would carry that into non-unitary steps, and the context
-    # holds its samples to determinant 1, so each is normalized
-    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    return _su2_matrices(a / norm, b / norm)
-
-
 def rotating_frame_trajectory(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
@@ -398,9 +363,11 @@ def rotating_frame_trajectory(
             f"got {steps}, {substeps} and {duration}"
         )
     mids = (np.arange(steps) + 0.5) * (duration / steps)
-    us = _frame_unitaries(drive, coeffs, mids, substeps)
+    us = _sampled_propagators(drive, coeffs, mids, substeps, RAD_PER_US_TO_RAD_PER_NS)
     if verify:
-        coarse = _frame_unitaries(drive, coeffs, mids, max(substeps // 2, 1))
+        coarse = _sampled_propagators(
+            drive, coeffs, mids, max(substeps // 2, 1), RAD_PER_US_TO_RAD_PER_NS
+        )
         drift_err = np.max(np.abs(us - coarse))
         if drift_err > 1e-9:
             raise IntegrationError(

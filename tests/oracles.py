@@ -21,8 +21,8 @@ none of the functions here:
   same bits.
 - :func:`frame_steps_inline` and :func:`period_steps_inline` write out the
   midpoint step of the gate frame and of the propagator reference each in
-  its own units; ``_midpoint_steps`` is the one rule both call, and must
-  give the same bits.
+  its own units; ``_midpoint_steps`` is the one rule of the time walk that
+  both take, ``_sampled_propagators``, and must give the same bits.
 """
 
 from __future__ import annotations
@@ -269,8 +269,8 @@ def frame_steps_inline(
 def period_steps_inline(
     drive: DriveSpec, coeffs: EffectiveCoefficients, substeps: int, lo: int, hi: int
 ):
-    """Entries of the propagator reference's steps ``lo .. hi - 1`` of one
-    period split into ``substeps``, in rad/us."""
+    """Entries of the steps ``lo .. hi - 1`` of one period split into
+    ``substeps``, in rad/us: the propagator reference's rule."""
     dt = drive.period / substeps
     t_mid = (np.arange(lo, hi) + 0.5) * dt
     cx = 0.5 * coeffs.b_coef + coeffs.a_coef * drive.waveform(t_mid)

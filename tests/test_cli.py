@@ -985,7 +985,7 @@ def test_a_grape_pass_integrates_each_frame_once(tmp_path, monkeypatch):
             for g in ("x", "sqrt_iswap")]
     config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
     out = tmp_path / "out"
-    frames = counted(monkeypatch, fluxspot.gates, "_frame_unitaries")
+    frames = counted(monkeypatch, fluxspot.gates, "_sampled_propagators")
     points = counted(monkeypatch, fluxspot.workbench, "evaluate_genome")
     assert run_cli(config, out, "grape") == 0
     assert (frames, points) == ([1], [1])

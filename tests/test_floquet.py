@@ -16,13 +16,11 @@ from fluxspot.exceptions import (
 from fluxspot.floquet import (
     PAULI_X,
     PAULI_Z,
-    _REFERENCE_BLOCK,
     FilterWeights,
     FloquetSolution,
     _gauge_fix,
     _midpoint_steps,
     _particle_hole,
-    _period_steps,
     _prefix_products,
     _quasienergies_from_monodromy,
     _select_central_pair,
@@ -415,7 +413,8 @@ class TestPropagatorReference:
     def test_tree_product_is_the_monodromy(self):
         d = drive(10.0, (0.5, 1.0 + 1.0j))
         c = coeffs(3.0, a=1.0, b=1.0)
-        steps = _su2_matrices(*_period_steps(d, c, 1001, 0, 1001))
+        dt = d.period / 1001
+        steps = _su2_matrices(*_midpoint_steps(d, c, (np.arange(1001) + 0.5) * dt, dt))
         u = np.eye(2)
         for step in steps:
             u = step @ u
@@ -476,30 +475,33 @@ class TestPropagatorReference:
         "substeps, p",
         [
             (16384, (0.5, 1.0 + 1.0j)),
-            # not a multiple of the block, nor of the DFT width
-            (3 * _REFERENCE_BLOCK + 1000, (0.5, 1.0 + 1.0j)),
-            # one block, one step short; the strong drive above does not
-            # pass the halving check on so coarse a grid
-            (_REFERENCE_BLOCK - 1, (0.5, 0.3 + 0.3j)),
+            # not a multiple of the 256 intervals: 52 steps each, 13,312
+            (13288, (0.5, 1.0 + 1.0j)),
+            # 16 steps each, 4,096; the strong drive above does not pass the
+            # halving check on so coarse a grid
+            (4095, (0.5, 0.3 + 0.3j)),
         ],
-        ids=["whole-blocks", "ragged-last-block", "below-one-block"],
+        ids=["whole-intervals", "rounded-up", "coarse"],
     )
     def test_block_harmonics_match_dense_dft_oracle(self, substeps, p):
-        # the grid propagator by a step loop and the harmonics by a dense
-        # (2 k_max + 1) x substeps DFT matrix
+        # the grid propagator by a step loop over the reference's grid, 256
+        # intervals of ceil(substeps / 256) steps, and the harmonics by a
+        # dense (2 k_max + 1) x steps DFT matrix over every step
         d, c = drive(10.0, p), coeffs(3.0, a=1.0, b=1.0)
         k_max = 8
         ref = fs.reference_floquet_via_propagator(d, c, substeps, k_max)
-        steps = _su2_matrices(*_period_steps(d, c, substeps, 0, substeps))
-        us = np.empty((substeps + 1, 2, 2), dtype=complex)
+        total = 256 * -(-substeps // 256)
+        dt = d.period / total
+        steps = _su2_matrices(*period_steps_inline(d, c, total, 0, total))
+        us = np.empty((total + 1, 2, 2), dtype=complex)
         us[0] = np.eye(2)
-        for i in range(substeps):
+        for i in range(total):
             us[i + 1] = steps[i] @ us[i]
         eps, vecs = _quasienergies_from_monodromy(us[-1], d.omega_d, d.period)
         i, j = _select_central_pair(eps, d.omega_d)
-        ts = np.arange(substeps) * (d.period / substeps)
+        ts = np.arange(total) * dt
         ks = np.arange(-k_max, k_max + 1)
-        dft = np.exp(-1j * np.outer(ks * d.omega_d, ts)) / substeps
+        dft = np.exp(-1j * np.outer(ks * d.omega_d, ts)) / total
         for idx, eps_ref, h_ref in (
             (j, ref.eps_plus, ref.harmonics_plus),
             (i, ref.eps_minus, ref.harmonics_minus),
@@ -510,29 +512,26 @@ class TestPropagatorReference:
             h = _gauge_fix(h / np.linalg.norm(h), k_max)
             assert np.max(np.abs(h - h_ref)) < 1e-13
 
-    def test_period_steps_ranges_join_up(self):
-        d, c = drive(10.0, (0.5, 1.0 + 1.0j)), coeffs(3.0, a=1.0, b=1.0)
-        whole = _period_steps(d, c, 5000, 0, 5000)
-        head = _period_steps(d, c, 5000, 0, 1234)
-        tail = _period_steps(d, c, 5000, 1234, 5000)
-        for k in range(2):
-            assert np.array_equal(np.concatenate([head[k], tail[k]]), whole[k])
+    def test_k_max_that_would_alias_is_rejected(self):
+        # 256 samples resolve |k| <= 64; production passes at most 19
+        d, c = drive(10.0, (0.5, 0.3 + 0.3j)), coeffs(3.0, a=1.0, b=1.0)
+        assert fs.reference_floquet_via_propagator(d, c, 4096, k_max=64).k_max == 64
+        with pytest.raises(InvalidParameterError, match="k_max=65"):
+            fs.reference_floquet_via_propagator(d, c, 4096, k_max=65)
 
     @pytest.mark.parametrize("name", ["dss-1", "dss-2", "dss-3"])
     @pytest.mark.parametrize(
         "substeps, lo, hi",
-        [(5000, 0, 5000), (5000, 1234, 4321), (49152, 0, _REFERENCE_BLOCK)],
-        ids=["whole", "ragged", "single-block"],
+        [(5000, 0, 5000), (5000, 1234, 4321), (49152, 0, 192)],
+        ids=["whole", "ragged", "one-interval"],
     )
-    def test_period_steps_keep_the_inline_bits(
+    def test_midpoint_steps_keep_the_inline_bits(
         self, benchmark_results, name, substeps, lo, hi
     ):
         # the reference steps by _midpoint_steps at scale 1, which must give
         # the bits of the rule written out in rad/us
         _, ctx, point = benchmark_results[name]
         args = (point.drive, ctx.coefficients, substeps, lo, hi)
-        for got, expected in zip(_period_steps(*args), period_steps_inline(*args)):
-            assert np.array_equal(got, expected)
         dt = point.drive.period / substeps
         t_mid = (np.arange(lo, hi) + 0.5) * dt
         helper = _midpoint_steps(*args[:2], t_mid, dt)
@@ -540,13 +539,12 @@ class TestPropagatorReference:
             assert np.array_equal(got, expected)
 
     def test_memory_is_one_block(self):
-        # at 49,152 substeps and k_max = 19 the peak holds one block's arrays
-        # (4096 steps, 64 KiB per complex vector): its steps and scan
-        # temporaries (about 8 vectors), or its (4096, 2, 2) prefixes and the
-        # trajectory of both modes (2 x 256 KiB); beside them the per-call
-        # phase table (4096 x 2 complex, 128 KiB) and DFT matrix (39 x 256
-        # complex, 156 KiB): about 0.8 MB.  One complex vector spanning the
-        # grid (768 KiB) would push it past 1.5 MB.
+        # at 49,152 substeps the walk holds one block of 16 of its 256
+        # intervals at a time (3072 steps, 48 KiB per complex vector): the
+        # block's midpoints, steps and tree-product temporaries; the 256
+        # samples and their FFT are 16 KiB each.  The peak measured 0.46 MB.
+        # One complex vector spanning the grid (768 KiB) would push it past
+        # 1.5 MB.
         d = drive(10.0, (0.5, 0.3 + 0.2j, 0.1 - 0.4j, 0.2, 0.1j, 0.3))
         tracemalloc.start()
         try:
@@ -731,3 +729,28 @@ class TestTruncationConvergence:
                 infid.append(fs.mode_infidelity(ref, sol))
             assert infid[-1] < 1e-10
             assert infid[0] > infid[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k_max=st.integers(0, 6),
+        theta=st.floats(0.0, 2.0 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_infidelity_of_a_mode_with_itself_is_round_off(self, k_max, theta, seed):
+        # a mode against itself times a phase: 1 - |<a|b>| would cancel to a
+        # few ulp on either side of 0; the aligned difference is round-off
+        # squared, and never negative
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((2 * k_max + 1, 2)) + 1j * rng.standard_normal(
+            (2 * k_max + 1, 2)
+        )
+        assume(np.linalg.norm(h.sum(axis=0)) > 1e-6)
+        a = FloquetSolution(1.0, -1.0, h, h)
+        b = FloquetSolution(1.0, -1.0, np.exp(1j * theta) * h, h)
+        assert 0.0 <= fs.mode_infidelity(a, b) <= 1e-15
+
+    def test_orthogonal_modes_have_infidelity_one(self):
+        h = np.array([[1.0, 0.0]], dtype=complex)
+        a = FloquetSolution(1.0, -1.0, h, h)
+        b = FloquetSolution(1.0, -1.0, h[:, ::-1], h)
+        assert fs.mode_infidelity(a, b) == 1.0

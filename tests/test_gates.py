@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import fluxspot as fs
-from fluxspot import gates
+from fluxspot import floquet, gates
 from fluxspot.exceptions import IntegrationError, InvalidParameterError
 from fluxspot.floquet import (
     LOWERING,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _midpoint_steps,
+    _sampled_propagators,
     _su2_entries,
     _su2_matrices,
 )
@@ -17,7 +17,6 @@ from fluxspot.gates import (
     GIBBS_TOL,
     ControlContext,
     _block_steps,
-    _frame_unitaries,
     _shape_stages,
     _static_operators,
 )
@@ -156,22 +155,34 @@ class TestRotatingFrame:
                 u = step @ u
             expected.append(u)
             t0 = t1
-        us = _frame_unitaries(point.drive, coeffs, mids, substeps)
+        us = _sampled_propagators(
+            point.drive, coeffs, mids, substeps, RAD_PER_US_TO_RAD_PER_NS
+        )
         assert np.max(np.abs(us - np.array(expected))) < 1e-13
 
     @pytest.mark.parametrize("name", ["dss-1", "dss-2", "dss-3"])
-    def test_frame_steps_keep_the_inline_bits(self, benchmark_results, name):
-        # the frame steps by _midpoint_steps scaled to rad/ns, which must
-        # give the bits of the rule written out in rad/ns, on the substep
-        # grid of a 500-step, 10 ns job
+    def test_frame_steps_keep_the_inline_bits(
+        self, benchmark_results, name, monkeypatch
+    ):
+        # the walk at RAD_PER_US_TO_RAD_PER_NS steps by _midpoint_steps,
+        # whose steps, block by block, must give the bits of the rule
+        # written out in rad/ns, on the substep grid of a 500-step, 10 ns job
         _, ctx, point = benchmark_results[name]
-        edges = np.concatenate(([0.0], (np.arange(500) + 0.5) * 0.02))
+        args = (point.drive, ctx.coefficients)
+        midpoint_steps, steps = floquet._midpoint_steps, []
+
+        def recorded(*call):
+            steps.append(midpoint_steps(*call))
+            return steps[-1]
+
+        monkeypatch.setattr(floquet, "_midpoint_steps", recorded)
+        times = (np.arange(500) + 0.5) * 0.02
+        _sampled_propagators(*args, times, 1024, RAD_PER_US_TO_RAD_PER_NS)
+        edges = np.concatenate(([0.0], times))
         widths = np.diff(edges)[:, None] / 1024
         mids = edges[:-1, None] + (np.arange(1024) + 0.5) * widths
-        args = (point.drive, ctx.coefficients)
-        got = _midpoint_steps(*args, mids * 1e-3, widths, RAD_PER_US_TO_RAD_PER_NS)
-        for a, b in zip(got, frame_steps_inline(*args, mids, widths)):
-            assert np.array_equal(a, b)
+        for got, want in zip(zip(*steps), frame_steps_inline(*args, mids, widths)):
+            assert np.array_equal(np.concatenate(got), want)
 
     def test_frame_samples_are_su2(self, dss2_frame):
         # the 500 x 1024 prefix scan alone drifts off unitarity by ~7e-12
@@ -228,7 +239,7 @@ class TestRotatingFrame:
         drive = fs.DriveSpec(omega_d=3.0, p=(0.0,))
         coeffs = fs.EffectiveCoefficients(delta=0.0, a_coef=0.0, b_coef=0.0)
         mids = (np.arange(10) + 0.5) * 0.3
-        us = _frame_unitaries(drive, coeffs, mids, 5)
+        us = _sampled_propagators(drive, coeffs, mids, 5, RAD_PER_US_TO_RAD_PER_NS)
         assert np.array_equal(us, np.broadcast_to(np.eye(2), (10, 2, 2)))
 
     def test_verify_passes_on_resolved_grid(self, benchmark_results):
