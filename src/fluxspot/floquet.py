@@ -16,12 +16,14 @@ working point (phi_dc, phi_ac) they come from lives in
 Two independent solvers are provided: the truncated Floquet block matrix
 (production path) and a one-period propagator reference that never builds the
 block matrix (validation path: ``truncation-study`` measures the first
-against it).  Filter weights -- the Fourier coefficients of the flux-coupling
-operator expressed in the Floquet frame -- are computed by exact discrete
-convolution of the mode harmonics.  One time walk,
-:func:`_sampled_propagators`, integrates H(t) for both the reference and the
-gate frame of ``gates``: midpoint steps of :func:`_midpoint_steps`, reduced
-to ``U(t)`` at a set of sample times.
+against it), which reads its SU(2) monodromy in closed form
+(:func:`_monodromy_pair`); both label the branches by :func:`_central_pairs`.
+Filter weights -- the Fourier coefficients of the flux-coupling operator
+expressed in the Floquet frame -- are computed by exact discrete convolution
+of the mode harmonics.  One time walk, :func:`_sampled_propagators`,
+integrates H(t) for both the reference and the gate frame of ``gates``:
+midpoint steps of :func:`_midpoint_steps`, reduced to ``U(t)`` at a set of
+sample times.
 
 H(t) is a traceless real-symmetric 2x2 matrix, so ``sigma_y H(t)* sigma_y =
 -H(t)``.  The antiunitary map ``(C psi)_k = sigma_y conj(psi_{-k})`` keeps
@@ -40,7 +42,6 @@ gets the same bits in a stack of any size.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -320,20 +321,6 @@ def _central_pairs(eigvals: np.ndarray, omega_d):
     return i, j, degenerate
 
 
-def _select_central_pair(
-    eigvals: np.ndarray, omega_d: float
-) -> tuple[int, int]:
-    """:func:`_central_pairs` of one spectrum; a degenerate gap raises
-    :class:`DegenerateGapError`."""
-    i, j, degenerate = _central_pairs(eigvals, omega_d)
-    if degenerate:
-        raise DegenerateGapError(
-            "quasienergy gap at 0 or omega_d: branch labels undefined "
-            f"(eps = {eigvals[i]}, {eigvals[j]})"
-        )
-    return int(i), int(j)
-
-
 def solve_floquet(stack: np.ndarray, omega_d: np.ndarray):
     """Central quasienergies and gauge-fixed mode harmonics of a stack of
     Floquet matrices ``(rows, dim, dim)`` at drive frequencies ``omega_d``
@@ -531,15 +518,17 @@ def _sampled_propagators(
     return _su2_matrices(a / norm, b / norm)
 
 
-def _quasienergies_from_monodromy(
-    u_period: np.ndarray, omega_d: float, period: float
-) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eig(u_period)
-    vals = vals / np.abs(vals)
-    eps = np.array([fold_to_zone(-cmath.phase(v) / period, omega_d) for v in vals])
-    # re-orthonormalize the eigenvector pair (monodromy is unitary => normal)
-    q, _ = np.linalg.qr(vecs)
-    return eps, q
+def _monodromy_pair(u: np.ndarray, period: float) -> tuple[float, np.ndarray]:
+    """``eps = theta / T`` and the plus and minus modes (columns) of the
+    normalized monodromy ``U = [[a, -b*], [b, a*]] = cos(theta) + i
+    sin(theta) n.sigma``: ``theta = atan2(hypot(Im a, |b|), Re a)`` in [0,
+    pi], so ``+-eps`` are in the first zone (``arccos(Re a)`` would err by
+    ``d(Re a) / sin(theta)`` near 0 and pi), and the modes are the ascending
+    eigenvectors of ``(U - U^dag) / 2i = sin(theta) n.sigma``."""
+    a, b = u[0, 0], u[1, 0]
+    theta = math.atan2(math.hypot(a.imag, abs(b)), a.real)
+    _, modes = np.linalg.eigh((u - u.conj().T) / 2j)
+    return theta / period, modes
 
 
 def reference_floquet_via_propagator(
@@ -554,13 +543,14 @@ def reference_floquet_via_propagator(
     One walk of :func:`_sampled_propagators` samples ``U(t)`` at the
     ``_MODE_SAMPLES`` = 256 interval ends ``t_m = m T / 256``, of
     ``ceil(substeps / 256)`` steps each (192 at the default).  The monodromy
-    eigenphases, mapped into the first zone, are the quasienergies, and the
-    mode harmonics ``|k| <= k_max`` are one FFT of ``exp(i eps t_m) U(t_m)
+    gives ``+-eps`` and the modes at t = 0 (:func:`_monodromy_pair`), and
+    the mode harmonics ``|k| <= k_max`` are one FFT of ``exp(i eps t_m) U(t_m)
     |mode(0)>``.  A ``k_max`` above 64, where the harmonics ``k +- 256``
     would alias onto them, raises :class:`InvalidParameterError`.  Raises
     :class:`IntegrationError` when halving the step count (the same steps
-    per interval, to every other interval end) moves a quasienergy by more
-    than ``1e-9`` of the drive frequency.
+    per interval, to every other interval end) moves ``eps`` by more than
+    ``1e-9`` of the drive frequency, and :class:`DegenerateGapError` at a
+    degenerate gap (:func:`_central_pairs`).
     """
     if substeps < 1000:
         raise InvalidParameterError("substeps must be at least 1000 per period")
@@ -575,26 +565,24 @@ def reference_floquet_via_propagator(
     times = np.arange(1, _MODE_SAMPLES + 1) * (period / _MODE_SAMPLES)
     per_interval = -(-substeps // _MODE_SAMPLES)
     us = _sampled_propagators(drive, coeffs, times, per_interval, 1.0)
-    eps, vecs = _quasienergies_from_monodromy(us[-1], omega_d, period)
+    eps, modes = _monodromy_pair(us[-1], period)
     coarse = _sampled_propagators(drive, coeffs, times[1::2], per_interval, 1.0)
-    eps_coarse, _ = _quasienergies_from_monodromy(coarse[-1], omega_d, period)
-    drift = np.max(np.abs(np.sort(eps) - np.sort(eps_coarse)))
+    drift = abs(eps - _monodromy_pair(coarse[-1], period)[0])
     if drift > 1e-9 * omega_d:
         raise IntegrationError(
             f"propagator not converged: quasienergies moved by {drift} "
             f"rad/us when halving the step"
         )
-
-    i, j = _select_central_pair(eps, omega_d)
-    eps_minus, eps_plus = float(eps[i]), float(eps[j])
+    if _central_pairs(np.array([-eps, eps]), omega_d)[2]:
+        raise DegenerateGapError(f"gap {2 * eps} at 0 or omega_d: labels undefined")
     # x(t) = exp(i eps t) U(t) |mode(0)> is T-periodic, so its harmonic k is
     # the sum over m = 1 .. M of x(t_m) exp(-2 pi i k m / M): entry k mod M
     # of the FFT of the samples rolled to start at t_M = T; rows (mode, m)
-    phase = np.exp(1j * np.outer([eps_plus, eps_minus], times))
-    x = np.einsum("tab,bm,mt->mta", us, vecs[:, [j, i]], phase)
+    phase = np.exp(1j * np.outer([eps, -eps], times))
+    x = np.einsum("tab,bm,mt->mta", us, modes, phase)
     h = np.fft.fft(np.roll(x, 1, axis=1), axis=1)[:, np.arange(-k_max, k_max + 1)]
     h /= np.linalg.norm(h, axis=(1, 2), keepdims=True)
-    return FloquetSolution(eps_plus, eps_minus, *_gauge_fix(h, k_max))
+    return FloquetSolution(eps, -eps, *_gauge_fix(h, k_max))
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ sigma_z jump operators, with rates taken from a decoherence-rate report
 (1/us, converted to the gate module's ns clock internally).  The generator is
 piecewise constant on the pulse grid, so the whole pulse is one exact
 superoperator: the product of the step Liouvillian exponentials, which a
-batched scaling-and-squaring Pade approximant (:func:`_expm`) forms in
-fixed blocks of steps, with one degree and scaling for the whole pulse.
+batched scaling-and-squaring [13/13] Pade approximant (:func:`_expm`)
+forms in fixed blocks of steps, with one scaling for the whole pulse.
 The frame enters each step as a conjugation of one lab-frame Liouvillian
 (Havel, J. Math. Phys. 44, 534 (2003) for the Lindblad, superoperator and
 chi forms).  The process matrix and the fidelity are read off that one
@@ -63,14 +63,8 @@ def _pauli_basis(d: int) -> np.ndarray:
     return _kron(singles[:, None], singles[None, :])
 
 
-#: Higham's 1-norm bounds theta_m for the Pade degrees m, lowest first
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
+#: Higham's 1-norm bound theta_13 of the degree-13 Pade approximant
+_THETA_13 = 5.371920351148152
 
 
 #: steps per block of the pulse superoperator: a 2-qubit block's
@@ -86,42 +80,35 @@ def _norm_1(a: np.ndarray) -> float:
 def _expm(a: np.ndarray, norm: float | None = None) -> np.ndarray:
     """The exponential of every matrix of a ``(..., d, d)`` stack.
 
-    Scaling and squaring with one [m/m] Pade approximant for the whole
-    stack (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): the lowest
-    m whose ``theta_m`` bounds ``norm``, else m = 13 on the stack scaled by
-    ``2^-s`` and squared s times after.  ``norm`` is the stack's largest
-    column-sum 1-norm unless given; a block of a longer stack passes the
-    whole stack's, so that every block gets the (m, s) and the bits of one
-    call on the whole stack.  With ``r = (V - U)^-1 (V + U)`` formed as
-    ``I + 2 (V - U)^-1 U``, a near-identity step rounds only its small part.
+    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)) on the stack scaled by ``2^-s``
+    and squared s times after: ``s = ceil(log2(norm / theta_13))`` above
+    ``theta_13``, else 0.  ``norm`` is the stack's largest column-sum
+    1-norm unless given; a block of a longer stack passes the whole stack's,
+    so that every block gets the s and the bits of one call on the whole
+    stack.  With ``r = (V - U)^-1 (V + U)`` formed as ``I + 2 (V - U)^-1
+    U``, a near-identity step rounds only its small part, and a zero stack
+    gives the identity exactly.
     """
     if norm is None:
         norm = _norm_1(a)
-    m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     a = a / 2.0**s
-    # Higham's integer coefficients b_j = (2m - j)! / (j! (m - j)!)
+    # Higham's integer coefficients b_j = (26 - j)! / (j! (13 - j)!)
     f = math.factorial
-    b = [float(f(2 * m - j) // (f(j) * f(m - j))) for j in range(m + 1)]
+    b = [float(f(26 - j) // (f(j) * f(13 - j))) for j in range(14)]
     eye = np.eye(a.shape[-1])
     a2 = a @ a
-    if m < 13:
-        powers = [eye, a2]
-        while len(powers) < (m + 1) // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * j + 1] * x for j, x in enumerate(powers))
-        v = sum(b[2 * j] * x for j, x in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (
-            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-            + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-        )
-        v = (
-            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        )
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
     r = eye + 2.0 * np.linalg.solve(v - u, u)
     for _ in range(s):
         r = r @ r
@@ -144,7 +131,7 @@ def _pulse_superoperator(
     The steps go in blocks of ``_BLOCK_STEPS``: one pass writes each
     block's generators ``dt L_k`` into a ``(steps, d^2, d^2)`` stack, and a
     second replaces them by their Pade exponentials (:func:`_expm`, with the
-    degree and scaling of the largest 1-norm of the whole pulse) conjugated
+    scaling of the largest 1-norm of the whole pulse) conjugated
     by their ``S_k``.  The step superoperators are then multiplied in time
     order.  The bits are those of one call on the whole stack, and beside
     the stack only one block's temporaries are alive: a 2-qubit, 500-step

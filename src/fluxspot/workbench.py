@@ -706,7 +706,6 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     frame = ControlContext(samples, duration / steps, n_qubits, coupling)
     result = optimize_pulse(spec, frame, target, settings)
 
-    spectrum_re, spectrum_im = _complex_parts(np.fft.rfft(result.waveforms))
     artifact = {
         "gate": job["gate"],
         "name": name,
@@ -724,8 +723,6 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
         "frame_b": _complex_parts(frame.frame[:, 1, 0]),
         "theta": result.theta.tolist(),
         "samples": result.waveforms.tolist(),
-        "spectrum_re": spectrum_re,
-        "spectrum_im": spectrum_im,
         "fidelity": result.fidelity,
         "fidelity_history": result.fidelity_history.tolist(),
         "converged": result.converged,

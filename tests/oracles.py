@@ -19,6 +19,10 @@ none of the functions here:
   step's carry broadcast as its own product; ``_prefix_products`` applies
   a block's carry in one product of its stacked rows, and must give the
   same bits.
+- :func:`monodromy_eig_oracle` reads the quasienergies and modes of a
+  monodromy off a general eigensolve, folds the eigenphases into the first
+  zone and re-orthonormalizes the eigenvectors by QR;
+  ``_monodromy_pair`` reads them off the SU(2) form in closed form.
 - :func:`frame_steps_inline` and :func:`period_steps_inline` write out the
   midpoint step of the gate frame and of the propagator reference each in
   its own units; ``_midpoint_steps`` is the one rule of the time walk that
@@ -27,6 +31,7 @@ none of the functions here:
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import replace
@@ -42,6 +47,7 @@ from fluxspot.floquet import (
     DriveSpec,
     FloquetSolution,
     _su2_entries,
+    fold_to_zone,
 )
 from fluxspot.gates import ControlContext
 from fluxspot.lindblad import LindbladModel, _pulse_superoperator
@@ -250,6 +256,23 @@ def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:
     for b in range(1, n_blocks):
         carry[b] = out[b - 1, -1] @ carry[b - 1]
     return (out @ carry[:, None]).reshape(-1, d, d)[:n]
+
+
+# --------------------------------------------------------------- monodromy
+
+
+def monodromy_eig_oracle(
+    u: np.ndarray, omega_d: float, period: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quasienergies of the monodromy ``u``, folded into the first zone,
+    and its eigenvectors as the columns of a unitary: ``eig``, the phase of
+    each eigenvalue, and a QR of the eigenvector pair (a unitary monodromy
+    is normal, so its eigenvectors are orthogonal up to round-off)."""
+    vals, vecs = np.linalg.eig(u)
+    vals = vals / np.abs(vals)
+    eps = np.array([fold_to_zone(-cmath.phase(v) / period, omega_d) for v in vals])
+    q, _ = np.linalg.qr(vecs)
+    return eps, q
 
 
 # ---------------------------------------------------------- midpoint steps

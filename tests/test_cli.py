@@ -923,6 +923,22 @@ def test_simulate_artifacts_keep_their_keys(tmp_path):
         }
 
 
+def test_pulse_artifacts_keep_their_keys(tmp_path):
+    # the benchmark reads fidelity and fidelity_history, and simulate the
+    # frame, samples and rates; no key holds what another one gives
+    jobs = [{"name": "x", "gate": "x", "point": "dss-2", "iterations": 1, "steps": 16,
+             "frame_substeps": 8}]
+    config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
+    out = tmp_path / "out"
+    assert run_cli(config, out, "grape") == 0
+    assert set(json.loads((out / "pulse_x.json").read_text())) == {
+        "gate", "name", "point", "genome", "phi_ac", "duration_ns", "steps",
+        "n_freq", "n_qubits", "f_max_rad_per_ns", "coupling_j_rad_per_ns",
+        "frame_substeps", "frame_a", "frame_b", "theta", "samples", "fidelity",
+        "fidelity_history", "converged", "rates_per_us",
+    }
+
+
 @pytest.mark.parametrize(
     "superoperator, message",
     [

@@ -15,15 +15,16 @@ from fluxspot.exceptions import (
 )
 from fluxspot.floquet import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     FilterWeights,
     FloquetSolution,
+    _central_pairs,
     _gauge_fix,
     _midpoint_steps,
+    _monodromy_pair,
     _particle_hole,
     _prefix_products,
-    _quasienergies_from_monodromy,
-    _select_central_pair,
     _su2_entries,
     _su2_matrices,
     _su2_prefix_products,
@@ -43,6 +44,7 @@ from conftest import (
 from oracles import (
     filter_weights_time_grid,
     mode_at,
+    monodromy_eig_oracle,
     parseval_sum,
     period_steps_inline,
     prefix_products_broadcast,
@@ -244,26 +246,26 @@ class TestSolve:
         assert ok.tolist() == [False]
 
     @pytest.mark.parametrize("order", [1, -1])
-    def test_zone_edge_replica_pair_raises(self, order):
+    def test_zone_edge_replica_pair_is_degenerate(self, order):
         # eps = -/+ omega_d / 2 are replicas of one state; their |eps| tie is
         # broken by round-off, here one ulp either way
         edge = [-1.5, np.nextafter(1.5, 0.0)][::order]
         eps = np.array([*edge, 4.5, -4.5])
-        with pytest.raises(DegenerateGapError):
-            _select_central_pair(eps, 3.0)
-        with pytest.raises(DegenerateGapError):
-            _select_central_pair(-eps, 3.0)
+        assert _central_pairs(eps, 3.0)[2]
+        assert _central_pairs(-eps, 3.0)[2]
 
     def test_pair_inside_the_zone_keeps_its_labels(self):
         eps = np.array([4.4, 1.4, -1.4, -4.4])
-        assert _select_central_pair(eps, 3.0) == (2, 1)
+        i, j, degenerate = _central_pairs(eps, 3.0)
+        assert (i, j, degenerate) == (2, 1, False)
 
 
 def central_pair_oracle(m, omega_d):
     """Central eigenpairs of a Floquet matrix by a full ``eigh``:
     ``(eps_minus, eps_plus, h_minus, h_plus)``, gauge-fixed."""
     w, v = np.linalg.eigh(m)
-    i, j = _select_central_pair(w, omega_d)
+    i, j, degenerate = _central_pairs(w, omega_d)
+    assert not degenerate
     k_max = (m.shape[0] // 2 - 1) // 2
     modes = [_gauge_fix(v[:, idx].reshape(-1, 2), k_max) for idx in (i, j)]
     return w[i], w[j], *modes
@@ -410,6 +412,45 @@ class TestPropagatorReference:
                 d, coeffs(3.0, a=1.0, b=1.0), substeps=1000
             )
 
+    @pytest.mark.parametrize("b", [0.0, 10.0], ids=["gap-zero", "gap-omega-d"])
+    def test_degenerate_gap_raises(self, b):
+        # H = (b/2) X: U(T) is exp(-i pi (b / omega_d) X), +I or -I, whose
+        # branch labels are undefined
+        d = drive(10.0, (0.0,))
+        with pytest.raises(DegenerateGapError, match="labels undefined"):
+            fs.reference_floquet_via_propagator(d, coeffs(0.0, b=b), 4096, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-6, np.pi - 1e-6),
+        st.floats(0.0, np.pi),
+        st.floats(0.0, 2.0 * np.pi),
+        st.floats(0.1, 10.0),
+    )
+    def test_monodromy_pair_matches_the_eig_oracle(self, theta, polar, azimuth, period):
+        # U = cos(theta) + i sin(theta) n.sigma.  Both eigensolves are
+        # backward stable on a 2x2 unitary, to a few (here 4) eps each; that
+        # moves an eigenphase by as much, and an eigenvector by as much over
+        # the eigenvalue gap |exp(i theta) - exp(-i theta)| = 2 sin(theta)
+        # (Davis-Kahan); the oracle's zone fold rounds at omega_d eps, 2 pi
+        # eps in theta.  So theta and the modes agree to 16 eps / sin(theta),
+        # 16 > 4 + 4 + 2 pi
+        nx, ny = np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth)
+        n_sigma = nx * PAULI_X + ny * PAULI_Y + np.cos(polar) * PAULI_Z
+        u = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * n_sigma
+        tol = 16.0 * np.finfo(float).eps / np.sin(theta)
+        eps, modes = _monodromy_pair(u, period)
+        # atan2 of the rounded (sin, cos) pair errs by a few eps in theta,
+        # where arccos(Re a) would err by eps / sin(theta)
+        assert abs(eps * period - theta) <= 16.0 * np.finfo(float).eps
+        eps_oracle, vecs = monodromy_eig_oracle(u, 2.0 * np.pi / period, period)
+        plus, minus = np.argmax(eps_oracle), np.argmin(eps_oracle)
+        assert abs(eps - eps_oracle[plus]) * period <= tol
+        assert abs(-eps - eps_oracle[minus]) * period <= tol
+        for mode, want in ((modes[:, 0], vecs[:, plus]), (modes[:, 1], vecs[:, minus])):
+            overlap = np.vdot(mode, want)
+            assert np.linalg.norm(mode * overlap / abs(overlap) - want) <= tol
+
     def test_tree_product_is_the_monodromy(self):
         d = drive(10.0, (0.5, 1.0 + 1.0j))
         c = coeffs(3.0, a=1.0, b=1.0)
@@ -497,8 +538,9 @@ class TestPropagatorReference:
         us[0] = np.eye(2)
         for i in range(total):
             us[i + 1] = steps[i] @ us[i]
-        eps, vecs = _quasienergies_from_monodromy(us[-1], d.omega_d, d.period)
-        i, j = _select_central_pair(eps, d.omega_d)
+        eps, vecs = monodromy_eig_oracle(us[-1], d.omega_d, d.period)
+        i, j, degenerate = _central_pairs(eps, d.omega_d)
+        assert not degenerate
         ts = np.arange(total) * dt
         ks = np.arange(-k_max, k_max + 1)
         dft = np.exp(-1j * np.outer(ks * d.omega_d, ts)) / total

@@ -260,6 +260,20 @@ class TestRotatingFrame:
         ]
         assert np.array_equal(frames[0], frames[1])
 
+    def test_verify_needs_a_grid_it_can_halve(self, benchmark_results):
+        # one substep halves to one substep, so the check would compare the
+        # frame with itself; at dss-2 that frame is 5.7e-2 off the resolved one
+        bench, ctx, point = benchmark_results["dss-2"]
+        with pytest.raises(InvalidParameterError, match="substeps >= 2"):
+            fs.rotating_frame_trajectory(
+                point.drive,
+                ctx.coefficients,
+                duration=10.0,
+                steps=50,
+                substeps=1,
+                verify=True,
+            )
+
     def test_verify_flags_coarse_integration(self, benchmark_results):
         bench, ctx, point = benchmark_results["dss-2"]
         with pytest.raises(IntegrationError):

@@ -10,7 +10,7 @@ from fluxspot.floquet import _tree_product
 from fluxspot.gates import _kron, _static_operators
 from fluxspot.lindblad import (
     _BLOCK_STEPS,
-    _PADE_THETA,
+    _THETA_13,
     _expm,
     _norm_1,
     _pulse_superoperator,
@@ -211,9 +211,9 @@ class TestBlockedSuperoperator:
         "steps", [1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 500]
     )
     def test_bits_of_one_whole_pulse_call(self, n_qubits, steps):
-        # a sin^2 window strong enough that the pulse-wide norm needs m = 13
-        # with s > 0, while a block at the pulse edge alone would get a lower
-        # degree or scaling, and so other bits
+        # a sin^2 window strong enough that the pulse-wide norm needs a
+        # scaling s > 0, while a block at the pulse edge alone would get a
+        # lower one, and so other bits
         rng = np.random.default_rng(steps + 10 * n_qubits)
         ctx = fs.ControlContext(
             frame=random_frame(rng, steps),
@@ -225,13 +225,13 @@ class TestBlockedSuperoperator:
         wf = 300.0 * window * rng.uniform(0.5, 1.0, (n_qubits, steps))
         model = fs.LindbladModel(rates=((200.0, 350.0), (150.0, 400.0))[:n_qubits])
         expected, generators = whole_pulse_oracle(ctx, wf, model)
-        assert _norm_1(generators) > _PADE_THETA[13]
+        assert _norm_1(generators) > _THETA_13
         if steps > _BLOCK_STEPS:
             edge = min(
                 _norm_1(generators[k : k + _BLOCK_STEPS])
                 for k in range(0, steps, _BLOCK_STEPS)
             )
-            assert edge <= _PADE_THETA[13]
+            assert edge <= _THETA_13
         assert np.array_equal(_pulse_superoperator(ctx, wf, model), expected)
 
     def test_working_set_of_a_two_qubit_pulse(self):
@@ -261,12 +261,25 @@ class TestPadeExponential:
     @pytest.mark.parametrize("d", [4, 16])
     @pytest.mark.parametrize(
         "norm",
-        [f * theta for theta in _PADE_THETA.values() for f in (0.99, 1.01)] + [40.0],
+        [
+            f * theta
+            # Higham's bounds theta_3, theta_5, theta_7, theta_9 and theta_13
+            for theta in (
+                1.495585217958292e-2,
+                2.539398330063230e-1,
+                9.504178996162932e-1,
+                2.097847961257068e0,
+                5.371920351148152e0,
+            )
+            for f in (0.99, 1.01)
+        ]
+        + [40.0],
     )
     def test_matches_scipy_expm(self, d, norm):
-        # just below and above each degree's bound, and 40, which squares 3
-        # times; there the d = 4 stack reads 8.3e-15, most of it scipy's own
-        # error (5.0e-15 for _expm, 8.9e-15 for scipy against mpmath)
+        # just below and above Higham's bound of each Pade degree, where
+        # scipy changes degree, and 40, which squares 3 times; there the d = 4
+        # stack reads 8.3e-15, most of it scipy's own error (5.0e-15 for
+        # _expm, 8.9e-15 for scipy against mpmath)
         from scipy.linalg import expm
 
         rng = np.random.default_rng(d)
@@ -275,10 +288,16 @@ class TestPadeExponential:
         ref = expm(a)
         assert np.max(norm_1(_expm(a) - ref) / norm_1(ref)) < 1e-14
 
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_zero_stack_is_the_identity(self, d):
+        # norm 0 takes no log2, and I + 2 (V - U)^-1 U with U = 0 is exact
+        out = _expm(np.zeros((3, d, d), dtype=complex))
+        assert np.array_equal(out, np.broadcast_to(np.eye(d), (3, d, d)))
+
     def test_diagonal_stack_is_elementwise_exp(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
-        z *= _PADE_THETA[9] / np.abs(z).max()
+        z *= 2.097847961257068 / np.abs(z).max()
         out = _expm(z[:, :, None] * np.eye(4))
         diag = np.diagonal(out, axis1=1, axis2=2)
         assert np.max(np.abs(diag - np.exp(z)) / np.abs(np.exp(z))) < 2e-15
