@@ -68,7 +68,7 @@ from .gates import (
     rotating_frame_trajectory,
     shape_pulse,
 )
-from .lindblad import LindbladModel, average_gate_fidelity, process_matrix
+from .lindblad import average_gate_fidelity, process_matrix
 from .reference import (
     BENCHMARK_POINTS,
     REFERENCE,

@@ -38,6 +38,9 @@ CONVERGENCE_STEP = 20
 #: relative splitting change allowed between the two truncations
 CONVERGENCE_RTOL = 1e-8
 
+#: levels in ``EffectiveQubit.spectrum``, which the fluxonium fixture records
+SPECTRUM_LEVELS = 6
+
 
 @dataclass(frozen=True)
 class CircuitParams:
@@ -149,29 +152,28 @@ def build_circuit_hamiltonian(params: CircuitParams, phi_ext: float) -> np.ndarr
 
 
 def _diagonalize_once(
-    params: CircuitParams, phi_ext: float, n_levels: int
+    params: CircuitParams, phi_ext: float
 ) -> tuple[float, float, np.ndarray]:
     h = build_circuit_hamiltonian(params, phi_ext)
     w, v = np.linalg.eigh(h)
     phi, _ = _oscillator_ops(params)
     phi_ge = abs(v[:, 0].conj() @ phi @ v[:, 1])
-    return w[1] - w[0], phi_ge, w[:n_levels] - w[0]
+    return w[1] - w[0], phi_ge, w[:SPECTRUM_LEVELS] - w[0]
 
 
-def diagonalize_circuit(
-    params: CircuitParams, phi_ext: float, n_levels: int = 6
-) -> EffectiveQubit:
-    """Effective qubit parameters at external flux ``phi_ext``.
+def diagonalize_circuit(params: CircuitParams, phi_ext: float) -> EffectiveQubit:
+    """Effective qubit parameters at external flux ``phi_ext``, with the
+    ``SPECTRUM_LEVELS`` = 6 lowest levels as its spectrum.
 
     Diagonalizes at ``fock_dim`` and again at ``fock_dim + 20``; if the
     splitting moves by more than 1e-8 relative the truncation is judged too
     small and a :class:`TruncationError` is raised.
     """
-    delta, phi_ge, spectrum = _diagonalize_once(params, phi_ext, n_levels)
+    delta, phi_ge, spectrum = _diagonalize_once(params, phi_ext)
     bigger = CircuitParams(
         params.e_c, params.e_l, params.e_j, params.fock_dim + CONVERGENCE_STEP
     )
-    delta_ref, _, _ = _diagonalize_once(bigger, phi_ext, n_levels)
+    delta_ref, _, _ = _diagonalize_once(bigger, phi_ext)
     if abs(delta - delta_ref) > CONVERGENCE_RTOL * abs(delta_ref):
         raise TruncationError(
             f"fock_dim={params.fock_dim} not converged: splitting moved from "

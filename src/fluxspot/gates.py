@@ -154,8 +154,9 @@ class PulseSpec:
     1)``, which bounds the instantaneous amplitude by ``f_max`` at unit
     small-signal gain, and a hard spectral cutoff above harmonic ``n_freq``.
     The final projection can ring past the amplitude bound by at most
-    ``GIBBS_TOL`` (verified on optimized pulses).  ``duration`` and
-    ``f_max`` must be finite and positive.
+    ``GIBBS_TOL`` (verified on optimized pulses).  ``duration`` must be
+    finite and positive, and ``f_max`` positive with a positive, finite
+    square, by which the penalties divide.
     """
 
     duration: float
@@ -168,10 +169,12 @@ class PulseSpec:
         check_finite(duration=self.duration)
         if self.duration <= 0 or self.steps < 8 or self.n_freq < 1:
             raise InvalidParameterError("bad pulse discretization")
-        # a NaN or negative bound passes every amplitude check, and 0 divides
-        if not (math.isfinite(self.f_max) and self.f_max > 0.0):
+        # a NaN or negative bound passes every amplitude check, and a square
+        # of 0 divides; f_max * f_max gives inf where f_max**2 raises
+        if not (self.f_max > 0.0 and 0.0 < self.f_max * self.f_max < math.inf):
             raise InvalidParameterError(
-                f"f_max must be finite and positive, got {self.f_max}"
+                f"f_max must be positive with a positive, finite square, "
+                f"got {self.f_max}"
             )
 
     @property
@@ -248,7 +251,7 @@ class ControlContext:
     operator ``O`` of :func:`_static_operators` (drift ``coupling_j *
     (z (x) z)``, ``sigma_y`` controls, lowering and ``sigma_z`` jumps) as
     ``R_k^dag O R_k``.  ``dt`` is the step length in ns and ``coupling_j``
-    is in rad/ns and must be finite.
+    is in rad/ns; both must be finite.
 
     GRAPE reads the frame through :attr:`_interaction_frame`: the
     increments ``F_k = E_{k+1}^dag E_k`` of ``E_k = R_k^dag T``, in whose
@@ -279,7 +282,7 @@ class ControlContext:
             raise InvalidParameterError("frame samples must have determinant 1")
         if self.n_qubits not in (1, 2):
             raise InvalidParameterError("n_qubits must be 1 or 2")
-        check_finite(coupling_j=self.coupling_j)
+        check_finite(coupling_j=self.coupling_j, dt=self.dt)
         if self.n_qubits == 1 and self.coupling_j != 0.0:
             raise InvalidParameterError("a single qubit has no coupling")
         if not self.dt > 0.0:

@@ -3,8 +3,9 @@ dynamics, its process matrix and its average gate fidelity.
 
 The density matrix evolves in the same rotating frame as the closed-system
 gate dynamics; relaxation and dephasing enter through per-qubit lowering and
-sigma_z jump operators, with rates taken from a decoherence-rate report
-(1/us, converted to the gate module's ns clock internally).  The generator is
+sigma_z jump operators.  The qubits share one frame, so one working point,
+and every qubit gets its one (gamma_1, gamma_z) rate pair (1/us, converted
+to the gate module's ns clock internally).  The generator is
 piecewise constant on the pulse grid, so the whole pulse is one exact
 superoperator: the product of the step Liouvillian exponentials, which a
 batched scaling-and-squaring [13/13] Pade approximant (:func:`_expm`)
@@ -18,40 +19,15 @@ superoperator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidParameterError, TomographyError
+from .exceptions import InvalidParameterError, TomographyError, check_finite
 from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
 from .gates import ControlContext, _as_waveform_matrix, _kron, _static_operators
 from .units import RAD_PER_US_TO_RAD_PER_NS
 
-__all__ = ["LindbladModel", "process_matrix", "average_gate_fidelity"]
-
-
-@dataclass(frozen=True)
-class LindbladModel:
-    """Per-qubit (relaxation, dephasing) rate pairs in 1/us.
-
-    The jump operators are fixed (see :func:`gates._static_operators`); the
-    model only carries the rates, e.g. ``((gamma_1, gamma_z),)`` for one
-    qubit.
-    """
-
-    rates: tuple
-
-    def __post_init__(self) -> None:
-        rates = tuple((float(r), float(d)) for r, d in self.rates)
-        if not all(math.isfinite(x) and x >= 0 for pair in rates for x in pair):
-            raise InvalidParameterError(
-                f"rates must be finite and non-negative, got {rates}"
-            )
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.rates)
+__all__ = ["process_matrix", "average_gate_fidelity"]
 
 
 def _pauli_basis(d: int) -> np.ndarray:
@@ -110,15 +86,20 @@ def _expm(a: np.ndarray, norm: float | None = None) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     )
     r = eye + 2.0 * np.linalg.solve(v - u, u)
-    for _ in range(s):
-        r = r @ r
+    # squarings that blow up the round-off of a huge stack leave inf or NaN,
+    # which process_matrix rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
     return r
 
 
 def _pulse_superoperator(
-    context: ControlContext, waveforms, model: LindbladModel
+    context: ControlContext, waveforms, gamma_1: float, gamma_z: float
 ) -> np.ndarray:
-    """The whole pulse as one d^2 x d^2 superoperator on row-major vec(rho).
+    """The whole pulse as one d^2 x d^2 superoperator on row-major vec(rho),
+    with the relaxation and dephasing rates ``gamma_1`` and ``gamma_z``
+    (1/us, finite and non-negative) on every qubit.
 
     From ``vec(A X B) = kron(A, B^T) vec(X)``, a Hamiltonian ``H`` and jump
     operators ``A`` give the Liouvillian ``-i(H (x) I - I (x) H^T)
@@ -137,8 +118,11 @@ def _pulse_superoperator(
     the stack only one block's temporaries are alive: a 2-qubit, 500-step
     pulse holds a 2 MB stack and 128 kB per temporary.
     """
-    if model.n_qubits != context.n_qubits:
-        raise InvalidParameterError("model and context disagree on qubit count")
+    check_finite(gamma_1=gamma_1, gamma_z=gamma_z)
+    if gamma_1 < 0 or gamma_z < 0:
+        raise InvalidParameterError(
+            f"rates must be non-negative, got {gamma_1} and {gamma_z}"
+        )
     eye = np.eye(context.dimension)
     w = _as_waveform_matrix(context, waveforms)
     drift, controls, jumps = _static_operators(context.n_qubits, context.coupling_j)
@@ -147,8 +131,8 @@ def _pulse_superoperator(
         return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
     base = commutator(drift)
-    for (low, deph), rates in zip(jumps, model.rates):
-        for gamma, op in zip(rates, (low, deph)):
+    for pair in jumps:
+        for gamma, op in zip((gamma_1, gamma_z), pair):
             op2 = op.conj().T @ op
             anti = 0.5 * (np.kron(op2, eye) + np.kron(eye, op2.T))
             base += gamma * RAD_PER_US_TO_RAD_PER_NS * (np.kron(op, op.conj()) - anti)
@@ -177,6 +161,7 @@ def process_matrix(s: np.ndarray) -> np.ndarray:
 
     ``s`` acts on row-major vec(rho), so its column ``j d + k`` is the image
     ``E(|j><k|)`` of a matrix unit.  Raises :class:`TomographyError` when
+    ``s`` is not finite (NaN passes every comparison below), when
     some ``|Tr E(|j><k|) - delta_jk|`` exceeds 5e-7 (a state
     ``(|j> + c|k>)(<j| + c^*<k|) / 2`` with ``|c| = 1`` weighs its four units
     by 2 in total, so a trace error above 1e-6 on it shows here), or when
@@ -190,6 +175,8 @@ def process_matrix(s: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"process matrix implemented for d = 2 and 4, got shape {s.shape}"
         )
+    if not np.isfinite(s).all():
+        raise TomographyError("superoperator is not finite")
     # images[j, k, a, b] = E(|j><k|)[a, b]
     images = s.T.reshape(d, d, d, d)
     trace_err = np.abs(np.trace(images, axis1=2, axis2=3) - np.eye(d)).ravel()

@@ -19,6 +19,11 @@ SPEA2 and IBEA protect the per-objective best members (the first row of least
 gamma_1 and of least gamma_z): one goes only when no other member can.  Runs
 are deterministic under a fixed seed; run-level fronts are aggregated across
 strategies and seeds by a final non-dominated sort.
+
+Offspring come from fixed variation rates, which no run sets: simulated
+binary crossover (index ``_SBX_ETA``) of a pair with probability
+``_CROSSOVER_RATE``, then Gaussian mutation of each gene with probability
+1/dim and width ``_MUTATION_SIGMA`` of its box.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ STRATEGIES = ("nsga2", "spea2", "ibea", "moead")
 
 _SBX_ETA = 15.0
 _IBEA_KAPPA = 0.05
+_CROSSOVER_RATE = 0.9
+_MUTATION_SIGMA = 0.1   # in units of the box width
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,14 @@ class Individual:
 class OptimizerConfig:
     """Settings of one evolutionary run.  The defaults, 32 members over 200
     generations, are the command line's default budget: the run config's
-    ``optimizer`` table reads them from here."""
+    ``optimizer`` table reads them from here.  The variation rates are
+    module constants (see the module docstring), not settings."""
 
     population_m: int = 32
     generations_n: int = 200
     strategy: str = "nsga2"
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None   # default 1/dim
-    mutation_sigma: float = 0.1          # in units of the box width
     seed: int = 0
-    n: int = 4                           # drive order of the genome box
+    n: int = 4   # drive order of the genome box
 
     def __post_init__(self) -> None:
         if self.population_m < 8 or self.population_m % 2 != 0:
@@ -93,12 +98,6 @@ class OptimizerConfig:
             raise InvalidParameterError(
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}"
             )
-        for name in ("crossover_rate", "mutation_sigma"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise InvalidParameterError("mutation_rate must lie in [0, 1]")
 
 
 def dominates(a, b) -> bool:
@@ -299,38 +298,20 @@ def _sbx_crossover(
     return c1, c2
 
 
-def _mutate(
-    x: np.ndarray,
-    rng: np.random.Generator,
-    rate: float,
-    sigma: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> np.ndarray:
-    width = hi - lo
-    mask = rng.random(x.size) < rate
-    noise = rng.standard_normal(x.size) * sigma * width
-    return x + mask * noise
-
-
 def _make_offspring(
-    vectors: np.ndarray,
-    config: OptimizerConfig,
-    rng: np.random.Generator,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    vectors: np.ndarray, rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     m, dim = vectors.shape
-    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / dim
     children = []
     while len(children) < m:
         i, j = rng.integers(0, m, size=2)
         x1, x2 = vectors[i].copy(), vectors[j].copy()
-        if rng.random() < config.crossover_rate:
+        if rng.random() < _CROSSOVER_RATE:
             x1, x2 = _sbx_crossover(x1, x2, rng)
         for child in (x1, x2):
-            child = _mutate(child, rng, rate, config.mutation_sigma, lo, hi)
-            children.append(np.clip(child, lo, hi))
+            mask = rng.random(dim) < 1.0 / dim
+            noise = rng.standard_normal(dim) * _MUTATION_SIGMA * (hi - lo)
+            children.append(np.clip(child + mask * noise, lo, hi))
     return np.array(children[:m])
 
 
@@ -360,7 +341,7 @@ def run_stage1(
     objs, _ = evaluate_population(vectors, context)
 
     for gen in range(1, config.generations_n + 1):
-        children = _make_offspring(vectors, config, rng, lo, hi)
+        children = _make_offspring(vectors, rng, lo, hi)
         objs = np.concatenate((objs, evaluate_population(children, context)[0]))
         keep = environmental_select(config.strategy, objs, m)
         vectors, objs = np.concatenate((vectors, children))[keep], objs[keep]

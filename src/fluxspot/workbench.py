@@ -58,12 +58,7 @@ from .gates import (
     optimize_pulse,
     rotating_frame_trajectory,
 )
-from .lindblad import (
-    LindbladModel,
-    _pulse_superoperator,
-    average_gate_fidelity,
-    process_matrix,
-)
+from .lindblad import _pulse_superoperator, average_gate_fidelity, process_matrix
 from .pareto import (
     STRATEGIES,
     Individual,
@@ -107,14 +102,11 @@ _CONFIG = {
         "population_m": (int, OptimizerConfig.population_m),
         "generations_n": (int, OptimizerConfig.generations_n),
         "strategies": ([str], list(STRATEGIES), STRATEGIES),
-        "crossover_rate": (float, OptimizerConfig.crossover_rate),
-        "mutation_rate": (float, OptimizerConfig.mutation_rate),   # null: 1 / dim
-        "mutation_sigma": (float, OptimizerConfig.mutation_sigma),
         "n": (int, OptimizerConfig.n),
         "snapshot_every": (int, 10),
     },
     "gates": ([dict], []),
-    "truncation": {"orders": ([int], [1, 2, 3, 4, 5]), "substeps": (int, 49152)},
+    "truncation": {"orders": ([int], [1, 2, 3, 4, 5])},
 }
 
 _POINTS = {bench.name: bench for bench in BENCHMARK_POINTS}
@@ -787,8 +779,7 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
         frame = ControlContext(samples, duration / steps, n_qubits, coupling)
     except InvalidParameterError as exc:
         raise DependencyError(f"{where}: {exc}") from exc
-    model = LindbladModel(rates=tuple((g1, gz) for _ in range(n_qubits)))
-    s = _pulse_superoperator(frame, waveforms, model)
+    s = _pulse_superoperator(frame, waveforms, g1, gz)
     chi_re, chi_im = _complex_parts(process_matrix(s))
     out = {
         "pulse": pulse_name,
@@ -804,16 +795,17 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
 
 def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
     """Mode infidelity of the truncated solver against the propagator
-    reference, swept over the harmonic truncation for each drive order.
-    Each truncation is a one-row :func:`evaluate_population` at that
-    ``k_max``; an infeasible row raises ``DegenerateGapError`` naming it."""
+    reference at its default step count, swept over the harmonic truncation
+    for each drive order.  Each truncation is a one-row
+    :func:`evaluate_population` at that ``k_max``; an infeasible row raises
+    ``DegenerateGapError`` naming it."""
     orders = cfg["truncation"]["orders"]
     if min(orders, default=0) < 0:
         raise InvalidParameterError(
             f"truncation.orders must be >= 0, got drive order {min(orders)}"
         )
     context = build_context(cfg)
-    coeffs, substeps = context.coefficients, cfg["truncation"]["substeps"]
+    coeffs = context.coefficients
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for n in orders:
@@ -821,7 +813,7 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
         p = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
         vector = Genome(p0, [z.real for z in p], [z.imag for z in p], 1.1).to_vector()
         drive = DriveSpec(1.1 * context.omega_ge, (p0, *p))
-        ref = reference_floquet_via_propagator(drive, coeffs, substeps, k_max=3 * n + 4)
+        ref = reference_floquet_via_propagator(drive, coeffs, k_max=3 * n + 4)
         for k_max in range(n, 3 * n + 3):
             _, solved = evaluate_population([vector], replace(context, k_max=k_max))
             point = _row_point(solved, 0, f"drive order {n} at k_max={k_max}")

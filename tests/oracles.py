@@ -50,7 +50,7 @@ from fluxspot.floquet import (
     fold_to_zone,
 )
 from fluxspot.gates import ControlContext
-from fluxspot.lindblad import LindbladModel, _pulse_superoperator
+from fluxspot.lindblad import _pulse_superoperator
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
 
 from conftest import solve_row
@@ -202,10 +202,11 @@ def parseval_sum(g_z, g_plus, g_minus) -> np.ndarray:
 def evolve_density(
     context: ControlContext,
     waveforms,
-    model: LindbladModel,
+    rates: tuple,
     rho0: np.ndarray,
 ) -> np.ndarray:
-    """Propagate a density matrix through the pulse with dissipation.
+    """Propagate a density matrix through the pulse with dissipation at the
+    rate pair ``rates = (gamma_1, gamma_z)`` in 1/us on every qubit.
 
     The generator is held constant inside each pulse step (Hamiltonian and
     jump operators sampled at the step midpoints) and each step is
@@ -218,7 +219,7 @@ def evolve_density(
     d = context.dimension
     if rho0.shape != (d, d):
         raise InvalidParameterError(f"rho0 must be {d}x{d}")
-    s = _pulse_superoperator(context, waveforms, model)
+    s = _pulse_superoperator(context, waveforms, *rates)
     rho = (s @ rho0.ravel()).reshape(d, d)
     drift = abs(np.trace(rho).real - np.trace(rho0).real)
     if drift > 1e-9:

@@ -86,7 +86,7 @@ class TestDiagonalize:
         deltas = []
         for dim in (40, 60, 80, 100, 120):
             params = replace(build_circuit(fs.REFERENCE), fock_dim=dim)
-            deltas.append(_diagonalize_once(params, np.pi, 2)[0])
+            deltas.append(_diagonalize_once(params, np.pi)[0])
         gaps = np.abs(np.diff(deltas))
         assert gaps[0] > gaps[1] > gaps[2]
         assert np.all(gaps[2:] < 1e-9)

@@ -183,6 +183,9 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"f_max_mhz": 0}, 3),
         ({"f_max_mhz": -100}, 3),
         ({"f_max_mhz": math.nan}, 3),
+        ({"f_max_mhz": 1e160}, 3),
+        ({"f_max_mhz": 1e300}, 3),
+        ({"f_max_mhz": 1e-170}, 3),
         ({"point": 5}, 2),
         ({"duration_ns": "ten"}, 2),
         ({"steps": "many"}, 2),
@@ -204,6 +207,9 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "f_max-0",
         "f_max-negative",
         "f_max-nan",
+        "f_max-square-overflows",
+        "f_max-near-the-float-limit",
+        "f_max-square-underflows",
         "point-not-an-object",
         "duration-not-a-number",
         "steps-not-a-number",
@@ -227,6 +233,8 @@ def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
     assert err.count("\n") == 1 and "Traceback" not in err, err
     if code == 2:
         assert f"gate job {job['name']!r}" in err, err
+    if "f_max_mhz" in override:
+        assert "f_max must be" in err, err
     assert not list(out.glob("pulse_*.json"))
 
 
@@ -431,7 +439,7 @@ def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
         {"noise": {"delta_f": "x"}},
         {"optimizer": {"snapshot_every": 0}},
         {"optimizer": {"snapshot_every": -1}},
-        {"optimizer": {"mutation_rate": "a"}},
+        {"flux": {"phi_ac": "a"}},
         {"truncation": {"orders": "12"}},
         {"circuit": {"fock_dim": 110.7}},
         {"optimizer": {"population_m": "8"}},
@@ -449,7 +457,7 @@ def test_simulate_rejects_non_finite_rate(tmp_path, capsys, bad):
         "delta_f-not-a-number",
         "snapshot_every-0",
         "snapshot_every-negative",
-        "mutation_rate-not-a-number",
+        "phi_ac-not-a-number",
         "orders-a-string",
         "fock_dim-not-an-integer",
         "population_m-a-string",
@@ -463,6 +471,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, override):
     assert run_cli(config, tmp_path / "out", "fluxonium") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "table, key",
+    [
+        ("optimizer", "crossover_rate"),
+        ("optimizer", "mutation_rate"),
+        ("optimizer", "mutation_sigma"),
+        ("truncation", "substeps"),
+    ],
+)
+def test_removed_config_keys_exit_2_naming_the_key(tmp_path, capsys, table, key):
+    # the variation rates and the reference's step count are constants now;
+    # a config that still sets one is told so, not silently run
+    config = write_json(tmp_path / "config.json", dict(TINY, **{table: {key: 1}}))
+    assert run_cli(config, tmp_path / "out", "fluxonium") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"unknown keys in {table}: ['{key}']" in err, err
 
 
 _RANDOM_VERBS = ("optimize", "grape", "truncation-study")
@@ -854,6 +881,7 @@ def test_pulse_dict_replays(tmp_path):
         ({"frame_b": [[0.0] * 17, [0.0] * 17]}, "frame_b must have shape (2, 16), got (2, 17)"),
         ({"frame_a": [[0.6] * 16, [0.0] * 16]}, "frame samples must be unitary"),
         ({"frame_b": [[0.0] * 16, [math.nan] * 16]}, "frame samples must be finite"),
+        ({"duration_ns": math.inf}, "dt must be finite, got inf"),
     ],
     ids=[
         "samples-short",
@@ -866,6 +894,7 @@ def test_pulse_dict_replays(tmp_path):
         "frame_b-long",
         "frame-not-su2",
         "frame-not-finite",
+        "duration-infinite",
     ],
 )
 def test_simulate_exits_4_on_a_structural_defect(tmp_path, capsys, change, named):
@@ -901,7 +930,7 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
     assert art["frame_a"] == [a.real.tolist(), a.imag.tolist()]
     assert art["frame_b"] == [b.real.tolist(), b.imag.tolist()]
     rates = tuple(art["rates_per_us"][k] for k in ("gamma_1", "gamma_z"))
-    s = _pulse_superoperator(fresh, art["samples"], fluxspot.LindbladModel(rates=(rates,)))
+    s = _pulse_superoperator(fresh, art["samples"], *rates)
     simulated = json.loads((out / "simulate_x.json").read_text())
     assert simulated["process_fidelity"] == fluxspot.average_gate_fidelity(s, PAULI_X)
     chi = fluxspot.process_matrix(s)
@@ -965,6 +994,18 @@ def test_simulate_exits_3_on_an_unphysical_superoperator(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert f"numerical failure: {message}" in err, err
+    assert not (out / "simulate_x.json").exists()
+
+
+def test_simulate_exits_3_on_a_channel_that_overflows(tmp_path, capsys):
+    # finite samples, but 1e300 rad/ns needs some 1000 squarings of the
+    # step exponential, whose round-off overflows to inf and NaN
+    out = tmp_path / "out"
+    out.mkdir()
+    write_json(out / "pulse_x.json", dict(PULSE, samples=[[1e300] * 16]))
+    assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", "x") == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: superoperator is not finite\n", err
     assert not (out / "simulate_x.json").exists()
 
 
@@ -1185,14 +1226,11 @@ def test_default_config_is_filled_from_the_tables():
             "population_m": 32,
             "generations_n": 200,
             "strategies": ["nsga2", "spea2", "ibea", "moead"],
-            "crossover_rate": 0.9,
-            "mutation_rate": None,
-            "mutation_sigma": 0.1,
             "n": 4,
             "snapshot_every": 10,
         },
         "gates": [],
-        "truncation": {"orders": [1, 2, 3, 4, 5], "substeps": 49152},
+        "truncation": {"orders": [1, 2, 3, 4, 5]},
     }
     # JSON text tells an integer from a float
     assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == json.dumps(
@@ -1324,9 +1362,7 @@ def test_truncation_rows_are_the_stacked_solve_against_the_reference(tmp_path, s
         p = [complex(rng.uniform(0.0, 1.0), 0.0)]
         p += [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
         drive = fluxspot.DriveSpec(1.1 * context.omega_ge, tuple(p))
-        ref = fluxspot.reference_floquet_via_propagator(
-            drive, coeffs, cfg["truncation"]["substeps"], k_max=3 * n + 4
-        )
+        ref = fluxspot.reference_floquet_via_propagator(drive, coeffs, k_max=3 * n + 4)
         want += [
             (n, k, fluxspot.mode_infidelity(ref, solve_row(drive, coeffs, k)))
             for k in range(n, 3 * n + 3)

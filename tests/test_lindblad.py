@@ -24,10 +24,6 @@ EXCITED = np.array([0.0, 1.0], dtype=complex)
 PLUS = (GROUND + EXCITED) / np.sqrt(2.0)
 
 
-def rate_model(gamma_relax=0.0, gamma_deph=0.0, n_qubits=1):
-    return fs.LindbladModel(rates=((gamma_relax, gamma_deph),) * n_qubits)
-
-
 def superoperator(channel, d):
     """Matrix of a linear map on row-major vec: column ``j d + k`` holds
     the image of ``|j><k|``."""
@@ -38,7 +34,8 @@ def superoperator(channel, d):
 def per_step_oracle(frame, dt, n_qubits, coupling_j, wf, rates_us):
     """The pulse superoperator from the explicit step operators
     ``R_k^dag O R_k``, each step's Lindblad map written on matrices, scipy's
-    ``expm`` per step and a sequential product."""
+    ``expm`` per step and a sequential product; every qubit relaxes and
+    dephases at the one pair ``rates_us``."""
     from scipy.linalg import expm
 
     eye = np.eye(2)
@@ -60,8 +57,8 @@ def per_step_oracle(frame, dt, n_qubits, coupling_j, wf, rates_us):
         h = rd @ drift @ r + sum(f * (rd @ y @ r) for f, y in zip(wf[:, k], ys))
         ops = [
             (gamma * 1e-3, rd @ op @ r)
-            for (low, deph), (g1, gz) in zip(jumps, rates_us)
-            for gamma, op in ((g1, low), (gz, deph))
+            for pair in jumps
+            for gamma, op in zip(rates_us, pair)
         ]
 
         def lindblad(rho, h=h, ops=ops):
@@ -75,7 +72,7 @@ def per_step_oracle(frame, dt, n_qubits, coupling_j, wf, rates_us):
     return total
 
 
-def whole_pulse_oracle(ctx, wf, model):
+def whole_pulse_oracle(ctx, wf, rates):
     """The pulse superoperator and the step generators, from one
     :func:`_expm` call on the whole generator stack, a full-length frame
     conjugation and :func:`_tree_product`: the blocked code's arithmetic
@@ -87,8 +84,8 @@ def whole_pulse_oracle(ctx, wf, model):
         return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
     base = commutator(drift)
-    for (low, deph), rates in zip(jumps, model.rates):
-        for gamma, op in zip(rates, (low, deph)):
+    for pair in jumps:
+        for gamma, op in zip(rates, pair):
             op2 = op.conj().T @ op
             anti = np.kron(op2, eye) + np.kron(eye, op2.T)
             base += gamma * 1e-3 * (np.kron(op, op.conj()) - 0.5 * anti)
@@ -104,9 +101,8 @@ class TestEvolveDensity:
     def test_pure_dephasing_analytic(self):
         ctx = trivial_context(steps=200, duration=10.0)
         gamma_us = 50.0   # 1/us -> 0.05 1/ns
-        model = rate_model(gamma_deph=gamma_us)
         rho0 = np.outer(PLUS, PLUS.conj())
-        rho = evolve_density(ctx, np.zeros(200), model, rho0)
+        rho = evolve_density(ctx, np.zeros(200), (0.0, gamma_us), rho0)
         expected = 0.5 * np.exp(-2.0 * gamma_us * 1e-3 * 10.0)
         assert rho[0, 1].real == pytest.approx(expected, abs=1e-14)
         assert rho[0, 0].real == pytest.approx(0.5, abs=1e-14)
@@ -115,17 +111,15 @@ class TestEvolveDensity:
         gamma_us = 40.0
         duration = np.log(2.0) / (2.0 * gamma_us * 1e-3)
         ctx = trivial_context(steps=256, duration=duration)
-        model = rate_model(gamma_deph=gamma_us)
         rho0 = np.outer(PLUS, PLUS.conj())
-        rho = evolve_density(ctx, np.zeros(256), model, rho0)
+        rho = evolve_density(ctx, np.zeros(256), (0.0, gamma_us), rho0)
         assert rho[0, 1].real == pytest.approx(0.25, abs=1e-14)
 
     def test_relaxation_analytic(self):
         ctx = trivial_context(steps=200, duration=8.0)
         gamma_us = 30.0
-        model = rate_model(gamma_relax=gamma_us)
         rho0 = np.outer(EXCITED, EXCITED.conj())
-        rho = evolve_density(ctx, np.zeros(200), model, rho0)
+        rho = evolve_density(ctx, np.zeros(200), (gamma_us, 0.0), rho0)
         expected = np.exp(-gamma_us * 1e-3 * 8.0)
         assert rho[1, 1].real == pytest.approx(expected, abs=1e-14)
         assert rho[0, 0].real == pytest.approx(1.0 - expected, abs=1e-14)
@@ -138,11 +132,10 @@ class TestEvolveDensity:
         frame = fs.ControlContext(samples, 6.0 / 300)
         rng = np.random.default_rng(8)
         wf = 0.3 * rng.standard_normal(300)
-        model = rate_model()
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
-        rho = evolve_density(frame, wf, model, rho0)
+        rho = evolve_density(frame, wf, (0.0, 0.0), rho0)
         u = fs.propagate_closed(frame, wf)
         assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-12
 
@@ -152,7 +145,7 @@ class TestEvolveDensity:
             frame=random_frame(rng, 40), dt=0.1, n_qubits=2, coupling_j=0.3
         )
         wf = 0.4 * rng.standard_normal((2, 40))
-        s = _pulse_superoperator(ctx, wf, rate_model(n_qubits=2))
+        s = _pulse_superoperator(ctx, wf, 0.0, 0.0)
         u = fs.propagate_closed(ctx, wf)
         assert np.max(np.abs(s - np.kron(u, u.conj()))) < 1e-12
 
@@ -165,44 +158,46 @@ class TestEvolveDensity:
             frame=frame, dt=dt, n_qubits=n_qubits, coupling_j=coupling
         )
         wf = 0.4 * rng.standard_normal((n_qubits, steps))
-        rates = ((20.0, 35.0), (15.0, 40.0))[:n_qubits]
-        s = _pulse_superoperator(ctx, wf, fs.LindbladModel(rates=rates))
+        rates = (20.0, 35.0)
+        s = _pulse_superoperator(ctx, wf, *rates)
         expected = per_step_oracle(frame, dt, n_qubits, coupling, wf, rates)
         assert np.max(np.abs(s - expected)) < 1e-12
 
     def test_trace_and_positivity(self):
         ctx = trivial_context(steps=150, duration=12.0)
-        model = rate_model(gamma_relax=20.0, gamma_deph=35.0)
         rho0 = np.outer(PLUS, PLUS.conj())
         rng = np.random.default_rng(10)
         wf = 0.2 * rng.standard_normal(150)
-        rho = evolve_density(ctx, wf, model, rho0)
+        rho = evolve_density(ctx, wf, (20.0, 35.0), rho0)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_constant_generator_is_step_count_invariant(self):
         # a constant generator is propagated exactly, whatever the step grid
-        model = rate_model(gamma_relax=25.0, gamma_deph=10.0)
         rho0 = np.outer(PLUS, PLUS.conj())
         rho_fine, rho_coarse = (
             evolve_density(
-                trivial_context(steps=n, duration=10.0), 0.1 * np.ones(n), model, rho0
+                trivial_context(steps=n, duration=10.0), 0.1 * np.ones(n), (25.0, 10.0), rho0
             )
             for n in (100, 7)
         )
         assert np.max(np.abs(rho_fine - rho_coarse)) < 1e-13
 
-    def test_negative_rates_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            fs.LindbladModel(rates=((-1.0, 0.0),))
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_negative_rates_rejected(self, slot):
+        pair = [1.0, 1.0]
+        pair[slot] = -1.0
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            _pulse_superoperator(trivial_context(steps=4, duration=1.0), np.zeros(4), *pair)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("slot", [0, 1])
     def test_non_finite_rates_rejected(self, bad, slot):
         pair = [1.0, 1.0]
         pair[slot] = bad
-        with pytest.raises(InvalidParameterError, match="finite"):
-            fs.LindbladModel(rates=((1.0, 1.0), tuple(pair)))
+        name = ("gamma_1", "gamma_z")[slot]
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            _pulse_superoperator(trivial_context(steps=4, duration=1.0), np.zeros(4), *pair)
 
 
 class TestBlockedSuperoperator:
@@ -223,8 +218,8 @@ class TestBlockedSuperoperator:
         )
         window = np.sin(np.pi * (np.arange(steps) + 0.5) / steps) ** 2
         wf = 300.0 * window * rng.uniform(0.5, 1.0, (n_qubits, steps))
-        model = fs.LindbladModel(rates=((200.0, 350.0), (150.0, 400.0))[:n_qubits])
-        expected, generators = whole_pulse_oracle(ctx, wf, model)
+        rates = (200.0, 350.0)
+        expected, generators = whole_pulse_oracle(ctx, wf, rates)
         assert _norm_1(generators) > _THETA_13
         if steps > _BLOCK_STEPS:
             edge = min(
@@ -232,7 +227,7 @@ class TestBlockedSuperoperator:
                 for k in range(0, steps, _BLOCK_STEPS)
             )
             assert edge <= _THETA_13
-        assert np.array_equal(_pulse_superoperator(ctx, wf, model), expected)
+        assert np.array_equal(_pulse_superoperator(ctx, wf, *rates), expected)
 
     def test_working_set_of_a_two_qubit_pulse(self):
         # one block's temporaries beside the (500, 16, 16) stack of 2 MB;
@@ -242,10 +237,9 @@ class TestBlockedSuperoperator:
             frame=random_frame(rng, 500), dt=0.02, n_qubits=2, coupling_j=0.3
         )
         wf = 0.4 * rng.standard_normal((2, 500))
-        model = fs.LindbladModel(rates=((20.0, 35.0), (15.0, 40.0)))
         tracemalloc.start()
         try:
-            _pulse_superoperator(ctx, wf, model)
+            _pulse_superoperator(ctx, wf, 20.0, 35.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,6 +394,16 @@ class TestProcessMatrix:
         with pytest.raises(TomographyError, match="chi not positive semidefinite"):
             fs.process_matrix(s)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_superoperator_rejected(self, d, bad):
+        # NaN fails every comparison, so it would pass the trace and
+        # Hermiticity checks and reach eigvalsh
+        s = np.eye(d * d, dtype=complex)
+        s[0, 1] = bad
+        with pytest.raises(TomographyError, match="superoperator is not finite"):
+            fs.process_matrix(s)
+
     def test_dimension_not_two_or_four(self):
         with pytest.raises(InvalidParameterError, match="d = 2 and 4"):
             fs.process_matrix(np.eye(9))
@@ -441,7 +445,7 @@ class TestAverageGateFidelity:
         ctx = fs.ControlContext(samples, 10.0 / 500)
         wf = 0.3 * np.random.default_rng(4).standard_normal(500)
         rates = (point.rates.gamma_1, point.rates.gamma_z)
-        s = _pulse_superoperator(ctx, wf, fs.LindbladModel(rates=(rates,)))
+        s = _pulse_superoperator(ctx, wf, *rates)
         trace_miss = abs(np.trace((s @ np.eye(2).ravel()).reshape(2, 2)) - 2) / 6
         expected = average_fidelity_pauli_sum(s, PAULI_X)
         assert fs.average_gate_fidelity(s, PAULI_X) == pytest.approx(
@@ -476,7 +480,7 @@ class TestFirstOrderInfidelity:
             )
             wf = 0.4 * rng.standard_normal((n_qubits, steps))
             g1, gz = rng.uniform(0.1, 1.0, 2)   # 1/us
-            s = _pulse_superoperator(ctx, wf, rate_model(g1, gz, n_qubits))
+            s = _pulse_superoperator(ctx, wf, g1, gz)
             u = fs.propagate_closed(ctx, wf)
             tau = steps * ctx.dt
             # rates on the ns clock

@@ -492,8 +492,6 @@ class TestRunStage1:
             fs.OptimizerConfig(population_m=7)
         with pytest.raises(InvalidParameterError):
             fs.OptimizerConfig(strategy="hill-climb")
-        with pytest.raises(InvalidParameterError):
-            fs.OptimizerConfig(crossover_rate=1.5)
         with pytest.raises(InvalidParameterError, match="generations_n must be >= 0"):
             fs.OptimizerConfig(generations_n=-1)
         with pytest.raises(InvalidParameterError, match="drive order n must be >= 0"):
