@@ -448,32 +448,6 @@ def _su2_prefix_products(a: np.ndarray, b: np.ndarray):
     return a, b
 
 
-def _prefix_products(mats: np.ndarray) -> np.ndarray:
-    """Ordered prefixes ``out[i] = mats[i] @ ... @ mats[0]``.
-
-    The steps are cut into blocks of about ``sqrt(n)``: a serial pass inside
-    the blocks, batched over them, then one pass over the block totals whose
-    running products multiply each block, so both serial passes are about
-    ``sqrt(n)`` long.  Each block meets its carry in one 2-D product of its
-    stacked rows, which gives the bits of the per-step products at less cost
-    per call.
-    """
-    n, d = mats.shape[0], mats.shape[-1]
-    block = math.isqrt(n - 1) + 1   # ceil(sqrt(n))
-    n_blocks = -(-n // block)
-    pad = np.broadcast_to(np.eye(d, dtype=mats.dtype), (n_blocks * block - n, d, d))
-    blocks = np.concatenate([mats, pad]).reshape(n_blocks, block, d, d)
-    out = np.empty_like(blocks)
-    out[:, 0] = blocks[:, 0]
-    for i in range(1, block):
-        out[:, i] = blocks[:, i] @ out[:, i - 1]
-    carry = np.empty((n_blocks, d, d), dtype=mats.dtype)
-    carry[0] = np.eye(d)
-    for b in range(1, n_blocks):
-        carry[b] = out[b - 1, -1] @ carry[b - 1]
-    return (out.reshape(n_blocks, block * d, d) @ carry).reshape(-1, d, d)[:n]
-
-
 def _midpoint_steps(
     drive: DriveSpec, coeffs: EffectiveCoefficients, t_mid_us, h, scale=1.0
 ):

@@ -12,17 +12,26 @@ genome, ``phi_ac``, duration, steps and substeps, and stores the samples
 in the pulse artifact; ``simulate`` replays them and integrates none.
 
 GRAPE runs in the interaction picture of that frame.  With ``W`` the
-sigma_y eigenbasis and ``T = W`` (one qubit) or ``W (x) W`` (two),
-``E_k = R_k^dag T`` turns each step Hamiltonian into a real matrix made of
-2x2 blocks ``s Z + J X``, so each step is ``E_k B_k E_k^dag`` with ``B_k``
-a closed form, and so is ``B_k^dag dB_k/ds``.  One forward scan of
-``C_k = F_k B_k``, ``F_k = E_{k+1}^dag E_k`` the frame increments, gives
-the propagator and every exact gradient (Khaneja et al., J. Magn. Reson.
-172, 296 (2005)) with no eigenvectors, no divided differences and no
-matrix function call; for one qubit every ``C_k`` is in SU(2) and the scan
-runs on entry arrays.  Pulses are parametrized in the frequency domain and
-pushed through a fixed constraint pipeline (boundary window, amplitude
-sigmoid, spectral band-limit); gradients are exact through both the steps
+sigma_y eigenbasis and ``T = W`` (one qubit) or ``W (x) W`` in the basis
+order (0, 1, 3, 2) (two), ``E_k = R_k^dag T`` turns each step Hamiltonian
+into a real matrix made of 2x2 blocks ``s Z + J X`` on the index pairs
+``(b, b + d/2)``, so each step is ``E_k B_k E_k^dag`` with ``B_k`` a closed
+form, and so is ``B_k^dag dB_k/ds``.  One forward scan of ``C_k = F_k
+B_k``, ``F_k = E_{k+1}^dag E_k`` the frame increments, gives the
+propagator and every exact gradient (Khaneja et al., J. Magn. Reson. 172,
+296 (2005)) with no eigenvectors, no divided differences and no matrix
+function call.  For one qubit every ``C_k`` is in SU(2) and the scan runs
+on entry arrays.  For two it runs on the real 8x8 forms ``[[Re, -Im], [Im,
+Re]]`` of the ``C_k`` in that basis order, where both blocks are regular,
+because numpy's stacked product of complex 4x4 matrices costs about four
+times that of the real form of the same product.  The scan's arrays (about
+256 KB each at 500 steps) are above glibc's 128 KiB mmap threshold, so
+fresh ones would take page faults on every call: each context allocates
+them once, on its first scan, and every scan overwrites them, so the
+scan's ``L`` is valid only until the next call on the same context.
+Pulses are parametrized in the frequency domain and pushed through a fixed
+constraint pipeline (boundary window, amplitude bound ``f_max tanh(x /
+f_max)``, spectral band-limit); gradients are exact through both the steps
 and the pipeline.
 
 Times in this module are nanoseconds and rates rad/ns; the drive and qubit
@@ -46,7 +55,6 @@ from .floquet import (
     PAULI_Y,
     PAULI_Z,
     DriveSpec,
-    _prefix_products,
     _sampled_propagators,
     _su2_matrices,
     _su2_prefix_products,
@@ -89,14 +97,14 @@ _SQRT2 = np.sqrt(2.0)
 #: eigenvectors of sigma_y: W^dag sigma_y W = Z and W^dag sigma_z W = X
 _SIGMA_Y_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / _SQRT2
 
-#: per qubit count, the diagonal z_c of T^dag C_c T for each sigma_y control
-#: C_c (T = W or W (x) W), and the index pairs of the 2x2 blocks into which
-#: T^dag H0 T splits (see :func:`_block_steps`)
-_CONTROL_SIGNS = {
-    1: np.array([[1.0, -1.0]]),
-    2: np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]]),
-}
-_BLOCKS = {1: ((0, 1),), 2: ((0, 3), (1, 2))}
+#: the order of the two-qubit basis W (x) W in the interaction picture, in
+#: which T^dag H0 T splits into the 2x2 blocks (0, 2) and (1, 3)
+_PAIRED = [0, 1, 3, 2]
+
+#: per qubit count, ``[c, b]``: the entry z_c of T^dag C_c T for the sigma_y
+#: control C_c at the first index b of block (b, b + d/2); the second index
+#: has -z_c (see :func:`_block_steps`)
+_BLOCK_SIGNS = {1: np.array([[1.0]]), 2: np.array([[1.0, 1.0], [1.0, -1.0]])}
 
 TARGETS = {
     "identity": np.eye(2, dtype=complex),
@@ -112,6 +120,35 @@ TARGETS = {
         dtype=complex,
     ),
 }
+
+
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """The real forms ``[[Re a, -Im a], [Im a, Re a]]`` of the complex
+    matrices ``a`` (``(..., d, d)``): the real form of a product is the
+    product of the real forms, and that of ``a^dag`` is the transpose."""
+    d = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = a.real
+    out[..., :d, d:] = -a.imag
+    out[..., d:, :d] = a.imag
+    return out
+
+
+def _step_patterns() -> np.ndarray:
+    """``(6, 64)``: the flattened real forms of ``I``, ``-i Z`` and ``-i X``
+    on block (0, 2), then on block (1, 3), kind-major, so that the 2-qubit
+    step ``B_k`` is the product of its coefficient rows (cos, gamma, beta;
+    see :func:`_block_steps`) with them."""
+    pats = np.zeros((3, 2, 4, 4), dtype=complex)
+    for b in (0, 1):
+        pair = [b, b + 2]
+        pats[0, b, pair, pair] = 1.0
+        pats[1, b, pair, pair] = -1j, 1j
+        pats[2, b, pair, pair[::-1]] = -1j
+    return _real_form(pats).reshape(6, 64)
+
+
+_STEP_PATTERNS = _step_patterns()
 
 
 @dataclass(frozen=True)
@@ -150,9 +187,10 @@ class PulseSpec:
     A pulse's parameters ``theta`` are ``2 n_freq + 1`` real Fourier
     amplitudes per control channel (DC, then cos/sin pairs), concatenated
     across channels.  The rendered waveform passes, in order, a sin^2
-    boundary window, the sigmoid ``f_max (2 / (1 + exp(-2 x / f_max)) -
-    1)``, which bounds the instantaneous amplitude by ``f_max`` at unit
-    small-signal gain, and a hard spectral cutoff above harmonic ``n_freq``.
+    boundary window, the sigmoid ``f_max tanh(x / f_max)`` (``f_max (2 / (1
+    + exp(-2 x / f_max)) - 1)``), which bounds the instantaneous amplitude
+    by ``f_max`` at unit small-signal gain, and a hard spectral cutoff
+    above harmonic ``n_freq``.
     The final projection can ring past the amplitude bound by at most
     ``GIBBS_TOL`` (verified on optimized pulses).  ``duration`` must be
     finite and positive, and ``f_max`` positive with a positive, finite
@@ -212,13 +250,14 @@ def _shape_stages(theta: np.ndarray, spec: PulseSpec):
     of ``theta`` (or one channel for a 1-D ``theta``)."""
     raw = theta @ spec.fourier_basis
     windowed = spec.window * raw
-    # the gain 2 / f_max makes d bounded / d windowed = 1 at 0
-    sig = 1.0 / (1.0 + np.exp(-(2.0 / spec.f_max) * windowed))
-    bounded = spec.f_max * (2.0 * sig - 1.0)
+    # d bounded / d windowed = 1 at 0; tanh saturates where the exp of the
+    # same sigmoid written as 2 / (1 + exp(-2 x / f_max)) - 1 overflowed
+    tanh = np.tanh(windowed / spec.f_max)
+    bounded = spec.f_max * tanh
     spectrum = np.fft.rfft(bounded)
     spectrum[..., spec.n_freq + 1 :] = 0.0
     final = np.fft.irfft(spectrum, spec.steps)
-    return final, (raw, windowed, sig, bounded)
+    return final, (raw, windowed, tanh, bounded)
 
 
 def shape_pulse(theta: np.ndarray, spec: PulseSpec) -> np.ndarray:
@@ -231,14 +270,13 @@ def shape_pulse(theta: np.ndarray, spec: PulseSpec) -> np.ndarray:
     return _shape_stages(theta, spec)[0]
 
 
-def _shape_backward(grad_f: np.ndarray, sig: np.ndarray, spec: PulseSpec) -> np.ndarray:
+def _shape_backward(grad_f: np.ndarray, tanh: np.ndarray, spec: PulseSpec) -> np.ndarray:
     """Pull gradients w.r.t. the waveform samples, one channel per row, back
-    to the rows of theta; ``sig`` is the sigmoid stage of the forward pass."""
+    to the rows of theta; ``tanh`` is the tanh stage of the forward pass."""
     spectrum = np.fft.rfft(grad_f)
     spectrum[..., spec.n_freq + 1 :] = 0.0
     grad_bounded = np.fft.irfft(spectrum, spec.steps)   # band-limit is self-adjoint
-    dsig = spec.f_max * 2.0 * sig * (1.0 - sig) * (2.0 / spec.f_max)
-    return (grad_bounded * dsig * spec.window) @ spec.fourier_basis.T
+    return (grad_bounded * (1.0 - tanh * tanh) * spec.window) @ spec.fourier_basis.T
 
 
 @dataclass(frozen=True)
@@ -258,6 +296,9 @@ class ControlContext:
     columns every step is block diagonal (see :func:`_block_steps`), and
     the end samples ``E_0`` and ``E_{n-1}``.  The samples must be unitary
     with determinant 1, so that for one qubit every ``F_k`` is in SU(2).
+    A 2-qubit context also holds the work arrays of its scan
+    (:attr:`_scan_work`), which each scan overwrites; one context serves
+    one scan at a time.
     """
 
     frame: np.ndarray
@@ -306,13 +347,25 @@ class ControlContext:
     def _interaction_frame(self):
         """``(F, E_0, E_{n-1})``: the ``steps - 1`` increments
         ``F_k = E_{k+1}^dag E_k`` and the end samples of ``E_k = R_k^dag T``,
-        with ``T = W`` or ``W (x) W`` and ``W`` the sigma_y eigenbasis.  For
-        one qubit ``E_k`` has determinant ``-i`` and ``F_k`` is in SU(2)."""
+        with ``W`` the sigma_y eigenbasis.  For one qubit ``T = W``, ``E_k``
+        has determinant ``-i`` and ``F_k`` is in SU(2).  For two ``T`` is
+        ``W (x) W`` in the order :data:`_PAIRED`, where both blocks of every
+        step are regular, and ``F`` holds the real 8x8 forms of the ``F_k``
+        (:func:`_real_form`), on which the 2-qubit scan runs: the stacked
+        complex 4x4 product costs about four times the real one, and the
+        forms are built here once per context, not on every scan."""
         e = self.frame.conj().transpose(0, 2, 1) @ _SIGMA_Y_BASIS
         f = e[1:].conj().transpose(0, 2, 1) @ e[:-1]
         if self.n_qubits == 1:
             return f, e[0], e[-1]
-        return _kron(f, f), np.kron(e[0], e[0]), np.kron(e[-1], e[-1])
+        f = _kron(f, f)[:, _PAIRED][:, :, _PAIRED]
+        return _real_form(f), *(np.kron(x, x)[:, _PAIRED] for x in (e[0], e[-1]))
+
+    @cached_property
+    def _scan_work(self) -> "_ScanWork":
+        """The work arrays of the 2-qubit scan, made on the first scan, so
+        that a context that is never scanned allocates none."""
+        return _ScanWork(self.steps)
 
 
 def _static_operators(n_qubits: int, coupling_j: float):
@@ -397,37 +450,85 @@ def _as_waveform_matrix(context: ControlContext, waveforms) -> np.ndarray:
 
 
 def _block_steps(context: ControlContext, waveforms: np.ndarray):
-    """The steps of ``T^dag H0(f_k) T`` on each 2x2 block of :data:`_BLOCKS`.
+    """The steps of ``T^dag H0(f_k) T`` on its 2x2 blocks ``(b, b + d/2)``.
 
     ``T^dag H0(f) T`` is real: ``f Z`` for one qubit and
-    ``J XX + f1 ZI + f2 IZ`` for two.  On block ``(lo, hi)`` it is
-    ``s Z + J X`` with ``s = sum_c f_c z_c[lo]``.  With ``lambda = hypot(s,
-    J)`` and ``theta = lambda dt`` the block step is
+    ``J XX + f1 ZI + f2 IZ`` for two, in the order :data:`_PAIRED`.  On
+    block ``b`` it is ``s Z + J X`` with ``s = sum_c z_cb f_c`` (``z`` of
+    :data:`_BLOCK_SIGNS`).  With ``lambda = hypot(s, J)`` and ``theta =
+    lambda dt`` the block step is
     ``B = cos(theta) I - i (sin(theta) / lambda) (s Z + J X)
-    = [[p, q], [q, p*]]``, and
+    = [[cos - i gamma, -i beta], [-i beta, cos + i gamma]]`` with
+    ``gamma = dt sinc(theta) s`` and ``beta = dt sinc(theta) J``
+    (``sinc(x) = sin(x) / x``), and
     ``B^dag dB/ds = -i dt (g_x X + g_y Y + g_z Z)`` with
     ``g_x = (s J / lambda^2) (1 - c1)``, ``g_y = (J / lambda) c2`` and
     ``g_z = (s^2 + c1 J^2) / lambda^2``, where ``c1 = sin(2 theta) /
     (2 theta)`` and ``c2 = sin(theta)^2 / theta``; at ``J = 0`` it is
-    ``-i dt Z``.  Returns one ``(lo, hi, p, q, (g_x, g_y, g_z))`` per block.
+    ``-i dt Z``.  Returns ``(cos, gamma, beta, (g_x, g_y, g_z))``, each
+    array with one row per block.
     """
-    z = _CONTROL_SIGNS[context.n_qubits]
     dt, j = context.dt, context.coupling_j
-    blocks = []
-    for lo, hi in _BLOCKS[context.n_qubits]:
-        s = z[:, lo] @ waveforms
-        theta = np.hypot(s, j) * dt
-        cos, sinc = np.cos(theta), np.sinc(theta / np.pi)
-        p, q = cos - 1j * dt * sinc * s, -1j * dt * sinc * j
-        if j == 0.0:
-            gens = (0.0, 0.0, 1.0)
-        else:
-            # lambda >= |J| > 0, so s / lambda and J / lambda are finite
-            ns, nj = s * dt / theta, j * dt / theta
-            c1 = sinc * cos
-            gens = (ns * nj * (1.0 - c1), nj * theta * sinc**2, ns**2 + c1 * nj**2)
-        blocks.append((lo, hi, p, q, gens))
-    return blocks
+    s = _BLOCK_SIGNS[context.n_qubits].T @ waveforms
+    theta = np.hypot(s, j) * dt
+    cos, sinc = np.cos(theta), np.sinc(theta / np.pi)
+    dt_sinc = dt * sinc
+    if j == 0.0:
+        gens = (0.0, 0.0, 1.0)
+    else:
+        # lambda >= |J| > 0, so s / lambda and J / lambda are finite
+        ns, nj = s * dt / theta, j * dt / theta
+        c1 = sinc * cos
+        gens = (ns * nj * (1.0 - c1), nj * theta * sinc**2, ns**2 + c1 * nj**2)
+    return cos, dt_sinc * s, dt_sinc * j, gens
+
+
+class _ScanWork:
+    """The work arrays of the 2-qubit scan of one context on ``n`` steps,
+    each written in place by every scan.
+
+    ``steps`` holds the real forms ``C8_k`` in ``n_blocks`` blocks of
+    ``block = ceil(sqrt(n))``; ``steps[0]`` and the padding after step
+    ``n - 1`` are the identity, which no scan overwrites.  ``block_steps``
+    holds the ``B8_k``, ``prefix`` receives the ``L8_k`` of
+    :func:`_prefix_products` and ``lm`` the ``L8_k H8`` of the gradient.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.block = math.isqrt(n - 1) + 1
+        self.n_blocks = -(-n // self.block)
+        padded = self.n_blocks * self.block
+        self.steps = np.broadcast_to(np.eye(8), (padded, 8, 8)).copy()
+        self.partial = np.empty((self.n_blocks, self.block, 8, 8))
+        self.carry = np.empty((self.n_blocks, 8, 8))
+        self.carry[0] = np.eye(8)
+        self.prefix = np.empty((padded, 8, 8))
+        self.block_steps = np.empty((n, 8, 8))
+        self.lm = np.empty((n, 8, 8))
+
+
+def _prefix_products(work: _ScanWork) -> np.ndarray:
+    """Ordered prefixes ``steps[i] @ ... @ steps[0]`` of ``work.steps``, the
+    first ``work.n`` of ``work.prefix``, which the next scan overwrites.
+
+    The steps are cut into blocks of about ``sqrt(n)``: a serial pass inside
+    the blocks, batched over them, then one pass over the block totals,
+    one ``np.dot`` each, whose running products (the carries) multiply each
+    block, so both serial passes are about ``sqrt(n)`` long.  Each block
+    meets its carry in one 2-D product of its stacked rows, which gives the
+    bits of the per-step products at less cost per call.
+    """
+    blocks = work.steps.reshape(work.n_blocks, work.block, 8, 8)
+    partial, carry = work.partial, work.carry
+    partial[:, 0] = blocks[:, 0]
+    for i in range(1, work.block):
+        np.matmul(blocks[:, i], partial[:, i - 1], out=partial[:, i])
+    for b in range(1, work.n_blocks):
+        np.dot(partial[b - 1, -1], carry[b - 1], out=carry[b])
+    rows = (work.n_blocks, work.block * 8, 8)
+    np.matmul(partial.reshape(rows), carry, out=work.prefix.reshape(rows))
+    return work.prefix[: work.n]
 
 
 def _forward_scan(context: ControlContext, waveforms: np.ndarray):
@@ -438,14 +539,24 @@ def _forward_scan(context: ControlContext, waveforms: np.ndarray):
     ``L_{k+1} = C_k L_k``, ``C_k = F_k B_k`` (see
     :attr:`ControlContext._interaction_frame`), and the propagator is
     ``U = E_{n-1} B_{n-1} L_{n-1} E_0^dag``.  Returns ``L_0 .. L_{n-1}``,
-    ``U`` and the blocks of :func:`_block_steps`.  For one qubit ``B_k =
-    diag(p_k, p_k*)`` and every ``C_k`` is in SU(2), so ``L`` is the entry
-    pair ``(a, b)`` of ``[[a, -b*], [b, a*]]``; for two it is a matrix stack.
+    ``U`` and the generators ``(g_x, g_y, g_z)`` of :func:`_block_steps`.
+
+    For one qubit ``B_k = diag(p_k, p_k*)`` and every ``C_k`` is in SU(2),
+    so ``L`` is the entry pair ``(a, b)`` of ``[[a, -b*], [b, a*]]``.  For
+    two the scan runs on the permuted real 8x8 forms (basis order
+    :data:`_PAIRED`): each ``B8_k`` is one 2-D product of its coefficient
+    rows with :data:`_STEP_PATTERNS`, ``C8_k = F8_k B8_k`` one batched real
+    product, and ``L`` is the stack of the whole ``L8_k``, whose rows the
+    gradient reads, in the work arrays of the context (:class:`_ScanWork`),
+    so it is valid only until the next call on the same context.  The real
+    form avoids numpy's slow stacked complex 4x4 product, and the work
+    arrays the page faults that fresh arrays of 128 KiB or more take on
+    every call.
     """
     f, e_first, e_last = context._interaction_frame
-    blocks = _block_steps(context, waveforms)
+    cos, gamma, beta, gens = _block_steps(context, waveforms)
     if context.n_qubits == 1:
-        ((_, _, p, _, _),) = blocks
+        p = cos[0] - 1j * gamma[0]
         # C_k = F_k diag(p_k, p_k*) has the entries p_k times those of F_k
         a, b = _su2_prefix_products(
             np.concatenate([[1.0], f[:, 0, 0] * p[:-1]]),
@@ -454,19 +565,15 @@ def _forward_scan(context: ControlContext, waveforms: np.ndarray):
         l = a, b
         last = _su2_matrices(p[-1] * a[-1], np.conj(p[-1]) * b[-1])
     else:
-        # B = [[p, q], [q, p*]] on each block mixes column pairs of F
-        c = np.empty((context.steps, 4, 4), dtype=complex)
-        c[0] = np.eye(4)
-        b_last = np.zeros((4, 4), dtype=complex)
-        for lo, hi, p, q, _ in blocks:
-            f_lo, f_hi = f[:, :, lo], f[:, :, hi]
-            c[1:, :, lo] = f_lo * p[:-1, None] + f_hi * q[:-1, None]
-            c[1:, :, hi] = f_lo * q[:-1, None] + f_hi * p[:-1, None].conj()
-            b_last[lo, lo], b_last[hi, hi] = p[-1], p[-1].conj()
-            b_last[lo, hi] = b_last[hi, lo] = q[-1]
-        l = _prefix_products(c)
-        last = b_last @ l[-1]
-    return l, e_last @ last @ e_first.conj().T, blocks
+        work, n = context._scan_work, context.steps
+        b8 = work.block_steps
+        coefs = np.concatenate([cos, gamma, beta])
+        np.matmul(coefs.T, _STEP_PATTERNS, out=b8.reshape(n, 64))
+        np.matmul(f, b8[:-1], out=work.steps[1:n])
+        l = _prefix_products(work)
+        column = b8[-1] @ l[-1, :, :4]   # the first column block: [Re; Im]
+        last = column[:4] + 1j * column[4:]
+    return l, e_last @ last @ e_first.conj().T, gens
 
 
 def propagate_closed(context: ControlContext, waveforms) -> np.ndarray:
@@ -498,13 +605,21 @@ def _fidelity_and_waveform_grad(
     tr(Z_k B_k^dag dB_k) with Z_k = L_k M L_k^dag, M = E_0^dag U_d^dag U
     E_0.  B_k^dag dB_k lives on the blocks of :func:`_block_steps`, so only
     the block entries of Z_k are formed.
+
+    For two qubits, with w = conj(tr) (-i dt) / d and the generator
+    -i dt (g_x X + g_y Y + g_z Z) of block (l, h) = (b, b + 2), the real
+    part taken is 2 g_x Re Y_lh - 2 g_y Im Y_lh + g_z (Y_ll - Y_hh) with
+    Y_k = L_k H L_k^dag and H the Hermitian part of w M; in the real forms
+    Y8_k[p, q] is row p of L8_k H8 (one 2-D product over all k) dotted with
+    row q of L8_k, and Im Y_pq is Y8_k[p + 4, q].
     """
     d = context.dimension
     _, e_first, _ = context._interaction_frame
-    l, u_total, blocks = _forward_scan(context, waveforms)
+    l, u_total, (g_x, g_y, g_z) = _forward_scan(context, waveforms)
     m = e_first.conj().T @ target.unitary.conj().T @ u_total @ e_first
     tr = np.trace(m) / d
     fid = abs(tr) ** 2
+    w = np.conj(tr) * (-1j * context.dt)
 
     if context.n_qubits == 1:
         # (Z_k)_00 - (Z_k)_11 for L_k = [[a, -b*], [b, a*]]; g = Z
@@ -514,19 +629,16 @@ def _fidelity_and_waveform_grad(
             (np.abs(a) ** 2 - np.abs(b) ** 2) * (m[0, 0] - m[1, 1])
             - 2.0 * (ab.conj() * m[1, 0] + ab * m[0, 1])
         )[None]
-    else:
-        lm = (l.reshape(-1, 4) @ m).reshape(l.shape)   # one 2-D product
-        overlap = 0.0
-        for lo, hi, _, _, (g_x, g_y, g_z) in blocks:
-            # (Z_k)_pq = (L_k M)_p . conj(L_k)_q on the block's four entries
-            z_ll, z_lh, z_hl, z_hh = np.einsum(
-                "kpa,kpa->pk", lm[:, [lo, lo, hi, hi]], l[:, [lo, hi, lo, hi]].conj()
-            )
-            # the traces of the block of Z_k with X, Y and Z
-            t = g_x * (z_lh + z_hl) + 1j * g_y * (z_lh - z_hl) + g_z * (z_ll - z_hh)
-            overlap = overlap + _CONTROL_SIGNS[2][:, lo, None] * t
-    grads = 2.0 * np.real(np.conj(tr) * (-1j * context.dt) * overlap / d)
-    return fid, grads, u_total
+        return fid, 2.0 * np.real(w * overlap / d), u_total
+    k = w * m / d
+    h8 = _real_form(0.5 * (k + k.conj().T))
+    lm = context._scan_work.lm
+    np.matmul(l.reshape(-1, 8), h8, out=lm.reshape(-1, 8))
+    diag = np.einsum("kpa,kpa->pk", lm[:, :4], l[:, :4])
+    re_lh = np.einsum("kpa,kpa->pk", lm[:, :2], l[:, 2:4])
+    im_lh = np.einsum("kpa,kpa->pk", lm[:, 4:6], l[:, 2:4])
+    per_block = 2.0 * (g_x * re_lh - g_y * im_lh) + g_z * (diag[:2] - diag[2:])
+    return fid, 2.0 * (_BLOCK_SIGNS[2] @ per_block), u_total
 
 
 def grape_gradient(
@@ -555,27 +667,23 @@ def _value_and_grad(
             f"theta needs {spec.n_controls * spec.params_per_control} entries, "
             f"got {theta.size}"
         )
-    waveforms, (_, _, sig, _) = _shape_stages(theta.reshape(spec.n_controls, -1), spec)
+    waveforms, (_, _, tanh, _) = _shape_stages(theta.reshape(spec.n_controls, -1), spec)
     fid, grad_f, u_total = _fidelity_and_waveform_grad(context, waveforms, target)
 
     value = fid
     if penalized:
-        excess = np.maximum(np.abs(waveforms) - spec.f_max, 0.0)
-        value -= AMPLITUDE_PENALTY * float(np.mean(excess**2)) / spec.f_max**2
-        pen_grad = (
-            -AMPLITUDE_PENALTY
-            * 2.0
-            * excess
-            * np.sign(waveforms)
-            / (spec.f_max**2 * excess.size)
-        )
-        grad_f = grad_f + pen_grad
-        edges = waveforms[:, [0, -1]]
-        value -= EDGE_PENALTY * float(np.sum(edges**2)) / spec.f_max**2
-        grad_f[:, 0] -= EDGE_PENALTY * 2.0 * waveforms[:, 0] / spec.f_max**2
-        grad_f[:, -1] -= EDGE_PENALTY * 2.0 * waveforms[:, -1] / spec.f_max**2
+        f_max, f2, size = spec.f_max, spec.f_max**2, waveforms.size
+        # sign(f) max(|f| - f_max, 0), the signed excess over the bound
+        excess = waveforms - np.clip(waveforms, -f_max, f_max)
+        edges = waveforms[:, :: spec.steps - 1]   # the first and last samples
+        value -= (
+            AMPLITUDE_PENALTY * float(np.vdot(excess, excess)) / size
+            + EDGE_PENALTY * float(np.vdot(edges, edges))
+        ) / f2
+        grad_f -= 2.0 * AMPLITUDE_PENALTY * excess / (f2 * size)
+        grad_f[:, :: spec.steps - 1] -= 2.0 * EDGE_PENALTY * edges / f2
 
-    grad_theta = _shape_backward(grad_f, sig, spec).ravel()
+    grad_theta = _shape_backward(grad_f, tanh, spec).ravel()
     return value, grad_theta, {"fidelity": fid, "waveforms": waveforms, "u": u_total}
 
 
@@ -656,21 +764,22 @@ def optimize_pulse(
         value, grad, info = _value_and_grad(
             theta, spec, context, target, penalized=True
         )
-        fid = info["fidelity"]
+        fid, waveforms = info["fidelity"], info["waveforms"]
         if it == 1:
             # the result when no iterate is accepted: best_theta stays theta
-            best_waveforms = info["waveforms"]
-        overshoot = float(np.max(np.abs(info["waveforms"]))) / spec.f_max
-        if fid > best_fid and overshoot <= 1.0 + GIBBS_TOL:
+            best_waveforms = waveforms
+        # the amplitude is read only for an iterate that would be the best
+        if fid > best_fid and np.max(np.abs(waveforms)) / spec.f_max <= 1.0 + GIBBS_TOL:
             best_fid = fid
             best_theta = theta.copy()
-            best_waveforms = info["waveforms"]
+            best_waveforms = waveforms
         history.append(best_fid if np.isfinite(best_fid) else fid)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1**it)
-        v_hat = v / (1.0 - ADAM_BETA2**it)
-        theta = theta + ADAM_STEP * m_hat / (np.sqrt(v_hat) + 1e-8)
+        theta = theta + ADAM_STEP * m_hat / (np.sqrt(v / (1.0 - ADAM_BETA2**it)) + 1e-8)
 
     return PulseResult(
         theta=best_theta,

@@ -15,10 +15,10 @@ none of the functions here:
 - :func:`average_fidelity_pauli_sum` is Nielsen's Pauli-sum form of the
   average gate fidelity, each Pauli product sent through the channel;
   ``average_gate_fidelity`` contracts the superoperator with ``U (x) U^*``.
-- :func:`prefix_products_broadcast` is the blocked prefix scan with each
-  step's carry broadcast as its own product; ``_prefix_products`` applies
-  a block's carry in one product of its stacked rows, and must give the
-  same bits.
+- :func:`prefix_products_broadcast` is the blocked prefix scan of the real
+  8x8 steps with each step's carry broadcast as its own product;
+  ``gates._prefix_products`` applies a block's carry in one product of its
+  stacked rows, in reused work arrays, and must give the same bits.
 - :func:`monodromy_eig_oracle` reads the quasienergies and modes of a
   monodromy off a general eigensolve, folds the eigenphases into the first
   zone and re-orthonormalizes the eigenvectors by QR;
@@ -241,21 +241,22 @@ def average_fidelity_pauli_sum(s: np.ndarray, u: np.ndarray) -> float:
 
 
 def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:
-    """Ordered prefixes ``out[i] = mats[i] @ ... @ mats[0]`` by the blocked
-    scan of ``_prefix_products``, each step times its block's carry."""
+    """Ordered prefixes ``out[i] = mats[i] @ ... @ mats[0]`` of the real
+    steps ``mats`` by the blocked scan of ``gates._prefix_products``, its
+    carries by ``np.dot``, each step times its block's carry."""
     n, d = mats.shape[0], mats.shape[-1]
     block = math.isqrt(n - 1) + 1
     n_blocks = -(-n // block)
-    pad = np.broadcast_to(np.eye(d, dtype=mats.dtype), (n_blocks * block - n, d, d))
+    pad = np.broadcast_to(np.eye(d), (n_blocks * block - n, d, d))
     blocks = np.concatenate([mats, pad]).reshape(n_blocks, block, d, d)
     out = np.empty_like(blocks)
     out[:, 0] = blocks[:, 0]
     for i in range(1, block):
         out[:, i] = blocks[:, i] @ out[:, i - 1]
-    carry = np.empty((n_blocks, d, d), dtype=mats.dtype)
+    carry = np.empty((n_blocks, d, d))
     carry[0] = np.eye(d)
     for b in range(1, n_blocks):
-        carry[b] = out[b - 1, -1] @ carry[b - 1]
+        carry[b] = np.dot(out[b - 1, -1], carry[b - 1])
     return (out @ carry[:, None]).reshape(-1, d, d)[:n]
 
 

@@ -238,6 +238,19 @@ def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
     assert not list(out.glob("pulse_*.json"))
 
 
+def test_grape_at_a_tiny_f_max_warns_nothing(tmp_path):
+    # at f_max 6.3e-153 rad/ns (its square is still positive) the amplitude
+    # stage saturates; f_max tanh(x / f_max) does so without the overflow of
+    # exp(-2 x / f_max) in the sigmoid's other form
+    job = dict(TINY["gates"][0], f_max_mhz=1e-150, iterations=2)
+    config = write_json(tmp_path / "config.json", dict(TINY, gates=[job]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(config, tmp_path / "out", "grape") == 0
+    pulse = json.loads((tmp_path / "out" / "pulse_x.json").read_text())
+    assert len(pulse["fidelity_history"]) == 2
+
+
 def test_grape_on_an_infeasible_point_exits_3(tmp_path, capsys):
     # at the unbiased sweet spot the resonant undriven genome has no labeled
     # gap, so there is no point to design a gate at

@@ -24,7 +24,6 @@ from fluxspot.floquet import (
     _midpoint_steps,
     _monodromy_pair,
     _particle_hole,
-    _prefix_products,
     _su2_entries,
     _su2_matrices,
     _su2_prefix_products,
@@ -47,7 +46,6 @@ from oracles import (
     monodromy_eig_oracle,
     parseval_sum,
     period_steps_inline,
-    prefix_products_broadcast,
 )
 
 REFERENCE_DELTA = REFERENCE_CONTEXT.qubit.delta
@@ -460,41 +458,6 @@ class TestPropagatorReference:
         for step in steps:
             u = step @ u
         assert np.max(np.abs(_tree_product(steps) - u)) < 1e-13
-        last = _prefix_products(steps)[-1]
-        assert np.max(np.abs(last - _tree_product(steps))) < 1e-13
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        # lengths at the edges of the ceil(sqrt(n)) blocks: k^2 - 1, k^2, k^2 + 1
-        n=st.sampled_from([1, 2])
-        | st.builds(lambda k, s: k * k + s, st.integers(2, 30), st.sampled_from([-1, 0, 1])),
-        dim=st.sampled_from([2, 4]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_prefix_products_match_sequential_loop(self, n, dim, seed):
-        rng = np.random.default_rng(seed)
-        if dim == 2:
-            entries = _su2_entries(rng.uniform(-3, 3), rng.uniform(-2, 2, n), 0.05)
-            steps = _su2_matrices(*entries)
-        else:
-            z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
-            steps, _ = np.linalg.qr(z)
-        u = np.eye(dim)
-        expected = []
-        for step in steps:
-            u = step @ u
-            expected.append(u)
-        assert np.max(np.abs(_prefix_products(steps) - np.array(expected))) < 1e-13
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    @pytest.mark.parametrize("n", [1, 2, 23, 500, 530])
-    def test_prefix_products_keep_the_bits_of_the_broadcast_carry(self, n, dim):
-        # the 2-qubit GRAPE scan runs on these products: a pulse keeps its
-        # bits only if one product per block equals a product per step
-        rng = np.random.default_rng(n * dim)
-        z = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-        steps, _ = np.linalg.qr(z)
-        assert np.array_equal(_prefix_products(steps), prefix_products_broadcast(steps))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 36, 40, 500])
     def test_su2_prefix_products_match_sequential_loop(self, n):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot import floquet, gates
@@ -17,12 +19,16 @@ from fluxspot.gates import (
     GIBBS_TOL,
     ControlContext,
     _block_steps,
+    _prefix_products,
+    _real_form,
+    _ScanWork,
     _shape_stages,
     _static_operators,
+    _value_and_grad,
 )
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
 
-from oracles import frame_steps_inline
+from oracles import frame_steps_inline, prefix_products_broadcast
 
 
 def tile(op, steps):
@@ -318,6 +324,17 @@ class TestShapePulse:
         _, (_, _, _, bounded) = _shape_stages(theta, spec)
         assert np.max(np.abs(bounded)) <= spec.f_max
 
+    def test_tanh_stage_is_the_logistic_sigmoid(self):
+        # f_max tanh(x / f_max) = f_max (2 / (1 + exp(-2 x / f_max)) - 1), and
+        # its slope 1 - tanh^2 = 4 sig (1 - sig), to round-off below saturation
+        spec = self.spec()
+        theta = 0.5 * np.random.default_rng(6).standard_normal(spec.params_per_control)
+        _, (_, windowed, tanh, bounded) = _shape_stages(theta, spec)
+        sig = 1.0 / (1.0 + np.exp(-2.0 * windowed / spec.f_max))
+        assert np.max(np.abs(windowed)) > 2.0 * spec.f_max   # into the bend
+        assert np.max(np.abs(bounded - spec.f_max * (2.0 * sig - 1.0))) < 4e-16 * spec.f_max
+        assert np.max(np.abs((1.0 - tanh * tanh) - 4.0 * sig * (1.0 - sig))) < 1e-15
+
     def test_bandlimit_zeroes_high_harmonics(self):
         spec = self.spec()
         rng = np.random.default_rng(2)
@@ -378,6 +395,108 @@ class TestPropagation:
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-10
 
 
+def random_unitaries(rng, n):
+    """``n`` random U(4) matrices, from the QR of complex Gaussians."""
+    z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    return np.linalg.qr(z)[0]
+
+
+def scanned(steps):
+    """The 2-qubit scan of the complex 4x4 ``steps`` in fresh work arrays."""
+    work = _ScanWork(len(steps))
+    work.steps[: len(steps)] = _real_form(steps)
+    return _prefix_products(work)
+
+
+class TestPrefixScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # lengths at the edges of the ceil(sqrt(n)) blocks: k^2 - 1, k^2, k^2 + 1
+        n=st.sampled_from([1, 2])
+        | st.builds(lambda k, s: k * k + s, st.integers(2, 30), st.sampled_from([-1, 0, 1])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefix_products_match_sequential_loop(self, n, seed):
+        steps = random_unitaries(np.random.default_rng(seed), n)
+        u = np.eye(4)
+        expected = []
+        for step in steps:
+            u = step @ u
+            expected.append(u)
+        assert np.max(np.abs(scanned(steps) - _real_form(np.array(expected)))) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 23, 500, 530])
+    def test_prefix_products_keep_the_bits_of_the_broadcast_carry(self, n):
+        # the 2-qubit GRAPE scan runs on these products: a pulse keeps its
+        # bits only if one product per block equals a product per step
+        steps = random_unitaries(np.random.default_rng(n), n)
+        assert np.array_equal(scanned(steps), prefix_products_broadcast(_real_form(steps)))
+
+
+class TestScanWork:
+    """The 2-qubit scan reuses its context's work arrays; no call may see
+    what an earlier one left there, nor change what it returned."""
+
+    CALLS = {
+        "value_and_grad": lambda spec, ctx, theta, wf: _value_and_grad(
+            theta, spec, ctx, fs.gate_target("sqrt_iswap"), penalized=True
+        ),
+        "propagate_closed": lambda spec, ctx, theta, wf: fs.propagate_closed(ctx, wf),
+        "grape_gradient": lambda spec, ctx, theta, wf: fs.grape_gradient(
+            theta, spec, ctx, fs.gate_target("sqrt_iswap")
+        ),
+    }
+
+    @staticmethod
+    def flat(result):
+        """The arrays and numbers of a result, in order."""
+        if isinstance(result, tuple):
+            value, grad, info = result
+            return [value, grad, info["fidelity"], info["waveforms"], info["u"]]
+        return [result]
+
+    def test_scans_leave_the_identity_steps(self):
+        # steps[0] is C8_0 = I and 40 steps pad their last block of 7 with
+        # 2 identities; the scans write only the steps between
+        steps = 40
+        ctx = ControlContext(random_frame(np.random.default_rng(8), steps), 0.05, 2, 0.3)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            fs.propagate_closed(ctx, rng.standard_normal((2, steps)))
+        work = ctx._scan_work
+        assert work.steps.shape[0] == 42
+        for k in (0, 40, 41):
+            assert np.array_equal(work.steps[k], np.eye(8))
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_a_call_keeps_its_bits_across_calls(self, call):
+        # on contexts A, B, A, A, A, with A's second pulse between the last
+        # two: each call gives the bits of the same call on a fresh context,
+        # and the first result keeps its bits to the end
+        rng = np.random.default_rng(23)
+        jobs = []
+        # A pads its last block of steps (40 = 7 x 6 - 2), B fills them
+        for steps, coupling in ((40, 0.3), (36, 0.0)):
+            spec = fs.PulseSpec(duration=0.05 * steps, steps=steps, n_freq=4, n_controls=2)
+            args = (random_frame(rng, steps), spec.dt, 2, coupling)
+            jobs.append((spec, args, ControlContext(*args)))
+        thetas = [rng.standard_normal(2 * 9) for _ in range(3)]
+
+        def run(ctx, spec, theta):
+            wf = _shape_stages(theta.reshape(2, -1), spec)[0]
+            return self.flat(self.CALLS[call](spec, ctx, theta, wf))
+
+        first = None
+        for job, theta in ((0, 0), (1, 1), (0, 0), (0, 2), (0, 0)):
+            spec, args, ctx = jobs[job]
+            got = run(ctx, spec, thetas[theta])
+            fresh = run(ControlContext(*args), spec, thetas[theta])
+            assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
+            if first is None:
+                first, kept = got, [np.copy(x) for x in got]
+        assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+
+
 class TestGateFidelity:
     def test_exact_match(self):
         t = fs.gate_target("x")
@@ -435,6 +554,30 @@ class TestGradient:
             worst = max(worst, abs(grad[i] - fd) / scale)
         assert worst < 1e-6
 
+    def test_penalized_gradient_matches_finite_differences(self):
+        # a pulse that saturates the sigmoid rings past f_max after the
+        # band-limit and has non-zero end samples, so both penalties act
+        rng = np.random.default_rng(31)
+        steps = 40
+        ctx = ControlContext(random_frame(rng, steps), 0.05, 2, 0.3)
+        spec = fs.PulseSpec(duration=0.05 * steps, steps=steps, n_freq=4, n_controls=2)
+        target = fs.gate_target("sqrt_iswap")
+        theta = 3.0 * rng.standard_normal(2 * spec.params_per_control)
+        value, grad, info = _value_and_grad(theta, spec, ctx, target, penalized=True)
+        wf = info["waveforms"]
+        assert np.max(np.abs(wf)) > spec.f_max and np.min(np.abs(wf[:, [0, -1]])) > 0.0
+        assert value < info["fidelity"]
+
+        def objective(th):
+            return _value_and_grad(th, spec, ctx, target, penalized=True)[0]
+
+        h = 1e-6
+        for i in range(theta.size):
+            step = np.zeros_like(theta)
+            step[i] = h
+            fd = (objective(theta + step) - objective(theta - step)) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
     def test_matches_per_step_loop(self):
         # reference: dF/df_ck = 2 Re(conj(tr) tr(U_d^dag S_k+1 dU_k P_k) / d)
         # summed step by step, with dU_k from scipy's expm Frechet derivative
@@ -449,9 +592,10 @@ class TestGradient:
         rng = np.random.default_rng(5)
         eye = np.eye(2)
         # 40 steps pad the last ceil(sqrt(n))-step block of the prefix scan,
-        # 36 fill their blocks exactly
-        cases = [(steps, 1, 0.0, "x") for steps in (40, 36)] + [
-            (steps, 2, j, "sqrt_iswap") for steps in (40, 36) for j in (0.3, 0.0)
+        # 36 fill their blocks exactly, and 8, the PulseSpec minimum, pads
+        # its last block of 3
+        cases = [(steps, 1, 0.0, "x") for steps in (40, 36, 8)] + [
+            (steps, 2, j, "sqrt_iswap") for steps in (40, 36, 8) for j in (0.3, 0.0)
         ]
         for steps, n_qubits, coupling, gate in cases:
             frame = random_frame(rng, steps)
@@ -496,12 +640,13 @@ class TestGradient:
 
     @pytest.mark.parametrize("n_qubits, coupling", [(1, 0.0), (2, 0.3), (2, 0.0)])
     def test_block_steps_match_expm_and_frechet(self, n_qubits, coupling):
-        # assembled from its blocks, B_k must be exp(-i dt T^dag H0(f_k) T)
-        # and sum_c z_c[lo] B_k^dag dB_k/ds over the blocks must be B_k^dag
-        # times the Frechet derivative along T^dag C_c T, for each control c
+        # assembled from its blocks (b, b + d/2), B_k must be exp(-i dt T^dag
+        # H0(f_k) T) and sum_c z_c[b] B_k^dag dB_k/ds over the blocks must be
+        # B_k^dag times the Frechet derivative along T^dag C_c T, for each
+        # control c, with T = W or W (x) W in the paired basis order
         from scipy.linalg import expm, expm_frechet
 
-        from fluxspot.gates import _SIGMA_Y_BASIS
+        from fluxspot.gates import _PAIRED, _SIGMA_Y_BASIS
 
         dt, steps = 0.05, 12
         rng = np.random.default_rng(17)
@@ -509,9 +654,12 @@ class TestGradient:
             frame=random_frame(rng, steps), dt=dt, n_qubits=n_qubits, coupling_j=coupling
         )
         wf = degenerate_waveforms(rng, n_qubits, steps)
-        blocks = _block_steps(ctx, wf)
+        cos, gamma, beta, gens_k = _block_steps(ctx, wf)
         d = ctx.dimension
-        t = _SIGMA_Y_BASIS if n_qubits == 1 else np.kron(_SIGMA_Y_BASIS, _SIGMA_Y_BASIS)
+        half = d // 2
+        t = _SIGMA_Y_BASIS
+        if n_qubits == 2:
+            t = np.kron(t, t)[:, _PAIRED]
         drift, controls, _ = _static_operators(n_qubits, coupling)
         drift_t = t.conj().T @ drift @ t
         controls_t = [t.conj().T @ c @ t for c in controls]
@@ -520,15 +668,16 @@ class TestGradient:
             b_ref = expm(-1j * dt * h)
             b = np.zeros((d, d), dtype=complex)
             gens = [np.zeros((d, d), dtype=complex) for _ in controls]
-            for lo, hi, p, q, (g_x, g_y, g_z) in blocks:
-                pair = np.ix_([lo, hi], [lo, hi])
-                b[pair] = [[p[k], q[k]], [q[k], np.conj(p[k])]]
+            for blk in range(half):
+                pair = np.ix_([blk, blk + half], [blk, blk + half])
+                p, q = cos[blk, k] - 1j * gamma[blk, k], -1j * beta[blk, k]
+                b[pair] = [[p, q], [q, np.conj(p)]]
                 g = sum(
-                    np.broadcast_to(coef, (steps,))[k] * pauli
-                    for coef, pauli in zip((g_x, g_y, g_z), (PAULI_X, PAULI_Y, PAULI_Z))
+                    np.broadcast_to(coef, cos.shape)[blk, k] * pauli
+                    for coef, pauli in zip(gens_k, (PAULI_X, PAULI_Y, PAULI_Z))
                 )
                 for c, control in enumerate(controls_t):
-                    gens[c][pair] += control[lo, lo].real * -1j * dt * g
+                    gens[c][pair] += control[blk, blk].real * -1j * dt * g
             assert np.max(np.abs(b - b_ref)) < 1e-14
             for c, control in enumerate(controls_t):
                 du = expm_frechet(-1j * dt * h, -1j * dt * control, compute_expm=False)
@@ -587,14 +736,23 @@ class TestOptimizePulse:
         assert abs(result.waveforms[0][-1]) < 1e-2 * spec.f_max
         assert np.all(np.diff(result.fidelity_history) >= 0)
 
-    def test_history_deterministic_under_seed(self, dss2_frame):
+    @pytest.mark.parametrize("gate", ["x", "sqrt_iswap"])
+    def test_history_deterministic_under_seed(self, dss2_frame, gate):
+        # a second run on the same context reuses the work arrays of its
+        # 2-qubit scan, and a run on a fresh context allocates them anew
         _, _, frame = dss2_frame
-        spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9)
+        n_qubits = fs.gate_target(gate).dim.bit_length() - 1
+        args = (frame.frame, frame.dt, n_qubits, 0.3 if n_qubits == 2 else 0.0)
+        spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9, n_controls=n_qubits)
         settings = fs.GrapeSettings(iterations=30, seed=7)
-        a = fs.optimize_pulse(spec, frame, fs.gate_target("x"), settings)
-        b = fs.optimize_pulse(spec, frame, fs.gate_target("x"), settings)
-        assert np.array_equal(a.fidelity_history, b.fidelity_history)
-        assert np.array_equal(a.theta, b.theta)
+        ctx = ControlContext(*args)
+        runs = [
+            fs.optimize_pulse(spec, c, fs.gate_target(gate), settings)
+            for c in (ctx, ctx, ControlContext(*args))
+        ]
+        for run in runs[1:]:
+            assert np.array_equal(run.fidelity_history, runs[0].fidelity_history)
+            assert np.array_equal(run.theta, runs[0].theta)
 
 
 class TestStepRefinement:
