@@ -124,31 +124,32 @@ class EffectiveCoefficients:
 
 
 def _oscillator_ops(params: CircuitParams) -> tuple[np.ndarray, np.ndarray]:
-    """Phase and charge operators in the Fock basis of the linear circuit."""
-    dim = params.fock_dim
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    raise_ = lower.T.conj()
-    phi = params.phi_zpf * (lower + raise_)
-    n = 1j * params.n_zpf * (raise_ - lower)
-    return phi, n
+    """The phase operator and the squared charge operator in the Fock basis
+    of the linear circuit, both real: ``n = i n_zpf (a^dag - a)`` is
+    imaginary, so ``n^2 = -n_zpf^2 (a^dag - a)^2`` is real."""
+    lower = np.diag(np.sqrt(np.arange(1, params.fock_dim)), 1)
+    phi = params.phi_zpf * (lower + lower.T)
+    m = params.n_zpf * (lower.T - lower)
+    return phi, -(m @ m)
 
 
 def build_circuit_hamiltonian(params: CircuitParams, phi_ext: float) -> np.ndarray:
-    """Dense circuit Hamiltonian at external flux ``phi_ext`` (radians).
+    """Dense circuit Hamiltonian at external flux ``phi_ext`` (radians), a
+    real symmetric float64 matrix: in the Fock basis ``phi``, ``n^2`` and
+    ``cos(phi)`` are all real.
 
     The Josephson term uses the exact matrix cosine of the Hermitian phase
     operator (spectral decomposition), not a power series, which stays
     accurate for the large zero-point phase spread of a fluxonium.
     """
-    phi, n = _oscillator_ops(params)
-    dim = params.fock_dim
+    phi, n2 = _oscillator_ops(params)
     w, v = np.linalg.eigh(phi)
-    cos_phi = (v * np.cos(w)) @ v.T.conj()
-    shifted = phi + phi_ext * np.eye(dim)
-    h = 4.0 * params.e_c * (n @ n) + 0.5 * params.e_l * (shifted @ shifted)
+    cos_phi = (v * np.cos(w)) @ v.T
+    shifted = phi + phi_ext * np.eye(params.fock_dim)
+    h = 4.0 * params.e_c * n2 + 0.5 * params.e_l * (shifted @ shifted)
     h -= params.e_j * cos_phi
     # symmetrize away the last bits of round-off
-    return 0.5 * (h + h.T.conj())
+    return 0.5 * (h + h.T)
 
 
 def _diagonalize_once(
@@ -157,7 +158,7 @@ def _diagonalize_once(
     h = build_circuit_hamiltonian(params, phi_ext)
     w, v = np.linalg.eigh(h)
     phi, _ = _oscillator_ops(params)
-    phi_ge = abs(v[:, 0].conj() @ phi @ v[:, 1])
+    phi_ge = abs(v[:, 0] @ phi @ v[:, 1])
     return w[1] - w[0], phi_ge, w[:SPECTRUM_LEVELS] - w[0]
 
 
@@ -173,7 +174,9 @@ def diagonalize_circuit(params: CircuitParams, phi_ext: float) -> EffectiveQubit
     bigger = CircuitParams(
         params.e_c, params.e_l, params.e_j, params.fock_dim + CONVERGENCE_STEP
     )
-    delta_ref, _, _ = _diagonalize_once(bigger, phi_ext)
+    # the check reads only the splitting, so no eigenvectors
+    w_ref = np.linalg.eigvalsh(build_circuit_hamiltonian(bigger, phi_ext))
+    delta_ref = w_ref[1] - w_ref[0]
     if abs(delta - delta_ref) > CONVERGENCE_RTOL * abs(delta_ref):
         raise TruncationError(
             f"fock_dim={params.fock_dim} not converged: splitting moved from "

@@ -5,7 +5,8 @@ flux modulation.  All gate dynamics happen in the rotating frame of the
 modulated qubit Hamiltonian.  A :class:`ControlContext` is that frame: the
 SU(2) samples ``R_k`` that :func:`rotating_frame_trajectory` integrates,
 with one job's step length, qubit count and coupling.  Step ``k`` sees
-every lab-frame operator ``O`` of :func:`_static_operators` as
+every lab-frame operator ``O`` of the job (drift, controls and jumps;
+:func:`.lindblad._static_operators`) as
 ``R_k^dag O R_k``, and no stack of conjugated operators is ever built.  A
 ``grape`` pass evaluates the point and integrates the frame once per
 genome, ``phi_ac``, duration, steps and substeps, and stores the samples
@@ -31,8 +32,10 @@ them once, on its first scan, and every scan overwrites them, so the
 scan's ``L`` is valid only until the next call on the same context.
 Pulses are parametrized in the frequency domain and pushed through a fixed
 constraint pipeline (boundary window, amplitude bound ``f_max tanh(x /
-f_max)``, spectral band-limit); gradients are exact through both the steps
-and the pipeline.
+f_max)``, band-limit); the band is defined once, as the rows of
+:attr:`PulseSpec.fourier_basis` that the parameters live on, and the
+band-limit is the orthogonal projection onto them.  Gradients are exact
+through both the steps and the pipeline.
 
 Times in this module are nanoseconds and rates rad/ns; the drive and qubit
 parameters arrive in the library's rad/us convention and are converted on
@@ -50,10 +53,8 @@ import numpy as np
 from .circuit import EffectiveCoefficients
 from .exceptions import IntegrationError, InvalidParameterError, check_finite
 from .floquet import (
-    LOWERING,
     PAULI_X,
     PAULI_Y,
-    PAULI_Z,
     DriveSpec,
     _sampled_propagators,
     _su2_matrices,
@@ -189,8 +190,11 @@ class PulseSpec:
     across channels.  The rendered waveform passes, in order, a sin^2
     boundary window, the sigmoid ``f_max tanh(x / f_max)`` (``f_max (2 / (1
     + exp(-2 x / f_max)) - 1)``), which bounds the instantaneous amplitude
-    by ``f_max`` at unit small-signal gain, and a hard spectral cutoff
-    above harmonic ``n_freq``.
+    by ``f_max`` at unit small-signal gain, and the band-limit: the
+    orthogonal projection onto the rows of :attr:`fourier_basis`, the same
+    band the parameters live on.  On the sample grid that is the cutoff
+    above harmonic ``n_freq``; once ``n_freq >= steps / 2`` the rows span
+    every waveform and the projection keeps it whole.
     The final projection can ring past the amplitude bound by at most
     ``GIBBS_TOL`` (verified on optimized pulses).  ``duration`` must be
     finite and positive, and ``f_max`` positive with a positive, finite
@@ -228,14 +232,6 @@ class PulseSpec:
         return np.arange(self.steps) * self.dt
 
     @cached_property
-    def window(self) -> np.ndarray:
-        """The sin^2 boundary window on the sample grid, zero at both ends."""
-        k = np.arange(self.steps)
-        w = np.sin(np.pi * k / (self.steps - 1)) ** 2
-        w[0] = w[-1] = 0.0   # exact boundary zeros despite pi round-off
-        return w
-
-    @cached_property
     def fourier_basis(self) -> np.ndarray:
         """``(2 n_freq + 1, steps)`` rows DC, cos 1, sin 1, cos 2, ... on the
         sample grid, so the unconstrained waveform is ``theta @ basis``."""
@@ -244,20 +240,29 @@ class PulseSpec:
         pairs = np.stack([np.cos(arg), np.sin(arg)], axis=1)
         return np.vstack([np.ones(self.steps), pairs.reshape(-1, self.steps)])
 
+    @cached_property
+    def _windowed_basis(self) -> np.ndarray:
+        """The basis rows times the sin^2 boundary window, so the windowed
+        waveform ``theta @ _windowed_basis`` is exactly zero at both ends."""
+        window = np.sin(np.pi * np.arange(self.steps) / (self.steps - 1)) ** 2
+        window[0] = window[-1] = 0.0   # exact boundary zeros despite pi round-off
+        return self.fourier_basis * window
+
+    @cached_property
+    def _band_pinv(self) -> np.ndarray:
+        """``pinv(fourier_basis)``: ``(x @ _band_pinv) @ fourier_basis`` is
+        the orthogonal projection of ``x`` onto the span of the basis rows."""
+        return np.linalg.pinv(self.fourier_basis)
+
 
 def _shape_stages(theta: np.ndarray, spec: PulseSpec):
     """Forward pass of the constraint pipeline, one control channel per row
-    of ``theta`` (or one channel for a 1-D ``theta``)."""
-    raw = theta @ spec.fourier_basis
-    windowed = spec.window * raw
+    of ``theta`` (or one channel for a 1-D ``theta``): the waveform and the
+    tanh stage, which :func:`_shape_backward` reads."""
     # d bounded / d windowed = 1 at 0; tanh saturates where the exp of the
     # same sigmoid written as 2 / (1 + exp(-2 x / f_max)) - 1 overflowed
-    tanh = np.tanh(windowed / spec.f_max)
-    bounded = spec.f_max * tanh
-    spectrum = np.fft.rfft(bounded)
-    spectrum[..., spec.n_freq + 1 :] = 0.0
-    final = np.fft.irfft(spectrum, spec.steps)
-    return final, (raw, windowed, tanh, bounded)
+    tanh = np.tanh((theta @ spec._windowed_basis) / spec.f_max)
+    return (spec.f_max * tanh) @ spec._band_pinv @ spec.fourier_basis, tanh
 
 
 def shape_pulse(theta: np.ndarray, spec: PulseSpec) -> np.ndarray:
@@ -273,10 +278,8 @@ def shape_pulse(theta: np.ndarray, spec: PulseSpec) -> np.ndarray:
 def _shape_backward(grad_f: np.ndarray, tanh: np.ndarray, spec: PulseSpec) -> np.ndarray:
     """Pull gradients w.r.t. the waveform samples, one channel per row, back
     to the rows of theta; ``tanh`` is the tanh stage of the forward pass."""
-    spectrum = np.fft.rfft(grad_f)
-    spectrum[..., spec.n_freq + 1 :] = 0.0
-    grad_bounded = np.fft.irfft(spectrum, spec.steps)   # band-limit is self-adjoint
-    return (grad_bounded * (1.0 - tanh * tanh) * spec.window) @ spec.fourier_basis.T
+    grad_bounded = grad_f @ spec._band_pinv @ spec.fourier_basis   # self-adjoint
+    return (grad_bounded * (1.0 - tanh * tanh)) @ spec._windowed_basis.T
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ class ControlContext:
     ``frame[k]`` is the SU(2) frame sample ``U_k`` of one qubit at the
     midpoint of step ``k``; two qubits share it, so their frame is
     ``R_k = U_k (x) U_k`` (one qubit: ``R_k = U_k``).  Step ``k`` sees each
-    operator ``O`` of :func:`_static_operators` (drift ``coupling_j *
+    operator ``O`` of :func:`.lindblad._static_operators` (drift ``coupling_j *
     (z (x) z)``, ``sigma_y`` controls, lowering and ``sigma_z`` jumps) as
     ``R_k^dag O R_k``.  ``dt`` is the step length in ns and ``coupling_j``
     is in rad/ns; both must be finite.
@@ -368,25 +371,6 @@ class ControlContext:
         return _ScanWork(self.steps)
 
 
-def _static_operators(n_qubits: int, coupling_j: float):
-    """The lab-frame operators of a gate job in full dimension: the drift
-    ``coupling_j * (z (x) z)`` (zero for one qubit), the ``sigma_y``
-    control of each qubit, and each qubit's (lowering, ``sigma_z``) jump
-    pair."""
-    if n_qubits == 1:
-        return np.zeros((2, 2), dtype=complex), (PAULI_Y,), [(LOWERING, PAULI_Z)]
-    eye = np.eye(2)
-
-    def on(qubit, op):
-        return np.kron(op, eye) if qubit == 0 else np.kron(eye, op)
-
-    return (
-        coupling_j * np.kron(PAULI_Z, PAULI_Z),
-        (on(0, PAULI_Y), on(1, PAULI_Y)),
-        [(on(q, LOWERING), on(q, PAULI_Z)) for q in (0, 1)],
-    )
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-step ``kron(a[k], b[k])``; either factor may be one fixed matrix."""
     d = a.shape[-1]
@@ -459,28 +443,28 @@ def _block_steps(context: ControlContext, waveforms: np.ndarray):
     lambda dt`` the block step is
     ``B = cos(theta) I - i (sin(theta) / lambda) (s Z + J X)
     = [[cos - i gamma, -i beta], [-i beta, cos + i gamma]]`` with
-    ``gamma = dt sinc(theta) s`` and ``beta = dt sinc(theta) J``
-    (``sinc(x) = sin(x) / x``), and
-    ``B^dag dB/ds = -i dt (g_x X + g_y Y + g_z Z)`` with
+    ``gamma = sin(theta) s / lambda`` and ``beta = sin(theta) J / lambda``,
+    and ``B^dag dB/ds = -i dt (g_x X + g_y Y + g_z Z)`` with
     ``g_x = (s J / lambda^2) (1 - c1)``, ``g_y = (J / lambda) c2`` and
     ``g_z = (s^2 + c1 J^2) / lambda^2``, where ``c1 = sin(2 theta) /
-    (2 theta)`` and ``c2 = sin(theta)^2 / theta``; at ``J = 0`` it is
-    ``-i dt Z``.  Returns ``(cos, gamma, beta, (g_x, g_y, g_z))``, each
-    array with one row per block.
+    (2 theta)`` and ``c2 = sin(theta)^2 / theta``.  At ``J = 0`` the block
+    is ``exp(-i s dt Z)``: ``gamma = sin(s dt)``, ``beta = 0`` and the
+    generator ``-i dt Z``, with no division where theta can vanish.
+    Returns ``(cos, gamma, beta, (g_x, g_y, g_z))``, each array with one
+    row per block.
     """
     dt, j = context.dt, context.coupling_j
     s = _BLOCK_SIGNS[context.n_qubits].T @ waveforms
-    theta = np.hypot(s, j) * dt
-    cos, sinc = np.cos(theta), np.sinc(theta / np.pi)
-    dt_sinc = dt * sinc
     if j == 0.0:
-        gens = (0.0, 0.0, 1.0)
-    else:
-        # lambda >= |J| > 0, so s / lambda and J / lambda are finite
-        ns, nj = s * dt / theta, j * dt / theta
-        c1 = sinc * cos
-        gens = (ns * nj * (1.0 - c1), nj * theta * sinc**2, ns**2 + c1 * nj**2)
-    return cos, dt_sinc * s, dt_sinc * j, gens
+        angle = s * dt
+        return np.cos(angle), np.sin(angle), np.zeros_like(angle), (0.0, 0.0, 1.0)
+    theta = np.hypot(s, j) * dt   # >= |J| dt > 0
+    cos, sin = np.cos(theta), np.sin(theta)
+    ns, nj = s * (dt / theta), j * (dt / theta)   # s / lambda and J / lambda
+    gamma, beta = sin * ns, sin * nj
+    c1 = sin * cos / theta
+    gens = (ns * nj * (1.0 - c1), sin * beta / theta, ns**2 + c1 * nj**2)
+    return cos, gamma, beta, gens
 
 
 class _ScanWork:
@@ -659,32 +643,26 @@ def _value_and_grad(
     target: GateTarget,
     penalized: bool = False,
 ):
-    """(objective, d objective/d theta, diagnostics); objective = F, less the
-    amplitude and edge penalties when ``penalized``."""
+    """``(F, gradient, waveforms)``.  With ``penalized`` the gradient is that
+    of F less ``(AMPLITUDE_PENALTY mean(e^2) + EDGE_PENALTY (f_0^2 +
+    f_{n-1}^2)) / f_max^2``, ``e`` the excess of ``|f|`` over ``f_max``;
+    no caller reads that objective's value, so it is not formed."""
     theta = np.asarray(theta, dtype=float)
     if theta.size != spec.n_controls * spec.params_per_control:
         raise InvalidParameterError(
             f"theta needs {spec.n_controls * spec.params_per_control} entries, "
             f"got {theta.size}"
         )
-    waveforms, (_, _, tanh, _) = _shape_stages(theta.reshape(spec.n_controls, -1), spec)
-    fid, grad_f, u_total = _fidelity_and_waveform_grad(context, waveforms, target)
-
-    value = fid
+    waveforms, tanh = _shape_stages(theta.reshape(spec.n_controls, -1), spec)
+    fid, grad_f, _ = _fidelity_and_waveform_grad(context, waveforms, target)
     if penalized:
-        f_max, f2, size = spec.f_max, spec.f_max**2, waveforms.size
+        f_max, f2 = spec.f_max, spec.f_max**2
         # sign(f) max(|f| - f_max, 0), the signed excess over the bound
         excess = waveforms - np.clip(waveforms, -f_max, f_max)
+        grad_f -= 2.0 * AMPLITUDE_PENALTY * excess / (f2 * waveforms.size)
         edges = waveforms[:, :: spec.steps - 1]   # the first and last samples
-        value -= (
-            AMPLITUDE_PENALTY * float(np.vdot(excess, excess)) / size
-            + EDGE_PENALTY * float(np.vdot(edges, edges))
-        ) / f2
-        grad_f -= 2.0 * AMPLITUDE_PENALTY * excess / (f2 * size)
         grad_f[:, :: spec.steps - 1] -= 2.0 * EDGE_PENALTY * edges / f2
-
-    grad_theta = _shape_backward(grad_f, tanh, spec).ravel()
-    return value, grad_theta, {"fidelity": fid, "waveforms": waveforms, "u": u_total}
+    return fid, _shape_backward(grad_f, tanh, spec).ravel(), waveforms
 
 
 @dataclass(frozen=True)
@@ -761,10 +739,9 @@ def optimize_pulse(
     best_fid = -np.inf
     history = []
     for it in range(1, settings.iterations + 1):
-        value, grad, info = _value_and_grad(
+        fid, grad, waveforms = _value_and_grad(
             theta, spec, context, target, penalized=True
         )
-        fid, waveforms = info["fidelity"], info["waveforms"]
         if it == 1:
             # the result when no iterate is accepted: best_theta stays theta
             best_waveforms = waveforms

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from .exceptions import InvalidParameterError, TomographyError, check_finite
-from .floquet import PAULI_X, PAULI_Y, PAULI_Z, _tree_product
-from .gates import ControlContext, _as_waveform_matrix, _kron, _static_operators
+from .floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z, _tree_product
+from .gates import ControlContext, _as_waveform_matrix, _kron
 from .units import RAD_PER_US_TO_RAD_PER_NS
 
 __all__ = ["process_matrix", "average_gate_fidelity"]
@@ -37,6 +37,25 @@ def _pauli_basis(d: int) -> np.ndarray:
     if d == 2:
         return singles
     return _kron(singles[:, None], singles[None, :])
+
+
+def _static_operators(n_qubits: int, coupling_j: float):
+    """The lab-frame operators of a gate job in full dimension: the drift
+    ``coupling_j * (z (x) z)`` (zero for one qubit), the ``sigma_y``
+    control of each qubit, and each qubit's (lowering, ``sigma_z``) jump
+    pair."""
+    if n_qubits == 1:
+        return np.zeros((2, 2), dtype=complex), (PAULI_Y,), [(LOWERING, PAULI_Z)]
+    eye = np.eye(2)
+
+    def on(qubit, op):
+        return np.kron(op, eye) if qubit == 0 else np.kron(eye, op)
+
+    return (
+        coupling_j * np.kron(PAULI_Z, PAULI_Z),
+        (on(0, PAULI_Y), on(1, PAULI_Y)),
+        [(on(q, LOWERING), on(q, PAULI_Z)) for q in (0, 1)],
+    )
 
 
 #: Higham's 1-norm bound theta_13 of the degree-13 Pade approximant
@@ -116,7 +135,8 @@ def _pulse_superoperator(
     by their ``S_k``.  The step superoperators are then multiplied in time
     order.  The bits are those of one call on the whole stack, and beside
     the stack only one block's temporaries are alive: a 2-qubit, 500-step
-    pulse holds a 2 MB stack and 128 kB per temporary.
+    pulse holds a 2 MB stack and 128 kB per temporary.  Finite samples
+    whose generators overflow raise :class:`InvalidParameterError`.
     """
     check_finite(gamma_1=gamma_1, gamma_z=gamma_z)
     if gamma_1 < 0 or gamma_z < 0:
@@ -141,11 +161,15 @@ def _pulse_superoperator(
     blocks = [
         slice(k, k + _BLOCK_STEPS) for k in range(0, context.steps, _BLOCK_STEPS)
     ]
-    for b in blocks:
-        steps[b] = context.dt * (
-            base + np.einsum("ck,cab->kab", w[:, b], per_control)
-        )
-    norm = max(_norm_1(steps[b]) for b in blocks)
+    # finite samples can still overflow dt L_k or its norm, which shows it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in blocks:
+            steps[b] = context.dt * (
+                base + np.einsum("ck,cab->kab", w[:, b], per_control)
+            )
+        norm = max(_norm_1(steps[b]) for b in blocks)
+    if not math.isfinite(norm):
+        raise InvalidParameterError(f"the step generators overflow (1-norm {norm})")
     for b in blocks:
         frame = context.frame[b]
         r = frame if context.n_qubits == 1 else _kron(frame, frame)

@@ -23,6 +23,12 @@ none of the functions here:
   monodromy off a general eigensolve, folds the eigenphases into the first
   zone and re-orthonormalizes the eigenvectors by QR;
   ``_monodromy_pair`` reads them off the SU(2) form in closed form.
+- :func:`bandlimit_fft` zeroes the FFT bins above harmonic ``n_freq``;
+  ``gates`` band-limits by the orthogonal projection onto the rows of
+  ``PulseSpec.fourier_basis``.
+- :func:`grape_penalties` is the value of the amplitude and edge penalties
+  that ``optimize_pulse`` ascends against; ``gates._value_and_grad`` forms
+  only their gradient.
 - :func:`frame_steps_inline` and :func:`period_steps_inline` write out the
   midpoint step of the gate frame and of the propagator reference each in
   its own units; ``_midpoint_steps`` is the one rule of the time walk that
@@ -49,7 +55,7 @@ from fluxspot.floquet import (
     _su2_entries,
     fold_to_zone,
 )
-from fluxspot.gates import ControlContext
+from fluxspot.gates import AMPLITUDE_PENALTY, EDGE_PENALTY, ControlContext
 from fluxspot.lindblad import _pulse_superoperator
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
 
@@ -258,6 +264,29 @@ def prefix_products_broadcast(mats: np.ndarray) -> np.ndarray:
     for b in range(1, n_blocks):
         carry[b] = np.dot(out[b - 1, -1], carry[b - 1])
     return (out @ carry[:, None]).reshape(-1, d, d)[:n]
+
+
+# ------------------------------------------------------------------- pulses
+
+
+def bandlimit_fft(x: np.ndarray, n_freq: int) -> np.ndarray:
+    """The rows of ``x`` with every FFT bin above harmonic ``n_freq``
+    zeroed: an ``rfft``/``irfft`` round trip on the sample grid."""
+    spectrum = np.fft.rfft(x)
+    spectrum[..., n_freq + 1 :] = 0.0
+    return np.fft.irfft(spectrum, x.shape[-1])
+
+
+def grape_penalties(waveforms: np.ndarray, f_max: float) -> float:
+    """``AMPLITUDE_PENALTY`` times the mean square of ``max(|f| - f_max,
+    0)`` over all samples plus ``EDGE_PENALTY`` times the sum of the squared
+    first and last samples of each channel, both over ``f_max^2``."""
+    excess = np.maximum(np.abs(waveforms) - f_max, 0.0)
+    ends = waveforms[:, [0, -1]]
+    return float(
+        (AMPLITUDE_PENALTY * np.mean(excess**2) + EDGE_PENALTY * np.sum(ends**2))
+        / f_max**2
+    )
 
 
 # --------------------------------------------------------------- monodromy

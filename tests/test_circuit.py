@@ -39,6 +39,11 @@ class TestBuildHamiltonian:
         h = fs.build_circuit_hamiltonian(params, np.pi)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12 * np.max(np.abs(h))
 
+    def test_real_symmetric(self):
+        # n = i n_zpf (a^dag - a) is imaginary, so n^2, phi and cos(phi) are real
+        h = fs.build_circuit_hamiltonian(build_circuit(fs.REFERENCE), 0.97 * np.pi)
+        assert h.dtype == np.float64 and np.array_equal(h, h.T)
+
     def test_paper_point_matches_two_truncation_oracle(self, qubit):
         delta_oracle, phige_oracle = oracle_two_truncation(
             build_circuit(fs.REFERENCE), np.pi

@@ -1022,6 +1022,23 @@ def test_simulate_exits_3_on_a_channel_that_overflows(tmp_path, capsys):
     assert not (out / "simulate_x.json").exists()
 
 
+# finite samples of 1.7e308 rad/ns: over 62.5 ns steps the step generators
+# themselves overflow; over 1 ns steps they stay finite, but their 1-norm
+# (two entries per column) does not
+@pytest.mark.parametrize("duration_ns", [1000.0, 16.0])
+def test_simulate_exits_3_on_step_generators_that_overflow(tmp_path, capsys, duration_ns):
+    out = tmp_path / "out"
+    out.mkdir()
+    pulse = dict(PULSE, duration_ns=duration_ns, samples=[[1.7e308] * 16])
+    write_json(out / "pulse_x.json", pulse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", "x") == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: the step generators overflow (1-norm inf)\n", err
+    assert not (out / "simulate_x.json").exists()
+
+
 def test_simulate_replays_a_pulse_cut_down_to_the_keys_it_reads(tmp_path):
     config = write_json(tmp_path / "config.json", TINY)
     out, cut = tmp_path / "out", tmp_path / "cut"

@@ -23,12 +23,17 @@ from fluxspot.gates import (
     _real_form,
     _ScanWork,
     _shape_stages,
-    _static_operators,
     _value_and_grad,
 )
+from fluxspot.lindblad import _static_operators
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
 
-from oracles import frame_steps_inline, prefix_products_broadcast
+from oracles import (
+    bandlimit_fft,
+    frame_steps_inline,
+    grape_penalties,
+    prefix_products_broadcast,
+)
 
 
 def tile(op, steps):
@@ -303,33 +308,39 @@ class TestShapePulse:
         spec = self.spec()
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(spec.params_per_control)
-        _, (raw, windowed, sig, bounded) = _shape_stages(theta, spec)
+        _, tanh = _shape_stages(theta, spec)
+        windowed = theta @ spec._windowed_basis
         assert windowed[0] == 0.0 and windowed[-1] == 0.0
-        assert bounded[0] == 0.0 and bounded[-1] == 0.0
+        assert tanh[0] == 0.0 and tanh[-1] == 0.0
 
     def test_raw_stage_is_the_harmonic_sum(self):
         spec = self.spec()
         rng = np.random.default_rng(4)
         theta = rng.standard_normal(spec.params_per_control)
-        _, (raw, _, _, _) = _shape_stages(theta, spec)
+        raw = theta @ spec.fourier_basis
         arg = 2 * np.pi * spec.sample_times() / spec.duration
         expected = np.full(spec.steps, theta[0])
         for m in range(1, spec.n_freq + 1):
             expected += theta[2 * m - 1] * np.cos(m * arg) + theta[2 * m] * np.sin(m * arg)
         assert np.max(np.abs(raw - expected)) < 1e-12 * np.max(np.abs(expected))
+        # the windowed basis is these rows times sin^2(pi k / (steps - 1))
+        window = np.sin(np.pi * np.arange(spec.steps) / (spec.steps - 1)) ** 2
+        windowed = theta @ spec._windowed_basis
+        assert np.max(np.abs(windowed - window * expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_sigmoid_bounds_amplitude_before_bandlimit(self):
         spec = self.spec()
         theta = 50.0 * np.ones(spec.params_per_control)
-        _, (_, _, _, bounded) = _shape_stages(theta, spec)
-        assert np.max(np.abs(bounded)) <= spec.f_max
+        _, tanh = _shape_stages(theta, spec)
+        assert np.max(np.abs(spec.f_max * tanh)) <= spec.f_max
 
     def test_tanh_stage_is_the_logistic_sigmoid(self):
         # f_max tanh(x / f_max) = f_max (2 / (1 + exp(-2 x / f_max)) - 1), and
         # its slope 1 - tanh^2 = 4 sig (1 - sig), to round-off below saturation
         spec = self.spec()
         theta = 0.5 * np.random.default_rng(6).standard_normal(spec.params_per_control)
-        _, (_, windowed, tanh, bounded) = _shape_stages(theta, spec)
+        _, tanh = _shape_stages(theta, spec)
+        windowed, bounded = theta @ spec._windowed_basis, spec.f_max * tanh
         sig = 1.0 / (1.0 + np.exp(-2.0 * windowed / spec.f_max))
         assert np.max(np.abs(windowed)) > 2.0 * spec.f_max   # into the bend
         assert np.max(np.abs(bounded - spec.f_max * (2.0 * sig - 1.0))) < 4e-16 * spec.f_max
@@ -342,6 +353,28 @@ class TestShapePulse:
         f = fs.shape_pulse(theta, spec)
         spectrum = np.fft.rfft(f)
         assert np.max(np.abs(spectrum[spec.n_freq + 1 :])) < 1e-12
+
+    # 16 steps at n_freq 9 and 31 are the CLI tests' shapes, where the band
+    # holds every bin; n_freq 8 at 16 steps keeps the Nyquist bin
+    SHAPES = [(500, 9), (500, 31), (100, 31), (16, 9), (16, 31), (16, 8), (16, 7),
+              (9, 4), (8, 3)]
+
+    @pytest.mark.parametrize("steps, n_freq", SHAPES)
+    def test_bandlimit_is_the_fft_cutoff(self, steps, n_freq):
+        # forward: the waveform is the FFT cutoff of the bounded stage;
+        # backward: the gradient pulls back through the same cutoff
+        spec = self.spec(steps=steps, n_freq=n_freq)
+        rng = np.random.default_rng(steps + n_freq)
+        theta = rng.standard_normal((2, spec.params_per_control))
+        waveform, tanh = _shape_stages(theta, spec)
+        assert np.max(np.abs(waveform - bandlimit_fft(spec.f_max * tanh, n_freq))) < 1e-13
+        grad_f = rng.standard_normal((2, steps))
+        window = np.sin(np.pi * np.arange(steps) / (steps - 1)) ** 2
+        window[[0, -1]] = 0.0
+        pulled = bandlimit_fft(grad_f, n_freq) * (1.0 - tanh * tanh) * window
+        want = pulled @ spec.fourier_basis.T
+        got = gates._shape_backward(grad_f, tanh, spec)
+        assert np.max(np.abs(got - want)) < 1e-13
 
     def test_final_waveform_edges_stay_small(self):
         # the spectral projection perturbs the exact window zeros; for
@@ -450,10 +483,7 @@ class TestScanWork:
     @staticmethod
     def flat(result):
         """The arrays and numbers of a result, in order."""
-        if isinstance(result, tuple):
-            value, grad, info = result
-            return [value, grad, info["fidelity"], info["waveforms"], info["u"]]
-        return [result]
+        return list(result) if isinstance(result, tuple) else [result]
 
     def test_scans_leave_the_identity_steps(self):
         # steps[0] is C8_0 = I and 40 steps pad their last block of 7 with
@@ -563,13 +593,12 @@ class TestGradient:
         spec = fs.PulseSpec(duration=0.05 * steps, steps=steps, n_freq=4, n_controls=2)
         target = fs.gate_target("sqrt_iswap")
         theta = 3.0 * rng.standard_normal(2 * spec.params_per_control)
-        value, grad, info = _value_and_grad(theta, spec, ctx, target, penalized=True)
-        wf = info["waveforms"]
+        _, grad, wf = _value_and_grad(theta, spec, ctx, target, penalized=True)
         assert np.max(np.abs(wf)) > spec.f_max and np.min(np.abs(wf[:, [0, -1]])) > 0.0
-        assert value < info["fidelity"]
 
         def objective(th):
-            return _value_and_grad(th, spec, ctx, target, penalized=True)[0]
+            fid, _, wf = _value_and_grad(th, spec, ctx, target)
+            return fid - grape_penalties(wf, spec.f_max)
 
         h = 1e-6
         for i in range(theta.size):

@@ -7,13 +7,14 @@ import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError, TomographyError
 from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
 from fluxspot.floquet import _tree_product
-from fluxspot.gates import _kron, _static_operators
+from fluxspot.gates import _kron
 from fluxspot.lindblad import (
     _BLOCK_STEPS,
     _THETA_13,
     _expm,
     _norm_1,
     _pulse_superoperator,
+    _static_operators,
 )
 
 from oracles import average_fidelity_pauli_sum, evolve_density
