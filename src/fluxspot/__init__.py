@@ -62,11 +62,9 @@ from .gates import (
     PulseSpec,
     gate_fidelity,
     gate_target,
-    grape_gradient,
     optimize_pulse,
     propagate_closed,
     rotating_frame_trajectory,
-    shape_pulse,
 )
 from .lindblad import average_gate_fidelity, process_matrix
 from .reference import (

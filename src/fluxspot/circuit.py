@@ -123,16 +123,6 @@ class EffectiveCoefficients:
     b_coef: float
 
 
-def _oscillator_ops(params: CircuitParams) -> tuple[np.ndarray, np.ndarray]:
-    """The phase operator and the squared charge operator in the Fock basis
-    of the linear circuit, both real: ``n = i n_zpf (a^dag - a)`` is
-    imaginary, so ``n^2 = -n_zpf^2 (a^dag - a)^2`` is real."""
-    lower = np.diag(np.sqrt(np.arange(1, params.fock_dim)), 1)
-    phi = params.phi_zpf * (lower + lower.T)
-    m = params.n_zpf * (lower.T - lower)
-    return phi, -(m @ m)
-
-
 def build_circuit_hamiltonian(params: CircuitParams, phi_ext: float) -> np.ndarray:
     """Dense circuit Hamiltonian at external flux ``phi_ext`` (radians), a
     real symmetric float64 matrix: in the Fock basis ``phi``, ``n^2`` and
@@ -142,22 +132,32 @@ def build_circuit_hamiltonian(params: CircuitParams, phi_ext: float) -> np.ndarr
     operator (spectral decomposition), not a power series, which stays
     accurate for the large zero-point phase spread of a fluxonium.
     """
-    phi, n2 = _oscillator_ops(params)
+    return _hamiltonian_and_phase(params, phi_ext)[0]
+
+
+def _hamiltonian_and_phase(
+    params: CircuitParams, phi_ext: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`build_circuit_hamiltonian` and the phase operator it is built
+    from, in the Fock basis of the linear circuit: ``n = i n_zpf (a^dag -
+    a)`` is imaginary, so ``n^2 = -n_zpf^2 (a^dag - a)^2`` is real."""
+    lower = np.diag(np.sqrt(np.arange(1, params.fock_dim)), 1)
+    phi = params.phi_zpf * (lower + lower.T)
+    m = params.n_zpf * (lower.T - lower)
     w, v = np.linalg.eigh(phi)
     cos_phi = (v * np.cos(w)) @ v.T
     shifted = phi + phi_ext * np.eye(params.fock_dim)
-    h = 4.0 * params.e_c * n2 + 0.5 * params.e_l * (shifted @ shifted)
+    h = 4.0 * params.e_c * -(m @ m) + 0.5 * params.e_l * (shifted @ shifted)
     h -= params.e_j * cos_phi
     # symmetrize away the last bits of round-off
-    return 0.5 * (h + h.T)
+    return 0.5 * (h + h.T), phi
 
 
 def _diagonalize_once(
     params: CircuitParams, phi_ext: float
 ) -> tuple[float, float, np.ndarray]:
-    h = build_circuit_hamiltonian(params, phi_ext)
+    h, phi = _hamiltonian_and_phase(params, phi_ext)
     w, v = np.linalg.eigh(h)
-    phi, _ = _oscillator_ops(params)
     phi_ge = abs(v[:, 0] @ phi @ v[:, 1])
     return w[1] - w[0], phi_ge, w[:SPECTRUM_LEVELS] - w[0]
 

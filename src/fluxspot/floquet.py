@@ -68,7 +68,6 @@ __all__ = [
     "reference_floquet_via_propagator",
     "compute_filter_weights",
     "mode_infidelity",
-    "fold_to_zone",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -218,14 +217,6 @@ class FilterWeights:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(-self.k_max, self.k_max + 1)
-
-
-def fold_to_zone(x: float, omega: float) -> float:
-    """Fold ``x`` into the first zone (-omega/2, omega/2]."""
-    y = (x + 0.5 * omega) % omega - 0.5 * omega
-    if np.isclose(y, -0.5 * omega, rtol=0.0, atol=1e-12 * omega):
-        y = 0.5 * omega
-    return float(y)
 
 
 def _two_sided(p: np.ndarray, k_max: int) -> np.ndarray:
@@ -405,17 +396,6 @@ def _su2_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            tail, mats = mats[-1:], mats[:-1]
-            mats = np.concatenate([np.matmul(mats[1::2], mats[0::2]), tail])
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
-
-
 def _su2_mul(a2, b2, a1, b1):
     """Entries of the product ``step2 @ step1`` of the SU(2) matrices
     ``[[a, -b*], [b, a*]]`` (arrays or scalars)."""
@@ -424,7 +404,8 @@ def _su2_mul(a2, b2, a1, b1):
 
 def _su2_tree_product(a: np.ndarray, b: np.ndarray):
     """Entries of the ordered product of the SU(2) steps ``(a, b)`` along the
-    last axis, latest step leftmost, paired as in :func:`_tree_product`."""
+    last axis, latest step leftmost, paired as in
+    :func:`.lindblad._tree_product`."""
     while a.shape[-1] > 1:
         m = a.shape[-1] - a.shape[-1] % 2
         pa, pb = _su2_mul(a[..., 1:m:2], b[..., 1:m:2], a[..., 0:m:2], b[..., 0:m:2])

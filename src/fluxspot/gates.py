@@ -37,6 +37,12 @@ f_max)``, band-limit); the band is defined once, as the rows of
 band-limit is the orthogonal projection onto them.  Gradients are exact
 through both the steps and the pipeline.
 
+A job's time grid has one home, its frame: the step count and the step
+length are those of the :class:`ControlContext`.  A :class:`PulseSpec`
+holds no duration, because its band is a function of the step count alone
+(harmonic ``m`` has the phase ``2 pi m k / steps`` at step ``k``); each
+GRAPE gradient first checks that the spec, the frame and the target agree.
+
 Times in this module are nanoseconds and rates rad/ns; the drive and qubit
 parameters arrive in the library's rad/us convention and are converted on
 entry.
@@ -71,10 +77,8 @@ __all__ = [
     "TARGETS",
     "gate_target",
     "rotating_frame_trajectory",
-    "shape_pulse",
     "propagate_closed",
     "gate_fidelity",
-    "grape_gradient",
     "optimize_pulse",
 ]
 
@@ -196,20 +200,21 @@ class PulseSpec:
     above harmonic ``n_freq``; once ``n_freq >= steps / 2`` the rows span
     every waveform and the projection keeps it whole.
     The final projection can ring past the amplitude bound by at most
-    ``GIBBS_TOL`` (verified on optimized pulses).  ``duration`` must be
-    finite and positive, and ``f_max`` positive with a positive, finite
-    square, by which the penalties divide.
+    ``GIBBS_TOL`` (verified on optimized pulses).  ``f_max`` must be
+    positive with a positive, finite square, by which the penalties divide.
+
+    The spec holds no duration: the frame (:class:`ControlContext`) holds
+    the job's grid, and the band is a function of the step count alone, so
+    ``steps`` must be the frame's.
     """
 
-    duration: float
     steps: int = 500
     f_max: float = TWO_PI * 0.1
     n_freq: int = 9
     n_controls: int = 1
 
     def __post_init__(self) -> None:
-        check_finite(duration=self.duration)
-        if self.duration <= 0 or self.steps < 8 or self.n_freq < 1:
+        if self.steps < 8 or self.n_freq < 1:
             raise InvalidParameterError("bad pulse discretization")
         # a NaN or negative bound passes every amplitude check, and a square
         # of 0 divides; f_max * f_max gives inf where f_max**2 raises
@@ -223,20 +228,13 @@ class PulseSpec:
     def params_per_control(self) -> int:
         return 2 * self.n_freq + 1
 
-    @property
-    def dt(self) -> float:
-        return self.duration / self.steps
-
-    def sample_times(self) -> np.ndarray:
-        """Left-edge step grid; the boundary window vanishes at both ends."""
-        return np.arange(self.steps) * self.dt
-
     @cached_property
     def fourier_basis(self) -> np.ndarray:
-        """``(2 n_freq + 1, steps)`` rows DC, cos 1, sin 1, cos 2, ... on the
-        sample grid, so the unconstrained waveform is ``theta @ basis``."""
+        """``(2 n_freq + 1, steps)`` rows DC, cos 1, sin 1, cos 2, ... at the
+        steps ``k``, harmonic ``m`` at the phase ``2 pi m k / steps``, so the
+        unconstrained waveform is ``theta @ basis``."""
         m = np.arange(1, self.n_freq + 1)[:, None]
-        arg = TWO_PI * m * self.sample_times() / self.duration
+        arg = TWO_PI * m * np.arange(self.steps) / self.steps
         pairs = np.stack([np.cos(arg), np.sin(arg)], axis=1)
         return np.vstack([np.ones(self.steps), pairs.reshape(-1, self.steps)])
 
@@ -263,16 +261,6 @@ def _shape_stages(theta: np.ndarray, spec: PulseSpec):
     # same sigmoid written as 2 / (1 + exp(-2 x / f_max)) - 1 overflowed
     tanh = np.tanh((theta @ spec._windowed_basis) / spec.f_max)
     return (spec.f_max * tanh) @ spec._band_pinv @ spec.fourier_basis, tanh
-
-
-def shape_pulse(theta: np.ndarray, spec: PulseSpec) -> np.ndarray:
-    """Rendered waveform samples for one control channel."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != spec.params_per_control:
-        raise InvalidParameterError(
-            f"theta must have {spec.params_per_control} entries"
-        )
-    return _shape_stages(theta, spec)[0]
 
 
 def _shape_backward(grad_f: np.ndarray, tanh: np.ndarray, spec: PulseSpec) -> np.ndarray:
@@ -391,13 +379,14 @@ def rotating_frame_trajectory(
 
     ``duration`` in ns; the model and the drive come in rad/us.  The
     samples are integrated with ``substeps`` pieces per sample interval.
-    ``steps`` and ``substeps`` must be at least 1 and ``duration``
-    positive.  With ``verify=True`` the frame is re-integrated at half the
-    substep resolution and any sample moving by more than 1e-9 raises
+    ``steps`` and ``substeps`` must be at least 1 and ``duration`` finite
+    and positive.  With ``verify=True`` the frame is re-integrated at half
+    the substep resolution and any sample moving by more than 1e-9 raises
     :class:`IntegrationError`; ``substeps`` must then be at least 2, so that
     the halved grid differs.  The check is off by default: at the default
     1024 substeps over 10 ns the benchmark points move by 1.4e-9 to 3.4e-9.
     """
+    check_finite(duration=duration)
     min_substeps = 2 if verify else 1
     if steps < 1 or substeps < min_substeps or not duration > 0.0:
         raise InvalidParameterError(
@@ -625,17 +614,6 @@ def _fidelity_and_waveform_grad(
     return fid, 2.0 * (_BLOCK_SIGNS[2] @ per_block), u_total
 
 
-def grape_gradient(
-    theta: np.ndarray,
-    spec: PulseSpec,
-    context: ControlContext,
-    target: GateTarget,
-) -> np.ndarray:
-    """Exact gradient of the infidelity 1 - F with respect to ``theta``."""
-    _, grad, _ = _value_and_grad(theta, spec, context, target)
-    return -grad
-
-
 def _value_and_grad(
     theta: np.ndarray,
     spec: PulseSpec,
@@ -646,7 +624,20 @@ def _value_and_grad(
     """``(F, gradient, waveforms)``.  With ``penalized`` the gradient is that
     of F less ``(AMPLITUDE_PENALTY mean(e^2) + EDGE_PENALTY (f_0^2 +
     f_{n-1}^2)) / f_max^2``, ``e`` the excess of ``|f|`` over ``f_max``;
-    no caller reads that objective's value, so it is not formed."""
+    no caller reads that objective's value, so it is not formed.
+
+    The spec's steps and controls must be the frame's steps and qubits, and
+    the target's dimension the frame's; a mismatch raises
+    :class:`InvalidParameterError` naming both values."""
+    for what, owner, value, frame_value in (
+        ("steps", "the pulse spec", spec.steps, context.steps),
+        ("controls", "the pulse spec", spec.n_controls, context.n_qubits),
+        ("dimension", f"target {target.name!r}", target.dim, context.dimension),
+    ):
+        if value != frame_value:
+            raise InvalidParameterError(
+                f"{what}: {owner} has {value}, the frame {frame_value}"
+            )
     theta = np.asarray(theta, dtype=float)
     if theta.size != spec.n_controls * spec.params_per_control:
         raise InvalidParameterError(
@@ -720,16 +711,6 @@ def optimize_pulse(
     is it monotone; before it, it may fall.  Failing to reach
     ``TARGET_FIDELITY`` is reported through ``converged``, not raised.
     """
-    if context.n_qubits != spec.n_controls:
-        raise InvalidParameterError(
-            f"context provides {context.n_qubits} controls, "
-            f"spec expects {spec.n_controls}"
-        )
-    if target.dim != context.dimension:
-        raise InvalidParameterError(
-            f"target {target.name!r} has dimension {target.dim}, "
-            f"the context {context.dimension}"
-        )
     rng = np.random.default_rng(settings.seed)
     theta = INIT_SCALE * rng.standard_normal(spec.n_controls * spec.params_per_control)
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .exceptions import InvalidParameterError, TomographyError, check_finite
-from .floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z, _tree_product
+from .floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
 from .gates import ControlContext, _as_waveform_matrix, _kron
 from .units import RAD_PER_US_TO_RAD_PER_NS
 
@@ -177,6 +177,17 @@ def _pulse_superoperator(
         # S_k^dag = R_k^dag (x) R_k^T
         steps[b] = _kron(r_t.conj(), r_t) @ _expm(steps[b], norm) @ _kron(r, r.conj())
     return _tree_product(steps)
+
+
+def _tree_product(mats: np.ndarray) -> np.ndarray:
+    """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2 == 1:
+            tail, mats = mats[-1:], mats[:-1]
+            mats = np.concatenate([np.matmul(mats[1::2], mats[0::2]), tail])
+        else:
+            mats = np.matmul(mats[1::2], mats[0::2])
+    return mats[0]
 
 
 def process_matrix(s: np.ndarray) -> np.ndarray:

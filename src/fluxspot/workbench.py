@@ -679,8 +679,7 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
     # job has no coupling, yet a non-finite one is rejected there too
     check_finite(coupling_j=coupling)
     coupling = coupling if n_qubits == 2 else 0.0
-    spec = PulseSpec(duration=duration, steps=steps, f_max=f_max,
-                     n_freq=job["n_freq"], n_controls=n_qubits)
+    spec = PulseSpec(steps=steps, f_max=f_max, n_freq=job["n_freq"], n_controls=n_qubits)
 
     genome, phi_ac, point_name = _resolve_gate_point(cfg, run, job)
     # the context is the config's at phi_ac, so within one pass the genome

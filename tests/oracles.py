@@ -21,7 +21,7 @@ none of the functions here:
   stacked rows, in reused work arrays, and must give the same bits.
 - :func:`monodromy_eig_oracle` reads the quasienergies and modes of a
   monodromy off a general eigensolve, folds the eigenphases into the first
-  zone and re-orthonormalizes the eigenvectors by QR;
+  zone (:func:`fold_to_zone`) and re-orthonormalizes the eigenvectors by QR;
   ``_monodromy_pair`` reads them off the SU(2) form in closed form.
 - :func:`bandlimit_fft` zeroes the FFT bins above harmonic ``n_freq``;
   ``gates`` band-limits by the orthogonal projection onto the rows of
@@ -53,7 +53,6 @@ from fluxspot.floquet import (
     DriveSpec,
     FloquetSolution,
     _su2_entries,
-    fold_to_zone,
 )
 from fluxspot.gates import AMPLITUDE_PENALTY, EDGE_PENALTY, ControlContext
 from fluxspot.lindblad import _pulse_superoperator
@@ -290,6 +289,14 @@ def grape_penalties(waveforms: np.ndarray, f_max: float) -> float:
 
 
 # --------------------------------------------------------------- monodromy
+
+
+def fold_to_zone(x: float, omega: float) -> float:
+    """Fold ``x`` into the first zone (-omega/2, omega/2]."""
+    y = (x + 0.5 * omega) % omega - 0.5 * omega
+    if np.isclose(y, -0.5 * omega, rtol=0.0, atol=1e-12 * omega):
+        y = 0.5 * omega
+    return float(y)
 
 
 def monodromy_eig_oracle(

@@ -198,6 +198,10 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         ({"point": {"genome": dict(GENOME_KEYS, p_re="ab")}}, 2),
         ({"point": {"genome": dict(GENOME_KEYS, omega_d_frac=None)}}, 2),
         ({"learning_rate": 0.08}, 2),
+        ({"duration_ns": 0}, 3),
+        ({"duration_ns": -10}, 3),
+        ({"duration_ns": math.nan}, 3),
+        ({"duration_ns": math.inf}, 3),
     ],
     ids=[
         "substeps-0",
@@ -222,6 +226,10 @@ def test_grape_job_out_of_range_exits_2(tmp_path, job):
         "genome-p_re-not-a-list",
         "genome-omega_d_frac-null",
         "learning_rate-not-a-key",
+        "duration-0",
+        "duration-negative",
+        "duration-nan",
+        "duration-inf",
     ],
 )
 def test_bad_gate_job_exits_with_one_line(tmp_path, capsys, override, code):
@@ -1288,7 +1296,7 @@ def test_search_and_gate_job_defaults_are_the_library_defaults():
     assert set(shared) == set(search) - {"strategies", "snapshot_every"}
     assert {name: search[name] for name in shared} == shared
     job = _gate_job({}, 0.05)
-    assert job["steps"] == fluxspot.PulseSpec(duration=1.0).steps
+    assert job["steps"] == fluxspot.PulseSpec().steps
     assert job["iterations"] == fluxspot.GrapeSettings().iterations
 
 

@@ -27,9 +27,8 @@ from fluxspot.floquet import (
     _su2_entries,
     _su2_matrices,
     _su2_prefix_products,
-    _tree_product,
-    fold_to_zone,
 )
+from fluxspot.lindblad import _tree_product
 
 from conftest import (
     REFERENCE_CONTEXT,
@@ -42,6 +41,7 @@ from conftest import (
 )
 from oracles import (
     filter_weights_time_grid,
+    fold_to_zone,
     mode_at,
     monodromy_eig_oracle,
     parseval_sum,

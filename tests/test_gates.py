@@ -300,7 +300,7 @@ class TestRotatingFrame:
 
 class TestShapePulse:
     def spec(self, **kw):
-        defaults = dict(duration=10.0, steps=500, n_freq=9)
+        defaults = dict(steps=500, n_freq=9)
         defaults.update(kw)
         return fs.PulseSpec(**defaults)
 
@@ -318,7 +318,7 @@ class TestShapePulse:
         rng = np.random.default_rng(4)
         theta = rng.standard_normal(spec.params_per_control)
         raw = theta @ spec.fourier_basis
-        arg = 2 * np.pi * spec.sample_times() / spec.duration
+        arg = 2 * np.pi * np.arange(spec.steps) / spec.steps
         expected = np.full(spec.steps, theta[0])
         for m in range(1, spec.n_freq + 1):
             expected += theta[2 * m - 1] * np.cos(m * arg) + theta[2 * m] * np.sin(m * arg)
@@ -350,7 +350,7 @@ class TestShapePulse:
         spec = self.spec()
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(spec.params_per_control)
-        f = fs.shape_pulse(theta, spec)
+        f = _shape_stages(theta, spec)[0]
         spectrum = np.fft.rfft(f)
         assert np.max(np.abs(spectrum[spec.n_freq + 1 :])) < 1e-12
 
@@ -384,7 +384,7 @@ class TestShapePulse:
         rng = np.random.default_rng(3)
         for _ in range(5):
             theta = 0.02 * spec.f_max * rng.standard_normal(spec.params_per_control)
-            f = fs.shape_pulse(theta, spec)
+            f = _shape_stages(theta, spec)[0]
             assert abs(f[0]) < 0.02 * spec.f_max
             assert abs(f[-1]) < 0.02 * spec.f_max
 
@@ -475,7 +475,7 @@ class TestScanWork:
             theta, spec, ctx, fs.gate_target("sqrt_iswap"), penalized=True
         ),
         "propagate_closed": lambda spec, ctx, theta, wf: fs.propagate_closed(ctx, wf),
-        "grape_gradient": lambda spec, ctx, theta, wf: fs.grape_gradient(
+        "value_and_grad-unpenalized": lambda spec, ctx, theta, wf: _value_and_grad(
             theta, spec, ctx, fs.gate_target("sqrt_iswap")
         ),
     }
@@ -507,8 +507,8 @@ class TestScanWork:
         jobs = []
         # A pads its last block of steps (40 = 7 x 6 - 2), B fills them
         for steps, coupling in ((40, 0.3), (36, 0.0)):
-            spec = fs.PulseSpec(duration=0.05 * steps, steps=steps, n_freq=4, n_controls=2)
-            args = (random_frame(rng, steps), spec.dt, 2, coupling)
+            spec = fs.PulseSpec(steps=steps, n_freq=4, n_controls=2)
+            args = (random_frame(rng, steps), 0.05, 2, coupling)
             jobs.append((spec, args, ControlContext(*args)))
         thetas = [rng.standard_normal(2 * 9) for _ in range(3)]
 
@@ -561,13 +561,11 @@ class TestGateFidelity:
 class TestGradient:
     def test_matches_finite_differences(self, dss2_frame):
         _, _, frame = dss2_frame
-        spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9)
+        spec = fs.PulseSpec(steps=500, n_freq=9)
         target = fs.gate_target("x")
         rng = np.random.default_rng(12)
         theta = 0.3 * rng.standard_normal(spec.params_per_control)
-        grad = fs.grape_gradient(theta, spec, frame, target)
-
-        from fluxspot.gates import _value_and_grad
+        grad = -_value_and_grad(theta, spec, frame, target)[1]
 
         def loss(th):
             value, _, _ = _value_and_grad(th, spec, frame, target)
@@ -590,7 +588,7 @@ class TestGradient:
         rng = np.random.default_rng(31)
         steps = 40
         ctx = ControlContext(random_frame(rng, steps), 0.05, 2, 0.3)
-        spec = fs.PulseSpec(duration=0.05 * steps, steps=steps, n_freq=4, n_controls=2)
+        spec = fs.PulseSpec(steps=steps, n_freq=4, n_controls=2)
         target = fs.gate_target("sqrt_iswap")
         theta = 3.0 * rng.standard_normal(2 * spec.params_per_control)
         _, grad, wf = _value_and_grad(theta, spec, ctx, target, penalized=True)
@@ -714,10 +712,10 @@ class TestGradient:
 
     def test_gradient_vanishes_at_perfect_fidelity(self):
         ctx = trivial_context()
-        spec = fs.PulseSpec(duration=10.0, steps=200, n_freq=4)
+        spec = fs.PulseSpec(steps=200, n_freq=4)
         target = fs.gate_target("identity")
         theta = np.zeros(spec.params_per_control)
-        grad = fs.grape_gradient(theta, spec, ctx, target)
+        grad = -_value_and_grad(theta, spec, ctx, target)[1]
         assert np.max(np.abs(grad)) < 1e-8
 
 
@@ -725,7 +723,7 @@ class TestOptimizePulse:
     def test_identity_with_zero_init_converges_immediately(self, monkeypatch):
         monkeypatch.setattr(gates, "INIT_SCALE", 0.0)
         ctx = trivial_context()
-        spec = fs.PulseSpec(duration=10.0, steps=200, n_freq=4)
+        spec = fs.PulseSpec(steps=200, n_freq=4)
         result = fs.optimize_pulse(
             spec, ctx, fs.gate_target("identity"), fs.GrapeSettings(iterations=5)
         )
@@ -744,7 +742,7 @@ class TestOptimizePulse:
         assert fs.PulseResult(empty, fidelity, empty, empty).converged is converged
 
     def test_target_dimension_must_match_context(self):
-        spec = fs.PulseSpec(duration=10.0, steps=200, n_freq=4)
+        spec = fs.PulseSpec(steps=200, n_freq=4)
         with pytest.raises(InvalidParameterError, match="dimension"):
             fs.optimize_pulse(
                 spec,
@@ -753,13 +751,39 @@ class TestOptimizePulse:
                 fs.GrapeSettings(iterations=1),
             )
 
+    @pytest.mark.parametrize(
+        "spec_kw, frame_kw, gate, named",
+        [
+            ({"steps": 199}, {}, "x", "steps: the pulse spec has 199, the frame 99"),
+            ({"n_controls": 2}, {}, "x", "controls: the pulse spec has 2, the frame 1"),
+            ({"n_controls": 2}, {"n_qubits": 2}, "x",
+             "dimension: target 'x' has 2, the frame 4"),
+            ({}, {}, "sqrt_iswap", "dimension: target 'sqrt_iswap' has 4, the frame 2"),
+        ],
+        ids=["steps", "controls", "target-of-one-qubit", "target-of-two-qubits"],
+    )
+    @pytest.mark.parametrize("entry", ["optimize_pulse", "value_and_grad"])
+    def test_spec_and_target_must_match_the_frame(self, spec_kw, frame_kw, gate, named, entry):
+        # the frame is the job's grid: a spec or target that does not fit it
+        # is named with both values before any waveform is rendered
+        spec = fs.PulseSpec(**dict({"steps": 99, "n_freq": 4}, **spec_kw))
+        ctx = trivial_context(steps=99, **frame_kw)
+        target = fs.gate_target(gate)
+        theta = np.zeros(spec.n_controls * spec.params_per_control)
+        with pytest.raises(InvalidParameterError) as err:
+            if entry == "optimize_pulse":
+                fs.optimize_pulse(spec, ctx, target, fs.GrapeSettings(iterations=1))
+            else:
+                _value_and_grad(theta, spec, ctx, target, penalized=True)
+        assert str(err.value) == named
+
     def test_small_x_gate_reaches_target(self, dss2_frame):
         _, _, frame = dss2_frame
-        spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9)
+        spec = fs.PulseSpec(steps=500, n_freq=9)
         settings = fs.GrapeSettings(iterations=250, seed=4)
         result = fs.optimize_pulse(spec, frame, fs.gate_target("x"), settings)
         assert result.fidelity >= 0.9999
-        assert np.array_equal(result.waveforms[0], fs.shape_pulse(result.theta, spec))
+        assert np.array_equal(result.waveforms[0], _shape_stages(result.theta, spec)[0])
         assert np.max(np.abs(result.waveforms)) <= spec.f_max * (1 + GIBBS_TOL)
         assert abs(result.waveforms[0][0]) < 1e-2 * spec.f_max
         assert abs(result.waveforms[0][-1]) < 1e-2 * spec.f_max
@@ -772,7 +796,7 @@ class TestOptimizePulse:
         _, _, frame = dss2_frame
         n_qubits = fs.gate_target(gate).dim.bit_length() - 1
         args = (frame.frame, frame.dt, n_qubits, 0.3 if n_qubits == 2 else 0.0)
-        spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9, n_controls=n_qubits)
+        spec = fs.PulseSpec(steps=500, n_freq=9, n_controls=n_qubits)
         settings = fs.GrapeSettings(iterations=30, seed=7)
         ctx = ControlContext(*args)
         runs = [
@@ -806,7 +830,7 @@ class TestStepRefinement:
             return ControlContext(samples, 10.0 / steps)
 
         frame = frame_at(500, 1024)
-        spec = fs.PulseSpec(duration=10.0, steps=500, n_freq=9)
+        spec = fs.PulseSpec(steps=500, n_freq=9)
         result = fs.optimize_pulse(
             spec, frame, target, fs.GrapeSettings(iterations=250, seed=4)
         )

@@ -6,7 +6,6 @@ import pytest
 import fluxspot as fs
 from fluxspot.exceptions import InvalidParameterError, TomographyError
 from fluxspot.floquet import LOWERING, PAULI_X, PAULI_Y, PAULI_Z
-from fluxspot.floquet import _tree_product
 from fluxspot.gates import _kron
 from fluxspot.lindblad import (
     _BLOCK_STEPS,
@@ -15,6 +14,7 @@ from fluxspot.lindblad import (
     _norm_1,
     _pulse_superoperator,
     _static_operators,
+    _tree_product,
 )
 
 from oracles import average_fidelity_pauli_sum, evolve_density
