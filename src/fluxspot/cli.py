@@ -9,9 +9,9 @@ as a non-finite front objective, or a numerical failure, such as an
 infeasible genome in ``evaluate`` or ``grape``; 4 a missing or unreadable
 upstream artifact, the manifest included, or one with a structural defect:
 a front CSV of another drive order than ``optimizer.n``, or a pulse
-artifact that ``simulate`` reads with a key missing, an unknown gate, a
-qubit count that is not the gate's, no steps, waveforms or frame entries of
-the wrong shape, or frame samples that are not finite or not in SU(2).
+artifact that ``simulate`` reads with a key missing, an unknown gate,
+waveforms or frame entries of the wrong shape, frame samples that are not
+finite or not in SU(2), or a duration that is not finite and positive.
 """
 
 from __future__ import annotations

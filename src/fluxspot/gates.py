@@ -37,11 +37,12 @@ f_max)``, band-limit); the band is defined once, as the rows of
 band-limit is the orthogonal projection onto them.  Gradients are exact
 through both the steps and the pipeline.
 
-A job's time grid has one home, its frame: the step count and the step
-length are those of the :class:`ControlContext`.  A :class:`PulseSpec`
-holds no duration, because its band is a function of the step count alone
-(harmonic ``m`` has the phase ``2 pi m k / steps`` at step ``k``); each
-GRAPE gradient first checks that the spec, the frame and the target agree.
+A job's time grid has one home, its frame (:class:`ControlContext`): the
+samples set the step count, the duration the step length.  A
+:class:`PulseSpec` holds no duration, because its band is a function of the
+step count alone (harmonic ``m`` has the phase ``2 pi m k / steps`` at step
+``k``); each GRAPE gradient first checks that the spec, the frame and the
+target agree.
 
 Times in this module are nanoseconds and rates rad/ns; the drive and qubit
 parameters arrive in the library's rad/us convention and are converted on
@@ -51,7 +52,7 @@ entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -279,8 +280,10 @@ class ControlContext:
     ``R_k = U_k (x) U_k`` (one qubit: ``R_k = U_k``).  Step ``k`` sees each
     operator ``O`` of :func:`.lindblad._static_operators` (drift ``coupling_j *
     (z (x) z)``, ``sigma_y`` controls, lowering and ``sigma_z`` jumps) as
-    ``R_k^dag O R_k``.  ``dt`` is the step length in ns and ``coupling_j``
-    is in rad/ns; both must be finite.
+    ``R_k^dag O R_k``.  ``duration``, keyword-only, is the job's length in
+    ns, finite and positive; the step length ``dt`` is ``duration / steps``,
+    from the number of samples.  ``coupling_j`` is in rad/ns and must be
+    finite.
 
     GRAPE reads the frame through :attr:`_interaction_frame`: the
     increments ``F_k = E_{k+1}^dag E_k`` of ``E_k = R_k^dag T``, in whose
@@ -293,15 +296,16 @@ class ControlContext:
     """
 
     frame: np.ndarray
-    dt: float
     n_qubits: int = 1
     coupling_j: float = 0.0
+    duration: InitVar[float] = field(kw_only=True)
+    dt: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, duration: float) -> None:
         frame = np.array(self.frame, dtype=complex)
         if frame.ndim != 3 or frame.shape[0] < 1 or frame.shape[1:] != (2, 2):
             raise InvalidParameterError(
-                f"frame must have shape (steps, 2, 2), got {frame.shape}"
+                f"frame must have shape (steps >= 1, 2, 2), got {frame.shape}"
             )
         # before any product, which would warn on a non-finite sample
         if not np.isfinite(frame).all():
@@ -314,13 +318,14 @@ class ControlContext:
             raise InvalidParameterError("frame samples must have determinant 1")
         if self.n_qubits not in (1, 2):
             raise InvalidParameterError("n_qubits must be 1 or 2")
-        check_finite(coupling_j=self.coupling_j, dt=self.dt)
+        check_finite(coupling_j=self.coupling_j, duration=duration)
         if self.n_qubits == 1 and self.coupling_j != 0.0:
             raise InvalidParameterError("a single qubit has no coupling")
-        if not self.dt > 0.0:
-            raise InvalidParameterError("dt must be positive")
+        if not duration > 0.0:
+            raise InvalidParameterError(f"duration must be positive, got {duration}")
         frame.flags.writeable = False
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "dt", duration / frame.shape[0])
 
     @property
     def steps(self) -> int:
@@ -329,10 +334,6 @@ class ControlContext:
     @property
     def dimension(self) -> int:
         return 2**self.n_qubits
-
-    @property
-    def duration(self) -> float:
-        return self.steps * self.dt
 
     @cached_property
     def _interaction_frame(self):
@@ -369,8 +370,8 @@ def rotating_frame_trajectory(
     drive: DriveSpec,
     coeffs: EffectiveCoefficients,
     duration: float,
-    steps: int = 500,
-    substeps: int = 1024,
+    steps: int,
+    substeps: int,
     verify: bool = False,
 ) -> np.ndarray:
     """The ``(steps, 2, 2)`` SU(2) qubit frame samples on the step-midpoint
@@ -383,8 +384,9 @@ def rotating_frame_trajectory(
     and positive.  With ``verify=True`` the frame is re-integrated at half
     the substep resolution and any sample moving by more than 1e-9 raises
     :class:`IntegrationError`; ``substeps`` must then be at least 2, so that
-    the halved grid differs.  The check is off by default: at the default
-    1024 substeps over 10 ns the benchmark points move by 1.4e-9 to 3.4e-9.
+    the halved grid differs.  The check is off by default: at the gate
+    job's 1024 substeps over 10 ns the benchmark points move by 1.4e-9 to
+    3.4e-9.
     """
     check_finite(duration=duration)
     min_substeps = 2 if verify else 1
@@ -619,10 +621,9 @@ def _value_and_grad(
     spec: PulseSpec,
     context: ControlContext,
     target: GateTarget,
-    penalized: bool = False,
 ):
-    """``(F, gradient, waveforms)``.  With ``penalized`` the gradient is that
-    of F less ``(AMPLITUDE_PENALTY mean(e^2) + EDGE_PENALTY (f_0^2 +
+    """``(F, gradient, waveforms)``: the gradient is that of GRAPE's one
+    objective, F less ``(AMPLITUDE_PENALTY mean(e^2) + EDGE_PENALTY (f_0^2 +
     f_{n-1}^2)) / f_max^2``, ``e`` the excess of ``|f|`` over ``f_max``;
     no caller reads that objective's value, so it is not formed.
 
@@ -646,13 +647,12 @@ def _value_and_grad(
         )
     waveforms, tanh = _shape_stages(theta.reshape(spec.n_controls, -1), spec)
     fid, grad_f, _ = _fidelity_and_waveform_grad(context, waveforms, target)
-    if penalized:
-        f_max, f2 = spec.f_max, spec.f_max**2
-        # sign(f) max(|f| - f_max, 0), the signed excess over the bound
-        excess = waveforms - np.clip(waveforms, -f_max, f_max)
-        grad_f -= 2.0 * AMPLITUDE_PENALTY * excess / (f2 * waveforms.size)
-        edges = waveforms[:, :: spec.steps - 1]   # the first and last samples
-        grad_f[:, :: spec.steps - 1] -= 2.0 * EDGE_PENALTY * edges / f2
+    f_max, f2 = spec.f_max, spec.f_max**2
+    # sign(f) max(|f| - f_max, 0), the signed excess over the bound
+    excess = waveforms - np.clip(waveforms, -f_max, f_max)
+    grad_f -= 2.0 * AMPLITUDE_PENALTY * excess / (f2 * waveforms.size)
+    edges = waveforms[:, :: spec.steps - 1]   # the first and last samples
+    grad_f[:, :: spec.steps - 1] -= 2.0 * EDGE_PENALTY * edges / f2
     return fid, _shape_backward(grad_f, tanh, spec).ravel(), waveforms
 
 
@@ -720,9 +720,7 @@ def optimize_pulse(
     best_fid = -np.inf
     history = []
     for it in range(1, settings.iterations + 1):
-        fid, grad, waveforms = _value_and_grad(
-            theta, spec, context, target, penalized=True
-        )
+        fid, grad, waveforms = _value_and_grad(theta, spec, context, target)
         if it == 1:
             # the result when no iterate is accepted: best_theta stays theta
             best_waveforms = waveforms

@@ -44,7 +44,6 @@ from .exceptions import (
     check_finite,
 )
 from .floquet import (
-    DriveSpec,
     _su2_matrices,
     mode_infidelity,
     reference_floquet_via_propagator,
@@ -279,7 +278,6 @@ class RunDirectory:
             raise ConfigError(
                 f"output directory {root} cannot be created: {exc.strerror}"
             ) from exc
-        self.cfg = cfg
         self.manifest_path = self.root / "manifest.json"
         if self.manifest_path.exists():
             try:
@@ -653,7 +651,8 @@ def cmd_grape(cfg: dict, run: RunDirectory, jobs: list) -> list:
     integration of the frame.  Each artifact stores the entries (a, b) of
     every frame sample ``[[a, -b*], [b, a*]]``, ``frame_a`` and ``frame_b``
     each as its list of real parts and its list of imaginary parts, so that
-    ``simulate`` replays the pulse in that frame.
+    ``simulate`` replays the pulse in that frame.  It stores no step or
+    qubit count: the samples give the one and the gate the other.
     """
     frames = {}
     return [_grape_job(cfg, run, job, frames) for job in jobs]
@@ -694,7 +693,7 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
             point.drive, context_eval.coefficients, duration, steps, substeps
         )
     point, samples = frames[key]
-    frame = ControlContext(samples, duration / steps, n_qubits, coupling)
+    frame = ControlContext(samples, n_qubits, coupling, duration=duration)
     result = optimize_pulse(spec, frame, target, settings)
 
     artifact = {
@@ -704,9 +703,7 @@ def _grape_job(cfg: dict, run: RunDirectory, job: dict, frames: dict) -> Path:
         "genome": asdict(genome),
         "phi_ac": phi_ac,
         "duration_ns": duration,
-        "steps": steps,
         "n_freq": job["n_freq"],
-        "n_qubits": n_qubits,
         "f_max_rad_per_ns": f_max,
         "coupling_j_rad_per_ns": coupling,
         "frame_substeps": job["frame_substeps"],
@@ -732,24 +729,23 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
     and the frame samples that ``grape`` integrated.  So ``simulate`` reads
     no ``circuit``, ``flux`` or ``noise`` table of ``cfg``, builds no
     evaluation context, diagonalizes no circuit and integrates no frame.
-    It reads only the keys it replays: ``gate``, ``n_qubits``,
-    ``duration_ns``, ``steps``, ``coupling_j_rad_per_ns``, ``rates_per_us``,
-    ``samples``, ``frame_a`` and ``frame_b``.  Every structural defect of
-    these raises :class:`DependencyError` naming it: a missing key, a value
-    of the wrong kind, an unknown gate, a qubit count that is not the
-    gate's, fewer than 1 step, waveforms or frame entries of the wrong
-    shape, and frame samples that are not finite or not in SU(2).  A
-    non-finite rate or sample is the library's to reject.  A
-    ``pulse_name`` that is not one plain file-name component raises
-    :class:`ConfigError`.
+    It reads only the keys it replays: ``gate``, ``duration_ns``,
+    ``coupling_j_rad_per_ns``, ``rates_per_us``, ``samples``, ``frame_a``
+    and ``frame_b``; the gate gives the qubit count, and ``frame_a``, of
+    shape ``(2, steps)``, the step count.  Every structural defect of these
+    raises :class:`DependencyError` naming it: a missing key, a value of the
+    wrong kind, an unknown gate, waveforms or frame entries of the wrong
+    shape, frame samples that are not finite or not in SU(2), and a
+    duration that is not finite and positive.  A non-finite rate or
+    sample is the library's to reject.  A ``pulse_name`` that is not one
+    plain file-name component raises :class:`ConfigError`.
     """
     _check_artifact_name(pulse_name, "pulse")
     path = run.require(f"pulse_{pulse_name}.json", "grape")
     where = f"pulse artifact {path.name}"
     try:
         art = json.loads(path.read_text())
-        duration, steps = float(art["duration_ns"]), int(art["steps"])
-        n_qubits = int(art["n_qubits"])
+        duration = float(art["duration_ns"])
         coupling = float(art["coupling_j_rad_per_ns"])
         g1, gz = (float(art["rates_per_us"][k]) for k in ("gamma_1", "gamma_z"))
         waveforms = np.array(art["samples"], dtype=float)
@@ -759,15 +755,10 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
         raise DependencyError(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise DependencyError(f"{where}: {exc!r}") from exc
-    if n_qubits != _QUBITS[gate]:
-        raise DependencyError(
-            f"{where}: gate {gate!r} acts on {_QUBITS[gate]} qubit(s), "
-            f"n_qubits is {n_qubits}"
-        )
-    if steps < 1:
-        raise DependencyError(f"{where}: steps must be at least 1, got {steps}")
-    shapes = {"samples": (waveforms, (n_qubits, steps)),
-              "frame_a": (a, (2, steps)), "frame_b": (b, (2, steps))}
+    # frame_a, checked first, holds (2, steps); a 0-d one fails its check
+    n_qubits, steps = _QUBITS[gate], a.shape[-1] if a.ndim else 0
+    shapes = {"frame_a": (a, (2, steps)), "frame_b": (b, (2, steps)),
+              "samples": (waveforms, (n_qubits, steps))}
     for key, (value, shape) in shapes.items():
         if value.shape != shape:
             raise DependencyError(
@@ -775,7 +766,7 @@ def cmd_simulate(cfg: dict, run: RunDirectory, pulse_name: str) -> Path:
             )
     try:
         samples = _su2_matrices(_from_parts(a), _from_parts(b))
-        frame = ControlContext(samples, duration / steps, n_qubits, coupling)
+        frame = ControlContext(samples, n_qubits, coupling, duration=duration)
     except InvalidParameterError as exc:
         raise DependencyError(f"{where}: {exc}") from exc
     s = _pulse_superoperator(frame, waveforms, g1, gz)
@@ -797,7 +788,8 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
     reference at its default step count, swept over the harmonic truncation
     for each drive order.  Each truncation is a one-row
     :func:`evaluate_population` at that ``k_max``; an infeasible row raises
-    ``DegenerateGapError`` naming it."""
+    ``DegenerateGapError`` naming it.  The reference integrates the drive
+    of the order's first row, which every row of the order shares."""
     orders = cfg["truncation"]["orders"]
     if min(orders, default=0) < 0:
         raise InvalidParameterError(
@@ -811,12 +803,12 @@ def cmd_truncation_study(cfg: dict, run: RunDirectory) -> Path:
         p0 = rng.uniform(0.0, 1.0)
         p = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
         vector = Genome(p0, [z.real for z in p], [z.imag for z in p], 1.1).to_vector()
-        drive = DriveSpec(1.1 * context.omega_ge, (p0, *p))
-        ref = reference_floquet_via_propagator(drive, coeffs, k_max=3 * n + 4)
+        points = {}
         for k_max in range(n, 3 * n + 3):
             _, solved = evaluate_population([vector], replace(context, k_max=k_max))
-            point = _row_point(solved, 0, f"drive order {n} at k_max={k_max}")
-            rows.append([n, k_max, mode_infidelity(ref, point.solution)])
+            points[k_max] = _row_point(solved, 0, f"drive order {n} at k_max={k_max}")
+        ref = reference_floquet_via_propagator(points[n].drive, coeffs, k_max=3 * n + 4)
+        rows += [[n, k, mode_infidelity(ref, pt.solution)] for k, pt in points.items()]
     return run.write_csv(
         "truncation.csv", ["n", "k_max", "mode_infidelity"], rows, "truncation-study"
     )

@@ -721,8 +721,6 @@ def write_fronts(config, out, cells):
 PULSE = {
     "gate": "x",
     "duration_ns": 10.0,
-    "steps": 16,
-    "n_qubits": 1,
     "coupling_j_rad_per_ns": 0.0,
     "samples": [[0.0] * 16],
     # the identity frame: a = 1 and b = 0 at every step
@@ -877,42 +875,53 @@ def test_cmd_grape_fills_a_hand_built_job(tmp_path):
     (path,) = cmd_grape(cfg, RunDirectory(tmp_path / "out", cfg), [job])
     art = json.loads(path.read_text())
     assert path.name == "pulse_x.json"
-    assert (art["point"], art["n_qubits"], art["n_freq"]) == ("dss-2", 1, 9)
+    assert (art["point"], len(art["samples"]), art["n_freq"]) == ("dss-2", 1, 9)
     assert len(art["fidelity_history"]) == 2
 
 
 def test_pulse_dict_replays(tmp_path):
-    # the cases below change one key of a pulse that simulate accepts
-    out = tmp_path / "out"
-    out.mkdir()
-    write_json(out / "pulse_x.json", PULSE)
-    assert run_cli(write_json(tmp_path / "config.json", TINY), out, "simulate", "x") == 0
+    # the cases below change one key of a pulse that simulate accepts; a
+    # pulse that still stores steps and n_qubits, as pulses once did,
+    # replays to the same bytes, for simulate reads neither key
+    config = write_json(tmp_path / "config.json", TINY)
+    written = []
+    for extra in ({}, {"steps": 16, "n_qubits": 1}):
+        out = tmp_path / f"out{len(written)}"
+        out.mkdir()
+        write_json(out / "pulse_x.json", dict(PULSE, **extra))
+        assert run_cli(config, out, "simulate", "x") == 0
+        written.append((out / "simulate_x.json").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(
     "change, named",
     [
         ({"samples": [[0.0] * 15]}, "samples must have shape (1, 16), got (1, 15)"),
-        ({"steps": 0}, "steps must be at least 1, got 0"),
-        ({"n_qubits": 3}, "gate 'x' acts on 1 qubit(s), n_qubits is 3"),
+        ({"samples": [[0.0] * 16] * 2}, "samples must have shape (1, 16), got (2, 16)"),
         ({"gate": "zz"}, "gate 'zz' is not one of"),
         ({"frame_a": None}, "KeyError('frame_a')"),
         ({"frame_b": None}, "KeyError('frame_b')"),
-        ({"frame_a": [[1.0] * 15, [0.0] * 15]}, "frame_a must have shape (2, 16), got (2, 15)"),
+        # frame_a gives the step count, so the other arrays no longer fit
+        ({"frame_a": [[1.0] * 15, [0.0] * 15]}, "frame_b must have shape (2, 15), got (2, 16)"),
         ({"frame_b": [[0.0] * 17, [0.0] * 17]}, "frame_b must have shape (2, 16), got (2, 17)"),
+        ({"frame_a": [1.0] * 16}, "frame_a must have shape (2, 16), got (16,)"),
+        ({"frame_a": [[], []], "frame_b": [[], []], "samples": [[]]},
+         "frame must have shape (steps >= 1, 2, 2), got (0, 2, 2)"),
         ({"frame_a": [[0.6] * 16, [0.0] * 16]}, "frame samples must be unitary"),
         ({"frame_b": [[0.0] * 16, [math.nan] * 16]}, "frame samples must be finite"),
-        ({"duration_ns": math.inf}, "dt must be finite, got inf"),
+        ({"duration_ns": math.inf}, "duration must be finite, got inf"),
     ],
     ids=[
         "samples-short",
-        "no-steps",
-        "three-qubits",
+        "samples-two-rows",
         "unknown-gate",
         "no-frame_a",
         "no-frame_b",
         "frame_a-short",
         "frame_b-long",
+        "frame_a-not-2d",
+        "frame-empty",
         "frame-not-su2",
         "frame-not-finite",
         "duration-infinite",
@@ -943,10 +952,10 @@ def test_simulate_replays_the_stored_frame_bit_for_bit(tmp_path):
         fluxspot.evaluate_genome(bench.genome, context)[1].drive,
         context.coefficients,
         art["duration_ns"],
-        steps=art["steps"],
+        steps=len(art["samples"][0]),
         substeps=art["frame_substeps"],
     )
-    fresh = fluxspot.ControlContext(samples, art["duration_ns"] / art["steps"])
+    fresh = fluxspot.ControlContext(samples, duration=art["duration_ns"])
     a, b = samples[:, 0, 0], samples[:, 1, 0]
     assert art["frame_a"] == [a.real.tolist(), a.imag.tolist()]
     assert art["frame_b"] == [b.real.tolist(), b.imag.tolist()]
@@ -975,15 +984,18 @@ def test_simulate_artifacts_keep_their_keys(tmp_path):
 
 def test_pulse_artifacts_keep_their_keys(tmp_path):
     # the benchmark reads fidelity and fidelity_history, and simulate the
-    # frame, samples and rates; no key holds what another one gives
+    # frame, samples and rates; the samples give the step count and the
+    # gate the qubit count, so neither is stored; two keys still repeat
+    # others, so that no reader needs the pulse pipeline: converged (the
+    # fidelity at the target) and samples (theta through the pipeline)
     jobs = [{"name": "x", "gate": "x", "point": "dss-2", "iterations": 1, "steps": 16,
              "frame_substeps": 8}]
     config = write_json(tmp_path / "config.json", {"seed": 1, "gates": jobs})
     out = tmp_path / "out"
     assert run_cli(config, out, "grape") == 0
     assert set(json.loads((out / "pulse_x.json").read_text())) == {
-        "gate", "name", "point", "genome", "phi_ac", "duration_ns", "steps",
-        "n_freq", "n_qubits", "f_max_rad_per_ns", "coupling_j_rad_per_ns",
+        "gate", "name", "point", "genome", "phi_ac", "duration_ns",
+        "n_freq", "f_max_rad_per_ns", "coupling_j_rad_per_ns",
         "frame_substeps", "frame_a", "frame_b", "theta", "samples", "fidelity",
         "fidelity_history", "converged", "rates_per_us",
     }

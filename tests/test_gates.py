@@ -44,9 +44,9 @@ def trivial_context(steps=200, duration=10.0, n_qubits=1, coupling_j=0.0):
     """A context on identity frames: every operator is its lab-frame form."""
     return ControlContext(
         frame=tile(np.eye(2), steps),
-        dt=duration / steps,
         n_qubits=n_qubits,
         coupling_j=coupling_j,
+        duration=duration,
     )
 
 
@@ -92,7 +92,7 @@ def dss2_frame(benchmark_results):
         steps=500,
         substeps=1024,
     )
-    return ctx, point, ControlContext(samples, 10.0 / 500)
+    return ctx, point, ControlContext(samples, duration=10.0)
 
 
 class TestRotatingFrame:
@@ -139,7 +139,7 @@ class TestRotatingFrame:
             steps=64,
             substeps=256,
         )
-        frame = ControlContext(samples, 4.0 / 64, n_qubits=2, coupling_j=0.3)
+        frame = ControlContext(samples, n_qubits=2, coupling_j=0.3, duration=4.0)
         assert frame.dimension == 4
         drift_op, controls, _ = _static_operators(2, frame.coupling_j)
         assert len(controls) == 2
@@ -207,8 +207,10 @@ class TestRotatingFrame:
         # the frame conjugation of these operators is checked on the channel
         # by tests/test_lindblad.py and on the gradient by TestGradient
         rng = np.random.default_rng(8)
-        ctx = ControlContext(frame=random_frame(rng, 6), dt=0.1, n_qubits=2, coupling_j=0.4)
-        assert (ctx.steps, ctx.dimension, ctx.duration) == (6, 4, pytest.approx(0.6))
+        ctx = ControlContext(
+            frame=random_frame(rng, 6), n_qubits=2, coupling_j=0.4, duration=0.6
+        )
+        assert (ctx.steps, ctx.dimension) == (6, 4)
         eye = np.eye(2)
         drift, controls, jumps = _static_operators(2, 0.4)
         assert np.array_equal(drift, 0.4 * np.kron(PAULI_Z, PAULI_Z))
@@ -230,7 +232,7 @@ class TestRotatingFrame:
         [
             (np.eye(2)[None], {"n_qubits": 3}),
             (np.eye(2)[None], {"coupling_j": 0.1}),
-            (np.eye(2)[None], {"dt": 0.0}),
+            (np.eye(2)[None], {"n_qubits": 2, "coupling_j": np.inf}),
             (np.eye(3)[None], {}),
             (np.zeros((0, 2, 2)), {}),
             (1.001 * np.eye(2)[None], {}),
@@ -243,7 +245,24 @@ class TestRotatingFrame:
     )
     def test_context_rejects_inconsistent_fields(self, frame, fields):
         with pytest.raises(InvalidParameterError):
-            ControlContext(**{"frame": frame, "dt": 0.1, **fields})
+            ControlContext(**{"frame": frame, "duration": 0.1, **fields})
+
+    @pytest.mark.parametrize("duration", [0.0, -10.0, np.nan, np.inf])
+    def test_context_rejects_a_bad_duration(self, duration):
+        with pytest.raises(InvalidParameterError, match="^duration must be"):
+            ControlContext(np.eye(2)[None], duration=duration)
+
+    @pytest.mark.parametrize("args", [(0.1,), (0.1, 1, 0.0)], ids=["dt", "dt-qubits-coupling"])
+    def test_context_takes_its_duration_by_keyword(self, args):
+        # the duration is keyword-only, so a step length passed positionally
+        # after the frame raises instead of being read as a duration
+        with pytest.raises(TypeError):
+            ControlContext(np.eye(2)[None], *args)
+
+    @pytest.mark.parametrize("steps, duration", [(1, 0.1), (64, 4.0), (300, 6.0), (500, 10.0)])
+    def test_step_length_is_the_duration_over_the_samples(self, steps, duration):
+        ctx = ControlContext(random_frame(np.random.default_rng(steps), steps), duration=duration)
+        assert ctx.dt == duration / steps
 
     def test_frame_of_zero_hamiltonian_is_identity(self):
         # delta = 0 and no drive: every step has a zero-norm generator
@@ -472,12 +491,9 @@ class TestScanWork:
 
     CALLS = {
         "value_and_grad": lambda spec, ctx, theta, wf: _value_and_grad(
-            theta, spec, ctx, fs.gate_target("sqrt_iswap"), penalized=True
-        ),
-        "propagate_closed": lambda spec, ctx, theta, wf: fs.propagate_closed(ctx, wf),
-        "value_and_grad-unpenalized": lambda spec, ctx, theta, wf: _value_and_grad(
             theta, spec, ctx, fs.gate_target("sqrt_iswap")
         ),
+        "propagate_closed": lambda spec, ctx, theta, wf: fs.propagate_closed(ctx, wf),
     }
 
     @staticmethod
@@ -489,7 +505,7 @@ class TestScanWork:
         # steps[0] is C8_0 = I and 40 steps pad their last block of 7 with
         # 2 identities; the scans write only the steps between
         steps = 40
-        ctx = ControlContext(random_frame(np.random.default_rng(8), steps), 0.05, 2, 0.3)
+        ctx = ControlContext(random_frame(np.random.default_rng(8), steps), 2, 0.3, duration=2.0)
         rng = np.random.default_rng(9)
         for _ in range(2):
             fs.propagate_closed(ctx, rng.standard_normal((2, steps)))
@@ -508,8 +524,8 @@ class TestScanWork:
         # A pads its last block of steps (40 = 7 x 6 - 2), B fills them
         for steps, coupling in ((40, 0.3), (36, 0.0)):
             spec = fs.PulseSpec(steps=steps, n_freq=4, n_controls=2)
-            args = (random_frame(rng, steps), 0.05, 2, coupling)
-            jobs.append((spec, args, ControlContext(*args)))
+            args = (random_frame(rng, steps), 2, coupling)
+            jobs.append((spec, args, ControlContext(*args, duration=2.0)))
         thetas = [rng.standard_normal(2 * 9) for _ in range(3)]
 
         def run(ctx, spec, theta):
@@ -520,7 +536,7 @@ class TestScanWork:
         for job, theta in ((0, 0), (1, 1), (0, 0), (0, 2), (0, 0)):
             spec, args, ctx = jobs[job]
             got = run(ctx, spec, thetas[theta])
-            fresh = run(ControlContext(*args), spec, thetas[theta])
+            fresh = run(ControlContext(*args, duration=2.0), spec, thetas[theta])
             assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
             if first is None:
                 first, kept = got, [np.copy(x) for x in got]
@@ -568,8 +584,8 @@ class TestGradient:
         grad = -_value_and_grad(theta, spec, frame, target)[1]
 
         def loss(th):
-            value, _, _ = _value_and_grad(th, spec, frame, target)
-            return 1.0 - value
+            value, _, wf = _value_and_grad(th, spec, frame, target)
+            return 1.0 - value + grape_penalties(wf, spec.f_max)
 
         h = 1e-6
         worst = 0.0
@@ -587,11 +603,11 @@ class TestGradient:
         # band-limit and has non-zero end samples, so both penalties act
         rng = np.random.default_rng(31)
         steps = 40
-        ctx = ControlContext(random_frame(rng, steps), 0.05, 2, 0.3)
+        ctx = ControlContext(random_frame(rng, steps), 2, 0.3, duration=2.0)
         spec = fs.PulseSpec(steps=steps, n_freq=4, n_controls=2)
         target = fs.gate_target("sqrt_iswap")
         theta = 3.0 * rng.standard_normal(2 * spec.params_per_control)
-        _, grad, wf = _value_and_grad(theta, spec, ctx, target, penalized=True)
+        _, grad, wf = _value_and_grad(theta, spec, ctx, target)
         assert np.max(np.abs(wf)) > spec.f_max and np.min(np.abs(wf[:, [0, -1]])) > 0.0
 
         def objective(th):
@@ -615,7 +631,6 @@ class TestGradient:
 
         from fluxspot.gates import _fidelity_and_waveform_grad
 
-        dt = 0.05
         rng = np.random.default_rng(5)
         eye = np.eye(2)
         # 40 steps pad the last ceil(sqrt(n))-step block of the prefix scan,
@@ -627,8 +642,9 @@ class TestGradient:
         for steps, n_qubits, coupling, gate in cases:
             frame = random_frame(rng, steps)
             ctx = ControlContext(
-                frame=frame, dt=dt, n_qubits=n_qubits, coupling_j=coupling
+                frame=frame, n_qubits=n_qubits, coupling_j=coupling, duration=0.05 * steps
             )
+            dt = ctx.dt
             wf = degenerate_waveforms(rng, n_qubits, steps)
             target = fs.gate_target(gate)
             fid, grads, u = _fidelity_and_waveform_grad(ctx, wf, target)
@@ -675,11 +691,13 @@ class TestGradient:
 
         from fluxspot.gates import _PAIRED, _SIGMA_Y_BASIS
 
-        dt, steps = 0.05, 12
+        steps = 12
         rng = np.random.default_rng(17)
         ctx = ControlContext(
-            frame=random_frame(rng, steps), dt=dt, n_qubits=n_qubits, coupling_j=coupling
+            frame=random_frame(rng, steps), n_qubits=n_qubits, coupling_j=coupling,
+            duration=0.6,
         )
+        dt = ctx.dt
         wf = degenerate_waveforms(rng, n_qubits, steps)
         cos, gamma, beta, gens_k = _block_steps(ctx, wf)
         d = ctx.dimension
@@ -774,7 +792,7 @@ class TestOptimizePulse:
             if entry == "optimize_pulse":
                 fs.optimize_pulse(spec, ctx, target, fs.GrapeSettings(iterations=1))
             else:
-                _value_and_grad(theta, spec, ctx, target, penalized=True)
+                _value_and_grad(theta, spec, ctx, target)
         assert str(err.value) == named
 
     def test_small_x_gate_reaches_target(self, dss2_frame):
@@ -795,13 +813,13 @@ class TestOptimizePulse:
         # 2-qubit scan, and a run on a fresh context allocates them anew
         _, _, frame = dss2_frame
         n_qubits = fs.gate_target(gate).dim.bit_length() - 1
-        args = (frame.frame, frame.dt, n_qubits, 0.3 if n_qubits == 2 else 0.0)
+        args = (frame.frame, n_qubits, 0.3 if n_qubits == 2 else 0.0)
         spec = fs.PulseSpec(steps=500, n_freq=9, n_controls=n_qubits)
         settings = fs.GrapeSettings(iterations=30, seed=7)
-        ctx = ControlContext(*args)
+        ctx = ControlContext(*args, duration=10.0)
         runs = [
             fs.optimize_pulse(spec, c, fs.gate_target(gate), settings)
-            for c in (ctx, ctx, ControlContext(*args))
+            for c in (ctx, ctx, ControlContext(*args, duration=10.0))
         ]
         for run in runs[1:]:
             assert np.array_equal(run.fidelity_history, runs[0].fidelity_history)
@@ -827,7 +845,7 @@ class TestStepRefinement:
                 steps=steps,
                 substeps=substeps,
             )
-            return ControlContext(samples, 10.0 / steps)
+            return ControlContext(samples, duration=10.0)
 
         frame = frame_at(500, 1024)
         spec = fs.PulseSpec(steps=500, n_freq=9)

@@ -130,7 +130,7 @@ class TestEvolveDensity:
         samples = fs.rotating_frame_trajectory(
             point.drive, bctx.coefficients, duration=6.0, steps=300, substeps=256
         )
-        frame = fs.ControlContext(samples, 6.0 / 300)
+        frame = fs.ControlContext(samples, duration=6.0)
         rng = np.random.default_rng(8)
         wf = 0.3 * rng.standard_normal(300)
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -143,7 +143,7 @@ class TestEvolveDensity:
     def test_two_qubit_zero_rates_matches_closed_propagation(self):
         rng = np.random.default_rng(12)
         ctx = fs.ControlContext(
-            frame=random_frame(rng, 40), dt=0.1, n_qubits=2, coupling_j=0.3
+            frame=random_frame(rng, 40), n_qubits=2, coupling_j=0.3, duration=4.0
         )
         wf = 0.4 * rng.standard_normal((2, 40))
         s = _pulse_superoperator(ctx, wf, 0.0, 0.0)
@@ -156,7 +156,7 @@ class TestEvolveDensity:
         steps, dt = 24, 0.25
         frame = random_frame(rng, steps)
         ctx = fs.ControlContext(
-            frame=frame, dt=dt, n_qubits=n_qubits, coupling_j=coupling
+            frame=frame, n_qubits=n_qubits, coupling_j=coupling, duration=steps * dt
         )
         wf = 0.4 * rng.standard_normal((n_qubits, steps))
         rates = (20.0, 35.0)
@@ -213,9 +213,9 @@ class TestBlockedSuperoperator:
         rng = np.random.default_rng(steps + 10 * n_qubits)
         ctx = fs.ControlContext(
             frame=random_frame(rng, steps),
-            dt=0.02,
             n_qubits=n_qubits,
             coupling_j=0.3 * (n_qubits - 1),
+            duration=0.02 * steps,
         )
         window = np.sin(np.pi * (np.arange(steps) + 0.5) / steps) ** 2
         wf = 300.0 * window * rng.uniform(0.5, 1.0, (n_qubits, steps))
@@ -235,7 +235,7 @@ class TestBlockedSuperoperator:
         # building the whole pulse at once peaked at 13.8 MB
         rng = np.random.default_rng(31)
         ctx = fs.ControlContext(
-            frame=random_frame(rng, 500), dt=0.02, n_qubits=2, coupling_j=0.3
+            frame=random_frame(rng, 500), n_qubits=2, coupling_j=0.3, duration=10.0
         )
         wf = 0.4 * rng.standard_normal((2, 500))
         tracemalloc.start()
@@ -443,7 +443,7 @@ class TestAverageGateFidelity:
         samples = fs.rotating_frame_trajectory(
             point.drive, bctx.coefficients, duration=10.0, steps=500, substeps=8
         )
-        ctx = fs.ControlContext(samples, 10.0 / 500)
+        ctx = fs.ControlContext(samples, duration=10.0)
         wf = 0.3 * np.random.default_rng(4).standard_normal(500)
         rates = (point.rates.gamma_1, point.rates.gamma_z)
         s = _pulse_superoperator(ctx, wf, *rates)
@@ -475,9 +475,9 @@ class TestFirstOrderInfidelity:
             steps = 60
             ctx = fs.ControlContext(
                 frame=random_frame(rng, steps),
-                dt=rng.uniform(0.05, 0.2),
                 n_qubits=n_qubits,
                 coupling_j=0.3 * (n_qubits - 1),
+                duration=steps * rng.uniform(0.05, 0.2),
             )
             wf = 0.4 * rng.standard_normal((n_qubits, steps))
             g1, gz = rng.uniform(0.1, 1.0, 2)   # 1/us
