@@ -189,7 +189,7 @@ def effective_coefficients(
     qubit: EffectiveQubit, e_l: float, phi_dc: float, phi_ac: float
 ) -> EffectiveCoefficients:
     """The two-level model of ``qubit`` at the flux working point ``(phi_dc,
-    phi_ac)``, each of which must be finite.
+    phi_ac)``; each of them, and the A and B they give, must be finite.
 
     ``delta`` is the qubit's splitting; ``a_coef = e_l * phi_ac * phi_ge``
     scales the periodic modulation; ``b_coef = 2 e_l (phi_dc - pi) *
@@ -198,4 +198,5 @@ def effective_coefficients(
     check_finite(phi_dc=phi_dc, phi_ac=phi_ac)
     a_coef = e_l * phi_ac * qubit.phi_ge
     b_coef = 2.0 * e_l * (phi_dc - np.pi) * qubit.phi_ge
+    check_finite(a_coef=a_coef, b_coef=b_coef)
     return EffectiveCoefficients(delta=qubit.delta, a_coef=a_coef, b_coef=b_coef)

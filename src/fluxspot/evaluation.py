@@ -162,23 +162,20 @@ def evaluate_genome(
 
 
 def _evaluate_slice(omega_d, p, coeffs, context: EvaluationContext, k_max: int) -> dict:
-    """:func:`evaluate_population`'s row arrays of one slice, as one stack."""
+    """:func:`evaluate_population`'s row arrays of one slice, as one stack;
+    the stages pass the plus branch alone."""
     # the stack, the largest array of a slice, is freed once solved
-    eps_minus, eps_plus, h_plus, h_minus, ok = solve_floquet(
+    eps_minus, eps_plus, h_plus, ok = solve_floquet(
         assemble_floquet_matrix(omega_d, p, coeffs, k_max), omega_d
     )
     gap = eps_plus - eps_minus
     # an unconverged truncation can label a gap beyond omega_d
     ok &= (gap > 0.0) & (gap < omega_d)
-    g_z, g_plus, g_minus = compute_filter_weights(h_plus, h_minus)
-    rates = np.stack(
-        decoherence_rates(g_z, g_plus, g_minus, gap, omega_d, context.noise), 1
-    )
-    # the minus mode follows from h_plus (see _row_point), and g_minus from
-    # g_plus (FilterWeights.g_minus), so a population does not keep them
+    g_z, g_plus = compute_filter_weights(h_plus)
+    rates = np.stack(decoherence_rates(g_z, g_plus, gap, omega_d, context.noise), 1)
     return dict(
         omega_d=omega_d, p=p, ok=ok, eps_minus=eps_minus, eps_plus=eps_plus,
-        gap=gap, h_plus=h_plus, g_z=g_z, g_plus=g_plus, rates=rates,
+        h_plus=h_plus, g_z=g_z, g_plus=g_plus, rates=rates,
     )
 
 
@@ -190,16 +187,16 @@ def evaluate_population(
 
     Returns the ``(m, 2)`` objectives, ``(inf, inf)`` on an infeasible row,
     and a dict of per-row arrays: the drive (``omega_d``, ``p``), ``ok``,
-    the Floquet solution (``eps_minus``, ``eps_plus``, ``gap``, ``h_plus``),
-    the filter weights (``g_z``, ``g_plus``) and ``rates`` (``gamma_z``,
-    ``gamma_plus``, ``gamma_minus``); :func:`_row_point` takes the minus
-    mode from ``h_plus``.  The context's working point is checked first,
-    then the checks of :class:`DriveSpec` run once, on the arrays.  Rows are
-    solved in slices of ``_SLICE_ROWS``, and no arithmetic mixes rows, so
-    :func:`_row_point` of a row is bit for bit what :func:`evaluate_genome`
-    returns alone.  The harmonic truncation is ``context.k_max`` if set,
-    else 3 n for rows of order n; a ``k_max`` below n raises
-    :class:`TruncationError`.
+    the Floquet solution (``eps_minus``, ``eps_plus``, ``h_plus``), the
+    filter weights (``g_z``, ``g_plus``) and ``rates`` (``gamma_z``,
+    ``gamma_plus``, ``gamma_minus``); the gap, the minus mode and
+    ``g_minus`` follow from these.  The context's working point is checked
+    first, then the checks of :class:`DriveSpec` run once, on the arrays.
+    Rows are solved in slices of ``_SLICE_ROWS``, and no arithmetic mixes
+    rows, so :func:`_row_point` of a row is bit for bit what
+    :func:`evaluate_genome` returns alone.  The harmonic truncation is
+    ``context.k_max`` if set, else 3 n for rows of order n; a ``k_max``
+    below n raises :class:`TruncationError`.
     """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or not len(x) or x.shape[1] < 2 or x.shape[1] % 2:
@@ -226,14 +223,14 @@ def _row_point(rows: dict, r: int, where: str) -> PointResult:
     row arrays, the one place that reads them.  An infeasible row raises
     :class:`DegenerateGapError` "``where`` is infeasible: ...", so that each
     caller names only its row.  The minus mode is taken from the plus mode,
-    bit for bit as :func:`solve_floquet` takes it."""
+    bit for bit as :func:`compute_filter_weights` takes it."""
     if not rows["ok"][r]:
         raise DegenerateGapError(f"{where} is {_INFEASIBLE}")
     h_plus = rows["h_plus"][r]
     return PointResult(
         DriveSpec(float(rows["omega_d"][r]), tuple(rows["p"][r])),
         FloquetSolution(float(rows["eps_plus"][r]), float(rows["eps_minus"][r]),
-                        h_plus, _minus_mode(h_plus, (len(h_plus) - 1) // 2)),
+                        h_plus, _minus_mode(h_plus)),
         FilterWeights(rows["g_z"][r], rows["g_plus"][r]),
         RateReport(*(float(x) for x in rows["rates"][r])),
     )

@@ -31,8 +31,9 @@ H(t) is a traceless real-symmetric 2x2 matrix, so ``sigma_y H(t)* sigma_y =
 matrix, for any drive and bias: the spectrum is symmetric, the central pair
 is ``(-eps, eps)``, and the minus mode is ``C`` applied to the plus mode.
 The production solve therefore takes the eigenvalues alone (``eigvalsh``),
-finds the plus mode by two steps of inverse iteration, checks its residual
-against the gap, and maps it to the minus mode.  The stages
+finds the plus mode by two steps of inverse iteration and checks its
+residual against the gap; no stage passes the minus mode ``C h_plus`` or
+``g_minus[k] = conj(g_plus[-k])`` (``sigma_x`` is Hermitian).  The stages
 (:func:`assemble_floquet_matrix`, :func:`solve_floquet`,
 :func:`compute_filter_weights` and ``noise.decoherence_rates``) take stacks
 of drives only: arrays ``(omega_d, p)`` with one row per drive, checked
@@ -195,7 +196,7 @@ class FilterWeights:
     normalization constants of the underlying operator decomposition are
     fixed: ``a_z = 4``, ``a_pm = 1``, ``b_z = 2``, ``b_pm = 1``.  ``k_max``
     and ``g_minus[k] = conj(g_plus[-k])`` are derived, the latter as
-    :func:`compute_filter_weights` forms it.
+    ``noise.decoherence_rates`` forms it.
     """
 
     g_z: np.ndarray
@@ -317,13 +318,14 @@ def solve_floquet(stack: np.ndarray, omega_d: np.ndarray):
     Floquet matrices ``(rows, dim, dim)`` at drive frequencies ``omega_d``
     ``(rows,)``.
 
-    Returns ``(eps_minus, eps_plus, h_plus, h_minus, ok)``: the central pair
-    per row, the modes as ``(rows, 2 k_max + 1, 2)`` harmonics, and ``ok``,
+    Returns ``(eps_minus, eps_plus, h_plus, ok)``: the central pair per
+    row, the plus mode as ``(rows, 2 k_max + 1, 2)`` harmonics, and ``ok``,
     False where the branch labels are undefined.  The central pair is the
     pair of eigenvalues of smallest magnitude; ``eps_plus`` is the larger.
     By the particle-hole symmetry ``C`` (see :func:`_particle_hole`) the
     spectrum is symmetric, the pair is ``(-eps, eps)`` and the minus mode is
-    ``C h_plus``, so one eigenvector is solved for.  The eigenvalues come
+    ``C h_plus`` (:func:`_minus_mode`), so one eigenvector is solved for.
+    The eigenvalues come
     from ``eigvalsh``; ``h_plus`` from two steps of inverse iteration, ``x
     <- (H - s)^-1 x`` normalized, with ``s`` 1e-13 of (spectral radius +
     ``omega_d``) above ``eps_plus``, from a fixed start vector.  The mode
@@ -367,13 +369,12 @@ def solve_floquet(stack: np.ndarray, omega_d: np.ndarray):
     distance = np.abs(w - eps_plus[:, None])
     distance[r, i_plus] = np.inf
     ok = ~degenerate & (residual <= _RESIDUAL_RTOL * distance.min(axis=1))
-    h_plus = _gauge_fix(x.reshape(rows, -1, 2), k_max)
-    return eps_minus, eps_plus, h_plus, _minus_mode(h_plus, k_max), ok
+    return eps_minus, eps_plus, _gauge_fix(x.reshape(rows, -1, 2), k_max), ok
 
 
-def _minus_mode(h_plus: np.ndarray, k_max: int) -> np.ndarray:
+def _minus_mode(h_plus: np.ndarray) -> np.ndarray:
     """The gauge-fixed minus modes ``C h_plus`` of stacked plus modes."""
-    return _gauge_fix(_particle_hole(h_plus), k_max)
+    return _gauge_fix(_particle_hole(h_plus), (h_plus.shape[-2] - 1) // 2)
 
 
 def _su2_entries(delta: float, long_coefs, dt):
@@ -558,19 +559,18 @@ def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (windows[..., ::2, :] @ bx)[..., 0]
 
 
-def compute_filter_weights(h_plus: np.ndarray, h_minus: np.ndarray):
-    """Filter weights ``(g_z, g_plus, g_minus)`` of stacked modes ``(...,
-    2 k_max + 1, 2)`` by exact discrete convolution of the mode harmonics,
-    each ``(..., 4 k_max + 1)``.
+def compute_filter_weights(h_plus: np.ndarray):
+    """Filter weights ``(g_z, g_plus)`` of stacked plus modes ``(..., 2 k_max
+    + 1, 2)``, each ``(..., 4 k_max + 1)``, by exact discrete convolution of
+    the harmonics of the plus mode and the minus mode ``C h_plus``.
 
     The arrays span ``k in [-2 k_max, 2 k_max]`` -- the full support of the
     harmonic convolution -- so the completeness (Parseval) sum closes to the
-    accuracy of the Floquet solution itself.  ``sigma_x`` is Hermitian, so
-    ``g_minus[k] = conj(g_plus[-k])``.
+    accuracy of the Floquet solution itself.
     """
-    g_plus = _corr(h_plus, h_minus)
+    h_minus = _minus_mode(h_plus)
     g_z = 0.5 * (_corr(h_plus, h_plus) - _corr(h_minus, h_minus))
-    return g_z, g_plus, g_plus[..., ::-1].conj()
+    return g_z, _corr(h_plus, h_minus)
 
 
 def mode_infidelity(a: FloquetSolution, b: FloquetSolution) -> float:

@@ -133,7 +133,7 @@ def spectral_density(noise: NoiseModel, omega):
     return float(s[0]) if scalar else s
 
 
-def decoherence_rates(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseModel):
+def decoherence_rates(g_z, g_plus, omega_gap, omega_d, noise: NoiseModel):
     """Dephasing and relaxation rates ``(gamma_z, gamma_plus, gamma_minus)``,
     each ``(rows,)``, of stacked filter weights ``(rows, 2 k_max + 1)`` at
     gaps and drive frequencies ``(rows,)``; each row's sums run over that
@@ -141,8 +141,9 @@ def decoherence_rates(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseMode
 
     gamma_z carries the first-order 1/f term from the central weight plus the
     quadratic contributions of the k != 0 harmonics sampled at ``k omega_d``;
-    gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``.
-    The harmonic sums run over the full extent of the weight arrays.
+    gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``
+    with ``g_plus`` and ``g_minus[k] = conj(g_plus[-k])`` (``sigma_x`` is
+    Hermitian).  The harmonic sums run over the full extent of the arrays.
     """
     center = (g_z.shape[-1] - 1) // 2
     k_omega = np.arange(-center, center + 1) * omega_d[:, None]
@@ -161,5 +162,5 @@ def decoherence_rates(g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseMode
     quad[:, center] = 0.0
     gamma_z = noise.dephasing_scale * (first_order + 0.25 * np.sum(quad, axis=-1))
     gamma_plus = np.sum(np.abs(g_plus) ** 2 * s_up, axis=-1)
-    gamma_minus = np.sum(np.abs(g_minus) ** 2 * s_down, axis=-1)
+    gamma_minus = np.sum(np.abs(g_plus[..., ::-1].conj()) ** 2 * s_down, axis=-1)
     return gamma_z, gamma_plus, gamma_minus

@@ -2,10 +2,12 @@
 
 All randomness in a run derives from the single config seed; artifacts are
 written atomically and carry no timestamps, so identical config + seed gives
-byte-identical files (timestamps live only in the manifest).
+byte-identical files (timestamps live only in the manifest) at one BLAS
+thread count: every artifact can change between 1 and 2 OpenBLAS threads,
+so the benchmark and CI pin one.
 
 ``optimize`` runs its strategies concurrently, on one thread per usable CPU
-and at most one per strategy.  The bytes do not depend on the thread count:
+and at most one per strategy.  The bytes do not depend on that pool's size:
 each strategy run has its own seed and its own arrays, and the files are
 written from the calling thread in config order.
 """
@@ -373,17 +375,17 @@ def front_columns(n: int) -> list:
     return cols
 
 
-def _individual_row(ind: Individual, point, report, omega_ge: float) -> list:
+def _individual_row(ind: Individual, point, report) -> list:
     """The :func:`front_columns` row of ``ind``, stamped ``(strategy, seed)``,
-    with the times of its ``point`` and its sensitivity ``report``, as
-    :func:`classify_front` gives them; it evaluates and classifies nothing.
-    Every row is of a feasible point: an infeasible genome raises before any
-    row is built."""
+    with the times and drive frequency of its ``point`` and its sensitivity
+    ``report``, as :func:`classify_front` gives them; it evaluates and
+    classifies nothing.  Every row is of a feasible point: an infeasible
+    genome raises before any row is built."""
     g = ind.genome
     strategy, seed = ind.provenance
     return [
         *ind.objectives, point.rates.t1, point.rates.t_phi, g.p0, *g.p_re, *g.p_im,
-        g.omega_d_frac * omega_ge, report.gz0_abs, report.double_dss_metric,
+        point.drive.omega_d, report.gz0_abs, report.double_dss_metric,
         strategy, seed,
     ]
 
@@ -460,7 +462,7 @@ def cmd_evaluate(cfg: dict, run: RunDirectory, genome_file: str | Path) -> Path:
     point = _evaluated_point(genome, context, f"genome file {genome_file}")
     ind = Individual(genome, point.objectives, ("evaluate", cfg["seed"]))
     report = classify_point(point, context)
-    rows = [_individual_row(ind, point, report, context.omega_ge)]
+    rows = [_individual_row(ind, point, report)]
     return run.write_csv(
         f"rates_{name}.csv", front_columns(genome.n), rows, "evaluate"
     )
@@ -508,7 +510,7 @@ def cmd_optimize(cfg: dict, run: RunDirectory) -> list:
 
         front = run_stage1(oc, context, generation_hook=hook)
         rows = [
-            _individual_row(ind, point, r, context.omega_ge)
+            _individual_row(ind, point, r)
             for ind, point, r, _ in classify_front(front, context)
         ]
         return rows, snapshots
@@ -546,7 +548,7 @@ def cmd_aggregate(cfg: dict, run: RunDirectory) -> Path:
         for strategy in cfg["optimizer"]["strategies"]
     ]
     members = classify_front(aggregate_fronts(fronts), context)
-    rows = [_individual_row(ind, p, r, context.omega_ge) for ind, p, r, _ in members]
+    rows = [_individual_row(ind, p, r) for ind, p, r, _ in members]
     return run.write_csv(
         "front_aggregated.csv", front_columns(cfg["optimizer"]["n"]), rows, "aggregate"
     )
@@ -570,7 +572,7 @@ def cmd_classify(cfg: dict, run: RunDirectory) -> Path:
         "d_omega_ac",
     ]
     rows = [
-        _individual_row(ind, p, r, context.omega_ge)
+        _individual_row(ind, p, r)
         + [r.label, b.t_ub_general, b.t_ub_dss, r.d_omega_d_phi_dc, r.d_omega_d_phi_ac]
         for ind, p, r, b in classify_front(front, context)
     ]

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import fluxspot as fs
 from fluxspot.exceptions import DegenerateGapError
+from fluxspot.floquet import _minus_mode
 
 REFERENCE_CONTEXT = fs.build_context(fs.REFERENCE)
 
@@ -49,28 +50,32 @@ def drive_rows(drive):
 
 
 def weight_rows(w):
-    """One row of :class:`FilterWeights` as the rate stage takes them."""
-    return w.g_z[None], w.g_plus[None], w.g_minus[None]
+    """One row of :class:`FilterWeights` as the rate stage takes them:
+    ``(g_z, g_plus)``, each ``(1, 2 k_max + 1)``."""
+    return w.g_z[None], w.g_plus[None]
 
 
 def solve_row(drive, coeffs, k_max):
     """The Floquet solution of one drive of the model ``coeffs``, solved as a
-    one-row stack; a row whose branch labels are undefined raises
+    one-row stack, its minus mode ``C h_plus`` as the filter-weight stage
+    forms it; a row whose branch labels are undefined raises
     :class:`DegenerateGapError`."""
     omega_d, p = drive_rows(drive)
     stack = fs.assemble_floquet_matrix(omega_d, p, coeffs, k_max)
-    eps_minus, eps_plus, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
+    eps_minus, eps_plus, h_plus, ok = fs.solve_floquet(stack, omega_d)
     if not ok[0]:
         raise DegenerateGapError("branch labels undefined")
-    return fs.FloquetSolution(float(eps_plus[0]), float(eps_minus[0]), h_plus[0], h_minus[0])
+    return fs.FloquetSolution(
+        float(eps_plus[0]), float(eps_minus[0]), h_plus[0], _minus_mode(h_plus)[0]
+    )
 
 
 def weights_of(sol):
-    """``(g_z, g_plus, g_minus)`` of a solution's modes, each ``(1, 4 k_max
-    + 1)``: the filter-weight stage on a one-row stack."""
-    return fs.compute_filter_weights(
-        sol.harmonics_plus[None], sol.harmonics_minus[None]
-    )
+    """The :class:`FilterWeights` of a solution's plus mode: the
+    filter-weight stage on a one-row stack (a solution's own minus mode is
+    not read)."""
+    g_z, g_plus = fs.compute_filter_weights(sol.harmonics_plus[None])
+    return fs.FilterWeights(g_z[0], g_plus[0])
 
 
 def solve_drive(drive, context):
@@ -78,8 +83,7 @@ def solve_drive(drive, context):
     ``context`` (its coefficients), through the stacked stages."""
     k_max = 3 * max(drive.n, 1) + 3
     sol = solve_row(drive, context.coefficients, k_max)
-    g_z, g_plus, _ = weights_of(sol)
-    return sol, fs.FilterWeights(g_z[0], g_plus[0])
+    return sol, weights_of(sol)
 
 
 @st.composite

@@ -9,6 +9,11 @@ none of the functions here:
 - :func:`filter_weights_time_grid` samples the Floquet modes on a time grid
   (:func:`mode_at`) and projects with a dense DFT;
   ``compute_filter_weights`` convolves the mode harmonics exactly.
+- :func:`filter_weights_two_branch` and :func:`decoherence_rates_two_branch`
+  are the filter-weight and rate stages in their two-branch form: the
+  weights of an explicit minus mode, ``g_z`` as half the difference of the
+  two modes' ``sigma_x`` autocorrelations, and ``gamma_minus`` of an
+  explicit ``g_minus``; the stages take the plus branch alone.
 - :func:`parseval_sum` is the completeness sum of the filter weights.
 - :func:`evolve_density` propagates one density matrix through the
   open-system channel and checks its trace.
@@ -52,8 +57,10 @@ from fluxspot.floquet import (
     PAULI_Z,
     DriveSpec,
     FloquetSolution,
+    _corr,
     _su2_entries,
 )
+from fluxspot.noise import NoiseModel, spectral_density
 from fluxspot.gates import AMPLITUDE_PENALTY, EDGE_PENALTY, ControlContext
 from fluxspot.lindblad import _pulse_superoperator
 from fluxspot.units import RAD_PER_US_TO_RAD_PER_NS
@@ -189,6 +196,42 @@ def filter_weights_time_grid(
     ks = np.arange(-big_k, big_k + 1)
     proj = np.exp(1j * np.outer(ks, omega_d * ts)) / n_samples
     return (proj @ f_z) / 2.0, proj @ f_plus, proj @ f_minus
+
+
+def filter_weights_two_branch(h_plus: np.ndarray, h_minus: np.ndarray) -> tuple:
+    """Filter weights ``(g_z, g_plus, g_minus)`` of stacked plus modes and
+    an explicit minus mode each, by the exact convolution of the filter-weight
+    stage: ``g_z`` is half of ``corr(h_plus, h_plus) - corr(h_minus,
+    h_minus)``, and ``g_minus[k] = conj(g_plus[-k])``."""
+    g_plus = _corr(h_plus, h_minus)
+    g_z = 0.5 * (_corr(h_plus, h_plus) - _corr(h_minus, h_minus))
+    return g_z, g_plus, g_plus[..., ::-1].conj()
+
+
+def decoherence_rates_two_branch(
+    g_z, g_plus, g_minus, omega_gap, omega_d, noise: NoiseModel
+) -> tuple:
+    """``(gamma_z, gamma_plus, gamma_minus)`` of stacked filter weights with
+    an explicit ``g_minus``, each row's sums as the rate stage forms them."""
+    center = (g_z.shape[-1] - 1) // 2
+    k_omega = np.arange(-center, center + 1) * omega_d[:, None]
+    gap = omega_gap[:, None]
+    s_deph, s_up, s_down = spectral_density(
+        noise, np.stack((k_omega, k_omega - gap, k_omega + gap))
+    )
+    first_order = (
+        0.5
+        * np.abs(g_z[:, center])
+        * noise.a_f
+        * np.sqrt(2.0)
+        * noise.dephasing_log_factor
+    )
+    quad = np.abs(g_z) ** 2 * s_deph
+    quad[:, center] = 0.0
+    gamma_z = noise.dephasing_scale * (first_order + 0.25 * np.sum(quad, axis=-1))
+    gamma_plus = np.sum(np.abs(g_plus) ** 2 * s_up, axis=-1)
+    gamma_minus = np.sum(np.abs(g_minus) ** 2 * s_down, axis=-1)
+    return gamma_z, gamma_plus, gamma_minus
 
 
 def parseval_sum(g_z, g_plus, g_minus) -> np.ndarray:

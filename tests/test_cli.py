@@ -419,6 +419,27 @@ def test_non_finite_physical_value_exits_3_naming_it(
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("verb", ["evaluate", "optimize", "truncation-study", "grape"])
+@pytest.mark.parametrize(
+    "flux, name",
+    [({"phi_ac": 1e308}, "a_coef"), ({"phi_dc_over_pi": 1e306}, "b_coef")],
+    ids=["phi_ac", "phi_dc_over_pi"],
+)
+def test_overflowing_working_point_exits_3_naming_it(tmp_path, capsys, flux, name, verb):
+    # a finite phi_dc or phi_ac can still overflow the model's A or B, which
+    # failed an eigensolve with a traceback, or blamed omega_d
+    job = dict(TINY["gates"][0], point={"genome": GENOME_KEYS})
+    config = write_json(tmp_path / "config.json", dict(TINY, flux=flux, gates=[job]))
+    genome = write_json(tmp_path / "genome.json", GENOME)
+    out = tmp_path / "out"
+    args = [verb, str(genome)] if verb == "evaluate" else [verb]
+    assert run_cli(config, out, *args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"{name} must be finite, got inf" in err, err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("key", ["dephasing_log_factor", "dephasing_scale"])
 def test_negative_dephasing_factor_exits_3_naming_it(tmp_path, capsys, key):
     # a negative factor gave a negative dephasing rate and an infinite Tphi

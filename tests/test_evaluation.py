@@ -8,6 +8,7 @@ import pytest
 
 import fluxspot as fs
 from fluxspot.evaluation import _row_point
+from fluxspot.floquet import _minus_mode
 from fluxspot.exceptions import (
     DegenerateGapError,
     InvalidParameterError,
@@ -129,7 +130,7 @@ def test_gap_beyond_omega_d_row_alone_is_infeasible():
     genomes = [fs.Genome.from_vector(v) for v in vectors]
     _, rows = fs.evaluate_population(vectors, ctx)
     omega_d, p = rows["omega_d"][2:3], rows["p"][2:3]
-    assert rows["gap"][2] > omega_d[0]
+    assert rows["eps_plus"][2] - rows["eps_minus"][2] > omega_d[0]
     stack = fs.assemble_floquet_matrix(omega_d, p, ctx.coefficients, 1)
     assert fs.solve_floquet(stack, omega_d)[-1].tolist() == [True]
     results = population(vectors, ctx)
@@ -171,25 +172,29 @@ def test_a_population_calls_each_stage_once_per_slice(context, stage_calls):
 
 def test_derived_values_are_the_stage_outputs_bit_for_bit(context):
     # a point stores what the stages computed; its derived values (the gap,
-    # both truncations, the minus mode, g_minus, gamma_1 and the times) equal
-    # the stacked stages' own outputs, bit for bit
+    # both truncations, gamma_1 and the times) equal the stacked stages' own
+    # outputs, and its minus mode and g_minus what the filter-weight and rate
+    # stages form of the plus branch, bit for bit
     vectors = random_vectors(7, seed=53)
     objs, rows = fs.evaluate_population(vectors, context)
     omega_d = rows["omega_d"]
     stack = fs.assemble_floquet_matrix(omega_d, rows["p"], context.coefficients, 12)
-    eps_minus, eps_plus, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
+    eps_minus, eps_plus, h_plus, ok = fs.solve_floquet(stack, omega_d)
     assert ok.all()
-    g_z, g_plus, g_minus = fs.compute_filter_weights(h_plus, h_minus)
+    g_z, g_plus = fs.compute_filter_weights(h_plus)
     gamma_z, gamma_plus, gamma_minus = fs.decoherence_rates(
-        g_z, g_plus, g_minus, eps_plus - eps_minus, omega_d, context.noise
+        g_z, g_plus, eps_plus - eps_minus, omega_d, context.noise
     )
     for r in range(len(vectors)):
         point = _row_point(rows, r, f"row {r}")
         sol, weights, rates = point.solution, point.weights, point.rates
-        assert sol.omega_gap == rows["gap"][r] == eps_plus[r] - eps_minus[r]
+        assert sol.omega_gap == eps_plus[r] - eps_minus[r]
         assert sol.k_max == 12 and weights.k_max == 24
-        assert np.array_equal(sol.harmonics_minus, h_minus[r])
-        assert np.array_equal(weights.g_minus, g_minus[r])
+        assert np.array_equal(sol.harmonics_plus, h_plus[r])
+        assert np.array_equal(sol.harmonics_minus, _minus_mode(h_plus)[r])
+        assert np.array_equal(weights.g_z, g_z[r])
+        assert np.array_equal(weights.g_plus, g_plus[r])
+        assert np.array_equal(weights.g_minus, g_plus[r, ::-1].conj())
         assert rates.gamma_1 == gamma_plus[r] + gamma_minus[r] == objs[r, 0]
         assert rates.t1 == 1.0 / (gamma_plus[r] + gamma_minus[r])
         assert rates.t_phi == 1.0 / gamma_z[r]

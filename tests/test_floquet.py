@@ -17,11 +17,12 @@ from fluxspot.floquet import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    FilterWeights,
     FloquetSolution,
     _central_pairs,
+    _corr,
     _gauge_fix,
     _midpoint_steps,
+    _minus_mode,
     _monodromy_pair,
     _particle_hole,
     _su2_entries,
@@ -37,10 +38,13 @@ from conftest import (
     random_drive,
     solve_drive,
     solve_row,
+    weight_rows,
     weights_of,
 )
 from oracles import (
+    decoherence_rates_two_branch,
     filter_weights_time_grid,
+    filter_weights_two_branch,
     fold_to_zone,
     mode_at,
     monodromy_eig_oracle,
@@ -294,13 +298,14 @@ class TestParticleHoleSymmetry:
                 d, context.coefficients, k_max
             )
             m = stack[0].copy()   # the solve shifts the stack's diagonal
-            got_minus, got_plus, hp, hm, ok = fs.solve_floquet(stack, omega_d)
+            got_minus, got_plus, hp, ok = fs.solve_floquet(stack, omega_d)
             if not ok[0]:
                 continue
             eps_minus, eps_plus, h_minus, h_plus = central_pair_oracle(m, d.omega_d)
             assert got_plus[0] == pytest.approx(eps_plus, rel=1e-12)
             assert got_minus[0] == pytest.approx(eps_minus, rel=1e-12)
-            for got, want in ((hp[0], h_plus), (hm[0], h_minus)):
+            # the minus mode as the filter-weight stage forms it, C h_plus
+            for got, want in ((hp[0], h_plus), (_minus_mode(hp)[0], h_minus)):
                 assert 1.0 - abs(np.vdot(want, got)) <= 1e-13
                 assert np.max(np.abs(got - want)) <= 1e-12
             checked += 1
@@ -572,27 +577,27 @@ class TestPropagatorReference:
 class TestFilterWeights:
     def test_static_values(self):
         d = drive(10.0, (0.0,))
-        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(3.0, a=0.0, b=4.0), 3))
+        w = weights_of(solve_row(d, coeffs(3.0, a=0.0, b=4.0), 3))
         center = 2 * 3
-        assert abs(g_z[0, center]) == pytest.approx(0.8, abs=1e-12)
-        assert abs(g_plus[0, center]) == pytest.approx(0.6, abs=1e-12)
-        off_center = np.delete(np.abs(g_z[0]), center)
+        assert abs(w.g_z[center]) == pytest.approx(0.8, abs=1e-12)
+        assert abs(w.g_plus[center]) == pytest.approx(0.6, abs=1e-12)
+        off_center = np.delete(np.abs(w.g_z), center)
         assert np.all(off_center < 1e-12)
-        assert parseval_sum(g_z, g_plus, g_minus) == pytest.approx([1.0], abs=1e-12)
+        assert parseval_sum(w.g_z, w.g_plus, w.g_minus) == pytest.approx(1.0, abs=1e-12)
 
     def test_commuting_case_weights(self):
         d = drive(10.0, (0.0, 0.5 + 0.3j))
-        g_z, g_plus, g_minus = weights_of(solve_row(d, coeffs(0.0, a=0.3, b=1.0), 6))
+        w = weights_of(solve_row(d, coeffs(0.0, a=0.3, b=1.0), 6))
         center = 2 * 6
-        assert abs(g_z[0, center]) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(np.delete(np.abs(g_z[0]), center) < 1e-10)
-        assert np.all(np.abs(g_plus) < 1e-10)
-        assert np.all(np.abs(g_minus) < 1e-10)
+        assert abs(w.g_z[center]) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.delete(np.abs(w.g_z), center) < 1e-10)
+        assert np.all(np.abs(w.g_plus) < 1e-10)
+        assert np.all(np.abs(w.g_minus) < 1e-10)
 
     def test_static_sweet_spot_center_weight_vanishes(self):
         d = drive(10.0, (0.0,))
-        g_z, _, _ = weights_of(solve_row(d, coeffs(3.0, a=0.0, b=0.0), 3))
-        assert abs(g_z[0, 2 * 3]) < 1e-14
+        w = weights_of(solve_row(d, coeffs(3.0, a=0.0, b=0.0), 3))
+        assert abs(w.g_z0) < 1e-14
 
     def test_fft_oracle_agreement(self, context):
         rng = np.random.default_rng(37)
@@ -613,9 +618,12 @@ class TestFilterWeights:
         stack = fs.assemble_floquet_matrix(
             omega_d, p, context.coefficients, 15
         )
-        *_, h_plus, h_minus, ok = fs.solve_floquet(stack, omega_d)
+        *_, h_plus, ok = fs.solve_floquet(stack, omega_d)
         assert ok.all()
-        g_z, g_plus, g_minus = fs.compute_filter_weights(h_plus, h_minus)
+        g_z, g_plus = fs.compute_filter_weights(h_plus)
+        # g_minus from the minus mode itself, not from g_plus: the rate
+        # stage's g_minus[k] = conj(g_plus[-k]) rests on this symmetry
+        g_minus = _corr(_minus_mode(h_plus), h_plus)
         parseval = parseval_sum(g_z, g_plus, g_minus)
         assert parseval == pytest.approx(np.ones(50), abs=1e-8)
         assert np.max(np.abs(np.abs(g_plus) - np.abs(g_minus[:, ::-1]))) < 1e-10
@@ -624,9 +632,8 @@ class TestFilterWeights:
         rng = np.random.default_rng(43)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        g_z_rot, g_plus_rot, _ = fs.compute_filter_weights(
-            sol.harmonics_plus[None] * np.exp(0.7j),
-            sol.harmonics_minus[None] * np.exp(-1.1j),
+        g_z_rot, g_plus_rot = fs.compute_filter_weights(
+            sol.harmonics_plus[None] * np.exp(0.7j)
         )
         assert np.allclose(np.abs(w.g_z), np.abs(g_z_rot[0]), atol=1e-12)
         assert np.allclose(np.abs(w.g_plus), np.abs(g_plus_rot[0]), atol=1e-12)
@@ -657,26 +664,89 @@ class TestFilterWeightOracle:
     @settings(max_examples=100, deadline=None)
     @given(box_drives())
     def test_equals_trace_form(self, context, drive_k):
+        # the stage takes the plus mode alone, so it is checked on the
+        # solved pair; the folded and swapped pair of
+        # alternative_representative is no C pair (see
+        # TestRepresentationInvariance)
         d, k_max = drive_k
         try:
             sol = solve_row(d, context.coefficients, k_max)
         except DegenerateGapError:
             assume(False)
-        for s in (sol, alternative_representative(sol, d.omega_d)):
-            g_z, g_plus, _ = weights_of(s)
-            w = FilterWeights(g_z[0], g_plus[0])
-            assert w.k_max == 2 * s.k_max
-            oracle = filter_weights_by_traces(s)
-            for name, want in zip(("g_z", "g_plus", "g_minus"), oracle):
-                got = getattr(w, name)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-15, name
+        w = weights_of(sol)
+        assert w.k_max == 2 * sol.k_max
+        oracle = filter_weights_by_traces(sol)
+        for name, want in zip(("g_z", "g_plus", "g_minus"), oracle):
+            got = getattr(w, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15, name
+
+    @pytest.mark.parametrize("source", ["random", "dss"])
+    def test_stages_equal_the_two_branch_forms(self, context, benchmark_results, source):
+        # the weights and rates of the plus branch alone against the
+        # two-branch forms fed the minus mode C h_plus and its g_minus
+        if source == "random":
+            rng = np.random.default_rng(41)
+            drives = [random_drive(rng, context) for _ in range(50)]
+            omega_d = np.array([d.omega_d for d in drives])
+            p = np.array([d.p for d in drives])
+            stack = fs.assemble_floquet_matrix(omega_d, p, context.coefficients, 15)
+            eps_minus, eps_plus, h_plus, ok = fs.solve_floquet(stack, omega_d)
+            assert ok.all()
+            noises = [context.noise] * 50
+        else:
+            points = [point for _, _, point in benchmark_results.values()]
+            h_plus = np.array([pt.solution.harmonics_plus for pt in points])
+            eps_plus = np.array([pt.solution.eps_plus for pt in points])
+            eps_minus = np.array([pt.solution.eps_minus for pt in points])
+            omega_d = np.array([pt.drive.omega_d for pt in points])
+            noises = [ctx.noise for _, ctx, _ in benchmark_results.values()]
+        gap = eps_plus - eps_minus
+        got = fs.compute_filter_weights(h_plus)
+        want = filter_weights_two_branch(h_plus, _minus_mode(h_plus))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for r, noise in enumerate(noises):
+            row = slice(r, r + 1)
+            got_rates = fs.decoherence_rates(
+                got[0][row], got[1][row], gap[row], omega_d[row], noise
+            )
+            want_rates = decoherence_rates_two_branch(
+                *(g[row] for g in want), gap[row], omega_d[row], noise
+            )
+            assert all(np.array_equal(a, b) for a, b in zip(got_rates, want_rates))
+
+    @settings(max_examples=100, deadline=None)
+    @given(box_drives())
+    def test_c_makes_the_autocorrelations_opposite(self, context, drive_k):
+        # corr(C h, C h) = -corr(h, h): the gap's flux response is the plus
+        # mode's sigma_x autocorrelation
+        d, k_max = drive_k
+        try:
+            sol = solve_row(d, context.coefficients, k_max)
+        except DegenerateGapError:
+            assume(False)
+        assert_autocorrelations_opposite(sol.harmonics_plus[None])
+
+    def test_c_makes_the_autocorrelations_opposite_at_dss(self, benchmark_results):
+        h_plus = np.array(
+            [pt.solution.harmonics_plus for _, _, pt in benchmark_results.values()]
+        )
+        assert_autocorrelations_opposite(h_plus)
+
+
+def assert_autocorrelations_opposite(h_plus):
+    """``corr(C h, C h) + corr(h, h)`` of stacked plus modes vanishes to
+    1e-14 of each row's largest entry."""
+    c_h = _particle_hole(h_plus)
+    plus, minus = _corr(h_plus, h_plus), _corr(c_h, c_h)
+    largest = np.max(np.abs(plus), axis=-1)
+    assert np.all(np.max(np.abs(plus + minus), axis=-1) <= 1e-14 * largest)
 
 
 def rates_of(weights, sol, omega_d, noise):
-    """``(gamma_1, gamma_z)`` of one row of stacked filter weights at the
-    gap of ``sol`` and the drive frequency ``omega_d``: the rate stage on a
-    one-row stack."""
+    """``(gamma_1, gamma_z)`` of one row of stacked filter weights
+    ``(g_z, g_plus)`` at the gap of ``sol`` and the drive frequency
+    ``omega_d``: the rate stage on a one-row stack."""
     gamma_z, gamma_plus, gamma_minus = fs.decoherence_rates(
         *weights, np.array([sol.omega_gap]), np.array([omega_d]), noise
     )
@@ -685,18 +755,23 @@ def rates_of(weights, sol, omega_d, noise):
 
 class TestRepresentationInvariance:
     def test_fold_and_swap_leaves_rates_invariant(self, context, noise):
+        # the folded and swapped pair is no C pair, so its weights come from
+        # the trace form of both its modes; the rate stage holds for any
+        # pair, as g_minus[k] = conj(g_plus[-k]) follows from sigma_x alone
         rng = np.random.default_rng(47)
         for _ in range(5):
             d = random_drive(rng, context)
-            sol = solve_drive(d, context)[0]
+            sol, w = solve_drive(d, context)
             alt = alternative_representative(sol, d.omega_d)
-            w, w_alt = weights_of(sol), weights_of(alt)
-            gamma_1, gamma_z = rates_of(w, sol, d.omega_d, noise)
-            gamma_1_alt, gamma_z_alt = rates_of(w_alt, alt, d.omega_d, noise)
+            g_z_alt, g_plus_alt, _ = filter_weights_by_traces(alt)
+            gamma_1, gamma_z = rates_of(weight_rows(w), sol, d.omega_d, noise)
+            gamma_1_alt, gamma_z_alt = rates_of(
+                (g_z_alt[None], g_plus_alt[None]), alt, d.omega_d, noise
+            )
             assert gamma_1_alt == pytest.approx(gamma_1, rel=1e-9)
             assert gamma_z_alt == pytest.approx(gamma_z, rel=1e-9)
-            ref = np.sort(np.abs(w[0][0]))[::-1]
-            alt = np.sort(np.abs(w_alt[0][0]))[::-1]
+            ref = np.sort(np.abs(w.g_z))[::-1]
+            alt = np.sort(np.abs(g_z_alt))[::-1]
             assert np.allclose(alt[: ref.size], ref, atol=1e-9)
             assert np.all(alt[ref.size :] < 1e-12)
 
@@ -706,7 +781,7 @@ class TestRepresentationInvariance:
         rng = np.random.default_rng(53)
         d = random_drive(rng, context)
         sol, w = solve_drive(d, context)
-        rates_gamma_1, _ = rates_of(weights_of(sol), sol, d.omega_d, noise)
+        rates_gamma_1, _ = rates_of(weight_rows(w), sol, d.omega_d, noise)
         args = w.ks * d.omega_d - sol.omega_gap
         s_sym = fs.spectral_density(noise, args) + fs.spectral_density(noise, -args)
         gamma_1 = float(np.sum(np.abs(w.g_plus) ** 2 * s_sym))

@@ -85,7 +85,7 @@ class TestDecoherenceRates:
         noise = fs.NoiseModel(a_f=0.0, a_d=0.0)
         g_pm = np.array([[0, 0, 1, 0, 0]], dtype=complex)
         gammas = fs.decoherence_rates(
-            np.zeros_like(g_pm), g_pm, g_pm, np.array([5.0]), np.array([10.0]), noise
+            np.zeros_like(g_pm), g_pm, np.array([5.0]), np.array([10.0]), noise
         )
         rates = fs.RateReport(*(float(g[0]) for g in gammas))
         assert rates.gamma_1 == 0.0 and rates.t1 == np.inf
