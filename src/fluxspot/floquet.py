@@ -561,16 +561,15 @@ def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def compute_filter_weights(h_plus: np.ndarray):
     """Filter weights ``(g_z, g_plus)`` of stacked plus modes ``(..., 2 k_max
-    + 1, 2)``, each ``(..., 4 k_max + 1)``, by exact discrete convolution of
-    the harmonics of the plus mode and the minus mode ``C h_plus``.
+    + 1, 2)``, each ``(..., 4 k_max + 1)``, by exact discrete convolution:
+    ``g_z`` is the plus mode's ``sigma_x`` autocorrelation (``C`` makes the
+    minus mode's its negative), ``g_plus`` its correlation with ``C h_plus``.
 
     The arrays span ``k in [-2 k_max, 2 k_max]`` -- the full support of the
     harmonic convolution -- so the completeness (Parseval) sum closes to the
     accuracy of the Floquet solution itself.
     """
-    h_minus = _minus_mode(h_plus)
-    g_z = 0.5 * (_corr(h_plus, h_plus) - _corr(h_minus, h_minus))
-    return g_z, _corr(h_plus, h_minus)
+    return _corr(h_plus, h_plus), _corr(h_plus, _minus_mode(h_plus))
 
 
 def mode_infidelity(a: FloquetSolution, b: FloquetSolution) -> float:

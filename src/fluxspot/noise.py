@@ -142,8 +142,7 @@ def decoherence_rates(g_z, g_plus, omega_gap, omega_d, noise: NoiseModel):
     gamma_z carries the first-order 1/f term from the central weight plus the
     quadratic contributions of the k != 0 harmonics sampled at ``k omega_d``;
     gamma_plus/gamma_minus sample the spectrum at ``k omega_d -/+ omega_gap``
-    with ``g_plus`` and ``g_minus[k] = conj(g_plus[-k])`` (``sigma_x`` is
-    Hermitian).  The harmonic sums run over the full extent of the arrays.
+    with ``g_plus`` and ``g_minus[k] = conj(g_plus[-k])``, summed over all k.
     """
     center = (g_z.shape[-1] - 1) // 2
     k_omega = np.arange(-center, center + 1) * omega_d[:, None]
